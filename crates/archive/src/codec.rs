@@ -190,6 +190,12 @@ impl CheckpointCodec {
     /// codec: the adapted-TB write may be replaced or torn before it
     /// commits, so state only moves in
     /// [`note_committed`](Self::note_committed).
+    ///
+    /// The image CRC folded into the chain link is the one the checkpoint
+    /// carries ([`Checkpoint::crc`]), not a fresh hash of its bytes: a
+    /// checkpoint corrupted in memory keeps its stale CRC, so the walker —
+    /// which does hash the bytes — orphans the record on reload instead of
+    /// the chain re-stamping the damage as valid.
     pub fn encode_record(&self, ckpt: &Checkpoint) -> ChainRecord {
         let image = ckpt.shared_data();
         match (self.next_kind(), &self.last) {
@@ -197,12 +203,12 @@ impl CheckpointCodec {
                 let patch = DeltaPatch::diff(&last.image, &image);
                 ChainRecord::Delta {
                     base_seq: last.seq,
-                    chain_crc: chain_link(last.chain_crc, patch.image_crc),
+                    chain_crc: chain_link(last.chain_crc, ckpt.crc()),
                     patch,
                 }
             }
             _ => ChainRecord::Full {
-                chain_crc: chain_link(CHAIN_SEED, crc32(&image)),
+                chain_crc: chain_link(CHAIN_SEED, ckpt.crc()),
                 image,
             },
         }
@@ -210,8 +216,7 @@ impl CheckpointCodec {
 
     /// Advances the codec past a committed checkpoint.
     pub fn note_committed(&mut self, ckpt: &Checkpoint, kind: RecordKind) {
-        let image = ckpt.shared_data();
-        let crc = crc32(&image);
+        let crc = ckpt.crc();
         let chain_crc = match (kind, &self.last) {
             (RecordKind::Delta, Some(last)) => {
                 self.deltas_since_full += 1;
@@ -224,7 +229,7 @@ impl CheckpointCodec {
         };
         self.last = Some(LastImage {
             seq: ckpt.seq(),
-            image,
+            image: ckpt.shared_data(),
             crc,
             chain_crc,
         });
@@ -303,6 +308,33 @@ impl ChainWalker {
     /// does not. After an orphaned delta, later deltas fail their base
     /// check until the next full image restarts the chain.
     pub fn feed(&mut self, seq: u64, record: &ChainRecord) -> Option<Arc<[u8]>> {
+        self.step(seq, record).map(|last| Arc::clone(&last.image))
+    }
+
+    /// Decodes the chain record a backend checkpoint carries, feeds it, and
+    /// rebuilds the original checkpoint (the wrapper keeps the original's
+    /// seq, timestamp and label) — `None`, counting an orphan, when the
+    /// record does not decode or does not chain. The rebuilt checkpoint
+    /// takes the image CRC this walk just verified instead of hashing the
+    /// image again.
+    pub fn replay(&mut self, wrapped: &Checkpoint) -> Option<Checkpoint> {
+        let Ok(record) = wrapped.decode::<ChainRecord>() else {
+            self.note_orphan();
+            return None;
+        };
+        let last = self.step(wrapped.seq(), &record)?;
+        Some(Checkpoint::from_verified_parts(
+            wrapped.seq(),
+            wrapped.taken_at(),
+            wrapped.label(),
+            Arc::clone(&last.image),
+            last.crc,
+        ))
+    }
+
+    /// Verifies `record` against the chain position and, if every link
+    /// holds, moves the position onto its image and returns it.
+    fn step(&mut self, seq: u64, record: &ChainRecord) -> Option<&LastImage> {
         match record {
             ChainRecord::Full { chain_crc, image } => {
                 let crc = crc32(image);
@@ -317,7 +349,6 @@ impl ChainWalker {
                     crc,
                     chain_crc: *chain_crc,
                 });
-                Some(Arc::clone(image))
             }
             ChainRecord::Delta {
                 base_seq,
@@ -339,17 +370,16 @@ impl ChainWalker {
                     self.orphans += 1;
                     return None;
                 };
-                let image: Arc<[u8]> = image.into();
                 self.deltas_since_full += 1;
                 self.last = Some(LastImage {
                     seq,
-                    image: Arc::clone(&image),
+                    image: image.into(),
                     crc: patch.image_crc,
                     chain_crc: *chain_crc,
                 });
-                Some(image)
             }
         }
+        self.last.as_ref()
     }
 
     /// Hands the walker's final position to a codec so encoding continues
@@ -414,6 +444,34 @@ mod tests {
                 "measure matches serialization at seq {seq}"
             );
             encode.note_committed(&c, record.kind());
+        }
+    }
+
+    #[test]
+    fn chain_record_format_is_pinned() {
+        // Golden values from the parent of the commit that moved images onto
+        // the codec's slice path and built chain links from the checkpoint's
+        // own CRC; a change here is an archive-format change.
+        let mut state: Vec<u8> = (0..2048u32).map(|i| (i * 13 + 5) as u8).collect();
+        let mut codec = CheckpointCodec::new(4);
+        let c1 = ckpt(1, &state);
+        let full = codec.encode_record(&c1);
+        codec.note_committed(&c1, full.kind());
+        state[100] ^= 0xFF;
+        state[1900] = 0x42;
+        let delta = codec.encode_record(&ckpt(2, &state));
+        for (record, kind, len, crc) in [
+            (&full, RecordKind::Full, 2072, 0x6961_36e6u32),
+            (&delta, RecordKind::Delta, 200, 0xbac1_9f38),
+        ] {
+            let bytes = synergy_codec::to_bytes(record).unwrap();
+            assert_eq!(record.kind(), kind);
+            assert_eq!(bytes.len(), len);
+            assert_eq!(crc32(&bytes), crc, "{kind:?} record bytes moved");
+            assert_eq!(
+                &synergy_codec::from_bytes::<ChainRecord>(&bytes).unwrap(),
+                record
+            );
         }
     }
 

@@ -103,27 +103,23 @@ impl<S: StableHistory> DeltaStable<S> {
     /// were, the next record is forced to be a full image so the damaged
     /// suffix is never extended.
     ///
+    /// Each guard runs once over the bytes it covers: the wrapper
+    /// checkpoint's CRC when its chain record is decoded (a disk backend
+    /// checked the frame CRC, and only that, at its own open), then the
+    /// image CRC against the chain link. The rebuilt checkpoint carries
+    /// that verified image CRC instead of hashing the image again.
+    ///
     /// # Panics
     ///
     /// Panics if `k` or `retain` is zero.
     pub fn open_with_retention(inner: S, k: u32, retain: usize) -> Self {
         assert!(retain > 0, "must retain at least one checkpoint");
         let mut walker = ChainWalker::new();
-        let mut committed = Vec::new();
-        for wrapped in inner.committed_records() {
-            let Ok(record) = wrapped.decode::<ChainRecord>() else {
-                walker.note_orphan();
-                continue;
-            };
-            if let Some(image) = walker.feed(wrapped.seq(), &record) {
-                committed.push(Checkpoint::from_raw_parts(
-                    wrapped.seq(),
-                    wrapped.taken_at(),
-                    wrapped.label(),
-                    image,
-                ));
-            }
-        }
+        let mut committed: Vec<Checkpoint> = inner
+            .committed_records()
+            .iter()
+            .filter_map(|wrapped| walker.replay(wrapped))
+            .collect();
         if committed.len() > retain {
             let excess = committed.len() - retain;
             committed.drain(..excess);
@@ -413,6 +409,39 @@ mod tests {
         let s = DeltaStable::open(inner, 4);
         assert_eq!(s.delta_stats().chain_orphans, 1);
         assert_eq!(s.latest_shared().unwrap().seq(), 1);
+    }
+
+    /// Commits `good` then `bad` — a checkpoint whose bytes were flipped
+    /// in memory after its CRC was taken — and reopens the backend.
+    fn reopen_after_corrupt_commit(k: u32, good: &[Checkpoint], kind: RecordKind) {
+        let mut s = DeltaStable::open(StableStore::with_retention(8), k);
+        for c in good {
+            commit(&mut s, c.clone());
+        }
+        let mut bad = ckpt(9, 9);
+        bad.corrupt_bit(8 * 300);
+        assert!(bad.decode::<Vec<u8>>().is_err(), "the raw store refuses it");
+        assert_eq!(s.next_record_kind(), kind);
+        commit(&mut s, bad);
+
+        // The chain link was built from the CRC the checkpoint carries, so
+        // the walker's hash of the stored bytes disagrees: orphaned, not
+        // re-stamped with a fresh valid CRC.
+        let s = DeltaStable::open(s.into_inner(), k);
+        assert_eq!(s.delta_stats().chain_orphans, 1);
+        assert_eq!(s.latest_shared().as_ref(), good.last());
+        assert_eq!(s.committed_records(), good);
+        assert_eq!(s.next_record_kind(), RecordKind::Full);
+    }
+
+    #[test]
+    fn corrupt_in_memory_checkpoint_is_orphaned_as_a_full_record() {
+        reopen_after_corrupt_commit(1, &[ckpt(1, 1), ckpt(2, 2)], RecordKind::Full);
+    }
+
+    #[test]
+    fn corrupt_in_memory_checkpoint_is_orphaned_as_a_delta_record() {
+        reopen_after_corrupt_commit(4, &[ckpt(1, 1), ckpt(2, 2)], RecordKind::Delta);
     }
 
     #[test]

@@ -136,6 +136,33 @@ pub trait Codec: Sized {
     ///
     /// Any [`CodecError`] describing malformed input.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError>;
+
+    /// Appends the encodings of `items`, back to back and without a length
+    /// prefix. Sequences (`Vec<T>`, `Arc<[T]>`) encode their elements
+    /// through this, so a type whose slice has a cheaper encoding than one
+    /// call per element overrides it (`u8` is one bulk copy) — the
+    /// `Hash::hash_slice` pattern. An override must produce the same bytes
+    /// as the element-wise default.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
+    /// Decodes `len` values written by [`encode_slice`](Self::encode_slice).
+    /// Callers validate `len` against the remaining input first
+    /// ([`Reader::take_len`]), so the allocation is bounded by the input.
+    ///
+    /// # Errors
+    ///
+    /// Any [`CodecError`] describing malformed input.
+    fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, CodecError> {
+        let mut items = Vec::with_capacity(len);
+        for _ in 0..len {
+            items.push(Self::decode(r)?);
+        }
+        Ok(items)
+    }
 }
 
 /// Encodes `value` to a byte vector.
@@ -180,29 +207,6 @@ pub fn from_bytes<T: Codec>(bytes: &[u8]) -> Result<T, CodecError> {
     Ok(value)
 }
 
-/// Encodes a byte slice with the exact layout of `Vec<u8>` (a `u64` length
-/// prefix followed by the raw bytes) in one bulk copy.
-///
-/// The generic `Vec<T>` impl encodes element by element, which for byte
-/// payloads means one call per byte; hot paths (the live wire, checkpoint
-/// images) should use this instead. The two encodings are byte-identical.
-pub fn encode_bytes(bytes: &[u8], out: &mut Vec<u8>) {
-    (bytes.len() as u64).encode(out);
-    out.extend_from_slice(bytes);
-}
-
-/// Decodes a byte vector encoded by [`encode_bytes`] or the generic
-/// `Vec<u8>` impl (the layouts are identical) in one bulk copy.
-///
-/// # Errors
-///
-/// [`CodecError::LengthOverflow`] on a hostile length prefix,
-/// [`CodecError::UnexpectedEof`] on truncated input.
-pub fn decode_bytes(r: &mut Reader<'_>) -> Result<Vec<u8>, CodecError> {
-    let len = r.take_len(1)?;
-    Ok(r.take(len)?.to_vec())
-}
-
 macro_rules! codec_int {
     ($($ty:ty),*) => {$(
         impl Codec for $ty {
@@ -217,7 +221,24 @@ macro_rules! codec_int {
     )*};
 }
 
-codec_int!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128);
+codec_int!(u16, u32, u64, u128, i8, i16, i32, i64, i128);
+
+/// Bytes move in bulk: a `Vec<u8>` or `Arc<[u8]>` (checkpoint images, wire
+/// payloads, dirty regions) is one length prefix and one `memcpy` each way.
+impl Codec for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.take_byte()
+    }
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+    fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, CodecError> {
+        Ok(r.take(len)?.to_vec())
+    }
+}
 
 impl Codec for usize {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -284,17 +305,11 @@ impl Codec for String {
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        T::encode_slice(self, out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let len = r.take_len(1)?;
-        let mut items = Vec::with_capacity(len);
-        for _ in 0..len {
-            items.push(T::decode(r)?);
-        }
-        Ok(items)
+        T::decode_vec(r, len)
     }
 }
 
@@ -314,9 +329,7 @@ impl<T: Codec> Codec for Arc<T> {
 impl<T: Codec> Codec for Arc<[T]> {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
-        for item in self.iter() {
-            item.encode(out);
-        }
+        T::encode_slice(self, out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Vec::<T>::decode(r)?.into())
@@ -364,16 +377,10 @@ impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
 
 impl<T: Codec, const N: usize> Codec for [T; N] {
     fn encode(&self, out: &mut Vec<u8>) {
-        for item in self {
-            item.encode(out);
-        }
+        T::encode_slice(self, out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let mut items = Vec::with_capacity(N);
-        for _ in 0..N {
-            items.push(T::decode(r)?);
-        }
-        items
+        T::decode_vec(r, N)?
             .try_into()
             .map_err(|_| CodecError::Message("array length mismatch".into()))
     }
@@ -479,20 +486,96 @@ mod tests {
         roundtrip(Arc::new(42u64));
     }
 
+    /// The sequence layout written out longhand — a `u64` count, then one
+    /// `encode` call per element — against which the slice paths are held.
+    fn elementwise<T: Codec>(items: &[T]) -> Vec<u8> {
+        let mut out = (items.len() as u64).to_le_bytes().to_vec();
+        for item in items {
+            item.encode(&mut out);
+        }
+        out
+    }
+
     #[test]
     fn bulk_bytes_match_generic_vec_layout() {
         for payload in [vec![], vec![7u8], (0..=255u8).collect::<Vec<u8>>()] {
-            let mut bulk = Vec::new();
-            encode_bytes(&payload, &mut bulk);
-            assert_eq!(bulk, to_bytes(&payload).unwrap());
-            let mut r = Reader::new(&bulk);
-            assert_eq!(decode_bytes(&mut r).unwrap(), payload);
-            assert_eq!(r.remaining(), 0);
+            let want = elementwise(&payload);
+            assert_eq!(to_bytes(&payload).unwrap(), want);
+            let shared: Arc<[u8]> = payload.as_slice().into();
+            assert_eq!(to_bytes(&shared).unwrap(), want);
+            assert_eq!(from_bytes::<Vec<u8>>(&want).unwrap(), payload);
+            assert_eq!(from_bytes::<Arc<[u8]>>(&want).unwrap(), shared);
         }
         // Hostile prefix must not allocate.
         let bytes = to_bytes(&u64::MAX).unwrap();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(decode_bytes(&mut r), Err(CodecError::LengthOverflow));
+        assert_eq!(
+            from_bytes::<Vec<u8>>(&bytes),
+            Err(CodecError::LengthOverflow)
+        );
+        assert_eq!(
+            from_bytes::<Arc<[u8]>>(&bytes),
+            Err(CodecError::LengthOverflow)
+        );
+    }
+
+    #[test]
+    fn slice_paths_match_elementwise_layout_for_wider_elements() {
+        let words: Vec<u16> = vec![0, 1, 0x0102, u16::MAX];
+        assert_eq!(to_bytes(&words).unwrap(), elementwise(&words));
+        roundtrip(words);
+
+        // Nested: the inner byte vectors written one byte per push.
+        let pairs: Vec<(String, Vec<u8>)> = vec![
+            ("a".into(), vec![1, 2, 3]),
+            (String::new(), vec![]),
+            ("héllo".into(), (0..=255u8).rev().collect()),
+        ];
+        let mut want = (pairs.len() as u64).to_le_bytes().to_vec();
+        for (name, bytes) in &pairs {
+            want.extend_from_slice(&(name.len() as u64).to_le_bytes());
+            want.extend_from_slice(name.as_bytes());
+            want.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+            for b in bytes {
+                want.push(*b);
+            }
+        }
+        assert_eq!(to_bytes(&pairs).unwrap(), want);
+        roundtrip(pairs);
+        roundtrip([9u8, 8, 7, 6]);
+    }
+
+    #[test]
+    fn truncated_and_overlong_sequences_are_typed_errors() {
+        let bytes = to_bytes(&vec![1u8, 2, 3, 4, 5]).unwrap();
+        // Cut inside the prefix: the length itself is incomplete.
+        assert_eq!(
+            from_bytes::<Vec<u8>>(&bytes[..5]),
+            Err(CodecError::UnexpectedEof)
+        );
+        assert_eq!(
+            from_bytes::<Arc<[u8]>>(&bytes[..5]),
+            Err(CodecError::UnexpectedEof)
+        );
+        // Cut inside the body: the prefix promises more than remains.
+        assert_eq!(
+            from_bytes::<Vec<u8>>(&bytes[..bytes.len() - 1]),
+            Err(CodecError::LengthOverflow)
+        );
+        assert_eq!(
+            from_bytes::<Arc<[u8]>>(&bytes[..bytes.len() - 1]),
+            Err(CodecError::LengthOverflow)
+        );
+        // Wider elements: three u16 promised, two delivered — the prefix
+        // passes the one-byte-per-element bound and the third decode runs dry.
+        let words = to_bytes(&vec![1u16, 2, 3]).unwrap();
+        assert_eq!(
+            from_bytes::<Vec<u16>>(&words[..words.len() - 2]),
+            Err(CodecError::UnexpectedEof)
+        );
+        assert_eq!(
+            from_bytes::<Vec<u16>>(&words[..8 + 2]),
+            Err(CodecError::LengthOverflow)
+        );
     }
 
     #[test]

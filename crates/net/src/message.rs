@@ -2,9 +2,7 @@
 
 use core::fmt;
 
-use synergy_codec::{
-    codec_newtype, codec_struct, decode_bytes, encode_bytes, Codec, CodecError, Reader,
-};
+use synergy_codec::{codec_newtype, codec_struct, Codec, CodecError, Reader};
 
 /// Identifies a protocol process (e.g. `P1act`, `P1sdw`, `P2`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -276,12 +274,12 @@ impl Codec for MessageBody {
         match self {
             MessageBody::Application { payload, dirty } => {
                 0u32.encode(out);
-                encode_bytes(payload, out);
+                payload.encode(out);
                 dirty.encode(out);
             }
             MessageBody::External { payload } => {
                 1u32.encode(out);
-                encode_bytes(payload, out);
+                payload.encode(out);
             }
             MessageBody::PassedAt { msg_sn, ndc } => {
                 2u32.encode(out);
@@ -297,11 +295,11 @@ impl Codec for MessageBody {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match u32::decode(r)? {
             0 => Ok(MessageBody::Application {
-                payload: decode_bytes(r)?,
+                payload: Vec::decode(r)?,
                 dirty: bool::decode(r)?,
             }),
             1 => Ok(MessageBody::External {
-                payload: decode_bytes(r)?,
+                payload: Vec::decode(r)?,
             }),
             2 => Ok(MessageBody::PassedAt {
                 msg_sn: MsgSeqNo::decode(r)?,

@@ -136,19 +136,25 @@ impl Checkpoint {
         })
     }
 
-    /// Rebuilds a checkpoint from already-serialized state bytes, recomputing
-    /// the CRC. This is the reconstruction path for layered stores (the
-    /// archive's delta chain) that persist a *transformed* record and must
-    /// reproduce the original byte-identically: for any checkpoint built by
-    /// [`encode`](Self::encode), `from_raw_parts` over the same metadata and
-    /// [`shared_data`](Self::shared_data) yields an equal record.
-    pub fn from_raw_parts(
+    /// Rebuilds a checkpoint from already-serialized state bytes and the
+    /// CRC-32 the caller has just computed or verified over exactly those
+    /// bytes — the reconstruction path for layered stores (the archive's
+    /// delta chain) that persist a *transformed* record and must reproduce
+    /// the original byte-identically without hashing the image a second
+    /// time: for any checkpoint built by [`encode`](Self::encode), the same
+    /// metadata, [`shared_data`](Self::shared_data) and [`crc`](Self::crc)
+    /// yield an equal record.
+    ///
+    /// Nothing is taken on trust: [`decode`](Self::decode) re-verifies
+    /// `crc` against `data`, so a wrong value makes the record undecodable
+    /// ([`CheckpointError::CrcMismatch`]), never silently accepted.
+    pub fn from_verified_parts(
         seq: u64,
         taken_at: SimTime,
         label: impl Into<String>,
         data: Arc<[u8]>,
+        crc: u32,
     ) -> Self {
-        let crc = crc32(&data);
         Checkpoint {
             seq,
             taken_at_nanos: taken_at.as_nanos(),
@@ -194,6 +200,15 @@ impl Checkpoint {
     /// Size of the serialized state in bytes.
     pub fn size_bytes(&self) -> usize {
         self.data.len()
+    }
+
+    /// The CRC-32 recorded over the serialized state when the checkpoint
+    /// was taken. Layers that chain or re-frame the image carry this value
+    /// instead of re-hashing the bytes; if the bytes were corrupted since
+    /// (see [`corrupt_bit`](Self::corrupt_bit)) it no longer matches them,
+    /// and whoever verifies it against the bytes refuses the record.
+    pub fn crc(&self) -> u32 {
+        self.crc
     }
 
     /// The serialized state, shared. Cloning the returned handle is a
@@ -278,6 +293,25 @@ mod tests {
         // record again, no stale bytes.
         let again = Checkpoint::encode_with_scratch(7, t, "pseudo", &sample(), &mut scratch);
         assert_eq!(again.unwrap(), plain);
+    }
+
+    #[test]
+    fn verified_parts_rebuild_an_equal_record_and_a_wrong_crc_is_refused() {
+        let ckpt = Checkpoint::encode(4, SimTime::from_secs_f64(1.0), "t", &sample()).unwrap();
+        let parts = |crc| {
+            Checkpoint::from_verified_parts(
+                ckpt.seq(),
+                ckpt.taken_at(),
+                ckpt.label(),
+                ckpt.shared_data(),
+                crc,
+            )
+        };
+        assert_eq!(parts(ckpt.crc()), ckpt);
+        assert!(matches!(
+            parts(ckpt.crc() ^ 1).decode::<AppState>(),
+            Err(CheckpointError::CrcMismatch { .. })
+        ));
     }
 
     #[test]

@@ -15,18 +15,21 @@
 //! | crash before commit     | `inflight.tmp` left behind — a **torn write**   |
 //!
 //! On [`open`](DiskStableStore::open) the store reloads every committed
-//! checkpoint file, verifying the outer frame CRC *and* the
-//! [`Checkpoint`]'s own CRC; a leftover `inflight.tmp` is detected as a torn
-//! write, counted in [`StableStats::torn_writes`] and discarded, so recovery
-//! proceeds from the previous committed checkpoint — exactly the in-memory
-//! store's [`crash`](crate::StableStore::crash) semantics, made durable.
+//! checkpoint file, verifying the outer frame CRC — which covers the whole
+//! serialized [`Checkpoint`], its own state CRC included; that inner CRC is
+//! checked against the state bytes once, when the checkpoint is
+//! [`decode`](Checkpoint::decode)d. A leftover `inflight.tmp` is detected
+//! as a torn write, counted in [`StableStats::torn_writes`] and discarded,
+//! so recovery proceeds from the previous committed checkpoint — exactly
+//! the in-memory store's [`crash`](crate::StableStore::crash) semantics,
+//! made durable.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::checkpoint::Checkpoint;
-use crate::codec;
+use crate::codec::{self, Codec};
 use crate::crc::crc32;
 use crate::stable::{Stable, StableStats, StableWriteError};
 
@@ -42,16 +45,21 @@ fn io_err(op: &str, path: &Path, e: std::io::Error) -> StableWriteError {
 }
 
 /// Serializes a checkpoint into the on-disk frame:
-/// `magic · payload_len · payload · crc32(payload)`.
-fn frame(ckpt: &Checkpoint) -> Result<Vec<u8>, StableWriteError> {
-    let payload = codec::to_bytes(ckpt)
-        .map_err(|e| StableWriteError::Io(format!("encode checkpoint: {e}")))?;
-    let mut out = Vec::with_capacity(payload.len() + 16);
+/// `magic · payload_len · payload · crc32(payload)`. The checkpoint is
+/// encoded straight into the frame buffer (the length is patched in once
+/// known), so the image is copied once on its way to the file.
+fn frame(ckpt: &Checkpoint) -> Vec<u8> {
+    // One exact allocation: frame header and trailer (16), the checkpoint's
+    // fixed fields and two length prefixes (36), label and state bytes.
+    let mut out = Vec::with_capacity(16 + 36 + ckpt.label().len() + ckpt.size_bytes());
     out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    Ok(out)
+    out.extend_from_slice(&[0u8; 8]);
+    ckpt.encode(&mut out);
+    let payload_len = (out.len() - 12) as u64;
+    out[4..12].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(&out[12..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
 }
 
 /// Parses and CRC-verifies an on-disk frame. Any failure — truncation, bad
@@ -125,9 +133,10 @@ impl DiskStableStore {
     /// disk.
     ///
     /// Reload semantics: committed `ckpt-*.bin` files are loaded oldest to
-    /// newest with both CRCs verified (corrupt records are skipped); a
-    /// leftover in-flight temp file is a **torn write** — counted, deleted,
-    /// and the previous committed checkpoint remains the latest.
+    /// newest with the frame CRC verified (corrupt records are skipped; the
+    /// checkpoint's own CRC is verified when it is decoded); a leftover
+    /// in-flight temp file is a **torn write** — counted, deleted, and the
+    /// previous committed checkpoint remains the latest.
     ///
     /// # Errors
     ///
@@ -222,9 +231,9 @@ impl DiskStableStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StableWriteError::Io`] on encode or filesystem failure.
+    /// Returns [`StableWriteError::Io`] on filesystem failure.
     pub fn write_record_file(path: &Path, ckpt: &Checkpoint) -> Result<(), StableWriteError> {
-        fs::write(path, frame(ckpt)?).map_err(|e| io_err("write record", path, e))
+        fs::write(path, frame(ckpt)).map_err(|e| io_err("write record", path, e))
     }
 
     /// The on-disk file name of a committed record (`ckpt-NNNNNNNNNN.bin`).
@@ -251,7 +260,7 @@ impl DiskStableStore {
             .truncate(true)
             .open(&path)
             .map_err(|e| io_err("open", &path, e))?;
-        f.write_all(&frame(ckpt)?)
+        f.write_all(&frame(ckpt))
             .map_err(|e| io_err("write", &path, e))?;
         f.sync_all().map_err(|e| io_err("fsync", &path, e))?;
         Ok(())
@@ -360,10 +369,7 @@ impl Stable for DiskStableStore {
             return false;
         };
         let path = self.dir.join(file_name(index));
-        let Ok(bytes) = frame(&checkpoint) else {
-            return false;
-        };
-        if fs::write(&path, bytes).is_err() {
+        if fs::write(&path, frame(&checkpoint)).is_err() {
             return false;
         }
         *slot = checkpoint;
@@ -389,6 +395,21 @@ mod tests {
 
     fn ckpt(seq: u64, value: u64) -> Checkpoint {
         Checkpoint::encode(seq, SimTime::from_nanos(seq), "t", &value).unwrap()
+    }
+
+    #[test]
+    fn on_disk_frame_format_is_pinned() {
+        // Golden value from the parent of the commit that made `frame`
+        // encode in place and moved byte sequences onto the codec's slice
+        // path; a change here is a disk-format change.
+        let state: Vec<u8> = (0..1000u32).map(|i| (i * 31 + 7) as u8).collect();
+        let c =
+            Checkpoint::encode(7, SimTime::from_nanos(1_500_000_000), "golden", &state).unwrap();
+        let framed = frame(&c);
+        assert_eq!(framed.len(), 1066);
+        assert_eq!(framed.capacity(), framed.len(), "one exact allocation");
+        assert_eq!(crc32(&framed), 0xbb76_57aa);
+        assert_eq!(unframe(&framed), Some(c));
     }
 
     #[test]
@@ -444,7 +465,7 @@ mod tests {
             s.commit_write().unwrap();
         }
         // A write killed mid-`write_all`: only half the frame reached disk.
-        let full = frame(&ckpt(2, 2)).unwrap();
+        let full = frame(&ckpt(2, 2));
         fs::write(dir.join(INFLIGHT), &full[..full.len() / 2]).unwrap();
         let s = DiskStableStore::open(&dir).unwrap();
         assert_eq!(s.stats().torn_writes, 1);

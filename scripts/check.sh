@@ -14,6 +14,14 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> ledger: the benchmark package builds and tests against these crates"
+# ledger/ is a workspace of its own that calls the crates' public API
+# (DeltaPatch::diff, Checkpoint::encode/decode, CheckpointPayload::{into,
+# from}_checkpoint, DeltaStable::open_with_retention, crc32, ...); a break
+# there must fail here, not in the benchmark pipeline.
+cargo build --release --offline --manifest-path ledger/Cargo.toml
+cargo test -q --offline --manifest-path ledger/Cargo.toml
+
 echo "==> chaos smoke: 4 fixed-seed campaigns against the live cluster"
 # Deterministic and fast (≤30 s even on slow machines): the release build
 # above produced the cluster binaries, and base seed 7 is the same fixed

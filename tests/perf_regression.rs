@@ -8,11 +8,18 @@
 //! 2. A short traced-off mission stays within a pinned allocation budget.
 //!    The counter is thread-local, so concurrently running tests in this
 //!    binary do not perturb the measurement.
+//! 3. Checkpoint images cross the codec and the chain reload as bulk
+//!    copies: a byte vector decodes in one allocation and a chain reload
+//!    allocates a small constant per record, whatever the image size — an
+//!    extra copy of an image on either path fails here without a timer.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 
 use synergy::{Mission, MissionOutcome, Scheme, SystemConfig};
+use synergy_archive::DeltaStable;
+use synergy_des::SimTime;
+use synergy_storage::{Checkpoint, Stable, StableStore};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -108,5 +115,52 @@ fn untraced_mission_stays_within_allocation_budget() {
         allocs < BUDGET,
         "untraced mission allocated {allocs} times (budget {BUDGET}); \
          the hot path has regressed"
+    );
+}
+
+#[test]
+fn byte_vector_decodes_in_one_allocation() {
+    let bytes = synergy_codec::to_bytes(&vec![0xA5u8; 1 << 20]).unwrap();
+    let before = allocs_on_this_thread();
+    let back: Vec<u8> = synergy_codec::from_bytes(&bytes).unwrap();
+    let allocs = allocs_on_this_thread() - before;
+    assert_eq!(back.len(), 1 << 20);
+    assert_eq!(
+        allocs, 1,
+        "a 1 MiB byte vector must decode as one bulk copy"
+    );
+}
+
+#[test]
+fn chain_reload_allocates_a_constant_per_record() {
+    const RECORDS: u64 = 32;
+    let retain = RECORDS as usize + 1;
+    let mut store =
+        DeltaStable::open_with_retention(StableStore::with_retention(retain), 1, retain);
+    let mut state = vec![0u8; 64 * 1024];
+    for round in 1..=RECORDS {
+        state[round as usize * 1000] = round as u8;
+        let ckpt = Checkpoint::encode(round, SimTime::from_nanos(round), "guard", &state).unwrap();
+        store.begin_write(ckpt).unwrap();
+        store.commit_write().unwrap();
+    }
+    let latest = store.latest_shared();
+    let inner = store.into_inner();
+
+    let before = allocs_on_this_thread();
+    let reloaded = DeltaStable::open_with_retention(inner, 1, retain);
+    let allocs = allocs_on_this_thread() - before;
+
+    assert_eq!(reloaded.delta_stats().chain_orphans, 0);
+    assert_eq!(reloaded.latest_shared(), latest);
+    eprintln!("chain reload of {RECORDS} full records: {allocs} allocation events");
+    // Measured 133: 4 per record (the history handle's label, the decoded
+    // image, its shared copy, the rebuilt checkpoint's label) plus 5 for the
+    // two vectors of checkpoints.
+    const BUDGET: u64 = 4 * RECORDS + 8;
+    assert!(
+        allocs <= BUDGET,
+        "chain reload allocated {allocs} times for {RECORDS} records (budget {BUDGET}); \
+         an image is being copied or re-encoded once more than needed"
     );
 }
