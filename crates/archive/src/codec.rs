@@ -191,16 +191,17 @@ impl CheckpointCodec {
     /// commits, so state only moves in
     /// [`note_committed`](Self::note_committed).
     ///
-    /// The image CRC folded into the chain link is the one the checkpoint
-    /// carries ([`Checkpoint::crc`]), not a fresh hash of its bytes: a
-    /// checkpoint corrupted in memory keeps its stale CRC, so the walker —
-    /// which does hash the bytes — orphans the record on reload instead of
-    /// the chain re-stamping the damage as valid.
+    /// The image CRC folded into the chain link — and into a delta's
+    /// `image_crc` — is the one the checkpoint carries ([`Checkpoint::crc`]),
+    /// not a fresh hash of its bytes, and a delta's `base_crc` is the chain
+    /// position's: a checkpoint corrupted in memory keeps its stale CRC, so
+    /// the walker — which does hash the bytes it serves — orphans the record
+    /// on reload instead of the chain re-stamping the damage as valid.
     pub fn encode_record(&self, ckpt: &Checkpoint) -> ChainRecord {
         let image = ckpt.shared_data();
         match (self.next_kind(), &self.last) {
             (RecordKind::Delta, Some(last)) => {
-                let patch = DeltaPatch::diff(&last.image, &image);
+                let patch = DeltaPatch::diff_with_crcs(&last.image, last.crc, &image, ckpt.crc());
                 ChainRecord::Delta {
                     base_seq: last.seq,
                     chain_crc: chain_link(last.chain_crc, ckpt.crc()),
@@ -366,14 +367,17 @@ impl ChainWalker {
                     self.orphans += 1;
                     return None;
                 }
-                let Ok(image) = patch.apply(&last.image) else {
+                // `last.crc` is this walker's own hash of `last.image` (or the
+                // rebuilt-image CRC it verified one record ago) and has just
+                // matched `patch.base_crc`: the base is not hashed again.
+                let Ok(image) = patch.apply_to_verified_base(&last.image) else {
                     self.orphans += 1;
                     return None;
                 };
                 self.deltas_since_full += 1;
                 self.last = Some(LastImage {
                     seq,
-                    image: image.into(),
+                    image,
                     crc: patch.image_crc,
                     chain_crc: *chain_crc,
                 });
@@ -481,7 +485,8 @@ mod tests {
         let mut records = Vec::new();
         let mut images = Vec::new();
         for seq in 1..=8u64 {
-            let img = image(700, seq as u8);
+            // Lengths 700, 900, 500, 700, …: deltas that grow and shrink.
+            let img = image(500 + 200 * ((seq as usize + 1) % 3), seq as u8);
             let c = ckpt(seq, &img);
             let record = codec.encode_record(&c);
             codec.note_committed(&c, record.kind());
@@ -489,11 +494,96 @@ mod tests {
             images.push(c.shared_data());
         }
         let mut walker = ChainWalker::new();
-        for ((seq, record), want) in records.iter().zip(&images) {
+        for (i, ((seq, record), want)) in records.iter().zip(&images).enumerate() {
             let got = walker.feed(*seq, record).expect("intact chain replays");
             assert_eq!(&got, want);
+            // The CRC-carrying forms are the public, hashing ones byte for byte.
+            if let ChainRecord::Delta {
+                base_seq,
+                chain_crc,
+                patch,
+            } = record
+            {
+                let base = &images[i - 1];
+                let public = ChainRecord::Delta {
+                    base_seq: *base_seq,
+                    chain_crc: *chain_crc,
+                    patch: DeltaPatch::diff(base, want),
+                };
+                assert_eq!(
+                    synergy_codec::to_bytes(record).unwrap(),
+                    synergy_codec::to_bytes(&public).unwrap()
+                );
+                assert_eq!(got.as_ref(), &patch.apply(base).unwrap()[..]);
+            }
         }
         assert_eq!(walker.orphans(), 0);
+    }
+
+    #[test]
+    fn tampered_patches_are_orphaned_not_served() {
+        let mut codec = CheckpointCodec::new(4);
+        let c1 = ckpt(1, &image(600, 1));
+        let full = codec.encode_record(&c1);
+        codec.note_committed(&c1, full.kind());
+        let c2 = ckpt(2, &image(600, 2));
+        let ChainRecord::Delta {
+            base_seq,
+            chain_crc,
+            patch,
+        } = codec.encode_record(&c2)
+        else {
+            panic!("k = 4: the second record is a delta");
+        };
+        // Each leaves the record's own fields consistent, so the refusal is
+        // the patch layer's: rebuilt-image CRC, region bound, growth bound,
+        // and the walker's base comparison.
+        let tampers: [fn(&mut DeltaPatch); 4] = [
+            |p| p.regions[0].bytes[0] ^= 0x80,
+            |p| p.regions[0].offset = 1 << 40,
+            |p| p.new_len = u64::MAX,
+            |p| p.base_crc ^= 1,
+        ];
+        for (i, tamper) in tampers.iter().enumerate() {
+            let mut walker = ChainWalker::new();
+            walker.feed(1, &full).expect("clean full record");
+            let mut patch = patch.clone();
+            tamper(&mut patch);
+            let record = ChainRecord::Delta {
+                base_seq,
+                chain_crc,
+                patch,
+            };
+            assert!(walker.feed(2, &record).is_none(), "tamper {i} was served");
+            assert_eq!(walker.orphans(), 1, "tamper {i}");
+            assert_eq!(walker.into_codec(4).next_kind(), RecordKind::Full);
+        }
+    }
+
+    #[test]
+    fn stale_crc_base_orphans_itself_and_the_delta_diffed_against_it() {
+        let mut bad = ckpt(2, &image(600, 2));
+        bad.corrupt_bit(8 * 300);
+        let clean = ckpt(3, &image(600, 3));
+        // The corrupt checkpoint lands as a full record (its link fails the
+        // walker's hash) or as a delta (its rebuilt image fails the stale
+        // `image_crc`); either way the clean delta diffed against it names
+        // a base the walker never reached.
+        for good in [None, Some(ckpt(1, &image(600, 1)))] {
+            let mut codec = CheckpointCodec::new(4);
+            let mut walker = ChainWalker::new();
+            let mut served = Vec::new();
+            for c in good.iter().chain([&bad, &clean]) {
+                let record = codec.encode_record(c);
+                codec.note_committed(c, record.kind());
+                if walker.feed(c.seq(), &record).is_some() {
+                    served.push(c.seq());
+                }
+            }
+            assert_eq!(served, good.iter().map(Checkpoint::seq).collect::<Vec<_>>());
+            assert_eq!(walker.orphans(), 2);
+            assert_eq!(walker.into_codec(4).next_kind(), RecordKind::Full);
+        }
     }
 
     #[test]

@@ -6,11 +6,22 @@
 //! the base it was diffed against (applying to the wrong base is refused,
 //! not silently wrong) and the CRC of the image it must reconstruct
 //! (a bad apply is refused, not served).
+//!
+//! Who hashes what, once: the public [`DeltaPatch::diff`] and
+//! [`DeltaPatch::apply`] serve callers that hold no CRC, so `diff` hashes
+//! both images and `apply` hashes its base before and its result after.
+//! The chain codec and walker hold CRCs they computed or verified
+//! themselves and use the crate-private forms that carry them — the codec
+//! diffs without hashing either image, the walker compares `base_crc` with
+//! the CRC it already holds and applies without re-hashing the base. The
+//! rebuilt-image CRC, the growth bound and the region bounds run on every
+//! path.
 
 use synergy_codec::codec_struct;
 use synergy_storage::crc32;
 
 use core::fmt;
+use std::sync::Arc;
 
 /// Dirty-region granularity in bytes. Small enough that a few mutated
 /// counters do not drag whole kilobytes into the patch, large enough that
@@ -127,8 +138,23 @@ pub(crate) fn dirty_spans(base: &[u8], new: &[u8], mut f: impl FnMut(usize, usiz
 }
 
 impl DeltaPatch {
-    /// Diffs `new` against `base`.
+    /// Diffs `new` against `base`, hashing both images for the patch's CRCs.
     pub fn diff(base: &[u8], new: &[u8]) -> DeltaPatch {
+        Self::diff_with_crcs(base, crc32(base), new, crc32(new))
+    }
+
+    /// Diffs `new` against `base` for a caller that already holds both image
+    /// CRCs (the codec: its chain position and [`Checkpoint::crc`]). The
+    /// CRCs are carried as given, not re-derived: a stale `image_crc` yields
+    /// a patch whose own apply refuses it.
+    ///
+    /// [`Checkpoint::crc`]: synergy_storage::Checkpoint::crc
+    pub(crate) fn diff_with_crcs(
+        base: &[u8],
+        base_crc: u32,
+        new: &[u8],
+        image_crc: u32,
+    ) -> DeltaPatch {
         let mut regions = Vec::new();
         dirty_spans(base, new, |offset, len| {
             regions.push(DirtyRegion {
@@ -137,8 +163,8 @@ impl DeltaPatch {
             });
         });
         DeltaPatch {
-            base_crc: crc32(base),
-            image_crc: crc32(new),
+            base_crc,
+            image_crc,
             new_len: new.len() as u64,
             regions,
         }
@@ -160,24 +186,55 @@ impl DeltaPatch {
                 actual,
             });
         }
-        // Growth sanity bound before allocating: every byte past the base's
-        // length differs from the (absent) base, so a well-formed patch
-        // carries it in a region. A `new_len` exceeding base + region bytes
-        // is corrupt — refuse it here rather than attempt the allocation.
-        if self.new_len > base.len() as u64 + self.region_bytes() {
-            return Err(DeltaError::RegionOutOfBounds {
-                offset: 0,
-                len: 0,
-                image_len: self.new_len,
-            });
+        let new_len = self.checked_new_len(base.len())?;
+        self.rebuild_resized(base, new_len)
+    }
+
+    /// [`apply`](Self::apply) for a caller that has itself hashed `base` and
+    /// compared the result with [`base_crc`](Self::base_crc) (the chain
+    /// walker): only the base re-hash is skipped. The image is built
+    /// directly in its shared buffer — one allocation and one copy when the
+    /// length is unchanged.
+    pub(crate) fn apply_to_verified_base(&self, base: &[u8]) -> Result<Arc<[u8]>, DeltaError> {
+        let new_len = self.checked_new_len(base.len())?;
+        if new_len != base.len() {
+            return self.rebuild_resized(base, new_len).map(Arc::from);
         }
-        let new_len = usize::try_from(self.new_len).map_err(|_| DeltaError::RegionOutOfBounds {
+        let mut image = Arc::<[u8]>::from(base);
+        let bytes = Arc::get_mut(&mut image).expect("a freshly built Arc has one owner");
+        self.patch_in_place(bytes)?;
+        Ok(image)
+    }
+
+    /// The declared image length, once it passes the growth sanity bound:
+    /// every byte past the base's length differs from the (absent) base, so
+    /// a well-formed patch carries it in a region. A `new_len` exceeding
+    /// base + region bytes is corrupt — refused before any allocation.
+    fn checked_new_len(&self, base_len: usize) -> Result<usize, DeltaError> {
+        let out_of_bounds = DeltaError::RegionOutOfBounds {
             offset: 0,
             len: 0,
             image_len: self.new_len,
-        })?;
+        };
+        if self.new_len > base_len as u64 + self.region_bytes() {
+            return Err(out_of_bounds);
+        }
+        usize::try_from(self.new_len).map_err(|_| out_of_bounds)
+    }
+
+    /// The grow / shrink route: copies `base` into a vector of `new_len`
+    /// bytes and patches that.
+    fn rebuild_resized(&self, base: &[u8], new_len: usize) -> Result<Vec<u8>, DeltaError> {
         let mut image = base.to_vec();
         image.resize(new_len, 0);
+        self.patch_in_place(&mut image)?;
+        Ok(image)
+    }
+
+    /// Writes the regions over `image` (the base's bytes, already sized to
+    /// `new_len`), bounds-checking each before the write, then verifies the
+    /// rebuilt image against [`image_crc`](Self::image_crc).
+    fn patch_in_place(&self, image: &mut [u8]) -> Result<(), DeltaError> {
         for region in &self.regions {
             let offset = region.offset as usize;
             let end = offset.checked_add(region.bytes.len());
@@ -194,14 +251,14 @@ impl DeltaPatch {
                 }
             }
         }
-        let rebuilt = crc32(&image);
+        let rebuilt = crc32(image);
         if rebuilt != self.image_crc {
             return Err(DeltaError::ImageMismatch {
                 expected: self.image_crc,
                 actual: rebuilt,
             });
         }
-        Ok(image)
+        Ok(())
     }
 
     /// Total payload bytes carried by the regions.
@@ -311,6 +368,56 @@ mod tests {
             patch.apply(&base),
             Err(DeltaError::RegionOutOfBounds { .. })
         ));
+    }
+
+    #[test]
+    fn crate_private_forms_agree_with_the_public_ones() {
+        let base = vec![3u8; 500];
+        let mut same_len = base.clone();
+        same_len[77] = 9;
+        for new in [same_len, vec![4u8; 900], base[..120].to_vec(), Vec::new()] {
+            let patch = DeltaPatch::diff(&base, &new);
+            assert_eq!(
+                DeltaPatch::diff_with_crcs(&base, crc32(&base), &new, crc32(&new)),
+                patch
+            );
+            let shared = patch.apply_to_verified_base(&base).unwrap();
+            assert_eq!(shared.as_ref(), &patch.apply(&base).unwrap()[..]);
+        }
+    }
+
+    #[test]
+    fn verified_base_form_keeps_every_check_but_the_base_hash() {
+        let base = vec![0u8; 256];
+        let mut new = base.clone();
+        new[10] = 1;
+        let clean = DeltaPatch::diff(&base, &new);
+
+        let mut flipped = clean.clone();
+        flipped.regions[0].bytes[0] ^= 0x80;
+        let mut stale = clean.clone();
+        stale.image_crc ^= 1;
+        for patch in [&flipped, &stale] {
+            assert!(matches!(
+                patch.apply_to_verified_base(&base),
+                Err(DeltaError::ImageMismatch { .. })
+            ));
+        }
+
+        let mut outside = clean.clone();
+        outside.regions[0].offset = 1000;
+        let mut overlong = clean.clone();
+        overlong.new_len = u64::MAX;
+        for patch in [&outside, &overlong] {
+            assert_eq!(
+                patch.apply_to_verified_base(&base),
+                patch.apply(&base).map(Arc::from)
+            );
+            assert!(matches!(
+                patch.apply(&base),
+                Err(DeltaError::RegionOutOfBounds { .. })
+            ));
+        }
     }
 
     #[test]

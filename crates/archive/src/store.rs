@@ -424,9 +424,11 @@ mod tests {
         assert_eq!(s.next_record_kind(), kind);
         commit(&mut s, bad);
 
-        // The chain link was built from the CRC the checkpoint carries, so
-        // the walker's hash of the stored bytes disagrees: orphaned, not
-        // re-stamped with a fresh valid CRC.
+        // The record was built from the CRC the checkpoint carries, so the
+        // walker's hash of the bytes it would serve disagrees — with the
+        // chain link for a full record, with the patch's `image_crc` after
+        // the rebuild for a delta: orphaned, not re-stamped with a fresh
+        // valid CRC.
         let s = DeltaStable::open(s.into_inner(), k);
         assert_eq!(s.delta_stats().chain_orphans, 1);
         assert_eq!(s.latest_shared().as_ref(), good.last());

@@ -109,9 +109,17 @@ fn chains_over_random_states_replay_byte_identically() {
         let mut rng = root.stream_indexed("chain-replay", i as u64);
         let chain = build_chain(&mut rng, *k, 24, 800);
         let mut walker = ChainWalker::new();
+        let mut base: &[u8] = &[];
         for (seq, record, want) in &chain {
             let got = walker.feed(*seq, record).expect("intact chain replays");
             assert_eq!(got.as_ref(), &want[..], "k={k} seq={seq}");
+            // The codec and the walker carry CRCs instead of hashing; what
+            // they produce is what the public, hashing forms produce.
+            if let ChainRecord::Delta { patch, .. } = record {
+                assert_eq!(patch, &DeltaPatch::diff(base, want), "k={k} seq={seq}");
+                assert_eq!(patch.apply(base).unwrap(), *want, "k={k} seq={seq}");
+            }
+            base = want;
         }
         assert_eq!(walker.orphans(), 0, "k={k}");
     }

@@ -8,7 +8,6 @@
 
 use synergy_codec::codec_struct;
 use synergy_net::{MsgSeqNo, ProcessId};
-use synergy_storage::codec;
 
 /// The behaviour the protocol stack requires of a hosted application.
 ///
@@ -138,17 +137,17 @@ impl CounterApp {
     /// Decodes a snapshot back into a state (for checkers inspecting
     /// checkpoints).
     pub fn decode_state(bytes: &[u8]) -> Option<CounterState> {
-        codec::from_bytes(bytes).ok()
+        synergy_codec::from_bytes(bytes).ok()
     }
 }
 
 impl Application for CounterApp {
     fn snapshot(&self) -> Vec<u8> {
-        codec::to_bytes(&self.state).expect("CounterState always encodes")
+        synergy_codec::to_bytes(&self.state).expect("CounterState always encodes")
     }
 
     fn restore(&mut self, bytes: &[u8]) {
-        self.state = codec::from_bytes(bytes).expect("snapshot round-trip");
+        self.state = synergy_codec::from_bytes(bytes).expect("snapshot round-trip");
     }
 
     fn on_message(&mut self, from: ProcessId, seq: MsgSeqNo, payload: &[u8]) {

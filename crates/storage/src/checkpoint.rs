@@ -3,10 +3,9 @@
 use core::fmt;
 use std::sync::Arc;
 
-use synergy_codec::{codec_struct, Codec};
+use synergy_codec::{codec_struct, Codec, CodecError};
 use synergy_des::SimTime;
 
-use crate::codec::{self, CodecError};
 use crate::crc::crc32;
 
 /// Errors from encoding or decoding a checkpoint.
@@ -52,7 +51,7 @@ impl From<CodecError> for CheckpointError {
 
 /// A snapshot of one process's state, ready for volatile or stable storage.
 ///
-/// The state is stored in the [`codec`](crate::codec) binary format and
+/// The state is stored in the [`synergy_codec`] binary format and
 /// guarded by a CRC-32, so corruption (and decoding with the wrong type) is
 /// detected rather than silently accepted.
 ///
@@ -125,7 +124,7 @@ impl Checkpoint {
         state: &T,
         scratch: &mut Vec<u8>,
     ) -> Result<Self, CheckpointError> {
-        codec::to_bytes_into(state, scratch)?;
+        synergy_codec::to_bytes_into(state, scratch)?;
         let crc = crc32(scratch);
         Ok(Checkpoint {
             seq,
@@ -178,7 +177,7 @@ impl Checkpoint {
                 actual,
             });
         }
-        Ok(codec::from_bytes(&self.data)?)
+        Ok(synergy_codec::from_bytes(&self.data)?)
     }
 
     /// The checkpoint sequence number (MDCD volatile counter or TB `Ndc`).

@@ -28,8 +28,9 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use synergy_codec::Codec;
+
 use crate::checkpoint::Checkpoint;
-use crate::codec::{self, Codec};
 use crate::crc::crc32;
 use crate::stable::{Stable, StableStats, StableWriteError};
 
@@ -82,7 +83,7 @@ fn unframe(bytes: &[u8]) -> Option<Checkpoint> {
     }
     // The frame CRC covers the whole serialized checkpoint, including the
     // checkpoint's own state CRC; the latter is re-verified at decode time.
-    codec::from_bytes(payload).ok()
+    synergy_codec::from_bytes(payload).ok()
 }
 
 /// Durable stable storage for one process: committed checkpoints are files

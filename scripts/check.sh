@@ -22,6 +22,18 @@ echo "==> ledger: the benchmark package builds and tests against these crates"
 cargo build --release --offline --manifest-path ledger/Cargo.toml
 cargo test -q --offline --manifest-path ledger/Cargo.toml
 
+echo "==> ledger smoke: the benchmark's entry point runs one short workload"
+# The command BENCHMARK.json names, as the benchmark pipeline invokes it;
+# its last line is the machine-read verdict.
+ledger_verdict="$(bash ledger/run.sh --workload ckpt_k16 --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+case "$ledger_verdict" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *)
+        echo "ledger smoke failed: $ledger_verdict" >&2
+        exit 1
+        ;;
+esac
+
 echo "==> chaos smoke: 4 fixed-seed campaigns against the live cluster"
 # Deterministic and fast (≤30 s even on slow machines): the release build
 # above produced the cluster binaries, and base seed 7 is the same fixed

@@ -131,14 +131,16 @@ fn byte_vector_decodes_in_one_allocation() {
     );
 }
 
-#[test]
-fn chain_reload_allocates_a_constant_per_record() {
-    const RECORDS: u64 = 32;
-    let retain = RECORDS as usize + 1;
+const CHAIN_RECORDS: u64 = 32;
+
+/// Commits [`CHAIN_RECORDS`] rounds of a 64 KiB state at cadence `k`, then counts the
+/// allocation events of a cold chain reload.
+fn chain_reload_allocs(k: u32) -> u64 {
+    let retain = CHAIN_RECORDS as usize + 1;
     let mut store =
-        DeltaStable::open_with_retention(StableStore::with_retention(retain), 1, retain);
+        DeltaStable::open_with_retention(StableStore::with_retention(retain), k, retain);
     let mut state = vec![0u8; 64 * 1024];
-    for round in 1..=RECORDS {
+    for round in 1..=CHAIN_RECORDS {
         state[round as usize * 1000] = round as u8;
         let ckpt = Checkpoint::encode(round, SimTime::from_nanos(round), "guard", &state).unwrap();
         store.begin_write(ckpt).unwrap();
@@ -148,19 +150,39 @@ fn chain_reload_allocates_a_constant_per_record() {
     let inner = store.into_inner();
 
     let before = allocs_on_this_thread();
-    let reloaded = DeltaStable::open_with_retention(inner, 1, retain);
+    let reloaded = DeltaStable::open_with_retention(inner, k, retain);
     let allocs = allocs_on_this_thread() - before;
 
     assert_eq!(reloaded.delta_stats().chain_orphans, 0);
     assert_eq!(reloaded.latest_shared(), latest);
-    eprintln!("chain reload of {RECORDS} full records: {allocs} allocation events");
+    eprintln!("chain reload of {CHAIN_RECORDS} records at k={k}: {allocs} allocation events");
+    allocs
+}
+
+#[test]
+fn chain_reload_allocates_a_constant_per_record() {
     // Measured 133: 4 per record (the history handle's label, the decoded
     // image, its shared copy, the rebuilt checkpoint's label) plus 5 for the
     // two vectors of checkpoints.
-    const BUDGET: u64 = 4 * RECORDS + 8;
+    const BUDGET: u64 = 4 * CHAIN_RECORDS + 8;
+    let allocs = chain_reload_allocs(1);
     assert!(
         allocs <= BUDGET,
-        "chain reload allocated {allocs} times for {RECORDS} records (budget {BUDGET}); \
+        "chain reload allocated {allocs} times for {CHAIN_RECORDS} records (budget {BUDGET}); \
          an image is being copied or re-encoded once more than needed"
+    );
+
+    // At k = 16 the same rounds are 2 full records and 30 deltas. Measured
+    // 163: 5 per replayed delta (the history handle's label, the decoded
+    // region list, its one region's bytes, the rebuilt image in its shared
+    // buffer, the rebuilt checkpoint's label). Rebuilding into a vector and
+    // copying that into the shared buffer is a sixth.
+    const DELTAS: u64 = CHAIN_RECORDS - 2;
+    const DELTA_BUDGET: u64 = 5 * DELTAS + 4 * 2 + 8;
+    let allocs = chain_reload_allocs(16);
+    assert!(
+        allocs <= DELTA_BUDGET,
+        "chain reload allocated {allocs} times for {DELTAS} deltas (budget {DELTA_BUDGET}); \
+         a replayed delta is building its image more than once"
     );
 }

@@ -6,8 +6,8 @@
 //! index of the failing draw.
 
 use synergy::{Mission, Scheme, SystemConfig};
+use synergy_codec::{from_bytes, to_bytes};
 use synergy_des::DetRng;
-use synergy_storage::codec::{from_bytes, to_bytes};
 
 /// A short random string mixing ASCII and multi-byte code points, to
 /// exercise UTF-8 boundaries in the codec.
@@ -59,6 +59,33 @@ fn coordinated_scheme_invariants_hold() {
             "case={case} seed={seed}"
         );
     }
+}
+
+/// ROADMAP item 0's reproducer: the seven seeds of the first 4 000 on which
+/// the `missions` configuration ends its hardware recovery in a state that
+/// fails `consistency` / `recoverability`. Fails today; item 0's fix
+/// un-ignores it.
+#[test]
+#[ignore = "ROADMAP item 0: known Coordinated violation"]
+fn coordinated_scheme_holds_on_the_known_violating_seeds() {
+    let mut violating = Vec::new();
+    for seed in [487u64, 538, 693, 1510, 2446, 3619, 3809] {
+        let config = SystemConfig::builder()
+            .scheme(Scheme::Coordinated)
+            .seed(seed)
+            .duration_secs(120.0)
+            .internal_rate_per_min(60.0)
+            .external_rate_per_min(2.0)
+            .tb_interval_secs(5.0)
+            .hardware_fault_at_secs(80.0)
+            .trace(false)
+            .build();
+        let outcome = Mission::new(config).run();
+        if !outcome.verdicts.all_hold() {
+            violating.push((seed, outcome.verdicts.violations));
+        }
+    }
+    assert!(violating.is_empty(), "{violating:#?}");
 }
 
 /// Crashing any node at any time is survivable and every rollback
