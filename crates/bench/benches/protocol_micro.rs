@@ -114,11 +114,21 @@ fn bench_checkpoint_codec() {
 }
 
 fn bench_crc32() {
-    let data = vec![0xABu8; 64 * 1024];
-    let ns = time_ns(50, 2_000, || {
-        black_box(crc32(&data));
-    });
-    report("crc32/64KiB", ns, Some(data.len() as u64));
+    // 512 B stays on the single-lane loop (the crossover must cost it
+    // nothing); 1 KiB is the smallest input that takes the four lanes;
+    // 256 KiB is the ledger's checkpoint image.
+    for (name, len, iters) in [
+        ("crc32/512B", 512, 200_000),
+        ("crc32/1KiB", 1024, 200_000),
+        ("crc32/64KiB", 64 * 1024, 2_000),
+        ("crc32/256KiB", 256 * 1024, 1_000),
+    ] {
+        let data = vec![0xABu8; len];
+        let ns = time_ns(50, iters, || {
+            black_box(crc32(black_box(&data)));
+        });
+        report(name, ns, Some(len as u64));
+    }
 }
 
 fn bench_des_scheduling() {

@@ -86,6 +86,17 @@ fn unframe(bytes: &[u8]) -> Option<Checkpoint> {
     synergy_codec::from_bytes(payload).ok()
 }
 
+/// Reads one record file and parses its frame; `Ok(None)` is a corrupt
+/// record. The file's length is checked before a byte of it is read: no
+/// valid frame is longer than its 16 bytes of header and trailer around
+/// [`MAX_RECORD_LEN`], so a longer file is refused without loading it.
+fn read_record(path: &Path) -> std::io::Result<Option<Checkpoint>> {
+    if fs::metadata(path)?.len() > MAX_RECORD_LEN + 16 {
+        return Ok(None);
+    }
+    Ok(unframe(&fs::read(path)?))
+}
+
 /// Durable stable storage for one process: committed checkpoints are files
 /// under a directory, writes are two-phase and survive `SIGKILL` at any
 /// instant with either the old or the new contents — never a half state.
@@ -170,18 +181,15 @@ impl DiskStableStore {
                 continue;
             };
             let path = entry.path();
-            match fs::read(&path) {
-                Ok(bytes) => match unframe(&bytes) {
-                    Some(ckpt) => committed.push((index, ckpt)),
-                    // Corrupt committed record (bit-rot): unusable, count it
-                    // and treat it as absent so recovery falls back to the
-                    // previous committed checkpoint.
-                    None => {
-                        stats.corrupt_records += 1;
-                        fs::remove_file(&path).map_err(|e| io_err("remove", &path, e))?;
-                    }
-                },
-                Err(e) => return Err(io_err("read", &path, e)),
+            match read_record(&path).map_err(|e| io_err("read", &path, e))? {
+                Some(ckpt) => committed.push((index, ckpt)),
+                // Corrupt committed record (bit-rot, or a file too long to
+                // be a frame): unusable, count it and treat it as absent so
+                // recovery falls back to the previous committed checkpoint.
+                None => {
+                    stats.corrupt_records += 1;
+                    fs::remove_file(&path).map_err(|e| io_err("remove", &path, e))?;
+                }
             }
         }
         committed.sort_by_key(|(index, _)| *index);
@@ -216,12 +224,13 @@ impl DiskStableStore {
     }
 
     /// Reads and CRC-verifies one committed record file. Any failure —
-    /// truncation, bad magic, bad CRC, codec error — yields `None`; the
-    /// record is unusable. Exposed so out-of-process tooling (the chaos
-    /// orchestrator's layout-aware fault injection, the archive tier's
-    /// rehydration) can inspect records without reimplementing the frame.
+    /// truncation, bad magic, bad CRC, codec error, a file longer than any
+    /// frame (refused unread) — yields `None`; the record is unusable.
+    /// Exposed so out-of-process tooling (the chaos orchestrator's
+    /// layout-aware fault injection, the archive tier's rehydration) can
+    /// inspect records without reimplementing the frame.
     pub fn read_record_file(path: &Path) -> Option<Checkpoint> {
-        unframe(&fs::read(path).ok()?)
+        read_record(path).ok()?
     }
 
     /// Writes `ckpt` to `path` as a committed record with a valid frame.
@@ -540,6 +549,33 @@ mod tests {
             fs::write(&newest, &pristine).unwrap();
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn oversized_record_file_is_refused_unread() {
+        // Sparse files: one byte past the longest possible frame, and one
+        // far larger than memory — loading either to look at its length
+        // field is what the stat-first check avoids.
+        for len in [MAX_RECORD_LEN + 17, 1 << 36] {
+            let dir = tmp_dir("oversized");
+            {
+                let mut s = DiskStableStore::open(&dir).unwrap();
+                s.begin_write(ckpt(1, 10)).unwrap();
+                s.commit_write().unwrap();
+            }
+            let huge = dir.join(file_name(1));
+            let mut f = File::create(&huge).unwrap();
+            f.write_all(&frame(&ckpt(2, 20))).unwrap();
+            f.set_len(len).unwrap();
+            drop(f);
+            assert_eq!(DiskStableStore::read_record_file(&huge), None);
+            let s = DiskStableStore::open(&dir).unwrap();
+            assert_eq!(s.stats().corrupt_records, 1, "counted ({len} bytes)");
+            assert!(!huge.exists(), "oversized record removed");
+            assert_eq!(s.latest_seq(), Some(1), "previous checkpoint served");
+            assert_eq!(s.latest_shared().unwrap().decode::<u64>().unwrap(), 10);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

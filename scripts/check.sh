@@ -22,17 +22,21 @@ echo "==> ledger: the benchmark package builds and tests against these crates"
 cargo build --release --offline --manifest-path ledger/Cargo.toml
 cargo test -q --offline --manifest-path ledger/Cargo.toml
 
-echo "==> ledger smoke: the benchmark's entry point runs one short workload"
+echo "==> ledger smoke: the benchmark's entry point runs two short workloads"
 # The command BENCHMARK.json names, as the benchmark pipeline invokes it;
-# its last line is the machine-read verdict.
-ledger_verdict="$(bash ledger/run.sh --workload ckpt_k16 --seed 1 --seconds 2 --trace 0 | tail -n 1)"
-case "$ledger_verdict" in
-    *'"correct": true'*'"failed": 0,'*) ;;
-    *)
-        echo "ledger smoke failed: $ledger_verdict" >&2
-        exit 1
-        ;;
-esac
+# its last line is the machine-read verdict. ckpt_k16 replays deltas;
+# ckpt_k1 reloads 32 full 256 KiB images through every CRC guard and checks
+# them equal to what was committed, with zero orphans.
+for ledger_workload in ckpt_k16 ckpt_k1; do
+    ledger_verdict="$(bash ledger/run.sh --workload "$ledger_workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+    case "$ledger_verdict" in
+        *'"correct": true'*'"failed": 0,'*) ;;
+        *)
+            echo "ledger smoke failed on $ledger_workload: $ledger_verdict" >&2
+            exit 1
+            ;;
+    esac
+done
 
 echo "==> chaos smoke: 4 fixed-seed campaigns against the live cluster"
 # Deterministic and fast (≤30 s even on slow machines): the release build

@@ -12,6 +12,8 @@
 //!    copies: a byte vector decodes in one allocation and a chain reload
 //!    allocates a small constant per record, whatever the image size — an
 //!    extra copy of an image on either path fails here without a timer.
+//! 4. The CRC kernel works in registers: neither the single-lane loop nor
+//!    the four lanes and their joins allocate.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
@@ -19,7 +21,7 @@ use std::cell::Cell;
 use synergy::{Mission, MissionOutcome, Scheme, SystemConfig};
 use synergy_archive::DeltaStable;
 use synergy_des::SimTime;
-use synergy_storage::{Checkpoint, Stable, StableStore};
+use synergy_storage::{crc32, Checkpoint, Stable, StableStore};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -129,6 +131,18 @@ fn byte_vector_decodes_in_one_allocation() {
         allocs, 1,
         "a 1 MiB byte vector must decode as one bulk copy"
     );
+}
+
+#[test]
+fn crc32_allocates_nothing() {
+    // Below the lanes' crossover, just past it with a tail, and the
+    // benchmark's 256 KiB image and its wrapped record.
+    let data = vec![0x5Au8; 256 * 1024 + 24];
+    let before = allocs_on_this_thread();
+    for len in [0, 9, 1000, 1024 + 31, 256 * 1024, data.len()] {
+        std::hint::black_box(crc32(&data[..len]));
+    }
+    assert_eq!(allocs_on_this_thread() - before, 0);
 }
 
 const CHAIN_RECORDS: u64 = 32;
