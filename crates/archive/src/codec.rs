@@ -14,10 +14,8 @@
 //! and base CRC pin the base explicitly, so a reload can never splice a
 //! delta onto the wrong image).
 
-use std::sync::Arc;
-
-use synergy_codec::{Codec, CodecError, Reader};
-use synergy_storage::{crc32, Checkpoint};
+use synergy_codec::{Codec, CodecError, Reader, SharedBytes};
+use synergy_storage::{crc32, crc32_combine, Checkpoint};
 
 use crate::delta::{chain_link, DeltaPatch, CHAIN_SEED};
 
@@ -37,8 +35,9 @@ pub enum ChainRecord {
     Full {
         /// The chain link for this record.
         chain_crc: u32,
-        /// The serialized checkpoint state, verbatim.
-        image: Arc<[u8]>,
+        /// The serialized checkpoint state, verbatim. Decoded from a
+        /// wrapper checkpoint, it is a window of the wrapper's buffer.
+        image: SharedBytes,
     },
     /// A delta against the previous record in commit order.
     Delta {
@@ -116,7 +115,7 @@ impl Codec for ChainRecord {
         match u32::decode(r)? {
             0 => Ok(ChainRecord::Full {
                 chain_crc: u32::decode(r)?,
-                image: Arc::<[u8]>::decode(r)?,
+                image: SharedBytes::decode(r)?,
             }),
             1 => Ok(ChainRecord::Delta {
                 base_seq: u64::decode(r)?,
@@ -126,6 +125,21 @@ impl Codec for ChainRecord {
             other => Err(CodecError::InvalidVariant(other)),
         }
     }
+}
+
+/// The CRC-32 of a full record's encoding from the CRC of its image alone.
+/// The encoding is `head‖image` — `head` being the enum tag, the chain link
+/// and the image's length prefix — so its checksum is `crc32(head)` combined
+/// with the image's: sixteen bytes hashed, not the image a second time.
+///
+/// Both ends of a wrapper checkpoint's guard go through here. The store
+/// stamps a full record's wrapper with the CRC the checkpoint *carries*, the
+/// walker compares that stamp against the CRC it *computes* from the image
+/// bytes it is about to serve — so an image whose bytes no longer match the
+/// CRC they were committed under fails the comparison, exactly as it would
+/// fail a whole pass over the wrapper.
+pub(crate) fn full_record_crc(head: &[u8], image_crc: u32, image_len: usize) -> u32 {
+    crc32_combine(crc32(head), image_crc, image_len)
 }
 
 /// What one committed checkpoint cost through the chain format.
@@ -143,7 +157,7 @@ pub struct RecordCost {
 #[derive(Clone, Debug)]
 struct LastImage {
     seq: u64,
-    image: Arc<[u8]>,
+    image: SharedBytes,
     crc: u32,
     chain_crc: u32,
 }
@@ -274,6 +288,13 @@ impl CheckpointCodec {
     }
 }
 
+/// The wrapper checkpoint a record was decoded from: its state bytes — the
+/// record's encoding — and the CRC stored over them.
+struct Wrapper<'a> {
+    bytes: &'a [u8],
+    crc: u32,
+}
+
 /// Replays chain records in commit order, reconstructing images and
 /// refusing — never serving — any record whose links do not verify.
 #[derive(Debug, Default)]
@@ -308,45 +329,70 @@ impl ChainWalker {
     /// image when every link verifies, `None` (counting an orphan) when it
     /// does not. After an orphaned delta, later deltas fail their base
     /// check until the next full image restarts the chain.
-    pub fn feed(&mut self, seq: u64, record: &ChainRecord) -> Option<Arc<[u8]>> {
-        self.step(seq, record).map(|last| Arc::clone(&last.image))
+    pub fn feed(&mut self, seq: u64, record: &ChainRecord) -> Option<SharedBytes> {
+        self.step(seq, record, None).map(|last| last.image.clone())
     }
 
     /// Decodes the chain record a backend checkpoint carries, feeds it, and
     /// rebuilds the original checkpoint (the wrapper keeps the original's
     /// seq, timestamp and label) — `None`, counting an orphan, when the
-    /// record does not decode or does not chain. The rebuilt checkpoint
-    /// takes the image CRC this walk just verified instead of hashing the
-    /// image again.
+    /// record does not decode, fails the wrapper's CRC or does not chain.
+    ///
+    /// A full record is served without a copy and with one pass over its
+    /// image: the image is a window of the wrapper's buffer, and the hash
+    /// of it taken here answers for the chain link *and* — combined with
+    /// the hash of the sixteen bytes before it (`crc32_combine`) — for
+    /// the wrapper's CRC, which covers exactly those bytes and the image. A
+    /// delta record is small and keeps a pass of its own over the wrapper.
+    /// Either way both stored values are compared against hashes of the
+    /// bytes taken in this call, and the rebuilt checkpoint carries the
+    /// image CRC so verified instead of hashing the image again.
     pub fn replay(&mut self, wrapped: &Checkpoint) -> Option<Checkpoint> {
-        let Ok(record) = wrapped.decode::<ChainRecord>() else {
+        let bytes = wrapped.shared_data();
+        let Ok(record) = synergy_codec::from_shared::<ChainRecord>(&bytes) else {
             self.note_orphan();
             return None;
         };
-        let last = self.step(wrapped.seq(), &record)?;
+        let wrapper = Wrapper {
+            bytes: &bytes,
+            crc: wrapped.crc(),
+        };
+        let last = self.step(wrapped.seq(), &record, Some(wrapper))?;
         Some(Checkpoint::from_verified_parts(
             wrapped.seq(),
             wrapped.taken_at(),
             wrapped.label(),
-            Arc::clone(&last.image),
+            last.image.clone(),
             last.crc,
         ))
     }
 
-    /// Verifies `record` against the chain position and, if every link
-    /// holds, moves the position onto its image and returns it.
-    fn step(&mut self, seq: u64, record: &ChainRecord) -> Option<&LastImage> {
+    /// Verifies `record` against the chain position — and against the
+    /// `wrapper` it was decoded from, when it came in one — and, if every
+    /// guard holds, moves the position onto its image and returns it.
+    fn step(
+        &mut self,
+        seq: u64,
+        record: &ChainRecord,
+        wrapper: Option<Wrapper<'_>>,
+    ) -> Option<&LastImage> {
         match record {
             ChainRecord::Full { chain_crc, image } => {
                 let crc = crc32(image);
-                if *chain_crc != chain_link(CHAIN_SEED, crc) {
+                // A decoded full record is its wrapper's bytes end to end:
+                // whatever precedes the image is the head.
+                let wrapper_fails = wrapper.is_some_and(|w| {
+                    let head = &w.bytes[..w.bytes.len() - image.len()];
+                    full_record_crc(head, crc, image.len()) != w.crc
+                });
+                if wrapper_fails || *chain_crc != chain_link(CHAIN_SEED, crc) {
                     self.orphans += 1;
                     return None;
                 }
                 self.deltas_since_full = 0;
                 self.last = Some(LastImage {
                     seq,
-                    image: Arc::clone(image),
+                    image: image.clone(),
                     crc,
                     chain_crc: *chain_crc,
                 });
@@ -356,6 +402,10 @@ impl ChainWalker {
                 chain_crc,
                 patch,
             } => {
+                if wrapper.is_some_and(|w| crc32(w.bytes) != w.crc) {
+                    self.orphans += 1;
+                    return None;
+                }
                 let Some(last) = &self.last else {
                     self.orphans += 1;
                     return None;
@@ -377,7 +427,7 @@ impl ChainWalker {
                 self.deltas_since_full += 1;
                 self.last = Some(LastImage {
                     seq,
-                    image,
+                    image: image.into(),
                     crc: patch.image_crc,
                     chain_crc: *chain_crc,
                 });

@@ -18,7 +18,8 @@
 //! harness's shrinker re-run a failing campaign minus one axis.
 
 use std::collections::BTreeMap;
-use std::fs;
+use std::fs::{self, File};
+use std::io::Read;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -26,6 +27,7 @@ use core::fmt;
 
 use synergy_codec::codec_struct;
 use synergy_des::DetRng;
+use synergy_storage::DiskStableStore;
 
 /// Errors from the archive tier.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,6 +37,14 @@ pub enum ObjectStoreError {
     Unavailable(String),
     /// The backend failed at the operating-system level.
     Io(String),
+    /// The object is longer than any record file can be, so it is not one;
+    /// it was refused without being loaded. Not retryable.
+    TooLarge {
+        /// The object's key.
+        key: String,
+        /// Its length in bytes, as far as it was measured.
+        len: u64,
+    },
 }
 
 impl fmt::Display for ObjectStoreError {
@@ -42,6 +52,11 @@ impl fmt::Display for ObjectStoreError {
         match self {
             ObjectStoreError::Unavailable(e) => write!(f, "archive tier unavailable: {e}"),
             ObjectStoreError::Io(e) => write!(f, "archive tier i/o error: {e}"),
+            ObjectStoreError::TooLarge { key, len } => write!(
+                f,
+                "archive object {key} is {len} bytes, longer than any record file ({} bytes)",
+                DiskStableStore::MAX_RECORD_FILE_LEN
+            ),
         }
     }
 }
@@ -165,13 +180,33 @@ impl ObjectStore for DirObjectStore {
             .map_err(|e| ObjectStoreError::Io(format!("put {}: {e}", path.display())))
     }
 
+    /// The tier holds record files and nothing else, so the disk store's
+    /// bound on a record file bounds an object: a longer one is refused on
+    /// its metadata, before a byte is read, and the read itself stops one
+    /// byte past the bound should the file grow under it.
     fn get(&mut self, key: &str) -> Result<Option<Vec<u8>>, ObjectStoreError> {
+        const MAX: u64 = DiskStableStore::MAX_RECORD_FILE_LEN;
         let path = self.key_path(key)?;
-        match fs::read(&path) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(ObjectStoreError::Io(format!("get {}: {e}", path.display()))),
+        let io_err = |e| ObjectStoreError::Io(format!("get {}: {e}", path.display()));
+        let too_large = |len| ObjectStoreError::TooLarge {
+            key: key.to_string(),
+            len,
+        };
+        let file = match File::open(&path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(io_err(e)),
+        };
+        let len = file.metadata().map_err(io_err)?.len();
+        if len > MAX {
+            return Err(too_large(len));
         }
+        let mut bytes = Vec::with_capacity(len as usize);
+        file.take(MAX + 1).read_to_end(&mut bytes).map_err(io_err)?;
+        if bytes.len() as u64 > MAX {
+            return Err(too_large(bytes.len() as u64));
+        }
+        Ok(Some(bytes))
     }
 
     fn list(&mut self) -> Result<Vec<String>, ObjectStoreError> {
@@ -406,6 +441,34 @@ mod tests {
         assert_eq!(s.get("ckpt-0000000001.bin").unwrap().unwrap(), b"payload");
         s.delete("ckpt-0000000001.bin").unwrap();
         assert!(s.list().unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn oversized_object_is_refused_unread() {
+        // Sparse files, as in the disk store's test of the same bound: one
+        // byte past the longest record file, and one far larger than memory.
+        let dir = tmp_dir("oversized");
+        let mut s = DirObjectStore::open(&dir).unwrap();
+        s.put("ckpt-0000000001.bin", b"payload").unwrap();
+        for len in [DiskStableStore::MAX_RECORD_FILE_LEN + 1, 1 << 36] {
+            let f = File::options()
+                .write(true)
+                .open(dir.join("ckpt-0000000001.bin"))
+                .unwrap();
+            f.set_len(len).unwrap();
+            drop(f);
+            assert_eq!(
+                s.get("ckpt-0000000001.bin"),
+                Err(ObjectStoreError::TooLarge {
+                    key: "ckpt-0000000001.bin".to_string(),
+                    len
+                })
+            );
+        }
+        // Its neighbour is untouched by the refusal.
+        s.put("ckpt-0000000002.bin", b"payload").unwrap();
+        assert_eq!(s.get("ckpt-0000000002.bin").unwrap().unwrap(), b"payload");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,11 +16,12 @@
 //! newest intact prefix, exactly like the disk store's handling of a
 //! corrupt frame, one layer up.
 
+use synergy_codec::SharedBytes;
 use synergy_storage::{
-    Checkpoint, DiskStableStore, Stable, StableStats, StableStore, StableWriteError,
+    crc32, Checkpoint, DiskStableStore, Stable, StableStats, StableStore, StableWriteError,
 };
 
-use crate::codec::{ChainRecord, ChainWalker, CheckpointCodec, RecordKind};
+use crate::codec::{full_record_crc, ChainRecord, ChainWalker, CheckpointCodec, RecordKind};
 
 /// A stable store whose committed history can be enumerated in commit
 /// order — what [`DeltaStable`] needs to rebuild its chain on reload.
@@ -103,11 +104,15 @@ impl<S: StableHistory> DeltaStable<S> {
     /// were, the next record is forced to be a full image so the damaged
     /// suffix is never extended.
     ///
-    /// Each guard runs once over the bytes it covers: the wrapper
-    /// checkpoint's CRC when its chain record is decoded (a disk backend
-    /// checked the frame CRC, and only that, at its own open), then the
-    /// image CRC against the chain link. The rebuilt checkpoint carries
-    /// that verified image CRC instead of hashing the image again.
+    /// Who hashes what: a disk backend made one pass over each record file
+    /// at its own open, for the frame CRC and only that. The walk here
+    /// makes one pass over each full record's image, and that hash serves
+    /// both remaining guards — the chain link, and the wrapper checkpoint's
+    /// CRC, which is derived from it ([`ChainWalker::replay`]); a delta
+    /// record gets a pass over its (small) wrapper and one over the image
+    /// it rebuilds. The rebuilt checkpoint carries the image CRC so
+    /// verified instead of hashing the image again, and shares the
+    /// wrapper's buffer: the reload holds one buffer per full record.
     ///
     /// # Panics
     ///
@@ -161,20 +166,50 @@ impl<S: StableHistory> DeltaStable<S> {
     }
 
     /// Wraps `original` as an inner checkpoint whose state bytes are the
-    /// encoded chain `record`, preserving seq / timestamp / label.
+    /// encoded chain `record`, preserving seq / timestamp / label, and
+    /// returns it with the pair to hold pending.
+    ///
+    /// A full record's wrapper is stamped with the CRC derived from the one
+    /// `original` carries ([`full_record_crc`]) — its image is not hashed
+    /// again, and an image that no longer matches its CRC yields a wrapper
+    /// that no longer matches its own, refused on reload. The pending pair
+    /// is then re-pointed at the image inside the wrapper's buffer, so the
+    /// layer retains one buffer per full record after a commit exactly as
+    /// after a reload, and the caller's buffer is the caller's to free. A
+    /// delta's wrapper does not hold its image: hashed whole, nothing moves.
     fn wrap(
         &mut self,
-        original: &Checkpoint,
-        record: &ChainRecord,
-    ) -> Result<Checkpoint, StableWriteError> {
-        Checkpoint::encode_with_scratch(
+        original: Checkpoint,
+        record: ChainRecord,
+    ) -> Result<(Checkpoint, (Checkpoint, ChainRecord)), StableWriteError> {
+        synergy_codec::to_bytes_into(&record, &mut self.scratch)
+            .map_err(|e| StableWriteError::Io(format!("encode chain record: {e}")))?;
+        let bytes = SharedBytes::from(self.scratch.as_slice());
+        let (crc, pending) = match record {
+            ChainRecord::Full { chain_crc, image } => {
+                let head = bytes.len() - image.len();
+                let crc = full_record_crc(&bytes[..head], original.crc(), image.len());
+                let image = bytes.slice(head..bytes.len());
+                let original = Checkpoint::from_verified_parts(
+                    original.seq(),
+                    original.taken_at(),
+                    original.label(),
+                    image.clone(),
+                    original.crc(),
+                );
+                (crc, (original, ChainRecord::Full { chain_crc, image }))
+            }
+            delta => (crc32(&bytes), (original, delta)),
+        };
+        let (original, _) = &pending;
+        let wrapped = Checkpoint::from_verified_parts(
             original.seq(),
             original.taken_at(),
             original.label(),
-            record,
-            &mut self.scratch,
-        )
-        .map_err(|e| StableWriteError::Io(format!("encode chain record: {e}")))
+            bytes,
+            crc,
+        );
+        Ok((wrapped, pending))
     }
 }
 
@@ -184,9 +219,9 @@ impl<S: StableHistory> Stable for DeltaStable<S> {
             return Err(StableWriteError::WriteAlreadyInProgress);
         }
         let record = self.codec.encode_record(&checkpoint);
-        let wrapped = self.wrap(&checkpoint, &record)?;
+        let (wrapped, pending) = self.wrap(checkpoint, record)?;
         self.inner.begin_write(wrapped)?;
-        self.pending = Some((checkpoint, record));
+        self.pending = Some(pending);
         Ok(())
     }
 
@@ -197,9 +232,9 @@ impl<S: StableHistory> Stable for DeltaStable<S> {
         // The codec only advances on commit, so the replacement is diffed
         // against the same base as the write it replaces.
         let record = self.codec.encode_record(&checkpoint);
-        let wrapped = self.wrap(&checkpoint, &record)?;
+        let (wrapped, pending) = self.wrap(checkpoint, record)?;
         self.inner.replace_in_progress(wrapped)?;
-        self.pending = Some((checkpoint, record));
+        self.pending = Some(pending);
         Ok(())
     }
 
@@ -269,12 +304,20 @@ mod tests {
     use std::fs;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use synergy_des::SimTime;
+    use std::sync::Arc;
+    use synergy_des::{DetRng, SimTime};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("syarc-store-{}-{tag}-{n}", std::process::id()))
+    }
+
+    /// Whether `inner` is a window of `outer`'s memory — the same bytes at
+    /// the same addresses, not an equal copy.
+    fn lies_inside(inner: &[u8], outer: &[u8]) -> bool {
+        let (inner, outer) = (inner.as_ptr_range(), outer.as_ptr_range());
+        outer.start <= inner.start && inner.end <= outer.end
     }
 
     /// A checkpoint whose state is a sizeable buffer with a small mutation
@@ -325,6 +368,228 @@ mod tests {
         assert_eq!(s.latest_at_or_before_shared(2).unwrap(), originals[1]);
         assert_eq!(s.committed_records(), originals);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reloaded_full_records_are_windows_of_the_backend_record() {
+        let dir = tmp_dir("windows");
+        let originals: Vec<_> = (1..=4).map(|seq| ckpt(seq, seq as u8)).collect();
+        {
+            let mut s = DeltaStable::open(DiskStableStore::open(&dir).unwrap(), 1);
+            for c in &originals {
+                commit(&mut s, c.clone());
+            }
+        }
+        let s = DeltaStable::open(DiskStableStore::open(&dir).unwrap(), 1);
+        let (wrapped, served) = (s.inner().committed_records(), s.committed_records());
+        assert_eq!(served, originals);
+        assert_eq!(wrapped.len(), served.len());
+        for (w, c) in wrapped.iter().zip(&served) {
+            assert!(
+                lies_inside(&c.shared_data(), &w.shared_data()),
+                "seq {}: the served image is a copy, not a window of its record",
+                c.seq()
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn committed_full_record_lives_in_the_wrapper_and_frees_the_callers_buffer() {
+        let state = ckpt(1, 1).shared_data().to_vec();
+        let buffer: Arc<[u8]> = state.into();
+        let original = Checkpoint::from_verified_parts(
+            1,
+            SimTime::from_nanos(1),
+            "epoch",
+            Arc::clone(&buffer).into(),
+            crc32(&buffer),
+        );
+        let mut s = DeltaStable::open(StableStore::with_retention(8), 1);
+        s.begin_write(original.clone()).unwrap();
+        // In flight already: a torn or replaced write holds no more than a
+        // committed one.
+        assert!(lies_inside(
+            &s.pending.as_ref().unwrap().0.shared_data(),
+            &s.inner().in_progress().unwrap().shared_data()
+        ));
+        s.commit_write().unwrap();
+        let wrapped = s.inner().committed_records();
+        let served = s.latest_shared().unwrap();
+        assert_eq!(served, original);
+        assert!(lies_inside(
+            &served.shared_data(),
+            &wrapped[0].shared_data()
+        ));
+        assert!(!lies_inside(&served.shared_data(), &buffer));
+        drop(original);
+        assert_eq!(
+            Arc::strong_count(&buffer),
+            1,
+            "the layer still holds the caller's buffer"
+        );
+    }
+
+    #[test]
+    fn committed_delta_record_keeps_the_callers_image() {
+        // A delta's wrapper holds dirty regions, not the image: there is
+        // nothing inside it to re-point at, and the image stays where the
+        // caller built it.
+        let mut s = DeltaStable::open(StableStore::with_retention(8), 4);
+        commit(&mut s, ckpt(1, 1));
+        let second = ckpt(2, 2);
+        assert_eq!(s.next_record_kind(), RecordKind::Delta);
+        commit(&mut s, second.clone());
+        let served = s.latest_shared().unwrap();
+        assert_eq!(
+            served.shared_data().as_ptr_range(),
+            second.shared_data().as_ptr_range()
+        );
+        let wrapped = s.inner().committed_records();
+        assert!(!lies_inside(
+            &served.shared_data(),
+            &wrapped[1].shared_data()
+        ));
+    }
+
+    #[test]
+    fn wrapper_crc_of_a_full_record_is_derivable() {
+        // Image lengths around the CRC kernel's chunk (8), lane (1 024) and
+        // page edges, and the benchmark's.
+        for len in [0usize, 1, 15, 16, 1023, 1024, 4096, 256 * 1024] {
+            let mut image = vec![0u8; len];
+            DetRng::new(18).stream("wrapper").fill_bytes(&mut image);
+            let image_crc = crc32(&image);
+            let original = Checkpoint::from_verified_parts(
+                7,
+                SimTime::from_nanos(7),
+                "epoch",
+                image.clone().into(),
+                image_crc,
+            );
+            let mut s = DeltaStable::open(StableStore::with_retention(8), 1);
+            commit(&mut s, original.clone());
+            let wrapped = s.inner().latest_shared().unwrap();
+
+            // The value `wrap` stamped is the CRC of the record's encoding.
+            let record = ChainRecord::Full {
+                chain_crc: crate::chain_link(crate::CHAIN_SEED, image_crc),
+                image: image.clone().into(),
+            };
+            let encoded = synergy_codec::to_bytes(&record).unwrap();
+            assert_eq!(&*wrapped.shared_data(), &encoded[..], "len {len}");
+            assert_eq!(wrapped.crc(), crc32(&encoded), "stamped, len {len}");
+            // So is the value `replay` compares it with — computed from the
+            // head and a hash of the image alone.
+            let head = &encoded[..encoded.len() - len];
+            assert_eq!(head.len(), 16);
+            assert_eq!(
+                full_record_crc(head, crc32(&encoded[16..]), len),
+                crc32(&encoded),
+                "compared, len {len}"
+            );
+            assert_eq!(wrapped.decode::<ChainRecord>().unwrap(), record);
+            let s = DeltaStable::open(s.into_inner(), 1);
+            assert_eq!(s.delta_stats().chain_orphans, 0, "len {len}");
+            assert_eq!(s.latest_shared().unwrap(), original);
+        }
+    }
+
+    /// One way of damaging the newest record of a committed chain.
+    #[derive(Clone, Copy, Debug)]
+    enum Tamper {
+        /// Flip one bit of this byte of the encoded chain record, under a
+        /// frame that is valid for the damaged bytes.
+        RecordByte(usize),
+        /// Flip one bit of the wrapper checkpoint's stored CRC, likewise.
+        WrapperCrc,
+        /// Flip one bit of the frame trailer in the file itself.
+        FrameTrailer,
+    }
+
+    #[test]
+    fn every_guard_refuses_a_flipped_bit() {
+        use RecordKind::{Delta, Full};
+        // The newest record: a full one at k = 1 and at k = 4 (the fifth),
+        // a delta at k = 4 (the fourth).
+        for (k, rounds, kind) in [(1u32, 5u64, Full), (4, 5, Full), (4, 4, Delta)] {
+            let dir = tmp_dir("guards");
+            let originals: Vec<_> = (1..=rounds).map(|seq| ckpt(seq, seq as u8)).collect();
+            {
+                let mut s = DeltaStable::open(DiskStableStore::open(&dir).unwrap(), k);
+                for c in &originals {
+                    commit(&mut s, c.clone());
+                }
+            }
+            let newest = dir.join(DiskStableStore::record_file_name(rounds - 1));
+            let pristine = fs::read(&newest).unwrap();
+            let wrapped = DiskStableStore::read_record_file(&newest).unwrap();
+            let record = wrapped.shared_data();
+            assert_eq!(wrapped.decode::<ChainRecord>().unwrap().kind(), kind);
+            // Full: tag · chain_crc · image length · image. Delta: tag ·
+            // base_seq · chain_crc · patch. Either way a 16-byte head.
+            let chain_crc_at = if kind == Full { 4 } else { 12 };
+            let cases = [
+                ("head: the tag", Tamper::RecordByte(0)),
+                ("head: length prefix / base_seq", Tamper::RecordByte(8)),
+                ("head: chain_crc", Tamper::RecordByte(chain_crc_at)),
+                ("body: first byte", Tamper::RecordByte(16)),
+                (
+                    "body: a middle byte",
+                    Tamper::RecordByte((16 + record.len()) / 2),
+                ),
+                ("body: last byte", Tamper::RecordByte(record.len() - 1)),
+                ("the wrapper's crc field", Tamper::WrapperCrc),
+                ("the frame trailer", Tamper::FrameTrailer),
+            ];
+            for (what, tamper) in cases {
+                let what = format!("k = {k}, {kind:?} record, {what}");
+                let reframed = |bytes: Vec<u8>, crc: u32| {
+                    let damaged = Checkpoint::from_verified_parts(
+                        wrapped.seq(),
+                        wrapped.taken_at(),
+                        wrapped.label(),
+                        bytes.into(),
+                        crc,
+                    );
+                    DiskStableStore::write_record_file(&newest, &damaged).unwrap();
+                };
+                match tamper {
+                    Tamper::RecordByte(at) => {
+                        let mut bytes = record.to_vec();
+                        bytes[at] ^= 0x10;
+                        reframed(bytes, wrapped.crc());
+                    }
+                    Tamper::WrapperCrc => reframed(record.to_vec(), wrapped.crc() ^ 0x10),
+                    Tamper::FrameTrailer => {
+                        let mut file = pristine.clone();
+                        *file.last_mut().unwrap() ^= 0x10;
+                        fs::write(&newest, file).unwrap();
+                    }
+                }
+
+                let s = DeltaStable::open(DiskStableStore::open(&dir).unwrap(), k);
+                let (frame, chain) = (s.stats().corrupt_records, s.delta_stats().chain_orphans);
+                if let Tamper::FrameTrailer = tamper {
+                    assert_eq!((frame, chain), (1, 0), "{what}: the frame's to refuse");
+                    // The file is gone and the chain ends one record
+                    // earlier, intact: cadence decides what follows.
+                    let follows = if (k, rounds) == (4, 4) { Delta } else { Full };
+                    assert_eq!(s.next_record_kind(), follows, "{what}");
+                } else {
+                    assert_eq!((frame, chain), (0, 1), "{what}: the chain's to refuse");
+                    assert_eq!(s.next_record_kind(), Full, "{what}");
+                }
+                let intact = &originals[..rounds as usize - 1];
+                assert_eq!(s.latest_shared().as_ref(), intact.last(), "{what}");
+                assert_eq!(s.committed_records(), intact, "{what}");
+                drop(s);
+                fs::write(&newest, &pristine).unwrap();
+            }
+            let s = DeltaStable::open(DiskStableStore::open(&dir).unwrap(), k);
+            assert_eq!(s.committed_records(), originals, "k = {k}: restored");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

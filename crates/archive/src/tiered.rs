@@ -30,10 +30,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use synergy_codec::SharedBytes;
 use synergy_net::retry::Backoff;
 use synergy_storage::{Checkpoint, DiskStableStore, Stable, StableStats, StableWriteError};
 
-use crate::object::ObjectStore;
+use crate::object::{ObjectStore, ObjectStoreError};
 use crate::store::StableHistory;
 
 /// How long `open` keeps retrying an unreachable archive tier before
@@ -56,7 +57,10 @@ pub struct ArchiveStats {
 }
 
 struct UploadQueue {
-    pending: VecDeque<(String, Vec<u8>)>,
+    /// Record files by name, each read through the disk store's bounded
+    /// reader into one shared buffer (the uploader's copy of the head is a
+    /// refcount bump).
+    pending: VecDeque<(String, SharedBytes)>,
     stats: ArchiveStats,
     shutdown: bool,
 }
@@ -148,7 +152,8 @@ fn list_with_retry(archive: &mut dyn ObjectStore) -> Option<Vec<String>> {
     }
 }
 
-/// Fetches one object, retrying within the open budget.
+/// Fetches one object, retrying within the open budget. An object too long
+/// to be a record file is skipped at once: asking again will not shorten it.
 fn get_with_retry(archive: &mut dyn ObjectStore, key: &str) -> Option<Vec<u8>> {
     let deadline = Instant::now() + OPEN_RETRY_BUDGET;
     let mut backoff =
@@ -156,6 +161,7 @@ fn get_with_retry(archive: &mut dyn ObjectStore, key: &str) -> Option<Vec<u8>> {
     loop {
         match archive.get(key) {
             Ok(bytes) => return bytes,
+            Err(ObjectStoreError::TooLarge { .. }) => return None,
             Err(_) if Instant::now() < deadline => {
                 std::thread::sleep(backoff.next_delay().expect("unlimited schedule"));
             }
@@ -230,7 +236,7 @@ impl TieredStore {
         if let Some(keys) = &archived {
             for name in local_record_names(&dir) {
                 if !keys.contains(&name) {
-                    if let Ok(bytes) = fs::read(dir.join(&name)) {
+                    if let Some(bytes) = DiskStableStore::read_record_file_bytes(&dir.join(&name)) {
                         pending.push_back((name, bytes));
                         stats.resynced += 1;
                     }
@@ -351,9 +357,9 @@ impl Stable for TieredStore {
         // the local file is not a commit failure — tier 0 is durable; the
         // record is simply picked up by the next resync.
         if let Some((_, path)) = self.disk.newest_record_file() {
-            if let (Some(name), Ok(bytes)) = (
+            if let (Some(name), Some(bytes)) = (
                 path.file_name().and_then(|n| n.to_str()).map(String::from),
-                fs::read(&path),
+                DiskStableStore::read_record_file_bytes(&path),
             ) {
                 let mut q = self.shared.queue.lock().expect("archive queue poisoned");
                 q.pending.push_back((name, bytes));

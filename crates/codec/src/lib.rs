@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 use core::fmt;
+use core::ops::{Deref, Range};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -76,17 +77,116 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// A window onto a shared, immutable byte buffer: an `Arc<[u8]>` plus a
+/// range. Cloning and [`slice`](Self::slice) bump a refcount; the bytes are
+/// never copied. A checkpoint image travels as one of these, so a record
+/// that embeds an image (a chain record inside its wrapper, a wrapper inside
+/// the file buffer it was read into) can hand the image out as a window of
+/// its own buffer instead of a copy.
+///
+/// It is wire-identical to `Vec<u8>` (a `u64` length prefix, then the
+/// bytes) and compares by content, whatever buffer the bytes sit in.
+/// Decoding yields a window when the [`Reader`] was built over a
+/// `SharedBytes` ([`Reader::shared`], [`from_shared`]) and a fresh buffer
+/// otherwise.
+#[derive(Clone)]
+pub struct SharedBytes {
+    buf: Arc<[u8]>,
+    start: usize,
+    end: usize,
+}
+
+impl SharedBytes {
+    /// The sub-window `range` of this window, sharing its buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` does not lie inside this window — the buffer may
+    /// hold a neighbour's bytes on either side, and they are never reachable
+    /// from here.
+    pub fn slice(&self, range: Range<usize>) -> SharedBytes {
+        assert!(
+            range.start <= range.end && range.end <= self.len(),
+            "window {range:?} out of range for {} shared bytes",
+            self.len()
+        );
+        SharedBytes {
+            buf: Arc::clone(&self.buf),
+            start: self.start + range.start,
+            end: self.start + range.end,
+        }
+    }
+}
+
+impl Deref for SharedBytes {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+}
+
+impl From<Arc<[u8]>> for SharedBytes {
+    fn from(buf: Arc<[u8]>) -> Self {
+        let end = buf.len();
+        SharedBytes { buf, start: 0, end }
+    }
+}
+
+impl From<&[u8]> for SharedBytes {
+    fn from(bytes: &[u8]) -> Self {
+        Arc::<[u8]>::from(bytes).into()
+    }
+}
+
+impl From<Vec<u8>> for SharedBytes {
+    fn from(bytes: Vec<u8>) -> Self {
+        Arc::<[u8]>::from(bytes).into()
+    }
+}
+
+impl PartialEq for SharedBytes {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SharedBytes {}
+
+impl fmt::Debug for SharedBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// A cursor over the bytes being decoded.
 #[derive(Debug)]
 pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// The shared buffer `bytes` is the whole of, when there is one.
+    source: Option<&'a SharedBytes>,
 }
 
 impl<'a> Reader<'a> {
-    /// Creates a reader over `bytes`.
+    /// Creates a reader over `bytes`. A [`SharedBytes`] decoded through it
+    /// is a copy in a buffer of its own.
     pub fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
+        Reader {
+            bytes,
+            pos: 0,
+            source: None,
+        }
+    }
+
+    /// Creates a reader over a shared buffer. A [`SharedBytes`] decoded
+    /// through it is a window of `source`; every other type decodes exactly
+    /// as through [`new`](Self::new).
+    pub fn shared(source: &'a SharedBytes) -> Self {
+        Reader {
+            bytes: source,
+            pos: 0,
+            source: Some(source),
+        }
     }
 
     /// Bytes not yet consumed.
@@ -106,6 +206,22 @@ impl<'a> Reader<'a> {
         let slice = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
+    }
+
+    /// Consumes exactly `n` bytes as shared bytes: a window of the source
+    /// buffer for a reader built by [`shared`](Self::shared), a copy
+    /// otherwise.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::UnexpectedEof`] when fewer than `n` bytes remain.
+    pub fn take_shared(&mut self, n: usize) -> Result<SharedBytes, CodecError> {
+        let start = self.pos;
+        let bytes = self.take(n)?;
+        Ok(match self.source {
+            Some(source) => source.slice(start..start + n),
+            None => bytes.into(),
+        })
     }
 
     /// Consumes one byte.
@@ -199,7 +315,20 @@ pub fn to_bytes_into<T: Codec>(value: &T, out: &mut Vec<u8>) -> Result<(), Codec
 /// Any [`CodecError`]; [`CodecError::TrailingBytes`] when input remains
 /// after the value.
 pub fn from_bytes<T: Codec>(bytes: &[u8]) -> Result<T, CodecError> {
-    let mut r = Reader::new(bytes);
+    finish(Reader::new(bytes))
+}
+
+/// [`from_bytes`] over a shared buffer: every [`SharedBytes`] inside the
+/// decoded value is a window of `source`, not a copy.
+///
+/// # Errors
+///
+/// As [`from_bytes`].
+pub fn from_shared<T: Codec>(source: &SharedBytes) -> Result<T, CodecError> {
+    finish(Reader::shared(source))
+}
+
+fn finish<T: Codec>(mut r: Reader<'_>) -> Result<T, CodecError> {
     let value = T::decode(&mut r)?;
     if r.remaining() != 0 {
         return Err(CodecError::TrailingBytes);
@@ -223,8 +352,10 @@ macro_rules! codec_int {
 
 codec_int!(u16, u32, u64, u128, i8, i16, i32, i64, i128);
 
-/// Bytes move in bulk: a `Vec<u8>` or `Arc<[u8]>` (checkpoint images, wire
-/// payloads, dirty regions) is one length prefix and one `memcpy` each way.
+/// Bytes move in bulk: a `Vec<u8>` or `Arc<[u8]>` (wire payloads, dirty
+/// regions) is one length prefix and one `memcpy` each way; a
+/// [`SharedBytes`] (checkpoint images) is the same going out and a window,
+/// no copy, coming in through [`Reader::shared`].
 impl Codec for u8 {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(*self);
@@ -333,6 +464,18 @@ impl<T: Codec> Codec for Arc<[T]> {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Vec::<T>::decode(r)?.into())
+    }
+}
+
+/// Wire-identical to `Vec<u8>` (u64 length prefix + the bytes).
+impl Codec for SharedBytes {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).encode(out);
+        out.extend_from_slice(self);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let len = r.take_len(1)?;
+        r.take_shared(len)
     }
 }
 
@@ -505,6 +648,13 @@ mod tests {
             assert_eq!(to_bytes(&shared).unwrap(), want);
             assert_eq!(from_bytes::<Vec<u8>>(&want).unwrap(), payload);
             assert_eq!(from_bytes::<Arc<[u8]>>(&want).unwrap(), shared);
+            // A window encodes as the bytes it shows, not as its buffer, and
+            // decodes to the same bytes through either reader.
+            let padded = [&[0xEE; 3][..], &payload, &[0xEE; 2]].concat();
+            let window = SharedBytes::from(padded).slice(3..3 + payload.len());
+            assert_eq!(to_bytes(&window).unwrap(), want);
+            assert_eq!(from_bytes::<SharedBytes>(&want).unwrap(), window);
+            assert_eq!(from_shared::<SharedBytes>(&want.into()).unwrap(), window);
         }
         // Hostile prefix must not allocate.
         let bytes = to_bytes(&u64::MAX).unwrap();
@@ -516,6 +666,52 @@ mod tests {
             from_bytes::<Arc<[u8]>>(&bytes),
             Err(CodecError::LengthOverflow)
         );
+        assert_eq!(
+            from_bytes::<SharedBytes>(&bytes),
+            Err(CodecError::LengthOverflow)
+        );
+        assert_eq!(
+            from_shared::<SharedBytes>(&bytes.into()),
+            Err(CodecError::LengthOverflow)
+        );
+    }
+
+    #[test]
+    fn shared_reader_hands_out_windows_and_plain_reader_copies() {
+        let value = (7u32, SharedBytes::from(vec![1u8, 2, 3, 4, 5]), 9u8);
+        let source = SharedBytes::from(to_bytes(&value).unwrap());
+        let inside = |b: &SharedBytes| {
+            let (outer, inner) = (source.as_ptr_range(), b.as_ptr_range());
+            outer.start <= inner.start && inner.end <= outer.end
+        };
+        let shared: (u32, SharedBytes, u8) = from_shared(&source).unwrap();
+        assert_eq!(shared, value);
+        assert!(inside(&shared.1), "a window of the source buffer");
+        assert_eq!(shared.1.as_ptr(), source[4 + 8..].as_ptr());
+        let copied: (u32, SharedBytes, u8) = from_bytes(&source).unwrap();
+        assert_eq!(copied, value);
+        assert!(!inside(&copied.1), "a buffer of its own");
+        // A window of a window stays inside both, and an empty one is fine.
+        let sub = shared.1.slice(1..4);
+        assert_eq!(&*sub, [2, 3, 4]);
+        assert!(inside(&sub));
+        assert!(sub.slice(3..3).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn slice_past_the_window_panics_rather_than_reading_a_neighbour() {
+        // The buffer is longer than the window on both sides; the window's
+        // own length is the bound.
+        let window = SharedBytes::from(vec![0u8; 16]).slice(4..8);
+        let _ = window.slice(2..5);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn slice_with_inverted_bounds_panics() {
+        #[allow(clippy::reversed_empty_ranges)]
+        let _ = SharedBytes::from(vec![0u8; 16]).slice(5..4);
     }
 
     #[test]
@@ -556,6 +752,14 @@ mod tests {
             from_bytes::<Arc<[u8]>>(&bytes[..5]),
             Err(CodecError::UnexpectedEof)
         );
+        assert_eq!(
+            from_bytes::<SharedBytes>(&bytes[..5]),
+            Err(CodecError::UnexpectedEof)
+        );
+        assert_eq!(
+            from_shared::<SharedBytes>(&bytes[..5].into()),
+            Err(CodecError::UnexpectedEof)
+        );
         // Cut inside the body: the prefix promises more than remains.
         assert_eq!(
             from_bytes::<Vec<u8>>(&bytes[..bytes.len() - 1]),
@@ -563,6 +767,21 @@ mod tests {
         );
         assert_eq!(
             from_bytes::<Arc<[u8]>>(&bytes[..bytes.len() - 1]),
+            Err(CodecError::LengthOverflow)
+        );
+        assert_eq!(
+            from_bytes::<SharedBytes>(&bytes[..bytes.len() - 1]),
+            Err(CodecError::LengthOverflow)
+        );
+        assert_eq!(
+            from_shared::<SharedBytes>(&bytes[..bytes.len() - 1].into()),
+            Err(CodecError::LengthOverflow)
+        );
+        // A window's bound is the window: bytes after it in the buffer are
+        // not input, so the same cut made by slicing is the same error.
+        let whole = SharedBytes::from(bytes.clone());
+        assert_eq!(
+            from_shared::<SharedBytes>(&whole.slice(0..bytes.len() - 1)),
             Err(CodecError::LengthOverflow)
         );
         // Wider elements: three u16 promised, two delivered — the prefix

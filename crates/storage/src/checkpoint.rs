@@ -1,9 +1,8 @@
 //! The checkpoint record shared by volatile and stable stores.
 
 use core::fmt;
-use std::sync::Arc;
 
-use synergy_codec::{codec_struct, Codec, CodecError};
+use synergy_codec::{codec_struct, Codec, CodecError, SharedBytes};
 use synergy_des::SimTime;
 
 use crate::crc::crc32;
@@ -55,11 +54,20 @@ impl From<CodecError> for CheckpointError {
 /// guarded by a CRC-32, so corruption (and decoding with the wrong type) is
 /// detected rather than silently accepted.
 ///
-/// The serialized bytes live behind an `Arc<[u8]>`: cloning a checkpoint —
-/// the adapted TB protocol's volatile→stable dirty-copy, epoch-line
-/// selection, payload bundling — bumps a refcount instead of deep-copying
-/// the state. `Arc<[u8]>` encodes byte-identically to `Vec<u8>`, so the wire
-/// format (and every committed CRC) is unchanged.
+/// The serialized bytes are a [`SharedBytes`] — a window onto a shared
+/// buffer: cloning a checkpoint — the adapted TB protocol's volatile→stable
+/// dirty-copy, epoch-line selection, payload bundling — bumps a refcount
+/// instead of deep-copying the state, and a checkpoint decoded from a
+/// larger record (a frame read from disk, a chain record's wrapper) is a
+/// window of that record's buffer, not a copy of it. `SharedBytes` encodes
+/// byte-identically to `Vec<u8>`, so the wire format (and every committed
+/// CRC) is unchanged.
+///
+/// Who hashes the state bytes: [`encode`](Self::encode) once, to stamp the
+/// CRC; [`decode`](Self::decode) once per call, to verify it. Nothing else
+/// in this type does — layers that re-frame the record carry
+/// [`crc`](Self::crc) along ([`from_verified_parts`](Self::from_verified_parts))
+/// and leave the verification to `decode` or to their own guard.
 ///
 /// # Example
 ///
@@ -78,7 +86,7 @@ pub struct Checkpoint {
     seq: u64,
     taken_at_nanos: u64,
     label: String,
-    data: Arc<[u8]>,
+    data: SharedBytes,
     crc: u32,
 }
 
@@ -109,8 +117,7 @@ impl Checkpoint {
 
     /// Serializes `state` through a caller-owned scratch buffer: encode →
     /// CRC both run against `scratch` (whose capacity is reused across
-    /// calls), and the only fresh allocation is the final shared `Arc<[u8]>`
-    /// copy. Hot paths that checkpoint repeatedly should hold one scratch
+    /// calls), and the only fresh allocation is the final shared copy. Hot paths that checkpoint repeatedly should hold one scratch
     /// `Vec` and call this.
     ///
     /// # Errors
@@ -151,7 +158,7 @@ impl Checkpoint {
         seq: u64,
         taken_at: SimTime,
         label: impl Into<String>,
-        data: Arc<[u8]>,
+        data: SharedBytes,
         crc: u32,
     ) -> Self {
         Checkpoint {
@@ -163,7 +170,9 @@ impl Checkpoint {
         }
     }
 
-    /// Deserializes the stored state.
+    /// Deserializes the stored state, hashing it first on every call. Any
+    /// [`SharedBytes`] inside `T` comes back as a window of this
+    /// checkpoint's buffer.
     ///
     /// # Errors
     ///
@@ -177,7 +186,7 @@ impl Checkpoint {
                 actual,
             });
         }
-        Ok(synergy_codec::from_bytes(&self.data)?)
+        Ok(synergy_codec::from_shared(&self.data)?)
     }
 
     /// The checkpoint sequence number (MDCD volatile counter or TB `Ndc`).
@@ -212,8 +221,8 @@ impl Checkpoint {
 
     /// The serialized state, shared. Cloning the returned handle is a
     /// refcount bump.
-    pub fn shared_data(&self) -> Arc<[u8]> {
-        Arc::clone(&self.data)
+    pub fn shared_data(&self) -> SharedBytes {
+        self.data.clone()
     }
 
     /// Flips one bit of the stored state — fault injection for tests that

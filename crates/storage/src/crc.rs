@@ -67,6 +67,28 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
+/// The CRC-32 of `a‖b` from `crc32(a)`, `crc32(b)` and the length of `b`
+/// (zlib's `crc32_combine`), without touching a byte of either: `crc_a` is
+/// advanced over `len_b` zero bytes — multiplied by `x^(8·len_b) mod P` —
+/// and `crc_b` xored in, the same two steps [`crc32`] joins its lanes with.
+/// A record that embeds an already-hashed image after a short header is
+/// checksummed this way: hash the header, combine.
+///
+/// It holds for raw registers as it does for finished checksums, given
+/// that `b`'s register started from zero.
+///
+/// # Example
+///
+/// ```rust
+/// use synergy_storage::{crc32, crc32_combine};
+///
+/// let (a, b) = (b"check".as_slice(), b"point".as_slice());
+/// assert_eq!(crc32_combine(crc32(a), crc32(b), b.len()), crc32(b"checkpoint"));
+/// ```
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    mul_mod_p(x8n_mod_p(len_b), crc_a) ^ crc_b
+}
+
 /// Inputs shorter than this take the single-lane loop only. Measured on
 /// mixed lengths (so the joins' branches are not learnt): the lanes lose
 /// under 512 bytes (the three joins are ≈ 0.12–0.25 µs, more when the lane
@@ -186,14 +208,6 @@ mod tests {
             .fold(0xFFFF_FFFF, |reg, &b| bytewise_step(reg, b))
     }
 
-    /// The CRC of `a‖b` from the CRCs of `a` and `b` and the length of `b`
-    /// (zlib's `crc32_combine`): the two steps `crc32` joins its lanes with.
-    /// It holds for finished checksums and for raw registers alike, given
-    /// that `b`'s register started from zero in the raw case.
-    fn join(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
-        mul_mod_p(x8n_mod_p(len_b), crc_a) ^ crc_b
-    }
-
     fn random_bytes(label: &str, len: usize) -> Vec<u8> {
         let mut data = vec![0u8; len];
         DetRng::new(17).stream(label).fill_bytes(&mut data);
@@ -271,7 +285,7 @@ mod tests {
         {
             let (a, b) = data.split_at(at);
             assert_eq!(
-                join(crc32_bytewise(a), crc32_bytewise(b), b.len()),
+                crc32_combine(crc32_bytewise(a), crc32_bytewise(b), b.len()),
                 whole,
                 "split at {at}"
             );
@@ -280,12 +294,14 @@ mod tests {
 
     #[test]
     fn shift_operator_is_zero_bytes() {
-        // x^(8n) mod P is what n zero bytes through the byte table make of
-        // the register holding x^0.
-        assert_eq!(x8n_mod_p(0), 1 << 31);
+        // Combining the register holding x^0 with an empty `b` of length n
+        // leaves the shift operator itself, x^(8n) mod P: what n zero bytes
+        // through the byte table make of that register.
+        const X0: u32 = 1 << 31;
+        assert_eq!(crc32_combine(X0, 0, 0), X0);
         for n in [1usize, 2, 3, 8, 255, 256, 65_536, 65_542] {
-            let reg = (0..n).fold(1u32 << 31, |reg, _| bytewise_step(reg, 0));
-            assert_eq!(x8n_mod_p(n), reg, "n = {n}");
+            let reg = (0..n).fold(X0, |reg, _| bytewise_step(reg, 0));
+            assert_eq!(crc32_combine(X0, 0, n), reg, "n = {n}");
         }
     }
 

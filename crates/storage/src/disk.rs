@@ -23,12 +23,20 @@
 //! so recovery proceeds from the previous committed checkpoint — exactly
 //! the in-memory store's [`crash`](crate::StableStore::crash) semantics,
 //! made durable.
+//!
+//! Who holds and who hashes what on reload: each record file is read once,
+//! whole, into one buffer sized from the file's metadata, and the reloaded
+//! [`Checkpoint`]'s state bytes are a window of that buffer — one
+//! allocation and no copy per record. This store makes one pass over the
+//! buffer, the frame CRC; the state CRC is left to whoever decodes the
+//! checkpoint (for a chain record, the archive layer's walk).
 
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use synergy_codec::Codec;
+use synergy_codec::{Codec, SharedBytes};
 
 use crate::checkpoint::Checkpoint;
 use crate::crc::crc32;
@@ -65,8 +73,9 @@ fn frame(ckpt: &Checkpoint) -> Vec<u8> {
 
 /// Parses and CRC-verifies an on-disk frame. Any failure — truncation, bad
 /// magic, bad CRC, codec error, trailing bytes — yields `None`: the record
-/// is treated as never written.
-fn unframe(bytes: &[u8]) -> Option<Checkpoint> {
+/// is treated as never written. The checkpoint's state bytes are a window
+/// of `bytes`.
+fn unframe(bytes: &SharedBytes) -> Option<Checkpoint> {
     let magic = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?);
     if magic != MAGIC {
         return None;
@@ -83,18 +92,43 @@ fn unframe(bytes: &[u8]) -> Option<Checkpoint> {
     }
     // The frame CRC covers the whole serialized checkpoint, including the
     // checkpoint's own state CRC; the latter is re-verified at decode time.
-    synergy_codec::from_bytes(payload).ok()
+    synergy_codec::from_shared(&bytes.slice(12..12 + len)).ok()
+}
+
+/// Reads exactly `len` bytes — all there is — from `file` into one shared
+/// buffer. `Ok(None)` when the file ends before `len` bytes or holds a byte
+/// after them (it shrank or grew since its length was taken): what was read
+/// is then no record, and is never served short, padded or cut.
+fn read_exactly(mut file: impl Read, len: usize) -> io::Result<Option<SharedBytes>> {
+    let mut buf: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+    let dst = Arc::get_mut(&mut buf).expect("a freshly built Arc has one owner");
+    match file.read_exact(dst) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) => return Err(e),
+    }
+    let grew = file.take(1).read_to_end(&mut Vec::new())? != 0;
+    Ok((!grew).then(|| buf.into()))
+}
+
+/// Reads one record file whole, into the buffer its checkpoint will share;
+/// `Ok(None)` is a corrupt record. The file's length is checked before a
+/// byte of it is read: no valid frame is longer than
+/// [`DiskStableStore::MAX_RECORD_FILE_LEN`], so a longer file is refused
+/// without loading it.
+fn read_file(path: &Path) -> io::Result<Option<SharedBytes>> {
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    match usize::try_from(len) {
+        Ok(n) if len <= DiskStableStore::MAX_RECORD_FILE_LEN => read_exactly(file, n),
+        _ => Ok(None),
+    }
 }
 
 /// Reads one record file and parses its frame; `Ok(None)` is a corrupt
-/// record. The file's length is checked before a byte of it is read: no
-/// valid frame is longer than its 16 bytes of header and trailer around
-/// [`MAX_RECORD_LEN`], so a longer file is refused without loading it.
-fn read_record(path: &Path) -> std::io::Result<Option<Checkpoint>> {
-    if fs::metadata(path)?.len() > MAX_RECORD_LEN + 16 {
-        return Ok(None);
-    }
-    Ok(unframe(&fs::read(path)?))
+/// record.
+fn read_record(path: &Path) -> io::Result<Option<Checkpoint>> {
+    Ok(read_file(path)?.and_then(|bytes| unframe(&bytes)))
 }
 
 /// Durable stable storage for one process: committed checkpoints are files
@@ -130,6 +164,12 @@ pub struct DiskStableStore {
 }
 
 impl DiskStableStore {
+    /// The longest a record file can be: a frame's 16 bytes of header and
+    /// trailer around the largest payload the store accepts. No reader of
+    /// record files — this store, or a tier that mirrors them — loads a
+    /// longer one.
+    pub const MAX_RECORD_FILE_LEN: u64 = MAX_RECORD_LEN + 16;
+
     /// Opens (creating if needed) the store at `dir`, retaining the last 8
     /// committed checkpoints.
     ///
@@ -231,6 +271,16 @@ impl DiskStableStore {
     /// inspect records without reimplementing the frame.
     pub fn read_record_file(path: &Path) -> Option<Checkpoint> {
         read_record(path).ok()?
+    }
+
+    /// The bytes of one record file, frame and all, unparsed — for a tier
+    /// that mirrors record files verbatim. The same bounded read as
+    /// [`read_record_file`](Self::read_record_file): `None` for a file that
+    /// cannot be read, is longer than
+    /// [`MAX_RECORD_FILE_LEN`](Self::MAX_RECORD_FILE_LEN) (refused unread),
+    /// or changed length while it was read.
+    pub fn read_record_file_bytes(path: &Path) -> Option<SharedBytes> {
+        read_file(path).ok()?
     }
 
     /// Writes `ckpt` to `path` as a committed record with a valid frame.
@@ -419,6 +469,7 @@ mod tests {
         assert_eq!(framed.len(), 1066);
         assert_eq!(framed.capacity(), framed.len(), "one exact allocation");
         assert_eq!(crc32(&framed), 0xbb76_57aa);
+        let framed = SharedBytes::from(framed);
         assert_eq!(unframe(&framed), Some(c));
     }
 
@@ -576,6 +627,75 @@ mod tests {
             assert_eq!(s.latest_shared().unwrap().decode::<u64>().unwrap(), 10);
             fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn truncated_record_file_is_corrupt_not_padded_or_served_short() {
+        // The buffer is sized from the file's metadata before the read, so a
+        // cut file must come back as a corrupt record — never a panic, never
+        // a frame padded out with the buffer's zeroes.
+        let whole = frame(&ckpt(2, 20));
+        for keep in [whole.len() - 1, whole.len() / 2, 0] {
+            let dir = tmp_dir("truncated-record");
+            {
+                let mut s = DiskStableStore::open(&dir).unwrap();
+                s.begin_write(ckpt(1, 10)).unwrap();
+                s.commit_write().unwrap();
+            }
+            let cut = dir.join(file_name(1));
+            fs::write(&cut, &whole[..keep]).unwrap();
+            assert_eq!(DiskStableStore::read_record_file(&cut), None);
+            let s = DiskStableStore::open(&dir).unwrap();
+            assert_eq!(s.stats().corrupt_records, 1, "counted ({keep} bytes kept)");
+            assert!(!cut.exists(), "truncated record removed");
+            assert_eq!(s.latest_seq(), Some(1), "previous checkpoint served");
+            assert_eq!(s.latest_shared().unwrap().decode::<u64>().unwrap(), 10);
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn file_that_changes_length_under_the_read_is_no_record() {
+        // What a file that shrank or grew between `metadata` and `read`
+        // looks like from inside: a reader that ends before the length it
+        // was sized for, or holds a byte after it.
+        let whole = frame(&ckpt(2, 20));
+        let exact = read_exactly(&whole[..], whole.len()).unwrap().unwrap();
+        assert_eq!(&*exact, &whole[..]);
+        assert_eq!(unframe(&exact), Some(ckpt(2, 20)));
+        for shrunk_to in [whole.len() - 1, whole.len() / 2, 0] {
+            let got = read_exactly(&whole[..shrunk_to], whole.len()).unwrap();
+            assert_eq!(
+                got,
+                None,
+                "{shrunk_to} bytes where {} were stat'd",
+                whole.len()
+            );
+        }
+        let mut grown = whole.clone();
+        grown.push(0);
+        assert_eq!(read_exactly(&grown[..], whole.len()).unwrap(), None);
+        assert!(read_exactly(&[][..], 0).unwrap().unwrap().is_empty());
+    }
+
+    #[test]
+    fn reloaded_checkpoint_is_a_window_of_its_record_buffer() {
+        let dir = tmp_dir("window");
+        {
+            let mut s = DiskStableStore::open(&dir).unwrap();
+            s.begin_write(ckpt(1, 10)).unwrap();
+            s.commit_write().unwrap();
+        }
+        let path = dir.join(file_name(0));
+        let file = DiskStableStore::read_record_file_bytes(&path).unwrap();
+        assert_eq!(&*file, &fs::read(&path).unwrap()[..]);
+        // The state bytes sit where the frame puts them, uncopied: after the
+        // frame header and the checkpoint's seq, timestamp, label and length
+        // prefix, before its CRC and the frame trailer.
+        let data = unframe(&file).unwrap().shared_data();
+        let at = 12 + 8 + 8 + (8 + 1) + 8;
+        assert_eq!(data.as_ptr_range(), file[at..file.len() - 8].as_ptr_range());
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

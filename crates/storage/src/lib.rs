@@ -23,7 +23,7 @@ mod stable;
 mod volatile;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
-pub use crc::crc32;
+pub use crc::{crc32, crc32_combine};
 pub use disk::DiskStableStore;
 pub use faulty::{DiskFault, DiskFaultPlan, DiskOp, FaultyStable};
 pub use latency::DiskModel;

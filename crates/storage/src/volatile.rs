@@ -45,8 +45,8 @@ impl VolatileStore {
     }
 
     /// A shared handle to the most recent checkpoint (the adapted TB
-    /// protocol copies it to stable storage). The checkpoint bytes live
-    /// behind an `Arc`, so this is a refcount bump, not a deep copy.
+    /// protocol copies it to stable storage). The checkpoint bytes are
+    /// shared, so this is a refcount bump, not a deep copy.
     pub fn latest_shared(&self) -> Option<Checkpoint> {
         self.latest.clone()
     }
@@ -97,9 +97,9 @@ mod tests {
         let shared = v.latest_shared().unwrap();
         assert_eq!(shared, *v.latest().unwrap());
         // Same underlying bytes, not a deep copy.
-        assert!(std::sync::Arc::ptr_eq(
-            &shared.shared_data(),
-            &v.latest().unwrap().shared_data()
-        ));
+        assert_eq!(
+            shared.shared_data().as_ptr_range(),
+            v.latest().unwrap().shared_data().as_ptr_range()
+        );
     }
 }

@@ -4,6 +4,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> every crate forbids unsafe code"
+# Byte buffers are built and shared in safe Rust only (no `assume_init` on a
+# freshly allocated one); the attribute is what holds every crate to that.
+missing_forbid="$(git grep -L 'forbid(unsafe_code)' -- 'crates/*/src/lib.rs' || true)"
+if [[ -n "$missing_forbid" ]]; then
+    echo "no #![forbid(unsafe_code)] in:" >&2
+    echo "$missing_forbid" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

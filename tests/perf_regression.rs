@@ -8,10 +8,11 @@
 //! 2. A short traced-off mission stays within a pinned allocation budget.
 //!    The counter is thread-local, so concurrently running tests in this
 //!    binary do not perturb the measurement.
-//! 3. Checkpoint images cross the codec and the chain reload as bulk
-//!    copies: a byte vector decodes in one allocation and a chain reload
-//!    allocates a small constant per record, whatever the image size — an
-//!    extra copy of an image on either path fails here without a timer.
+//! 3. Checkpoint images cross the codec in bulk and the chain reload not
+//!    at all: a byte vector decodes in one allocation, shared bytes read
+//!    from a shared buffer in none, and a chain reload allocates a small
+//!    constant per record, whatever the image size — a copy of an image on
+//!    either path fails here without a timer.
 //! 4. The CRC kernel works in registers: neither the single-lane loop nor
 //!    the four lanes and their joins allocate.
 
@@ -134,6 +135,21 @@ fn byte_vector_decodes_in_one_allocation() {
 }
 
 #[test]
+fn shared_bytes_decode_allocates_nothing() {
+    use synergy_codec::SharedBytes;
+    let value = (7u64, SharedBytes::from(vec![0xA5u8; 1 << 20]), 9u32);
+    let source = SharedBytes::from(synergy_codec::to_bytes(&value).unwrap());
+    let before = allocs_on_this_thread();
+    let back: (u64, SharedBytes, u32) = synergy_codec::from_shared(&source).unwrap();
+    let allocs = allocs_on_this_thread() - before;
+    assert_eq!(back, value);
+    assert_eq!(
+        allocs, 0,
+        "shared bytes read from a shared buffer must be a window of it"
+    );
+}
+
+#[test]
 fn crc32_allocates_nothing() {
     // Below the lanes' crossover, just past it with a tail, and the
     // benchmark's 256 KiB image and its wrapped record.
@@ -175,10 +191,10 @@ fn chain_reload_allocs(k: u32) -> u64 {
 
 #[test]
 fn chain_reload_allocates_a_constant_per_record() {
-    // Measured 133: 4 per record (the history handle's label, the decoded
-    // image, its shared copy, the rebuilt checkpoint's label) plus 5 for the
-    // two vectors of checkpoints.
-    const BUDGET: u64 = 4 * CHAIN_RECORDS + 8;
+    // Measured 69: 2 per record (the history handle's label and the rebuilt
+    // checkpoint's — the image is a window of its wrapper, no buffer of its
+    // own) plus 5 for the two vectors of checkpoints.
+    const BUDGET: u64 = 2 * CHAIN_RECORDS + 8;
     let allocs = chain_reload_allocs(1);
     assert!(
         allocs <= BUDGET,
@@ -187,7 +203,7 @@ fn chain_reload_allocates_a_constant_per_record() {
     );
 
     // At k = 16 the same rounds are 2 full records and 30 deltas. Measured
-    // 163: 5 per replayed delta (the history handle's label, the decoded
+    // 159: 5 per replayed delta (the history handle's label, the decoded
     // region list, its one region's bytes, the rebuilt image in its shared
     // buffer, the rebuilt checkpoint's label). Rebuilding into a vector and
     // copying that into the shared buffer is a sixth.
