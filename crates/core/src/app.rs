@@ -19,6 +19,14 @@ pub trait Application: Send {
     /// Serializes the full application state.
     fn snapshot(&self) -> Vec<u8>;
 
+    /// Serializes the full application state into `out`, replacing what it
+    /// held: the same bytes as [`snapshot`](Application::snapshot). A host
+    /// that checkpoints on every confidence change keeps one buffer and
+    /// grows no vector per image.
+    fn snapshot_into(&self, out: &mut Vec<u8>) {
+        *out = self.snapshot();
+    }
+
     /// Replaces the state with a snapshot produced by
     /// [`snapshot`](Application::snapshot).
     ///
@@ -72,7 +80,7 @@ pub struct CounterState {
     pub received: Vec<ReceiptRecord>,
 }
 
-codec_struct!(ReceiptRecord { from, seq });
+crate::payload::codec_pid_seq_record!(ReceiptRecord { from, seq });
 codec_struct!(CounterState {
     steps,
     acc,
@@ -143,7 +151,13 @@ impl CounterApp {
 
 impl Application for CounterApp {
     fn snapshot(&self) -> Vec<u8> {
-        synergy_codec::to_bytes(&self.state).expect("CounterState always encodes")
+        let mut out = Vec::new();
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    fn snapshot_into(&self, out: &mut Vec<u8>) {
+        synergy_codec::to_bytes_into(&self.state, out).expect("CounterState always encodes");
     }
 
     fn restore(&mut self, bytes: &[u8]) {

@@ -55,7 +55,43 @@ pub struct CheckpointPayload {
     pub state_time_nanos: u64,
 }
 
-codec_struct!(SentRecord { to, seq });
+/// Implements `Codec` for a `{ ProcessId, MsgSeqNo }` record with the layout
+/// `codec_struct!` gives it — a `u32`, then a `u64` — and the slice-encoding
+/// hook overridden. A checkpoint image is little else than lists of these
+/// (what the state reflects as sent, what it reflects as received), growing
+/// with the mission and encoded at every checkpoint: a list reserves its
+/// bytes once and writes each record as one 12-byte store.
+macro_rules! codec_pid_seq_record {
+    ($ty:ident { $pid:ident, $seq:ident }) => {
+        impl synergy_codec::Codec for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                Self::encode_slice(std::slice::from_ref(self), out);
+            }
+
+            fn decode(
+                r: &mut synergy_codec::Reader<'_>,
+            ) -> Result<Self, synergy_codec::CodecError> {
+                Ok($ty {
+                    $pid: synergy_codec::Codec::decode(r)?,
+                    $seq: synergy_codec::Codec::decode(r)?,
+                })
+            }
+
+            fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+                out.reserve(items.len() * 12);
+                for item in items {
+                    let mut record = [0u8; 12];
+                    record[..4].copy_from_slice(&item.$pid.0.to_le_bytes());
+                    record[4..].copy_from_slice(&item.$seq.0.to_le_bytes());
+                    out.extend_from_slice(&record);
+                }
+            }
+        }
+    };
+}
+pub(crate) use codec_pid_seq_record;
+
+codec_pid_seq_record!(SentRecord { to, seq });
 codec_struct!(CheckpointPayload {
     app,
     engine,
@@ -172,6 +208,49 @@ mod tests {
         assert_eq!(ckpt.taken_at(), SimTime::from_secs_f64(1.5));
         let back = CheckpointPayload::from_checkpoint(&ckpt).unwrap();
         assert_eq!(back, payload);
+    }
+
+    #[test]
+    fn record_lists_encode_like_their_fields_one_by_one() {
+        use crate::app::ReceiptRecord;
+        use synergy_codec::{from_bytes, to_bytes, Codec, CodecError};
+
+        let pairs: Vec<(ProcessId, MsgSeqNo)> = (0..5u32)
+            .map(|i| (ProcessId(i + 1), MsgSeqNo(u64::from(i) << 33 | 7)))
+            .collect();
+        // The layout written out longhand: a count, then each record's two
+        // fields through their own codecs.
+        let mut want = (pairs.len() as u64).to_le_bytes().to_vec();
+        for (pid, seq) in &pairs {
+            pid.encode(&mut want);
+            seq.encode(&mut want);
+        }
+        let sent: Vec<SentRecord> = pairs
+            .iter()
+            .map(|&(to, seq)| SentRecord { to, seq })
+            .collect();
+        let received: Vec<ReceiptRecord> = pairs
+            .iter()
+            .map(|&(from, seq)| ReceiptRecord { from, seq })
+            .collect();
+        assert_eq!(to_bytes(&sent).unwrap(), want);
+        assert_eq!(to_bytes(&received).unwrap(), want);
+        assert_eq!(from_bytes::<Vec<SentRecord>>(&want).unwrap(), sent);
+        assert_eq!(from_bytes::<Vec<ReceiptRecord>>(&want).unwrap(), received);
+        // One record alone is one element of the list.
+        assert_eq!(to_bytes(&sent[1]).unwrap(), want[8 + 12..8 + 24]);
+        assert_eq!(from_bytes::<SentRecord>(&want[8 + 12..8 + 24]), Ok(sent[1]));
+        // A list cut short is refused whole, and a count the input cannot
+        // hold is refused before anything is allocated for it.
+        assert_eq!(
+            from_bytes::<Vec<SentRecord>>(&want[..want.len() - 1]),
+            Err(CodecError::UnexpectedEof)
+        );
+        want[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            from_bytes::<Vec<ReceiptRecord>>(&want),
+            Err(CodecError::LengthOverflow)
+        );
     }
 
     #[test]

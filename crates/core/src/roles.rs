@@ -48,12 +48,12 @@ impl RoleEngine {
         }
     }
 
-    /// Feeds one event.
-    pub fn handle(&mut self, event: Event) -> Vec<Action> {
+    /// Feeds one event, appending the engine's actions to `out`.
+    pub fn handle_into(&mut self, event: Event, out: &mut Vec<Action>) {
         match self {
-            RoleEngine::Active(e) => e.handle(event),
-            RoleEngine::Shadow(e) => e.handle(event),
-            RoleEngine::Peer(e) => e.handle(event),
+            RoleEngine::Active(e) => e.handle_into(event, out),
+            RoleEngine::Shadow(e) => e.handle_into(event, out),
+            RoleEngine::Peer(e) => e.handle_into(event, out),
         }
     }
 

@@ -107,8 +107,7 @@ impl System {
                 return;
             }
         }
-        let actions = self.hosts[i].handle(HostEvent::Deliver(env), now);
-        self.apply_host_actions(i, actions, now);
+        self.drive_host(i, HostEvent::Deliver(env), now);
     }
 
     fn on_tb_timer(&mut self, actor: ActorId, now: SimTime, deadline: LocalTime, epoch: u64) {
@@ -120,8 +119,7 @@ impl System {
             return;
         }
         host.timer_event = None;
-        let actions = host.handle(HostEvent::TimerExpired { deadline }, now);
-        self.apply_host_actions(i, actions, now);
+        self.drive_host(i, HostEvent::TimerExpired { deadline }, now);
     }
 
     fn on_blocking_over(&mut self, actor: ActorId, now: SimTime, epoch: u64) {
@@ -131,8 +129,7 @@ impl System {
         if !self.hosts[i].up || epoch != self.hosts[i].tb_epoch {
             return;
         }
-        let actions = self.hosts[i].handle(HostEvent::BlockingElapsed, now);
-        self.apply_host_actions(i, actions, now);
+        self.drive_host(i, HostEvent::BlockingElapsed, now);
     }
 
     fn on_tick(&mut self, now: SimTime, component: u8, external: bool, scripted: bool) {
@@ -168,16 +165,29 @@ impl System {
             if !self.hosts[i].up || self.hosts[i].dead {
                 continue;
             }
-            let actions = self.hosts[i].handle(HostEvent::Produce { external }, now);
-            self.apply_host_actions(i, actions, now);
+            self.drive_host(i, HostEvent::Produce { external }, now);
         }
     }
 
-    /// Applies host actions in order; runs software recovery last when the
-    /// host flagged a detected design fault.
-    pub(super) fn apply_host_actions(&mut self, i: usize, actions: Vec<HostAction>, now: SimTime) {
+    /// Feeds `event` to host `i` and applies what it asks for. The host
+    /// writes into the system's one action buffer, which goes back empty.
+    fn drive_host(&mut self, i: usize, event: HostEvent, now: SimTime) {
+        let mut actions = std::mem::take(&mut self.actions);
+        self.hosts[i].handle_into(event, now, &mut actions);
+        self.apply_host_actions(i, &mut actions, now);
+        self.actions = actions;
+    }
+
+    /// Applies host actions in order and empties `actions`; runs software
+    /// recovery last when the host flagged a detected design fault.
+    pub(super) fn apply_host_actions(
+        &mut self,
+        i: usize,
+        actions: &mut Vec<HostAction>,
+        now: SimTime,
+    ) {
         let mut software_error = false;
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 HostAction::Send(env) => self.forward_send(i, env, now),
                 HostAction::SendAck(env) => self.route_only(env, now),
@@ -333,15 +343,13 @@ impl System {
         match self.net.route(now, &env) {
             RouteDecision::Deliver { at, duplicate_at } => {
                 let inc = self.net_inc;
-                self.sim.schedule_at(
-                    at.max(now),
-                    actor,
-                    Ev::Deliver {
-                        env: env.clone(),
-                        inc,
-                    },
-                );
-                if let Some(dup) = duplicate_at {
+                // The envelope moves into its delivery; only a link-level
+                // duplicate needs a copy of it (scheduled second, as the
+                // later of the two event ids).
+                let copy = duplicate_at.map(|dup| (dup, env.clone()));
+                self.sim
+                    .schedule_at(at.max(now), actor, Ev::Deliver { env, inc });
+                if let Some((dup, env)) = copy {
                     self.sim
                         .schedule_at(dup.max(now), actor, Ev::Deliver { env, inc });
                 }
@@ -427,9 +435,9 @@ impl System {
             }
             let node = self.hosts[i].node;
             let now_local = self.clocks.read(node, now);
-            let actions =
+            let mut actions =
                 self.hosts[i].tb_event(synergy_tb::Event::ResyncCompleted { now_local }, now);
-            self.apply_host_actions(i, actions, now);
+            self.apply_host_actions(i, &mut actions, now);
             let deadline = self.hosts[i].tb.as_ref().expect("checked").next_deadline();
             if let Some(old) = self.hosts[i].timer_event.take() {
                 self.sim.cancel(old);

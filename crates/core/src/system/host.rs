@@ -1,14 +1,17 @@
 //! One guarded process: the MDCD engine, optional TB engine, application,
 //! stores and acknowledgment bookkeeping of a single process, behind a
-//! sans-io `handle(event) -> Vec<HostAction>` surface.
+//! sans-io `handle_into(event, now, &mut Vec<HostAction>)` surface.
 //!
 //! A [`ProcessHost`] owns everything that belongs to one process and
 //! nothing that belongs to the environment: it never touches clocks, the
 //! network, the scheduler, metrics or the trace. Drivers (the simulator's
 //! dispatch layer, or the threaded middleware runtime) feed it
-//! [`HostEvent`]s and interpret the returned [`HostAction`]s — routing
-//! envelopes, scheduling timers, counting metrics and recording trace
-//! lines. Action order is the exact trace order of the protocol.
+//! [`HostEvent`]s and interpret the [`HostAction`]s it appends to their
+//! buffer — routing envelopes, scheduling timers, counting metrics and
+//! recording trace lines. Action order is the exact trace order of the
+//! protocol. The engines below the host append to buffers the host keeps
+//! in the same way, so an event allocates for what it produces (envelopes,
+//! checkpoint images), never for the lists that carry it.
 
 use std::sync::Arc;
 
@@ -222,8 +225,14 @@ pub struct ProcessHost {
     /// adapted-TB dirty copy and volatile rollback reuse the payload the
     /// host just encoded instead of decoding it back out of the bytes.
     volatile_image: Option<CheckpointPayload>,
-    /// Reusable serialization buffer for checkpoint encodes.
+    /// Reusable serialization buffer: the application image, then the
+    /// checkpoint payload around it, are each encoded here and copied once
+    /// into their shared buffer.
     scratch: Vec<u8>,
+    /// Where the MDCD engine writes its actions; empty between events.
+    mdcd_actions: Vec<MdcdAction>,
+    /// Where the TB engine writes its actions; empty between events.
+    tb_actions: Vec<TbAction>,
     /// Unmasked-regime injector (bad external payloads + AT coverage),
     /// present only on the original active host of a regime run.
     regime: Option<crate::regime::RegimeInjector>,
@@ -277,6 +286,8 @@ impl ProcessHost {
             sent_snapshot: None,
             volatile_image: None,
             scratch: Vec::new(),
+            mdcd_actions: Vec::new(),
+            tb_actions: Vec::new(),
             regime: None,
         }
     }
@@ -344,11 +355,18 @@ impl ProcessHost {
         self.sent_snapshot = Some(Arc::clone(sent));
     }
 
+    /// The application state, encoded through the scratch buffer into a
+    /// shared one of exactly its size.
+    fn app_image(&mut self) -> Arc<[u8]> {
+        self.app.snapshot_into(&mut self.scratch);
+        self.scratch.as_slice().into()
+    }
+
     /// A checkpoint payload of the current state at `now`.
     pub fn current_payload(&mut self, now: SimTime) -> CheckpointPayload {
         let sent = self.sent_shared();
         CheckpointPayload::new(
-            self.app.snapshot(),
+            self.app_image(),
             self.engine.snapshot(),
             self.acks.unacked_shared(),
             sent,
@@ -357,32 +375,31 @@ impl ProcessHost {
     }
 
     /// Feeds one event; returns the effects the driver must apply, in
-    /// order.
+    /// order: [`handle_into`](Self::handle_into) over a fresh vector.
     pub fn handle(&mut self, event: HostEvent, now: SimTime) -> Vec<HostAction> {
         let mut out = Vec::new();
-        match event {
-            HostEvent::Deliver(env) => self.on_deliver(env, now, &mut out),
-            HostEvent::Produce { external } => self.on_produce(external, now, &mut out),
-            HostEvent::TimerExpired { deadline } => self.on_timer(deadline, now, &mut out),
-            HostEvent::BlockingElapsed => {
-                let actions = match self.tb.as_mut() {
-                    Some(tb) => tb.handle(TbEvent::BlockingElapsed),
-                    None => return out,
-                };
-                self.apply_tb(actions, now, &mut out);
-            }
-        }
+        self.handle_into(event, now, &mut out);
         out
+    }
+
+    /// Feeds one event, appending the effects the driver must apply, in
+    /// order, to `out`.
+    pub fn handle_into(&mut self, event: HostEvent, now: SimTime, out: &mut Vec<HostAction>) {
+        match event {
+            HostEvent::Deliver(env) => self.on_deliver(env, now, out),
+            HostEvent::Produce { external } => self.on_produce(external, now, out),
+            HostEvent::TimerExpired { deadline } => self.on_timer(deadline, now, out),
+            HostEvent::BlockingElapsed => self.tb_step(TbEvent::BlockingElapsed, now, out),
+        }
     }
 
     /// Starts the TB timers (mission bootstrap).
     pub fn start_tb(&mut self, now: SimTime) -> Vec<HostAction> {
         let mut out = Vec::new();
-        let actions = match self.tb.as_mut() {
-            Some(tb) => tb.start(),
-            None => return out,
-        };
-        self.apply_tb(actions, now, &mut out);
+        if let Some(tb) = self.tb.as_mut() {
+            let mut actions = tb.start();
+            self.apply_tb(&mut actions, now, &mut out);
+        }
         out
     }
 
@@ -391,20 +408,35 @@ impl ProcessHost {
     /// middleware) use this to forward blocking/commit notifications.
     pub fn engine_event(&mut self, event: MdcdEvent, now: SimTime) -> Vec<HostAction> {
         let mut out = Vec::new();
-        let actions = self.engine.handle(event);
-        self.apply_mdcd(actions, now, &mut out);
+        self.engine_step(event, now, &mut out);
         out
     }
 
     /// Feeds one TB engine event directly (recovery restarts, resync).
     pub(crate) fn tb_event(&mut self, event: TbEvent, now: SimTime) -> Vec<HostAction> {
         let mut out = Vec::new();
-        let actions = match self.tb.as_mut() {
-            Some(tb) => tb.handle(event),
-            None => return out,
-        };
-        self.apply_tb(actions, now, &mut out);
+        self.tb_step(event, now, &mut out);
         out
+    }
+
+    /// One MDCD engine step: the engine fills the host's buffer, the host
+    /// applies and empties it.
+    fn engine_step(&mut self, event: MdcdEvent, now: SimTime, out: &mut Vec<HostAction>) {
+        let mut actions = std::mem::take(&mut self.mdcd_actions);
+        self.engine.handle_into(event, &mut actions);
+        self.apply_mdcd(&mut actions, now, out);
+        self.mdcd_actions = actions;
+    }
+
+    /// One TB engine step, likewise; nothing on a host without TB.
+    fn tb_step(&mut self, event: TbEvent, now: SimTime, out: &mut Vec<HostAction>) {
+        let Some(tb) = self.tb.as_mut() else {
+            return;
+        };
+        let mut actions = std::mem::take(&mut self.tb_actions);
+        tb.handle_into(event, &mut actions);
+        self.apply_tb(&mut actions, now, out);
+        self.tb_actions = actions;
     }
 
     /// Send-side bookkeeping for an envelope leaving this host outside the
@@ -431,19 +463,11 @@ impl ProcessHost {
             });
         }
         let bit_before = self.engine.checkpoint_bit();
-        let actions = self.engine.handle(MdcdEvent::Deliver(env));
-        self.apply_mdcd(actions, now, out);
-        if bit_before && !self.engine.checkpoint_bit() {
-            self.notify_dirty_cleared(now, out);
+        self.engine_step(MdcdEvent::Deliver(env), now, out);
+        let cleared = bit_before && !self.engine.checkpoint_bit();
+        if cleared && self.tb.as_ref().is_some_and(TbEngine::is_blocking) {
+            self.tb_step(TbEvent::DirtyCleared, now, out);
         }
-    }
-
-    fn notify_dirty_cleared(&mut self, now: SimTime, out: &mut Vec<HostAction>) {
-        let actions = match self.tb.as_mut() {
-            Some(tb) if tb.is_blocking() => tb.handle(TbEvent::DirtyCleared),
-            _ => return,
-        };
-        self.apply_tb(actions, now, out);
     }
 
     fn on_produce(&mut self, external: bool, now: SimTime, out: &mut Vec<HostAction>) {
@@ -479,36 +503,42 @@ impl ProcessHost {
                 }
             }
         }
-        let actions = self.engine.handle(MdcdEvent::AppSend(OutboundMessage {
+        let message = OutboundMessage {
             to,
             payload,
             external,
             at_pass,
-        }));
-        self.apply_mdcd(actions, now, out);
+        };
+        self.engine_step(MdcdEvent::AppSend(message), now, out);
     }
 
     fn on_timer(&mut self, deadline: LocalTime, now: SimTime, out: &mut Vec<HostAction>) {
+        if self.tb.is_none() {
+            return;
+        }
         let dirty = self.engine.checkpoint_bit();
-        let actions = match self.tb.as_mut() {
-            // The timer fired exactly at its local deadline.
-            Some(tb) => tb.handle(TbEvent::TimerExpired {
-                now_local: deadline,
-                dirty,
-            }),
-            None => return,
-        };
         if self.tracing {
             out.push(HostAction::Record {
                 kind: "tb.timer",
                 detail: format!("dirty={} local={deadline}", u8::from(dirty)),
             });
         }
-        self.apply_tb(actions, now, out);
+        // The timer fired exactly at its local deadline.
+        let fired = TbEvent::TimerExpired {
+            now_local: deadline,
+            dirty,
+        };
+        self.tb_step(fired, now, out);
     }
 
-    fn apply_mdcd(&mut self, actions: Vec<MdcdAction>, now: SimTime, out: &mut Vec<HostAction>) {
-        for action in actions {
+    /// Applies and empties `actions`.
+    fn apply_mdcd(
+        &mut self,
+        actions: &mut Vec<MdcdAction>,
+        now: SimTime,
+        out: &mut Vec<HostAction>,
+    ) {
+        for action in actions.drain(..) {
             match action {
                 MdcdAction::Send(mut env) => {
                     // The engines are mission-blind; the host boundary is
@@ -559,22 +589,20 @@ impl ProcessHost {
     ) {
         self.volatile_seq += 1;
         let sent = self.sent_shared();
-        let mut payload =
-            CheckpointPayload::new(self.app.snapshot(), engine, Vec::new(), sent, now);
+        let payload = CheckpointPayload::new(self.app_image(), engine, Vec::new(), sent, now);
         let ckpt = payload
-            .to_checkpoint_with(self.volatile_seq, kind.to_string(), &mut self.scratch)
+            .to_checkpoint_with(self.volatile_seq, kind.as_str(), &mut self.scratch)
             .expect("payload encodes");
         self.volatile.save(ckpt);
-        // Cache before the write-through path mutates `payload`: the image
-        // must mirror exactly what the saved checkpoint decodes to.
-        self.volatile_image = Some(payload.clone());
         self.recv_log.clear();
         out.push(HostAction::VolatileSaved { kind });
-        // Write-through baseline: Type-2 checkpoints are persisted.
+        // Write-through baseline: Type-2 checkpoints are persisted, with the
+        // unacknowledged messages a stable checkpoint owes.
         if self.policy.stable_on_validation() && kind == CheckpointKind::Type2 {
             self.wt_stable_seq += 1;
-            payload.unacked = self.acks.unacked_shared();
-            let ckpt = payload
+            let mut stable = payload.clone();
+            stable.unacked = self.acks.unacked_shared();
+            let ckpt = stable
                 .to_checkpoint_with(self.wt_stable_seq, "stable-type2", &mut self.scratch)
                 .expect("payload encodes");
             self.stable
@@ -583,10 +611,13 @@ impl ProcessHost {
             self.stable.commit_write().expect("just begun");
             out.push(HostAction::WriteThroughCommitted);
         }
+        // The image mirrors exactly what the saved checkpoint decodes to.
+        self.volatile_image = Some(payload);
     }
 
-    fn apply_tb(&mut self, actions: Vec<TbAction>, now: SimTime, out: &mut Vec<HostAction>) {
-        for action in actions {
+    /// Applies and empties `actions`.
+    fn apply_tb(&mut self, actions: &mut Vec<TbAction>, now: SimTime, out: &mut Vec<HostAction>) {
+        for action in actions.drain(..) {
             match action {
                 TbAction::BeginStableWrite {
                     contents,
@@ -595,8 +626,7 @@ impl ProcessHost {
                 TbAction::StartBlocking { duration } => {
                     self.blocking_started_at = Some(now);
                     out.push(HostAction::BlockingStarted { duration });
-                    let engine_actions = self.engine.handle(MdcdEvent::BlockingStarted);
-                    self.apply_mdcd(engine_actions, now, out);
+                    self.engine_step(MdcdEvent::BlockingStarted, now, out);
                     if self.tracing {
                         out.push(HostAction::Record {
                             kind: "tb.blocking",
@@ -619,11 +649,8 @@ impl ProcessHost {
                     self.blocking_started_at = None;
                     self.stable.commit_write().expect("write in progress");
                     out.push(HostAction::StableCommitted { ndc });
-                    let mut engine_actions = self
-                        .engine
-                        .handle(MdcdEvent::StableCheckpointCommitted(ndc));
-                    engine_actions.extend(self.engine.handle(MdcdEvent::BlockingEnded));
-                    self.apply_mdcd(engine_actions, now, out);
+                    self.engine_step(MdcdEvent::StableCheckpointCommitted(ndc), now, out);
+                    self.engine_step(MdcdEvent::BlockingEnded, now, out);
                 }
                 TbAction::ScheduleTimer { at } => out.push(HostAction::ScheduleTimer { at }),
                 TbAction::RequestResync => out.push(HostAction::ResyncRequested),

@@ -15,15 +15,14 @@
 //!
 //! Topology (paper §2.1): node 0 runs `P1act`, node 1 runs `P1sdw`, node 2
 //! runs `P2`; one device endpoint models the external world. Hosts are
-//! addressed by [`ProcessId`] through precomputed index maps, never by
-//! position.
+//! addressed by [`ProcessId`], actor or node and found by scanning the
+//! three of them — no layer assumes which slot a process sits in, and none
+//! hashes to find out.
 
 mod dispatch;
 pub mod host;
 pub mod policy;
 pub mod recovery;
-
-use std::collections::HashMap;
 
 use synergy_clocks::ClockFleet;
 use synergy_des::{ActorId, DetRng, SimTime, Simulator, Trace};
@@ -70,10 +69,11 @@ pub struct System {
     clocks: ClockFleet,
     topology: Topology,
     hosts: Vec<ProcessHost>,
+    /// The simulator actor of each host, in host order.
     host_actors: Vec<ActorId>,
-    actor_index: HashMap<ActorId, usize>,
-    pid_index: HashMap<ProcessId, usize>,
-    node_index: HashMap<usize, usize>,
+    /// Where hosts write their actions; dispatch applies and empties it
+    /// after every host call, so one buffer serves the whole mission.
+    actions: Vec<HostAction>,
     device_actor: ActorId,
     system_actor: ActorId,
     device_log: Vec<(SimTime, Envelope)>,
@@ -162,25 +162,14 @@ impl System {
                 root.stream("regime"),
             ));
         }
-        let host_actors = vec![a_act, a_sdw, a_p2];
-        let actor_index = host_actors
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (*a, i))
-            .collect();
-        let pid_index = hosts.iter().enumerate().map(|(i, h)| (h.pid, i)).collect();
-        let node_index = hosts.iter().enumerate().map(|(i, h)| (h.node, i)).collect();
-
         let mut sys = System {
             sim,
             net,
             clocks,
             topology,
             hosts,
-            host_actors,
-            actor_index,
-            pid_index,
-            node_index,
+            host_actors: vec![a_act, a_sdw, a_p2],
+            actions: Vec::new(),
             device_actor,
             system_actor,
             device_log: Vec::new(),
@@ -233,8 +222,8 @@ impl System {
         // TB timers.
         for i in 0..self.hosts.len() {
             let now = self.sim.now();
-            let actions = self.hosts[i].start_tb(now);
-            self.apply_host_actions(i, actions, now);
+            let mut actions = self.hosts[i].start_tb(now);
+            self.apply_host_actions(i, &mut actions, now);
         }
         // Scripted sends (one-shot: no arrival stream exists for them, so
         // on_tick does not reschedule).
@@ -285,19 +274,19 @@ impl System {
     }
 
     // ------------------------------------------------------------------
-    // Index maps (no positional scans)
+    // Host lookup (a scan of three entries; unknown keys find nothing)
     // ------------------------------------------------------------------
 
     fn host_index(&self, actor: ActorId) -> Option<usize> {
-        self.actor_index.get(&actor).copied()
+        self.host_actors.iter().position(|a| *a == actor)
     }
 
     fn index_of_pid(&self, pid: ProcessId) -> Option<usize> {
-        self.pid_index.get(&pid).copied()
+        self.hosts.iter().position(|h| h.pid == pid)
     }
 
     fn index_of_node(&self, node: usize) -> Option<usize> {
-        self.node_index.get(&node).copied()
+        self.hosts.iter().position(|h| h.node == node)
     }
 
     /// The scheme policy this run executes.

@@ -139,7 +139,9 @@ impl ProcessHost {
         // If a TB blocking period is in progress, the restored engine must
         // re-enter it (restore cleared the hold state).
         if self.tb.as_ref().is_some_and(TbEngine::is_blocking) {
-            let actions = self.engine.handle(MdcdEvent::BlockingStarted);
+            let mut actions = Vec::new();
+            self.engine
+                .handle_into(MdcdEvent::BlockingStarted, &mut actions);
             debug_assert!(actions.is_empty());
         }
         Some(distance)
@@ -412,13 +414,14 @@ impl System {
             // restart the TB timers.
             if self.hosts[i].tb.is_some() {
                 let ndc = CkptSeqNo(restored_seq);
-                let actions =
+                let mut actions =
                     self.hosts[i].engine_event(MdcdEvent::StableCheckpointCommitted(ndc), now);
-                self.apply_host_actions(i, actions, now);
+                self.apply_host_actions(i, &mut actions, now);
                 let node = self.hosts[i].node;
                 let now_local = self.clocks.read(node, now);
-                let actions = self.hosts[i].tb_event(TbEvent::Restarted { now_local, ndc }, now);
-                self.apply_host_actions(i, actions, now);
+                let mut actions =
+                    self.hosts[i].tb_event(TbEvent::Restarted { now_local, ndc }, now);
+                self.apply_host_actions(i, &mut actions, now);
             }
             self.sim.record_with(self.host_actors[i], || {
                 (

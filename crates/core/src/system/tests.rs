@@ -237,6 +237,45 @@ fn volatile_image_matches_decoded_checkpoint() {
     assert!(images_checked > 0, "no volatile checkpoints were cached");
 }
 
+#[test]
+fn unknown_pid_actor_and_node_find_no_host() {
+    let system = System::new(base().scheme(Scheme::Coordinated).no_workload().build());
+    for (i, host) in system.hosts.iter().enumerate() {
+        assert_eq!(system.index_of_pid(host.pid), Some(i));
+        assert_eq!(system.index_of_node(host.node), Some(i));
+        assert_eq!(system.host_index(system.host_actors[i]), Some(i));
+    }
+    assert_eq!(system.index_of_pid(ProcessId(99)), None);
+    assert_eq!(system.index_of_node(3), None);
+    assert_eq!(system.host_index(system.device_actor), None);
+    assert_eq!(system.host_index(system.system_actor), None);
+}
+
+#[test]
+fn envelope_to_an_unregistered_pid_is_dropped_before_the_network() {
+    use synergy_net::{MessageBody, MsgId};
+    let mut system = System::new(base().scheme(Scheme::Coordinated).no_workload().build());
+    let (pending, routed) = (system.sim.pending(), system.net.counters().sent);
+    let body = MessageBody::Application {
+        payload: vec![1],
+        dirty: false,
+    };
+    let id = MsgId {
+        from: P1ACT,
+        seq: MsgSeqNo(1),
+    };
+    system.route_only(
+        Envelope::new(id, ProcessId(99), body.clone()),
+        SimTime::ZERO,
+    );
+    assert_eq!(system.sim.pending(), pending, "nothing scheduled");
+    assert_eq!(system.net.counters().sent, routed, "no random draw spent");
+    // The same envelope to a registered process is routed and scheduled.
+    system.route_only(Envelope::new(id, P2, body), SimTime::ZERO);
+    assert_eq!(system.sim.pending(), pending + 1);
+    assert_eq!(system.net.counters().sent, routed + 1);
+}
+
 // ---------------------------------------------------------------------------
 // Unmasked-regime lattice: one mission-level test per regime, classified by
 // `run_regime_mission` so the full evidence pipeline (injection, counters,

@@ -73,7 +73,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Ids of every entry still queued (cancelled tombstones included), in
-    /// arbitrary order. Used to prune the simulator's cancelled set.
+    /// arbitrary order. The simulator refuses to cancel an id not among them.
     pub fn ids(&self) -> impl Iterator<Item = EventId> + '_ {
         self.heap.iter().map(|Reverse(e)| e.id)
     }

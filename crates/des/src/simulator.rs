@@ -54,7 +54,7 @@ impl<E> Simulator<E> {
         Simulator {
             now: SimTime::ZERO,
             queue: EventQueue::with_capacity(pending_hint),
-            cancelled: HashSet::with_capacity(pending_hint),
+            cancelled: HashSet::new(),
             next_event_id: 0,
             actor_names: Vec::new(),
             rng: DetRng::new(seed),
@@ -111,30 +111,23 @@ impl<E> Simulator<E> {
     }
 
     /// Cancels a previously scheduled event. Returns `true` when the event
-    /// had not yet fired (or been cancelled).
+    /// was still pending: an id that already fired, was already cancelled
+    /// or was never issued is refused and leaves nothing behind.
     ///
-    /// Cancellation is lazy: the entry stays in the queue and is dropped when
-    /// popped. Ids of events that already fired would otherwise pool in the
-    /// tombstone set for the rest of the mission, so once the set outgrows
-    /// the queue it is pruned back to ids that are still pending — an
-    /// amortized O(pending) sweep that keeps memory bounded on long runs.
+    /// Cancellation is lazy: the entry stays in the queue under a tombstone
+    /// and is dropped when popped. Only queued ids get one (a scan of the
+    /// queue, tens of entries on a mission), so every tombstone is collected
+    /// by the pop it waits for and [`step`](Simulator::step) probes the set
+    /// only while a cancellation is outstanding.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_event_id {
-            return false;
-        }
-        let inserted = self.cancelled.insert(id);
-        if inserted && self.cancelled.len() > self.queue.len() + 16 {
-            let pending: HashSet<EventId> = self.queue.ids().collect();
-            self.cancelled.retain(|c| pending.contains(c));
-        }
-        inserted
+        self.queue.ids().any(|pending| pending == id) && self.cancelled.insert(id)
     }
 
     /// Pops the next non-cancelled event, advancing virtual time to its fire
     /// instant. Returns `None` when the timeline is exhausted.
     pub fn step(&mut self) -> Option<Fired<E>> {
         while let Some(entry) = self.queue.pop() {
-            if self.cancelled.remove(&entry.id) {
+            if !self.cancelled.is_empty() && self.cancelled.remove(&entry.id) {
                 continue;
             }
             debug_assert!(entry.time >= self.now);
@@ -248,6 +241,36 @@ mod tests {
     fn cancel_unknown_id_is_false() {
         let mut sim: Simulator<&str> = Simulator::new(0);
         assert!(!sim.cancel(EventId(123)));
+    }
+
+    #[test]
+    fn cancelling_a_fired_event_is_refused_and_leaves_no_tombstone() {
+        let mut sim: Simulator<&str> = Simulator::new(0);
+        let a = sim.register_actor("a");
+        let id = sim.schedule_in(SimDuration::from_nanos(5), a, "fires");
+        assert_eq!(sim.step().unwrap().id, id);
+        assert!(!sim.cancel(id), "the event already fired");
+        assert!(sim.cancelled.is_empty());
+    }
+
+    #[test]
+    fn cancelled_event_never_fires_once_its_tombstone_is_the_only_one() {
+        // `step` probes the tombstone set only while it is non-empty: the
+        // one cancellation must still be honoured, be collected by the pop
+        // it waited for, and leave later events untouched.
+        let mut sim: Simulator<&str> = Simulator::new(0);
+        let a = sim.register_actor("a");
+        sim.schedule_in(SimDuration::from_nanos(1), a, "before");
+        let id = sim.schedule_in(SimDuration::from_nanos(2), a, "dropped");
+        sim.schedule_in(SimDuration::from_nanos(3), a, "after");
+        assert_eq!(sim.step().unwrap().event, "before");
+        assert!(sim.cancelled.is_empty(), "nothing to probe for yet");
+        assert!(sim.cancel(id));
+        assert_eq!(sim.step().unwrap().event, "after");
+        assert!(sim.cancelled.is_empty(), "tombstone collected when popped");
+        sim.schedule_in(SimDuration::from_nanos(1), a, "later");
+        assert_eq!(sim.step().unwrap().event, "later");
+        assert!(sim.step().is_none());
     }
 
     #[test]

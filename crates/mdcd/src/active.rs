@@ -136,50 +136,50 @@ impl ActiveEngine {
     }
 
     /// Feeds one event, returning the actions for the driver to execute in
-    /// order.
+    /// order: [`handle_into`](Self::handle_into) over a fresh vector.
     pub fn handle(&mut self, event: Event) -> Vec<Action> {
+        let mut out = Vec::new();
+        self.handle_into(event, &mut out);
+        out
+    }
+
+    /// Feeds one event, appending the actions for the driver to execute, in
+    /// order, to `out` — a driver that keeps one buffer pays for no vector
+    /// per event.
+    pub fn handle_into(&mut self, event: Event, out: &mut Vec<Action>) {
         if self.halted {
-            return Vec::new();
+            return;
         }
         match event {
             Event::AppSend(m) => {
                 if self.hold.is_blocking() {
                     self.hold.hold(Event::AppSend(m));
-                    Vec::new()
                 } else if m.external {
-                    self.send_external(m)
+                    self.send_external(m, out);
                 } else {
-                    self.send_internal(m)
+                    self.send_internal(m, out);
                 }
             }
-            Event::Deliver(envelope) => self.deliver(envelope),
-            Event::BlockingStarted => {
-                self.hold.start();
-                Vec::new()
-            }
+            Event::Deliver(envelope) => self.deliver(envelope, out),
+            Event::BlockingStarted => self.hold.start(),
             Event::BlockingEnded => {
-                let mut out = Vec::new();
-                for held in self.hold.end() {
-                    out.extend(self.handle(held));
+                self.hold.end();
+                while let Some(held) = self.hold.pop() {
+                    self.handle_into(held, out);
                 }
-                out
             }
-            Event::StableCheckpointCommitted(seq) => {
-                self.ndc = seq;
-                Vec::new()
-            }
+            Event::StableCheckpointCommitted(seq) => self.ndc = seq,
         }
     }
 
-    fn send_external(&mut self, m: OutboundMessage) -> Vec<Action> {
-        let mut out = Vec::new();
+    fn send_external(&mut self, m: OutboundMessage, out: &mut Vec<Action>) {
         self.at_runs += 1;
         out.push(Action::AtPerformed { pass: m.at_pass });
         if !m.at_pass {
             // `error_recovery(P1sdw, P2); exit(error)`
             self.halted = true;
             out.push(Action::SoftwareErrorDetected);
-            return out;
+            return;
         }
         if self.cfg.variant == Variant::Modified {
             self.pseudo_dirty = false;
@@ -205,11 +205,9 @@ impl ActiveEngine {
         for dest in [self.shadow, self.peer] {
             out.push(Action::Send(self.passed_at(dest)));
         }
-        out
     }
 
-    fn send_internal(&mut self, m: OutboundMessage) -> Vec<Action> {
-        let mut out = Vec::new();
+    fn send_internal(&mut self, m: OutboundMessage, out: &mut Vec<Action>) {
         if self.cfg.variant == Variant::Modified && !self.pseudo_dirty {
             // First internal message since the last validation: establish the
             // pseudo checkpoint *before* the send so it is consistent with
@@ -233,10 +231,9 @@ impl ActiveEngine {
                 dirty: true,
             },
         )));
-        out
     }
 
-    fn deliver(&mut self, envelope: Envelope) -> Vec<Action> {
+    fn deliver(&mut self, envelope: Envelope, out: &mut Vec<Action>) {
         match &envelope.body {
             MessageBody::PassedAt { ndc, .. } => {
                 match self.cfg.variant {
@@ -259,31 +256,26 @@ impl ActiveEngine {
                     Variant::Original => {
                         if self.hold.is_blocking() {
                             self.hold.hold(Event::Deliver(envelope));
-                            return Vec::new();
-                        }
-                        if self.cfg.active_type2 {
-                            return vec![Action::TakeCheckpoint {
+                        } else if self.cfg.active_type2 {
+                            out.push(Action::TakeCheckpoint {
                                 kind: CheckpointKind::Type2,
                                 engine: self.snapshot(),
-                            }];
+                            });
                         }
                     }
                 }
-                Vec::new()
             }
             MessageBody::Application { .. } => {
                 if self.hold.is_blocking() {
                     self.hold.hold(Event::Deliver(envelope));
-                    Vec::new()
                 } else {
                     // P1act is permanently dirty; reception never changes
                     // confidence, so no checkpoint is needed.
-                    vec![Action::DeliverToApp(envelope)]
+                    out.push(Action::DeliverToApp(envelope));
                 }
             }
             MessageBody::External { .. } | MessageBody::Ack { .. } => {
                 debug_assert!(false, "driver must not route {envelope} to an MDCD engine");
-                Vec::new()
             }
         }
     }

@@ -25,10 +25,14 @@ impl HoldQueue {
         self.blocking = true;
     }
 
-    /// Ends the period and drains everything that was held.
-    pub fn end(&mut self) -> Vec<Event> {
+    /// Ends the period; the caller then [`pop`](Self::pop)s what was held.
+    pub fn end(&mut self) {
         self.blocking = false;
-        self.held.drain(..).collect()
+    }
+
+    /// The oldest held event, if any remains.
+    pub fn pop(&mut self) -> Option<Event> {
+        self.held.pop_front()
     }
 
     pub fn hold(&mut self, event: Event) {
@@ -60,9 +64,11 @@ mod tests {
         h.hold(Event::BlockingStarted); // any events; variants are arbitrary here
         h.hold(Event::BlockingEnded);
         assert_eq!(h.len(), 2);
-        let out = h.end();
+        h.end();
         assert!(!h.is_blocking());
-        assert_eq!(out, vec![Event::BlockingStarted, Event::BlockingEnded]);
+        assert_eq!(h.pop(), Some(Event::BlockingStarted));
+        assert_eq!(h.pop(), Some(Event::BlockingEnded));
+        assert_eq!(h.pop(), None);
     }
 
     #[test]
@@ -72,6 +78,6 @@ mod tests {
         h.hold(Event::BlockingStarted);
         h.reset();
         assert!(!h.is_blocking());
-        assert!(h.end().is_empty());
+        assert_eq!(h.pop(), None);
     }
 }

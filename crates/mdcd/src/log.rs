@@ -1,6 +1,7 @@
 //! The shadow's suppressed-message log.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use synergy_codec::codec_struct;
 use synergy_net::{Envelope, MsgSeqNo};
@@ -32,7 +33,10 @@ use synergy_net::{Envelope, MsgSeqNo};
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MessageLog {
-    entries: BTreeMap<MsgSeqNo, Envelope>,
+    // Shared, as the ack tracker's pending set is: a checkpoint bundles the
+    // whole log, and that must be refcount bumps, not copies of payloads.
+    // `Arc<Envelope>` encodes exactly as `Envelope`.
+    entries: BTreeMap<MsgSeqNo, Arc<Envelope>>,
 }
 
 codec_struct!(MessageLog { entries });
@@ -44,7 +48,8 @@ impl MessageLog {
     }
 
     /// Appends a suppressed message (keyed by its sequence number).
-    pub fn push(&mut self, envelope: Envelope) {
+    pub fn push(&mut self, envelope: impl Into<Arc<Envelope>>) {
+        let envelope = envelope.into();
         self.entries.insert(envelope.id.seq, envelope);
     }
 
@@ -56,12 +61,12 @@ impl MessageLog {
 
     /// Entries with sequence number `> after`, in order.
     pub fn entries_after(&self, after: MsgSeqNo) -> impl Iterator<Item = &Envelope> {
-        self.entries.range(after.next()..).map(|(_, e)| e)
+        self.entries.range(after.next()..).map(|(_, e)| &**e)
     }
 
     /// All entries in order.
     pub fn entries(&self) -> impl Iterator<Item = &Envelope> {
-        self.entries.values()
+        self.entries.values().map(|e| &**e)
     }
 
     /// Number of logged messages.
@@ -75,12 +80,13 @@ impl MessageLog {
     }
 
     /// Replaces the log contents (restore from a checkpoint).
-    pub fn restore(&mut self, entries: impl IntoIterator<Item = Envelope>) {
+    pub fn restore(&mut self, entries: impl IntoIterator<Item = Arc<Envelope>>) {
         self.entries = entries.into_iter().map(|e| (e.id.seq, e)).collect();
     }
 
-    /// Copies the log out for inclusion in a checkpoint.
-    pub fn to_vec(&self) -> Vec<Envelope> {
+    /// Shared handles to the entries, in order, for inclusion in a
+    /// checkpoint; each element is a refcount bump.
+    pub fn to_vec(&self) -> Vec<Arc<Envelope>> {
         self.entries.values().cloned().collect()
     }
 }

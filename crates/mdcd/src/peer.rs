@@ -127,46 +127,52 @@ impl PeerEngine {
         self.hold.reset();
     }
 
-    /// Feeds one event, returning the actions to execute in order.
+    /// Feeds one event, returning the actions to execute in order:
+    /// [`handle_into`](Self::handle_into) over a fresh vector.
     pub fn handle(&mut self, event: Event) -> Vec<Action> {
+        let mut out = Vec::new();
+        self.handle_into(event, &mut out);
+        out
+    }
+
+    /// Feeds one event, appending the actions to execute, in order, to
+    /// `out`.
+    pub fn handle_into(&mut self, event: Event, out: &mut Vec<Action>) {
         match event {
             Event::AppSend(m) => {
                 if self.hold.is_blocking() {
                     self.hold.hold(Event::AppSend(m));
-                    Vec::new()
                 } else if m.external {
-                    self.send_external(m)
+                    self.send_external(m, out);
                 } else {
-                    self.send_internal(m)
+                    self.send_internal(m, out);
                 }
             }
-            Event::Deliver(envelope) => self.deliver(envelope),
-            Event::BlockingStarted => {
-                self.hold.start();
-                Vec::new()
-            }
+            Event::Deliver(envelope) => self.deliver(envelope, out),
+            Event::BlockingStarted => self.hold.start(),
             Event::BlockingEnded => {
-                let mut out = Vec::new();
-                for held in self.hold.end() {
-                    out.extend(self.handle(held));
+                self.hold.end();
+                while let Some(held) = self.hold.pop() {
+                    self.handle_into(held, out);
                 }
-                out
             }
-            Event::StableCheckpointCommitted(seq) => {
-                self.ndc = seq;
-                Vec::new()
-            }
+            Event::StableCheckpointCommitted(seq) => self.ndc = seq,
         }
     }
 
-    fn send_external(&mut self, m: OutboundMessage) -> Vec<Action> {
-        let mut out = Vec::new();
+    /// Both replicas of `P1`, or the one that is left after a takeover.
+    fn replicas(&self) -> impl Iterator<Item = ProcessId> {
+        let shadow = (self.shadow != self.active).then_some(self.shadow);
+        std::iter::once(self.active).chain(shadow)
+    }
+
+    fn send_external(&mut self, m: OutboundMessage, out: &mut Vec<Action>) {
         if self.dirty {
             self.at_runs += 1;
             out.push(Action::AtPerformed { pass: m.at_pass });
             if !m.at_pass {
                 out.push(Action::SoftwareErrorDetected);
-                return out;
+                return;
             }
             self.dirty = false;
             if self.cfg.variant == Variant::Original {
@@ -189,12 +195,7 @@ impl PeerEngine {
             // Broadcast passed_AT carrying *P1act's* validated sequence
             // number: P2 passing its AT vouches for every message it has
             // received from P1act (key assumption, paper §2.1).
-            let recipients: Vec<ProcessId> = if self.active == self.shadow {
-                vec![self.active]
-            } else {
-                vec![self.active, self.shadow]
-            };
-            for dest in recipients {
+            for dest in self.replicas() {
                 self.ctrl_sn += 1;
                 out.push(Action::Send(Envelope::new(
                     MsgId {
@@ -220,20 +221,20 @@ impl PeerEngine {
                 MessageBody::External { payload: m.payload },
             )));
         }
-        out
     }
 
-    fn send_internal(&mut self, m: OutboundMessage) -> Vec<Action> {
+    fn send_internal(&mut self, m: OutboundMessage, out: &mut Vec<Action>) {
         // Internal messages are broadcast to both replicas so active and
         // shadow compute on identical inputs; each copy gets its own
         // sequence number for independent ack tracking.
-        let mut out = Vec::new();
-        let recipients: Vec<ProcessId> = if self.active == self.shadow {
-            vec![self.active]
-        } else {
-            vec![self.active, self.shadow]
-        };
-        for dest in recipients {
+        let mut payload = m.payload;
+        let mut replicas = self.replicas().peekable();
+        while let Some(dest) = replicas.next() {
+            // The last copy takes the application's buffer itself.
+            let payload = match replicas.peek() {
+                Some(_) => payload.clone(),
+                None => std::mem::take(&mut payload),
+            };
             self.msg_sn = self.msg_sn.next();
             out.push(Action::Send(Envelope::new(
                 MsgId {
@@ -242,28 +243,28 @@ impl PeerEngine {
                 },
                 Endpoint::Process(dest),
                 MessageBody::Application {
-                    payload: m.payload.clone(),
+                    payload,
                     dirty: self.dirty,
                 },
             )));
         }
-        out
     }
 
-    fn deliver(&mut self, envelope: Envelope) -> Vec<Action> {
+    fn deliver(&mut self, envelope: Envelope, out: &mut Vec<Action>) {
         match &envelope.body {
             MessageBody::PassedAt { msg_sn, ndc } => {
                 if self.cfg.variant == Variant::Original {
                     if self.hold.is_blocking() {
                         self.hold.hold(Event::Deliver(envelope));
-                        return Vec::new();
+                        return;
                     }
                     self.vr_act = *msg_sn;
                     self.dirty = false;
-                    return vec![Action::TakeCheckpoint {
+                    out.push(Action::TakeCheckpoint {
                         kind: CheckpointKind::Type2,
                         engine: self.snapshot(),
-                    }];
+                    });
+                    return;
                 }
                 // Same-epoch or early-while-idle notifications are
                 // accepted; early-while-blocking ones are deferred past the
@@ -274,14 +275,12 @@ impl PeerEngine {
                 } else if *ndc > self.ndc {
                     self.hold.hold(Event::Deliver(envelope));
                 }
-                Vec::new()
             }
             MessageBody::Application { dirty: m_dirty, .. } => {
                 if self.hold.is_blocking() {
                     self.hold.hold(Event::Deliver(envelope));
-                    return Vec::new();
+                    return;
                 }
-                let mut out = Vec::new();
                 self.vr_act = envelope.id.seq;
                 // Fig. 10 tests only `dirty_bit == 0` because P1act's
                 // piggybacked bit is constantly 1; we also honour the
@@ -295,11 +294,9 @@ impl PeerEngine {
                     self.dirty = true;
                 }
                 out.push(Action::DeliverToApp(envelope));
-                out
             }
             MessageBody::External { .. } | MessageBody::Ack { .. } => {
                 debug_assert!(false, "driver must not route {envelope} to an MDCD engine");
-                Vec::new()
             }
         }
     }

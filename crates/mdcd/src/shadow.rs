@@ -160,15 +160,23 @@ impl ShadowEngine {
         self.hold.reset();
     }
 
-    /// Feeds one event, returning the actions to execute in order.
+    /// Feeds one event, returning the actions to execute in order:
+    /// [`handle_into`](Self::handle_into) over a fresh vector.
     pub fn handle(&mut self, event: Event) -> Vec<Action> {
+        let mut out = Vec::new();
+        self.handle_into(event, &mut out);
+        out
+    }
+
+    /// Feeds one event, appending the actions to execute, in order, to
+    /// `out`.
+    pub fn handle_into(&mut self, event: Event, out: &mut Vec<Action>) {
         match event {
             Event::AppSend(m) => {
                 if self.hold.is_blocking() {
                     self.hold.hold(Event::AppSend(m));
-                    Vec::new()
                 } else if self.promoted {
-                    self.send_promoted(m)
+                    self.send_promoted(m, out);
                 } else {
                     // Suppress and log (Fig. 9): no network traffic.
                     self.msg_sn = self.msg_sn.next();
@@ -188,45 +196,38 @@ impl ShadowEngine {
                         m.to,
                         body,
                     ));
-                    Vec::new()
                 }
             }
-            Event::Deliver(envelope) => self.deliver(envelope),
-            Event::BlockingStarted => {
-                self.hold.start();
-                Vec::new()
-            }
+            Event::Deliver(envelope) => self.deliver(envelope, out),
+            Event::BlockingStarted => self.hold.start(),
             Event::BlockingEnded => {
-                let mut out = Vec::new();
-                for held in self.hold.end() {
-                    out.extend(self.handle(held));
+                self.hold.end();
+                while let Some(held) = self.hold.pop() {
+                    self.handle_into(held, out);
                 }
-                out
             }
-            Event::StableCheckpointCommitted(seq) => {
-                self.ndc = seq;
-                Vec::new()
-            }
+            Event::StableCheckpointCommitted(seq) => self.ndc = seq,
         }
     }
 
-    fn deliver(&mut self, envelope: Envelope) -> Vec<Action> {
+    fn deliver(&mut self, envelope: Envelope, out: &mut Vec<Action>) {
         match &envelope.body {
             MessageBody::PassedAt { msg_sn, ndc } => {
                 if self.cfg.variant == Variant::Original {
                     if self.hold.is_blocking() {
                         self.hold.hold(Event::Deliver(envelope));
-                        return Vec::new();
+                        return;
                     }
                     // Original protocol: no Ndc guard, Type-2 checkpoint on
                     // validation.
                     self.vr_act = *msg_sn;
                     self.log.reclaim_up_to(self.vr_act);
                     self.dirty = false;
-                    return vec![Action::TakeCheckpoint {
+                    out.push(Action::TakeCheckpoint {
                         kind: CheckpointKind::Type2,
                         engine: self.snapshot(),
-                    }];
+                    });
+                    return;
                 }
                 // Modified protocol: processed even inside a blocking period,
                 // guarded by the Ndc comparison (paper §3). An *early*
@@ -240,14 +241,12 @@ impl ShadowEngine {
                 } else if *ndc > self.ndc {
                     self.hold.hold(Event::Deliver(envelope));
                 }
-                Vec::new()
             }
             MessageBody::Application { dirty: m_dirty, .. } => {
                 if self.hold.is_blocking() {
                     self.hold.hold(Event::Deliver(envelope));
-                    return Vec::new();
+                    return;
                 }
-                let mut out = Vec::new();
                 if *m_dirty && !self.dirty {
                     // Type-1: checkpoint immediately before contamination.
                     out.push(Action::TakeCheckpoint {
@@ -257,11 +256,9 @@ impl ShadowEngine {
                     self.dirty = true;
                 }
                 out.push(Action::DeliverToApp(envelope));
-                out
             }
             MessageBody::External { .. } | MessageBody::Ack { .. } => {
                 debug_assert!(false, "driver must not route {envelope} to an MDCD engine");
-                Vec::new()
             }
         }
     }
@@ -269,15 +266,14 @@ impl ShadowEngine {
     /// After takeover the shadow is the (high-confidence) active `P1`; it
     /// follows `P2`'s algorithm shape: AT on external sends only while
     /// dirty, `passed_AT` broadcast to the peer.
-    fn send_promoted(&mut self, m: OutboundMessage) -> Vec<Action> {
-        let mut out = Vec::new();
+    fn send_promoted(&mut self, m: OutboundMessage, out: &mut Vec<Action>) {
         if m.external {
             if self.dirty {
                 self.at_runs += 1;
                 out.push(Action::AtPerformed { pass: m.at_pass });
                 if !m.at_pass {
                     out.push(Action::SoftwareErrorDetected);
-                    return out;
+                    return;
                 }
                 self.dirty = false;
                 self.msg_sn = self.msg_sn.next();
@@ -326,7 +322,6 @@ impl ShadowEngine {
                 },
             )));
         }
-        out
     }
 }
 

@@ -1,5 +1,7 @@
 //! Serializable engine control state.
 
+use std::sync::Arc;
+
 use synergy_codec::codec_struct;
 use synergy_net::{CkptSeqNo, Envelope, MsgSeqNo};
 
@@ -31,8 +33,9 @@ pub struct EngineSnapshot {
     /// Local stable-checkpoint sequence number at snapshot time (not
     /// restored; see type docs).
     pub ndc: CkptSeqNo,
-    /// The shadow's suppressed-message log (empty for other roles).
-    pub log: Vec<Envelope>,
+    /// The shadow's suppressed-message log (empty for other roles), shared
+    /// with the engine's own: taking a snapshot copies no payload.
+    pub log: Vec<Arc<Envelope>>,
     /// Whether the shadow has taken over the active role.
     pub promoted: bool,
 }

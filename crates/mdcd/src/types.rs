@@ -48,13 +48,20 @@ pub enum CheckpointKind {
     Pseudo,
 }
 
+impl CheckpointKind {
+    /// The kind's name as checkpoint labels and traces spell it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            CheckpointKind::Type1 => "type-1",
+            CheckpointKind::Type2 => "type-2",
+            CheckpointKind::Pseudo => "pseudo",
+        }
+    }
+}
+
 impl fmt::Display for CheckpointKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointKind::Type1 => write!(f, "type-1"),
-            CheckpointKind::Type2 => write!(f, "type-2"),
-            CheckpointKind::Pseudo => write!(f, "pseudo"),
-        }
+        f.write_str(self.as_str())
     }
 }
 

@@ -1,7 +1,5 @@
 //! Pure routing model for the discrete-event simulator.
 
-use std::collections::HashMap;
-
 use synergy_des::{DetRng, SimDuration, SimTime};
 
 use crate::delay::DelayModel;
@@ -86,12 +84,26 @@ pub struct NetCounters {
 #[derive(Clone, Debug)]
 pub struct SimNetwork {
     default_delay: DelayModel,
-    link_delays: HashMap<LinkKey, DelayModel>,
     default_faults: LinkFaults,
-    link_faults: HashMap<LinkKey, LinkFaults>,
-    last_delivery: HashMap<LinkKey, SimTime>,
+    /// Every link that carried an envelope or was given an override, in
+    /// first-use order. A system has a dozen at most (three processes and
+    /// one device), so `route` finds its link by scanning: cheaper than
+    /// hashing the key, and one entry holds what three maps used to.
+    links: Vec<Link>,
     rng: DetRng,
     counters: NetCounters,
+}
+
+/// What the network knows about one link.
+#[derive(Clone, Debug)]
+struct Link {
+    key: LinkKey,
+    /// Delay override (scenario scripting); the default model without one.
+    delay: Option<DelayModel>,
+    /// Fault override; the default faults without one.
+    faults: Option<LinkFaults>,
+    /// The FIFO floor: no later envelope is delivered before this instant.
+    last_delivery: SimTime,
 }
 
 impl SimNetwork {
@@ -99,10 +111,8 @@ impl SimNetwork {
     pub fn new(default_delay: DelayModel, rng: DetRng) -> Self {
         SimNetwork {
             default_delay,
-            link_delays: HashMap::new(),
             default_faults: LinkFaults::NONE,
-            link_faults: HashMap::new(),
-            last_delivery: HashMap::new(),
+            links: Vec::new(),
             rng: rng.stream("sim-network"),
             counters: NetCounters::default(),
         }
@@ -110,7 +120,8 @@ impl SimNetwork {
 
     /// Overrides the delay model of one link (scenario scripting).
     pub fn set_link_delay(&mut self, link: LinkKey, model: DelayModel) {
-        self.link_delays.insert(link, model);
+        let i = self.link_index(link);
+        self.links[i].delay = Some(model);
     }
 
     /// Sets the fault model applied to every link without an override.
@@ -120,13 +131,29 @@ impl SimNetwork {
 
     /// Overrides the fault model of one link.
     pub fn set_link_faults(&mut self, link: LinkKey, faults: LinkFaults) {
-        self.link_faults.insert(link, faults);
+        let i = self.link_index(link);
+        self.links[i].faults = Some(faults);
+    }
+
+    /// Where `key`'s entry sits, appending it on first use.
+    fn link_index(&mut self, key: LinkKey) -> usize {
+        if let Some(i) = self.links.iter().position(|l| l.key == key) {
+            return i;
+        }
+        self.links.push(Link {
+            key,
+            delay: None,
+            faults: None,
+            last_delivery: SimTime::ZERO,
+        });
+        self.links.len() - 1
     }
 
     /// The smallest delay any link can exhibit (`tmin`).
     pub fn tmin(&self) -> SimDuration {
-        self.link_delays
-            .values()
+        self.links
+            .iter()
+            .filter_map(|l| l.delay.as_ref())
             .map(DelayModel::min_delay)
             .chain(std::iter::once(self.default_delay.min_delay()))
             .min()
@@ -135,8 +162,9 @@ impl SimNetwork {
 
     /// The largest delay any link can exhibit (`tmax`).
     pub fn tmax(&self) -> SimDuration {
-        self.link_delays
-            .values()
+        self.links
+            .iter()
+            .filter_map(|l| l.delay.as_ref())
             .map(DelayModel::max_delay)
             .chain(std::iter::once(self.default_delay.max_delay()))
             .max()
@@ -151,28 +179,23 @@ impl SimNetwork {
     /// Decides when (whether) `envelope`, sent at `now`, arrives.
     pub fn route(&mut self, now: SimTime, envelope: &Envelope) -> RouteDecision {
         self.counters.sent += 1;
-        let link = LinkKey::of(envelope);
-        let faults = *self.link_faults.get(&link).unwrap_or(&self.default_faults);
+        let i = self.link_index(LinkKey::of(envelope));
+        let link = &mut self.links[i];
+        let faults = link.faults.unwrap_or(self.default_faults);
         if faults.roll_drop(&mut self.rng) {
             self.counters.dropped += 1;
             return RouteDecision::Dropped;
         }
-        let model = self.link_delays.get(&link).unwrap_or(&self.default_delay);
+        let model = link.delay.unwrap_or(self.default_delay);
         let delay = model.sample(&mut self.rng);
-        let natural = now + delay;
-        let fifo_floor = self
-            .last_delivery
-            .get(&link)
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        let at = natural.max(fifo_floor);
-        self.last_delivery.insert(link, at);
+        let at = (now + delay).max(link.last_delivery);
+        link.last_delivery = at;
         self.counters.delivered += 1;
         let duplicate_at = if faults.roll_duplicate(&mut self.rng) {
             self.counters.duplicated += 1;
             let extra = model.sample(&mut self.rng);
             let dup = (at + extra).max(at);
-            self.last_delivery.insert(link, dup);
+            link.last_delivery = dup;
             Some(dup)
         } else {
             None
@@ -303,6 +326,54 @@ mod tests {
         }
         assert_eq!(n.tmin(), SimDuration::from_millis(1));
         assert_eq!(n.tmax(), SimDuration::from_millis(5));
+    }
+
+    #[test]
+    fn setting_a_link_twice_overwrites_its_one_entry() {
+        let mut n = net(DelayModel::Fixed(SimDuration::from_millis(5)));
+        let e = env(0);
+        let link = LinkKey::of(&e);
+        n.set_link_delay(link, DelayModel::Fixed(SimDuration::from_millis(9)));
+        n.set_link_delay(link, DelayModel::Fixed(SimDuration::from_millis(1)));
+        n.set_link_faults(link, LinkFaults::new(1.0, 0.0));
+        n.set_link_faults(link, LinkFaults::NONE);
+        assert_eq!(n.links.len(), 1, "one entry per link, whatever was set");
+        // The first delay is gone from the bounds as well as from routing,
+        // and the first fault model no longer drops.
+        assert_eq!(n.tmax(), SimDuration::from_millis(5));
+        assert_eq!(
+            n.route(SimTime::ZERO, &e),
+            RouteDecision::Deliver {
+                at: SimTime::from_nanos(1_000_000),
+                duplicate_at: None,
+            }
+        );
+        assert_eq!(n.links.len(), 1, "routing reuses the configured entry");
+    }
+
+    #[test]
+    fn fifo_floor_survives_a_duplicate() {
+        // The duplicate is the link's last delivery: the next envelope must
+        // not overtake it, even when its own delay would land it earlier.
+        let mut n = net(DelayModel::Fixed(SimDuration::from_millis(10)));
+        n.set_default_faults(LinkFaults::new(0.0, 1.0));
+        let RouteDecision::Deliver { at, duplicate_at } = n.route(SimTime::ZERO, &env(0)) else {
+            panic!("unexpected drop");
+        };
+        assert_eq!(at, SimTime::from_nanos(10_000_000));
+        assert_eq!(duplicate_at, Some(SimTime::from_nanos(20_000_000)));
+        n.set_default_faults(LinkFaults::NONE);
+        n.set_link_delay(
+            LinkKey::of(&env(1)),
+            DelayModel::Fixed(SimDuration::from_millis(1)),
+        );
+        assert_eq!(
+            n.route(SimTime::from_nanos(1), &env(1)),
+            RouteDecision::Deliver {
+                at: SimTime::from_nanos(20_000_000),
+                duplicate_at: None,
+            }
+        );
     }
 
     #[test]

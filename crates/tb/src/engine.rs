@@ -99,27 +99,32 @@ impl TbEngine {
         }]
     }
 
-    /// Feeds one event, returning the actions to execute in order.
+    /// Feeds one event, returning the actions to execute in order:
+    /// [`handle_into`](Self::handle_into) over a fresh vector.
     pub fn handle(&mut self, event: Event) -> Vec<Action> {
+        let mut out = Vec::new();
+        self.handle_into(event, &mut out);
+        out
+    }
+
+    /// Feeds one event, appending the actions to execute, in order, to
+    /// `out`.
+    pub fn handle_into(&mut self, event: Event, out: &mut Vec<Action>) {
         match event {
-            Event::TimerExpired { now_local, dirty } => self.create_ckpt(now_local, dirty),
-            Event::DirtyCleared => self.dirty_cleared(),
-            Event::BlockingElapsed => self.blocking_elapsed(),
-            Event::ResyncCompleted { now_local } => {
-                self.last_resync = now_local;
-                Vec::new()
-            }
-            Event::Restarted { now_local, ndc } => self.restarted(now_local, ndc),
+            Event::TimerExpired { now_local, dirty } => self.create_ckpt(now_local, dirty, out),
+            Event::DirtyCleared => self.dirty_cleared(out),
+            Event::BlockingElapsed => self.blocking_elapsed(out),
+            Event::ResyncCompleted { now_local } => self.last_resync = now_local,
+            Event::Restarted { now_local, ndc } => self.restarted(now_local, ndc, out),
         }
     }
 
     /// `createCKPT()` — paper Fig. 5.
-    fn create_ckpt(&mut self, now_local: LocalTime, dirty: bool) -> Vec<Action> {
+    fn create_ckpt(&mut self, now_local: LocalTime, dirty: bool, out: &mut Vec<Action>) {
         debug_assert!(
             !self.in_blocking,
             "timer expired inside a blocking period; interval too short"
         );
-        let mut out = Vec::new();
         let contents = match (self.cfg.variant, dirty) {
             // `if (dirty_bit == 0) write_disk(current_state, 0, null)`
             (TbVariant::Adapted, false) | (TbVariant::Original, _) => ContentsChoice::CurrentState,
@@ -163,32 +168,30 @@ impl TbEngine {
             self.resyncs_requested += 1;
             out.push(Action::RequestResync);
         }
-        out
     }
 
-    fn dirty_cleared(&mut self) -> Vec<Action> {
-        if self.cfg.variant != TbVariant::Adapted {
-            return Vec::new();
-        }
-        // Only a write that *began* as a volatile copy (expected bit 1) is
-        // adjusted, and only once.
-        if self.in_blocking && self.in_flight_expected_dirty == Some(true) && !self.replaced {
+    fn dirty_cleared(&mut self, out: &mut Vec<Action>) {
+        // Only a write of the adapted protocol that *began* as a volatile
+        // copy (expected bit 1) is adjusted, and only once.
+        if self.cfg.variant == TbVariant::Adapted
+            && self.in_blocking
+            && self.in_flight_expected_dirty == Some(true)
+            && !self.replaced
+        {
             self.replaced = true;
-            vec![Action::ReplaceWithCurrentState]
-        } else {
-            Vec::new()
+            out.push(Action::ReplaceWithCurrentState);
         }
     }
 
-    fn blocking_elapsed(&mut self) -> Vec<Action> {
+    fn blocking_elapsed(&mut self, out: &mut Vec<Action>) {
         debug_assert!(self.in_blocking, "spurious BlockingElapsed");
         self.in_blocking = false;
         self.in_flight_expected_dirty = None;
         self.ndc = self.ndc.next();
-        vec![Action::CommitStableWrite { ndc: self.ndc }]
+        out.push(Action::CommitStableWrite { ndc: self.ndc });
     }
 
-    fn restarted(&mut self, now_local: LocalTime, ndc: CkptSeqNo) -> Vec<Action> {
+    fn restarted(&mut self, now_local: LocalTime, ndc: CkptSeqNo, out: &mut Vec<Action>) {
         self.ndc = ndc;
         self.in_blocking = false;
         self.in_flight_expected_dirty = None;
@@ -198,9 +201,9 @@ impl TbEngine {
         let interval = self.cfg.interval.as_nanos();
         let k = now_local.as_nanos() / interval + 1;
         self.next_deadline = LocalTime::from_nanos(k * interval);
-        vec![Action::ScheduleTimer {
+        out.push(Action::ScheduleTimer {
             at: self.next_deadline,
-        }]
+        });
     }
 }
 
