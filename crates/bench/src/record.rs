@@ -18,11 +18,12 @@
 //! }
 //! ```
 //!
-//! The `missions`, `wire`, `fleet`, `checkpoint` and `regimes` harnesses
-//! all append to the same
+//! The `missions`, `fleet` and `regimes` harnesses all append to the same
 //! file; [`BenchRecord`] parses whichever sections exist, replaces
 //! same-`git_rev` runs (re-benching one commit updates its numbers instead
-//! of stacking duplicates), and renders the whole record back.
+//! of stacking duplicates), and renders the whole record back. The
+//! `"wire"` and `"checkpoint"` sections are history — the ledger measures
+//! what their harnesses did — and are carried through unchanged.
 
 use std::fmt::Write as _;
 
@@ -105,11 +106,13 @@ fn render_runs(out: &mut String, runs: &[String], indent: &str) {
 pub struct BenchRecord {
     /// Objects of the top-level `"runs"` array (the missions harness).
     pub mission_runs: Vec<String>,
-    /// Objects of the `"wire"` section's `"runs"` array.
+    /// Objects of the `"wire"` section's `"runs"` array (no longer
+    /// appended to; re-rendered as found).
     pub wire_runs: Vec<String>,
     /// Objects of the `"fleet"` section's `"runs"` array.
     pub fleet_runs: Vec<String>,
-    /// Objects of the `"checkpoint"` section's `"runs"` array.
+    /// Objects of the `"checkpoint"` section's `"runs"` array (no longer
+    /// appended to; re-rendered as found).
     pub checkpoint_runs: Vec<String>,
     /// Objects of the `"regimes"` section's `"runs"` array.
     pub regimes_runs: Vec<String>,
@@ -171,22 +174,10 @@ impl BenchRecord {
         push_dedup(&mut self.mission_runs, run)
     }
 
-    /// Appends a wire run, replacing any prior run of the same `git_rev`;
-    /// returns how many runs were replaced.
-    pub fn push_wire_run(&mut self, run: &str) -> usize {
-        push_dedup(&mut self.wire_runs, run)
-    }
-
     /// Appends a fleet run, replacing any prior run of the same `git_rev`;
     /// returns how many runs were replaced.
     pub fn push_fleet_run(&mut self, run: &str) -> usize {
         push_dedup(&mut self.fleet_runs, run)
-    }
-
-    /// Appends a checkpoint run, replacing any prior run of the same
-    /// `git_rev`; returns how many runs were replaced.
-    pub fn push_checkpoint_run(&mut self, run: &str) -> usize {
-        push_dedup(&mut self.checkpoint_runs, run)
     }
 
     /// Appends an unmasked-regime run, replacing any prior run of the
@@ -249,9 +240,9 @@ mod tests {
         let mut rec = BenchRecord::default();
         rec.push_mission_run(&run("m1", Some("aaa")));
         rec.push_mission_run(&run("m2", Some("bbb")));
-        rec.push_wire_run(&run("w1", Some("aaa")));
+        rec.wire_runs.push(run("w1", Some("aaa")));
         rec.push_fleet_run(&run("f1", Some("aaa")));
-        rec.push_checkpoint_run(&run("c1", Some("aaa")));
+        rec.checkpoint_runs.push(run("c1", Some("aaa")));
         rec.push_regimes_run(&run("r1", Some("aaa")));
         let back = BenchRecord::parse(&rec.render());
         assert_eq!(back.mission_runs.len(), 2);
@@ -265,7 +256,7 @@ mod tests {
     #[test]
     fn regimes_runs_stay_out_of_the_other_sections() {
         let mut rec = BenchRecord::default();
-        rec.push_checkpoint_run(&run("c", Some("aaa")));
+        rec.checkpoint_runs.push(run("c", Some("aaa")));
         rec.push_regimes_run(&run("r", Some("aaa")));
         let back = BenchRecord::parse(&rec.render());
         assert_eq!(back.checkpoint_runs.len(), 1);
@@ -284,14 +275,14 @@ mod tests {
     fn checkpoint_runs_stay_out_of_the_other_sections() {
         let mut rec = BenchRecord::default();
         rec.push_fleet_run(&run("f", Some("aaa")));
-        rec.push_checkpoint_run(&run("c", Some("aaa")));
+        rec.checkpoint_runs.push(run("c", Some("aaa")));
         let back = BenchRecord::parse(&rec.render());
         assert_eq!(back.fleet_runs.len(), 1);
         assert_eq!(back.checkpoint_runs.len(), 1);
         assert!(back.checkpoint_runs[0].contains("\"label\": \"c\""));
         // A checkpoint-only record (no wire or fleet section) parses too.
         let mut solo = BenchRecord::default();
-        solo.push_checkpoint_run(&run("only", Some("bbb")));
+        solo.checkpoint_runs.push(run("only", Some("bbb")));
         let back = BenchRecord::parse(&solo.render());
         assert_eq!(back.checkpoint_runs.len(), 1);
         assert!(back.mission_runs.is_empty());
@@ -323,8 +314,8 @@ mod tests {
         // extra mission runs.
         let mut rec = BenchRecord::default();
         rec.push_mission_run(&run("m", Some("aaa")));
-        rec.push_wire_run(&run("w", Some("aaa")));
-        rec.push_wire_run(&run("w", Some("bbb")));
+        rec.wire_runs.push(run("w", Some("aaa")));
+        rec.wire_runs.push(run("w", Some("bbb")));
         let back = BenchRecord::parse(&rec.render());
         assert_eq!(back.mission_runs.len(), 1, "{}", rec.render());
         assert_eq!(back.wire_runs.len(), 2);
@@ -338,10 +329,10 @@ mod tests {
         assert_eq!(rec.push_mission_run(&run("new", Some("aaa"))), 1);
         assert_eq!(rec.mission_runs.len(), 1);
         assert!(rec.mission_runs[0].contains("\"label\": \"new\""));
-        // Dedup is per section: the wire run of the same rev survives.
-        rec.push_wire_run(&run("wire", Some("aaa")));
+        // Dedup is per section: the fleet run of the same rev survives.
+        rec.push_fleet_run(&run("fleet", Some("aaa")));
         rec.push_mission_run(&run("newer", Some("aaa")));
-        assert_eq!(rec.wire_runs.len(), 1);
+        assert_eq!(rec.fleet_runs.len(), 1);
     }
 
     #[test]

@@ -141,7 +141,6 @@ fn cluster_config(spec: &CampaignSpec, node_bin: &Path, run_dir: PathBuf) -> Clu
     cfg.archive_plans = spec.archive.clone();
     cfg.wipe = spec.wipe;
     cfg.deltarot = spec.deltarot;
-    cfg.transport = spec.transport;
     cfg.corrupt = spec.corrupt;
     cfg
 }

@@ -20,7 +20,7 @@ use synergy::NodeId;
 use synergy_archive::{ArchiveFaultPlan, OutageWindow};
 use synergy_cluster::{CrashEvent, CrashKind};
 use synergy_des::DetRng;
-use synergy_net::{LinkFaultPlan, LinkFaults, PartitionWindow, WireKind};
+use synergy_net::{LinkFaultPlan, LinkFaults, PartitionWindow};
 use synergy_storage::{DiskFault, DiskFaultPlan, DiskOp};
 
 /// The checkpoint grid spacing every campaign uses, chosen so no grid
@@ -102,10 +102,6 @@ pub struct CampaignSpec {
     /// node 0 so the restored lie reaches the device stream and the
     /// cluster-vs-sim diff documents the escape.
     pub corrupt: Option<usize>,
-    /// Which live-wire transport the cluster's nodes run. Not part of the
-    /// fault cocktail: the campaign must converge byte-identically on
-    /// either wire, which is exactly what the sweep checks.
-    pub transport: WireKind,
 }
 
 /// Commanded checkpoint rounds a mission of `steps` produces executes:
@@ -269,7 +265,6 @@ impl CampaignSpec {
             archive,
             wipe,
             corrupt: None,
-            transport: WireKind::default(),
         };
         if !toggles.link {
             spec.disable_link();
@@ -336,7 +331,6 @@ impl CampaignSpec {
             archive: vec![ArchiveFaultPlan::inert(); NodeId::ALL.len()],
             wipe: false,
             corrupt: Some(NodeId::P1Act.index()),
-            transport: WireKind::default(),
         }
     }
 

@@ -6,13 +6,11 @@
 //! engines on real nodes; this crate is the closest runtime in the
 //! workspace to that setting. The same sans-io [`ProcessHost`] the
 //! simulator and the threaded middleware drive runs here as **three
-//! separate OS processes** (`synergy-node`) connected by a
-//! [`LiveWire`](synergy_net::LiveWire) (the sharded nonblocking reactor
-//! by default, or the legacy thread-per-route transport via
-//! `--transport threads`), each persisting its
-//! TB stable checkpoints through a
-//! [`DiskStableStore`](synergy_storage::DiskStableStore) — and a hardware
-//! fault is a real `SIGKILL`, torn stable write included.
+//! separate OS processes** (`synergy-node`) connected by
+//! [`ReactorTransport`](synergy_net::ReactorTransport)s (the sharded
+//! nonblocking reactor), each persisting its TB stable checkpoints through
+//! a [`DiskStableStore`](synergy_storage::DiskStableStore) — and a
+//! hardware fault is a real `SIGKILL`, torn stable write included.
 //!
 //! Layers:
 //!

@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 use synergy::NodeId;
 use synergy_archive::{ArchiveFaultPlan, ChainRecord};
 use synergy_net::retry::Backoff;
-use synergy_net::{DeviceId, Endpoint, LinkFaultPlan, LiveWire, MessageBody, ProcessId, WireKind};
+use synergy_net::{DeviceId, Endpoint, LinkFaultPlan, MessageBody, ProcessId, ReactorTransport};
 use synergy_storage::{Checkpoint, DiskFaultPlan, DiskStableStore};
 
 use crate::ctrl::{recv_ctrl, send_ctrl, CtrlMsg, CtrlReply, WireStatus};
@@ -236,10 +236,6 @@ pub struct ClusterConfig {
     /// escape. Requires the legacy store (`delta_k == 0`); delta chains
     /// refuse to rewrite committed history.
     pub corrupt: Option<usize>,
-    /// Which live-wire transport every node (and the orchestrator's device
-    /// endpoint) runs: the sharded reactor by default, or the legacy
-    /// thread-per-route transport.
-    pub transport: WireKind,
     /// Override for the reactor's per-route outbound ring capacity in
     /// bytes; `None` keeps the wire-policy default. Small values are how
     /// tests provoke backpressure deterministically.
@@ -277,7 +273,6 @@ impl ClusterConfig {
             wipe: false,
             deltarot: false,
             corrupt: None,
-            transport: WireKind::default(),
             wire_queue_bytes: None,
             node_bin,
             data_root,
@@ -452,7 +447,7 @@ pub struct Cluster {
     cfg: ClusterConfig,
     ctrl_listener: TcpListener,
     ctrl_addr: String,
-    device_net: LiveWire,
+    device_net: ReactorTransport,
     device_rx: std::sync::mpsc::Receiver<synergy_net::Envelope>,
     device_addr: String,
     nodes: Vec<NodeHandle>,
@@ -485,7 +480,7 @@ impl Cluster {
         };
         let ctrl_listener = TcpListener::bind("127.0.0.1:0").map_err(sock)?;
         let ctrl_addr = ctrl_listener.local_addr().map_err(sock)?.to_string();
-        let device_net = LiveWire::bind(cfg.transport, "127.0.0.1:0").map_err(sock)?;
+        let device_net = ReactorTransport::bind("127.0.0.1:0").map_err(sock)?;
         let device_rx = device_net.register(Endpoint::Device(DeviceId(0)));
         let device_addr = device_net.local_addr().to_string();
 
@@ -555,9 +550,6 @@ impl Cluster {
             .arg(&self.ctrl_addr)
             .arg("--tb-interval-ms")
             .arg(interval_ms.to_string());
-        if self.cfg.transport != WireKind::default() {
-            cmd.arg("--transport").arg(self.cfg.transport.to_string());
-        }
         if let Some(bytes) = self.cfg.wire_queue_bytes {
             cmd.arg("--wire-queue-bytes").arg(bytes.to_string());
         }

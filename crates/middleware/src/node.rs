@@ -12,7 +12,7 @@
 //! [`Stable`] backend so the same loop serves both drivers: the in-process
 //! threaded middleware ([`ThreadedNet`](synergy_net::threaded::ThreadedNet) +
 //! in-memory store, wall-clock TB) and the multi-process cluster runtime
-//! ([`TcpTransport`](synergy_net::tcp::TcpTransport) + on-disk store,
+//! ([`ReactorTransport`](synergy_net::ReactorTransport) + on-disk store,
 //! commanded TB rounds).
 
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};

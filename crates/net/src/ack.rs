@@ -54,6 +54,13 @@ impl AckTracker {
 
     /// Records an acknowledgment. Returns `true` when the message was
     /// pending (false acks — e.g. duplicates — are ignored).
+    ///
+    /// This is order-free set removal, and the live wire relies on it:
+    /// data frames stay FIFO per link, but acks may arrive in any order
+    /// relative to one another (the reactor piggybacks some on data frames
+    /// and sends others on standalone carrier frames), more than once, or
+    /// for a message already forgotten. The pending set after a batch of
+    /// acks depends only on *which* messages were acked.
     pub fn on_ack(&mut self, of: MsgId) -> bool {
         self.pending.remove(&of).is_some()
     }
@@ -183,6 +190,21 @@ mod tests {
     fn ack_for_unknown_message_is_ignored() {
         let mut t = AckTracker::new();
         assert!(!t.on_ack(env(9).id));
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn acks_in_reverse_and_in_duplicate_empty_the_window() {
+        // The reactor's ack contract: acks may overtake one another.
+        let mut t = AckTracker::new();
+        for seq in 0..8 {
+            t.on_send(env(seq));
+        }
+        for seq in (0..8).rev() {
+            assert!(t.on_ack(env(seq).id));
+            assert!(!t.on_ack(env(seq).id), "the duplicate changes nothing");
+            assert_eq!(t.len() as u64, seq);
+        }
         assert!(t.is_empty());
     }
 

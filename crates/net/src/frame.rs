@@ -1,4 +1,4 @@
-//! The live-wire frame format shared by both TCP transports.
+//! The live-wire frame format.
 //!
 //! Version 2 of the wire layout extends the original length-prefixed
 //! envelope frame with an optional *piggybacked-ack* header, so a data
@@ -170,7 +170,7 @@ pub fn append_frame_body(
 /// # Example
 ///
 /// ```rust
-/// use synergy_net::tcp::{frame_envelope, FrameDecoder};
+/// use synergy_net::{frame_envelope, FrameDecoder};
 /// use synergy_net::{Envelope, MessageBody, MsgId, MsgSeqNo, ProcessId};
 ///
 /// let env = Envelope::new(
@@ -184,7 +184,7 @@ pub fn append_frame_body(
 /// assert!(dec.next_envelope()?.is_none());
 /// dec.push(&frame[3..]);
 /// assert_eq!(dec.next_envelope()?, Some(env));
-/// # Ok::<(), synergy_net::tcp::FrameError>(())
+/// # Ok::<(), synergy_net::FrameError>(())
 /// ```
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
@@ -360,6 +360,35 @@ mod tests {
                 seq: MsgSeqNo(seq),
             },
         }
+    }
+
+    #[test]
+    fn frames_survive_byte_by_byte_delivery() {
+        let e = data_env(3);
+        let frame = frame_envelope(&e).unwrap();
+        let mut dec = FrameDecoder::new();
+        for b in &frame {
+            assert!(dec.next_envelope().unwrap().is_none());
+            dec.push(std::slice::from_ref(b));
+        }
+        assert_eq!(dec.next_envelope().unwrap(), Some(e));
+        assert_eq!(dec.buffered(), 0);
+    }
+
+    #[test]
+    fn oversized_length_prefix_poisons_stream() {
+        let mut dec = FrameDecoder::new();
+        dec.push(&(u32::MAX).to_le_bytes());
+        assert!(matches!(dec.next_envelope(), Err(FrameError::Oversized(_))));
+    }
+
+    #[test]
+    fn garbage_payload_is_a_codec_error() {
+        let mut dec = FrameDecoder::new();
+        dec.push(&6u32.to_le_bytes());
+        dec.push(&0u16.to_le_bytes()); // no piggybacked acks...
+        dec.push(&[0xFF; 4]); // ...then an undecodable envelope
+        assert!(matches!(dec.next_envelope(), Err(FrameError::Codec(_))));
     }
 
     #[test]

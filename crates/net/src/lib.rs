@@ -1,7 +1,7 @@
 //! Message model and transports for `synergy-ft`.
 //!
 //! This crate defines everything the protocol engines know about messaging —
-//! [`Envelope`]s, sequence numbers, piggybacked metadata — plus two ways of
+//! [`Envelope`]s, sequence numbers, piggybacked metadata — plus three ways of
 //! moving envelopes around:
 //!
 //! * [`SimNetwork`]: a *pure* routing model for the discrete-event simulator.
@@ -11,7 +11,7 @@
 //!   crate turns those answers into scheduled events.
 //! * [`threaded::ThreadedNet`]: a channel transport with a delivery thread,
 //!   used by the `synergy-middleware` runtime.
-//! * [`tcp::TcpTransport`]: length-prefixed codec frames over real sockets,
+//! * [`ReactorTransport`]: length-prefixed codec frames over real sockets,
 //!   used by the `synergy-cluster` multi-process runtime. The [`Transport`]
 //!   trait abstracts over the last two so the middleware node loop is
 //!   transport-agnostic.
@@ -28,12 +28,10 @@ mod delay;
 mod fault;
 mod faulty;
 mod frame;
-mod live;
 mod message;
 pub mod reactor;
 pub mod retry;
 mod sim;
-pub mod tcp;
 pub mod threaded;
 mod transport;
 
@@ -45,10 +43,11 @@ pub use frame::{
     frame_envelope, frame_envelope_with_acks, FrameDecoder, FrameError, PiggyAck, MAX_FRAME_LEN,
     MAX_PIGGY_ACKS,
 };
-pub use live::{LiveWire, WireKind};
 pub use message::{
     CkptSeqNo, DeviceId, Endpoint, Envelope, MessageBody, MissionId, MsgId, MsgSeqNo, ProcessId,
 };
-pub use reactor::{ReactorTransport, SendError, WirePolicy, WireStats};
+pub use reactor::{
+    GaveUpRoute, ReactorTransport, ReconnectPolicy, SendError, WirePolicy, WireStats,
+};
 pub use sim::{LinkKey, RouteDecision, SimNetwork};
 pub use transport::Transport;

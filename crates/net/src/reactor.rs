@@ -1,12 +1,14 @@
-//! A nonblocking sharded reactor transport: the fixed-thread successor to
-//! the thread-per-route [`TcpTransport`](crate::tcp::TcpTransport).
+//! A nonblocking sharded reactor transport: the live cluster's one TCP
+//! wire.
 //!
-//! The thread-per-route transport spawns a writer thread per destination
-//! and a reader thread per inbound connection — fine for three nodes, dead
-//! at fleet scale. The reactor runs every socket nonblocking on a **fixed
-//! thread count**: `shards` event-loop threads (default
-//! [`DEFAULT_SHARDS`]) plus one connector thread, independent of how many
-//! routes or peers exist.
+//! Envelopes travel as length-prefixed [`frame`](crate::frame)s over
+//! plain TCP sockets, one long-lived connection per destination address.
+//! Destinations are *addresses* that can change: a killed node restarts
+//! on a fresh port, and the orchestrator repairs the survivors' routing
+//! tables with [`ReactorTransport::set_route`]. Every socket runs
+//! nonblocking on a **fixed thread count**: `shards` event-loop threads
+//! (default [`DEFAULT_SHARDS`]) plus one connector thread, independent of
+//! how many routes or peers exist.
 //!
 //! * **Sharding** — every socket is owned by exactly one shard thread, so
 //!   no socket is ever touched concurrently. Outbound connections shard by
@@ -34,14 +36,16 @@
 //!   the fire-and-forget [`Transport`] path blocks for ring space up to
 //!   [`WirePolicy::send_stall`], then drops and counts.
 //!
-//! Delivery semantics match the other transports: per-link FIFO for data
-//! frames (one ordered ring riding one TCP stream), silent drops for
-//! unrouted destinations, reconnect-with-backoff and
-//! [`gave_up_routes`](ReactorTransport::gave_up_routes) dead-route
-//! accounting identical to [`ReconnectPolicy`]'s contract. Acks may
-//! overtake data queued behind them — safe because acks are idempotent and
-//! order-free with respect to every other message class (see DESIGN.md
-//! §12).
+//! Delivery semantics match the in-process transports: per-link FIFO for
+//! data frames (one ordered ring riding one TCP stream), silent drops for
+//! unrouted destinations, and reconnect-with-backoff under a
+//! [`ReconnectPolicy`] — a briefly-down peer costs latency, not messages;
+//! one that stays down past the budget shows in
+//! [`gave_up_routes`](ReactorTransport::gave_up_routes). Acks may overtake
+//! data queued behind them, and one another — safe because acks are
+//! idempotent and order-free with respect to every message class,
+//! themselves included (see [`AckTracker::on_ack`](crate::AckTracker::on_ack)
+//! and DESIGN.md §12).
 
 use core::fmt;
 use std::collections::{HashMap, VecDeque};
@@ -59,7 +63,6 @@ use crate::ack::PendingAcks;
 use crate::frame::{FrameDecoder, FrameError, PiggyAck, MAX_FRAME_LEN};
 use crate::message::{Endpoint, Envelope};
 use crate::retry::Backoff;
-use crate::tcp::{GaveUpRoute, ReconnectPolicy};
 use crate::transport::Transport;
 
 /// Default number of shard (event-loop) threads.
@@ -111,6 +114,65 @@ const MAX_PENDING_ACKS: usize = 1024;
 /// How long the connector blocks in one connect attempt.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 
+/// How the connector behaves when a destination is unreachable.
+///
+/// Reconnect delay starts at [`backoff_start`](Self::backoff_start),
+/// doubles per consecutive failure up to [`backoff_cap`](Self::backoff_cap),
+/// and each sleep is scaled by a deterministic ±25% jitter (seeded per
+/// destination from [`jitter_seed`](Self::jitter_seed)) so a cluster of
+/// transports reconnecting to a restarted node does not thunder in
+/// lockstep. After [`max_attempts`](Self::max_attempts) consecutive
+/// failures the route is declared dead: everything queued for it is
+/// counted and surfaced via [`ReactorTransport::gave_up_routes`], and
+/// later sends to that address are dropped (and counted) until
+/// [`ReactorTransport::set_route`] revives it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReconnectPolicy {
+    /// First reconnect delay; doubles per consecutive failure.
+    pub backoff_start: Duration,
+    /// Reconnect delay ceiling.
+    pub backoff_cap: Duration,
+    /// Consecutive failed connect attempts before a destination is
+    /// declared dead; `None` retries forever.
+    pub max_attempts: Option<u32>,
+    /// Seed for the deterministic backoff jitter.
+    pub jitter_seed: u64,
+}
+
+impl ReconnectPolicy {
+    /// The policy as a [`Backoff`] schedule for one destination, jittered
+    /// per-address so peers do not reconnect in lockstep.
+    fn backoff_for(&self, addr: SocketAddr) -> Backoff {
+        Backoff::exponential(self.backoff_start, self.backoff_cap, self.max_attempts)
+            .with_jitter(self.jitter_seed ^ u64::from(addr.port()))
+    }
+}
+
+impl Default for ReconnectPolicy {
+    /// 10 ms → 500 ms backoff and a 64-attempt budget (≈30 s of retries):
+    /// generous enough to ride out any orchestrated node restart, bounded
+    /// enough that a permanently dead peer cannot pin a route forever.
+    fn default() -> Self {
+        ReconnectPolicy {
+            backoff_start: Duration::from_millis(10),
+            backoff_cap: Duration::from_millis(500),
+            max_attempts: Some(64),
+            jitter_seed: 0x5359_4E45, // "SYNE"
+        }
+    }
+}
+
+/// A destination the connector gave up on, with the frames dropped since;
+/// listed by [`ReactorTransport::gave_up_routes`] until
+/// [`ReactorTransport::set_route`] revives the address.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GaveUpRoute {
+    /// The unreachable destination address.
+    pub addr: SocketAddr,
+    /// Frames dropped on this route since the connector gave up.
+    pub dropped: u64,
+}
+
 /// Tuning knobs for the reactor transport.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WirePolicy {
@@ -126,8 +188,7 @@ pub struct WirePolicy {
     pub send_stall: Duration,
     /// Event-loop thread count; sockets shard across them by peer port.
     pub shards: usize,
-    /// Reconnect backoff and give-up budget, shared with the
-    /// thread-per-route transport.
+    /// Reconnect backoff and give-up budget.
     pub reconnect: ReconnectPolicy,
 }
 
@@ -420,10 +481,12 @@ impl Shared {
     }
 }
 
-/// The sharded nonblocking transport. API mirrors
-/// [`TcpTransport`](crate::tcp::TcpTransport) (`bind`, `register`,
-/// `set_route`, `gave_up_routes`, `shutdown`) plus the typed
-/// [`try_send`](Self::try_send) that surfaces backpressure.
+/// The sharded nonblocking transport: one per OS process in the cluster
+/// runtime. Each is both a server (it binds a listener and dispatches
+/// inbound envelopes to [`register`](Self::register)ed endpoints) and a
+/// client (it connects out to the addresses given to
+/// [`set_route`](Self::set_route)); [`try_send`](Self::try_send) surfaces
+/// backpressure as a typed error.
 pub struct ReactorTransport {
     local: SocketAddr,
     shared: Arc<Shared>,
@@ -1413,32 +1476,6 @@ mod tests {
     }
 
     #[test]
-    fn reactor_interoperates_with_thread_per_route_transport() {
-        // Both live transports speak wire format v2, so a migrating
-        // cluster can mix them.
-        let a = ReactorTransport::bind("127.0.0.1:0").unwrap();
-        let b = crate::tcp::TcpTransport::bind("127.0.0.1:0").unwrap();
-        let p2: Endpoint = ProcessId(2).into();
-        let p1: Endpoint = ProcessId(1).into();
-        let rx_b = b.register(p2);
-        let rx_a = a.register(p1);
-        a.set_route(p2, b.local_addr());
-        b.set_route(p1, a.local_addr());
-        a.send(env(p2, 1, vec![1]));
-        assert_eq!(
-            rx_b.recv_timeout(Duration::from_secs(5)).unwrap().id.seq.0,
-            1
-        );
-        b.send(env(p1, 2, vec![2]));
-        assert_eq!(
-            rx_a.recv_timeout(Duration::from_secs(5)).unwrap().id.seq.0,
-            2
-        );
-        a.shutdown();
-        b.shutdown();
-    }
-
-    #[test]
     fn unrouted_sends_are_dropped_and_typed() {
         let a = ReactorTransport::bind("127.0.0.1:0").unwrap();
         let to: Endpoint = ProcessId(9).into();
@@ -1447,7 +1484,19 @@ mod tests {
             Err(SendError::NoRoute { .. })
         ));
         a.send(env(to, 1, vec![])); // fire-and-forget parity: silent
+
+        // Routed but unregistered at the receiver: dropped at dispatch,
+        // and the connection carries on to the endpoint that is there.
+        let b = ReactorTransport::bind("127.0.0.1:0").unwrap();
+        let p2: Endpoint = ProcessId(2).into();
+        let rx = b.register(p2);
+        a.set_route(to, b.local_addr());
+        a.set_route(p2, b.local_addr());
+        a.send(env(to, 2, vec![]));
+        a.send(env(p2, 3, vec![]));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap().id.seq.0, 3);
         a.shutdown();
+        b.shutdown();
     }
 
     #[test]
@@ -1590,6 +1639,37 @@ mod tests {
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap().id.seq.0, 3);
         a.shutdown();
         late.shutdown();
+    }
+
+    #[test]
+    fn connector_backs_off_until_the_peer_appears() {
+        // Reserve a port, drop the listener, route to it, and send: the
+        // connector must keep retrying with backoff until a listener
+        // exists — a briefly-down peer costs latency, not messages.
+        let a = ReactorTransport::bind("127.0.0.1:0").unwrap();
+        let p2: Endpoint = ProcessId(2).into();
+        let addr = {
+            let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+            probe.local_addr().unwrap()
+        };
+        a.set_route(p2, addr);
+        a.send(env(p2, 7, vec![7]));
+        std::thread::sleep(Duration::from_millis(60)); // a few failed attempts
+        let late = TcpListener::bind(addr).expect("port still free");
+        let (mut conn, _) = late.accept().expect("connector reconnects");
+        let mut dec = FrameDecoder::new();
+        let mut buf = [0u8; 4096];
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let got = loop {
+            let n = conn.read(&mut buf).expect("frame arrives");
+            assert!(n > 0, "connection closed before the frame arrived");
+            dec.push(&buf[..n]);
+            if let Some(env) = dec.next_envelope().unwrap() {
+                break env;
+            }
+        };
+        assert_eq!(got.id.seq.0, 7, "the queued frame is sent, not lost");
+        a.shutdown();
     }
 
     #[test]

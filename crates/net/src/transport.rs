@@ -14,8 +14,8 @@ use crate::threaded::ThreadedNet;
 /// engines behave identically above any of the three.
 ///
 /// Implementors: [`ThreadedNet`] (channels + a delivery thread, one address
-/// space) and [`TcpTransport`](crate::tcp::TcpTransport) (length-prefixed
-/// frames over real sockets, one process per node).
+/// space) and [`ReactorTransport`](crate::ReactorTransport)
+/// (length-prefixed frames over real sockets, one process per node).
 pub trait Transport: Send + Sync + 'static {
     /// Enqueues `envelope` for delivery to `envelope.to`.
     fn send(&self, envelope: Envelope);

@@ -28,14 +28,6 @@ BENCH_LABEL="$LABEL" BENCH_SAMPLES="$SAMPLES" BENCH_JSON="$JSON" \
     BENCH_GIT_REV="$GIT_REV" \
     cargo bench -q --bench missions
 
-# Live-wire throughput: reactor vs thread-per-route on real loopback
-# sockets. Appends to the same record's "wire" section. BENCH_WIRE_FRAMES
-# (frames per sender, default 100000) trades runtime for stability —
-# check.sh smokes it with a small count.
-BENCH_LABEL="$LABEL" BENCH_JSON="$JSON" BENCH_GIT_REV="$GIT_REV" \
-    BENCH_WIRE_FRAMES="${BENCH_WIRE_FRAMES:-}" \
-    cargo bench -q --bench wire
-
 # Fleet scaling: missions/s and latency percentiles at 1/100/1k/10k
 # tenants multiplexed over one shared runtime. Appends to the same
 # record's "fleet" section. BENCH_FLEET_TENANTS caps the largest scale —
@@ -43,16 +35,6 @@ BENCH_LABEL="$LABEL" BENCH_JSON="$JSON" BENCH_GIT_REV="$GIT_REV" \
 BENCH_LABEL="$LABEL" BENCH_JSON="$JSON" BENCH_GIT_REV="$GIT_REV" \
     BENCH_FLEET_TENANTS="${BENCH_FLEET_TENANTS:-}" \
     cargo bench -q --bench fleet
-
-# Checkpoint formats: stable-write bytes/round and cold-recovery time for
-# the legacy full-image store vs the delta chain at k ∈ {1,4,16} on a
-# large-state mission. Appends to the same record's "checkpoint" section.
-# BENCH_CHECKPOINT_ROUNDS / BENCH_CHECKPOINT_STATE_KIB shrink it — check.sh
-# smokes it small.
-BENCH_LABEL="$LABEL" BENCH_JSON="$JSON" BENCH_GIT_REV="$GIT_REV" \
-    BENCH_CHECKPOINT_ROUNDS="${BENCH_CHECKPOINT_ROUNDS:-}" \
-    BENCH_CHECKPOINT_STATE_KIB="${BENCH_CHECKPOINT_STATE_KIB:-}" \
-    cargo bench -q --bench checkpoint
 
 # Unmasked regimes: AT detection latency and escape rate across a fixed
 # acceptance-test coverage ladder (100% → 0%) at constant bad-message
