@@ -16,8 +16,9 @@
 //!
 //! * [`ctrl`] — the orchestrator ⇄ node control plane (length-prefixed
 //!   codec frames, lockstep request/response).
-//! * [`node`] — the node process: data-plane transport + commanded
-//!   [`TbRuntime`](synergy_middleware::TbRuntime) + control loop.
+//! * [`node`] — the node process: data-plane transport + a `NodeRunner`
+//!   whose host's TB engine the orchestrator clocks
+//!   ([`TbDrive::Commanded`](synergy_middleware::TbDrive)) + control loop.
 //! * [`orchestrator`] — spawns nodes, drives the mission grid, kills and
 //!   restarts the victim, coordinates the global rollback to the epoch
 //!   line.

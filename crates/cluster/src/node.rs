@@ -13,9 +13,9 @@
 //! 2. Bind the [`ReactorTransport`] on an ephemeral port, wrap it in a
 //!    [`ClusterWire`] (bounded backpressure retry) and a
 //!    [`FaultyTransport`] applying the campaign's link-fault plan, and
-//!    start the node event loop with a *commanded* [`TbRuntime`] —
-//!    checkpoint rounds are driven by the orchestrator, not by wall-clock
-//!    timers, which keeps a distributed mission deterministic.
+//!    start the node event loop under [`TbDrive::Commanded`] — checkpoint
+//!    rounds are driven by the orchestrator, not by wall-clock timers,
+//!    which keeps a distributed mission deterministic.
 //! 3. Connect back to the orchestrator, announce
 //!    [`Hello`](CtrlReply::Hello) (data port + recovered epoch + torn-write
 //!    and corrupt-record counts), then serve control commands in lockstep.
@@ -45,7 +45,7 @@ use synergy_archive::{
 use synergy_clocks::SyncParams;
 use synergy_codec::Codec;
 use synergy_des::SimDuration;
-use synergy_middleware::{spawn_net_pump, NodeCmd, NodeInput, NodeStatus, SupEvent, TbRuntime};
+use synergy_middleware::{spawn_net_pump, NodeCmd, NodeInput, NodeStatus, SupEvent, TbDrive};
 use synergy_net::{
     Endpoint, Envelope, FaultyTransport, LinkFaultPlan, MessageBody, MsgId, MsgSeqNo, ProcessId,
     ReactorTransport, SendError, Transport, WirePolicy,
@@ -179,7 +179,7 @@ const DELTA_DISK_RETAIN: usize = 64;
 
 /// The node's stable store: either the legacy full-image disk store or the
 /// delta-chain layer over the tiered (disk + archive) store. An enum rather
-/// than a trait object because [`TbRuntime`] owns the store by value.
+/// than a trait object because the runner's host owns the store by value.
 #[derive(Debug)]
 pub enum NodeStore {
     /// Full-image checkpoints straight to the local disk store.
@@ -476,14 +476,14 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
     // cluster scenarios do not exercise; keep the receiver alive so node
     // sends stay harmless no-ops.
     let (sup_tx, _sup_rx) = channel::<SupEvent>();
-    let tb = TbRuntime::commanded(tb_config(opts.tb_interval_ms), store);
     let runner = synergy_middleware::NodeRunner::new(
         pid,
         opts.seed,
         Arc::clone(&net),
         input_rx,
         sup_tx,
-        Some(tb),
+        store,
+        Some((tb_config(opts.tb_interval_ms), TbDrive::Commanded)),
     );
     let runner_join = std::thread::Builder::new()
         .name(format!("synergy-cluster-node-{pid}"))

@@ -13,6 +13,7 @@
 //! in the same way, so an event allocates for what it produces (envelopes,
 //! checkpoint images), never for the lists that carry it.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use synergy_clocks::LocalTime;
@@ -25,7 +26,7 @@ use synergy_net::{
     AckTracker, CkptSeqNo, DeviceId, Endpoint, Envelope, MessageBody, MissionId, MsgId, MsgSeqNo,
     ProcessId,
 };
-use synergy_storage::{StableStore, VolatileStore};
+use synergy_storage::{Checkpoint, Stable, StableStore, VolatileStore};
 use synergy_tb::{Action as TbAction, ContentsChoice, Event as TbEvent, TbConfig, TbEngine};
 
 use crate::app::{Application, CounterApp};
@@ -161,8 +162,20 @@ pub enum HostAction {
     },
 }
 
+/// A stable-store operation a durable backend refused, waiting for
+/// [`ProcessHost::retry_stable`].
+enum PendingStable {
+    /// `begin_write` failed; retry with this checkpoint.
+    Begin(Checkpoint),
+    /// `commit_write` failed, or queued behind a pending begin: the
+    /// in-flight write still needs committing as epoch `ndc`.
+    Commit(CkptSeqNo),
+}
+
 /// One process: application + MDCD engine + optional TB engine + stores.
-pub struct ProcessHost {
+/// The simulator keeps the in-memory [`StableStore`]; the live runtimes
+/// bring a durable backend through [`with_stable`](Self::with_stable).
+pub struct ProcessHost<S: Stable = StableStore> {
     /// This process's id.
     pub pid: ProcessId,
     /// The mission (tenant) this host belongs to. Everything the host
@@ -183,7 +196,9 @@ pub struct ProcessHost {
     /// Volatile (in-memory) checkpoint store; wiped by crashes.
     pub volatile: VolatileStore,
     /// Stable (crash-surviving) checkpoint store.
-    pub stable: StableStore,
+    pub stable: S,
+    /// Retry attempts made against a failing stable backend.
+    pub stable_retries: u64,
     /// Outstanding-acknowledgment tracker (the TB recoverability rule).
     pub acks: AckTracker,
     /// Application messages sent, as reflected by checkpoints.
@@ -233,15 +248,19 @@ pub struct ProcessHost {
     mdcd_actions: Vec<MdcdAction>,
     /// Where the TB engine writes its actions; empty between events.
     tb_actions: Vec<TbAction>,
+    /// Stable operations the backend refused, oldest first. The TB engine
+    /// moved on when it issued them, so each must still land for disk and
+    /// engine to agree again. Always empty over the in-memory store.
+    pending: VecDeque<PendingStable>,
     /// Unmasked-regime injector (bad external payloads + AT coverage),
     /// present only on the original active host of a regime run.
     regime: Option<crate::regime::RegimeInjector>,
 }
 
 impl ProcessHost {
-    /// Builds the host for `role` at `pid` on `node`. All replicas of one
-    /// system must share the application `app`'s seed so they produce
-    /// identical streams.
+    /// Builds the host for `role` at `pid` on `node` over the in-memory
+    /// stable store. All replicas of one system must share the application
+    /// `app`'s seed so they produce identical streams.
     pub fn new(
         role: ProcessRole,
         pid: ProcessId,
@@ -250,6 +269,32 @@ impl ProcessHost {
         scheme: Scheme,
         app: CounterApp,
         tb: Option<TbConfig>,
+    ) -> Self {
+        ProcessHost::with_stable(
+            role,
+            pid,
+            node,
+            topology,
+            scheme,
+            app,
+            tb,
+            StableStore::new(),
+        )
+    }
+}
+
+impl<S: Stable> ProcessHost<S> {
+    /// [`new`](ProcessHost::new) over the caller's stable backend.
+    #[allow(clippy::too_many_arguments)]
+    pub fn with_stable(
+        role: ProcessRole,
+        pid: ProcessId,
+        node: usize,
+        topology: Topology,
+        scheme: Scheme,
+        app: CounterApp,
+        tb: Option<TbConfig>,
+        stable: S,
     ) -> Self {
         let policy = policy_for(scheme);
         ProcessHost {
@@ -267,7 +312,8 @@ impl ProcessHost {
             tb: tb.map(TbEngine::new),
             app,
             volatile: VolatileStore::new(),
-            stable: StableStore::new(),
+            stable,
+            stable_retries: 0,
             acks: AckTracker::new(),
             sent_log: Vec::new(),
             up: true,
@@ -288,6 +334,7 @@ impl ProcessHost {
             scratch: Vec::new(),
             mdcd_actions: Vec::new(),
             tb_actions: Vec::new(),
+            pending: VecDeque::new(),
             regime: None,
         }
     }
@@ -374,14 +421,6 @@ impl ProcessHost {
         )
     }
 
-    /// Feeds one event; returns the effects the driver must apply, in
-    /// order: [`handle_into`](Self::handle_into) over a fresh vector.
-    pub fn handle(&mut self, event: HostEvent, now: SimTime) -> Vec<HostAction> {
-        let mut out = Vec::new();
-        self.handle_into(event, now, &mut out);
-        out
-    }
-
     /// Feeds one event, appending the effects the driver must apply, in
     /// order, to `out`.
     pub fn handle_into(&mut self, event: HostEvent, now: SimTime, out: &mut Vec<HostAction>) {
@@ -403,9 +442,8 @@ impl ProcessHost {
         out
     }
 
-    /// Feeds one MDCD engine event directly. Recovery procedures and
-    /// runtime adapters that drive TB outside the host (the threaded
-    /// middleware) use this to forward blocking/commit notifications.
+    /// Feeds one MDCD engine event directly (recovery realigns `Ndc` with
+    /// the restored epoch this way).
     pub fn engine_event(&mut self, event: MdcdEvent, now: SimTime) -> Vec<HostAction> {
         let mut out = Vec::new();
         self.engine_step(event, now, &mut out);
@@ -413,7 +451,7 @@ impl ProcessHost {
     }
 
     /// Feeds one TB engine event directly (recovery restarts, resync).
-    pub(crate) fn tb_event(&mut self, event: TbEvent, now: SimTime) -> Vec<HostAction> {
+    pub fn tb_event(&mut self, event: TbEvent, now: SimTime) -> Vec<HostAction> {
         let mut out = Vec::new();
         self.tb_step(event, now, &mut out);
         out
@@ -636,21 +674,31 @@ impl ProcessHost {
                 }
                 TbAction::ReplaceWithCurrentState => {
                     let payload = self.current_payload(self.blocking_started_at.unwrap_or(now));
-                    let seq = self.stable.in_progress().map_or(1, |c| c.seq());
+                    let seq = self.tb.as_ref().map_or(0, |tb| tb.ndc().0) + 1;
                     let ckpt = payload
                         .to_checkpoint_with(seq, "stable-replaced", &mut self.scratch)
                         .expect("payload encodes");
-                    self.stable
-                        .replace_in_progress(ckpt)
-                        .expect("write in progress during blocking");
+                    // A refused begin of this round is the queue's last
+                    // entry and nothing is in flight: swap what the retry
+                    // will write. A backend that refuses the rewrite keeps
+                    // the volatile copy in flight, unreported.
+                    if let Some(PendingStable::Begin(queued)) = self.pending.back_mut() {
+                        *queued = ckpt;
+                    } else if self.stable.replace_in_progress(ckpt).is_err() {
+                        continue;
+                    }
                     out.push(HostAction::StableReplaced);
                 }
                 TbAction::CommitStableWrite { ndc } => {
                     self.blocking_started_at = None;
-                    self.stable.commit_write().expect("write in progress");
-                    out.push(HostAction::StableCommitted { ndc });
-                    self.engine_step(MdcdEvent::StableCheckpointCommitted(ndc), now, out);
-                    self.engine_step(MdcdEvent::BlockingEnded, now, out);
+                    // MDCD must not hear of an epoch the disk does not
+                    // hold: a refused commit, or one behind a queued begin,
+                    // waits for `retry_stable`.
+                    if self.pending.is_empty() && self.stable.commit_write().is_ok() {
+                        self.stable_committed(ndc, now, out);
+                    } else {
+                        self.pending.push_back(PendingStable::Commit(ndc));
+                    }
                 }
                 TbAction::ScheduleTimer { at } => out.push(HostAction::ScheduleTimer { at }),
                 TbAction::RequestResync => out.push(HostAction::ResyncRequested),
@@ -690,13 +738,58 @@ impl ProcessHost {
         let ckpt = payload
             .to_checkpoint_with(seq, label, &mut self.scratch)
             .expect("payload encodes");
-        self.stable
-            .begin_write(ckpt)
-            .expect("no overlapping TB writes");
+        // `begin_write` consumes the checkpoint; a refused one is encoded
+        // again for the queue, so the path that succeeds clones nothing.
+        if !self.pending.is_empty() || self.stable.begin_write(ckpt).is_err() {
+            let again = payload
+                .to_checkpoint_with(seq, label, &mut self.scratch)
+                .expect("payload encodes");
+            self.pending.push_back(PendingStable::Begin(again));
+        }
         out.push(HostAction::StableWriteBegun {
             label,
             expected_dirty,
             fallback,
         });
+    }
+
+    /// The in-flight write is durable as epoch `ndc`: report it, hand MDCD
+    /// the new `Ndc` and end its blocking period.
+    fn stable_committed(&mut self, ndc: CkptSeqNo, now: SimTime, out: &mut Vec<HostAction>) {
+        out.push(HostAction::StableCommitted { ndc });
+        self.engine_step(MdcdEvent::StableCheckpointCommitted(ndc), now, out);
+        self.engine_step(MdcdEvent::BlockingEnded, now, out);
+    }
+
+    /// Whether a stable operation the backend refused awaits retry.
+    pub fn stable_pending(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
+    /// Retries the refused stable operations in order, stopping at the first
+    /// that fails again; a commit that lands appends what it would have
+    /// appended on time. How often to call this is the driver's policy.
+    pub fn retry_stable(&mut self, now: SimTime, out: &mut Vec<HostAction>) {
+        while let Some(op) = self.pending.front() {
+            self.stable_retries += 1;
+            let landed = match op {
+                PendingStable::Begin(ckpt) => self.stable.begin_write(ckpt.clone()),
+                PendingStable::Commit(_) => self.stable.commit_write(),
+            };
+            if landed.is_err() {
+                break;
+            }
+            if let Some(PendingStable::Commit(ndc)) = self.pending.pop_front() {
+                self.stable_committed(ndc, now, out);
+            }
+        }
+    }
+
+    /// Global recovery supersedes the checkpoint being established: drops
+    /// the in-flight write and whatever awaited retry.
+    pub fn abort_stable(&mut self) {
+        self.blocking_started_at = None;
+        self.pending.clear();
+        self.stable.abort_write();
     }
 }

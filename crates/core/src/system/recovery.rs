@@ -12,7 +12,7 @@ use std::sync::Arc;
 use synergy_des::SimTime;
 use synergy_mdcd::{EngineSnapshot, Event as MdcdEvent, ProcessRole, RecoveryDecision};
 use synergy_net::{AckTracker, CkptSeqNo, Endpoint, Envelope, MessageBody, MsgSeqNo, ProcessId};
-use synergy_storage::{Checkpoint, StableStore};
+use synergy_storage::{Checkpoint, Stable, StableStore};
 use synergy_tb::{Event as TbEvent, TbEngine};
 
 use crate::app::{Application, CounterApp};
@@ -118,7 +118,7 @@ pub fn filter_replays(
     replays
 }
 
-impl ProcessHost {
+impl<S: Stable> ProcessHost<S> {
     /// Restores this host from its most recent volatile checkpoint;
     /// returns the rollback distance in seconds, or `None` when no
     /// volatile checkpoint exists.
@@ -345,10 +345,9 @@ impl System {
             }
             self.hosts[i].up = true;
             self.hosts[i].tb_epoch += 1;
-            self.hosts[i].blocking_started_at = None;
             // A live host may have been mid-blocking with a stable write in
             // flight; the global rollback supersedes that establishment.
-            self.hosts[i].stable.abort_write();
+            self.hosts[i].abort_stable();
             let mut chosen = match recovery_epoch {
                 Some(epoch) => self.hosts[i].stable.latest_at_or_before(epoch).cloned(),
                 None => self.hosts[i].stable.latest_shared(),

@@ -9,6 +9,10 @@
 //! thread per process, a supervisor thread orchestrating shadow takeover,
 //! and a device channel delivering the acceptance-tested external output.
 //!
+//! With [`MiddlewareConfig::with_tb_interval`] each node's host also runs
+//! its adapted-TB engine, as it does under the simulator; the node loop
+//! supplies the clock ([`TbDrive`]) and nothing else of the protocol.
+//!
 //! # Example
 //!
 //! ```rust
@@ -29,7 +33,6 @@
 
 mod node;
 mod supervisor;
-mod tb_runtime;
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -38,12 +41,13 @@ use std::time::Duration;
 
 use synergy_net::threaded::ThreadedNet;
 use synergy_net::{DeviceId, Endpoint, Envelope, MissionId, ProcessId};
+use synergy_storage::StableStore;
 
 pub use node::{
     spawn_net_pump, NodeCmd, NodeInput, NodeReport, NodeRunner, NodeStatus, RollbackOutcome,
+    TbDrive,
 };
 pub use supervisor::SupEvent;
-pub use tb_runtime::{TbEffect, TbRuntime};
 
 use supervisor::Supervisor;
 
@@ -173,7 +177,8 @@ impl Middleware {
                 Arc::clone(&net),
                 rx,
                 sup_tx.clone(),
-                config.tb_config().map(TbRuntime::new),
+                StableStore::new(),
+                config.tb_config().map(|tb| (tb, TbDrive::WallClock)),
             )
             .with_mission(mission);
             cmd.insert(pid, tx);

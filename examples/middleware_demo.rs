@@ -11,7 +11,10 @@ use synergy_middleware::{Middleware, MiddlewareConfig, P1ACT, P1SDW, P2};
 
 fn main() {
     println!("== GSU middleware demo (threaded runtime) ==\n");
-    let mw = Middleware::spawn(MiddlewareConfig::default());
+    // Adapted TB on the wall clock: every node's host runs its TB engine and
+    // the node loop tells it when a timer or a blocking period is over.
+    let config = MiddlewareConfig::default().with_tb_interval(Duration::from_millis(25));
+    let mw = Middleware::spawn(config);
 
     // Normal guarded operation: component traffic plus device commands.
     for round in 0..5 {
@@ -61,6 +64,15 @@ fn main() {
         report.software_recoveries,
         report.nodes.len()
     );
+    for node in &report.nodes {
+        println!(
+            "  {}: {} stable checkpoints committed",
+            node.pid, node.stable_commits
+        );
+    }
     assert_eq!(recoveries, 1);
     assert!(served);
+    // The shadow and the peer survive the takeover; TB ran under both.
+    let mut survivors = report.nodes.iter().filter(|n| n.pid != P1ACT);
+    assert!(survivors.all(|n| n.stable_commits >= 1));
 }

@@ -14,6 +14,15 @@ if [[ -n "$missing_forbid" ]]; then
     exit 1
 fi
 
+echo "==> adapted TB has one interpreter"
+# The live runtimes drive the host's own TB engine; the second interpreter
+# of TbAction is gone, not hidden (names spelt in halves so this line does
+# not find itself).
+if git grep -nE 'Tb''Runtime|Tb''Effect|tb_''runtime' -- crates tests examples scripts; then
+    echo "the deleted TB runtime is referenced again" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -71,6 +80,11 @@ echo "==> unmasked-regime smoke: 4 seeds per regime + live Byzantine campaigns"
 # any worse-than-expected verdict, or a non-reproducible row.
 ./target/release/synergy-chaos --regime --seeds 4 --base-seed 5 --jobs 2
 
+echo "==> middleware demo: wall-clock TB and a takeover on real threads"
+# The one caller of the wall-clock TB drive outside the test modules; it
+# asserts the takeover and that the survivors committed stable checkpoints.
+cargo run --release -q -p synergy-middleware --example middleware_demo > /dev/null
+
 echo "==> fleet smoke: 100 seeded tenants, 4 verified against solo runs"
 # Deterministic: seeded missions, and --verify re-runs a sample of tenants
 # as standalone simulator missions and diffs device streams byte-for-byte.
@@ -89,7 +103,8 @@ grep -q '"fleet"' "$smoke_json"
 grep -q '"regimes"' "$smoke_json"
 
 # ROADMAP item 3's ratchet: the workspace is meant to shrink. 43 009 at
-# c807614; every CHANGES.md entry ends with before -> after.
+# c807614, 41 589 after PR 23, 41 300 after PR 24; every CHANGES.md entry
+# ends with before -> after.
 echo "==> tracked Rust lines: $(git ls-files '*.rs' | xargs cat | wc -l)"
 
 echo "OK: fmt, clippy, tier-1 and bench smoke all passed"
