@@ -9,6 +9,7 @@
 //! ```
 
 use std::process::exit;
+use std::str::FromStr;
 
 use synergy::{Mission, Scheme, SystemConfig};
 
@@ -26,18 +27,22 @@ usage: mission [options]
   --trace          print the full event trace
   --help           this text";
 
-fn parse_f64(args: &mut std::slice::Iter<'_, String>, flag: &str) -> f64 {
-    match args.next().map(|s| s.parse::<f64>()) {
-        Some(Ok(v)) => v,
-        _ => {
-            eprintln!("error: {flag} expects a number\n{USAGE}");
-            exit(2);
-        }
-    }
+/// What the command line asks for.
+struct Cli {
+    config: SystemConfig,
+    duration: f64,
+    print_trace: bool,
 }
 
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+/// The value after `flag`, parsed as a `T`.
+fn value<T: FromStr>(args: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<T, String> {
+    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse()
+        .map_err(|_| format!("{flag}: invalid value {v:?}"))
+}
+
+/// Parses `argv` (without the program name); `Ok(None)` asks for the usage.
+fn parse(argv: &[String]) -> Result<Option<Cli>, String> {
     let mut args = argv.iter();
     let mut builder = SystemConfig::builder();
     let mut duration = 120.0;
@@ -51,65 +56,67 @@ fn main() {
                     Some("write-through") => Scheme::WriteThrough,
                     Some("naive") => Scheme::Naive,
                     Some("mdcd-only") => Scheme::MdcdOnly,
-                    other => {
-                        eprintln!("error: unknown scheme {other:?}\n{USAGE}");
-                        exit(2);
-                    }
+                    other => return Err(format!("unknown scheme {other:?}")),
                 };
                 builder = builder.scheme(scheme);
             }
-            "--seed" => builder = builder.seed(parse_f64(&mut args, "--seed") as u64),
+            "--seed" => builder = builder.seed(value(&mut args, flag)?),
             "--duration" => {
-                duration = parse_f64(&mut args, "--duration");
+                duration = value(&mut args, flag)?;
                 builder = builder.duration_secs(duration);
             }
-            "--internal" => {
-                builder = builder.internal_rate_per_min(parse_f64(&mut args, "--internal"));
-            }
-            "--external" => {
-                builder = builder.external_rate_per_min(parse_f64(&mut args, "--external"));
-            }
-            "--interval" => {
-                builder = builder.tb_interval_secs(parse_f64(&mut args, "--interval"));
-            }
-            "--sw-fault" => {
-                builder = builder.software_fault_at_secs(parse_f64(&mut args, "--sw-fault"));
-            }
+            "--internal" => builder = builder.internal_rate_per_min(value(&mut args, flag)?),
+            "--external" => builder = builder.external_rate_per_min(value(&mut args, flag)?),
+            "--interval" => builder = builder.tb_interval_secs(value(&mut args, flag)?),
+            "--sw-fault" => builder = builder.software_fault_at_secs(value(&mut args, flag)?),
             "--hw-fault" => {
-                let at = parse_f64(&mut args, "--hw-fault");
+                let at: f64 = value(&mut args, flag)?;
                 builder = builder.hardware_fault(synergy::HardwareFault {
                     at: synergy_des::SimTime::from_secs_f64(at),
                     node,
                 });
             }
             "--node" => {
-                node = parse_f64(&mut args, "--node") as usize;
+                node = value(&mut args, flag)?;
                 if node > 2 {
-                    eprintln!("error: --node must be 0, 1 or 2");
-                    exit(2);
+                    return Err("--node must be 0, 1 or 2".into());
                 }
             }
             "--trace" => print_trace = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => {
-                eprintln!("error: unknown flag {other}\n{USAGE}");
-                exit(2);
-            }
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
+    Ok(Some(Cli {
+        config: builder.build(),
+        duration,
+        print_trace,
+    }))
+}
 
-    let outcome = Mission::new(builder.build()).run();
-    if print_trace {
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let cli = match parse(&argv) {
+        Ok(Some(cli)) => cli,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            exit(2);
+        }
+    };
+
+    let outcome = Mission::new(cli.config).run();
+    if cli.print_trace {
         for e in outcome.trace.events() {
             println!("{e}");
         }
         println!();
     }
     let m = &outcome.metrics;
-    println!("mission: {duration:.0}s");
+    println!("mission: {:.0}s", cli.duration);
     println!(
         "  messages: {} sent, {} delivered, {} re-sent",
         m.messages_sent, m.messages_delivered, m.messages_resent
@@ -156,5 +163,38 @@ fn main() {
     }
     if !outcome.verdicts.all_hold() {
         exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_args(args: &[&str]) -> Result<Option<Cli>, String> {
+        parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn integer_flags_are_parsed_as_integers() {
+        for bad in [
+            &["--seed", "9007199254740993.0"][..],
+            &["--seed", "1.5"],
+            &["--node", "-1", "--hw-fault", "3"],
+            &["--node", "2.5"],
+            &["--node", "3"],
+        ] {
+            assert!(parse_args(bad).is_err(), "{bad:?} was accepted");
+        }
+        let config = |args| parse_args(args).unwrap().unwrap().config;
+        assert_eq!(
+            config(&["--seed", "9007199254740993"]).seed,
+            9007199254740993
+        );
+        assert_eq!(config(&["--seed", "18446744073709551615"]).seed, u64::MAX);
+        assert_eq!(
+            config(&["--node", "0", "--hw-fault", "3"]).faults.hardware[0].node,
+            0
+        );
+        assert!(parse_args(&["--help"]).unwrap().is_none());
     }
 }

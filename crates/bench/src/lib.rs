@@ -1,14 +1,13 @@
-//! Shared experiment harness code for the `synergy-ft` tables and figures.
+//! The `synergy-ft` reproduction of the paper's evaluation.
 //!
-//! Every table and figure of the DSN 2001 paper has a corresponding binary
-//! in `src/bin/` that regenerates it (see DESIGN.md §4 for the index);
-//! the sweep logic they share lives here so integration tests can assert on
-//! the same numbers the binaries print.
+//! Every table and figure of the DSN 2001 paper is an entry of
+//! [`repro::TABLE`], printed by `repro <name>` (see DESIGN.md §4 for the
+//! index); the sweep and rendering helpers the entries share live here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod record;
+pub mod repro;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -23,7 +22,7 @@ use synergy_des::Summary;
 /// sweep produces results identical to the serial loop — workers claim
 /// seeds from a shared cursor but write each result into its seed's slot,
 /// keeping the output ordering stable regardless of scheduling.
-pub fn par_seed_map<T: Send>(seeds: &[u64], f: impl Fn(u64) -> T + Sync) -> Vec<T> {
+fn par_seed_map<T: Send>(seeds: &[u64], f: impl Fn(u64) -> T + Sync) -> Vec<T> {
     let workers = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
@@ -51,44 +50,17 @@ pub fn par_seed_map<T: Send>(seeds: &[u64], f: impl Fn(u64) -> T + Sync) -> Vec<
         .collect()
 }
 
-/// One x-axis point of the Figure 7 sweep.
-#[derive(Clone, Debug)]
-pub struct Fig7Point {
-    /// Internal message rate, in messages per hour per component.
-    pub internal_per_hour: f64,
-    /// Measured rollback distances under coordination (seconds).
-    pub coordinated: Summary,
-    /// Measured rollback distances under write-through (seconds).
-    pub write_through: Summary,
-    /// Analytic `E[D_co]` prediction.
-    pub model_co: f64,
-    /// Analytic `E[D_wt]` prediction.
-    pub model_wt: f64,
-}
-
-/// Parameters of the Figure 7 sweep (shared by the binary, the timing
-/// bench and the integration test).
+/// Parameters of the Figure 7 sweep.
 #[derive(Clone, Copy, Debug)]
-pub struct Fig7Params {
+struct Fig7Params {
     /// Seeds per point (more = tighter confidence intervals).
-    pub seeds: u64,
+    seeds: u64,
     /// Mission length in seconds.
-    pub duration_secs: f64,
+    duration_secs: f64,
     /// External (validated) message rate per component, per minute.
-    pub external_per_min: f64,
+    external_per_min: f64,
     /// TB checkpoint interval in seconds.
-    pub tb_interval_secs: f64,
-}
-
-impl Default for Fig7Params {
-    fn default() -> Self {
-        Fig7Params {
-            seeds: 20,
-            duration_secs: 900.0,
-            external_per_min: 2.0,
-            tb_interval_secs: 2.0,
-        }
-    }
+    tb_interval_secs: f64,
 }
 
 /// One seed's mission of the Figure 7 sweep: run, check invariants, return
@@ -144,43 +116,16 @@ fn rollback_distances_for_seed(
 /// Runs one scheme at one internal rate over `params.seeds` seeded missions
 /// (in parallel, one mission per worker) and collects every hardware
 /// rollback distance in seed order.
-pub fn rollback_distances(scheme: Scheme, internal_per_hour: f64, params: Fig7Params) -> Summary {
+fn rollback_distances(scheme: Scheme, internal_per_hour: f64, params: Fig7Params) -> Summary {
     let seeds: Vec<u64> = (0..params.seeds).collect();
     let per_seed = par_seed_map(&seeds, |seed| {
         rollback_distances_for_seed(scheme, internal_per_hour, params, seed)
     });
-    let mut summary = Summary::new();
-    for distances in per_seed {
-        summary.extend(distances);
-    }
-    summary
-}
-
-/// The full Figure 7 sweep: internal rate 60..=200 messages/hour.
-pub fn fig7_sweep(params: Fig7Params) -> Vec<Fig7Point> {
-    let lambda_v = 2.0 * params.external_per_min / 60.0; // both components validate
-    (60..=200)
-        .step_by(20)
-        .map(|rate| {
-            let rate = rate as f64;
-            let lambda_i = rate / 3600.0;
-            Fig7Point {
-                internal_per_hour: rate,
-                coordinated: rollback_distances(Scheme::Coordinated, rate, params),
-                write_through: rollback_distances(Scheme::WriteThrough, rate, params),
-                model_co: synergy::model::expected_rollback_coordinated(
-                    lambda_v,
-                    lambda_i,
-                    params.tb_interval_secs,
-                ),
-                model_wt: synergy::model::expected_rollback_write_through(lambda_v),
-            }
-        })
-        .collect()
+    per_seed.into_iter().flatten().collect()
 }
 
 /// Renders a row-aligned text table.
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {

@@ -109,10 +109,15 @@ pub fn plan_from_hex<T: Codec>(hex: &str) -> Result<T, String> {
     if !hex.len().is_multiple_of(2) {
         return Err("odd-length hex plan".into());
     }
-    let bytes: Vec<u8> = (0..hex.len() / 2)
-        .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16))
-        .collect::<Result<_, _>>()
-        .map_err(|e| format!("bad hex plan: {e}"))?;
+    // Byte pairs, not `str` slices: a multi-byte character in argv must be
+    // an error, not a slice across a char boundary.
+    let nibble = |b: u8| char::from(b).to_digit(16);
+    let bytes: Vec<u8> = hex
+        .as_bytes()
+        .chunks(2)
+        .map(|pair| Some(((nibble(pair[0])? << 4) | nibble(pair[1])?) as u8))
+        .collect::<Option<_>>()
+        .ok_or("bad hex plan")?;
     synergy_codec::from_bytes(&bytes).map_err(|e| format!("bad plan encoding: {e}"))
 }
 
@@ -698,10 +703,13 @@ mod tests {
             NodeOpts::from_args([removed, "reactor".to_string()].into_iter()).unwrap_err(),
             concat!("unknown flag --", "transport")
         );
-        assert!(
-            NodeOpts::from_args(["--chaos-link".to_string(), "zz".to_string()].into_iter())
-                .is_err()
-        );
+        for bad in ["zz", "aéb", "é", "0é"] {
+            assert!(
+                NodeOpts::from_args(["--chaos-link".to_string(), bad.to_string()].into_iter())
+                    .is_err(),
+                "{bad:?} was accepted"
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Deterministic reproductions of the paper's illustrative figures.
 //!
 //! Each function scripts the exact message pattern of one figure and returns
-//! a structured report plus the full event trace; the `synergy-bench`
-//! experiment binaries render these as per-process timelines, and the
+//! a structured report plus the full event trace; `synergy-bench`'s
+//! `repro` entries render these as per-process timelines, and the
 //! integration tests assert the structural claims each figure makes.
 
 use crate::config::{Scheme, SystemConfig};

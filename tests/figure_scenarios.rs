@@ -1,5 +1,5 @@
 //! Integration-level assertions for every figure scenario, through the
-//! public API (the same code paths the `synergy-bench` binaries print).
+//! public API (the same code paths `repro <figure>` prints).
 
 use synergy::scenario::{
     fig1_original_mdcd, fig2_tb_hazards, fig3_modified_mdcd, fig4_naive_vs_coordinated, fig6_cases,
