@@ -121,45 +121,40 @@ pub fn frame_envelope_with_acks(
     envelope: &Envelope,
     acks: &[PiggyAck],
 ) -> Result<Vec<u8>, FrameError> {
-    let mut payload = Vec::new();
-    envelope.encode(&mut payload);
-    let mut out = Vec::with_capacity(4 + 2 + acks.len() * 32 + payload.len());
+    if acks.len() > MAX_PIGGY_ACKS {
+        return Err(FrameError::Oversized(acks.len()));
+    }
+    let mut out = Vec::with_capacity(frame_len_bound(envelope, acks.len()));
     out.extend_from_slice(&[0u8; 4]); // length backpatched below
-    append_frame_body(&mut out, acks, &payload)?;
+    out.extend_from_slice(&(acks.len() as u16).to_le_bytes());
+    for ack in acks {
+        ack.encode(&mut out);
+    }
+    envelope.encode(&mut out);
     let body_len = out.len() - 4;
+    if body_len > MAX_FRAME_LEN {
+        return Err(FrameError::Oversized(body_len));
+    }
     out[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
     Ok(out)
 }
 
-/// Appends `ack_count · acks · payload` to `out` (everything after the
-/// length prefix), validating the bounds — the shared assembly step for
-/// [`frame_envelope_with_acks`] and the reactor's coalescing write path,
-/// which backpatches its own length prefix into a staging buffer.
-///
-/// # Errors
-///
-/// [`FrameError::Oversized`] when the ack list or the resulting body
-/// exceeds the wire bounds.
-pub fn append_frame_body(
-    out: &mut Vec<u8>,
-    acks: &[PiggyAck],
-    payload: &[u8],
-) -> Result<(), FrameError> {
-    if acks.len() > MAX_PIGGY_ACKS {
-        return Err(FrameError::Oversized(acks.len()));
-    }
-    let start = out.len();
-    out.extend_from_slice(&(acks.len() as u16).to_le_bytes());
-    for ack in acks {
-        ack.encode(out);
-    }
-    out.extend_from_slice(payload);
-    let body_len = out.len() - start;
-    if body_len > MAX_FRAME_LEN {
-        out.truncate(start);
-        return Err(FrameError::Oversized(body_len));
-    }
-    Ok(())
+/// Encoded size of one [`PiggyAck`]: an endpoint (8 bytes) and two
+/// message ids (12 each).
+const PIGGY_ACK_LEN: usize = 32;
+
+/// An upper bound on the length of a frame carrying `envelope` and
+/// `acks` piggybacked acks, so the frame is encoded in one allocation:
+/// an envelope's fixed-width fields come to at most 48 bytes, so 64
+/// covers them, and only its payload varies.
+fn frame_len_bound(envelope: &Envelope, acks: usize) -> usize {
+    let payload = match &envelope.body {
+        MessageBody::Application { payload, .. } | MessageBody::External { payload } => {
+            payload.len()
+        }
+        MessageBody::PassedAt { .. } | MessageBody::Ack { .. } => 0,
+    };
+    4 + 2 + acks * PIGGY_ACK_LEN + 64 + payload
 }
 
 /// Incremental frame decoder: TCP hands back arbitrary chunks, this

@@ -17,14 +17,16 @@
 //!   condvar with a short poll timeout — senders nudge the owning shard,
 //!   and the timeout bounds inbound-read latency without OS readiness
 //!   APIs, keeping the crate dependency-free.
-//! * **Write coalescing** — sends don't write; they encode into a pooled
-//!   per-route frame buffer (one encode, no per-frame allocation in the
-//!   steady state). The owning shard drains every ring targeting an
-//!   address into a single staging buffer and flushes it with **one**
-//!   `write` syscall per connection per sweep — a `writev`-shaped batch of
-//!   many frames, instead of one syscall per frame. Senders nudge the
-//!   owning shard only when a ring turns idle→busy, so a sustained burst
-//!   costs one wakeup, not one per frame.
+//! * **Write coalescing** — sends don't write; they encode into the
+//!   route's reused scratch buffer and append it to the route's byte
+//!   ring, whose storage is reserved once at [`WirePolicy::queue_bytes`]
+//!   and never grows — so no send allocates once a route is warm. The
+//!   owning shard copies every ring targeting an address into a single
+//!   staging buffer and flushes it with **one** `write` syscall per
+//!   connection per sweep — a `writev`-shaped batch of many frames,
+//!   instead of one syscall per frame. Senders nudge the owning shard only
+//!   when a ring turns idle→busy, so a sustained burst costs one wakeup,
+//!   not one per frame.
 //! * **Ack piggybacking** — ack envelopes don't consume ring capacity or
 //!   their own frames; they wait in a [`PendingAcks`] queue and ride the
 //!   header of the next outbound data frame to the same route
@@ -34,7 +36,9 @@
 //!   [`try_send`](ReactorTransport::try_send) surfaces overflow as a typed
 //!   [`SendError::Backpressure`] instead of growing an unbounded queue;
 //!   the fire-and-forget [`Transport`] path blocks for ring space up to
-//!   [`WirePolicy::send_stall`], then drops and counts.
+//!   [`WirePolicy::send_stall`], then drops and counts. An envelope that
+//!   would not fit even an empty ring is [`SendError::TooLarge`], which
+//!   no wait cures.
 //!
 //! Delivery semantics match the in-process transports: per-link FIFO for
 //! data frames (one ordered ring riding one TCP stream), silent drops for
@@ -220,6 +224,17 @@ pub enum SendError {
         /// The ring's capacity ([`WirePolicy::queue_bytes`]).
         capacity: usize,
     },
+    /// The envelope's ring record is larger than the whole ring: no amount
+    /// of draining makes room, so this is not retryable.
+    TooLarge {
+        /// The destination endpoint.
+        to: Endpoint,
+        /// The record's size: the encoded envelope plus its 4-byte length
+        /// prefix.
+        bytes: usize,
+        /// The ring's capacity ([`WirePolicy::queue_bytes`]).
+        capacity: usize,
+    },
     /// No route for the destination (the fire-and-forget path drops these
     /// silently, like every other transport).
     NoRoute {
@@ -249,6 +264,14 @@ impl fmt::Display for SendError {
             } => write!(
                 f,
                 "backpressure: ring for {to:?} via {addr} is full ({queued_bytes}/{capacity} bytes)"
+            ),
+            SendError::TooLarge {
+                to,
+                bytes,
+                capacity,
+            } => write!(
+                f,
+                "envelope for {to:?} needs {bytes} ring bytes, more than the ring's {capacity}"
             ),
             SendError::NoRoute { to } => write!(f, "no route for {to:?}"),
             SendError::RouteDead { addr } => write!(f, "route via {addr} gave up"),
@@ -313,14 +336,14 @@ impl StatCells {
     }
 }
 
-/// Most spare payload buffers a ring keeps for reuse; beyond this they are
-/// freed rather than pooled.
-const POOL_MAX: usize = 64;
-
-/// One endpoint's bounded outbound queue. Each frame is one pooled
-/// encode buffer — senders encode straight into a recycled `Vec`, the
-/// owning shard memcpys it into the staging buffer and returns the `Vec`
-/// to the pool, so the steady state allocates nothing per frame.
+/// One endpoint's bounded outbound queue: a byte ring of
+/// `len u32 LE · codec(Envelope)` records, oldest first. Its storage is
+/// reserved once, at [`WirePolicy::queue_bytes`], on the route's first
+/// data frame and never grows, because the fullness check keeps the
+/// contents inside it. A sender encodes into the ring's scratch buffer and
+/// appends the record; the owning shard copies each payload straight into
+/// the staging buffer after its frame's ack header. Neither side allocates
+/// per frame.
 struct RouteRing {
     inner: Mutex<RingInner>,
     /// Signalled whenever the shard drains bytes out (or the route dies):
@@ -330,34 +353,105 @@ struct RouteRing {
 
 struct RingInner {
     addr: SocketAddr,
-    /// Encoded frame payloads awaiting flush, oldest first.
-    frames: VecDeque<Vec<u8>>,
-    /// Bytes queued across `frames`, each counted with its 4-byte length
-    /// prefix — what [`WirePolicy::queue_bytes`] bounds.
-    queued: usize,
+    /// Queued records; its length, prefixes included, is what
+    /// [`WirePolicy::queue_bytes`] bounds.
+    bytes: VecDeque<u8>,
+    /// Records in `bytes`.
+    frames: usize,
     /// Acks waiting to piggyback on the next flush from this ring.
     acks: PendingAcks,
-    /// Spare payload buffers recycled between sends (`to_bytes_into`
-    /// clears before encoding, so they come back dirty and leave clean).
-    pool: Vec<Vec<u8>>,
+    /// Encode buffer of every data frame and carrier ack
+    /// (`to_bytes_into` clears it before encoding).
+    scratch: Vec<u8>,
 }
 
 impl RingInner {
-    fn queued_bytes(&self) -> usize {
-        self.queued
+    fn new(addr: SocketAddr) -> RingInner {
+        RingInner {
+            addr,
+            bytes: VecDeque::new(),
+            frames: 0,
+            acks: PendingAcks::new(),
+            scratch: Vec::new(),
+        }
     }
 
     /// Whether the owning shard has nothing staged from this ring — the
     /// send path only nudges the shard on the idle→busy transition; a
     /// busy ring's shard is already awake or due within the sweep timeout.
     fn is_idle(&self) -> bool {
-        self.frames.is_empty() && self.acks.is_empty()
+        self.bytes.is_empty() && self.acks.is_empty()
     }
 
-    fn recycle(&mut self, buf: Vec<u8>) {
-        if self.pool.len() < POOL_MAX {
-            self.pool.push(buf);
+    /// Queues `envelope` in a ring of `capacity` bytes. Returns whether it
+    /// took ring bytes: acks piggyback instead — no ring bytes, no frame of
+    /// their own — unless the piggyback queue is saturated, in which case
+    /// they are encoded like data so that queue stays bounded too.
+    fn enqueue(&mut self, envelope: &Envelope, capacity: usize) -> Result<bool, SendError> {
+        if self.acks.len() < MAX_PENDING_ACKS {
+            if let Some(ack) = PiggyAck::from_envelope(envelope) {
+                self.acks.push(ack);
+                return Ok(false);
+            }
         }
+        to_bytes_into(envelope, &mut self.scratch)
+            .map_err(|e| SendError::Frame(FrameError::Codec(e)))?;
+        let len = self.scratch.len();
+        if len + 2 > MAX_FRAME_LEN {
+            return Err(SendError::Frame(FrameError::Oversized(len)));
+        }
+        let bytes = 4 + len;
+        if bytes > capacity {
+            return Err(SendError::TooLarge {
+                to: envelope.to,
+                bytes,
+                capacity,
+            });
+        }
+        if self.bytes.len() + bytes > capacity {
+            return Err(SendError::Backpressure {
+                to: envelope.to,
+                addr: self.addr,
+                queued_bytes: self.bytes.len(),
+                capacity,
+            });
+        }
+        if self.bytes.capacity() < capacity {
+            self.bytes.reserve_exact(capacity - self.bytes.len());
+        }
+        self.bytes.extend((len as u32).to_le_bytes());
+        self.bytes.extend(&self.scratch);
+        self.frames += 1;
+        Ok(true)
+    }
+
+    /// The oldest record's payload length. Needs `frames > 0`.
+    fn front_len(&self) -> usize {
+        u32::from_le_bytes(std::array::from_fn(|i| self.bytes[i])) as usize
+    }
+
+    /// The oldest record's payload, in two pieces where it wraps round the
+    /// end of the ring's storage (the second is empty otherwise).
+    fn front(&self) -> Option<(&[u8], &[u8])> {
+        if self.frames == 0 {
+            return None;
+        }
+        let (start, end) = (4, 4 + self.front_len());
+        let (head, tail) = self.bytes.as_slices();
+        let split = head.len();
+        Some(if end <= split {
+            (&head[start..end], &[])
+        } else if start >= split {
+            (&tail[start - split..end - split], &[])
+        } else {
+            (&head[start..], &tail[..end - split])
+        })
+    }
+
+    fn pop_front(&mut self) {
+        let record = 4 + self.front_len();
+        self.bytes.drain(..record);
+        self.frames -= 1;
     }
 }
 
@@ -470,9 +564,9 @@ impl Shared {
             if inner.addr != addr {
                 continue;
             }
-            let dropped = inner.frames.len() as u64 + inner.acks.len() as u64;
-            inner.frames.clear();
-            inner.queued = 0;
+            let dropped = inner.frames as u64 + inner.acks.len() as u64;
+            inner.bytes.clear();
+            inner.frames = 0;
             inner.acks.drain_for_frame(usize::MAX);
             drop(inner);
             self.count_dead_drops(addr, dropped);
@@ -663,53 +757,29 @@ impl ReactorTransport {
         // timeout), so only the idle→busy transition nudges — one futex
         // wake per batch instead of one per frame.
         let was_idle = inner.is_idle();
-        // Acks piggyback: no ring bytes, no standalone frame — unless the
-        // piggy queue is saturated, in which case fall through and encode
-        // like data so the queue stays bounded too.
-        if inner.acks.len() < MAX_PENDING_ACKS {
-            if let Some(ack) = PiggyAck::from_envelope(envelope) {
-                inner.acks.push(ack);
-                drop(inner);
-                if was_idle {
+        let queued = inner.enqueue(envelope, self.shared.policy.queue_bytes);
+        drop(inner);
+        match queued {
+            Ok(false) => {}
+            Ok(true) => {
+                self.shared
+                    .stats
+                    .frames_enqueued
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            Err(e) => {
+                if let SendError::Backpressure { .. } = e {
+                    self.shared
+                        .stats
+                        .backpressure_errors
+                        .fetch_add(1, Ordering::Relaxed);
+                    // The shard may simply not have swept yet; make sure
+                    // it does.
                     self.shared.shards[self.shared.shard_of(addr)].nudge();
                 }
-                return Ok(());
+                return Err(e);
             }
         }
-        let mut buf = inner.pool.pop().unwrap_or_default();
-        if let Err(e) = to_bytes_into(envelope, &mut buf) {
-            inner.recycle(buf);
-            return Err(SendError::Frame(FrameError::Codec(e)));
-        }
-        if buf.len() + 2 > MAX_FRAME_LEN {
-            let len = buf.len();
-            inner.recycle(buf);
-            return Err(SendError::Frame(FrameError::Oversized(len)));
-        }
-        let queued = inner.queued_bytes();
-        if queued + 4 + buf.len() > self.shared.policy.queue_bytes {
-            inner.recycle(buf);
-            drop(inner);
-            self.shared
-                .stats
-                .backpressure_errors
-                .fetch_add(1, Ordering::Relaxed);
-            // The shard may simply not have swept yet; make sure it does.
-            self.shared.shards[self.shared.shard_of(addr)].nudge();
-            return Err(SendError::Backpressure {
-                to: envelope.to,
-                addr,
-                queued_bytes: queued,
-                capacity: self.shared.policy.queue_bytes,
-            });
-        }
-        inner.queued += 4 + buf.len();
-        inner.frames.push_back(buf);
-        drop(inner);
-        self.shared
-            .stats
-            .frames_enqueued
-            .fetch_add(1, Ordering::Relaxed);
         if was_idle {
             self.shared.shards[self.shared.shard_of(addr)].nudge();
         }
@@ -754,13 +824,7 @@ impl ReactorTransport {
         let ring = Arc::clone(rings.entry(endpoint).or_insert_with(|| {
             created = true;
             Arc::new(RouteRing {
-                inner: Mutex::new(RingInner {
-                    addr,
-                    frames: VecDeque::new(),
-                    queued: 0,
-                    acks: PendingAcks::new(),
-                    pool: Vec::new(),
-                }),
+                inner: Mutex::new(RingInner::new(addr)),
                 space: Condvar::new(),
             })
         }));
@@ -790,7 +854,8 @@ impl Transport for ReactorTransport {
     /// Fire-and-forget parity with the other transports: unrouted sends
     /// drop silently; a full ring blocks for space up to
     /// [`WirePolicy::send_stall`], then drops and counts the envelope in
-    /// [`WireStats::backpressure_dropped`].
+    /// [`WireStats::backpressure_dropped`]; every other error, such as
+    /// [`SendError::TooLarge`], drops at once.
     fn send(&self, envelope: Envelope) {
         match self.try_send(&envelope) {
             Ok(()) | Err(SendError::NoRoute { .. }) => return,
@@ -1201,7 +1266,8 @@ fn flush_outbound(
 /// ack becomes the carrying envelope, the rest ride its header) until the
 /// pending-ack queue is dry or the staging buffer is full.
 fn refill_from_ring(shared: &Shared, ring: &RouteRing, conn: &mut OutConn) -> bool {
-    let mut inner = ring.inner.lock().expect("ring lock");
+    let mut guard = ring.inner.lock().expect("ring lock");
+    let inner = &mut *guard;
     if inner.is_idle() {
         return false;
     }
@@ -1212,18 +1278,15 @@ fn refill_from_ring(shared: &Shared, ring: &RouteRing, conn: &mut OutConn) -> bo
     let mut moved = false;
     while conn.wbuf.len() < FLUSH_TARGET {
         let mut acks = inner.acks.drain_for_frame(cap);
-        if let Some(buf) = inner.frames.pop_front() {
-            inner.queued -= 4 + buf.len();
-            stage_frame(conn, &acks, &buf);
-            inner.recycle(buf);
+        if let Some(payload) = inner.front() {
+            stage_frame(conn, &acks, payload);
+            inner.pop_front();
         } else if !acks.is_empty() {
             // No data to ride: promote the oldest ack to the carrying
             // frame.
             let carrier = acks.remove(0).into_envelope();
-            let mut buf = inner.pool.pop().unwrap_or_default();
-            to_bytes_into(&carrier, &mut buf).expect("infallible encode");
-            stage_frame(conn, &acks, &buf);
-            inner.recycle(buf);
+            to_bytes_into(&carrier, &mut inner.scratch).expect("infallible encode");
+            stage_frame(conn, &acks, (&inner.scratch, &[]));
             shared.stats.acks_standalone.fetch_add(1, Ordering::Relaxed);
         } else {
             break;
@@ -1243,8 +1306,9 @@ fn refill_from_ring(shared: &Shared, ring: &RouteRing, conn: &mut OutConn) -> bo
 }
 
 /// Appends one `len · ack_count · acks · payload` frame to the staging
-/// buffer, recording its end boundary for error rewind.
-fn stage_frame(conn: &mut OutConn, acks: &[PiggyAck], payload: &[u8]) {
+/// buffer, recording its end boundary for error rewind. The payload comes
+/// in two pieces, as a ring record that wraps does.
+fn stage_frame(conn: &mut OutConn, acks: &[PiggyAck], payload: (&[u8], &[u8])) {
     if conn.staged_at.is_none() {
         conn.staged_at = Some(Instant::now());
     }
@@ -1255,7 +1319,8 @@ fn stage_frame(conn: &mut OutConn, acks: &[PiggyAck], payload: &[u8]) {
     for ack in acks {
         ack.encode(&mut conn.wbuf);
     }
-    conn.wbuf.extend_from_slice(payload);
+    conn.wbuf.extend_from_slice(payload.0);
+    conn.wbuf.extend_from_slice(payload.1);
     let body_len = conn.wbuf.len() - hdr - 4;
     conn.wbuf[hdr..hdr + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
     conn.bounds.push(conn.wbuf.len());
@@ -1591,6 +1656,162 @@ mod tests {
         };
         assert!(hit.0 <= hit.1, "queued {} within capacity {}", hit.0, hit.1);
         assert!(a.stats().backpressure_errors >= 1);
+        a.shutdown();
+    }
+
+    #[test]
+    fn envelope_larger_than_the_ring_fails_at_once() {
+        // 300 KiB against the default 256 KiB ring: draining never makes
+        // room, so neither path may wait for it.
+        let a = ReactorTransport::bind("127.0.0.1:0").unwrap();
+        let b = ReactorTransport::bind("127.0.0.1:0").unwrap();
+        let p2: Endpoint = ProcessId(2).into();
+        let rx = b.register(p2);
+        a.set_route(p2, b.local_addr());
+        let big = env(p2, 0, vec![0; 300 * 1024]);
+        match a.try_send(&big) {
+            Err(SendError::TooLarge {
+                bytes, capacity, ..
+            }) => assert!(bytes > capacity && capacity == DEFAULT_QUEUE_BYTES),
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+        let started = Instant::now();
+        a.send(big);
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "send waited {:?} for room that never comes",
+            started.elapsed()
+        );
+        let stats = a.stats();
+        assert_eq!(
+            (
+                stats.frames_enqueued,
+                stats.backpressure_errors,
+                stats.backpressure_dropped
+            ),
+            (0, 0, 0)
+        );
+        // The route still carries what fits.
+        a.send(env(p2, 1, vec![1]));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap().id.seq.0, 1);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// Records in `inner`'s ring whose bytes, length prefix included, run
+    /// past the end of its storage into the start.
+    fn straddling_records(inner: &RingInner) -> usize {
+        let split = inner.bytes.as_slices().0.len();
+        let (mut at, mut straddling) = (0, 0);
+        while at < inner.bytes.len() {
+            let len = u32::from_le_bytes(std::array::from_fn(|i| inner.bytes[at + i])) as usize;
+            if at < split && at + 4 + len > split {
+                straddling += 1;
+            }
+            at += 4 + len;
+        }
+        straddling
+    }
+
+    /// Stages exactly one frame from `ring` (refilling stops once the
+    /// staging buffer reaches `FLUSH_TARGET`), decodes it into `got`, and
+    /// empties the staging buffer. Returns whether a frame was staged.
+    fn flush_one(
+        shared: &Shared,
+        ring: &RouteRing,
+        conn: &mut OutConn,
+        got: &mut Vec<Envelope>,
+    ) -> bool {
+        let pad = FLUSH_TARGET - 1;
+        conn.wbuf.resize(pad, 0);
+        let moved = refill_from_ring(shared, ring, conn);
+        let mut dec = FrameDecoder::new();
+        dec.drain_chunk(&conn.wbuf[pad..], |e| got.push(e))
+            .expect("staged frames decode");
+        assert_eq!(dec.buffered(), 0, "a whole frame was staged");
+        conn.wbuf.clear();
+        conn.bounds.clear();
+        moved
+    }
+
+    #[test]
+    fn records_straddling_the_ring_wrap_flush_once_and_in_order() {
+        // A 1 KiB ring drained a frame at a time while it refills, so its
+        // records wrap round the end of its storage. Driven by hand: the
+        // ring is not registered, so the transport's shards never touch it.
+        const CAPACITY: usize = 1024;
+        let a = ReactorTransport::bind("127.0.0.1:0").unwrap();
+        let p2: Endpoint = ProcessId(2).into();
+        let ring = RouteRing {
+            inner: Mutex::new(RingInner::new(a.local_addr())),
+            space: Condvar::new(),
+        };
+        let mut conn = OutConn::new();
+        let (mut sent, mut got) = (Vec::new(), Vec::new());
+        let mut acks = 0u64;
+        let (mut reserved, mut straddled, mut full) = (None, 0, 0);
+        for step in 0..600u64 {
+            for _ in 0..step % 6 {
+                let seq = sent.len() as u64;
+                let data = env(p2, seq, vec![seq as u8; (seq * 7 % 61) as usize]);
+                match ring.inner.lock().unwrap().enqueue(&data, CAPACITY) {
+                    Ok(true) => sent.push(data),
+                    Err(SendError::Backpressure { .. }) => {
+                        full += 1;
+                        break;
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            if step % 3 == 0 {
+                let ack = ack_env(p2, acks);
+                let queued = ring.inner.lock().unwrap().enqueue(&ack, CAPACITY);
+                assert!(matches!(queued, Ok(false)), "acks piggyback");
+                acks += 1;
+            }
+            {
+                let inner = ring.inner.lock().unwrap();
+                if inner.frames > 0 {
+                    let first = *reserved.get_or_insert(inner.bytes.capacity());
+                    assert_eq!(inner.bytes.capacity(), first, "the ring grew");
+                }
+                straddled += straddling_records(&inner);
+            }
+            for _ in 0..step % 3 + 1 {
+                flush_one(&a.shared, &ring, &mut conn, &mut got);
+            }
+        }
+        while flush_one(&a.shared, &ring, &mut conn, &mut got) {}
+
+        let inner = ring.inner.lock().unwrap();
+        assert_eq!((inner.bytes.len(), inner.frames), (0, 0));
+        let reserved = reserved.expect("data was queued");
+        assert!(reserved >= CAPACITY);
+        assert_eq!(inner.bytes.capacity(), reserved, "the ring grew");
+        drop(inner);
+        assert!(
+            straddled > 0 && full > 0,
+            "{straddled} straddling, {full} full"
+        );
+
+        let (acked, data): (Vec<Envelope>, Vec<Envelope>) =
+            got.into_iter().partition(|e| e.body.is_ack());
+        assert_eq!(data, sent, "every data frame once, in order");
+        let mut acked: Vec<u64> = acked
+            .iter()
+            .map(|e| match e.body {
+                MessageBody::Ack { of } => of.seq.0,
+                _ => unreachable!(),
+            })
+            .collect();
+        acked.sort_unstable();
+        assert_eq!(acked, (0..acks).collect::<Vec<_>>(), "every ack once");
+        let stats = a.stats();
+        assert!(
+            stats.acks_piggybacked > 0 && stats.acks_standalone > 0,
+            "{stats:?}"
+        );
+        assert_eq!(stats.acks_piggybacked + stats.acks_standalone, acks);
         a.shutdown();
     }
 

@@ -50,15 +50,17 @@ echo "==> ledger: the benchmark package builds and tests against these crates"
 cargo build --release --offline --manifest-path ledger/Cargo.toml
 cargo test -q --offline --manifest-path ledger/Cargo.toml
 
-echo "==> ledger smoke: the benchmark's entry point runs three short workloads"
+echo "==> ledger smoke: the benchmark's entry point runs four short workloads"
 # The command BENCHMARK.json names, as the benchmark pipeline invokes it;
 # its last line is the machine-read verdict. ckpt_k16 replays deltas;
 # ckpt_k1 reloads 32 full 256 KiB images through every CRC guard and checks
 # them equal to what was committed, with zero orphans; sim_sweep runs 250
 # seeded missions a block through the simulator's event path and requires
 # every checker verdict to hold and every block to repeat the first one's
-# events and device stream.
-for ledger_workload in ckpt_k16 ckpt_k1 sim_sweep; do
+# events and device stream; wire_stream pushes 200 000 envelopes a block
+# through two loopback reactors and requires each delivered once, in
+# order, and acknowledged exactly once.
+for ledger_workload in ckpt_k16 ckpt_k1 sim_sweep wire_stream; do
     ledger_verdict="$(bash ledger/run.sh --workload "$ledger_workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
     case "$ledger_verdict" in
         *'"correct": true'*'"failed": 0,'*) ;;
