@@ -1,12 +1,11 @@
-//! The checkpoint chain format shared by simulator, middleware and cluster.
+//! The checkpoint chain format shared by simulator and cluster.
 //!
 //! A [`CheckpointCodec`] turns a stream of committed [`Checkpoint`]s into a
 //! stream of [`ChainRecord`]s: a full image every `k` records, CRC-chained
 //! dirty-region deltas between. The codec is the *only* definition of the
 //! format — the simulator uses it to account stable-write bytes, the
-//! middleware's TB runtime and the cluster nodes persist through it via
-//! [`DeltaStable`](crate::DeltaStable), and the archive tier mirrors the
-//! records it produces.
+//! cluster nodes persist through it via [`DeltaStable`](crate::DeltaStable),
+//! and the archive tier mirrors the records it produces.
 //!
 //! Chain order is **commit order**, not sequence-number order: after a
 //! global rollback the TB protocol reuses epoch numbers, and the chain

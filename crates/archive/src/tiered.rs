@@ -21,7 +21,7 @@
 //!
 //! The caller keeps an [`ArchiveHandle`] for status reporting and
 //! quiescing; the store itself stays a plain [`Stable`] so it slots under
-//! [`DeltaStable`](crate::DeltaStable) or directly under the middleware.
+//! [`DeltaStable`](crate::DeltaStable) or directly under a node's host.
 
 use std::collections::VecDeque;
 use std::fs;

@@ -107,7 +107,9 @@ pub enum CtrlReply {
     /// Reply to [`CtrlMsg::Rollback`].
     RolledBack {
         /// Epoch of the restored checkpoint (`None`: nothing retained at
-        /// or before the line; the node kept its current state).
+        /// or before the line; the node restarted from the initial state).
+        /// A restore target that does not decode gets no reply: the node
+        /// exits with the reason on stderr.
         restored_epoch: Option<u64>,
         /// Saved unacknowledged messages re-sent during recovery.
         resent: u64,

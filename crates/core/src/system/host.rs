@@ -5,10 +5,10 @@
 //! A [`ProcessHost`] owns everything that belongs to one process and
 //! nothing that belongs to the environment: it never touches clocks, the
 //! network, the scheduler, metrics or the trace. Drivers (the simulator's
-//! dispatch layer, or the threaded middleware runtime) feed it
-//! [`HostEvent`]s and interpret the [`HostAction`]s it appends to their
-//! buffer — routing envelopes, scheduling timers, counting metrics and
-//! recording trace lines. Action order is the exact trace order of the
+//! dispatch layer, or the cluster's node loop) feed it [`HostEvent`]s and
+//! interpret the [`HostAction`]s it appends to their buffer — routing
+//! envelopes, scheduling timers, counting metrics and recording trace
+//! lines. Action order is the exact trace order of the
 //! protocol. The engines below the host append to buffers the host keeps
 //! in the same way, so an event allocates for what it produces (envelopes,
 //! checkpoint images), never for the lists that carry it.

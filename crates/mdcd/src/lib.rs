@@ -32,8 +32,8 @@
 //!   `passed_AT` notifications are still monitored.
 //!
 //! Engines are deliberately free of time, randomness and I/O; the DES driver
-//! in the `synergy` crate and the threaded runtime in `synergy-middleware`
-//! both host the same engines.
+//! in the `synergy` crate and the node loop of the `synergy-cluster`
+//! processes both host the same engines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,20 +1,18 @@
 //! Message model and transports for `synergy-ft`.
 //!
 //! This crate defines everything the protocol engines know about messaging —
-//! [`Envelope`]s, sequence numbers, piggybacked metadata — plus three ways of
-//! moving envelopes around:
+//! [`Envelope`]s, sequence numbers, piggybacked metadata — plus two ways of
+//! moving envelopes around, one per runtime:
 //!
 //! * [`SimNetwork`]: a *pure* routing model for the discrete-event simulator.
 //!   Given a send instant it answers "when does this arrive, if ever?",
 //!   enforcing per-link FIFO order, bounded delays `[tmin, tmax]`, and
 //!   optional loss/duplication injection. The DES driver in the `synergy`
 //!   crate turns those answers into scheduled events.
-//! * [`threaded::ThreadedNet`]: a channel transport with a delivery thread,
-//!   used by the `synergy-middleware` runtime.
 //! * [`ReactorTransport`]: length-prefixed codec frames over real sockets,
-//!   used by the `synergy-cluster` multi-process runtime. The [`Transport`]
-//!   trait abstracts over the last two so the middleware node loop is
-//!   transport-agnostic.
+//!   used by the `synergy-cluster` multi-process runtime. The cluster's node
+//!   loop sends through the [`Transport`] trait, so link-fault injection
+//!   ([`FaultyTransport`]) wraps the wire without the loop knowing.
 //!
 //! The time-based checkpointing protocol only relies on the delay bounds and
 //! on acknowledgment bookkeeping ([`AckTracker`]), which is why a simulated
@@ -32,7 +30,6 @@ mod message;
 pub mod reactor;
 pub mod retry;
 mod sim;
-pub mod threaded;
 mod transport;
 
 pub use ack::{AckTracker, PendingAcks};

@@ -32,6 +32,15 @@ if git grep -nE 'Bench''Record|BENCH_''(JSON|LABEL|SAMPLES|GIT_REV|FLEET_TENANTS
     exit 1
 fi
 
+echo "==> two runtimes: the simulator and the process cluster"
+# The in-process threaded deployment, its channel transport and its crate
+# are gone, not hidden; the node loop lives in synergy-cluster (names spelt
+# in halves so this line does not find itself).
+if git grep -nE 'synergy-''middleware|Threaded''Net|Middleware''Config' -- crates tests examples scripts .github Cargo.toml; then
+    echo "the deleted in-process deployment is referenced again" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -91,11 +100,6 @@ echo "==> unmasked-regime smoke: 4 seeds per regime + live Byzantine campaigns"
 # any worse-than-expected verdict, or a non-reproducible row.
 ./target/release/synergy-chaos --regime --seeds 4 --base-seed 5 --jobs 2
 
-echo "==> middleware demo: wall-clock TB and a takeover on real threads"
-# The one caller of the wall-clock TB drive outside the test modules; it
-# asserts the takeover and that the survivors committed stable checkpoints.
-cargo run --release -q -p synergy-middleware --example middleware_demo > /dev/null
-
 echo "==> fleet smoke: 100 seeded tenants, 4 verified against solo runs"
 # Deterministic: seeded missions, and --verify re-runs a sample of tenants
 # as standalone simulator missions and diffs device streams byte-for-byte.
@@ -103,6 +107,7 @@ echo "==> fleet smoke: 100 seeded tenants, 4 verified against solo runs"
 
 # ROADMAP item 3's ratchet: the workspace is meant to shrink. 43 009 at
 # c807614, 41 589 after PR 23, 41 300 after PR 24, 40 545 after PR 25;
+# 40 866 at 1fa848a, 40 094 with the in-process threaded deployment gone;
 # every CHANGES.md entry ends with before -> after.
 echo "==> tracked Rust lines: $(git ls-files '*.rs' | xargs cat | wc -l)"
 
