@@ -22,6 +22,7 @@ use synergy_storage::{
 };
 
 use crate::codec::{full_record_crc, ChainRecord, ChainWalker, CheckpointCodec, RecordKind};
+use crate::delta::{chain_link, CHAIN_SEED};
 
 /// A stable store whose committed history can be enumerated in commit
 /// order — what [`DeltaStable`] needs to rebuild its chain on reload.
@@ -72,7 +73,9 @@ pub struct DeltaStats {
 /// full image while deltas chained on it are still retained orphans those
 /// deltas on the next reload (handled gracefully — they are dropped and the
 /// chain restarts at the next full image — but it shrinks the usable
-/// history).
+/// history). With that margin the baseless deltas at the old end of the
+/// backend's history all lie outside the served window, and a reload skips
+/// them without counting an orphan.
 #[derive(Debug)]
 pub struct DeltaStable<S: StableHistory> {
     inner: S,
@@ -119,9 +122,20 @@ impl<S: StableHistory> DeltaStable<S> {
     /// Panics if `k` or `retain` is zero.
     pub fn open_with_retention(inner: S, k: u32, retain: usize) -> Self {
         assert!(retain > 0, "must retain at least one checkpoint");
+        let records = inner.committed_records();
+        // Deltas older than the served window and older than the backend's
+        // oldest full image lost their base to its retention, not to
+        // damage: they are skipped, not orphaned.
+        let spare = records.len().saturating_sub(retain);
+        let residue = records[..spare]
+            .iter()
+            .take_while(|wrapped| {
+                synergy_codec::from_shared::<ChainRecord>(&wrapped.shared_data())
+                    .is_ok_and(|record| record.kind() == RecordKind::Delta)
+            })
+            .count();
         let mut walker = ChainWalker::new();
-        let mut committed: Vec<Checkpoint> = inner
-            .committed_records()
+        let mut committed: Vec<Checkpoint> = records[residue..]
             .iter()
             .filter_map(|wrapped| walker.replay(wrapped))
             .collect();
@@ -285,6 +299,28 @@ impl<S: StableHistory> Stable for DeltaStable<S> {
             .rev()
             .find(|c| c.seq() <= seq)
             .cloned()
+    }
+
+    /// Plants `checkpoint` as a full record with a valid chain link in
+    /// place of the newest committed one, and re-points the codec at it:
+    /// a reload replays the forgery, and later deltas chain on it.
+    fn replace_latest(&mut self, checkpoint: Checkpoint) -> bool {
+        if self.pending.is_some() || self.committed.is_empty() {
+            return false;
+        }
+        let record = ChainRecord::Full {
+            chain_crc: chain_link(CHAIN_SEED, checkpoint.crc()),
+            image: checkpoint.shared_data(),
+        };
+        let Ok((wrapped, (forged, _))) = self.wrap(checkpoint, record) else {
+            return false;
+        };
+        if !self.inner.replace_latest(wrapped) {
+            return false;
+        }
+        self.codec.note_committed(&forged, RecordKind::Full);
+        *self.committed.last_mut().expect("checked above") = forged;
+        true
     }
 
     fn stats(&self) -> StableStats {
@@ -725,6 +761,38 @@ mod tests {
             1,
             "replacement stayed a delta"
         );
+    }
+
+    #[test]
+    fn replaced_latest_is_a_full_record_that_later_deltas_chain_on() {
+        let dir = tmp_dir("forge");
+        let mut s = DeltaStable::open(DiskStableStore::open(&dir).unwrap(), 4);
+        assert!(!s.replace_latest(ckpt(1, 1)), "nothing committed");
+        commit(&mut s, ckpt(1, 1));
+        commit(&mut s, ckpt(2, 2));
+        s.begin_write(ckpt(3, 3)).unwrap();
+        assert!(!s.replace_latest(ckpt(2, 99)), "a write is pending");
+        assert!(s.abort_write());
+
+        // The newest record, a delta at k = 4, is swapped for a full one.
+        let forged = ckpt(2, 99);
+        assert!(s.replace_latest(forged.clone()));
+        assert_eq!(s.latest_shared().unwrap(), forged);
+        assert_eq!(s.latest_at_or_before_shared(2).unwrap(), forged);
+        assert_eq!(s.latest_at_or_before_shared(1).unwrap(), ckpt(1, 1));
+        assert_eq!(s.next_record_kind(), RecordKind::Delta);
+        commit(&mut s, ckpt(3, 3));
+        assert_eq!(s.delta_stats().delta_records, 2);
+        drop(s);
+
+        let s = DeltaStable::open(DiskStableStore::open(&dir).unwrap(), 4);
+        assert_eq!(
+            s.delta_stats().chain_orphans,
+            0,
+            "the delta chains on the forgery"
+        );
+        assert_eq!(s.committed_records(), [ckpt(1, 1), forged, ckpt(3, 3)]);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

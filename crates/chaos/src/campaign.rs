@@ -136,11 +136,10 @@ fn cluster_config(spec: &CampaignSpec, node_bin: &Path, run_dir: PathBuf) -> Clu
     cfg.internal_traffic = spec.internal_traffic;
     cfg.link_plan = spec.link.clone();
     cfg.disk_plans = spec.disk.clone();
-    cfg.bitrot = spec.bitrot;
+    cfg.rot = spec.rot;
     cfg.delta_k = spec.delta_k;
     cfg.archive_plans = spec.archive.clone();
     cfg.wipe = spec.wipe;
-    cfg.deltarot = spec.deltarot;
     cfg.corrupt = spec.corrupt;
     cfg
 }
@@ -255,9 +254,9 @@ pub struct ShrinkReport {
 /// keeps any removal whose re-run lands in the **same verdict class**
 /// ([`outcome_verdict`]) as the original failure — a divergence must
 /// still diverge, an abort must still abort. Shrinking that swaps the
-/// failure class would "minimize" to a different bug. The delta cadence
-/// is mission shape, not a fault group, so a delta-mode failure shrinks
-/// while staying in delta mode.
+/// failure class would "minimize" to a different bug. The chain cadence
+/// is mission shape, not a fault group, so a failure shrinks at the `k`
+/// it was drawn with.
 ///
 /// At most seven re-runs — bounded, like everything else in the runner.
 pub fn shrink_failure(

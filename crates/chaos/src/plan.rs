@@ -13,12 +13,12 @@
 //! against a 16-attempt retransmit budget, transient disk faults charged at
 //! most twice against the runtime's retry budget of eight, partitions that
 //! close well before the quiesce deadline, and bit-rot only when the victim
-//! is guaranteed two committed records. Campaigns outside that region are
+//! is guaranteed a full image after the record it rots. Campaigns outside that region are
 //! for negative tests, not for the byte-identical sweep.
 
 use synergy::NodeId;
 use synergy_archive::{ArchiveFaultPlan, OutageWindow};
-use synergy_cluster::{CrashEvent, CrashKind};
+use synergy_cluster::{CrashEvent, CrashKind, Rot};
 use synergy_des::DetRng;
 use synergy_net::{LinkFaultPlan, LinkFaults, PartitionWindow};
 use synergy_storage::{DiskFault, DiskFaultPlan, DiskOp};
@@ -36,12 +36,12 @@ pub struct CampaignToggles {
     pub disk: bool,
     /// The scheduled crash (kill + restart + global rollback).
     pub crash: bool,
-    /// Read-back bit-rot in the victim's checkpoint directory.
+    /// Frame-level bit-rot in the victim's oldest record file.
     pub bitrot: bool,
-    /// Chain-link rot in the victim's delta chain (delta-mode campaigns).
+    /// Chain-link rot in the victim's oldest record, behind a valid frame.
     pub deltarot: bool,
     /// Archive-tier faults: object-store outages, PUT failures, and the
-    /// wiped-disk rehydration axis (delta-mode campaigns).
+    /// wiped-disk rehydration axis.
     pub archive: bool,
     /// Byzantine-lite value corruption of a node's latest checkpoint
     /// behind a valid CRC (unmasked-regime campaigns only — the masked
@@ -82,16 +82,15 @@ pub struct CampaignSpec {
     pub link: LinkFaultPlan,
     /// Per-node stable-storage fault plans.
     pub disk: Vec<DiskFaultPlan>,
-    /// Whether to flip a bit in the victim's oldest committed record.
-    pub bitrot: bool,
-    /// Delta-chain cadence: full image every `delta_k` rounds, dirty-region
-    /// deltas between. Zero keeps the legacy full-image store. Mission
-    /// shape, not a fault: the shrinker never removes it.
+    /// Rot the victim's oldest committed record before its restart, at
+    /// the disk frame (`bitrot`) or behind it, where only chain-link
+    /// verification can refuse it (`deltarot`).
+    pub rot: Option<Rot>,
+    /// Checkpoint-chain cadence, at least 1: full image every `delta_k`
+    /// rounds, dirty-region deltas between. Mission shape, not a fault:
+    /// the shrinker never removes it.
     pub delta_k: u32,
-    /// Whether to corrupt a chain record behind a valid disk frame on the
-    /// victim's restart, so only chain-link verification can refuse it.
-    pub deltarot: bool,
-    /// Per-node archive-tier fault plans (delta-mode campaigns only).
+    /// Per-node archive-tier fault plans.
     pub archive: Vec<ArchiveFaultPlan>,
     /// Whether the victim's whole data directory is wiped at the kill,
     /// forcing a full rehydration from the archive tier.
@@ -191,65 +190,59 @@ impl CampaignSpec {
             disk.push(plan);
         }
 
-        // Delta-chain cadence: most campaigns exercise the delta store,
-        // with k spanning all-full (1), mixed (2, 4), and legacy (0).
+        // Chain cadence and the layer a rot would hit: all-full (k = 1)
+        // rotted at the frame or behind it, mixed (2, 4) behind it.
         let mut delta_rng = root.stream_indexed("campaign-delta", index);
-        let delta_k = [0u32, 1, 2, 4][delta_rng.gen_range(0u64..4) as usize];
+        let (delta_k, rot_layer) = [
+            (1u32, Rot::Frame),
+            (1, Rot::Chain),
+            (2, Rot::Chain),
+            (4, Rot::Chain),
+        ][delta_rng.gen_range(0u64..4) as usize];
 
-        // Archive-tier axis (delta mode only): at most one of an outage
-        // window, PUT faults, or a wiped-disk rehydration, always on the
-        // crash victim so the injection composes with the kill schedule.
+        // Archive-tier axis: at most one of an outage window, PUT faults,
+        // or a wiped-disk rehydration, always on the crash victim so the
+        // injection composes with the kill schedule.
         let mut archive_rng = root.stream_indexed("campaign-archive", index);
         let mut archive = vec![ArchiveFaultPlan::inert(); NodeId::ALL.len()];
         let mut wipe = false;
-        if delta_k > 0 {
-            match archive_rng.gen_range(0u64..4) {
-                0 => {
-                    // Outage closing well before the 30 s quiesce deadline;
-                    // the upload queue retries through it.
-                    let start_ms = archive_rng.gen_range(200u64..=1500);
-                    let len_ms = archive_rng.gen_range(300u64..=800);
-                    archive[2] = ArchiveFaultPlan {
-                        seed: archive_rng.next_u64(),
-                        outages: vec![OutageWindow {
-                            start_ms,
-                            end_ms: start_ms + len_ms,
-                        }],
-                        ..ArchiveFaultPlan::inert()
-                    };
-                }
-                1 => {
-                    // PUT faults under the upload queue's retry budget;
-                    // partial PUTs are dropped by the object CRC on read.
-                    archive[2] = ArchiveFaultPlan {
-                        seed: archive_rng.next_u64(),
-                        put_fail: archive_rng.next_f64() * 0.3,
-                        put_partial: archive_rng.next_f64() * 0.3,
-                        latency_ms: archive_rng.gen_range(0u64..=10),
-                        ..ArchiveFaultPlan::inert()
-                    };
-                }
-                2 => wipe = crash.is_some(),
-                _ => {}
+        match archive_rng.gen_range(0u64..4) {
+            0 => {
+                // Outage closing well before the 30 s quiesce deadline;
+                // the upload queue retries through it.
+                let start_ms = archive_rng.gen_range(200u64..=1500);
+                let len_ms = archive_rng.gen_range(300u64..=800);
+                archive[2] = ArchiveFaultPlan {
+                    seed: archive_rng.next_u64(),
+                    outages: vec![OutageWindow {
+                        start_ms,
+                        end_ms: start_ms + len_ms,
+                    }],
+                    ..ArchiveFaultPlan::inert()
+                };
             }
+            1 => {
+                // PUT faults under the upload queue's retry budget;
+                // partial PUTs are dropped by the object CRC on read.
+                archive[2] = ArchiveFaultPlan {
+                    seed: archive_rng.next_u64(),
+                    put_fail: archive_rng.next_f64() * 0.3,
+                    put_partial: archive_rng.next_f64() * 0.3,
+                    latency_ms: archive_rng.gen_range(0u64..=10),
+                    ..ArchiveFaultPlan::inert()
+                };
+            }
+            2 => wipe = crash.is_some(),
+            _ => {}
         }
 
-        // Bit-rot needs the victim to hold ≥ 2 committed records at the
-        // kill (epoch ≥ 3 commits epochs 1..=epoch−1 first), so the CRC
-        // skip hits the oldest record and never moves the epoch line.
-        // Legacy store only: in delta mode a frame-level skip can orphan
-        // the whole delta suffix and move the epoch line, which is what
-        // chain-aware delta-rot covers instead.
-        let bitrot = delta_k == 0 && crash.is_some_and(|c| c.epoch >= 3);
-
-        // Delta-rot corrupts the oldest record *behind* a valid disk
-        // frame; the injector keeps the restore target replayable by
-        // requiring an intact full image later in the chain. The next
-        // full lands at seq 1+k, committed once epoch ≥ k+2 — below
-        // that the injector would refuse, so don't schedule it. A wipe
-        // supersedes it: there is no chain left to rot.
-        let deltarot =
-            delta_k > 0 && !wipe && crash.is_some_and(|c| c.epoch >= u64::from(delta_k) + 2);
+        // Rot hits the oldest record; the injector keeps the restore
+        // target replayable by requiring an intact full image later in
+        // the chain. The next full lands at seq 1+k, committed once
+        // epoch ≥ k+2 — below that the injector would refuse, so don't
+        // schedule it. A wipe supersedes it: there is nothing left to rot.
+        let rot = (!wipe && crash.is_some_and(|c| c.epoch >= u64::from(delta_k) + 2))
+            .then_some(rot_layer);
 
         let mut spec = CampaignSpec {
             seed: base_seed.wrapping_add(index),
@@ -259,9 +252,8 @@ impl CampaignSpec {
             crash,
             link,
             disk,
-            bitrot,
+            rot,
             delta_k,
-            deltarot,
             archive,
             wipe,
             corrupt: None,
@@ -297,9 +289,8 @@ impl CampaignSpec {
     ///
     /// The cocktail is deliberately minimal — no link or disk chaos — so
     /// the *only* unmasked ingredient is the corruption, and the
-    /// cluster-vs-sim diff attributes every divergent byte to it. Legacy
-    /// store only (`delta_k = 0`): delta chains refuse to rewrite committed
-    /// history, which would silently un-inject the axis.
+    /// cluster-vs-sim diff attributes every divergent byte to it. Every
+    /// record a full image (`delta_k = 1`).
     pub fn generate_byzantine(base_seed: u64, index: u64) -> CampaignSpec {
         let root = DetRng::new(base_seed);
         let mut rng = root.stream_indexed("regime-cluster", index);
@@ -325,9 +316,8 @@ impl CampaignSpec {
             crash: Some(crash),
             link: LinkFaultPlan::inert(rng.next_u64()),
             disk: vec![DiskFaultPlan::inert(); NodeId::ALL.len()],
-            bitrot: false,
-            delta_k: 0,
-            deltarot: false,
+            rot: None,
+            delta_k: 1,
             archive: vec![ArchiveFaultPlan::inert(); NodeId::ALL.len()],
             wipe: false,
             corrupt: Some(NodeId::P1Act.index()),
@@ -346,18 +336,18 @@ impl CampaignSpec {
         }
     }
 
-    /// Removes the bit-rot injection.
+    /// Removes a frame-level rot injection.
     pub fn disable_bitrot(&mut self) {
-        self.bitrot = false;
+        self.rot = self.rot.filter(|&r| r != Rot::Frame);
     }
 
-    /// Removes the chain-rot injection.
+    /// Removes a chain-level rot injection.
     pub fn disable_deltarot(&mut self) {
-        self.deltarot = false;
+        self.rot = self.rot.filter(|&r| r != Rot::Chain);
     }
 
     /// Removes the archive-tier fault group: object-store fault plans and
-    /// the wiped-disk rehydration. The delta cadence itself stays — it is
+    /// the wiped-disk rehydration. The chain cadence itself stays — it is
     /// mission shape, not a fault.
     pub fn disable_archive(&mut self) {
         for plan in &mut self.archive {
@@ -371,13 +361,11 @@ impl CampaignSpec {
         self.corrupt = None;
     }
 
-    /// Removes the scheduled crash (and with it the bit-rot, chain-rot,
-    /// wipe, and checkpoint corruption, which all ride on a crash's
-    /// global rollback).
+    /// Removes the scheduled crash (and with it the rot, wipe, and
+    /// checkpoint corruption, which all ride on a crash's global rollback).
     pub fn disable_crash(&mut self) {
         self.crash = None;
-        self.bitrot = false;
-        self.deltarot = false;
+        self.rot = None;
         self.wipe = false;
         self.corrupt = None;
     }
@@ -388,8 +376,8 @@ impl CampaignSpec {
             link: !self.link.is_inert(),
             disk: self.disk.iter().any(|p| !p.is_inert()),
             crash: self.crash.is_some(),
-            bitrot: self.bitrot,
-            deltarot: self.deltarot,
+            bitrot: self.rot == Some(Rot::Frame),
+            deltarot: self.rot == Some(Rot::Chain),
             archive: self.wipe || self.archive.iter().any(|p| !p.is_inert()),
             corrupt: self.corrupt.is_some(),
         }
@@ -413,14 +401,11 @@ impl CampaignSpec {
         }
         let disk_faults: usize = self.disk.iter().map(|p| p.faults.len()).sum();
         parts.push(format!("disk:{disk_faults}"));
-        if self.delta_k > 0 {
-            parts.push(format!("delta-k{}", self.delta_k));
-        }
-        if self.bitrot {
-            parts.push("bitrot".to_string());
-        }
-        if self.deltarot {
-            parts.push("deltarot".to_string());
+        parts.push(format!("delta-k{}", self.delta_k));
+        match self.rot {
+            Some(Rot::Frame) => parts.push("bitrot".to_string()),
+            Some(Rot::Chain) => parts.push("deltarot".to_string()),
+            None => {}
         }
         if let Some(node) = self.corrupt {
             parts.push(format!("corrupt:n{node}"));
@@ -496,24 +481,16 @@ mod tests {
                     assert!((1..=rounds.max(1)).contains(&f.seq));
                 }
             }
-            if spec.bitrot {
-                assert!(crash.epoch >= 3, "bit-rot only with ≥ 2 committed records");
-                assert_eq!(
-                    spec.delta_k, 0,
-                    "frame-level bit-rot is a legacy-store axis"
-                );
-            }
-            assert!([0, 1, 2, 4].contains(&spec.delta_k));
-            if spec.deltarot {
-                assert!(spec.delta_k > 0, "chain-rot needs a chain");
-                assert!(!spec.wipe, "a wipe supersedes chain-rot");
+            assert!([1, 2, 4].contains(&spec.delta_k));
+            if let Some(rot) = spec.rot {
+                assert!(!spec.wipe, "a wipe supersedes rot");
                 assert!(
                     crash.epoch >= u64::from(spec.delta_k) + 2,
-                    "chain-rot needs a committed full image after the rotted record"
+                    "rot needs a committed full image after the rotted record"
                 );
-            }
-            if spec.wipe || spec.archive.iter().any(|p| !p.is_inert()) {
-                assert!(spec.delta_k > 0, "archive axes need the tiered store");
+                if rot == Rot::Frame {
+                    assert_eq!(spec.delta_k, 1, "frame rot is drawn on all-full chains");
+                }
             }
             for plan in &spec.archive {
                 assert!(plan.put_fail < 0.3 && plan.put_partial < 0.3);
@@ -547,26 +524,27 @@ mod tests {
         assert!(bare.link.is_inert());
         assert!(bare.disk.iter().all(|p| p.is_inert()));
         assert!(bare.crash.is_none());
-        assert!(!bare.bitrot);
-        assert!(!bare.deltarot);
+        assert_eq!(bare.rot, None);
         assert!(!bare.wipe);
         assert!(bare.archive.iter().all(|p| p.is_inert()));
     }
 
     #[test]
     fn the_sweep_exercises_every_new_axis() {
-        let mut saw = (false, false, false, false);
+        let mut saw = (false, false, false, false, false);
         for index in 0..64 {
             let spec = CampaignSpec::generate(99, index, CampaignToggles::default());
-            saw.0 |= spec.delta_k > 0;
-            saw.1 |= spec.deltarot;
+            saw.0 |= spec.delta_k > 1;
+            saw.1 |= spec.rot == Some(Rot::Chain);
             saw.2 |= spec.wipe;
             saw.3 |= spec.archive.iter().any(|p| !p.is_inert());
+            saw.4 |= spec.rot == Some(Rot::Frame);
         }
-        assert!(saw.0, "some campaigns run the delta chain");
+        assert!(saw.0, "some campaigns write deltas");
         assert!(saw.1, "some campaigns rot a chain record");
         assert!(saw.2, "some campaigns wipe the victim's disk");
         assert!(saw.3, "some campaigns fault the archive tier");
+        assert!(saw.4, "some campaigns rot a record frame");
     }
 
     #[test]
@@ -584,7 +562,7 @@ mod tests {
             let b = CampaignSpec::generate_byzantine(5, index);
             assert_eq!(a, b);
             assert_eq!(a.corrupt, Some(NodeId::P1Act.index()));
-            assert_eq!(a.delta_k, 0, "corruption needs the legacy store");
+            assert_eq!(a.delta_k, 1, "every record a full image");
             assert!(a.link.is_inert(), "the only unmasked axis is the flip");
             assert!(a.disk.iter().all(|p| p.is_inert()));
             let crash = a.crash.expect("corruption rides on a crash");

@@ -8,9 +8,10 @@
 //! same sans-io [`ProcessHost`] the simulator drives runs here as **three
 //! separate OS processes** (`synergy-node`) connected by
 //! [`ReactorTransport`](synergy_net::ReactorTransport)s (the sharded
-//! nonblocking reactor), each persisting its TB stable checkpoints through
-//! a [`DiskStableStore`](synergy_storage::DiskStableStore) — and a
-//! hardware fault is a real `SIGKILL`, torn stable write included.
+//! nonblocking reactor), each persisting its TB stable checkpoints as a
+//! [`DeltaStable`](synergy_archive::DeltaStable) chain on its local disk,
+//! mirrored to an archive tier — and a hardware fault is a real `SIGKILL`,
+//! torn stable write included.
 //!
 //! Layers:
 //!
@@ -44,7 +45,7 @@ pub use ctrl::{CtrlMsg, CtrlReply, WireStatus};
 pub use node::{plan_from_hex, plan_to_hex, run_node, ClusterWire, NodeOpts};
 pub use orchestrator::{
     Cluster, ClusterConfig, ClusterError, ClusterReport, ClusterTimeouts, CrashEvent, CrashKind,
-    KillReport,
+    KillReport, Rot,
 };
 pub use verify::{simulate_reference, simulate_reference_schedule, SimReference};
 

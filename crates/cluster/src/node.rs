@@ -4,12 +4,14 @@
 //!
 //! Boot sequence:
 //!
-//! 1. Open (or recover) the [`DiskStableStore`] in the node's data
-//!    directory. A leftover in-flight temp file from a killed incarnation
-//!    is detected here as a torn write; committed records are CRC-verified,
-//!    and any record rejected by its CRC (bit-rot) is skipped in favour of
-//!    the previous checkpoint. The store is then wrapped in a
-//!    [`FaultyStable`] applying the campaign's disk-fault plan.
+//! 1. Open (or recover) the node's [`DeltaStable`] chain over a
+//!    [`TieredStore`]: the data directory's disk tier, mirrored to the
+//!    archive tier (which rebuilds a wiped disk). A leftover in-flight temp
+//!    file from a killed incarnation is detected here as a torn write;
+//!    committed records are CRC-verified and chain-walked, and any record
+//!    rejected by either (bit-rot) is skipped in favour of the previous
+//!    checkpoint. The store is then wrapped in a [`FaultyStable`] applying
+//!    the campaign's disk-fault plan.
 //! 2. Bind the [`ReactorTransport`] on an ephemeral port, wrap it in a
 //!    [`ClusterWire`] (bounded backpressure retry) and a
 //!    [`FaultyTransport`] applying the campaign's link-fault plan, and
@@ -49,9 +51,7 @@ use synergy_net::{
     Endpoint, Envelope, FaultyTransport, LinkFaultPlan, MessageBody, MsgId, MsgSeqNo, ProcessId,
     ReactorTransport, SendError, Transport, WirePolicy,
 };
-use synergy_storage::{
-    Checkpoint, DiskFaultPlan, DiskStableStore, FaultyStable, Stable, StableStats, StableWriteError,
-};
+use synergy_storage::{DiskFaultPlan, FaultyStable, Stable};
 use synergy_tb::{TbConfig, TbVariant};
 
 use crate::ctrl::{recv_ctrl, send_ctrl, CtrlMsg, CtrlReply, WireStatus};
@@ -78,13 +78,13 @@ pub struct NodeOpts {
     /// Override for the reactor's per-route ring capacity
     /// (`--wire-queue-bytes`); `None` keeps the policy default.
     pub wire_queue_bytes: Option<usize>,
-    /// Incremental-checkpoint cadence: full image every `delta_k` stable
-    /// commits, CRC-chained deltas between (`--delta-k`). Zero keeps the
-    /// legacy full-image-every-commit store.
+    /// Checkpoint-chain cadence: full image every `delta_k` stable commits,
+    /// CRC-chained deltas between (`--delta-k`, at least 1). The default 1
+    /// makes every record a full image.
     pub delta_k: u32,
-    /// Directory backing this node's archive tier (`--archive-dir`). Only
-    /// meaningful with `--delta-k`; when absent the archive tier is an
-    /// in-process object store that dies with the incarnation.
+    /// Directory backing this node's archive tier (`--archive-dir`); when
+    /// absent the archive tier is an in-process object store that dies
+    /// with the incarnation.
     pub archive_dir: Option<PathBuf>,
     /// Fault plan applied to the archive tier (`--chaos-archive`).
     pub archive_plan: ArchiveFaultPlan,
@@ -128,7 +128,7 @@ impl NodeOpts {
     /// # Errors
     ///
     /// Unknown flags, missing values, a `--pid` outside 1–3, a zero
-    /// `--tb-interval-ms`, or malformed plan encodings.
+    /// `--tb-interval-ms` or `--delta-k`, or malformed plan encodings.
     pub fn from_args<I: Iterator<Item = String>>(mut args: I) -> Result<Self, String> {
         let mut pid = None;
         let mut seed = None;
@@ -138,7 +138,7 @@ impl NodeOpts {
         let mut link_plan = LinkFaultPlan::default();
         let mut disk_plan = DiskFaultPlan::default();
         let mut wire_queue_bytes = None;
-        let mut delta_k = 0u32;
+        let mut delta_k = 1u32;
         let mut archive_dir = None;
         let mut archive_plan = ArchiveFaultPlan::default();
         while let Some(flag) = args.next() {
@@ -163,7 +163,12 @@ impl NodeOpts {
                 "--chaos-link" => link_plan = plan_from_hex(&value()?)?,
                 "--chaos-disk" => disk_plan = plan_from_hex(&value()?)?,
                 "--chaos-archive" => archive_plan = plan_from_hex(&value()?)?,
-                "--delta-k" => delta_k = value()?.parse::<u32>().map_err(|e| e.to_string())?,
+                "--delta-k" => {
+                    delta_k = value()?.parse::<u32>().map_err(|e| e.to_string())?;
+                    if delta_k < 1 {
+                        return Err("--delta-k must be at least 1".into());
+                    }
+                }
                 "--archive-dir" => archive_dir = Some(PathBuf::from(value()?)),
                 "--wire-queue-bytes" => {
                     wire_queue_bytes = Some(value()?.parse::<usize>().map_err(|e| e.to_string())?);
@@ -187,118 +192,35 @@ impl NodeOpts {
     }
 }
 
-/// How many committed records the delta-mode disk tier retains. Must cover
-/// `retain + k - 1` chain records so no retained delta ever loses its base
-/// full image, plus the rollback span the orchestrator may command.
-const DELTA_DISK_RETAIN: usize = 64;
+/// How many reconstructed checkpoints a node serves: the rollback span the
+/// orchestrator may command.
+const SERVED_EPOCHS: usize = 64;
 
-/// The node's stable store: either the legacy full-image disk store or the
-/// delta-chain layer over the tiered (disk + archive) store. An enum rather
-/// than a trait object because the runner's host owns the store by value.
-#[derive(Debug)]
-pub enum NodeStore {
-    /// Full-image checkpoints straight to the local disk store.
-    Legacy(DiskStableStore),
-    /// CRC-chained delta checkpoints over the disk + archive tiers.
-    Delta(Box<DeltaStable<TieredStore>>),
-}
-
-impl Stable for NodeStore {
-    fn begin_write(&mut self, checkpoint: Checkpoint) -> Result<(), StableWriteError> {
-        match self {
-            NodeStore::Legacy(s) => s.begin_write(checkpoint),
-            NodeStore::Delta(s) => s.begin_write(checkpoint),
-        }
-    }
-
-    fn replace_in_progress(&mut self, checkpoint: Checkpoint) -> Result<(), StableWriteError> {
-        match self {
-            NodeStore::Legacy(s) => s.replace_in_progress(checkpoint),
-            NodeStore::Delta(s) => s.replace_in_progress(checkpoint),
-        }
-    }
-
-    fn commit_write(&mut self) -> Result<(), StableWriteError> {
-        match self {
-            NodeStore::Legacy(s) => s.commit_write(),
-            NodeStore::Delta(s) => s.commit_write(),
-        }
-    }
-
-    fn abort_write(&mut self) -> bool {
-        match self {
-            NodeStore::Legacy(s) => s.abort_write(),
-            NodeStore::Delta(s) => s.abort_write(),
-        }
-    }
-
-    fn crash(&mut self) {
-        match self {
-            NodeStore::Legacy(s) => s.crash(),
-            NodeStore::Delta(s) => s.crash(),
-        }
-    }
-
-    fn is_writing(&self) -> bool {
-        match self {
-            NodeStore::Legacy(s) => s.is_writing(),
-            NodeStore::Delta(s) => s.is_writing(),
-        }
-    }
-
-    fn latest_shared(&self) -> Option<Checkpoint> {
-        match self {
-            NodeStore::Legacy(s) => s.latest_shared(),
-            NodeStore::Delta(s) => s.latest_shared(),
-        }
-    }
-
-    fn latest_at_or_before_shared(&self, seq: u64) -> Option<Checkpoint> {
-        match self {
-            NodeStore::Legacy(s) => s.latest_at_or_before_shared(seq),
-            NodeStore::Delta(s) => s.latest_at_or_before_shared(seq),
-        }
-    }
-
-    fn replace_latest(&mut self, checkpoint: Checkpoint) -> bool {
-        match self {
-            NodeStore::Legacy(s) => s.replace_latest(checkpoint),
-            // Delta chains CRC-link records; rewriting committed history is
-            // not representable, so injection reports unsupported here.
-            NodeStore::Delta(s) => s.replace_latest(checkpoint),
-        }
-    }
-
-    fn stats(&self) -> StableStats {
-        match self {
-            NodeStore::Legacy(s) => s.stats(),
-            NodeStore::Delta(s) => s.stats(),
-        }
-    }
-}
-
-/// Builds the archive-tier object store for a delta-mode node, applying the
-/// fault plan when it is not inert.
+/// Builds the archive-tier object store under the node's archive fault
+/// plan (an inert plan passes every operation through).
 fn build_archive(opts: &NodeOpts) -> io::Result<Box<dyn ObjectStore>> {
+    let plan = opts.archive_plan.clone();
     Ok(match &opts.archive_dir {
         Some(dir) => {
             let inner = DirObjectStore::open(dir)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            if opts.archive_plan.is_inert() {
-                Box::new(inner)
-            } else {
-                Box::new(FaultyObjectStore::new(inner, opts.archive_plan.clone()))
-            }
+            Box::new(FaultyObjectStore::new(inner, plan))
         }
-        None => {
-            let inner = MemObjectStore::new();
-            if opts.archive_plan.is_inert() {
-                Box::new(inner)
-            } else {
-                Box::new(FaultyObjectStore::new(inner, opts.archive_plan.clone()))
-            }
-        }
+        None => Box::new(FaultyObjectStore::new(MemObjectStore::new(), plan)),
     })
+}
+
+/// Opens (or recovers) the node's stable store: the delta chain at cadence
+/// `opts.delta_k` over the local disk tier, mirrored to the archive tier.
+/// The disk keeps `SERVED_EPOCHS + k − 1` records — what
+/// [`DeltaStable`] requires so no served delta outlives its base.
+fn open_store(opts: &NodeOpts) -> io::Result<(DeltaStable<TieredStore>, ArchiveHandle)> {
+    let disk_retain = SERVED_EPOCHS + opts.delta_k as usize - 1;
+    let tiered = TieredStore::open(&opts.data_dir, disk_retain, build_archive(opts)?)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let archive = tiered.handle();
+    let store = DeltaStable::open_with_retention(tiered, opts.delta_k, SERVED_EPOCHS);
+    Ok((store, archive))
 }
 
 /// The node's live wire with the cluster's backpressure discipline: a
@@ -438,38 +360,13 @@ fn ask<R>(input_tx: &Sender<NodeInput>, cmd: impl FnOnce(Sender<R>) -> NodeCmd) 
 /// Storage, socket, or control-protocol failures, and a restore target at
 /// the commanded epoch line that does not decode (`InvalidData`).
 pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
-    let (store, archive, recovered_epoch, recovered_torn, recovered_corrupt) = if opts.delta_k > 0 {
-        let tiered = TieredStore::open(&opts.data_dir, DELTA_DISK_RETAIN, build_archive(opts)?)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let handle = tiered.handle();
-        let reload_stats = tiered.stats();
-        let delta = DeltaStable::open_with_retention(tiered, opts.delta_k, DELTA_DISK_RETAIN);
-        let recovered_epoch = delta.latest_seq();
-        // A chain orphan is bit-rot observed one layer up: the disk frame
-        // verified but its chain link did not, so the record was dropped.
-        let recovered_corrupt = reload_stats.corrupt_records + delta.delta_stats().chain_orphans;
-        (
-            NodeStore::Delta(Box::new(delta)),
-            Some(handle),
-            recovered_epoch,
-            reload_stats.torn_writes,
-            recovered_corrupt,
-        )
-    } else {
-        let store = DiskStableStore::open(&opts.data_dir)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let recovered_epoch = store.latest_seq();
-        let reload_stats = store.stats();
-        // Bit-rot is only ever observed at reload time, so the count is
-        // fixed for the lifetime of this incarnation.
-        (
-            NodeStore::Legacy(store),
-            None,
-            recovered_epoch,
-            reload_stats.torn_writes,
-            reload_stats.corrupt_records,
-        )
-    };
+    let (store, archive) = open_store(opts)?;
+    let recovered_epoch = store.latest_seq();
+    let reload_stats = store.stats();
+    // Bit-rot is only ever observed at reload time, so the count is fixed
+    // for the lifetime of this incarnation. A chain orphan is bit-rot seen
+    // one layer up: the disk frame verified but its chain link did not.
+    let recovered_corrupt = reload_stats.corrupt_records + store.delta_stats().chain_orphans;
     let store = FaultyStable::new(store, opts.disk_plan.clone());
 
     let mut policy = WirePolicy::default();
@@ -514,7 +411,7 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
             pid: opts.pid,
             data_port,
             epoch: recovered_epoch,
-            torn_writes: recovered_torn,
+            torn_writes: reload_stats.torn_writes,
             corrupt_records: recovered_corrupt,
         },
     )?;
@@ -560,10 +457,7 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
             CtrlMsg::Status => {
                 let s = ask(&input_tx, NodeCmd::Status)?;
                 let totals = net.totals();
-                let archive_stats = archive
-                    .as_ref()
-                    .map(ArchiveHandle::stats)
-                    .unwrap_or_default();
+                let archive_stats = archive.stats();
                 CtrlReply::Status(WireStatus {
                     dirty: s.dirty,
                     delivered: s.delivered,
@@ -580,7 +474,7 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
                     stable_retries: s.stable_retries,
                     corrupt_records: recovered_corrupt,
                     backpressure: raw_net.stalled(),
-                    archive_pending: archive.as_ref().map_or(0, |h| h.pending() as u64),
+                    archive_pending: archive.pending() as u64,
                     archive_uploads: archive_stats.uploads,
                     archive_failures: archive_stats.upload_failures,
                     rehydrated: archive_stats.rehydrated,
@@ -647,7 +541,7 @@ mod tests {
     use synergy::payload::CheckpointPayload;
     use synergy::system::{P1ACT, P2};
     use synergy_net::{CkptSeqNo, LinkFaults, PartitionWindow};
-    use synergy_storage::{DiskFault, DiskOp, StableStore};
+    use synergy_storage::{Checkpoint, DiskFault, DiskOp, StableStore};
 
     #[test]
     fn plans_roundtrip_through_hex_argv_encoding() {
@@ -705,10 +599,12 @@ mod tests {
             NodeOpts::from_args([removed, "reactor".to_string()].into_iter()).unwrap_err(),
             concat!("unknown flag --", "transport")
         );
-        // Neither a second P2 nor a panic inside the TB configuration.
+        // Neither a second P2 nor a panic inside the TB configuration or
+        // the checkpoint codec.
         for (flag, value, err) in [
             ("--pid", "9", "--pid must be 1, 2 or 3, got 9"),
             ("--tb-interval-ms", "0", "--tb-interval-ms must be positive"),
+            ("--delta-k", "0", "--delta-k must be at least 1"),
         ] {
             let args = argv.iter().chain([&flag, &value]).map(|s| s.to_string());
             assert_eq!(NodeOpts::from_args(args).unwrap_err(), err);
@@ -754,25 +650,44 @@ mod tests {
         );
         assert_eq!(opts.archive_plan, plan);
 
-        // Legacy invocations keep the legacy store.
-        let legacy = NodeOpts::from_args(
-            [
-                "--pid",
-                "1",
-                "--seed",
-                "7",
-                "--data-dir",
-                "/tmp/x",
-                "--ctrl",
-                "127.0.0.1:9",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        )
-        .unwrap();
-        assert_eq!(legacy.delta_k, 0);
-        assert!(legacy.archive_dir.is_none());
-        assert!(legacy.archive_plan.is_inert());
+        // Without the archive flags: every record a full image, in a
+        // process-local archive tier.
+        let bare = NodeOpts::from_args(argv[..8].iter().map(|s| s.to_string())).unwrap();
+        assert_eq!(bare.delta_k, 1);
+        assert!(bare.archive_dir.is_none());
+        assert!(bare.archive_plan.is_inert());
+    }
+
+    #[test]
+    fn disk_tier_keeps_every_base_the_served_window_needs() {
+        let dir = std::env::temp_dir().join(format!("synergy-node-store-{}", std::process::id()));
+        let argv = [
+            "--pid",
+            "3",
+            "--seed",
+            "7",
+            "--data-dir",
+            "",
+            "--ctrl",
+            "127.0.0.1:9",
+        ];
+        let mut opts = NodeOpts::from_args(argv.iter().map(|s| s.to_string())).unwrap();
+        (opts.data_dir, opts.delta_k) = (dir.clone(), 4);
+        let (mut store, _) = open_store(&opts).unwrap();
+        for seq in 1..=70u64 {
+            let state = vec![seq as u8; 64];
+            let ckpt = Checkpoint::encode(seq, synergy_des::SimTime::from_nanos(seq), "t", &state);
+            store.begin_write(ckpt.unwrap()).unwrap();
+            store.commit_write().unwrap();
+        }
+        drop(store);
+        let (store, _) = open_store(&opts).unwrap();
+        assert_eq!(store.delta_stats().chain_orphans, 0, "no spurious rot");
+        assert_eq!(store.stats().corrupt_records, 0);
+        assert_eq!(store.latest_seq(), Some(70));
+        assert_eq!(store.latest_at_or_before_shared(7).unwrap().seq(), 7);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     struct NullNet;
@@ -931,7 +846,7 @@ mod tests {
 
     #[test]
     fn commanded_runtime_runs_unchanged_over_the_delta_chain_store() {
-        use synergy_archive::{ChainRecord, ChainWalker, DeltaStable, StableHistory};
+        use synergy_archive::{ChainRecord, ChainWalker, StableHistory};
         let mut r = commanded(DeltaStable::open(StableStore::new(), 4));
         for round in 1..=6u64 {
             let dirty = round % 2 == 0;
@@ -988,6 +903,20 @@ mod tests {
                 .expect("committed")
                 .shared_data(),
         );
+    }
+
+    #[test]
+    fn corrupt_flips_the_newest_chain_record_and_rollback_restores_it() {
+        let mut r = commanded(DeltaStable::open(StableStore::new(), 4));
+        rounds(&mut r, 3);
+        let honest = app_of(r.host.stable.latest_shared());
+        let (tx, flipped) = channel();
+        r.on_cmd(NodeCmd::Corrupt(tx));
+        assert_eq!(flipped.recv().unwrap(), Some(3));
+        let forged = app_of(r.host.stable.latest_shared());
+        assert_ne!(*forged, *honest);
+        assert_eq!(r.rollback_to_line(3).unwrap().restored_epoch, Some(3));
+        assert_eq!(*r.host.app.snapshot(), *forged, "the lie is restored");
     }
 
     #[test]

@@ -43,7 +43,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use synergy::NodeId;
-use synergy_archive::{ArchiveFaultPlan, ChainRecord};
+use synergy_archive::{ArchiveFaultPlan, ChainRecord, RecordKind};
 use synergy_net::retry::Backoff;
 use synergy_net::{DeviceId, Endpoint, LinkFaultPlan, MessageBody, ProcessId, ReactorTransport};
 use synergy_storage::{Checkpoint, DiskFaultPlan, DiskStableStore};
@@ -180,6 +180,19 @@ pub struct CrashEvent {
     pub kind: CrashKind,
 }
 
+/// The layer a masked bit-rot injection targets in a victim's oldest
+/// committed record.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rot {
+    /// Flip a bit in the record file itself: the disk frame's CRC refuses
+    /// it on reload.
+    Frame,
+    /// Corrupt the chain record *behind* a valid disk frame (an image byte
+    /// or a delta's image CRC, re-framed cleanly): only the chain-link
+    /// verification one layer up refuses it.
+    Chain,
+}
+
 /// Configuration of one cluster mission.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
@@ -201,40 +214,33 @@ pub struct ClusterConfig {
     /// Per-node stable-storage fault plans, indexed by node; missing
     /// entries are inert.
     pub disk_plans: Vec<DiskFaultPlan>,
-    /// Flip one bit in the first crash victim's *oldest* committed
-    /// checkpoint record before its restart, exercising the CRC-skip
-    /// reload path (only when the victim holds ≥ 2 committed records, so
-    /// the epoch line — and hence the device stream — is unchanged).
-    pub bitrot: bool,
-    /// Incremental-checkpoint cadence shipped to every node
-    /// (`--delta-k`): full image every `delta_k` stable commits,
-    /// CRC-chained deltas between. Zero keeps the legacy full-image store
-    /// and disables every archive-tier feature below.
+    /// Rot the first crash victim's *oldest* committed record before its
+    /// restart, at the layer [`Rot`] names. Only when the victim holds ≥ 2
+    /// records and a later full image, so the newest record — the
+    /// rollback's restore target — still replays and the device stream is
+    /// unchanged.
+    pub rot: Option<Rot>,
+    /// Checkpoint-chain cadence shipped to every node (`--delta-k`, at
+    /// least 1): full image every `delta_k` stable commits, CRC-chained
+    /// deltas between. The default 1 makes every record a full image.
     pub delta_k: u32,
     /// Per-node archive-tier fault plans, indexed by node; missing entries
-    /// are inert. Only meaningful with `delta_k > 0`.
+    /// are inert.
     pub archive_plans: Vec<ArchiveFaultPlan>,
     /// Wipe the first crash victim's entire data directory while it is
-    /// down (delta mode only): its restart rehydrates tier 0 from the
-    /// archive and must rejoin byte-identically. Requires the pre-crash
-    /// quiesce to have drained the victim's upload queue, which the
-    /// archive-aware quiesce condition guarantees.
+    /// down: its restart rehydrates tier 0 from the archive and must rejoin
+    /// byte-identically. Requires the pre-crash quiesce to have drained the
+    /// victim's upload queue, which the archive-aware quiesce condition
+    /// guarantees.
     pub wipe: bool,
-    /// Delta-chain bit-rot: corrupt the first crash victim's *oldest*
-    /// chain record behind a valid disk frame, so only the chain-link
-    /// verification one layer up can catch it (only when a later full
-    /// image exists, so the newest record — the rollback restore target —
-    /// still replays and the device stream is unchanged).
-    pub deltarot: bool,
     /// Byzantine-lite value corruption (unmasked regime, axis 4): before
     /// the first crash's global rollback, command node `corrupt` to flip
-    /// value bytes inside its *latest* committed checkpoint behind a valid
-    /// CRC. Unlike `bitrot`, this is *designed* to change the device
-    /// stream — the rollback restores the lie (corrupting node 0 poisons
-    /// the active's state, whose payloads reach the device), and the
-    /// campaign's diff against the simulator reference documents the
-    /// escape. Requires the legacy store (`delta_k == 0`); delta chains
-    /// refuse to rewrite committed history.
+    /// value bytes inside its *latest* committed checkpoint, re-planted as
+    /// a full chain record behind a valid CRC and chain link. Unlike
+    /// `rot`, this is *designed* to change the device stream — the rollback
+    /// restores the lie (corrupting node 0 poisons the active's state,
+    /// whose payloads reach the device), and the campaign's diff against
+    /// the simulator reference documents the escape.
     pub corrupt: Option<usize>,
     /// Override for the reactor's per-route outbound ring capacity in
     /// bytes; `None` keeps the wire-policy default. Small values are how
@@ -267,11 +273,10 @@ impl ClusterConfig {
             internal_traffic: false,
             link_plan: LinkFaultPlan::inert(seed),
             disk_plans: Vec::new(),
-            bitrot: false,
-            delta_k: 0,
+            rot: None,
+            delta_k: 1,
             archive_plans: Vec::new(),
             wipe: false,
-            deltarot: false,
             corrupt: None,
             wire_queue_bytes: None,
             node_bin,
@@ -451,8 +456,7 @@ pub struct Cluster {
     device_rx: std::sync::mpsc::Receiver<synergy_net::Envelope>,
     device_addr: String,
     nodes: Vec<NodeHandle>,
-    bitrot_injected: bool,
-    deltarot_injected: bool,
+    rot_injected: bool,
     corrupt_injected: bool,
     wiped: bool,
 }
@@ -492,8 +496,7 @@ impl Cluster {
             device_rx,
             device_addr,
             nodes: Vec::new(),
-            bitrot_injected: false,
-            deltarot_injected: false,
+            rot_injected: false,
             corrupt_injected: false,
             wiped: false,
         };
@@ -562,21 +565,19 @@ impl Cluster {
                 cmd.arg("--chaos-disk").arg(plan_to_hex(plan));
             }
         }
-        if self.cfg.delta_k > 0 {
-            // The archive tier lives *beside* the data dir, so wiping the
-            // node's local disk leaves the archive intact to rehydrate from.
-            let archive_dir = self.cfg.data_root.join(format!("archive-{}", node.index()));
-            std::fs::create_dir_all(&archive_dir).map_err(|e| ClusterError::Launch {
-                detail: format!("create {}: {e}", archive_dir.display()),
-            })?;
-            cmd.arg("--delta-k")
-                .arg(self.cfg.delta_k.to_string())
-                .arg("--archive-dir")
-                .arg(&archive_dir);
-            if let Some(plan) = self.cfg.archive_plans.get(node.index()) {
-                if !plan.is_inert() {
-                    cmd.arg("--chaos-archive").arg(plan_to_hex(plan));
-                }
+        // The archive tier lives *beside* the data dir, so wiping the node's
+        // local disk leaves the archive intact to rehydrate from.
+        let archive_dir = self.cfg.data_root.join(format!("archive-{}", node.index()));
+        std::fs::create_dir_all(&archive_dir).map_err(|e| ClusterError::Launch {
+            detail: format!("create {}: {e}", archive_dir.display()),
+        })?;
+        cmd.arg("--delta-k")
+            .arg(self.cfg.delta_k.to_string())
+            .arg("--archive-dir")
+            .arg(&archive_dir);
+        if let Some(plan) = self.cfg.archive_plans.get(node.index()) {
+            if !plan.is_inert() {
+                cmd.arg("--chaos-archive").arg(plan_to_hex(plan));
             }
         }
         cmd.stdin(Stdio::null())
@@ -729,8 +730,8 @@ impl Cluster {
         loop {
             let snap = self.status_all()?;
             // Archive-aware: an undrained upload queue means a kill (or
-            // wipe) could behead records the archive never saw, so delta
-            // missions settle it alongside the data plane.
+            // wipe) could behead records the archive never saw, so it
+            // settles alongside the data plane.
             let drained = snap
                 .iter()
                 .all(|(_, s)| s.unacked == 0 && s.net_queued == 0 && s.archive_pending == 0);
@@ -791,60 +792,26 @@ impl Cluster {
         Ok(())
     }
 
-    /// Flips one bit in the victim's **oldest** committed checkpoint
-    /// record, when it holds at least two — the newest (the rollback
-    /// line's restore target) stays intact, so the corruption is masked by
-    /// the CRC-skip reload and the device stream is unchanged.
-    fn inject_bitrot(&self, victim: usize) -> Result<bool, ClusterError> {
+    /// Rots the victim's **oldest** committed record at the `rot` layer,
+    /// when it holds at least two records and a full image after the
+    /// oldest: the newest record — the rollback line's restore target —
+    /// still replays, so the reload masks the rot and the device stream is
+    /// unchanged. Returns whether it injected.
+    fn inject_rot(&self, victim: usize, rot: Rot) -> Result<bool, ClusterError> {
         let dir = self.cfg.data_root.join(format!("node-{victim}"));
-        let fs_err = |e: io::Error| ClusterError::Launch {
-            detail: format!("bit-rot injection in {}: {e}", dir.display()),
+        let fail = |e: &dyn fmt::Display| ClusterError::Launch {
+            detail: format!("{rot:?} rot injection in {}: {e}", dir.display()),
         };
         let mut records: Vec<PathBuf> = std::fs::read_dir(&dir)
-            .map_err(fs_err)?
+            .map_err(|e| fail(&e))?
             .filter_map(|entry| entry.ok().map(|e| e.path()))
             .filter(|p| {
                 p.file_name()
                     .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("ckpt-") && n.ends_with(".bin"))
+                    .and_then(DiskStableStore::parse_record_file_name)
+                    .is_some()
             })
             .collect();
-        if records.len() < 2 {
-            return Ok(false);
-        }
-        records.sort();
-        let target = &records[0];
-        let mut bytes = std::fs::read(target).map_err(fs_err)?;
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(target, bytes).map_err(fs_err)?;
-        Ok(true)
-    }
-
-    /// Corrupts the victim's **oldest** chain record *behind a valid disk
-    /// frame*: the record file re-frames cleanly, so the disk reload
-    /// accepts it and only the chain-link verification one layer up can
-    /// refuse it. Requires a later full image among the committed records
-    /// so the newest record — the rollback restore target — still replays
-    /// and the device stream is unchanged.
-    fn inject_deltarot(&self, victim: usize) -> Result<bool, ClusterError> {
-        use synergy_archive::RecordKind;
-        let dir = self.cfg.data_root.join(format!("node-{victim}"));
-        let fs_err = |e: io::Error| ClusterError::Launch {
-            detail: format!("delta-rot injection in {}: {e}", dir.display()),
-        };
-        let mut records: Vec<PathBuf> = std::fs::read_dir(&dir)
-            .map_err(fs_err)?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("ckpt-") && n.ends_with(".bin"))
-            })
-            .collect();
-        if records.len() < 2 {
-            return Ok(false);
-        }
         records.sort();
         let mut decoded = Vec::with_capacity(records.len());
         for path in &records {
@@ -856,50 +823,56 @@ impl Cluster {
             };
             decoded.push((ckpt, record));
         }
-        if !decoded[1..]
-            .iter()
-            .any(|(_, r)| r.kind() == RecordKind::Full)
+        if decoded.len() < 2
+            || !decoded[1..]
+                .iter()
+                .any(|(_, r)| r.kind() == RecordKind::Full)
         {
             return Ok(false);
         }
-        let (ckpt, record) = &decoded[0];
-        let corrupted = match record.clone() {
-            ChainRecord::Full { chain_crc, image } => {
-                let mut bytes = image.to_vec();
-                if bytes.is_empty() {
-                    return Ok(false);
-                }
+        let (target, (ckpt, record)) = (&records[0], &decoded[0]);
+        match rot {
+            Rot::Frame => {
+                let mut bytes = std::fs::read(target).map_err(|e| fail(&e))?;
                 let mid = bytes.len() / 2;
                 bytes[mid] ^= 0x01;
-                ChainRecord::Full {
-                    chain_crc,
-                    image: bytes.into(),
-                }
+                std::fs::write(target, bytes).map_err(|e| fail(&e))?;
             }
-            ChainRecord::Delta {
-                base_seq,
-                chain_crc,
-                mut patch,
-            } => {
-                // Rot the reconstructed-image CRC: the frame stays valid,
-                // the chain link no longer verifies.
-                patch.image_crc ^= 0x1;
-                ChainRecord::Delta {
-                    base_seq,
-                    chain_crc,
-                    patch,
-                }
+            Rot::Chain => {
+                let corrupted = match record.clone() {
+                    ChainRecord::Full { chain_crc, image } => {
+                        let mut bytes = image.to_vec();
+                        if bytes.is_empty() {
+                            return Ok(false);
+                        }
+                        let mid = bytes.len() / 2;
+                        bytes[mid] ^= 0x01;
+                        ChainRecord::Full {
+                            chain_crc,
+                            image: bytes.into(),
+                        }
+                    }
+                    ChainRecord::Delta {
+                        base_seq,
+                        chain_crc,
+                        mut patch,
+                    } => {
+                        // Rot the reconstructed-image CRC: the frame stays
+                        // valid, the chain link no longer verifies.
+                        patch.image_crc ^= 0x1;
+                        ChainRecord::Delta {
+                            base_seq,
+                            chain_crc,
+                            patch,
+                        }
+                    }
+                };
+                let rewritten =
+                    Checkpoint::encode(ckpt.seq(), ckpt.taken_at(), ckpt.label(), &corrupted)
+                        .map_err(|e| fail(&e))?;
+                DiskStableStore::write_record_file(target, &rewritten).map_err(|e| fail(&e))?;
             }
-        };
-        let rewritten = Checkpoint::encode(ckpt.seq(), ckpt.taken_at(), ckpt.label(), &corrupted)
-            .map_err(|e| ClusterError::Launch {
-            detail: format!("re-encode rotted chain record: {e}"),
-        })?;
-        DiskStableStore::write_record_file(&records[0], &rewritten).map_err(|e| {
-            ClusterError::Launch {
-                detail: format!("delta-rot write: {e}"),
-            }
-        })?;
+        }
         Ok(true)
     }
 
@@ -1026,11 +999,11 @@ impl Cluster {
 
         // Faults injected while the victim is down, so its restart
         // exercises the recovery ladder. At most one per crash: a wipe
-        // leaves nothing for the rot injectors to chew on this round
-        // (each latches independently, so a skipped injector retries at
-        // the next scheduled crash).
+        // leaves nothing for the rot injector to chew on this round (it
+        // latches on its own, so a skipped injection retries at the next
+        // scheduled crash).
         let mut wiped = false;
-        if self.cfg.wipe && self.cfg.delta_k > 0 && !self.wiped {
+        if self.cfg.wipe && !self.wiped {
             // The archive-aware quiesce before this round drained the
             // victim's upload queue, so the archive holds every committed
             // record and the wiped node rehydrates to the same history.
@@ -1041,11 +1014,8 @@ impl Cluster {
             self.wiped = true;
             wiped = true;
         }
-        if self.cfg.deltarot && self.cfg.delta_k > 0 && !self.deltarot_injected && !wiped {
-            self.deltarot_injected = self.inject_deltarot(victim)?;
-        }
-        if self.cfg.bitrot && !self.bitrot_injected && !wiped {
-            self.bitrot_injected = self.inject_bitrot(victim)?;
+        if let Some(rot) = self.cfg.rot.filter(|_| !self.rot_injected && !wiped) {
+            self.rot_injected = self.inject_rot(victim, rot)?;
         }
 
         // Restart the victim from its data directory; its Hello reports

@@ -433,9 +433,10 @@ impl<T: Transport, S: Stable> NodeRunner<T, S> {
     /// Byzantine-lite injection (unmasked-regime axis 4): flips value bytes
     /// inside the latest *committed* checkpoint and re-encodes the record in
     /// place, so its CRC — and every integrity check between here and the
-    /// next recovery — remains valid. Returns the corrupted epoch, or `None`
-    /// when nothing is committed, the payload does not decode, or the
-    /// backend cannot rewrite committed history (delta chains).
+    /// next recovery, a chain store's link included — remains valid.
+    /// Returns the corrupted epoch, or `None` when nothing is committed, the
+    /// payload does not decode, or the backend refuses the rewrite (a write
+    /// in flight).
     fn corrupt_latest_checkpoint(&mut self) -> Option<u64> {
         let ckpt = self.host.stable.latest_shared()?;
         let corrupted = synergy::regime::corrupt_checkpoint_value(&ckpt)?;

@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use synergy::NodeId;
 use synergy_cluster::{
     simulate_reference, simulate_reference_schedule, Cluster, ClusterConfig, CrashEvent, CrashKind,
+    Rot,
 };
 
 const TB_INTERVAL_SECS: f64 = 1.7;
@@ -334,7 +335,7 @@ fn rotted_chain_record_is_refused_on_reload_and_the_stream_is_unchanged() {
         data_root.to_path_buf(),
     );
     cfg.delta_k = 2;
-    cfg.deltarot = true;
+    cfg.rot = Some(Rot::Chain);
     cfg.crashes.push(CrashEvent {
         victim,
         epoch: kill_epoch,

@@ -101,12 +101,9 @@ pub trait Stable {
     /// Byzantine-lite regime uses it to plant a value-corrupted record whose
     /// CRC is valid (the record was re-encoded after the flip), so every
     /// integrity check passes and the corruption surfaces only when a
-    /// recovery restores the checkpoint. Backends that cannot rewrite
-    /// committed history (e.g. delta chains) keep the default and return
-    /// `false`; callers treat that as "injection unsupported here".
-    fn replace_latest(&mut self, _checkpoint: Checkpoint) -> bool {
-        false
-    }
+    /// recovery restores the checkpoint. Returns `false` when nothing is
+    /// committed, or when the backend could not rewrite the record.
+    fn replace_latest(&mut self, checkpoint: Checkpoint) -> bool;
 
     /// Write statistics.
     fn stats(&self) -> StableStats;

@@ -41,6 +41,15 @@ if git grep -nE 'synergy-''middleware|Threaded''Net|Middleware''Config' -- crate
     exit 1
 fi
 
+echo "==> one checkpoint store on the live cluster"
+# Every node runs the delta chain, a k=1 chain being the full-image store;
+# the legacy store and its k = 0 branches are gone, not hidden (names spelt
+# in halves so this line does not find itself).
+if git grep -nE 'Node''Store|NodeStore::''Legacy|delta_k (==|>) ''0' -- crates/cluster crates/chaos; then
+    echo "the deleted legacy checkpoint store is referenced again" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -83,14 +92,16 @@ done
 echo "==> chaos smoke: 4 fixed-seed campaigns against the live cluster"
 # Deterministic and fast (≤30 s even on slow machines): the release build
 # above produced the cluster binaries, and base seed 7 is the same fixed
-# spec family the chaos crate's own smoke test replays.
+# spec family the chaos crate's own smoke test replays; its first four
+# rot a record at both layers, the frame and the chain link behind it.
 ./target/release/synergy-chaos --seeds 4 --base-seed 7 --jobs 2
 
 echo "==> archive smoke: delta-chain, wipe-rehydration and archive-fault campaigns"
-# Base seed 1's first 8 campaigns draw every archive axis: delta cadences
-# k ∈ {1,2,4}, a mid-run wiped data directory rehydrated from the archive
-# tier, object-store outages, and faulty PUTs — each run byte-checked
-# against the simulator reference like every other campaign.
+# Base seed 1's first 8 campaigns draw every archive axis: chain cadences
+# k ∈ {1,2,4} (every campaign runs the chain; k=1 is the full-image
+# store), a mid-run wiped data directory rehydrated from the archive tier,
+# object-store outages, and faulty PUTs — each run byte-checked against
+# the simulator reference like every other campaign.
 ./target/release/synergy-chaos --seeds 8 --base-seed 1 --jobs 4
 
 echo "==> unmasked-regime smoke: 4 seeds per regime + live Byzantine campaigns"
@@ -107,8 +118,9 @@ echo "==> fleet smoke: 100 seeded tenants, 4 verified against solo runs"
 
 # ROADMAP item 3's ratchet: the workspace is meant to shrink. 43 009 at
 # c807614, 41 589 after PR 23, 41 300 after PR 24, 40 545 after PR 25;
-# 40 866 at 1fa848a, 40 094 with the in-process threaded deployment gone;
-# every CHANGES.md entry ends with before -> after.
+# 40 866 at 1fa848a, 40 094 with the in-process threaded deployment gone,
+# 40 038 with one checkpoint store on the live cluster; every CHANGES.md
+# entry ends with before -> after.
 echo "==> tracked Rust lines: $(git ls-files '*.rs' | xargs cat | wc -l)"
 
 echo "OK: fmt, clippy, tier-1, ledger and smokes all passed"
