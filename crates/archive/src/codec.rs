@@ -277,14 +277,6 @@ impl CheckpointCodec {
             full_bytes,
         }
     }
-
-    /// Forgets the chain position: the next record will be a full image.
-    /// Called after a reload that found orphaned records, so the chain
-    /// self-heals instead of extending a damaged suffix.
-    pub fn force_full(&mut self) {
-        self.last = None;
-        self.deltas_since_full = 0;
-    }
 }
 
 /// The wrapper checkpoint a record was decoded from: its state bytes — the

@@ -27,6 +27,7 @@ use core::fmt;
 
 use synergy_codec::codec_struct;
 use synergy_des::DetRng;
+use synergy_net::check_probability;
 use synergy_storage::DiskStableStore;
 
 /// Errors from the archive tier.
@@ -297,6 +298,18 @@ impl ArchiveFaultPlan {
             && self.latency_ms == 0
             && self.outages.is_empty()
     }
+
+    /// Checks the ranges the injector relies on.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first of `put_fail`, `put_partial` or
+    /// `get_fail` that is not a probability in `[0, 1]` (NaN included).
+    pub fn validate(&self) -> Result<(), String> {
+        check_probability("put_fail", self.put_fail)?;
+        check_probability("put_partial", self.put_partial)?;
+        check_probability("get_fail", self.get_fail)
+    }
 }
 
 impl Default for ArchiveFaultPlan {
@@ -312,7 +325,6 @@ pub struct FaultyObjectStore<O: ObjectStore> {
     plan: ArchiveFaultPlan,
     rng: DetRng,
     started: Instant,
-    injected: u64,
 }
 
 impl<O: ObjectStore> FaultyObjectStore<O> {
@@ -325,14 +337,7 @@ impl<O: ObjectStore> FaultyObjectStore<O> {
             plan,
             rng,
             started: Instant::now(),
-            injected: 0,
         }
-    }
-
-    /// Faults injected so far (failed/partial operations and refusals
-    /// inside outage windows).
-    pub fn injected_faults(&self) -> u64 {
-        self.injected
     }
 
     /// Checks outage windows and applies latency; the common prefix of
@@ -341,7 +346,6 @@ impl<O: ObjectStore> FaultyObjectStore<O> {
         let elapsed_ms = self.started.elapsed().as_millis() as u64;
         for w in &self.plan.outages {
             if elapsed_ms >= w.start_ms && elapsed_ms < w.end_ms {
-                self.injected += 1;
                 return Err(ObjectStoreError::Unavailable(format!(
                     "injected outage [{}, {}) ms refuses {op} at {elapsed_ms} ms",
                     w.start_ms, w.end_ms
@@ -363,14 +367,12 @@ impl<O: ObjectStore> ObjectStore for FaultyObjectStore<O> {
     fn put(&mut self, key: &str, bytes: &[u8]) -> Result<(), ObjectStoreError> {
         self.admit("put")?;
         if self.draw(self.plan.put_fail) {
-            self.injected += 1;
             return Err(ObjectStoreError::Unavailable(format!(
                 "injected put failure for {key}"
             )));
         }
         if self.draw(self.plan.put_partial) {
             // The realistic half-upload: a prefix lands, the call errors.
-            self.injected += 1;
             self.inner.put(key, &bytes[..bytes.len() / 2])?;
             return Err(ObjectStoreError::Unavailable(format!(
                 "injected partial put for {key}"
@@ -382,7 +384,6 @@ impl<O: ObjectStore> ObjectStore for FaultyObjectStore<O> {
     fn get(&mut self, key: &str) -> Result<Option<Vec<u8>>, ObjectStoreError> {
         self.admit("get")?;
         if self.draw(self.plan.get_fail) {
-            self.injected += 1;
             return Err(ObjectStoreError::Unavailable(format!(
                 "injected get failure for {key}"
             )));
@@ -479,7 +480,6 @@ mod tests {
         for i in 0..50 {
             s.put(&format!("k{i}"), b"v").unwrap();
         }
-        assert_eq!(s.injected_faults(), 0);
         assert_eq!(s.list().unwrap().len(), 50);
     }
 
@@ -494,7 +494,6 @@ mod tests {
             assert!(s.put(&format!("k{i}"), b"payload").is_err());
         }
         assert!(s.list().unwrap().is_empty(), "failed puts land nothing");
-        assert_eq!(s.injected_faults(), 10);
     }
 
     #[test]

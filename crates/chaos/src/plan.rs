@@ -493,12 +493,13 @@ mod tests {
                 }
             }
             for plan in &spec.archive {
+                assert_eq!(plan.validate(), Ok(()));
                 assert!(plan.put_fail < 0.3 && plan.put_partial < 0.3);
                 for w in &plan.outages {
                     assert!(w.start_ms >= 200 && w.end_ms <= 2300, "outage closes early");
                 }
             }
-            spec.link.validate();
+            assert_eq!(spec.link.validate(), Ok(()));
         }
     }
 

@@ -128,7 +128,8 @@ impl NodeOpts {
     /// # Errors
     ///
     /// Unknown flags, missing values, a `--pid` outside 1–3, a zero
-    /// `--tb-interval-ms` or `--delta-k`, or malformed plan encodings.
+    /// `--tb-interval-ms` or `--delta-k`, malformed plan encodings, or a
+    /// link or archive plan that fails its `validate`.
     pub fn from_args<I: Iterator<Item = String>>(mut args: I) -> Result<Self, String> {
         let mut pid = None;
         let mut seed = None;
@@ -176,6 +177,12 @@ impl NodeOpts {
                 other => return Err(format!("unknown flag {other}")),
             }
         }
+        link_plan
+            .validate()
+            .map_err(|e| format!("--chaos-link: {e}"))?;
+        archive_plan
+            .validate()
+            .map_err(|e| format!("--chaos-archive: {e}"))?;
         Ok(NodeOpts {
             pid: pid.ok_or("--pid is required")?,
             seed: seed.ok_or("--seed is required")?,
@@ -607,6 +614,50 @@ mod tests {
             ("--delta-k", "0", "--delta-k must be at least 1"),
         ] {
             let args = argv.iter().chain([&flag, &value]).map(|s| s.to_string());
+            assert_eq!(NodeOpts::from_args(args).unwrap_err(), err);
+        }
+        // A plan that decodes but would panic the injector is refused at
+        // parse, naming the field.
+        let bad_link = |edit: fn(&mut LinkFaultPlan)| {
+            let mut plan = link.clone();
+            edit(&mut plan);
+            plan_to_hex(&plan)
+        };
+        let bad_archive = plan_to_hex(&ArchiveFaultPlan {
+            put_fail: 2.0,
+            ..ArchiveFaultPlan::inert()
+        });
+        for (flag, value, err) in [
+            (
+                "--chaos-link",
+                bad_link(|p| p.max_attempts = 0),
+                "--chaos-link: max_attempts must be at least 1",
+            ),
+            (
+                "--chaos-link",
+                bad_link(|p| p.delay_ms = (5, 1)),
+                "--chaos-link: inverted delay_ms bounds (5, 1)",
+            ),
+            (
+                "--chaos-link",
+                bad_link(|p| p.faults.drop_prob = 1.5),
+                "--chaos-link: drop_prob must be in [0, 1], got 1.5",
+            ),
+            (
+                "--chaos-link",
+                bad_link(|p| p.faults.drop_prob = f64::NAN),
+                "--chaos-link: drop_prob must be in [0, 1], got NaN",
+            ),
+            (
+                "--chaos-archive",
+                bad_archive,
+                "--chaos-archive: put_fail must be in [0, 1], got 2",
+            ),
+        ] {
+            let args = argv
+                .iter()
+                .map(|s| s.to_string())
+                .chain([flag.to_string(), value]);
             assert_eq!(NodeOpts::from_args(args).unwrap_err(), err);
         }
         for bad in ["zz", "aéb", "é", "0é"] {

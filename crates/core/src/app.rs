@@ -137,11 +137,6 @@ impl CounterApp {
         &self.state
     }
 
-    /// Whether the design fault is currently active.
-    pub fn is_faulty(&self) -> bool {
-        self.faulty
-    }
-
     /// Decodes a snapshot back into a state (for checkers inspecting
     /// checkpoints).
     pub fn decode_state(bytes: &[u8]) -> Option<CounterState> {

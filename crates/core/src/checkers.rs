@@ -18,7 +18,7 @@
 use core::fmt;
 
 use synergy_mdcd::ProcessRole;
-use synergy_net::{MessageBody, MsgSeqNo, ProcessId};
+use synergy_net::{MsgSeqNo, ProcessId};
 
 use crate::app::CounterApp;
 use crate::payload::CheckpointPayload;
@@ -270,15 +270,6 @@ impl GlobalChecker {
     }
 }
 
-/// Extracts the highest validated sequence number from a `passed_AT`
-/// broadcast body (driver-side ground-truth tracking helper).
-pub fn validated_seq_of(body: &MessageBody) -> Option<MsgSeqNo> {
-    match body {
-        MessageBody::PassedAt { msg_sn, .. } => Some(*msg_sn),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,6 +277,7 @@ mod tests {
     use crate::payload::SentRecord;
     use synergy_des::SimTime;
     use synergy_mdcd::EngineSnapshot;
+    use synergy_net::MessageBody;
 
     const ACT: ProcessId = ProcessId(1);
     const SDW: ProcessId = ProcessId(2);
@@ -506,19 +498,6 @@ mod tests {
                     offset: 8
                 },
             ]
-        );
-    }
-
-    #[test]
-    fn validated_seq_extraction() {
-        let body = MessageBody::PassedAt {
-            msg_sn: MsgSeqNo(4),
-            ndc: synergy_net::CkptSeqNo(1),
-        };
-        assert_eq!(validated_seq_of(&body), Some(MsgSeqNo(4)));
-        assert_eq!(
-            validated_seq_of(&MessageBody::External { payload: vec![] }),
-            None
         );
     }
 }

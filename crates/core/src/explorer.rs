@@ -230,10 +230,8 @@ impl ExpState {
                 } else {
                     Endpoint::Process(P2)
                 };
-                let a = self.act.handle(Event::AppSend(msg(to)));
-                self.apply_actions(0, a, violations);
-                let s = self.sdw.handle(Event::AppSend(msg(to)));
-                self.apply_actions(1, s, violations);
+                self.feed(0, Event::AppSend(msg(to)), violations);
+                self.feed(1, Event::AppSend(msg(to)), violations);
             }
             Step::Component2 { external } => {
                 let to = if external {
@@ -241,13 +239,13 @@ impl ExpState {
                 } else {
                     Endpoint::Process(P1ACT)
                 };
-                let p = self.peer.handle(Event::AppSend(OutboundMessage {
+                let send = Event::AppSend(OutboundMessage {
                     to,
                     payload,
                     external,
                     at_pass: true,
-                }));
-                self.apply_actions(2, p, violations);
+                });
+                self.feed(2, send, violations);
             }
         }
     }
@@ -260,12 +258,18 @@ impl ExpState {
             (*a, *b, env)
         };
         self.links.retain(|(_, _, q)| !q.is_empty());
-        let host = Self::idx(to);
-        let actions = match host {
-            0 => self.act.handle(Event::Deliver(env)),
-            1 => self.sdw.handle(Event::Deliver(env)),
-            _ => self.peer.handle(Event::Deliver(env)),
-        };
+        self.feed(Self::idx(to), Event::Deliver(env), violations);
+    }
+
+    /// Feeds `event` to host `host`'s engine (0 = `P1act`, 1 = `P1sdw`,
+    /// 2 = `P2`) and applies the actions it emits.
+    fn feed(&mut self, host: usize, event: Event, violations: &mut Vec<String>) {
+        let mut actions = Vec::new();
+        match host {
+            0 => self.act.handle_into(event, &mut actions),
+            1 => self.sdw.handle_into(event, &mut actions),
+            _ => self.peer.handle_into(event, &mut actions),
+        }
         self.apply_actions(host, actions, violations);
     }
 

@@ -6,7 +6,7 @@
 //! integration tests assert the structural claims each figure makes.
 
 use crate::config::{Scheme, SystemConfig};
-use crate::system::{Mission, System};
+use crate::system::Mission;
 use synergy_des::{SimDuration, Trace};
 
 /// Checkpoint/AT counts extracted from a scenario trace.
@@ -268,22 +268,6 @@ pub fn fig6_cases() -> Fig6Report {
             ("(b) passed_AT during blocking", replace.trace),
         ],
     }
-}
-
-/// Builds the scripted system used by the Figure 1/3 scenarios without
-/// running it (integration tests drive it step by step).
-pub fn fig1_system() -> System {
-    System::new(
-        SystemConfig::builder()
-            .scheme(Scheme::MdcdOnly)
-            .seed(1)
-            .duration_secs(12.0)
-            .no_workload()
-            .fixed_delay(SimDuration::from_millis(5))
-            .perfect_clocks()
-            .scripted_send(1.0, 1, false)
-            .build(),
-    )
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 
 use synergy_clocks::LocalTime;
 use synergy_des::{ActorId, SimTime};
-use synergy_net::{Endpoint, Envelope, MessageBody, RouteDecision};
+use synergy_net::{Endpoint, Envelope, MessageBody};
 
 use crate::app::Application;
 use crate::system::host::{HostAction, HostEvent};
@@ -340,22 +340,9 @@ impl System {
             },
             Endpoint::Device(_) => self.device_actor,
         };
-        match self.net.route(now, &env) {
-            RouteDecision::Deliver { at, duplicate_at } => {
-                let inc = self.net_inc;
-                // The envelope moves into its delivery; only a link-level
-                // duplicate needs a copy of it (scheduled second, as the
-                // later of the two event ids).
-                let copy = duplicate_at.map(|dup| (dup, env.clone()));
-                self.sim
-                    .schedule_at(at.max(now), actor, Ev::Deliver { env, inc });
-                if let Some((dup, env)) = copy {
-                    self.sim
-                        .schedule_at(dup.max(now), actor, Ev::Deliver { env, inc });
-                }
-            }
-            RouteDecision::Dropped => {}
-        }
+        let at = self.net.route(now, &env);
+        let inc = self.net_inc;
+        self.sim.schedule_at(at, actor, Ev::Deliver { env, inc });
     }
 
     pub(super) fn schedule_tb_timer(&mut self, i: usize, at_local: LocalTime, now: SimTime) {

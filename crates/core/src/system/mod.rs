@@ -106,7 +106,7 @@ impl System {
         // Pending-event count is bounded by in-flight messages + per-host
         // timers + workload streams — tens, not thousands; 64 skips the
         // heap's early regrowth without committing real memory.
-        let mut sim: Simulator<Ev> = Simulator::with_capacity(cfg.seed, 64);
+        let mut sim: Simulator<Ev> = Simulator::with_capacity(64);
         if !cfg.trace {
             sim.trace().disable();
         }
@@ -332,24 +332,6 @@ impl System {
     /// The ground-truth highest validated sequence number.
     pub fn global_validated(&self) -> MsgSeqNo {
         self.global_validated
-    }
-
-    /// Dirty bits `(P1act pseudo, P1sdw, P2)` right now.
-    pub fn dirty_bits(&self) -> (bool, bool, bool) {
-        let bit = |pid, pseudo: bool| {
-            self.index_of_pid(pid).is_some_and(|i| {
-                if pseudo {
-                    self.hosts[i].engine.checkpoint_bit()
-                } else {
-                    self.hosts[i].engine.dirty_bit()
-                }
-            })
-        };
-        (
-            bit(self.topology.active, true),
-            bit(self.topology.shadow, false),
-            bit(self.topology.peer, false),
-        )
     }
 
     /// Whether the shadow has taken over.

@@ -255,7 +255,7 @@ fn unknown_pid_actor_and_node_find_no_host() {
 fn envelope_to_an_unregistered_pid_is_dropped_before_the_network() {
     use synergy_net::{MessageBody, MsgId};
     let mut system = System::new(base().scheme(Scheme::Coordinated).no_workload().build());
-    let (pending, routed) = (system.sim.pending(), system.net.counters().sent);
+    let (pending, routed) = (system.sim.pending(), system.net.sent());
     let body = MessageBody::Application {
         payload: vec![1],
         dirty: false,
@@ -269,11 +269,11 @@ fn envelope_to_an_unregistered_pid_is_dropped_before_the_network() {
         SimTime::ZERO,
     );
     assert_eq!(system.sim.pending(), pending, "nothing scheduled");
-    assert_eq!(system.net.counters().sent, routed, "no random draw spent");
+    assert_eq!(system.net.sent(), routed, "no random draw spent");
     // The same envelope to a registered process is routed and scheduled.
     system.route_only(Envelope::new(id, P2, body), SimTime::ZERO);
     assert_eq!(system.sim.pending(), pending + 1);
-    assert_eq!(system.net.counters().sent, routed + 1);
+    assert_eq!(system.net.sent(), routed + 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ use std::collections::HashSet;
 
 use crate::event::{ActorId, EventId, Fired};
 use crate::queue::EventQueue;
-use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
 
@@ -37,27 +36,28 @@ pub struct Simulator<E> {
     cancelled: HashSet<EventId>,
     next_event_id: u64,
     actor_names: Vec<String>,
-    rng: DetRng,
     trace: Trace,
 }
 
 impl<E> Simulator<E> {
-    /// Creates a simulator whose random streams derive from `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self::with_capacity(seed, 0)
+    /// Creates a simulator. It draws nothing at random, so `_seed` is
+    /// unused: drivers derive their streams from [`DetRng`](crate::DetRng)
+    /// themselves. The parameter stays for the benchmark's probes
+    /// (`ledger/src/probes.rs`), which call `new(seed)`.
+    pub fn new(_seed: u64) -> Self {
+        Self::with_capacity(0)
     }
 
     /// Creates a simulator pre-sized for roughly `pending_hint` concurrently
     /// pending events. The hint bounds neither the queue nor correctness —
     /// it only avoids early heap regrowth on the mission hot path.
-    pub fn with_capacity(seed: u64, pending_hint: usize) -> Self {
+    pub fn with_capacity(pending_hint: usize) -> Self {
         Simulator {
             now: SimTime::ZERO,
             queue: EventQueue::with_capacity(pending_hint),
             cancelled: HashSet::new(),
             next_event_id: 0,
             actor_names: Vec::new(),
-            rng: DetRng::new(seed),
             trace: Trace::new(),
         }
     }
@@ -69,23 +69,9 @@ impl<E> Simulator<E> {
         id
     }
 
-    /// The name given to `actor` at registration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `actor` was not registered with this simulator.
-    pub fn actor_name(&self, actor: ActorId) -> &str {
-        &self.actor_names[actor.index()]
-    }
-
     /// Current virtual time (the fire time of the last popped event).
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Derives a deterministic random stream for `label`.
-    pub fn rng_stream(&self, label: &str) -> DetRng {
-        self.rng.stream(label)
     }
 
     /// Schedules `event` for `actor` at the absolute instant `at`.
@@ -166,14 +152,6 @@ impl<E> Simulator<E> {
     /// Read-only access to the trace recorder.
     pub fn trace_ref(&self) -> &Trace {
         &self.trace
-    }
-
-    /// Whether trace recording is currently enabled. Callers with expensive
-    /// trace arguments should gate on this (or use
-    /// [`record_with`](Simulator::record_with)) so disabled sweeps format
-    /// nothing.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_enabled()
     }
 
     /// Consumes the simulator, yielding its trace without cloning the
@@ -310,15 +288,10 @@ mod tests {
 
     #[test]
     fn with_capacity_behaves_like_new() {
-        let mut sim: Simulator<&str> = Simulator::with_capacity(7, 64);
+        let mut sim: Simulator<&str> = Simulator::with_capacity(64);
         let a = sim.register_actor("a");
         sim.schedule_in(SimDuration::from_nanos(3), a, "x");
         assert_eq!(sim.step().unwrap().event, "x");
-        assert_eq!(
-            sim.rng_stream("s").gen_range(0u64..100),
-            Simulator::<u8>::new(7).rng_stream("s").gen_range(0u64..100),
-            "seed derivation is capacity-independent"
-        );
     }
 
     #[test]
@@ -336,7 +309,7 @@ mod tests {
         fn run(seed: u64) -> Vec<(u64, u32)> {
             let mut sim: Simulator<u32> = Simulator::new(seed);
             let a = sim.register_actor("a");
-            let mut rng = sim.rng_stream("jitter");
+            let mut rng = crate::rng::DetRng::new(seed).stream("jitter");
             for i in 0..50 {
                 let jitter: u64 = rng.gen_range(0..1000);
                 sim.schedule_at(SimTime::from_nanos(jitter), a, i);

@@ -56,11 +56,6 @@ impl Trace {
         self.enabled = false;
     }
 
-    /// Re-enables recording.
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
     /// Whether events are currently recorded.
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -167,34 +162,30 @@ mod tests {
     #[test]
     fn disable_suppresses_recording() {
         let mut t = Trace::new();
+        t.record(SimTime::ZERO, "a", "k", "d");
         t.disable();
         assert!(!t.is_enabled());
         t.record(SimTime::ZERO, "a", "k", "d");
-        assert!(t.events().is_empty());
-        t.enable();
-        t.record(SimTime::ZERO, "a", "k", "d");
-        assert_eq!(t.events().len(), 1);
+        assert_eq!(t.events().len(), 1, "only the enabled record lands");
     }
 
     #[test]
     fn record_with_skips_closure_while_disabled() {
         let mut t = Trace::new();
-        t.disable();
         let mut calls = 0;
-        t.record_with(SimTime::ZERO, "a", || {
-            calls += 1;
-            ("k", "d")
-        });
-        assert_eq!(calls, 0, "closure must not run while disabled");
-        assert!(t.events().is_empty());
-        t.enable();
         t.record_with(SimTime::ZERO, "a", || {
             calls += 1;
             ("k", format!("expensive {}", 42))
         });
         assert_eq!(calls, 1);
-        assert_eq!(t.events().len(), 1);
         assert_eq!(t.events()[0].detail, "expensive 42");
+        t.disable();
+        t.record_with(SimTime::ZERO, "a", || {
+            calls += 1;
+            ("k", "d")
+        });
+        assert_eq!(calls, 1, "closure must not run while disabled");
+        assert_eq!(t.events().len(), 1);
     }
 
     #[test]

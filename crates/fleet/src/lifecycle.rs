@@ -71,11 +71,6 @@ impl TenantState {
     pub fn is_runnable(self) -> bool {
         matches!(self, TenantState::Active | TenantState::Stalled)
     }
-
-    /// Whether the tenant still occupies a slot.
-    pub fn is_resident(self) -> bool {
-        !matches!(self, TenantState::Detached)
-    }
 }
 
 impl fmt::Display for TenantState {
@@ -123,7 +118,6 @@ mod tests {
             transition(mission, &mut s, next).unwrap();
         }
         assert_eq!(s, Detached);
-        assert!(!s.is_resident());
     }
 
     #[test]

@@ -33,12 +33,16 @@ pub(crate) const CTRL_SEQ_BASE: u64 = 1 << 63;
 ///     ProcessId(3), // peer
 /// );
 /// // First internal send after a validation point: pseudo checkpoint first.
-/// let actions = p1.handle(Event::AppSend(OutboundMessage {
-///     to: Endpoint::Process(ProcessId(3)),
-///     payload: vec![1],
-///     external: false,
-///     at_pass: true,
-/// }));
+/// let mut actions = Vec::new();
+/// p1.handle_into(
+///     Event::AppSend(OutboundMessage {
+///         to: Endpoint::Process(ProcessId(3)),
+///         payload: vec![1],
+///         external: false,
+///         at_pass: true,
+///     }),
+///     &mut actions,
+/// );
 /// assert!(actions[0].is_checkpoint());
 /// assert!(actions[1].is_send());
 /// ```
@@ -133,14 +137,6 @@ impl ActiveEngine {
         self.msg_sn = snapshot.msg_sn;
         self.hold.reset();
         self.halted = false;
-    }
-
-    /// Feeds one event, returning the actions for the driver to execute in
-    /// order: [`handle_into`](Self::handle_into) over a fresh vector.
-    pub fn handle(&mut self, event: Event) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.handle_into(event, &mut out);
-        out
     }
 
     /// Feeds one event, appending the actions for the driver to execute, in
@@ -308,6 +304,13 @@ mod tests {
         ActiveEngine::new(cfg, SELF, SHADOW, PEER)
     }
 
+    /// Feeds `event`, collecting the actions it produces.
+    fn feed(e: &mut ActiveEngine, event: Event) -> Vec<Action> {
+        let mut out = Vec::new();
+        e.handle_into(event, &mut out);
+        out
+    }
+
     fn internal(payload: u8) -> Event {
         Event::AppSend(OutboundMessage {
             to: Endpoint::Process(PEER),
@@ -344,7 +347,7 @@ mod tests {
     fn pseudo_checkpoint_only_before_first_internal_send() {
         let mut e = engine(MdcdConfig::modified());
         assert!(!e.pseudo_dirty_bit());
-        let first = e.handle(internal(1));
+        let first = feed(&mut e, internal(1));
         assert!(matches!(
             first[0],
             Action::TakeCheckpoint {
@@ -354,7 +357,7 @@ mod tests {
         ));
         assert!(e.pseudo_dirty_bit());
         // Second internal send: no new checkpoint.
-        let second = e.handle(internal(2));
+        let second = feed(&mut e, internal(2));
         assert_eq!(second.len(), 1);
         assert!(second[0].is_send());
     }
@@ -362,7 +365,7 @@ mod tests {
     #[test]
     fn pseudo_checkpoint_snapshot_predates_the_send() {
         let mut e = engine(MdcdConfig::modified());
-        let actions = e.handle(internal(1));
+        let actions = feed(&mut e, internal(1));
         match &actions[0] {
             Action::TakeCheckpoint { engine, .. } => {
                 assert_eq!(engine.pseudo_dirty, Some(false), "snapshot is pre-send");
@@ -376,9 +379,9 @@ mod tests {
     #[test]
     fn at_pass_resets_pseudo_bit_and_broadcasts() {
         let mut e = engine(MdcdConfig::modified());
-        e.handle(internal(1));
+        feed(&mut e, internal(1));
         assert!(e.pseudo_dirty_bit());
-        let actions = e.handle(external(true));
+        let actions = feed(&mut e, external(true));
         assert!(matches!(actions[0], Action::AtPerformed { pass: true }));
         assert!(!e.pseudo_dirty_bit());
         let sends: Vec<&Envelope> = actions
@@ -407,37 +410,40 @@ mod tests {
     #[test]
     fn at_failure_halts_and_reports() {
         let mut e = engine(MdcdConfig::modified());
-        let actions = e.handle(external(false));
+        let actions = feed(&mut e, external(false));
         assert!(actions.contains(&Action::SoftwareErrorDetected));
         assert!(e.is_halted());
-        assert!(e.handle(internal(1)).is_empty(), "halted engine is inert");
+        assert!(
+            feed(&mut e, internal(1)).is_empty(),
+            "halted engine is inert"
+        );
     }
 
     #[test]
     fn passed_at_with_matching_ndc_resets_pseudo_bit() {
         let mut e = engine(MdcdConfig::modified());
-        e.handle(internal(1));
+        feed(&mut e, internal(1));
         assert!(e.pseudo_dirty_bit());
-        e.handle(passed_at(0, 1));
+        feed(&mut e, passed_at(0, 1));
         assert!(!e.pseudo_dirty_bit());
     }
 
     #[test]
     fn passed_at_with_stale_ndc_is_ignored() {
         let mut e = engine(MdcdConfig::modified());
-        e.handle(Event::StableCheckpointCommitted(CkptSeqNo(2)));
-        e.handle(internal(1));
-        e.handle(passed_at(1, 1)); // stale epoch
+        feed(&mut e, Event::StableCheckpointCommitted(CkptSeqNo(2)));
+        feed(&mut e, internal(1));
+        feed(&mut e, passed_at(1, 1)); // stale epoch
         assert!(e.pseudo_dirty_bit());
-        e.handle(passed_at(2, 1)); // current epoch
+        feed(&mut e, passed_at(2, 1)); // current epoch
         assert!(!e.pseudo_dirty_bit());
     }
 
     #[test]
     fn app_messages_held_during_blocking_passed_at_processed() {
         let mut e = engine(MdcdConfig::modified());
-        e.handle(internal(1));
-        e.handle(Event::BlockingStarted);
+        feed(&mut e, internal(1));
+        feed(&mut e, Event::BlockingStarted);
         let app = Envelope::new(
             MsgId {
                 from: PEER,
@@ -449,23 +455,23 @@ mod tests {
                 dirty: false,
             },
         );
-        assert!(e.handle(Event::Deliver(app.clone())).is_empty(), "held");
+        assert!(feed(&mut e, Event::Deliver(app.clone())).is_empty(), "held");
         // passed_AT flows through the blockade (Table 1: all but passed_AT).
-        e.handle(passed_at(0, 1));
+        feed(&mut e, passed_at(0, 1));
         assert!(!e.pseudo_dirty_bit());
-        let released = e.handle(Event::BlockingEnded);
+        let released = feed(&mut e, Event::BlockingEnded);
         assert_eq!(released, vec![Action::DeliverToApp(app)]);
     }
 
     #[test]
     fn original_variant_blocks_even_passed_at() {
         let mut e = engine(MdcdConfig::write_through());
-        e.handle(Event::BlockingStarted);
+        feed(&mut e, Event::BlockingStarted);
         assert!(
-            e.handle(passed_at(0, 1)).is_empty(),
+            feed(&mut e, passed_at(0, 1)).is_empty(),
             "held under original TB"
         );
-        let released = e.handle(Event::BlockingEnded);
+        let released = feed(&mut e, Event::BlockingEnded);
         assert!(
             matches!(
                 released[0],
@@ -481,7 +487,7 @@ mod tests {
     #[test]
     fn original_variant_never_takes_pseudo_checkpoints() {
         let mut e = engine(MdcdConfig::original());
-        let actions = e.handle(internal(1));
+        let actions = feed(&mut e, internal(1));
         assert_eq!(actions.len(), 1);
         assert!(actions[0].is_send());
         assert!(e.checkpoint_bit(), "original P1act is always dirty for TB");
@@ -490,9 +496,9 @@ mod tests {
     #[test]
     fn sequence_numbers_count_internal_and_external_sends() {
         let mut e = engine(MdcdConfig::modified());
-        e.handle(internal(1));
-        e.handle(external(true));
-        e.handle(internal(2));
+        feed(&mut e, internal(1));
+        feed(&mut e, external(true));
+        feed(&mut e, internal(2));
         assert_eq!(e.msg_sn(), MsgSeqNo(3));
         assert_eq!(e.at_runs(), 1);
     }
@@ -500,19 +506,19 @@ mod tests {
     #[test]
     fn restore_resets_control_state_but_not_ndc() {
         let mut e = engine(MdcdConfig::modified());
-        e.handle(Event::StableCheckpointCommitted(CkptSeqNo(5)));
-        let actions = e.handle(internal(1));
+        feed(&mut e, Event::StableCheckpointCommitted(CkptSeqNo(5)));
+        let actions = feed(&mut e, internal(1));
         let snap = match &actions[0] {
             Action::TakeCheckpoint { engine, .. } => engine.clone(),
             _ => panic!("expected checkpoint"),
         };
-        e.handle(internal(2));
+        feed(&mut e, internal(2));
         e.restore(&snap);
         assert!(!e.pseudo_dirty_bit());
         assert_eq!(e.msg_sn(), MsgSeqNo(0));
         // Ndc survives the rollback: next matching passed_AT still works.
-        e.handle(internal(1));
-        e.handle(passed_at(5, 1));
+        feed(&mut e, internal(1));
+        feed(&mut e, passed_at(5, 1));
         assert!(!e.pseudo_dirty_bit());
     }
 
@@ -520,7 +526,7 @@ mod tests {
     fn dirty_bit_is_constant_one() {
         let mut e = engine(MdcdConfig::modified());
         assert!(e.dirty_bit());
-        e.handle(passed_at(0, 1));
+        feed(&mut e, passed_at(0, 1));
         assert!(e.dirty_bit(), "validation clears pseudo bit, not dirty bit");
     }
 }

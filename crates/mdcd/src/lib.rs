@@ -38,8 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod general;
-
 mod actions;
 mod active;
 mod events;

@@ -25,11 +25,15 @@ use crate::types::{CheckpointKind, MdcdConfig, RecoveryDecision, Variant};
 ///
 /// let mut p2 = PeerEngine::new(MdcdConfig::modified(), ProcessId(3), ProcessId(1), ProcessId(2));
 /// // A (dirty) message from P1act contaminates P2: Type-1 checkpoint first.
-/// let actions = p2.handle(Event::Deliver(Envelope::new(
-///     MsgId { from: ProcessId(1), seq: MsgSeqNo(1) },
-///     ProcessId(3),
-///     MessageBody::Application { payload: vec![1], dirty: true },
-/// )));
+/// let mut actions = Vec::new();
+/// p2.handle_into(
+///     Event::Deliver(Envelope::new(
+///         MsgId { from: ProcessId(1), seq: MsgSeqNo(1) },
+///         ProcessId(3),
+///         MessageBody::Application { payload: vec![1], dirty: true },
+///     )),
+///     &mut actions,
+/// );
 /// assert!(actions[0].is_checkpoint());
 /// assert!(p2.dirty_bit());
 /// ```
@@ -129,6 +133,10 @@ impl PeerEngine {
 
     /// Feeds one event, returning the actions to execute in order:
     /// [`handle_into`](Self::handle_into) over a fresh vector.
+    ///
+    /// Its one caller is the benchmark's MDCD delivery probe
+    /// (`ledger/src/probes.rs`); it goes when that probe moves to
+    /// `handle_into` in the next benchmark change.
     pub fn handle(&mut self, event: Event) -> Vec<Action> {
         let mut out = Vec::new();
         self.handle_into(event, &mut out);
@@ -315,6 +323,13 @@ mod tests {
         PeerEngine::new(cfg, SELF, ACT, SDW)
     }
 
+    /// Feeds `event`, collecting the actions it produces.
+    fn feed(e: &mut PeerEngine, event: Event) -> Vec<Action> {
+        let mut out = Vec::new();
+        e.handle_into(event, &mut out);
+        out
+    }
+
     fn from_active(seq: u64) -> Event {
         Event::Deliver(Envelope::new(
             MsgId {
@@ -364,7 +379,7 @@ mod tests {
     #[test]
     fn internal_sends_broadcast_to_both_replicas() {
         let mut e = engine(MdcdConfig::modified());
-        let actions = e.handle(internal(1));
+        let actions = feed(&mut e, internal(1));
         let dests: Vec<Endpoint> = actions
             .iter()
             .filter_map(|a| match a {
@@ -382,7 +397,7 @@ mod tests {
     #[test]
     fn first_dirty_reception_takes_type1_and_tracks_sn() {
         let mut e = engine(MdcdConfig::modified());
-        let actions = e.handle(from_active(4));
+        let actions = feed(&mut e, from_active(4));
         assert!(actions[0].is_checkpoint());
         assert!(e.dirty_bit());
         assert_eq!(e.vr_act(), MsgSeqNo(4));
@@ -391,7 +406,7 @@ mod tests {
     #[test]
     fn clean_external_send_skips_at() {
         let mut e = engine(MdcdConfig::modified());
-        let actions = e.handle(external(true));
+        let actions = feed(&mut e, external(true));
         assert_eq!(actions.len(), 1);
         assert!(actions[0].is_send());
         assert_eq!(e.at_runs(), 0);
@@ -400,8 +415,8 @@ mod tests {
     #[test]
     fn dirty_external_send_runs_at_and_vouches_for_active() {
         let mut e = engine(MdcdConfig::modified());
-        e.handle(from_active(7));
-        let actions = e.handle(external(true));
+        feed(&mut e, from_active(7));
+        let actions = feed(&mut e, external(true));
         assert!(matches!(actions[0], Action::AtPerformed { pass: true }));
         assert!(!e.dirty_bit());
         let passed: Vec<&Envelope> = actions
@@ -425,8 +440,8 @@ mod tests {
     #[test]
     fn at_failure_reports_software_error() {
         let mut e = engine(MdcdConfig::modified());
-        e.handle(from_active(1));
-        let actions = e.handle(external(false));
+        feed(&mut e, from_active(1));
+        let actions = feed(&mut e, external(false));
         assert!(actions.contains(&Action::SoftwareErrorDetected));
         assert!(e.dirty_bit(), "failed AT leaves the state contaminated");
     }
@@ -434,38 +449,38 @@ mod tests {
     #[test]
     fn passed_at_ndc_guard_drops_stale_accepts_current_and_early() {
         let mut e = engine(MdcdConfig::modified());
-        e.handle(Event::StableCheckpointCommitted(CkptSeqNo(2)));
-        e.handle(from_active(1));
+        feed(&mut e, Event::StableCheckpointCommitted(CkptSeqNo(2)));
+        feed(&mut e, from_active(1));
         // Stale epoch: dropped (Fig. 4(b) protection).
-        e.handle(passed_at(3, 1));
+        feed(&mut e, passed_at(3, 1));
         assert!(e.dirty_bit());
         // Current epoch: accepted.
-        e.handle(passed_at(3, 2));
+        feed(&mut e, passed_at(3, 2));
         assert!(!e.dirty_bit());
         assert_eq!(e.vr_act(), MsgSeqNo(3));
         // Early epoch while idle: accepted (knowledge update only).
-        e.handle(from_active(4));
-        e.handle(passed_at(4, 5));
+        feed(&mut e, from_active(4));
+        feed(&mut e, passed_at(4, 5));
         assert!(!e.dirty_bit());
     }
 
     #[test]
     fn early_passed_at_during_blocking_is_deferred() {
         let mut e = engine(MdcdConfig::modified());
-        e.handle(from_active(1));
-        e.handle(Event::BlockingStarted);
-        e.handle(passed_at(1, 1));
+        feed(&mut e, from_active(1));
+        feed(&mut e, Event::BlockingStarted);
+        feed(&mut e, passed_at(1, 1));
         assert!(e.dirty_bit(), "in-flight epoch must not be adjusted");
-        e.handle(Event::StableCheckpointCommitted(CkptSeqNo(1)));
-        e.handle(Event::BlockingEnded);
+        feed(&mut e, Event::StableCheckpointCommitted(CkptSeqNo(1)));
+        feed(&mut e, Event::BlockingEnded);
         assert!(!e.dirty_bit());
     }
 
     #[test]
     fn original_variant_type2_on_passed_at() {
         let mut e = engine(MdcdConfig::original());
-        e.handle(from_active(1));
-        let actions = e.handle(passed_at(1, 42));
+        feed(&mut e, from_active(1));
+        let actions = feed(&mut e, passed_at(1, 42));
         assert!(matches!(
             actions[0],
             Action::TakeCheckpoint {
@@ -479,8 +494,8 @@ mod tests {
     #[test]
     fn original_variant_type2_on_own_at_pass() {
         let mut e = engine(MdcdConfig::original());
-        e.handle(from_active(1));
-        let actions = e.handle(external(true));
+        feed(&mut e, from_active(1));
+        let actions = feed(&mut e, external(true));
         assert!(
             actions.iter().any(|a| matches!(
                 a,
@@ -496,10 +511,10 @@ mod tests {
     #[test]
     fn blocking_holds_app_messages() {
         let mut e = engine(MdcdConfig::modified());
-        e.handle(Event::BlockingStarted);
-        assert!(e.handle(from_active(1)).is_empty());
+        feed(&mut e, Event::BlockingStarted);
+        assert!(feed(&mut e, from_active(1)).is_empty());
         assert!(!e.dirty_bit(), "held message has not contaminated yet");
-        let released = e.handle(Event::BlockingEnded);
+        let released = feed(&mut e, Event::BlockingEnded);
         assert_eq!(released.len(), 2);
         assert!(e.dirty_bit());
     }
@@ -510,10 +525,10 @@ mod tests {
         // arrives inside the blocking period and must reset the dirty bit so
         // the TB driver can switch checkpoint contents.
         let mut e = engine(MdcdConfig::modified());
-        e.handle(from_active(1));
-        e.handle(Event::BlockingStarted);
+        feed(&mut e, from_active(1));
+        feed(&mut e, Event::BlockingStarted);
         assert!(e.dirty_bit());
-        e.handle(passed_at(1, 0));
+        feed(&mut e, passed_at(1, 0));
         assert!(!e.dirty_bit());
     }
 
@@ -521,7 +536,7 @@ mod tests {
     fn retarget_active_after_takeover_sends_single_copy() {
         let mut e = engine(MdcdConfig::modified());
         e.retarget_active(SDW);
-        let actions = e.handle(internal(1));
+        let actions = feed(&mut e, internal(1));
         let sends = actions.iter().filter(|a| a.is_send()).count();
         assert_eq!(sends, 1, "no shadow remains after takeover");
     }
@@ -541,7 +556,7 @@ mod tests {
                 dirty: false,
             },
         ));
-        let actions = e.handle(clean);
+        let actions = feed(&mut e, clean);
         assert_eq!(actions.len(), 1, "no checkpoint for a clean message");
         assert!(!e.dirty_bit());
     }
@@ -549,7 +564,7 @@ mod tests {
     #[test]
     fn snapshot_restore_roundtrip() {
         let mut e = engine(MdcdConfig::modified());
-        e.handle(from_active(5));
+        feed(&mut e, from_active(5));
         let snap = e.snapshot();
         let mut other = engine(MdcdConfig::modified());
         other.restore(&snap);
@@ -561,7 +576,7 @@ mod tests {
     fn recovery_decision_follows_dirty_bit() {
         let mut e = engine(MdcdConfig::modified());
         assert_eq!(e.recovery_decision(), RecoveryDecision::RollForward);
-        e.handle(from_active(1));
+        feed(&mut e, from_active(1));
         assert_eq!(e.recovery_decision(), RecoveryDecision::RollBack);
     }
 }

@@ -33,12 +33,16 @@ pub struct TakeoverPlan {
 ///
 /// let mut sdw = ShadowEngine::new(MdcdConfig::modified(), ProcessId(2), ProcessId(3));
 /// // Shadow computes the same outputs as P1act, but they are suppressed:
-/// let actions = sdw.handle(Event::AppSend(OutboundMessage {
-///     to: Endpoint::Process(ProcessId(3)),
-///     payload: vec![1],
-///     external: false,
-///     at_pass: true,
-/// }));
+/// let mut actions = Vec::new();
+/// sdw.handle_into(
+///     Event::AppSend(OutboundMessage {
+///         to: Endpoint::Process(ProcessId(3)),
+///         payload: vec![1],
+///         external: false,
+///         at_pass: true,
+///     }),
+///     &mut actions,
+/// );
 /// assert!(actions.is_empty());
 /// assert_eq!(sdw.logged(), 1);
 /// // An error is detected; the clean shadow rolls forward and takes over:
@@ -158,14 +162,6 @@ impl ShadowEngine {
         self.log.restore(snapshot.log.iter().cloned());
         self.promoted = snapshot.promoted;
         self.hold.reset();
-    }
-
-    /// Feeds one event, returning the actions to execute in order:
-    /// [`handle_into`](Self::handle_into) over a fresh vector.
-    pub fn handle(&mut self, event: Event) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.handle_into(event, &mut out);
-        out
     }
 
     /// Feeds one event, appending the actions to execute, in order, to
@@ -338,6 +334,13 @@ mod tests {
         ShadowEngine::new(cfg, SELF, PEER)
     }
 
+    /// Feeds `event`, collecting the actions it produces.
+    fn feed(e: &mut ShadowEngine, event: Event) -> Vec<Action> {
+        let mut out = Vec::new();
+        e.handle_into(event, &mut out);
+        out
+    }
+
     fn app_send(payload: u8, external: bool) -> Event {
         Event::AppSend(OutboundMessage {
             to: if external {
@@ -382,15 +385,15 @@ mod tests {
     #[test]
     fn outgoing_messages_are_suppressed_and_logged() {
         let mut e = engine(MdcdConfig::modified());
-        assert!(e.handle(app_send(1, false)).is_empty());
-        assert!(e.handle(app_send(2, true)).is_empty());
+        assert!(feed(&mut e, app_send(1, false)).is_empty());
+        assert!(feed(&mut e, app_send(2, true)).is_empty());
         assert_eq!(e.logged(), 2);
     }
 
     #[test]
     fn dirty_message_triggers_type1_checkpoint_once() {
         let mut e = engine(MdcdConfig::modified());
-        let first = e.handle(from_peer(1, true));
+        let first = feed(&mut e, from_peer(1, true));
         assert!(matches!(
             first[0],
             Action::TakeCheckpoint {
@@ -400,14 +403,14 @@ mod tests {
         ));
         assert!(matches!(first[1], Action::DeliverToApp(_)));
         assert!(e.dirty_bit());
-        let second = e.handle(from_peer(2, true));
+        let second = feed(&mut e, from_peer(2, true));
         assert_eq!(second.len(), 1, "already dirty: no second checkpoint");
     }
 
     #[test]
     fn type1_snapshot_is_clean() {
         let mut e = engine(MdcdConfig::modified());
-        let actions = e.handle(from_peer(1, true));
+        let actions = feed(&mut e, from_peer(1, true));
         match &actions[0] {
             Action::TakeCheckpoint { engine, .. } => assert!(!engine.dirty),
             other => panic!("expected checkpoint, got {other:?}"),
@@ -417,7 +420,7 @@ mod tests {
     #[test]
     fn clean_message_does_not_contaminate() {
         let mut e = engine(MdcdConfig::modified());
-        let actions = e.handle(from_peer(1, false));
+        let actions = feed(&mut e, from_peer(1, false));
         assert_eq!(actions.len(), 1);
         assert!(!e.dirty_bit());
     }
@@ -426,11 +429,11 @@ mod tests {
     fn passed_at_resets_dirty_updates_vr_and_reclaims_log() {
         let mut e = engine(MdcdConfig::modified());
         for p in 1..=3 {
-            e.handle(app_send(p, false));
+            feed(&mut e, app_send(p, false));
         }
-        e.handle(from_peer(1, true));
+        feed(&mut e, from_peer(1, true));
         assert!(e.dirty_bit());
-        e.handle(passed_at(2, 0));
+        feed(&mut e, passed_at(2, 0));
         assert!(!e.dirty_bit());
         assert_eq!(e.vr_act(), MsgSeqNo(2));
         assert_eq!(e.logged(), 1, "entries <= VR reclaimed");
@@ -439,26 +442,26 @@ mod tests {
     #[test]
     fn stale_passed_at_is_dropped_early_one_deferred_or_accepted() {
         let mut e = engine(MdcdConfig::modified());
-        e.handle(Event::StableCheckpointCommitted(CkptSeqNo(3)));
-        e.handle(from_peer(1, true));
+        feed(&mut e, Event::StableCheckpointCommitted(CkptSeqNo(3)));
+        feed(&mut e, from_peer(1, true));
         // Stale (past-epoch) notification: the Fig. 4(b) hazard — dropped.
-        e.handle(passed_at(1, 2));
+        feed(&mut e, passed_at(1, 2));
         assert!(e.dirty_bit(), "stale Ndc must not reset the dirty bit");
         // Early (future-epoch) notification while idle: knowledge update.
-        e.handle(passed_at(1, 4));
+        feed(&mut e, passed_at(1, 4));
         assert!(!e.dirty_bit());
     }
 
     #[test]
     fn early_passed_at_during_blocking_is_deferred_past_commit() {
         let mut e = engine(MdcdConfig::modified());
-        e.handle(from_peer(1, true));
-        e.handle(Event::BlockingStarted);
+        feed(&mut e, from_peer(1, true));
+        feed(&mut e, Event::BlockingStarted);
         // The sender already committed epoch 1; we are still writing ours.
-        e.handle(passed_at(1, 1));
+        feed(&mut e, passed_at(1, 1));
         assert!(e.dirty_bit(), "must not adjust the in-flight epoch");
-        e.handle(Event::StableCheckpointCommitted(CkptSeqNo(1)));
-        e.handle(Event::BlockingEnded);
+        feed(&mut e, Event::StableCheckpointCommitted(CkptSeqNo(1)));
+        feed(&mut e, Event::BlockingEnded);
         assert!(!e.dirty_bit(), "deferred validation applies after commit");
         assert_eq!(e.vr_act(), MsgSeqNo(1));
     }
@@ -466,8 +469,8 @@ mod tests {
     #[test]
     fn original_variant_takes_type2_and_ignores_ndc() {
         let mut e = engine(MdcdConfig::original());
-        e.handle(from_peer(1, true));
-        let actions = e.handle(passed_at(1, 99));
+        feed(&mut e, from_peer(1, true));
+        let actions = feed(&mut e, passed_at(1, 99));
         assert!(matches!(
             actions[0],
             Action::TakeCheckpoint {
@@ -482,9 +485,9 @@ mod tests {
     fn takeover_resends_only_unvalidated_entries() {
         let mut e = engine(MdcdConfig::modified());
         for p in 1..=4 {
-            e.handle(app_send(p, false));
+            feed(&mut e, app_send(p, false));
         }
-        e.handle(passed_at(2, 0)); // entries 1,2 validated
+        feed(&mut e, passed_at(2, 0)); // entries 1,2 validated
         let plan = e.take_over();
         let seqs: Vec<u64> = plan.resend.iter().map(|m| m.id.seq.0).collect();
         assert_eq!(seqs, vec![3, 4]);
@@ -495,23 +498,23 @@ mod tests {
     fn recovery_decision_follows_dirty_bit() {
         let mut e = engine(MdcdConfig::modified());
         assert_eq!(e.recovery_decision(), RecoveryDecision::RollForward);
-        e.handle(from_peer(1, true));
+        feed(&mut e, from_peer(1, true));
         assert_eq!(e.recovery_decision(), RecoveryDecision::RollBack);
     }
 
     #[test]
     fn rollback_then_takeover_uses_restored_log() {
         let mut e = engine(MdcdConfig::modified());
-        e.handle(app_send(1, false));
+        feed(&mut e, app_send(1, false));
         // Contamination point: Type-1 checkpoint with 1 logged entry.
-        let ckpt = e.handle(from_peer(1, true));
+        let ckpt = feed(&mut e, from_peer(1, true));
         let snap = match &ckpt[0] {
             Action::TakeCheckpoint { engine, .. } => engine.clone(),
             _ => panic!("expected checkpoint"),
         };
         // More suppressed messages while dirty.
-        e.handle(app_send(2, false));
-        e.handle(app_send(3, false));
+        feed(&mut e, app_send(2, false));
+        feed(&mut e, app_send(3, false));
         assert_eq!(e.recovery_decision(), RecoveryDecision::RollBack);
         e.restore(&snap);
         let plan = e.take_over();
@@ -523,7 +526,7 @@ mod tests {
     fn promoted_shadow_sends_directly() {
         let mut e = engine(MdcdConfig::modified());
         e.take_over();
-        let actions = e.handle(app_send(1, false));
+        let actions = feed(&mut e, app_send(1, false));
         assert_eq!(actions.len(), 1);
         match &actions[0] {
             Action::Send(env) => match &env.body {
@@ -538,7 +541,7 @@ mod tests {
     fn promoted_clean_shadow_skips_at_on_external() {
         let mut e = engine(MdcdConfig::modified());
         e.take_over();
-        let actions = e.handle(app_send(1, true));
+        let actions = feed(&mut e, app_send(1, true));
         assert_eq!(actions.len(), 1, "no AT, no passed_AT while clean");
         assert!(actions[0].is_send());
         assert_eq!(e.at_runs(), 0);
@@ -548,8 +551,8 @@ mod tests {
     fn promoted_dirty_shadow_runs_at_and_broadcasts() {
         let mut e = engine(MdcdConfig::modified());
         e.take_over();
-        e.handle(from_peer(1, true)); // becomes dirty again
-        let actions = e.handle(app_send(1, true));
+        feed(&mut e, from_peer(1, true)); // becomes dirty again
+        let actions = feed(&mut e, app_send(1, true));
         assert!(matches!(actions[0], Action::AtPerformed { pass: true }));
         let passed: usize = actions
             .iter()
@@ -562,11 +565,11 @@ mod tests {
     #[test]
     fn blocking_holds_app_but_not_passed_at_in_modified() {
         let mut e = engine(MdcdConfig::modified());
-        e.handle(Event::BlockingStarted);
-        assert!(e.handle(from_peer(1, true)).is_empty());
-        e.handle(passed_at(1, 0));
+        feed(&mut e, Event::BlockingStarted);
+        assert!(feed(&mut e, from_peer(1, true)).is_empty());
+        feed(&mut e, passed_at(1, 0));
         assert!(!e.dirty_bit(), "passed_AT processed during blocking");
-        let released = e.handle(Event::BlockingEnded);
+        let released = feed(&mut e, Event::BlockingEnded);
         // The held dirty message now contaminates: Type-1 + delivery.
         assert_eq!(released.len(), 2);
         assert!(released[0].is_checkpoint());
@@ -575,8 +578,8 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_preserves_log() {
         let mut e = engine(MdcdConfig::modified());
-        e.handle(app_send(1, false));
-        e.handle(from_peer(1, true));
+        feed(&mut e, app_send(1, false));
+        feed(&mut e, from_peer(1, true));
         let snap = e.snapshot();
         let mut other = engine(MdcdConfig::modified());
         other.restore(&snap);

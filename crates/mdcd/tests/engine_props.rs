@@ -55,6 +55,13 @@ fn random_stims(rng: &mut DetRng, max_len: u64) -> Vec<Stim> {
     (0..len).map(|_| random_stim(rng)).collect()
 }
 
+/// Runs one `handle_into` call, collecting the actions it appends.
+fn collect(handle_into: impl FnOnce(&mut Vec<Action>)) -> Vec<Action> {
+    let mut out = Vec::new();
+    handle_into(&mut out);
+    out
+}
+
 struct Driver {
     peer_seq: u64,
     act_seq: u64,
@@ -167,7 +174,7 @@ fn peer_engine_invariants() {
                 continue;
             };
             let dirty_before = engine.dirty_bit();
-            let actions = engine.handle(event);
+            let actions = collect(|out| engine.handle_into(event, out));
             // Dirty transition 0 -> 1 must produce a clean Type-1 snapshot.
             if !dirty_before && engine.dirty_bit() {
                 let ckpt = actions.iter().find_map(|a| match a {
@@ -220,7 +227,7 @@ fn shadow_engine_invariants() {
             let Some(event) = driver.event(stim, PEER) else {
                 continue;
             };
-            let actions = engine.handle(event);
+            let actions = collect(|out| engine.handle_into(event, out));
             for a in &actions {
                 assert!(
                     !a.is_send(),
@@ -255,7 +262,7 @@ fn active_engine_invariants() {
             let batched = matches!(event, Event::BlockingEnded);
             let pseudo_before = engine.pseudo_dirty_bit();
             let halted_before = engine.is_halted();
-            let actions = engine.handle(event);
+            let actions = collect(|out| engine.handle_into(event, out));
             if halted_before {
                 assert!(
                     actions.is_empty(),
@@ -304,22 +311,27 @@ fn blocking_preserves_all_deliveries() {
     for case in 0..100 {
         let n = rng.gen_range(1u64..20) as usize;
         let mut engine = PeerEngine::new(MdcdConfig::modified(), PEER, ACT, SDW);
-        engine.handle(Event::BlockingStarted);
+        engine.handle_into(Event::BlockingStarted, &mut Vec::new());
         for seq in 1..=n as u64 {
-            let held = engine.handle(Event::Deliver(Envelope::new(
-                MsgId {
-                    from: ACT,
-                    seq: MsgSeqNo(seq),
-                },
-                PEER,
-                MessageBody::Application {
-                    payload: vec![0],
-                    dirty: true,
-                },
-            )));
+            let held = collect(|out| {
+                engine.handle_into(
+                    Event::Deliver(Envelope::new(
+                        MsgId {
+                            from: ACT,
+                            seq: MsgSeqNo(seq),
+                        },
+                        PEER,
+                        MessageBody::Application {
+                            payload: vec![0],
+                            dirty: true,
+                        },
+                    )),
+                    out,
+                )
+            });
             assert!(held.is_empty(), "case={case}");
         }
-        let released = engine.handle(Event::BlockingEnded);
+        let released = collect(|out| engine.handle_into(Event::BlockingEnded, out));
         let delivered: Vec<u64> = released
             .iter()
             .filter_map(|a| match a {

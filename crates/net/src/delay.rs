@@ -31,22 +31,6 @@ impl DelayModel {
         DelayModel::Uniform { min, max }
     }
 
-    /// The smallest delay this model can produce (`tmin`).
-    pub fn min_delay(&self) -> SimDuration {
-        match *self {
-            DelayModel::Fixed(d) => d,
-            DelayModel::Uniform { min, .. } => min,
-        }
-    }
-
-    /// The largest delay this model can produce (`tmax`).
-    pub fn max_delay(&self) -> SimDuration {
-        match *self {
-            DelayModel::Fixed(d) => d,
-            DelayModel::Uniform { max, .. } => max,
-        }
-    }
-
     /// Draws one delivery delay.
     pub fn sample(&self, rng: &mut DetRng) -> SimDuration {
         match *self {
@@ -80,7 +64,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(m.sample(&mut rng), SimDuration::from_millis(3));
         }
-        assert_eq!(m.min_delay(), m.max_delay());
     }
 
     #[test]
@@ -111,7 +94,9 @@ mod tests {
 
     #[test]
     fn default_is_sane() {
-        let m = DelayModel::default();
-        assert!(m.min_delay() < m.max_delay());
+        let DelayModel::Uniform { min, max } = DelayModel::default() else {
+            panic!("the default model is uniform");
+        };
+        assert!(min < max);
     }
 }

@@ -2,18 +2,17 @@
 //!
 //! Two layers share this module:
 //!
-//! * [`LinkFaults`] — per-message loss/duplication probabilities, consumed
-//!   by the simulator's `SimNetwork` routing model.
+//! * [`LinkFaults`] — per-message loss/duplication probabilities.
 //! * [`LinkFaultPlan`] — a full deterministic fault schedule for a *live*
-//!   transport ([`FaultyTransport`](crate::FaultyTransport)): the same
+//!   transport ([`FaultyTransport`](crate::FaultyTransport)): those
 //!   probabilities plus bounded delays, timed link partitions, and the
 //!   retransmission policy that masks the injected loss. The plan is
 //!   [`Codec`]-serializable so a cluster orchestrator can ship it to node
 //!   processes on the command line.
 //!
-//! Keeping both in one module is deliberate: the simulator and the cluster
-//! draw from the same fault vocabulary, exactly as `NodeId`/`FaultPlan`
-//! already do for crashes.
+//! The simulator's network injects no link faults: its channels are the
+//! reliable FIFO links the protocols assume. Loss and duplication are
+//! injected on the live wire only.
 
 use synergy_codec::codec_struct;
 use synergy_des::DetRng;
@@ -144,22 +143,40 @@ impl LinkFaultPlan {
         self.faults == LinkFaults::NONE && self.delay_ms == (0, 0) && self.partitions.is_empty()
     }
 
-    /// Validates ranges that the injector relies on.
+    /// Checks the ranges the injector relies on.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an empty attempt budget or inverted delay bounds.
-    pub fn validate(&self) {
-        assert!(self.max_attempts >= 1, "max_attempts must be at least 1");
-        assert!(
-            self.delay_ms.0 <= self.delay_ms.1,
-            "inverted delay bounds {:?}",
-            self.delay_ms
-        );
-        assert!(self.retry_ms.0 >= 1, "retry start must be nonzero");
-        for w in &self.partitions {
-            assert!(w.start_ms < w.end_ms, "empty partition window {w:?}");
+    /// A message naming the field: a drop or duplication probability
+    /// outside `[0, 1]` (NaN included), an empty attempt budget, inverted
+    /// delay bounds, a zero retry start, or an empty partition window.
+    pub fn validate(&self) -> Result<(), String> {
+        check_probability("drop_prob", self.faults.drop_prob)?;
+        check_probability("dup_prob", self.faults.dup_prob)?;
+        if self.max_attempts < 1 {
+            return Err("max_attempts must be at least 1".into());
         }
+        if self.delay_ms.0 > self.delay_ms.1 {
+            return Err(format!("inverted delay_ms bounds {:?}", self.delay_ms));
+        }
+        if self.retry_ms.0 < 1 {
+            return Err("retry_ms start must be nonzero".into());
+        }
+        match self.partitions.iter().find(|w| w.start_ms >= w.end_ms) {
+            Some(w) => Err(format!("empty partition window {w:?}")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// `Ok` when `p` is a probability, i.e. inside `[0, 1]` (NaN is not); the
+/// error names `field`. Fault plans decoded from outside the process go
+/// through this before any draw asserts on them.
+pub fn check_probability(field: &str, p: f64) -> Result<(), String> {
+    if (0.0..=1.0).contains(&p) {
+        Ok(())
+    } else {
+        Err(format!("{field} must be in [0, 1], got {p}"))
     }
 }
 
@@ -262,7 +279,7 @@ mod tests {
             retry_ms: (4, 60),
             seed: 0xDEAD_BEEF,
         };
-        plan.validate();
+        assert_eq!(plan.validate(), Ok(()));
         let bytes = synergy_codec::to_bytes(&plan).expect("encode");
         let back: LinkFaultPlan = synergy_codec::from_bytes(&bytes).expect("decode");
         assert_eq!(back, plan);
@@ -273,6 +290,6 @@ mod tests {
     fn zero_attempt_budget_rejected() {
         let mut plan = LinkFaultPlan::inert(0);
         plan.max_attempts = 0;
-        plan.validate();
+        plan.validate().unwrap();
     }
 }

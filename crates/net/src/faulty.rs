@@ -178,7 +178,9 @@ impl<T: Transport> FaultyTransport<T> {
     ///
     /// Panics if the plan fails [`LinkFaultPlan::validate`].
     pub fn new(inner: Arc<T>, plan: LinkFaultPlan) -> Self {
-        plan.validate();
+        if let Err(e) = plan.validate() {
+            panic!("invalid link fault plan: {e}");
+        }
         FaultyTransport {
             shared: Arc::new(Shared {
                 inner,

@@ -5,10 +5,9 @@
 //! moving envelopes around, one per runtime:
 //!
 //! * [`SimNetwork`]: a *pure* routing model for the discrete-event simulator.
-//!   Given a send instant it answers "when does this arrive, if ever?",
-//!   enforcing per-link FIFO order, bounded delays `[tmin, tmax]`, and
-//!   optional loss/duplication injection. The DES driver in the `synergy`
-//!   crate turns those answers into scheduled events.
+//!   Given a send instant it answers "when does this arrive?", enforcing
+//!   per-link FIFO order and bounded delays `[tmin, tmax]`. The DES driver
+//!   in the `synergy` crate turns those answers into scheduled events.
 //! * [`ReactorTransport`]: length-prefixed codec frames over real sockets,
 //!   used by the `synergy-cluster` multi-process runtime. The cluster's node
 //!   loop sends through the [`Transport`] trait, so link-fault injection
@@ -34,7 +33,7 @@ mod transport;
 
 pub use ack::{AckTracker, PendingAcks};
 pub use delay::DelayModel;
-pub use fault::{LinkFaultPlan, LinkFaults, PartitionWindow};
+pub use fault::{check_probability, LinkFaultPlan, LinkFaults, PartitionWindow};
 pub use faulty::{FaultTotals, FaultyTransport, LostFrame};
 pub use frame::{
     frame_envelope, frame_envelope_with_acks, FrameDecoder, FrameError, PiggyAck, MAX_FRAME_LEN,
@@ -46,5 +45,5 @@ pub use message::{
 pub use reactor::{
     GaveUpRoute, ReactorTransport, ReconnectPolicy, SendError, WirePolicy, WireStats,
 };
-pub use sim::{LinkKey, RouteDecision, SimNetwork};
+pub use sim::SimNetwork;
 pub use transport::Transport;

@@ -174,11 +174,6 @@ pub enum MessageBody {
 }
 
 impl MessageBody {
-    /// Whether this is an application-purpose (internal) message.
-    pub fn is_application(&self) -> bool {
-        matches!(self, MessageBody::Application { .. })
-    }
-
     /// Whether this is a `passed_AT` notification.
     pub fn is_passed_at(&self) -> bool {
         matches!(self, MessageBody::PassedAt { .. })
@@ -187,11 +182,6 @@ impl MessageBody {
     /// Whether this is a transport acknowledgment.
     pub fn is_ack(&self) -> bool {
         matches!(self, MessageBody::Ack { .. })
-    }
-
-    /// Whether this is an external (device-bound) message.
-    pub fn is_external(&self) -> bool {
-        matches!(self, MessageBody::External { .. })
     }
 }
 
@@ -368,9 +358,9 @@ mod tests {
                 seq: MsgSeqNo(3),
             },
         };
-        assert!(app.is_application() && !app.is_external());
-        assert!(ext.is_external() && !ext.is_ack());
-        assert!(pat.is_passed_at() && !pat.is_application());
+        assert!(!app.is_passed_at() && !app.is_ack());
+        assert!(!ext.is_passed_at() && !ext.is_ack());
+        assert!(pat.is_passed_at() && !pat.is_ack());
         assert!(ack.is_ack() && !ack.is_passed_at());
     }
 

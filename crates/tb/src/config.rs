@@ -28,12 +28,6 @@ pub struct TbConfig {
     pub tmin: SimDuration,
     /// Maximum message-delivery delay (`tmax`).
     pub tmax: SimDuration,
-    /// Request a timer resynchronization when the worst-case blocking period
-    /// of the *next* interval would exceed this fraction of `Δ`. The paper's
-    /// `createCKPT` requests resynchronization once accumulated drift makes
-    /// blocking periods too long relative to the interval; 0.25 keeps
-    /// blocking below a quarter of the interval.
-    pub resync_threshold: f64,
 }
 
 impl TbConfig {
@@ -41,8 +35,7 @@ impl TbConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `interval` is zero, `tmin > tmax`, or `resync_threshold`
-    /// is outside `(0, 1]`.
+    /// Panics if `interval` is zero or `tmin > tmax`.
     pub fn new(
         variant: TbVariant,
         interval: SimDuration,
@@ -58,22 +51,7 @@ impl TbConfig {
             sync,
             tmin,
             tmax,
-            resync_threshold: 0.25,
         }
-    }
-
-    /// Overrides the resynchronization threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is outside `(0, 1]`.
-    pub fn with_resync_threshold(mut self, threshold: f64) -> Self {
-        assert!(
-            threshold > 0.0 && threshold <= 1.0,
-            "resync threshold out of range: {threshold}"
-        );
-        self.resync_threshold = threshold;
-        self
     }
 }
 
@@ -95,7 +73,6 @@ mod tests {
             SimDuration::from_millis(2),
         );
         assert_eq!(c.variant, TbVariant::Adapted);
-        assert_eq!(c.resync_threshold, 0.25);
     }
 
     #[test]
@@ -120,18 +97,5 @@ mod tests {
             SimDuration::from_millis(5),
             SimDuration::from_millis(1),
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "resync threshold out of range")]
-    fn bad_threshold_rejected() {
-        TbConfig::new(
-            TbVariant::Original,
-            SimDuration::from_secs(1),
-            sync(),
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-        )
-        .with_resync_threshold(0.0);
     }
 }

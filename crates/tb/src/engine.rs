@@ -8,6 +8,11 @@ use crate::blocking::blocking_period;
 use crate::config::{TbConfig, TbVariant};
 use crate::events::Event;
 
+/// `createCKPT` requests a timer resynchronization once accumulated drift
+/// would make the *next* interval's worst-case blocking period exceed this
+/// fraction of `Δ`: blocking stays below a quarter of the interval.
+const RESYNC_THRESHOLD: f64 = 0.25;
+
 /// Sans-io engine for one process's time-based checkpointing.
 ///
 /// # Example
@@ -30,10 +35,14 @@ use crate::events::Event;
 ///
 /// // Timer fires while the process is dirty: begin copying the volatile
 /// // checkpoint to disk and block.
-/// let fired = tb.handle(Event::TimerExpired {
-///     now_local: LocalTime::from_nanos(1_000_000_000),
-///     dirty: true,
-/// });
+/// let mut fired = Vec::new();
+/// tb.handle_into(
+///     Event::TimerExpired {
+///         now_local: LocalTime::from_nanos(1_000_000_000),
+///         dirty: true,
+///     },
+///     &mut fired,
+/// );
 /// assert!(matches!(
 ///     fired[0],
 ///     Action::BeginStableWrite { contents: ContentsChoice::VolatileCopy, .. }
@@ -99,14 +108,6 @@ impl TbEngine {
         }]
     }
 
-    /// Feeds one event, returning the actions to execute in order:
-    /// [`handle_into`](Self::handle_into) over a fresh vector.
-    pub fn handle(&mut self, event: Event) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.handle_into(event, &mut out);
-        out
-    }
-
     /// Feeds one event, appending the actions to execute, in order, to
     /// `out`.
     pub fn handle_into(&mut self, event: Event, out: &mut Vec<Action>) {
@@ -164,7 +165,7 @@ impl TbEngine {
             self.cfg.tmax,
             true,
         );
-        if worst_next > self.cfg.interval.mul_f64(self.cfg.resync_threshold) {
+        if worst_next > self.cfg.interval.mul_f64(RESYNC_THRESHOLD) {
             self.resyncs_requested += 1;
             out.push(Action::RequestResync);
         }
@@ -223,11 +224,21 @@ mod tests {
         )
     }
 
+    /// Feeds `event`, collecting the actions it produces.
+    fn feed(engine: &mut TbEngine, event: Event) -> Vec<Action> {
+        let mut out = Vec::new();
+        engine.handle_into(event, &mut out);
+        out
+    }
+
     fn expired(engine: &mut TbEngine, at_secs: f64, dirty: bool) -> Vec<Action> {
-        engine.handle(Event::TimerExpired {
-            now_local: LocalTime::from_nanos((at_secs * 1e9) as u64),
-            dirty,
-        })
+        feed(
+            engine,
+            Event::TimerExpired {
+                now_local: LocalTime::from_nanos((at_secs * 1e9) as u64),
+                dirty,
+            },
+        )
     }
 
     #[test]
@@ -308,7 +319,7 @@ mod tests {
         e.start();
         expired(&mut e, 1.0, false);
         assert_eq!(e.next_deadline(), LocalTime::from_nanos(2_000_000_000));
-        e.handle(Event::BlockingElapsed);
+        feed(&mut e, Event::BlockingElapsed);
         expired(&mut e, 2.0, false);
         assert_eq!(e.next_deadline(), LocalTime::from_nanos(3_000_000_000));
     }
@@ -319,7 +330,7 @@ mod tests {
         expired(&mut e, 1.0, false);
         assert!(e.is_blocking());
         assert_eq!(e.ndc(), CkptSeqNo(0), "Ndc advances at commit, not begin");
-        let a = e.handle(Event::BlockingElapsed);
+        let a = feed(&mut e, Event::BlockingElapsed);
         assert_eq!(a, vec![Action::CommitStableWrite { ndc: CkptSeqNo(1) }]);
         assert_eq!(e.ndc(), CkptSeqNo(1));
         assert!(!e.is_blocking());
@@ -329,9 +340,9 @@ mod tests {
     fn dirty_cleared_replaces_contents_once() {
         let mut e = TbEngine::new(cfg(TbVariant::Adapted));
         expired(&mut e, 1.0, true);
-        let first = e.handle(Event::DirtyCleared);
+        let first = feed(&mut e, Event::DirtyCleared);
         assert_eq!(first, vec![Action::ReplaceWithCurrentState]);
-        let second = e.handle(Event::DirtyCleared);
+        let second = feed(&mut e, Event::DirtyCleared);
         assert!(second.is_empty(), "replacement happens at most once");
     }
 
@@ -339,20 +350,20 @@ mod tests {
     fn dirty_cleared_ignored_when_write_began_clean() {
         let mut e = TbEngine::new(cfg(TbVariant::Adapted));
         expired(&mut e, 1.0, false);
-        assert!(e.handle(Event::DirtyCleared).is_empty());
+        assert!(feed(&mut e, Event::DirtyCleared).is_empty());
     }
 
     #[test]
     fn dirty_cleared_ignored_outside_blocking() {
         let mut e = TbEngine::new(cfg(TbVariant::Adapted));
-        assert!(e.handle(Event::DirtyCleared).is_empty());
+        assert!(feed(&mut e, Event::DirtyCleared).is_empty());
     }
 
     #[test]
     fn original_variant_never_replaces() {
         let mut e = TbEngine::new(cfg(TbVariant::Original));
         expired(&mut e, 1.0, true);
-        assert!(e.handle(Event::DirtyCleared).is_empty());
+        assert!(feed(&mut e, Event::DirtyCleared).is_empty());
     }
 
     #[test]
@@ -362,7 +373,7 @@ mod tests {
         let mut e = TbEngine::new(cfg(TbVariant::Adapted));
         let quiet = expired(&mut e, 1.0, false);
         assert!(!quiet.contains(&Action::RequestResync));
-        e.handle(Event::BlockingElapsed);
+        feed(&mut e, Event::BlockingElapsed);
         let noisy = expired(&mut e, 2000.0, false);
         assert!(noisy.contains(&Action::RequestResync));
         assert_eq!(e.resyncs_requested(), 1);
@@ -371,9 +382,12 @@ mod tests {
     #[test]
     fn resync_completion_resets_drift_accounting() {
         let mut e = TbEngine::new(cfg(TbVariant::Adapted));
-        e.handle(Event::ResyncCompleted {
-            now_local: LocalTime::from_nanos(2_000_000_000_000),
-        });
+        feed(
+            &mut e,
+            Event::ResyncCompleted {
+                now_local: LocalTime::from_nanos(2_000_000_000_000),
+            },
+        );
         // Elapsed-since-resync is now ~0: no resync request.
         let a = expired(&mut e, 2000.5, false);
         assert!(!a.contains(&Action::RequestResync));
@@ -383,10 +397,13 @@ mod tests {
     fn restart_rejoins_deadline_grid() {
         let mut e = TbEngine::new(cfg(TbVariant::Adapted));
         expired(&mut e, 1.0, false);
-        let a = e.handle(Event::Restarted {
-            now_local: LocalTime::from_nanos(5_300_000_000),
-            ndc: CkptSeqNo(5),
-        });
+        let a = feed(
+            &mut e,
+            Event::Restarted {
+                now_local: LocalTime::from_nanos(5_300_000_000),
+                ndc: CkptSeqNo(5),
+            },
+        );
         assert_eq!(
             a,
             vec![Action::ScheduleTimer {

@@ -50,6 +50,16 @@ if git grep -nE 'Node''Store|NodeStore::''Legacy|delta_k (==|>) ''0' -- crates/c
     exit 1
 fi
 
+echo "==> no capability that only its own tests run"
+# The N-component containment layer and its example, the simulator's
+# never-configured link faults and per-link overrides, and the TB resync
+# knob with one value in use are gone, not hidden (names spelt in halves so
+# this line does not find itself).
+if git grep -nE 'mdcd::gen''eral|pipeline_gu''ard|set_link_fa''ults|set_default_fa''ults|Route''Decision|with_resync_thr''eshold' -- crates tests examples scripts .github Cargo.toml; then
+    echo "a deleted test-only capability is referenced again" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -119,8 +129,9 @@ echo "==> fleet smoke: 100 seeded tenants, 4 verified against solo runs"
 # ROADMAP item 3's ratchet: the workspace is meant to shrink. 43 009 at
 # c807614, 41 589 after PR 23, 41 300 after PR 24, 40 545 after PR 25;
 # 40 866 at 1fa848a, 40 094 with the in-process threaded deployment gone,
-# 40 038 with one checkpoint store on the live cluster; every CHANGES.md
-# entry ends with before -> after.
+# 40 038 with one checkpoint store on the live cluster, 39 033 with the
+# test-only capabilities and three of four handle twins gone; every
+# CHANGES.md entry ends with before -> after.
 echo "==> tracked Rust lines: $(git ls-files '*.rs' | xargs cat | wc -l)"
 
 echo "OK: fmt, clippy, tier-1, ledger and smokes all passed"
