@@ -131,11 +131,14 @@ impl PendingAcks {
         self.queue.push_back(ack);
     }
 
-    /// Moves up to `max` acks out, oldest first — what the next data frame
-    /// carries in its header.
-    pub fn drain_for_frame(&mut self, max: usize) -> Vec<PiggyAck> {
+    /// Replaces `out`'s contents with up to `max` acks moved out, oldest
+    /// first — what the next data frame carries in its header. `out` keeps
+    /// its storage, so a buffer reused from frame to frame stops allocating
+    /// once it has held `max` acks.
+    pub fn drain_for_frame(&mut self, max: usize, out: &mut Vec<PiggyAck>) {
         let n = self.queue.len().min(max);
-        self.queue.drain(..n).collect()
+        out.clear();
+        out.extend(self.queue.drain(..n));
     }
 
     /// Acks currently waiting for a ride.
@@ -260,13 +263,33 @@ mod tests {
         for seq in 0..5 {
             p.push(piggy(seq));
         }
-        let first = p.drain_for_frame(3);
-        assert_eq!(first, vec![piggy(0), piggy(1), piggy(2)]);
+        let mut out = Vec::new();
+        p.drain_for_frame(3, &mut out);
+        assert_eq!(out, vec![piggy(0), piggy(1), piggy(2)]);
         assert_eq!(p.len(), 2);
-        let rest = p.drain_for_frame(10);
-        assert_eq!(rest, vec![piggy(3), piggy(4)]);
+        p.drain_for_frame(10, &mut out);
+        assert_eq!(out, vec![piggy(3), piggy(4)]);
         assert!(p.is_empty());
-        assert!(p.drain_for_frame(10).is_empty());
+        p.drain_for_frame(10, &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn pending_acks_drain_reuses_the_callers_buffer() {
+        let mut p = PendingAcks::new();
+        for seq in 0..6 {
+            p.push(piggy(seq));
+        }
+        let mut out = Vec::with_capacity(4);
+        p.drain_for_frame(4, &mut out);
+        let (storage, capacity) = (out.as_ptr(), out.capacity());
+        p.drain_for_frame(4, &mut out);
+        assert_eq!(out, vec![piggy(4), piggy(5)], "oldest first, replaced");
+        assert_eq!(
+            (out.as_ptr(), out.capacity()),
+            (storage, capacity),
+            "the second drain reallocated"
+        );
     }
 
     #[test]

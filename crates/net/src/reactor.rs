@@ -16,7 +16,11 @@
 //!   accepting shard (shard 0, which owns the listener). Shards sleep on a
 //!   condvar with a short poll timeout — senders nudge the owning shard,
 //!   and the timeout bounds inbound-read latency without OS readiness
-//!   APIs, keeping the crate dependency-free.
+//!   APIs, keeping the crate dependency-free. The timeout follows pending
+//!   work, not bytes moved: none while a full batch waits behind a
+//!   drained socket, the rest of the ripening window for a small batch,
+//!   the base period after any sweep that moved anything, and a doubling
+//!   one while nothing moves.
 //! * **Write coalescing** — sends don't write; they encode into the
 //!   route's reused scratch buffer and append it to the route's byte
 //!   ring, whose storage is reserved once at [`WirePolicy::queue_bytes`]
@@ -76,7 +80,9 @@ pub const DEFAULT_SHARDS: usize = 2;
 pub const DEFAULT_QUEUE_BYTES: usize = 256 * 1024;
 
 /// Target size of one coalesced write: a shard stops refilling a
-/// connection's staging buffer past this many bytes.
+/// connection's staging buffer past this many bytes. A connection that
+/// wrote a whole batch while a ring behind it still held frames is swept
+/// again at once, without waiting out the poll period.
 const FLUSH_TARGET: usize = 64 * 1024;
 
 /// A staging buffer smaller than this is not written until it has aged
@@ -86,28 +92,22 @@ const FLUSH_TARGET: usize = 64 * 1024;
 /// `writev`-shaped writes without materially delaying quiet links.
 const WRITE_BATCH_MIN: usize = 4 * 1024;
 
-/// How long a small staged batch may ripen before it is written anyway.
+/// How long a small staged batch may ripen before it is written anyway;
+/// the shard sleeps only until the oldest unripe batch is due.
 const COALESCE_WINDOW: Duration = Duration::from_micros(200);
 
-/// Idle poll period: bounds inbound-read latency when no sender nudges the
-/// shard.
+/// Poll period after a sweep that moved anything: bounds inbound-read
+/// latency when no sender nudges the shard.
 const SWEEP_TIMEOUT: Duration = Duration::from_micros(500);
 
-/// Consecutive sweeps that move fewer than [`BUSY_SWEEP_BYTES`] double the
-/// poll period up to `SWEEP_TIMEOUT << IDLE_BACKOFF_MAX_SHIFT` (4ms):
-/// quiescent shards cost ~1/8th the wakeups, and lightly-loaded shards
-/// batch several sweeps' worth of traffic per wakeup instead of paying the
-/// fixed sweep cost (timed wait, accept probe, would-block read) for a
-/// handful of frames. A busy sweep or a nudge snaps back to
-/// [`SWEEP_TIMEOUT`]. A shard with no listener, no inbound connections,
-/// no rings, and nothing staged skips polling entirely and sleeps until
+/// Consecutive sweeps that move nothing double the poll period up to
+/// `SWEEP_TIMEOUT << IDLE_BACKOFF_MAX_SHIFT` (4ms): quiescent shards cost
+/// ~1/8th the wakeups. Any sweep that moves anything — one 32-byte ack
+/// read counts — snaps back to [`SWEEP_TIMEOUT`], and a nudge cuts any
+/// sleep short. A shard with no listener, no inbound connections, no
+/// rings, and nothing staged skips polling entirely and sleeps until
 /// nudged.
 const IDLE_BACKOFF_MAX_SHIFT: u32 = 3;
-
-/// A sweep that moves at least this many bytes (read or written) is
-/// saturated: keep polling at the base [`SWEEP_TIMEOUT`] so throughput is
-/// not capped by the sweep period.
-const BUSY_SWEEP_BYTES: usize = 32 * 1024;
 
 /// Most acks a ring holds for piggybacking before further acks fall
 /// through to ordinary encoded frames. Sized to absorb a full poll
@@ -342,8 +342,9 @@ impl StatCells {
 /// data frame and never grows, because the fullness check keeps the
 /// contents inside it. A sender encodes into the ring's scratch buffer and
 /// appends the record; the owning shard copies each payload straight into
-/// the staging buffer after its frame's ack header. Neither side allocates
-/// per frame.
+/// the staging buffer after its frame's ack header, taking the frame's
+/// acks through one buffer the shard reuses. Neither side allocates per
+/// frame.
 struct RouteRing {
     inner: Mutex<RingInner>,
     /// Signalled whenever the shard drains bytes out (or the route dies):
@@ -567,7 +568,7 @@ impl Shared {
             let dropped = inner.frames as u64 + inner.acks.len() as u64;
             inner.bytes.clear();
             inner.frames = 0;
-            inner.acks.drain_for_frame(usize::MAX);
+            inner.acks = PendingAcks::new();
             drop(inner);
             self.count_dead_drops(addr, dropped);
             ring.space.notify_all();
@@ -915,6 +916,9 @@ struct OutConn {
     /// When the oldest staged-and-unwritten byte arrived — what
     /// [`COALESCE_WINDOW`] ages against.
     staged_at: Option<Instant>,
+    /// This sweep's refill stopped at [`FLUSH_TARGET`] with a ring still
+    /// holding frames or acks for this connection.
+    cut_short: bool,
 }
 
 impl OutConn {
@@ -925,17 +929,20 @@ impl OutConn {
             bounds: Vec::new(),
             written: 0,
             staged_at: None,
+            cut_short: false,
         }
     }
 
-    /// Whether the staged batch should be written this sweep: big enough,
-    /// old enough, or partially written already (finish what we started).
-    fn ripe(&self) -> bool {
-        self.written > 0
-            || self.wbuf.len() >= WRITE_BATCH_MIN
-            || self
-                .staged_at
-                .is_some_and(|at| at.elapsed() >= COALESCE_WINDOW)
+    /// How long until the staged batch should be written: zero once it is
+    /// big enough, old enough, or partially written already (finish what
+    /// we started).
+    fn ripens_in(&self) -> Duration {
+        if self.written > 0 || self.wbuf.len() >= WRITE_BATCH_MIN {
+            return Duration::ZERO;
+        }
+        self.staged_at.map_or(Duration::ZERO, |at| {
+            COALESCE_WINDOW.saturating_sub(at.elapsed())
+        })
     }
 }
 
@@ -994,12 +1001,14 @@ fn shard_loop(index: usize, listener: Option<TcpListener>, shared: Arc<Shared>) 
     // `rings_gen` moves (routes change rarely; sweeps are constant).
     let mut rings_cache: Vec<(SocketAddr, Vec<Arc<RouteRing>>)> = Vec::new();
     let mut cache_gen = u64::MAX;
+    // The acks of the frame being staged; reused by every frame.
+    let mut acks: Vec<PiggyAck> = Vec::with_capacity(crate::frame::MAX_PIGGY_ACKS);
     let mut idle_streak: u32 = 0;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let mut progress = false;
+        let mut sweep = Sweep::default();
         let gen = shared.rings_gen.load(Ordering::Acquire);
         if gen != cache_gen {
             rings_cache = snapshot_rings(&shared, index);
@@ -1011,11 +1020,11 @@ fn shard_loop(index: usize, listener: Option<TcpListener>, shared: Arc<Shared>) 
             let mut inbox = handle.inbox.lock().expect("shard inbox lock");
             for stream in inbox.inbound.drain(..) {
                 inbound.push(InConn::new(stream));
-                progress = true;
+                sweep.progress = true;
             }
             for (addr, stream) in inbox.established.drain(..) {
                 out.entry(addr).or_insert_with(OutConn::new).stream = Some(stream);
-                progress = true;
+                sweep.progress = true;
             }
         }
 
@@ -1039,7 +1048,7 @@ fn shard_loop(index: usize, listener: Option<TcpListener>, shared: Arc<Shared>) 
                             inbox.nudged = true;
                             shared.shards[target].cv.notify_one();
                         }
-                        progress = true;
+                        sweep.progress = true;
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(_) => break,
@@ -1048,70 +1057,111 @@ fn shard_loop(index: usize, listener: Option<TcpListener>, shared: Arc<Shared>) 
         }
 
         // Read every inbound connection until it would block.
-        let mut swept = 0usize;
-        inbound.retain_mut(
-            |conn| match drain_inbound(conn, &mut rbuf, &shared, &mut swept) {
-                DrainOutcome::Idle => true,
-                DrainOutcome::Progress => {
-                    progress = true;
-                    true
-                }
-                DrainOutcome::Closed => {
-                    progress = true;
-                    false
-                }
-            },
-        );
+        inbound.retain_mut(|conn| match drain_inbound(conn, &mut rbuf, &shared) {
+            DrainOutcome::Idle => true,
+            DrainOutcome::Progress => {
+                sweep.progress = true;
+                true
+            }
+            DrainOutcome::Closed => {
+                sweep.progress = true;
+                false
+            }
+        });
 
         // Flush outbound: refill each connection's staging buffer from the
         // rings targeting its address, then one write per connection.
-        let flush = flush_outbound(&shared, &rings_cache, &mut out);
-        progress |= flush.progress;
-        swept += flush.bytes;
+        flush_outbound(&shared, &rings_cache, &mut out, &mut acks, &mut sweep);
 
-        // Pace the loop: even after a productive sweep, sleep up to the
-        // poll period (unless nudged) so the next sweep works on a batch
-        // instead of busy-spinning on single frames — the poll-loop
-        // analogue of blocking in `epoll_wait`. A sweep that moved real
-        // volume holds the period at [`SWEEP_TIMEOUT`]; light sweeps let
-        // it grow so their fixed costs amortize over bigger batches.
-        // Rings and kernel socket buffers absorb a poll period of traffic
-        // easily, so this trades a few ms of latency for
-        // frame-per-syscall batching.
-        let pollless = !progress
-            && listener.is_none()
-            && inbound.is_empty()
-            && rings_cache.is_empty()
-            && !flush.need_poll;
-        if swept >= BUSY_SWEEP_BYTES {
-            idle_streak = 0;
-        }
+        sweep.pollable = listener.is_some() || !inbound.is_empty() || !rings_cache.is_empty();
+        let wait = pace(&sweep, &mut idle_streak);
         let mut inbox = handle.inbox.lock().expect("shard inbox lock");
-        if pollless {
-            // Nothing to poll at all: sleep until some event nudges this
-            // shard (a send on an idle ring, a handed socket, a route
-            // change, shutdown).
-            while !inbox.nudged && !shared.shutdown.load(Ordering::SeqCst) {
-                inbox = handle.cv.wait(inbox).expect("shard inbox lock");
+        match wait {
+            Wait::None => {}
+            // A nudge (a send on an idle ring, a handed socket, a route
+            // change, shutdown) cuts any sleep short.
+            Wait::UntilNudged => {
+                while !inbox.nudged && !shared.shutdown.load(Ordering::SeqCst) {
+                    inbox = handle.cv.wait(inbox).expect("shard inbox lock");
+                }
             }
-        } else if !inbox.nudged {
-            // Staged-but-unwritten bytes snap the period back: the batch
-            // must be written within ~one sweep of ripening.
-            let shift = if flush.need_poll {
-                0
-            } else {
-                let s = idle_streak.min(IDLE_BACKOFF_MAX_SHIFT);
-                idle_streak = idle_streak.saturating_add(1);
-                s
-            };
-            inbox = handle
-                .cv
-                .wait_timeout(inbox, SWEEP_TIMEOUT * (1 << shift))
-                .expect("shard inbox lock")
-                .0;
+            Wait::For(period) => {
+                if !inbox.nudged {
+                    inbox = handle
+                        .cv
+                        .wait_timeout(inbox, period)
+                        .expect("shard inbox lock")
+                        .0;
+                }
+            }
         }
         inbox.nudged = false;
     }
+}
+
+/// What one sweep did and left behind: everything [`pace`] decides on.
+#[derive(Clone, Copy, Debug, Default)]
+struct Sweep {
+    /// Anything moved: a socket adopted or accepted, bytes read, a frame
+    /// staged or written.
+    progress: bool,
+    /// The shard has something to poll: the listener, an inbound stream or
+    /// a ring.
+    pollable: bool,
+    /// A connection wrote its whole staged batch while a ring behind it was
+    /// cut short at [`FLUSH_TARGET`]: a full batch is already waiting.
+    backlog: bool,
+    /// A live connection holds ripe bytes its socket did not take (a
+    /// partial or would-block write).
+    unwritten: bool,
+    /// The soonest a live connection's unripe batch ripens.
+    ripens_in: Option<Duration>,
+}
+
+/// How long a shard sleeps after a sweep; a nudge cuts any sleep short.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Wait {
+    /// Sweep again at once.
+    None,
+    /// Sleep up to this long.
+    For(Duration),
+    /// Sleep until nudged.
+    UntilNudged,
+}
+
+/// The sleep after `sweep`, and the backoff ladder's next rung. Sleeping
+/// paces the loop the way an `epoll_wait` timeout would — the next sweep
+/// works on a batch instead of spinning on single frames — but only on
+/// work that is not ready:
+///
+/// * a full batch waiting behind a drained socket: no sleep;
+/// * an unripe batch: the rest of its [`COALESCE_WINDOW`]; a socket that
+///   took part of its batch: [`SWEEP_TIMEOUT`];
+/// * nothing to poll at all: until nudged;
+/// * otherwise [`SWEEP_TIMEOUT`] after a sweep that moved anything — one
+///   32-byte ack counts, so an ack stream paces like a data stream — and a
+///   period doubling per sweep that moved nothing, up to
+///   `SWEEP_TIMEOUT << IDLE_BACKOFF_MAX_SHIFT`.
+fn pace(sweep: &Sweep, idle_streak: &mut u32) -> Wait {
+    if sweep.progress {
+        *idle_streak = 0;
+    }
+    if sweep.backlog {
+        return Wait::None;
+    }
+    if sweep.unwritten || sweep.ripens_in.is_some() {
+        return Wait::For(
+            sweep
+                .ripens_in
+                .map_or(SWEEP_TIMEOUT, |due| due.min(SWEEP_TIMEOUT)),
+        );
+    }
+    if !sweep.progress && !sweep.pollable {
+        return Wait::UntilNudged;
+    }
+    let shift = (*idle_streak).min(IDLE_BACKOFF_MAX_SHIFT);
+    *idle_streak = idle_streak.saturating_add(1);
+    Wait::For(SWEEP_TIMEOUT * (1 << shift))
 }
 
 /// Collects the rings owned by shard `index`, grouped by their current
@@ -1140,19 +1190,13 @@ enum DrainOutcome {
     Closed,
 }
 
-fn drain_inbound(
-    conn: &mut InConn,
-    rbuf: &mut [u8],
-    shared: &Shared,
-    swept: &mut usize,
-) -> DrainOutcome {
+fn drain_inbound(conn: &mut InConn, rbuf: &mut [u8], shared: &Shared) -> DrainOutcome {
     let mut any = false;
     loop {
         match conn.stream.read(rbuf) {
             Ok(0) => return DrainOutcome::Closed,
             Ok(n) => {
                 any = true;
-                *swept += n;
                 let cache = &mut conn.cache;
                 // Corrupt stream: drop the connection, the peer
                 // reconnects with a clean one.
@@ -1176,24 +1220,17 @@ fn drain_inbound(
     }
 }
 
-/// What one outbound sweep accomplished — and whether the shard must keep
-/// polling (staged bytes on a live stream need write retries; nothing else
-/// does, since every other outbound event arrives with a nudge).
-struct FlushOutcome {
-    progress: bool,
-    need_poll: bool,
-    /// Bytes actually written to sockets this sweep (backoff input).
-    bytes: usize,
-}
-
 /// Moves ring contents into staging buffers and writes each connection
-/// once.
+/// once, recording in `sweep` what moved and what staged bytes on a live
+/// stream still wait for (a write retry or ripening; nothing else needs
+/// polling, since every other outbound event arrives with a nudge).
 fn flush_outbound(
     shared: &Shared,
     rings_cache: &[(SocketAddr, Vec<Arc<RouteRing>>)],
     out: &mut HashMap<SocketAddr, OutConn>,
-) -> FlushOutcome {
-    let mut progress = false;
+    acks: &mut Vec<PiggyAck>,
+    sweep: &mut Sweep,
+) {
     for (addr, rings) in rings_cache {
         let addr = *addr;
         // A dead address strands whatever was staged: fold it into the
@@ -1212,17 +1249,21 @@ fn flush_outbound(
             if conn.wbuf.len() >= FLUSH_TARGET {
                 break;
             }
-            if refill_from_ring(shared, ring, conn) {
-                progress = true;
+            match refill_from_ring(shared, ring, conn, acks) {
+                Refill::Idle => {}
+                Refill::Emptied => sweep.progress = true,
+                Refill::CutShort => {
+                    sweep.progress = true;
+                    conn.cut_short = true;
+                }
             }
         }
     }
     // Write pass over every staged connection — including ones whose rings
     // were re-routed elsewhere after staging, so committed bytes still
     // drain to their original destination.
-    let mut need_poll = false;
-    let mut bytes = 0usize;
     for (&addr, conn) in out.iter_mut() {
+        let cut_short = std::mem::take(&mut conn.cut_short);
         if conn.wbuf.is_empty() {
             continue;
         }
@@ -1235,13 +1276,18 @@ fn flush_outbound(
             shared.request_connect(addr);
             continue;
         }
-        if conn.ripe() {
-            let pending = conn.wbuf.len() - conn.written;
-            progress |= write_staged(shared, addr, conn);
-            bytes += pending.saturating_sub(conn.wbuf.len() - conn.written);
+        let ripens_in = conn.ripens_in();
+        if ripens_in.is_zero() {
+            sweep.progress |= write_staged(shared, addr, conn);
         }
-        if !conn.wbuf.is_empty() && conn.stream.is_some() {
-            need_poll = true;
+        if conn.wbuf.is_empty() {
+            sweep.backlog |= cut_short;
+        } else if conn.stream.is_some() {
+            if ripens_in.is_zero() {
+                sweep.unwritten = true;
+            } else {
+                sweep.ripens_in = Some(sweep.ripens_in.map_or(ripens_in, |d| d.min(ripens_in)));
+            }
         }
     }
     // Fold staged frames for dead addresses no ring targets anymore into
@@ -1253,23 +1299,36 @@ fn flush_outbound(
         }
         true
     });
-    FlushOutcome {
-        progress,
-        need_poll,
-        bytes,
-    }
+}
+
+/// What [`refill_from_ring`] left in one ring.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Refill {
+    /// Nothing to stage: the ring was idle.
+    Idle,
+    /// Everything the ring held was staged.
+    Emptied,
+    /// The staging buffer reached [`FLUSH_TARGET`] while the ring still
+    /// held frames or acks.
+    CutShort,
 }
 
 /// Drains one ring into `conn.wbuf`: every staged data frame carries up
 /// to the policy's ack cap in its header, and when data runs out the
 /// remaining acks are promoted into standalone carrier frames (the oldest
 /// ack becomes the carrying envelope, the rest ride its header) until the
-/// pending-ack queue is dry or the staging buffer is full.
-fn refill_from_ring(shared: &Shared, ring: &RouteRing, conn: &mut OutConn) -> bool {
+/// pending-ack queue is dry or the staging buffer is full. Each frame's
+/// acks pass through `acks`, which keeps its storage from frame to frame.
+fn refill_from_ring(
+    shared: &Shared,
+    ring: &RouteRing,
+    conn: &mut OutConn,
+    acks: &mut Vec<PiggyAck>,
+) -> Refill {
     let mut guard = ring.inner.lock().expect("ring lock");
     let inner = &mut *guard;
     if inner.is_idle() {
-        return false;
+        return Refill::Idle;
     }
     let cap = shared
         .policy
@@ -1277,32 +1336,37 @@ fn refill_from_ring(shared: &Shared, ring: &RouteRing, conn: &mut OutConn) -> bo
         .min(crate::frame::MAX_PIGGY_ACKS);
     let mut moved = false;
     while conn.wbuf.len() < FLUSH_TARGET {
-        let mut acks = inner.acks.drain_for_frame(cap);
-        if let Some(payload) = inner.front() {
-            stage_frame(conn, &acks, payload);
+        inner.acks.drain_for_frame(cap, acks);
+        let riders = if let Some(payload) = inner.front() {
+            stage_frame(conn, acks, payload);
             inner.pop_front();
-        } else if !acks.is_empty() {
+            acks.len()
+        } else if let Some((carrier, riders)) = acks.split_first() {
             // No data to ride: promote the oldest ack to the carrying
             // frame.
-            let carrier = acks.remove(0).into_envelope();
-            to_bytes_into(&carrier, &mut inner.scratch).expect("infallible encode");
-            stage_frame(conn, &acks, (&inner.scratch, &[]));
+            to_bytes_into(&carrier.into_envelope(), &mut inner.scratch).expect("infallible encode");
+            stage_frame(conn, riders, (&inner.scratch, &[]));
             shared.stats.acks_standalone.fetch_add(1, Ordering::Relaxed);
+            riders.len()
         } else {
             break;
-        }
-        if !acks.is_empty() {
+        };
+        if riders > 0 {
             shared
                 .stats
                 .acks_piggybacked
-                .fetch_add(acks.len() as u64, Ordering::Relaxed);
+                .fetch_add(riders as u64, Ordering::Relaxed);
         }
         moved = true;
     }
     if moved {
         ring.space.notify_all();
     }
-    moved
+    if inner.is_idle() {
+        Refill::Emptied
+    } else {
+        Refill::CutShort
+    }
 }
 
 /// Appends one `len · ack_count · acks · payload` frame to the staging
@@ -1724,14 +1788,19 @@ mod tests {
     ) -> bool {
         let pad = FLUSH_TARGET - 1;
         conn.wbuf.resize(pad, 0);
-        let moved = refill_from_ring(shared, ring, conn);
+        let refill = refill_from_ring(shared, ring, conn, &mut Vec::new());
+        assert_eq!(
+            refill == Refill::CutShort,
+            !ring.inner.lock().unwrap().is_idle(),
+            "cut short exactly when the ring still holds something"
+        );
         let mut dec = FrameDecoder::new();
         dec.drain_chunk(&conn.wbuf[pad..], |e| got.push(e))
             .expect("staged frames decode");
         assert_eq!(dec.buffered(), 0, "a whole frame was staged");
         conn.wbuf.clear();
         conn.bounds.clear();
-        moved
+        refill != Refill::Idle
     }
 
     #[test]
@@ -1813,6 +1882,106 @@ mod tests {
         );
         assert_eq!(stats.acks_piggybacked + stats.acks_standalone, acks);
         a.shutdown();
+    }
+
+    #[test]
+    fn pacing_sleeps_only_on_work_that_is_not_ready() {
+        let base = Wait::For(SWEEP_TIMEOUT);
+        let ms = |n| Wait::For(Duration::from_millis(n));
+        let quiet = Sweep {
+            pollable: true,
+            ..Sweep::default()
+        };
+        let moved = Sweep {
+            progress: true,
+            ..quiet
+        };
+        let unripe = Some(Duration::from_micros(150));
+        // (case, sweep, backoff rung before, wait, rung after)
+        let cases = [
+            ("dormant", Sweep::default(), 2, Wait::UntilNudged, 2),
+            ("nothing moved", quiet, 0, base, 1),
+            ("nothing moved, doubled", quiet, 1, ms(1), 2),
+            ("nothing moved, doubled twice", quiet, 2, ms(2), 3),
+            ("nothing moved, capped", quiet, 3, ms(4), 4),
+            ("nothing moved, long capped", quiet, 40, ms(4), 41),
+            ("moved", moved, 3, base, 1),
+            (
+                "moved with nothing left to poll",
+                Sweep {
+                    pollable: false,
+                    ..moved
+                },
+                3,
+                base,
+                1,
+            ),
+            (
+                "full batch behind a drained socket",
+                Sweep {
+                    backlog: true,
+                    ..moved
+                },
+                3,
+                Wait::None,
+                0,
+            ),
+            (
+                "partially written socket",
+                Sweep {
+                    unwritten: true,
+                    ..moved
+                },
+                3,
+                base,
+                0,
+            ),
+            (
+                "partially written socket, nothing moved",
+                Sweep {
+                    unwritten: true,
+                    ..quiet
+                },
+                3,
+                base,
+                3,
+            ),
+            (
+                "unripe batch",
+                Sweep {
+                    ripens_in: unripe,
+                    ..moved
+                },
+                3,
+                Wait::For(Duration::from_micros(150)),
+                0,
+            ),
+            (
+                "unripe batch beside a partial write",
+                Sweep {
+                    ripens_in: unripe,
+                    unwritten: true,
+                    ..quiet
+                },
+                0,
+                Wait::For(Duration::from_micros(150)),
+                0,
+            ),
+            (
+                "ripening capped at the poll period",
+                Sweep {
+                    ripens_in: Some(Duration::from_millis(3)),
+                    ..quiet
+                },
+                0,
+                base,
+                0,
+            ),
+        ];
+        for (case, sweep, rung, wait, next) in cases {
+            let mut streak = rung;
+            assert_eq!((pace(&sweep, &mut streak), streak), (wait, next), "{case}");
+        }
     }
 
     #[test]

@@ -60,6 +60,13 @@ if git grep -nE 'mdcd::gen''eral|pipeline_gu''ard|set_link_fa''ults|set_default_
     exit 1
 fi
 
+echo "==> scripts parse"
+# ab.sh runs for minutes and ledger_row.sh appends to the trajectory, so
+# neither runs here; a syntax error in either still fails the gate.
+for script in scripts/ab.sh scripts/ledger_row.sh; do
+    bash -n "$script"
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -130,8 +137,9 @@ echo "==> fleet smoke: 100 seeded tenants, 4 verified against solo runs"
 # c807614, 41 589 after PR 23, 41 300 after PR 24, 40 545 after PR 25;
 # 40 866 at 1fa848a, 40 094 with the in-process threaded deployment gone,
 # 40 038 with one checkpoint store on the live cluster, 39 033 with the
-# test-only capabilities and three of four handle twins gone; every
-# CHANGES.md entry ends with before -> after.
+# test-only capabilities and three of four handle twins gone, 39 225 with
+# reactor pacing as a table-tested function; every CHANGES.md entry ends
+# with before -> after.
 echo "==> tracked Rust lines: $(git ls-files '*.rs' | xargs cat | wc -l)"
 
 echo "OK: fmt, clippy, tier-1, ledger and smokes all passed"
