@@ -12,6 +12,7 @@ use std::process::exit;
 use std::str::FromStr;
 
 use synergy::{Mission, Scheme, SystemConfig};
+use synergy_des::{SimDuration, SimTime};
 
 const USAGE: &str = "\
 usage: mission [options]
@@ -41,6 +42,19 @@ fn value<T: FromStr>(args: &mut std::slice::Iter<'_, String>, flag: &str) -> Res
         .map_err(|_| format!("{flag}: invalid value {v:?}"))
 }
 
+/// The value after `flag` as a finite, non-negative number (seconds or a
+/// rate per minute).
+fn non_negative(args: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<f64, String> {
+    let v: f64 = value(args, flag)?;
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
+    } else {
+        Err(format!(
+            "{flag} must be a finite number at least 0, got {v}"
+        ))
+    }
+}
+
 /// Parses `argv` (without the program name); `Ok(None)` asks for the usage.
 fn parse(argv: &[String]) -> Result<Option<Cli>, String> {
     let mut args = argv.iter();
@@ -62,17 +76,27 @@ fn parse(argv: &[String]) -> Result<Option<Cli>, String> {
             }
             "--seed" => builder = builder.seed(value(&mut args, flag)?),
             "--duration" => {
-                duration = value(&mut args, flag)?;
+                duration = non_negative(&mut args, flag)?;
                 builder = builder.duration_secs(duration);
             }
-            "--internal" => builder = builder.internal_rate_per_min(value(&mut args, flag)?),
-            "--external" => builder = builder.external_rate_per_min(value(&mut args, flag)?),
-            "--interval" => builder = builder.tb_interval_secs(value(&mut args, flag)?),
-            "--sw-fault" => builder = builder.software_fault_at_secs(value(&mut args, flag)?),
+            "--internal" => builder = builder.internal_rate_per_min(non_negative(&mut args, flag)?),
+            "--external" => builder = builder.external_rate_per_min(non_negative(&mut args, flag)?),
+            "--interval" => {
+                let secs = non_negative(&mut args, flag)?;
+                // The TB interval is a count of nanoseconds, and zero is no
+                // interval at all.
+                if SimDuration::from_secs_f64(secs) == SimDuration::ZERO {
+                    return Err(format!("--interval must be greater than 0, got {secs}"));
+                }
+                builder = builder.tb_interval_secs(secs);
+            }
+            "--sw-fault" => {
+                builder = builder.software_fault_at_secs(non_negative(&mut args, flag)?)
+            }
             "--hw-fault" => {
-                let at: f64 = value(&mut args, flag)?;
+                let at = non_negative(&mut args, flag)?;
                 builder = builder.hardware_fault(synergy::HardwareFault {
-                    at: synergy_des::SimTime::from_secs_f64(at),
+                    at: SimTime::from_secs_f64(at),
                     node,
                 });
             }
@@ -182,6 +206,15 @@ mod tests {
             &["--node", "-1", "--hw-fault", "3"],
             &["--node", "2.5"],
             &["--node", "3"],
+            &["--duration", "-5"],
+            &["--duration", "nan"],
+            &["--interval", "-1"],
+            &["--interval", "0"],
+            &["--interval", "1e-12"],
+            &["--hw-fault", "-3"],
+            &["--sw-fault", "-1"],
+            &["--internal", "nan"],
+            &["--external", "inf"],
         ] {
             assert!(parse_args(bad).is_err(), "{bad:?} was accepted");
         }

@@ -9,45 +9,12 @@
 
 pub mod repro;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use synergy::{Mission, Scheme, SystemConfig};
+use synergy::{sweep, Mission, Scheme, SystemConfig};
 use synergy_des::Summary;
 
-/// Runs `f(seed)` for every seed on scoped worker threads and returns the
-/// results **in seed order**.
-///
-/// Missions are deterministic per seed and share no state, so the parallel
-/// sweep produces results identical to the serial loop — workers claim
-/// seeds from a shared cursor but write each result into its seed's slot,
-/// keeping the output ordering stable regardless of scheduling.
-fn par_seed_map<T: Send>(seeds: &[u64], f: impl Fn(u64) -> T + Sync) -> Vec<T> {
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(seeds.len())
-        .max(1);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = seeds.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&seed) = seeds.get(i) else { break };
-                let result = f(seed);
-                *slots[i].lock().expect("no panics while holding slot") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("worker did not panic")
-                .expect("every slot filled")
-        })
-        .collect()
+/// Worker threads for the seeded sweeps: every core the host offers.
+fn host_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Parameters of the Figure 7 sweep.
@@ -118,7 +85,7 @@ fn rollback_distances_for_seed(
 /// rollback distance in seed order.
 fn rollback_distances(scheme: Scheme, internal_per_hour: f64, params: Fig7Params) -> Summary {
     let seeds: Vec<u64> = (0..params.seeds).collect();
-    let per_seed = par_seed_map(&seeds, |seed| {
+    let per_seed = sweep(&seeds, host_jobs(), |seed| {
         rollback_distances_for_seed(scheme, internal_per_hour, params, seed)
     });
     per_seed.into_iter().flatten().collect()
@@ -171,47 +138,6 @@ mod tests {
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("a     "));
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_per_seed() {
-        // The tentpole guarantee: spreading seeded missions over threads
-        // changes nothing — every per-seed result is identical to the
-        // serial loop's, and the output ordering is seed order.
-        let seeds: Vec<u64> = (0..32).collect();
-        let run = |seed: u64| {
-            let o = Mission::new(
-                SystemConfig::builder()
-                    .scheme(Scheme::Coordinated)
-                    .seed(seed)
-                    .duration_secs(40.0)
-                    .internal_rate_per_min(30.0)
-                    .external_rate_per_min(4.0)
-                    .tb_interval_secs(2.0)
-                    .hardware_fault_at_secs(25.0)
-                    .trace(false)
-                    .build(),
-            )
-            .run();
-            (
-                seed,
-                o.metrics.messages_sent,
-                o.metrics.stable_commits,
-                o.device_messages,
-                o.metrics.hardware_rollback_distances(),
-            )
-        };
-        let serial: Vec<_> = seeds.iter().map(|&s| run(s)).collect();
-        let parallel = par_seed_map(&seeds, run);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn par_seed_map_preserves_seed_order() {
-        let seeds: Vec<u64> = (0..100).collect();
-        let doubled = par_seed_map(&seeds, |s| s * 2);
-        assert_eq!(doubled, seeds.iter().map(|s| s * 2).collect::<Vec<_>>());
-        assert!(par_seed_map(&[], |s: u64| s).is_empty());
     }
 
     #[test]

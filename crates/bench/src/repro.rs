@@ -8,12 +8,14 @@
 use std::fmt::Write as _;
 
 use synergy::explorer::{default_scenario, explore, Step};
-use synergy::{model, run_regime_mission, scenario, Mission, RegimeReport, Scheme, SystemConfig};
+use synergy::{
+    model, run_regime_mission, scenario, sweep, Mission, RegimeReport, Scheme, SystemConfig,
+};
 use synergy_clocks::SyncParams;
 use synergy_des::{SimDuration, Summary, Trace};
 use synergy_tb::{blocking_period, TbVariant};
 
-use crate::{par_seed_map, render_table, rollback_distances, Fig7Params};
+use crate::{host_jobs, render_table, rollback_distances, Fig7Params};
 
 /// `writeln!` into an entry's `String`, which cannot fail.
 macro_rules! outln {
@@ -361,7 +363,7 @@ fn fig7_rollback(out: &mut String) {
 /// Hardware rollback distances over 12 seeded 600 s missions.
 fn distances(scheme: Scheme, delta: f64, ext_per_min: f64, int_per_min: f64) -> Summary {
     let seeds: Vec<u64> = (0..12).collect();
-    let per_seed = par_seed_map(&seeds, |seed| {
+    let per_seed = sweep(&seeds, host_jobs(), |seed| {
         let fault = 300.0 + 37.0 * (seed as f64 % 5.0);
         let o = Mission::new(
             SystemConfig::builder()
@@ -573,7 +575,7 @@ fn regimes(out: &mut String) {
     let seeds: Vec<u64> = (BASE_SEED..BASE_SEED + SEEDS).collect();
     let mut rows = Vec::new();
     for pct in COVERAGE_PCT {
-        let reports = par_seed_map(&seeds, |seed| {
+        let reports = sweep(&seeds, host_jobs(), |seed| {
             let report = run_regime_mission(
                 &SystemConfig::builder()
                     .seed(seed)

@@ -25,10 +25,8 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use synergy::RegimeVerdict;
+use synergy::{sweep, RegimeVerdict};
 use synergy_chaos::{
     outcome_verdict, regime, run_campaign, shrink_failure, CampaignOutcome, CampaignResult,
     CampaignSpec, CampaignToggles, RegimeKind,
@@ -191,43 +189,32 @@ fn main() -> ExitCode {
         node_bin.display()
     );
 
-    let next = AtomicU64::new(0);
-    let results: Mutex<Vec<(u64, CampaignResult)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..args.jobs.min(args.seeds.max(1) as usize) {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= args.seeds {
-                    break;
-                }
-                let spec = CampaignSpec::generate(args.base_seed, index, args.toggles);
-                let result = run_campaign(&spec, &node_bin, &args.data_root);
-                print_result(index, &result);
-                results.lock().expect("results lock").push((index, result));
-            });
-        }
+    // Campaign indices stand in for seeds: each one regenerates its spec.
+    let indices: Vec<u64> = (0..args.seeds).collect();
+    let results = sweep(&indices, args.jobs, |index| {
+        let spec = CampaignSpec::generate(args.base_seed, index, args.toggles);
+        let result = run_campaign(&spec, &node_bin, &args.data_root);
+        print_result(index, &result);
+        result
     });
-    let mut results = results.into_inner().expect("results lock");
-    results.sort_by_key(|(index, _)| *index);
 
-    let converged = results
-        .iter()
-        .filter(|(_, r)| r.outcome.is_converged())
-        .count();
+    let converged = results.iter().filter(|r| r.outcome.is_converged()).count();
     println!(
         "\nsweep summary: {converged}/{} campaigns converged (device streams byte-identical \
          to the simulator reference)",
         results.len()
     );
 
-    let first_failure = results.iter().find(|(_, r)| !r.outcome.is_converged());
+    let first_failure = (0u64..)
+        .zip(&results)
+        .find(|(_, r)| !r.outcome.is_converged());
     if let Some((index, failed)) = first_failure {
         println!(
             "\nfirst divergent seed: {} (campaign {index}); shrinking the fault cocktail…",
             failed.spec.seed
         );
         let shrink = shrink_failure(&failed.spec, &failed.outcome, &node_bin, &args.data_root);
-        print_shrink_report(args.base_seed, *index, &shrink);
+        print_shrink_report(args.base_seed, index, &shrink);
         println!(
             "node state kept under {} for autopsy",
             args.data_root.display()
@@ -239,7 +226,7 @@ fn main() -> ExitCode {
 }
 
 /// The unmasked-regime sweep: four simulator regime lattices (one sweep
-/// per [`RegimeKind`], `--seeds` campaigns each, all four in parallel),
+/// per [`RegimeKind`], `--seeds` campaigns each, one job per kind),
 /// then live-cluster Byzantine campaigns whose divergence against the
 /// simulator reference is the expected, documented escape.
 fn run_regime_mode(args: &Args, node_bin: &std::path::Path) -> ExitCode {
@@ -249,15 +236,9 @@ fn run_regime_mode(args: &Args, node_bin: &std::path::Path) -> ExitCode {
     );
     let mut failed = false;
 
-    let sweeps: Vec<regime::RegimeSweep> = std::thread::scope(|scope| {
-        let handles: Vec<_> = RegimeKind::ALL
-            .iter()
-            .map(|&kind| scope.spawn(move || regime::run_sweep(kind, args.base_seed, args.seeds)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("regime sweep thread"))
-            .collect()
+    let kinds: Vec<u64> = (0..RegimeKind::ALL.len() as u64).collect();
+    let sweeps = sweep(&kinds, kinds.len(), |kind| {
+        regime::run_sweep(RegimeKind::ALL[kind as usize], args.base_seed, args.seeds)
     });
 
     println!(

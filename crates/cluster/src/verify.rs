@@ -35,7 +35,6 @@
 
 use synergy::{HardwareFault, NodeId, Scheme, System, SystemConfig};
 use synergy_des::{SimDuration, SimTime};
-use synergy_net::MessageBody;
 
 use crate::orchestrator::{CrashEvent, CrashKind};
 
@@ -126,17 +125,9 @@ fn build_config(
 fn run_once(cfg: SystemConfig) -> SimReference {
     let mut system = System::new(cfg);
     system.run();
-    let device_payloads = system
-        .device_log()
-        .iter()
-        .filter_map(|(_, env)| match &env.body {
-            MessageBody::External { payload } => Some(payload.clone()),
-            _ => None,
-        })
-        .collect();
     let metrics = system.metrics();
     SimReference {
-        device_payloads,
+        device_payloads: system.device_stream(),
         verdicts_hold: system.verdicts().all_hold(),
         torn_writes: metrics.torn_writes,
         hardware_recoveries: metrics.hardware_recoveries,

@@ -1,9 +1,10 @@
 //! System configuration and scheme selection.
 
+use core::fmt;
+
 use synergy_clocks::SyncParams;
 use synergy_des::{SimDuration, SimTime};
 use synergy_mdcd::MdcdConfig;
-use synergy_net::MissionId;
 use synergy_storage::DiskModel;
 use synergy_tb::TbVariant;
 
@@ -52,6 +53,22 @@ impl Scheme {
     }
 }
 
+/// Identifies one mission among many a fleet holds at once: the key of the
+/// fleet's slot map, and nothing else.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub struct MissionId(pub u64);
+
+impl MissionId {
+    /// The id of a mission that no fleet holds.
+    pub const SOLO: MissionId = MissionId(0);
+}
+
+impl fmt::Display for MissionId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "M{}", self.0)
+    }
+}
+
 /// Full configuration of one simulated mission.
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
@@ -59,10 +76,10 @@ pub struct SystemConfig {
     pub scheme: Scheme,
     /// Master seed for all random streams.
     pub seed: u64,
-    /// The mission (tenant) identity this run carries. Purely a tag: it
-    /// never feeds a random stream, so two runs differing only in mission
-    /// id produce byte-identical protocol behaviour. Fleet deployments
-    /// assign distinct ids; standalone runs keep [`MissionId::SOLO`].
+    /// The fleet's slot key for this mission. It is never on the wire or
+    /// on disk and never feeds a random stream, so two runs differing
+    /// only in it behave byte-identically. Standalone runs keep
+    /// [`MissionId::SOLO`].
     pub mission: MissionId,
     /// Mission length.
     pub duration: SimDuration,
@@ -193,7 +210,7 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Tags the run with a mission (tenant) identity.
+    /// Sets the fleet's slot key for this mission.
     pub fn mission(mut self, mission: MissionId) -> Self {
         self.cfg.mission = mission;
         self

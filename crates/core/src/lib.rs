@@ -53,12 +53,13 @@ pub mod payload;
 pub mod regime;
 pub mod roles;
 pub mod scenario;
+pub mod sweep;
 pub mod system;
 pub mod workload;
 
 pub use app::{Application, CounterApp};
 pub use checkers::{GlobalChecker, Verdicts};
-pub use config::{Scheme, SystemConfig, SystemConfigBuilder};
+pub use config::{MissionId, Scheme, SystemConfig, SystemConfigBuilder};
 pub use faults::{FaultPlan, FaultPlanError, HardwareFault, NodeId, SoftwareFault};
 pub use metrics::RunMetrics;
 pub use payload::{CheckpointPayload, SentRecord};
@@ -67,5 +68,5 @@ pub use regime::{
     BadMessagePlan, ByzantinePlan, EscapeRecord, RegimePlan, RegimeReport, RegimeVerdict,
     ResyncViolationPlan,
 };
-pub use synergy_net::MissionId;
+pub use sweep::sweep;
 pub use system::{Mission, MissionOutcome, System};

@@ -23,8 +23,7 @@ use synergy_mdcd::{
     ProcessRole,
 };
 use synergy_net::{
-    AckTracker, CkptSeqNo, DeviceId, Endpoint, Envelope, MessageBody, MissionId, MsgId, MsgSeqNo,
-    ProcessId,
+    AckTracker, CkptSeqNo, DeviceId, Endpoint, Envelope, MessageBody, MsgId, MsgSeqNo, ProcessId,
 };
 use synergy_storage::{Checkpoint, Stable, StableStore, VolatileStore};
 use synergy_tb::{Action as TbAction, ContentsChoice, Event as TbEvent, TbConfig, TbEngine};
@@ -178,11 +177,6 @@ enum PendingStable {
 pub struct ProcessHost<S: Stable = StableStore> {
     /// This process's id.
     pub pid: ProcessId,
-    /// The mission (tenant) this host belongs to. Everything the host
-    /// sends — protocol envelopes and transport acks — is stamped with
-    /// this tag, so any number of hosts can share one transport route.
-    /// Single-mission deployments stay on [`MissionId::SOLO`].
-    pub mission: MissionId,
     /// The node this process runs on (indexes the clock fleet).
     pub node: usize,
     /// The layout this host addresses its peers through.
@@ -299,7 +293,6 @@ impl<S: Stable> ProcessHost<S> {
         let policy = policy_for(scheme);
         ProcessHost {
             pid,
-            mission: MissionId::SOLO,
             node,
             topology,
             engine: RoleEngine::new(
@@ -373,13 +366,6 @@ impl<S: Stable> ProcessHost<S> {
     /// skip every [`HostAction::Record`] (and the formatting behind it).
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
-    }
-
-    /// Assigns the host to a mission (tenant). Call once at construction
-    /// time, before any traffic: the tag becomes part of every envelope
-    /// the host sends and of every checkpoint's unacked records.
-    pub fn set_mission(&mut self, mission: MissionId) {
-        self.mission = mission;
     }
 
     /// A shared view of the sent log, reused until the next append.
@@ -578,10 +564,7 @@ impl<S: Stable> ProcessHost<S> {
     ) {
         for action in actions.drain(..) {
             match action {
-                MdcdAction::Send(mut env) => {
-                    // The engines are mission-blind; the host boundary is
-                    // where the tenant tag goes on.
-                    env.mission = self.mission;
+                MdcdAction::Send(env) => {
                     self.note_send(&env);
                     out.push(HostAction::Send(env));
                 }
@@ -606,8 +589,7 @@ impl<S: Stable> ProcessHost<S> {
                         },
                         from,
                         MessageBody::Ack { of: id },
-                    )
-                    .with_mission(self.mission);
+                    );
                     out.push(HostAction::SendAck(ack));
                 }
                 MdcdAction::AtPerformed { pass } => out.push(HostAction::AtPerformed { pass }),

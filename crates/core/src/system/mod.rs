@@ -149,7 +149,6 @@ impl System {
         ];
         for h in &mut hosts {
             h.set_tracing(cfg.trace);
-            h.set_mission(cfg.mission);
         }
         // The bad-message/AT-coverage axes live on the *original* active
         // host only: the upgraded low-confidence version is the one that can
@@ -349,12 +348,10 @@ impl System {
     // Event loop
     // ------------------------------------------------------------------
 
-    /// Runs until the configured duration elapses.
+    /// Runs until the configured duration elapses:
+    /// [`step_events`](Self::step_events) with no budget.
     pub fn run(&mut self) {
-        while !self.finished {
-            let Some(fired) = self.sim.step() else { break };
-            self.dispatch(fired.actor, fired.time, fired.event);
-        }
+        self.step_events(usize::MAX);
     }
 
     /// Whether the mission has run to its configured end (or drained its
@@ -366,11 +363,12 @@ impl System {
     /// Advances the mission by at most `budget` discrete events and
     /// returns how many actually fired.
     ///
-    /// This is the fleet's multiplexing surface: a worker grants each
-    /// tenant a bounded quantum of virtual-time progress, so one tenant's
-    /// recovery (rollback, replay, retransmissions — all just events) can
-    /// never hold a shared worker for longer than one quantum. A return
-    /// value below `budget` means the mission [`finished`](Self::finished).
+    /// A caller that interleaves missions grants each a bounded quantum
+    /// of virtual-time progress, so one mission's recovery (rollback,
+    /// replay, retransmissions — all just events) never holds its thread
+    /// for longer than one quantum. A return value below `budget` means
+    /// the mission [`finished`](Self::finished): `Ev::End` is always
+    /// queued, so a mission ends there or when its queue drains.
     pub fn step_events(&mut self, budget: usize) -> usize {
         let mut fired_count = 0;
         while fired_count < budget && !self.finished {
@@ -382,11 +380,6 @@ impl System {
             fired_count += 1;
         }
         fired_count
-    }
-
-    /// The mission tag this run stamps on its envelopes.
-    pub fn mission(&self) -> synergy_net::MissionId {
-        self.cfg.mission
     }
 }
 

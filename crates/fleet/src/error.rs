@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use synergy_net::MissionId;
+use synergy::MissionId;
 
 use crate::lifecycle::TenantState;
 

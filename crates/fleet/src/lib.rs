@@ -5,16 +5,20 @@
 //! adapted-TB coordination, a device. A fleet runs many of them at once
 //! as *tenants* of a shared scheduler: every tenant owns a complete
 //! sans-io [`System`](synergy::System) advanced cooperatively in bounded
-//! event quanta on a fixed worker pool, and every tenant's traffic is
-//! tagged with its [`MissionId`] end to end (envelope wire format,
-//! process hosts, device streams).
+//! event quanta on a fixed worker pool, kept in a slot map keyed by its
+//! [`MissionId`].
+//!
+//! To run many seeded missions and compare their outcomes, use
+//! [`synergy::sweep`]; this crate stays only while the benchmark's
+//! by-hand `fleet_2k` workload links it.
 //!
 //! The design rests on three invariants:
 //!
-//! 1. **Identity is a tag, not an input.** A mission id never feeds a
-//!    random stream, so a tenant's protocol behaviour is byte-identical
-//!    to a standalone simulator run of the same seed — the determinism
-//!    test diffs the two device streams and full run metrics.
+//! 1. **Identity is a key, not an input.** A mission id is never on the
+//!    wire and never feeds a random stream, so a tenant's protocol
+//!    behaviour is byte-identical to a standalone simulator run of the
+//!    same seed — the determinism test diffs the two device streams and
+//!    full run metrics.
 //! 2. **Isolation is a quantum.** A scheduler pass grants each runnable
 //!    tenant at most [`FleetConfig::quantum_events`] simulator events;
 //!    a tenant mid-crash-recovery (or stalled on device backpressure)
@@ -47,7 +51,7 @@
 //! }
 //! let completed = fleet.run_until_idle();
 //! assert_eq!(completed, 16);
-//! println!("{}", fleet.stats().to_json(16));
+//! assert_eq!(fleet.stats().completed(), 16);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -65,21 +69,5 @@ pub use lifecycle::TenantState;
 pub use manager::{FleetConfig, FleetManager, PassOutcome};
 pub use sink::{BoundedSink, DeviceSink, NullSink, SINK_ADDR};
 pub use stats::{FleetStats, TenantStats};
-pub use synergy_net::MissionId;
+pub use synergy::MissionId;
 pub use tenant::TenantReport;
-
-use synergy::System;
-use synergy_net::MessageBody;
-
-/// The external payload stream a standalone simulator run delivered to
-/// its device — the reference side of the fleet determinism checks.
-pub fn device_payloads(system: &System) -> Vec<Vec<u8>> {
-    system
-        .device_log()
-        .iter()
-        .filter_map(|(_, env)| match &env.body {
-            MessageBody::External { payload } => Some(payload.clone()),
-            _ => None,
-        })
-        .collect()
-}

@@ -26,7 +26,7 @@
 
 use std::fmt;
 
-use synergy_net::MissionId;
+use synergy::MissionId;
 
 use crate::error::FleetError;
 

@@ -21,9 +21,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use synergy::SystemConfig;
+use synergy::{MissionId, SystemConfig};
 use synergy_net::retry::Backoff;
-use synergy_net::MissionId;
 
 use crate::error::FleetError;
 use crate::lifecycle::{transition, TenantState};
@@ -156,11 +155,6 @@ impl FleetManager {
     /// The shared metrics registry.
     pub fn stats(&self) -> &Arc<FleetStats> {
         &self.stats
-    }
-
-    /// The fleet's tuning knobs.
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
     }
 
     /// Tenants currently occupying slots.

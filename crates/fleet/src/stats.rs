@@ -1,18 +1,15 @@
 //! The fleet-wide metrics registry.
 //!
 //! One [`FleetStats`] is shared (via `Arc`) between the manager, its
-//! worker threads and the driver. Fleet-level counters are atomics so the
+//! worker threads and the caller. Fleet-level counters are atomics so the
 //! hot path never takes a lock; the per-tenant table is a mutex-guarded
-//! map written only at tenant completion/detach (cold events). The whole
-//! registry dumps as hand-rolled JSON — same house rule as the bench
-//! record: no JSON library, so no dependency.
+//! map written only at tenant completion/detach (cold events).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use synergy_net::MissionId;
+use synergy::MissionId;
 
 /// Counters harvested from one tenant, keyed by mission id in
 /// [`FleetStats`].
@@ -34,12 +31,6 @@ pub struct TenantStats {
     pub drops: u64,
     /// Times this tenant was torn down and rebuilt.
     pub restarts: u64,
-    /// Stable-storage bytes a full-image-per-commit scheme would write for
-    /// this tenant (zero unless the mission enables delta accounting).
-    pub stable_bytes_full: u64,
-    /// Stable-storage bytes the incremental chain format writes for the
-    /// same commits (zero unless delta accounting is enabled).
-    pub stable_bytes_delta: u64,
     /// Wall-clock milliseconds from attach to mission completion
     /// (0 until the mission completes).
     pub latency_ms: f64,
@@ -64,9 +55,6 @@ pub struct FleetStats {
     device_msgs: AtomicU64,
     software_rollbacks: AtomicU64,
     hardware_rollbacks: AtomicU64,
-    stable_bytes_full: AtomicU64,
-    stable_bytes_delta: AtomicU64,
-    latencies_ms: Mutex<Vec<f64>>,
     tenants: Mutex<BTreeMap<u64, TenantStats>>,
 }
 
@@ -122,20 +110,8 @@ impl FleetStats {
             delta(stats.hardware_rollbacks, prev.hardware_rollbacks),
             Ordering::Relaxed,
         );
-        self.stable_bytes_full.fetch_add(
-            delta(stats.stable_bytes_full, prev.stable_bytes_full),
-            Ordering::Relaxed,
-        );
-        self.stable_bytes_delta.fetch_add(
-            delta(stats.stable_bytes_delta, prev.stable_bytes_delta),
-            Ordering::Relaxed,
-        );
         if stats.latency_ms > 0.0 && prev.latency_ms == 0.0 {
             self.completed.fetch_add(1, Ordering::Relaxed);
-            self.latencies_ms
-                .lock()
-                .expect("fleet stats poisoned")
-                .push(stats.latency_ms);
         }
     }
 
@@ -192,16 +168,6 @@ impl FleetStats {
         )
     }
 
-    /// Stable-write byte totals across all harvested tenants, as
-    /// `(full_image_bytes, delta_chain_bytes)`. Both zero unless missions
-    /// run with delta accounting enabled.
-    pub fn stable_bytes(&self) -> (u64, u64) {
-        (
-            self.stable_bytes_full.load(Ordering::Relaxed),
-            self.stable_bytes_delta.load(Ordering::Relaxed),
-        )
-    }
-
     /// The harvested counters of one tenant, if any were recorded.
     pub fn tenant(&self, mission: MissionId) -> Option<TenantStats> {
         self.tenants
@@ -209,86 +175,6 @@ impl FleetStats {
             .expect("fleet stats poisoned")
             .get(&mission.0)
             .cloned()
-    }
-
-    /// The given percentile (0–100) of mission attach→completion latency,
-    /// in milliseconds; `None` until a mission completes.
-    pub fn latency_percentile_ms(&self, p: f64) -> Option<f64> {
-        let mut lat = self
-            .latencies_ms
-            .lock()
-            .expect("fleet stats poisoned")
-            .clone();
-        if lat.is_empty() {
-            return None;
-        }
-        lat.sort_by(|a, b| a.partial_cmp(b).expect("latency is finite"));
-        let idx = ((p / 100.0) * (lat.len() - 1) as f64).round() as usize;
-        Some(lat[idx.min(lat.len() - 1)])
-    }
-
-    /// Renders the registry as JSON. At most `tenant_limit` per-tenant
-    /// rows are included (lowest mission ids first); the aggregate
-    /// counters always cover every tenant.
-    pub fn to_json(&self, tenant_limit: usize) -> String {
-        let (sw, hw) = self.rollbacks();
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"attached\": {},", self.attached());
-        let _ = writeln!(out, "  \"detached\": {},", self.detached());
-        let _ = writeln!(out, "  \"restarted\": {},", self.restarted());
-        let _ = writeln!(
-            out,
-            "  \"admission_rejections\": {},",
-            self.admission_rejections()
-        );
-        let _ = writeln!(out, "  \"completed\": {},", self.completed());
-        let _ = writeln!(out, "  \"stalls\": {},", self.stalls());
-        let _ = writeln!(out, "  \"drops\": {},", self.drops());
-        let _ = writeln!(out, "  \"events\": {},", self.events());
-        let _ = writeln!(out, "  \"device_msgs\": {},", self.device_msgs());
-        let _ = writeln!(out, "  \"software_rollbacks\": {sw},");
-        let _ = writeln!(out, "  \"hardware_rollbacks\": {hw},");
-        let (bytes_full, bytes_delta) = self.stable_bytes();
-        let _ = writeln!(out, "  \"stable_bytes_full\": {bytes_full},");
-        let _ = writeln!(out, "  \"stable_bytes_delta\": {bytes_delta},");
-        let _ = writeln!(
-            out,
-            "  \"latency_ms\": {{ \"p50\": {:.3}, \"p99\": {:.3} }},",
-            self.latency_percentile_ms(50.0).unwrap_or(0.0),
-            self.latency_percentile_ms(99.0).unwrap_or(0.0)
-        );
-        let tenants = self.tenants.lock().expect("fleet stats poisoned");
-        let shown = tenants.len().min(tenant_limit);
-        let _ = writeln!(out, "  \"tenants_recorded\": {},", tenants.len());
-        let _ = writeln!(out, "  \"tenants_shown\": {shown},");
-        out.push_str("  \"tenants\": [\n");
-        for (i, (mission, t)) in tenants.iter().take(tenant_limit).enumerate() {
-            let comma = if i + 1 < shown { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{ \"mission\": {mission}, \"events\": {}, \"quanta\": {}, \
-                 \"device_msgs\": {}, \"software_rollbacks\": {}, \
-                 \"hardware_rollbacks\": {}, \"stalls\": {}, \"drops\": {}, \
-                 \"restarts\": {}, \"stable_bytes_full\": {}, \
-                 \"stable_bytes_delta\": {}, \"latency_ms\": {:.3}, \
-                 \"verdicts_hold\": {}, \"max_pass_gap\": {} }}{comma}",
-                t.events,
-                t.quanta,
-                t.device_msgs,
-                t.software_rollbacks,
-                t.hardware_rollbacks,
-                t.stalls,
-                t.drops,
-                t.restarts,
-                t.stable_bytes_full,
-                t.stable_bytes_delta,
-                t.latency_ms,
-                t.verdicts_hold,
-                t.max_pass_gap
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
     }
 }
 
@@ -314,52 +200,5 @@ mod tests {
         assert_eq!(stats.events(), 250, "totals grow by delta, not by sum");
         assert_eq!(stats.completed(), 1, "completion counted once");
         assert_eq!(stats.tenant(m).unwrap().events, 250);
-        assert_eq!(stats.latency_percentile_ms(50.0), Some(12.5));
-    }
-
-    #[test]
-    fn stable_byte_totals_fold_by_delta_and_render() {
-        let stats = FleetStats::new();
-        let m = MissionId(3);
-        let mut t = completed_tenant(10, 0.0);
-        t.stable_bytes_full = 1000;
-        t.stable_bytes_delta = 100;
-        stats.record_tenant(m, t.clone());
-        t.stable_bytes_full = 4000;
-        t.stable_bytes_delta = 250;
-        t.latency_ms = 5.0;
-        stats.record_tenant(m, t);
-        assert_eq!(stats.stable_bytes(), (4000, 250), "fold by delta, not sum");
-        let json = stats.to_json(5);
-        assert!(json.contains("\"stable_bytes_full\": 4000"));
-        assert!(json.contains("\"stable_bytes_delta\": 250"));
-    }
-
-    #[test]
-    fn latency_percentiles_interpolate_over_completions() {
-        let stats = FleetStats::new();
-        for i in 1..=100u64 {
-            stats.record_tenant(MissionId(i), completed_tenant(1, i as f64));
-        }
-        // Nearest-rank over [1, 100]: index round(p/100 * 99).
-        assert_eq!(stats.latency_percentile_ms(50.0), Some(51.0));
-        assert_eq!(stats.latency_percentile_ms(99.0), Some(99.0));
-        assert_eq!(stats.completed(), 100);
-    }
-
-    #[test]
-    fn json_dump_caps_rows_but_not_aggregates() {
-        let stats = FleetStats::new();
-        for i in 1..=5u64 {
-            stats.note_attached();
-            stats.record_tenant(MissionId(i), completed_tenant(10, 1.0));
-        }
-        let json = stats.to_json(2);
-        assert!(json.contains("\"attached\": 5"));
-        assert!(json.contains("\"events\": 50"));
-        assert!(json.contains("\"tenants_recorded\": 5"));
-        assert!(json.contains("\"tenants_shown\": 2"));
-        assert!(json.contains("\"mission\": 1"));
-        assert!(!json.contains("\"mission\": 3"));
     }
 }

@@ -3,9 +3,9 @@
 
 use std::time::Instant;
 
-use synergy::{RunMetrics, System, SystemConfig};
+use synergy::{MissionId, RunMetrics, System, SystemConfig};
 use synergy_net::retry::Backoff;
-use synergy_net::{MessageBody, MissionId};
+use synergy_net::MessageBody;
 
 use crate::error::FleetError;
 use crate::lifecycle::{transition, TenantState};
@@ -227,8 +227,6 @@ impl Tenant {
         self.stats.verdicts_hold = system.verdicts().all_hold();
         self.stats.software_rollbacks = system.metrics().software_recoveries;
         self.stats.hardware_rollbacks = system.metrics().hardware_recoveries;
-        self.stats.stable_bytes_full = system.metrics().stable_bytes_full;
-        self.stats.stable_bytes_delta = system.metrics().stable_bytes_delta;
         self.stats.max_pass_gap = self.max_pass_gap;
         self.report = Some(TenantReport {
             mission: self.mission,
@@ -262,10 +260,6 @@ impl Tenant {
             return report;
         }
         self.stats.max_pass_gap = self.max_pass_gap;
-        if let Some(system) = self.system.as_ref() {
-            self.stats.stable_bytes_full = system.metrics().stable_bytes_full;
-            self.stats.stable_bytes_delta = system.metrics().stable_bytes_delta;
-        }
         match self.system.as_ref() {
             Some(system) => TenantReport {
                 mission: self.mission,

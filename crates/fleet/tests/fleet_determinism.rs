@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use synergy::{Scheme, System, SystemConfig};
-use synergy_fleet::{device_payloads, FleetConfig, FleetManager, MissionId, NullSink};
+use synergy_fleet::{FleetConfig, FleetManager, MissionId, NullSink};
 
 const TENANTS: u64 = 16;
 
@@ -51,7 +51,7 @@ fn sixteen_tenants_match_sixteen_solo_simulator_runs_byte_for_byte() {
         solo.run();
         assert_eq!(
             report.captured,
-            device_payloads(&solo),
+            solo.device_stream(),
             "tenant {i}: device stream diverged from the solo run"
         );
         assert_eq!(

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use synergy::{Scheme, System, SystemConfig};
-use synergy_fleet::{device_payloads, FleetConfig, FleetManager, MissionId, NullSink, TenantState};
+use synergy_fleet::{FleetConfig, FleetManager, MissionId, NullSink, TenantState};
 
 const DURATION_SECS: f64 = 60.0;
 const GRID_SECS: f64 = 30.0; // 3 · Δ with the default 10 s TB interval
@@ -106,7 +106,7 @@ fn a_tenant_killed_mid_checkpoint_never_stalls_a_healthy_tenant() {
     // door is invisible in its device stream and metrics.
     let mut solo = System::new(healthy_cfg(MissionId::SOLO));
     solo.run();
-    assert_eq!(healthy_report.captured, device_payloads(&solo));
+    assert_eq!(healthy_report.captured, solo.device_stream());
     assert_eq!(&healthy_report.metrics, solo.metrics());
     assert!(healthy_report.verdicts_hold);
 }

@@ -40,7 +40,7 @@ pub use frame::{
     MAX_PIGGY_ACKS,
 };
 pub use message::{
-    CkptSeqNo, DeviceId, Endpoint, Envelope, MessageBody, MissionId, MsgId, MsgSeqNo, ProcessId,
+    CkptSeqNo, DeviceId, Endpoint, Envelope, MessageBody, MsgId, MsgSeqNo, ProcessId,
 };
 pub use reactor::{
     GaveUpRoute, ReactorTransport, ReconnectPolicy, SendError, WirePolicy, WireStats,

@@ -18,30 +18,6 @@ impl fmt::Display for ProcessId {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DeviceId(pub u32);
 
-/// Identifies one independent mission (tenant) multiplexed over a shared
-/// runtime.
-///
-/// Process and device ids are *per mission*: every mission reuses the
-/// paper's canonical `P1act`/`P1sdw`/`P2`/`D0` layout, and the mission id
-/// on each [`Envelope`] is what keeps thousands of tenants apart while
-/// they share one transport route. Single-mission deployments (the
-/// simulator, the three-process cluster) run as [`MissionId::SOLO`], whose
-/// tag encodes and displays exactly like the pre-fleet wire format's
-/// absence of one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct MissionId(pub u64);
-
-impl MissionId {
-    /// The implicit mission of single-tenant deployments.
-    pub const SOLO: MissionId = MissionId(0);
-}
-
-impl fmt::Display for MissionId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "M{}", self.0)
-    }
-}
-
 impl fmt::Display for DeviceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "D{}", self.0)
@@ -194,28 +170,16 @@ pub struct Envelope {
     pub to: Endpoint,
     /// Message body.
     pub body: MessageBody,
-    /// The mission (tenant) this envelope belongs to. Hosts stamp their
-    /// mission on everything they send; transports and routes are
-    /// mission-blind, and receivers demultiplex on this tag.
-    pub mission: MissionId,
 }
 
 impl Envelope {
-    /// Convenience constructor for a [`MissionId::SOLO`] envelope.
+    /// Convenience constructor.
     pub fn new(id: MsgId, to: impl Into<Endpoint>, body: MessageBody) -> Self {
         Envelope {
             id,
             to: to.into(),
             body,
-            mission: MissionId::SOLO,
         }
-    }
-
-    /// Tags the envelope with a mission.
-    #[must_use]
-    pub fn with_mission(mut self, mission: MissionId) -> Self {
-        self.mission = mission;
-        self
     }
 
     /// The sending process.
@@ -226,16 +190,10 @@ impl Envelope {
 
 codec_newtype!(ProcessId);
 codec_newtype!(DeviceId);
-codec_newtype!(MissionId);
 codec_newtype!(MsgSeqNo);
 codec_newtype!(CkptSeqNo);
 codec_struct!(MsgId { from, seq });
-codec_struct!(Envelope {
-    id,
-    to,
-    body,
-    mission
-});
+codec_struct!(Envelope { id, to, body });
 
 impl Codec for Endpoint {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -317,17 +275,7 @@ impl fmt::Display for Envelope {
             MessageBody::PassedAt { .. } => "passed_AT",
             MessageBody::Ack { .. } => "ack",
         };
-        // Solo envelopes render exactly as before the fleet layer existed,
-        // keeping single-mission traces stable.
-        if self.mission == MissionId::SOLO {
-            write!(f, "{} {}->{} [{kind}]", self.id, self.id.from, self.to)
-        } else {
-            write!(
-                f,
-                "{}@{} {}->{} [{kind}]",
-                self.id, self.mission, self.id.from, self.to
-            )
-        }
+        write!(f, "{} {}->{} [{kind}]", self.id, self.id.from, self.to)
     }
 }
 
@@ -391,30 +339,32 @@ mod tests {
     }
 
     #[test]
-    fn mission_tags_roundtrip_and_solo_display_is_unchanged() {
-        let solo = Envelope::new(
-            MsgId {
-                from: ProcessId(1),
-                seq: MsgSeqNo(7),
+    fn envelope_layout_is_sender_sequence_destination_body() {
+        // 12 bytes of id (u32 sender, u64 sequence), 8 of destination
+        // (u32 tag, u32 id), then the body: nothing else rides along.
+        let id = MsgId {
+            from: ProcessId(1),
+            seq: MsgSeqNo(7),
+        };
+        let external = Envelope::new(
+            id,
+            DeviceId(0),
+            MessageBody::External {
+                payload: vec![0xAB; 32],
             },
+        );
+        let ack = Envelope::new(
+            id,
             ProcessId(2),
-            MessageBody::Application {
-                payload: vec![1],
-                dirty: false,
+            MessageBody::Ack {
+                of: MsgId {
+                    from: ProcessId(2),
+                    seq: MsgSeqNo(3),
+                },
             },
         );
-        assert_eq!(solo.mission, MissionId::SOLO);
-        assert!(
-            !solo.to_string().contains('@'),
-            "solo envelopes must render exactly as before the fleet layer"
-        );
-        let tagged = solo.clone().with_mission(MissionId(42));
-        assert_ne!(tagged, solo, "the mission tag is part of identity");
-        assert!(tagged.to_string().contains("@M42"), "{tagged}");
-        let bytes = synergy_codec::to_bytes(&tagged).unwrap();
-        let back: Envelope = synergy_codec::from_bytes(&bytes).unwrap();
-        assert_eq!(back.mission, MissionId(42));
-        assert_eq!(back, tagged);
+        assert_eq!(synergy_codec::to_bytes(&external).unwrap().len(), 64);
+        assert_eq!(synergy_codec::to_bytes(&ack).unwrap().len(), 36);
     }
 
     #[test]

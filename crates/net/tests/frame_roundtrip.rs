@@ -11,7 +11,7 @@
 use synergy_des::DetRng;
 use synergy_net::{
     frame_envelope, frame_envelope_with_acks, CkptSeqNo, DeviceId, Endpoint, Envelope,
-    FrameDecoder, MessageBody, MissionId, MsgId, MsgSeqNo, PiggyAck, ProcessId, MAX_PIGGY_ACKS,
+    FrameDecoder, MessageBody, MsgId, MsgSeqNo, PiggyAck, ProcessId, MAX_PIGGY_ACKS,
 };
 
 fn arbitrary_body(rng: &mut DetRng) -> MessageBody {
@@ -55,13 +55,6 @@ fn arbitrary_envelope(rng: &mut DetRng) -> Envelope {
     } else {
         DeviceId(rng.gen_range(0u64..2) as u32).into()
     };
-    // Most traffic is solo; a quarter carries a fleet tenant tag so every
-    // frame property also covers mission-tagged envelopes sharing a route.
-    let mission = if rng.gen_bool(0.75) {
-        MissionId::SOLO
-    } else {
-        MissionId(rng.next_u64())
-    };
     Envelope::new(
         MsgId {
             from: ProcessId(rng.gen_range(1u64..4) as u32),
@@ -70,7 +63,6 @@ fn arbitrary_envelope(rng: &mut DetRng) -> Envelope {
         to,
         arbitrary_body(rng),
     )
-    .with_mission(mission)
 }
 
 /// Splits `wire` into chunks at random boundaries, including empty chunks

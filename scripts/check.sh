@@ -60,6 +60,23 @@ if git grep -nE 'mdcd::gen''eral|pipeline_gu''ard|set_link_fa''ults|set_default_
     exit 1
 fi
 
+echo "==> no tenant tag on the wire"
+# An envelope is sender, sequence, destination and body; the fleet's
+# MissionId is a slot key on SystemConfig, never stamped on a message
+# (names spelt in halves so this line does not find itself).
+if git grep -nE 'with_''mission|set_''mission|env\.''mission' -- crates tests examples; then
+    echo "the tenant tag is on the wire again" >&2
+    exit 1
+fi
+
+echo "==> one sweep"
+# Many seeded runs go through synergy::sweep; bench and chaos keep no
+# scoped-thread loop of their own (spelt in halves, as above).
+if git grep -n 'thread::''scope' -- crates/bench crates/chaos; then
+    echo "a hand-rolled parallel loop is back in bench or chaos" >&2
+    exit 1
+fi
+
 echo "==> scripts parse"
 # ab.sh runs for minutes and ledger_row.sh appends to the trajectory, so
 # neither runs here; a syntax error in either still fails the gate.
@@ -128,18 +145,14 @@ echo "==> unmasked-regime smoke: 4 seeds per regime + live Byzantine campaigns"
 # any worse-than-expected verdict, or a non-reproducible row.
 ./target/release/synergy-chaos --regime --seeds 4 --base-seed 5 --jobs 2
 
-echo "==> fleet smoke: 100 seeded tenants, 4 verified against solo runs"
-# Deterministic: seeded missions, and --verify re-runs a sample of tenants
-# as standalone simulator missions and diffs device streams byte-for-byte.
-./target/release/synergy-fleet --tenants 100 --seed 7 --duration-secs 30 --verify 4 > /dev/null
-
 # ROADMAP item 3's ratchet: the workspace is meant to shrink. 43 009 at
 # c807614, 41 589 after PR 23, 41 300 after PR 24, 40 545 after PR 25;
 # 40 866 at 1fa848a, 40 094 with the in-process threaded deployment gone,
 # 40 038 with one checkpoint store on the live cluster, 39 033 with the
 # test-only capabilities and three of four handle twins gone, 39 225 with
-# reactor pacing as a table-tested function; every CHANGES.md entry ends
-# with before -> after.
+# reactor pacing as a table-tested function, 38 717 with the tenant tag
+# off the wire, the fleet driver gone and one sweep; every CHANGES.md
+# entry ends with before -> after.
 echo "==> tracked Rust lines: $(git ls-files '*.rs' | xargs cat | wc -l)"
 
 echo "OK: fmt, clippy, tier-1, ledger and smokes all passed"
