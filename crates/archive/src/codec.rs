@@ -70,7 +70,7 @@ impl ChainRecord {
     /// Exact length of [`synergy_codec::to_bytes`] for this record, computed
     /// without serializing (the simulator accounts bytes through this on
     /// every commit, so it must be allocation-free).
-    pub fn encoded_len(&self) -> u64 {
+    pub(crate) fn encoded_len(&self) -> u64 {
         match self {
             // enum tag + chain_crc + (len prefix + image bytes)
             ChainRecord::Full { image, .. } => 4 + 4 + 8 + image.len() as u64,
@@ -192,7 +192,7 @@ impl CheckpointCodec {
     }
 
     /// The kind the *next* committed checkpoint will be encoded as.
-    pub fn next_kind(&self) -> RecordKind {
+    pub(crate) fn next_kind(&self) -> RecordKind {
         match &self.last {
             Some(_) if self.deltas_since_full < self.k - 1 => RecordKind::Delta,
             _ => RecordKind::Full,
@@ -311,7 +311,7 @@ impl ChainWalker {
     /// Counts a record that never reached [`feed`](Self::feed) — e.g. one
     /// whose bytes did not decode as a [`ChainRecord`] at all. The chain
     /// position is unchanged, so later deltas orphan on their base check,
-    /// and [`into_codec`](Self::into_codec) restarts with a full image.
+    /// and the codec the walker hands on restarts with a full image.
     pub fn note_orphan(&mut self) {
         self.orphans += 1;
     }
@@ -431,7 +431,7 @@ impl ChainWalker {
     /// the chain exactly where the reload left it. If any record was
     /// orphaned the codec restarts with a full image instead — the damaged
     /// suffix is never extended.
-    pub fn into_codec(self, k: u32) -> CheckpointCodec {
+    pub(crate) fn into_codec(self, k: u32) -> CheckpointCodec {
         let mut codec = CheckpointCodec::new(k);
         if self.orphans == 0 {
             codec.deltas_since_full = self.deltas_since_full.min(k.saturating_sub(1));

@@ -262,19 +262,19 @@ impl DeltaPatch {
     }
 
     /// Total payload bytes carried by the regions.
-    pub fn region_bytes(&self) -> u64 {
+    pub(crate) fn region_bytes(&self) -> u64 {
         self.regions.iter().map(|r| r.bytes.len() as u64).sum()
     }
 }
 
 /// Seed value for the first link of a chain (a full image restarts the
 /// chain from this constant rather than from a predecessor).
-pub const CHAIN_SEED: u32 = 0x5943_4B43; // "CKCY"
+pub(crate) const CHAIN_SEED: u32 = 0x5943_4B43; // "CKCY"
 
 /// Chains a record onto its predecessor: the link CRC binds the previous
 /// link's CRC to this record's image CRC, so one flipped bit anywhere in a
 /// chain breaks that link and every later link.
-pub fn chain_link(prev_chain_crc: u32, image_crc: u32) -> u32 {
+pub(crate) fn chain_link(prev_chain_crc: u32, image_crc: u32) -> u32 {
     let mut buf = [0u8; 8];
     buf[..4].copy_from_slice(&prev_chain_crc.to_le_bytes());
     buf[4..].copy_from_slice(&image_crc.to_le_bytes());

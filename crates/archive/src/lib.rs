@@ -29,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod codec;
 pub mod delta;
@@ -37,7 +38,7 @@ pub mod store;
 pub mod tiered;
 
 pub use codec::{ChainRecord, ChainWalker, CheckpointCodec, RecordCost, RecordKind};
-pub use delta::{chain_link, DeltaError, DeltaPatch, DirtyRegion, CHAIN_SEED, REGION_SIZE};
+pub use delta::{DeltaError, DeltaPatch, DirtyRegion, REGION_SIZE};
 pub use object::{
     ArchiveFaultPlan, DirObjectStore, FaultyObjectStore, MemObjectStore, ObjectStore,
     ObjectStoreError, OutageWindow,

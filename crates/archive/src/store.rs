@@ -173,12 +173,6 @@ impl<S: StableHistory> DeltaStable<S> {
         self.delta_stats
     }
 
-    /// The kind the next committed record will be — [`RecordKind::Full`]
-    /// after a reload that found orphans, regardless of cadence position.
-    pub fn next_record_kind(&self) -> RecordKind {
-        self.codec.next_kind()
-    }
-
     /// Wraps `original` as an inner checkpoint whose state bytes are the
     /// encoded chain `record`, preserving seq / timestamp / label, and
     /// returns it with the pair to hold pending.
@@ -474,7 +468,7 @@ mod tests {
         let mut s = DeltaStable::open(StableStore::with_retention(8), 4);
         commit(&mut s, ckpt(1, 1));
         let second = ckpt(2, 2);
-        assert_eq!(s.next_record_kind(), RecordKind::Delta);
+        assert_eq!(s.codec.next_kind(), RecordKind::Delta);
         commit(&mut s, second.clone());
         let served = s.latest_shared().unwrap();
         assert_eq!(
@@ -509,7 +503,7 @@ mod tests {
 
             // The value `wrap` stamped is the CRC of the record's encoding.
             let record = ChainRecord::Full {
-                chain_crc: crate::chain_link(crate::CHAIN_SEED, image_crc),
+                chain_crc: chain_link(CHAIN_SEED, image_crc),
                 image: image.clone().into(),
             };
             let encoded = synergy_codec::to_bytes(&record).unwrap();
@@ -611,10 +605,10 @@ mod tests {
                     // The file is gone and the chain ends one record
                     // earlier, intact: cadence decides what follows.
                     let follows = if (k, rounds) == (4, 4) { Delta } else { Full };
-                    assert_eq!(s.next_record_kind(), follows, "{what}");
+                    assert_eq!(s.codec.next_kind(), follows, "{what}");
                 } else {
                     assert_eq!((frame, chain), (0, 1), "{what}: the chain's to refuse");
-                    assert_eq!(s.next_record_kind(), Full, "{what}");
+                    assert_eq!(s.codec.next_kind(), Full, "{what}");
                 }
                 let intact = &originals[..rounds as usize - 1];
                 assert_eq!(s.latest_shared().as_ref(), intact.last(), "{what}");
@@ -649,7 +643,7 @@ mod tests {
         assert_eq!(s.delta_stats().chain_orphans, 0, "committed chain intact");
         assert_eq!(s.latest_shared().unwrap(), originals[2]);
         assert_eq!(
-            s.next_record_kind(),
+            s.codec.next_kind(),
             RecordKind::Delta,
             "intact chain resumes mid-segment"
         );
@@ -685,7 +679,7 @@ mod tests {
         assert_eq!(s.latest_shared().unwrap(), originals[1], "intact prefix");
         assert_eq!(s.committed_records(), originals[..2]);
         assert_eq!(
-            s.next_record_kind(),
+            s.codec.next_kind(),
             RecordKind::Full,
             "damaged suffix is never extended"
         );
@@ -722,7 +716,7 @@ mod tests {
         let mut bad = ckpt(9, 9);
         bad.corrupt_bit(8 * 300);
         assert!(bad.decode::<Vec<u8>>().is_err(), "the raw store refuses it");
-        assert_eq!(s.next_record_kind(), kind);
+        assert_eq!(s.codec.next_kind(), kind);
         commit(&mut s, bad);
 
         // The record was built from the CRC the checkpoint carries, so the
@@ -734,7 +728,7 @@ mod tests {
         assert_eq!(s.delta_stats().chain_orphans, 1);
         assert_eq!(s.latest_shared().as_ref(), good.last());
         assert_eq!(s.committed_records(), good);
-        assert_eq!(s.next_record_kind(), RecordKind::Full);
+        assert_eq!(s.codec.next_kind(), RecordKind::Full);
     }
 
     #[test]
@@ -780,7 +774,7 @@ mod tests {
         assert_eq!(s.latest_shared().unwrap(), forged);
         assert_eq!(s.latest_at_or_before_shared(2).unwrap(), forged);
         assert_eq!(s.latest_at_or_before_shared(1).unwrap(), ckpt(1, 1));
-        assert_eq!(s.next_record_kind(), RecordKind::Delta);
+        assert_eq!(s.codec.next_kind(), RecordKind::Delta);
         commit(&mut s, ckpt(3, 3));
         assert_eq!(s.delta_stats().delta_records, 2);
         drop(s);
@@ -845,7 +839,7 @@ mod tests {
         assert!(s.abort_write());
         assert!(!s.abort_write());
         assert_eq!(s.stats().torn_writes, 0);
-        assert_eq!(s.next_record_kind(), RecordKind::Delta);
+        assert_eq!(s.codec.next_kind(), RecordKind::Delta);
     }
 
     #[test]
@@ -866,7 +860,7 @@ mod tests {
             vec![ckpt(5, 5), ckpt(6, 6)],
             "usable history restarts at the surviving full image"
         );
-        assert_eq!(s.next_record_kind(), RecordKind::Full);
+        assert_eq!(s.codec.next_kind(), RecordKind::Full);
     }
 
     #[test]

@@ -90,26 +90,6 @@ impl ArchiveHandle {
     pub fn stats(&self) -> ArchiveStats {
         self.0.queue.lock().expect("archive queue poisoned").stats
     }
-
-    /// Blocks until the upload queue is empty or `timeout` elapses; returns
-    /// whether it drained. The quiesce path of choice before killing or
-    /// wiping a node whose archive copy must be complete.
-    pub fn wait_drained(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut q = self.0.queue.lock().expect("archive queue poisoned");
-        while !q.pending.is_empty() {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
-            };
-            let (guard, _) = self
-                .0
-                .cond
-                .wait_timeout(q, left)
-                .expect("archive queue poisoned");
-            q = guard;
-        }
-        true
-    }
 }
 
 /// Local [`DiskStableStore`] mirrored to an archive tier by a background
@@ -310,8 +290,6 @@ fn upload_loop(shared: &Shared, mut archive: Box<dyn ObjectStore>) {
                 let mut q = shared.queue.lock().expect("archive queue poisoned");
                 q.pending.pop_front();
                 q.stats.uploads += 1;
-                // Wake any wait_drained caller.
-                shared.cond.notify_all();
             }
             Err(_) => {
                 let delay = backoff.next_delay().expect("unlimited schedule");
@@ -415,6 +393,19 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use synergy_des::SimTime;
 
+    /// Polls the upload queue's depth, as the cluster's quiesce does,
+    /// until it is empty or `timeout` elapses; returns whether it drained.
+    fn drained(handle: &ArchiveHandle, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        while handle.pending() > 0 {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
     fn tmp_dir(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
@@ -459,7 +450,7 @@ mod tests {
         for seq in 1..=4 {
             commit(&mut s, ckpt(seq, seq * 10));
         }
-        assert!(handle.wait_drained(Duration::from_secs(5)), "queue drains");
+        assert!(drained(&handle, Duration::from_secs(5)), "queue drains");
         assert_eq!(handle.stats().uploads, 4);
         assert_mirrored(&local, &remote);
         drop(s);
@@ -477,7 +468,7 @@ mod tests {
             for seq in 1..=3 {
                 commit(&mut s, ckpt(seq, seq * 100));
             }
-            assert!(s.handle().wait_drained(Duration::from_secs(5)));
+            assert!(drained(&s.handle(), Duration::from_secs(5)));
         }
         fs::remove_dir_all(&local).unwrap();
         let s =
@@ -509,13 +500,10 @@ mod tests {
         commit(&mut s, ckpt(1, 1));
         commit(&mut s, ckpt(2, 2));
         assert!(
-            !handle.wait_drained(Duration::from_millis(50)),
+            !drained(&handle, Duration::from_millis(50)),
             "outage holds the queue"
         );
-        assert!(
-            handle.wait_drained(Duration::from_secs(5)),
-            "then it drains"
-        );
+        assert!(drained(&handle, Duration::from_secs(5)), "then it drains");
         let stats = handle.stats();
         assert!(stats.upload_failures >= 1, "the outage was felt: {stats:?}");
         assert_eq!(stats.uploads, 2);
@@ -539,7 +527,7 @@ mod tests {
         for seq in 1..=6 {
             commit(&mut s, ckpt(seq, seq));
         }
-        assert!(handle.wait_drained(Duration::from_secs(10)));
+        assert!(drained(&handle, Duration::from_secs(10)));
         // Partial PUTs left prefixes along the way; the retries must have
         // overwritten every one with the full record.
         assert_mirrored(&local, &remote);
@@ -576,7 +564,7 @@ mod tests {
             TieredStore::open(&local, 8, archive_over(&remote, ArchiveFaultPlan::inert())).unwrap();
         let handle = s.handle();
         assert!(handle.stats().resynced >= 1, "missing records re-queued");
-        assert!(handle.wait_drained(Duration::from_secs(5)));
+        assert!(drained(&handle, Duration::from_secs(5)));
         assert_mirrored(&local, &remote);
         drop(s);
         fs::remove_dir_all(&local).unwrap();
@@ -593,7 +581,7 @@ mod tests {
             for seq in 1..=3 {
                 commit(&mut s, ckpt(seq, seq * 7));
             }
-            assert!(s.handle().wait_drained(Duration::from_secs(5)));
+            assert!(drained(&s.handle(), Duration::from_secs(5)));
         }
         // Rot the newest archived object and truncate the middle one — a
         // half-uploaded PUT frozen by the outage that killed the node.

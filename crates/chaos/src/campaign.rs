@@ -91,7 +91,7 @@ pub struct FaultSummary {
 /// stable-retry totals from the final status sweep, torn/corrupt counts
 /// from the kill reports (the reload observations, counted once per
 /// crash rather than re-read from the restarted victim's status).
-pub fn fault_summary(report: &ClusterReport) -> FaultSummary {
+pub(crate) fn fault_summary(report: &ClusterReport) -> FaultSummary {
     let mut s = FaultSummary::default();
     for (_, status) in &report.final_status {
         s.chaos_drops += status.chaos_drops;

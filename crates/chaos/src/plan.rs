@@ -18,14 +18,14 @@
 
 use synergy::NodeId;
 use synergy_archive::{ArchiveFaultPlan, OutageWindow};
-use synergy_cluster::{CrashEvent, CrashKind, Rot};
+use synergy_cluster::{grid_rounds, CrashEvent, CrashKind, Rot};
 use synergy_des::DetRng;
 use synergy_net::{LinkFaultPlan, LinkFaults, PartitionWindow};
 use synergy_storage::{DiskFault, DiskFaultPlan, DiskOp};
 
 /// The checkpoint grid spacing every campaign uses, chosen so no grid
 /// point lands within the verifier's ε-scan radius of a produce instant.
-pub const CAMPAIGN_DELTA_SECS: f64 = 1.7;
+pub(crate) const CAMPAIGN_DELTA_SECS: f64 = 1.7;
 
 /// Which fault groups a campaign may include.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,16 +101,6 @@ pub struct CampaignSpec {
     /// node 0 so the restored lie reaches the device stream and the
     /// cluster-vs-sim diff documents the escape.
     pub corrupt: Option<usize>,
-}
-
-/// Commanded checkpoint rounds a mission of `steps` produces executes:
-/// grid rounds `g ≥ 1` with `g·Δ < steps`.
-pub fn grid_rounds(steps: u32, tb_interval_secs: f64) -> u64 {
-    let mut g = 0u64;
-    while tb_interval_secs * ((g + 1) as f64) < f64::from(steps) {
-        g += 1;
-    }
-    g
 }
 
 impl CampaignSpec {
@@ -325,31 +315,31 @@ impl CampaignSpec {
     }
 
     /// Removes the link-fault group (wire becomes a passthrough).
-    pub fn disable_link(&mut self) {
+    pub(crate) fn disable_link(&mut self) {
         self.link = LinkFaultPlan::inert(self.link.seed);
     }
 
     /// Removes every stable-storage fault.
-    pub fn disable_disk(&mut self) {
+    pub(crate) fn disable_disk(&mut self) {
         for plan in &mut self.disk {
             *plan = DiskFaultPlan::inert();
         }
     }
 
     /// Removes a frame-level rot injection.
-    pub fn disable_bitrot(&mut self) {
+    pub(crate) fn disable_bitrot(&mut self) {
         self.rot = self.rot.filter(|&r| r != Rot::Frame);
     }
 
     /// Removes a chain-level rot injection.
-    pub fn disable_deltarot(&mut self) {
+    pub(crate) fn disable_deltarot(&mut self) {
         self.rot = self.rot.filter(|&r| r != Rot::Chain);
     }
 
     /// Removes the archive-tier fault group: object-store fault plans and
     /// the wiped-disk rehydration. The chain cadence itself stays — it is
     /// mission shape, not a fault.
-    pub fn disable_archive(&mut self) {
+    pub(crate) fn disable_archive(&mut self) {
         for plan in &mut self.archive {
             *plan = ArchiveFaultPlan::inert();
         }
@@ -357,13 +347,13 @@ impl CampaignSpec {
     }
 
     /// Removes the Byzantine-lite checkpoint corruption.
-    pub fn disable_corrupt(&mut self) {
+    pub(crate) fn disable_corrupt(&mut self) {
         self.corrupt = None;
     }
 
     /// Removes the scheduled crash (and with it the rot, wipe, and
     /// checkpoint corruption, which all ride on a crash's global rollback).
-    pub fn disable_crash(&mut self) {
+    pub(crate) fn disable_crash(&mut self) {
         self.crash = None;
         self.rot = None;
         self.wipe = false;
@@ -371,7 +361,7 @@ impl CampaignSpec {
     }
 
     /// Which fault groups the spec still carries, for shrink ordering.
-    pub fn active_toggles(&self) -> CampaignToggles {
+    pub(crate) fn active_toggles(&self) -> CampaignToggles {
         CampaignToggles {
             link: !self.link.is_inert(),
             disk: self.disk.iter().any(|p| !p.is_inert()),
@@ -569,15 +559,6 @@ mod tests {
             let crash = a.crash.expect("corruption rides on a crash");
             assert!(crash.epoch >= 2, "node 0 must hold a committed record");
         }
-    }
-
-    #[test]
-    fn grid_round_count_matches_the_orchestrator_loop() {
-        // The orchestrator runs round g when g·Δ < s for some produce s.
-        assert_eq!(grid_rounds(5, 1.7), 2);
-        assert_eq!(grid_rounds(6, 1.7), 3);
-        assert_eq!(grid_rounds(7, 1.7), 4);
-        assert_eq!(grid_rounds(9, 1.7), 5);
     }
 
     #[test]

@@ -149,7 +149,7 @@ pub struct RegimeSweep {
 }
 
 /// Runs one campaign of a regime sweep.
-pub fn run_row(kind: RegimeKind, base_seed: u64, index: u64) -> RegimeRow {
+pub(crate) fn run_row(kind: RegimeKind, base_seed: u64, index: u64) -> RegimeRow {
     let cfg = kind.config(base_seed, index);
     RegimeRow {
         index,

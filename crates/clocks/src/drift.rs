@@ -50,11 +50,6 @@ impl DriftingClock {
         }
     }
 
-    /// A perfect clock: zero offset, zero drift.
-    pub fn perfect() -> Self {
-        DriftingClock::new(SimDuration::ZERO, 0.0)
-    }
-
     /// This clock's rate error.
     pub fn drift(&self) -> f64 {
         self.drift
@@ -111,7 +106,7 @@ mod tests {
 
     #[test]
     fn perfect_clock_tracks_true_time() {
-        let c = DriftingClock::perfect();
+        let c = DriftingClock::new(SimDuration::ZERO, 0.0);
         let t = SimTime::from_secs_f64(3.5);
         assert_eq!(c.read(t).as_nanos(), t.as_nanos());
         assert_eq!(c.when_local(LocalTime::from_nanos(t.as_nanos())), t);

@@ -56,7 +56,6 @@ pub struct ClockFleet {
     params: SyncParams,
     last_resync: SimTime,
     rng: DetRng,
-    resync_count: u64,
 }
 
 impl ClockFleet {
@@ -80,19 +79,6 @@ impl ClockFleet {
             params,
             last_resync: SimTime::ZERO,
             rng,
-            resync_count: 0,
-        }
-    }
-
-    /// A fleet of perfect clocks (for tests that want exact synchrony).
-    pub fn perfect(n: usize) -> Self {
-        assert!(n > 0, "fleet must contain at least one clock");
-        ClockFleet {
-            clocks: (0..n).map(|_| DriftingClock::perfect()).collect(),
-            params: SyncParams::new(SimDuration::ZERO, 0.0),
-            last_resync: SimTime::ZERO,
-            rng: DetRng::new(0),
-            resync_count: 0,
         }
     }
 
@@ -135,11 +121,6 @@ impl ClockFleet {
         self.last_resync
     }
 
-    /// How many resynchronizations have been performed.
-    pub fn resync_count(&self) -> u64 {
-        self.resync_count
-    }
-
     /// The `δ + 2ρτ` bound at true instant `now`.
     pub fn deviation_bound_at(&self, now: SimTime) -> SimDuration {
         self.params
@@ -177,7 +158,6 @@ impl ClockFleet {
             clock.resync(now, reference + offset, drift);
         }
         self.last_resync = now;
-        self.resync_count += 1;
     }
 
     /// Models a *failed* resynchronization of node `i`: its clock is stepped
@@ -239,7 +219,6 @@ mod tests {
         let late = SimTime::from_secs_f64(1000.0);
         fleet.resync_all(late);
         assert_eq!(fleet.last_resync(), late);
-        assert_eq!(fleet.resync_count(), 1);
         assert!(fleet.max_pairwise_deviation(late) <= params().delta);
         // Bound is measured from the new resync instant.
         let soon = late + SimDuration::from_secs(1);
@@ -259,7 +238,9 @@ mod tests {
 
     #[test]
     fn perfect_fleet_has_zero_deviation() {
-        let fleet = ClockFleet::perfect(3);
+        // The parameters a mission's `perfect_clocks` configures.
+        let perfect = SyncParams::new(SimDuration::ZERO, 0.0);
+        let fleet = ClockFleet::generate(3, perfect, &DetRng::new(0));
         assert_eq!(
             fleet.max_pairwise_deviation(SimTime::from_secs_f64(42.0)),
             SimDuration::ZERO
@@ -279,7 +260,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one clock")]
     fn empty_fleet_rejected() {
-        let _ = ClockFleet::perfect(0);
+        let _ = ClockFleet::generate(0, params(), &DetRng::new(0));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Each node process opens one TCP connection back to the orchestrator and
 //! speaks a strict request/response protocol over it: the node sends a
-//! [`CtrlReply::Hello`] on connect, then answers exactly one [`CtrlReply`]
-//! per received [`CtrlMsg`]. Frames are length-prefixed [`synergy_codec`]
+//! `CtrlReply::Hello` on connect, then answers exactly one `CtrlReply`
+//! per received `CtrlMsg`. Frames are length-prefixed [`synergy_codec`]
 //! values, the same wire discipline as the data plane's envelope framing.
 //!
 //! Lockstep keeps the distributed mission deterministic: the orchestrator
@@ -19,11 +19,11 @@ use synergy_net::Endpoint;
 
 /// Upper bound on one control frame; control values are tiny, so anything
 /// bigger indicates a corrupt or misaligned stream.
-pub const MAX_CTRL_FRAME: usize = 1024 * 1024;
+pub(crate) const MAX_CTRL_FRAME: usize = 1024 * 1024;
 
 /// Orchestrator → node commands.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CtrlMsg {
+pub(crate) enum CtrlMsg {
     /// Produce one application message on this node's process.
     Produce {
         /// Whether the message is external (acceptance-tested).
@@ -72,7 +72,7 @@ pub enum CtrlMsg {
 
 /// Node → orchestrator replies.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CtrlReply {
+pub(crate) enum CtrlReply {
     /// Sent once on connect, before any command.
     Hello {
         /// The node's process id (1 = `P1act`, 2 = `P1sdw`, 3 = `P2`).
@@ -351,7 +351,7 @@ impl Codec for CtrlReply {
 /// # Errors
 ///
 /// Propagates socket write errors.
-pub fn send_ctrl<T: Codec>(stream: &mut TcpStream, value: &T) -> io::Result<()> {
+pub(crate) fn send_ctrl<T: Codec>(stream: &mut TcpStream, value: &T) -> io::Result<()> {
     let payload = to_bytes(value).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "control frame too large"))?;
@@ -367,7 +367,7 @@ pub fn send_ctrl<T: Codec>(stream: &mut TcpStream, value: &T) -> io::Result<()> 
 ///
 /// Socket errors, oversized frames, and codec failures (reported as
 /// [`io::ErrorKind::InvalidData`]).
-pub fn recv_ctrl<T: Codec>(stream: &mut TcpStream) -> io::Result<T> {
+pub(crate) fn recv_ctrl<T: Codec>(stream: &mut TcpStream) -> io::Result<T> {
     let mut len_bytes = [0u8; 4];
     stream.read_exact(&mut len_bytes)?;
     let len = u32::from_le_bytes(len_bytes) as usize;

@@ -34,6 +34,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod ctrl;
 pub mod node;
@@ -41,11 +42,11 @@ pub mod orchestrator;
 mod runner;
 pub mod verify;
 
-pub use ctrl::{CtrlMsg, CtrlReply, WireStatus};
-pub use node::{plan_from_hex, plan_to_hex, run_node, ClusterWire, NodeOpts};
+pub use ctrl::WireStatus;
+pub use node::{run_node, NodeOpts};
 pub use orchestrator::{
-    Cluster, ClusterConfig, ClusterError, ClusterReport, ClusterTimeouts, CrashEvent, CrashKind,
-    KillReport, Rot,
+    grid_rounds, Cluster, ClusterConfig, ClusterError, ClusterReport, ClusterTimeouts, CrashEvent,
+    CrashKind, KillReport, Rot,
 };
 pub use verify::{simulate_reference, simulate_reference_schedule, SimReference};
 

@@ -13,13 +13,13 @@
 //!    checkpoint. The store is then wrapped in a [`FaultyStable`] applying
 //!    the campaign's disk-fault plan.
 //! 2. Bind the [`ReactorTransport`] on an ephemeral port, wrap it in a
-//!    [`ClusterWire`] (bounded backpressure retry) and a
+//!    `ClusterWire` (bounded backpressure retry) and a
 //!    [`FaultyTransport`] applying the campaign's link-fault plan, and
 //!    start the node event loop under `TbDrive::Commanded` — checkpoint
 //!    rounds are driven by the orchestrator, not by wall-clock timers,
 //!    which keeps a distributed mission deterministic.
 //! 3. Connect back to the orchestrator, announce
-//!    [`Hello`](CtrlReply::Hello) (data port + recovered epoch + torn-write
+//!    `Hello` (data port + recovered epoch + torn-write
 //!    and corrupt-record counts), then serve control commands in lockstep.
 //!
 //! Both fault plans default to inert, in which case the wrappers are
@@ -29,7 +29,7 @@
 //!
 //! A restarted node does **not** restore itself: per the paper's global
 //! rollback, the *orchestrator* computes the epoch line across the cluster
-//! and commands [`Rollback`](CtrlMsg::Rollback) on every node, the
+//! and commands `Rollback` on every node, the
 //! restarted one included.
 
 use std::io;
@@ -91,7 +91,7 @@ pub struct NodeOpts {
 }
 
 /// Encodes a codec value as lowercase hex for command-line transport.
-pub fn plan_to_hex<T: Codec>(value: &T) -> String {
+pub(crate) fn plan_to_hex<T: Codec>(value: &T) -> String {
     let bytes = synergy_codec::to_bytes(value).expect("fault plans always encode");
     let mut out = String::with_capacity(bytes.len() * 2);
     for b in bytes {
@@ -105,7 +105,7 @@ pub fn plan_to_hex<T: Codec>(value: &T) -> String {
 /// # Errors
 ///
 /// Malformed hex or a codec decode failure.
-pub fn plan_from_hex<T: Codec>(hex: &str) -> Result<T, String> {
+pub(crate) fn plan_from_hex<T: Codec>(hex: &str) -> Result<T, String> {
     if !hex.len().is_multiple_of(2) {
         return Err("odd-length hex plan".into());
     }
@@ -237,7 +237,7 @@ fn open_store(opts: &NodeOpts) -> io::Result<(DeltaStable<TieredStore>, ArchiveH
 /// [`WireStatus::backpressure`], which the orchestrator treats as fatal,
 /// because a dropped data-plane frame breaks per-link FIFO and the
 /// campaign can no longer converge.
-pub struct ClusterWire {
+pub(crate) struct ClusterWire {
     wire: ReactorTransport,
     /// Envelopes dropped after the retry budget — lost on a live route.
     stalled: AtomicU64,
@@ -248,15 +248,15 @@ impl ClusterWire {
     /// Default retry budget: generous against transient ring pressure,
     /// bounded so a truly wedged peer fails the mission instead of
     /// hanging it.
-    pub const DEFAULT_RETRY_BUDGET: Duration = Duration::from_secs(2);
+    pub(crate) const DEFAULT_RETRY_BUDGET: Duration = Duration::from_secs(2);
 
     /// Wraps a live wire with the default retry budget.
-    pub fn new(wire: ReactorTransport) -> ClusterWire {
+    pub(crate) fn new(wire: ReactorTransport) -> ClusterWire {
         ClusterWire::with_budget(wire, ClusterWire::DEFAULT_RETRY_BUDGET)
     }
 
     /// Wraps a live wire with an explicit retry budget.
-    pub fn with_budget(wire: ReactorTransport, retry_budget: Duration) -> ClusterWire {
+    pub(crate) fn with_budget(wire: ReactorTransport, retry_budget: Duration) -> ClusterWire {
         ClusterWire {
             wire,
             stalled: AtomicU64::new(0),
@@ -265,39 +265,39 @@ impl ClusterWire {
     }
 
     /// The wrapped transport.
-    pub fn wire(&self) -> &ReactorTransport {
+    pub(crate) fn wire(&self) -> &ReactorTransport {
         &self.wire
     }
 
     /// Envelopes dropped because a route stayed backpressured past the
     /// retry budget.
-    pub fn stalled(&self) -> u64 {
+    pub(crate) fn stalled(&self) -> u64 {
         self.stalled.load(Ordering::Relaxed)
     }
 
     /// Records one stalled-route drop (the blast hook counts its own
     /// unretried rejections here so status sweeps see them).
-    pub fn note_stalled(&self) {
+    pub(crate) fn note_stalled(&self) {
         self.stalled.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The bound listen address.
-    pub fn local_addr(&self) -> SocketAddr {
+    pub(crate) fn local_addr(&self) -> SocketAddr {
         self.wire.local_addr()
     }
 
     /// Registers an endpoint and returns its delivery channel.
-    pub fn register(&self, endpoint: Endpoint) -> Receiver<Envelope> {
+    pub(crate) fn register(&self, endpoint: Endpoint) -> Receiver<Envelope> {
         self.wire.register(endpoint)
     }
 
     /// Points `endpoint` at `addr` in the outbound routing table.
-    pub fn set_route(&self, endpoint: Endpoint, addr: SocketAddr) {
+    pub(crate) fn set_route(&self, endpoint: Endpoint, addr: SocketAddr) {
         self.wire.set_route(endpoint, addr)
     }
 
     /// Stops the wrapped transport.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         self.wire.shutdown()
     }
 }

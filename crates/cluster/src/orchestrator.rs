@@ -461,14 +461,43 @@ pub struct Cluster {
     wiped: bool,
 }
 
+/// Commanded checkpoint rounds a mission of `steps` produces executes:
+/// grid rounds `g ≥ 1` with `g·Δ < steps`. [`Cluster::run`] runs the rounds
+/// due before produce `s` as `grid_rounds(s, Δ)`.
+pub fn grid_rounds(steps: u32, tb_interval_secs: f64) -> u64 {
+    let mut g = 0u64;
+    while tb_interval_secs * ((g + 1) as f64) < f64::from(steps) {
+        g += 1;
+    }
+    g
+}
+
 impl Cluster {
     /// Spawns the three node processes and wires the full route table.
     ///
     /// # Errors
     ///
-    /// Process-spawn, socket, or control-protocol failures — all bounded
-    /// by the configured timeouts.
+    /// A crash scheduled outside the mission's checkpoint rounds
+    /// (`1..=grid_rounds(steps, Δ)`) or a corrupt target outside the node
+    /// table, before any process is spawned; then process-spawn, socket,
+    /// or control-protocol failures — all bounded by the configured
+    /// timeouts.
     pub fn launch(cfg: ClusterConfig) -> Result<Self, ClusterError> {
+        // A crash no round reaches would never fire, and the run would
+        // report a fault-free mission as verified.
+        let rounds = grid_rounds(cfg.steps, cfg.tb_interval_secs);
+        if let Some(crash) = cfg
+            .crashes
+            .iter()
+            .find(|c| !(1..=rounds).contains(&c.epoch))
+        {
+            return Err(ClusterError::Launch {
+                detail: format!(
+                    "crash epoch {} outside checkpoint rounds 1..={rounds} of a {}-step mission",
+                    crash.epoch, cfg.steps
+                ),
+            });
+        }
         // The Byzantine-lite target indexes the node table; surface a bad
         // index as the same typed error the simulator's plan validation
         // raises, instead of panicking at the first crash round.
@@ -1100,7 +1129,7 @@ impl Cluster {
         let mut next_grid: u64 = 1;
         for s in 1..=self.cfg.steps {
             // Checkpoint rounds whose grid time falls before this produce.
-            while self.cfg.tb_interval_secs * (next_grid as f64) < f64::from(s) {
+            while next_grid <= grid_rounds(s, self.cfg.tb_interval_secs) {
                 self.ensure_alive()?;
                 // Settle the cluster at the grid point: with chaos active,
                 // wait out in-flight injected delays/retransmits so every
@@ -1210,6 +1239,15 @@ fn expect_done(reply: CtrlReply) -> Result<(), ClusterError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn grid_round_count_matches_the_orchestrator_loop() {
+        // The orchestrator runs round g when g·Δ < s for some produce s.
+        assert_eq!(grid_rounds(5, 1.7), 2);
+        assert_eq!(grid_rounds(6, 1.7), 3);
+        assert_eq!(grid_rounds(7, 1.7), 4);
+        assert_eq!(grid_rounds(9, 1.7), 5);
+    }
 
     #[test]
     fn launch_rejects_an_out_of_range_corrupt_target() {

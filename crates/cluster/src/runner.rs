@@ -32,7 +32,7 @@ use synergy_tb::{Event as TbEvent, TbConfig};
 
 /// Who tells a node's TB engine what time it is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TbDrive {
+pub(crate) enum TbDrive {
     /// Real time: the timer and the blocking period the host asks for
     /// become `Instant`s and the node loop feeds their expiry when due.
     /// Runners in one process share one time base, so `δ` and `ρ` are
@@ -50,7 +50,7 @@ pub enum TbDrive {
 /// Everything a node thread can receive on its (single) input channel:
 /// transport deliveries and control commands.
 #[derive(Debug)]
-pub enum NodeInput {
+pub(crate) enum NodeInput {
     /// An envelope delivered by the transport.
     Net(Envelope),
     /// A control command.
@@ -62,7 +62,7 @@ pub enum NodeInput {
 /// message yet; only the in-process tests send them.
 #[derive(Debug)]
 #[cfg_attr(not(test), allow(dead_code))]
-pub enum NodeCmd {
+pub(crate) enum NodeCmd {
     /// Produce one application message.
     Produce {
         /// Whether the message is external (acceptance-tested).
@@ -106,7 +106,7 @@ pub enum NodeCmd {
 
 /// What a [`NodeCmd::Rollback`] did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RollbackOutcome {
+pub(crate) struct RollbackOutcome {
     /// Epoch of the checkpoint the node restored, or `None` when nothing at
     /// or before the line was retained: the node restarted from the initial
     /// state, as the simulator does at epoch line 0. (A node without TB is
@@ -118,7 +118,7 @@ pub struct RollbackOutcome {
 
 /// A live snapshot of one node.
 #[derive(Clone, Debug)]
-pub struct NodeStatus {
+pub(crate) struct NodeStatus {
     /// The MDCD dirty bit.
     pub dirty: bool,
     /// Whether a shadow has been promoted.
@@ -147,7 +147,7 @@ pub struct NodeStatus {
 /// cluster node discards them; the in-process tests halt the active,
 /// promote the shadow and retarget the peer on the first error.
 #[derive(Debug)]
-pub enum SupEvent {
+pub(crate) enum SupEvent {
     /// An acceptance test failed at this node (the recovery procedure is
     /// the same whoever detected the error).
     SoftwareError,
@@ -158,7 +158,11 @@ pub enum SupEvent {
 /// Forwards transport deliveries for `pid` into the node's input channel so
 /// the run loop has a single blocking receive. The pump thread exits when
 /// either side hangs up (transport torn down or node gone).
-pub fn spawn_net_pump(pid: ProcessId, net_rx: Receiver<Envelope>, input_tx: Sender<NodeInput>) {
+pub(crate) fn spawn_net_pump(
+    pid: ProcessId,
+    net_rx: Receiver<Envelope>,
+    input_tx: Sender<NodeInput>,
+) {
     std::thread::Builder::new()
         .name(format!("synergy-node-{pid}-net"))
         .spawn(move || {
@@ -173,7 +177,7 @@ pub fn spawn_net_pump(pid: ProcessId, net_rx: Receiver<Envelope>, input_tx: Send
 
 /// The node event loop: one [`ProcessHost`] driven from an input channel
 /// against a real transport.
-pub struct NodeRunner<T: Transport, S: Stable> {
+pub(crate) struct NodeRunner<T: Transport, S: Stable> {
     pub(crate) host: ProcessHost<S>,
     net: Arc<T>,
     input_rx: Receiver<NodeInput>,
@@ -206,7 +210,7 @@ impl<T: Transport, S: Stable> NodeRunner<T, S> {
     ///
     /// Panics if `pid` is not one of the canonical topology's three
     /// processes (`NodeOpts::from_args` rejects any other `--pid`).
-    pub fn new(
+    pub(crate) fn new(
         pid: ProcessId,
         seed: u64,
         net: Arc<T>,
@@ -257,7 +261,7 @@ impl<T: Transport, S: Stable> NodeRunner<T, S> {
     }
 
     /// Runs the loop until shutdown or until every input sender is gone.
-    pub fn run(mut self) {
+    pub(crate) fn run(mut self) {
         loop {
             // Bound the wait by the next TB deadline so wall-clock timers
             // fire on time (a commanded runner has none).

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use synergy::NodeId;
-use synergy_cluster::{Cluster, ClusterConfig, ClusterError};
+use synergy_cluster::{grid_rounds, Cluster, ClusterConfig, ClusterError, CrashEvent, CrashKind};
 use synergy_net::{Endpoint, ProcessId};
 
 fn unique_dir(label: &str) -> PathBuf {
@@ -67,6 +67,44 @@ fn node_dead_before_hello_fails_fast_and_structured() {
         "early death must be detected by child polling ({elapsed:?}), \
          not by waiting out the {hello_timeout:?} hello timeout"
     );
+    let _ = std::fs::remove_dir_all(&data_root);
+}
+
+/// A crash scheduled one past the mission's last checkpoint round would
+/// never fire, and the run would verify a fault-free mission. Launch
+/// refuses it, naming the last round, before it spawns any node: the stub
+/// node leaves a marker file if it ever runs.
+#[cfg(unix)]
+#[test]
+fn crash_past_the_last_round_fails_launch_before_any_node_spawns() {
+    use std::os::unix::fs::PermissionsExt;
+
+    let data_root = unique_dir("crash-past-last-round");
+    let marker = data_root.join("spawned");
+    let script = data_root.join("marker-node.sh");
+    let stub = format!("#!/bin/sh\ntouch '{}'\nexit 7\n", marker.display());
+    std::fs::write(&script, stub).expect("write stub node");
+    let mut perms = std::fs::metadata(&script).expect("stat stub").permissions();
+    perms.set_mode(0o755);
+    std::fs::set_permissions(&script, perms).expect("chmod stub");
+
+    let mut cfg = config(script, data_root.clone());
+    let last = grid_rounds(cfg.steps, cfg.tb_interval_secs);
+    assert_eq!(last, 2, "4 produces on a 1.7 s grid run rounds 1 and 2");
+    cfg.crashes.push(CrashEvent {
+        victim: NodeId::P2,
+        epoch: last + 1,
+        kind: CrashKind::RoundStart,
+    });
+    match Cluster::launch(cfg) {
+        Err(ClusterError::Launch { detail }) => {
+            assert!(detail.contains("crash epoch 3"), "{detail}");
+            assert!(detail.contains("1..=2"), "names the last round: {detail}");
+        }
+        Err(other) => panic!("expected a launch rejection, got {other:?}"),
+        Ok(_) => panic!("launch must reject a crash no round reaches"),
+    }
+    assert!(!marker.exists(), "no node process was spawned");
     let _ = std::fs::remove_dir_all(&data_root);
 }
 

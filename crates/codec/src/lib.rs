@@ -30,6 +30,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use core::fmt;
 use core::ops::{Deref, Range};
@@ -215,7 +216,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`CodecError::UnexpectedEof`] when fewer than `n` bytes remain.
-    pub fn take_shared(&mut self, n: usize) -> Result<SharedBytes, CodecError> {
+    pub(crate) fn take_shared(&mut self, n: usize) -> Result<SharedBytes, CodecError> {
         let start = self.pos;
         let bytes = self.take(n)?;
         Ok(match self.source {
@@ -225,14 +226,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes one byte.
-    pub fn take_byte(&mut self) -> Result<u8, CodecError> {
+    pub(crate) fn take_byte(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
     /// Decodes a `u64` length prefix, validating it against the remaining
     /// input so hostile prefixes cannot trigger huge allocations. `min_width`
     /// is the smallest encoded size of one element.
-    pub fn take_len(&mut self, min_width: usize) -> Result<usize, CodecError> {
+    pub(crate) fn take_len(&mut self, min_width: usize) -> Result<usize, CodecError> {
         let len = u64::decode(self)?;
         let len = usize::try_from(len).map_err(|_| CodecError::LengthOverflow)?;
         if len.saturating_mul(min_width.max(1)) > self.remaining() {
@@ -267,7 +268,7 @@ pub trait Codec: Sized {
 
     /// Decodes `len` values written by [`encode_slice`](Self::encode_slice).
     /// Callers validate `len` against the remaining input first
-    /// ([`Reader::take_len`]), so the allocation is bounded by the input.
+    /// (`Reader::take_len`), so the allocation is bounded by the input.
     ///
     /// # Errors
     ///

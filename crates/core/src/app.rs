@@ -139,7 +139,7 @@ impl CounterApp {
 
     /// Decodes a snapshot back into a state (for checkers inspecting
     /// checkpoints).
-    pub fn decode_state(bytes: &[u8]) -> Option<CounterState> {
+    pub(crate) fn decode_state(bytes: &[u8]) -> Option<CounterState> {
         synergy_codec::from_bytes(bytes).ok()
     }
 }

@@ -78,7 +78,7 @@ impl Verdicts {
 
     /// Merges another set of verdicts into this one (used both within a run
     /// and to accumulate parallel seed sweeps).
-    pub fn merge(&mut self, other: Verdicts) {
+    pub(crate) fn merge(&mut self, other: Verdicts) {
         self.violations.extend(other.violations);
         self.checks_run += other.checks_run;
         self.at_catches += other.at_catches;
@@ -92,7 +92,7 @@ impl Verdicts {
 
 /// A restored process state to check: role, payload, and role metadata.
 #[derive(Clone, Debug)]
-pub struct RestoredState {
+pub(crate) struct RestoredState {
     /// The process.
     pub pid: ProcessId,
     /// Its role in the guarded configuration.
@@ -110,20 +110,20 @@ pub struct RestoredState {
 /// Checks validity-concerned global consistency and recoverability over a
 /// set of restored states.
 #[derive(Clone, Debug)]
-pub struct GlobalChecker {
+pub(crate) struct GlobalChecker {
     /// The active process (its sequence numbers are the validated domain).
     pub active: ProcessId,
 }
 
 impl GlobalChecker {
     /// Creates a checker for a system whose active process is `active`.
-    pub fn new(active: ProcessId) -> Self {
+    pub(crate) fn new(active: ProcessId) -> Self {
         GlobalChecker { active }
     }
 
     /// Runs every check against `states`, given the ground-truth highest
     /// validated sequence number of the active process.
-    pub fn check(&self, states: &[RestoredState], global_validated: MsgSeqNo) -> Verdicts {
+    pub(crate) fn check(&self, states: &[RestoredState], global_validated: MsgSeqNo) -> Verdicts {
         let mut v = Verdicts {
             checks_run: 1,
             ..Verdicts::default()

@@ -4,8 +4,6 @@ use core::fmt;
 
 use synergy_clocks::SyncParams;
 use synergy_des::{SimDuration, SimTime};
-use synergy_mdcd::MdcdConfig;
-use synergy_storage::DiskModel;
 use synergy_tb::TbVariant;
 
 use crate::faults::{FaultPlan, HardwareFault, SoftwareFault};
@@ -37,19 +35,9 @@ impl Scheme {
         crate::system::policy_for(self)
     }
 
-    /// The MDCD configuration this scheme runs.
-    pub fn mdcd_config(self) -> MdcdConfig {
-        self.policy().mdcd_config()
-    }
-
     /// The TB variant this scheme runs, if any.
-    pub fn tb_variant(self) -> Option<TbVariant> {
+    pub(crate) fn tb_variant(self) -> Option<TbVariant> {
         self.policy().tb_variant()
-    }
-
-    /// Whether Type-2 checkpoints are written through to stable storage.
-    pub fn stable_on_validation(self) -> bool {
-        self.policy().stable_on_validation()
     }
 }
 
@@ -100,8 +88,6 @@ pub struct SystemConfig {
     pub faults: FaultPlan,
     /// Delay between a hardware fault and system-wide recovery.
     pub restart_delay: SimDuration,
-    /// Stable-storage write cost model.
-    pub disk: DiskModel,
     /// Whether to record a full event trace (disable for long sweeps).
     pub trace: bool,
     /// When set, account every stable commit through the incremental
@@ -187,7 +173,6 @@ impl Default for SystemConfigBuilder {
                 external_rate_hz: 1.0 / 60.0,
                 faults: FaultPlan::default(),
                 restart_delay: SimDuration::from_millis(500),
-                disk: DiskModel::commodity(),
                 trace: true,
                 checkpoint_delta_k: None,
                 scripted_sends: Vec::new(),
@@ -322,14 +307,14 @@ impl SystemConfigBuilder {
     }
 
     /// Uses a fixed network delay for every link (deterministic scenarios).
-    pub fn fixed_delay(mut self, delay: SimDuration) -> Self {
+    pub(crate) fn fixed_delay(mut self, delay: SimDuration) -> Self {
         self.cfg.tmin = delay;
         self.cfg.tmax = delay;
         self
     }
 
     /// Uses perfectly synchronized, drift-free clocks.
-    pub fn perfect_clocks(mut self) -> Self {
+    pub(crate) fn perfect_clocks(mut self) -> Self {
         self.cfg.sync = SyncParams::new(SimDuration::ZERO, 0.0);
         self
     }
@@ -393,13 +378,16 @@ mod tests {
 
     #[test]
     fn scheme_protocol_mapping() {
-        assert_eq!(Scheme::Coordinated.mdcd_config().variant, Variant::Modified);
+        assert_eq!(
+            Scheme::Coordinated.policy().mdcd_config().variant,
+            Variant::Modified
+        );
         assert_eq!(Scheme::Coordinated.tb_variant(), Some(TbVariant::Adapted));
         assert_eq!(Scheme::Naive.tb_variant(), Some(TbVariant::Original));
         assert_eq!(Scheme::WriteThrough.tb_variant(), None);
-        assert!(Scheme::WriteThrough.stable_on_validation());
-        assert!(Scheme::WriteThrough.mdcd_config().active_type2);
-        assert!(!Scheme::Coordinated.stable_on_validation());
+        assert!(Scheme::WriteThrough.policy().stable_on_validation());
+        assert!(Scheme::WriteThrough.policy().mdcd_config().active_type2);
+        assert!(!Scheme::Coordinated.policy().stable_on_validation());
     }
 
     #[test]

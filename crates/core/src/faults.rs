@@ -83,7 +83,7 @@ impl HardwareFault {
     }
 
     /// The crashed node as a [`NodeId`], if the index is valid.
-    pub fn node_id(&self) -> Option<NodeId> {
+    pub(crate) fn node_id(&self) -> Option<NodeId> {
         NodeId::from_index(self.node)
     }
 }

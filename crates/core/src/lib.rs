@@ -41,6 +41,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod app;
 pub mod checkers;
@@ -53,20 +54,19 @@ pub mod payload;
 pub mod regime;
 pub mod roles;
 pub mod scenario;
-pub mod sweep;
+mod sweep;
 pub mod system;
-pub mod workload;
+mod workload;
 
 pub use app::{Application, CounterApp};
-pub use checkers::{GlobalChecker, Verdicts};
+pub use checkers::Verdicts;
 pub use config::{MissionId, Scheme, SystemConfig, SystemConfigBuilder};
 pub use faults::{FaultPlan, FaultPlanError, HardwareFault, NodeId, SoftwareFault};
 pub use metrics::RunMetrics;
 pub use payload::{CheckpointPayload, SentRecord};
 pub use regime::{
-    diff_device_streams, filter_injected_escapes, run_regime_mission, AtCoveragePlan,
-    BadMessagePlan, ByzantinePlan, EscapeRecord, RegimePlan, RegimeReport, RegimeVerdict,
-    ResyncViolationPlan,
+    run_regime_mission, AtCoveragePlan, BadMessagePlan, ByzantinePlan, EscapeRecord, RegimePlan,
+    RegimeReport, RegimeVerdict, ResyncViolationPlan,
 };
 pub use sweep::sweep;
 pub use system::{Mission, MissionOutcome, System};

@@ -92,7 +92,7 @@ impl RunMetrics {
     }
 
     /// Adds a volatile-checkpoint observation.
-    pub fn count_volatile(&mut self, kind: CheckpointKind) {
+    pub(crate) fn count_volatile(&mut self, kind: CheckpointKind) {
         match kind {
             CheckpointKind::Type1 => self.type1_ckpts += 1,
             CheckpointKind::Type2 => self.type2_ckpts += 1,

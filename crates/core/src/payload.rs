@@ -122,7 +122,7 @@ impl CheckpointPayload {
     }
 
     /// The instant the captured state was live.
-    pub fn state_time(&self) -> SimTime {
+    pub(crate) fn state_time(&self) -> SimTime {
         SimTime::from_nanos(self.state_time_nanos)
     }
 
@@ -144,7 +144,7 @@ impl CheckpointPayload {
     /// # Errors
     ///
     /// Propagates codec failures (none occur for well-formed payloads).
-    pub fn to_checkpoint(
+    pub(crate) fn to_checkpoint(
         &self,
         seq: u64,
         label: impl Into<String>,
@@ -159,7 +159,7 @@ impl CheckpointPayload {
     /// # Errors
     ///
     /// Propagates codec failures (none occur for well-formed payloads).
-    pub fn to_checkpoint_with(
+    pub(crate) fn to_checkpoint_with(
         &self,
         seq: u64,
         label: impl Into<String>,

@@ -37,7 +37,7 @@ use crate::payload::CheckpointPayload;
 /// XOR mask applied to the corrupted byte of a bad external payload. Chosen to
 /// flip bits the checksum fold is sensitive to, so a full-coverage acceptance
 /// test always catches the corruption.
-pub const CORRUPTION_MASK: u8 = 0x3C;
+pub(crate) const CORRUPTION_MASK: u8 = 0x3C;
 
 /// Bad-message injection through the upgraded `P1act`: after `after`, each
 /// external payload the active process produces is corrupted with probability
@@ -117,7 +117,7 @@ impl RegimePlan {
     /// True if classifying this plan's runs needs an oracle device stream:
     /// corruption can reach the device only via AT false negatives or
     /// valid-CRC checkpoint corruption.
-    pub fn needs_oracle(&self) -> bool {
+    pub(crate) fn needs_oracle(&self) -> bool {
         self.byzantine.is_some()
             || (self.bad_messages.is_some() && self.at_coverage.is_some_and(|c| c.coverage < 1.0))
     }
@@ -200,7 +200,7 @@ impl fmt::Display for EscapeRecord {
 /// Diffs an observed device stream against an oracle stream, returning one
 /// [`EscapeRecord`] per divergent message. A length mismatch between streams
 /// is reported as a single record at the first missing/extra index.
-pub fn diff_device_streams(observed: &[Vec<u8>], oracle: &[Vec<u8>]) -> Vec<EscapeRecord> {
+pub(crate) fn diff_device_streams(observed: &[Vec<u8>], oracle: &[Vec<u8>]) -> Vec<EscapeRecord> {
     let mut escapes = Vec::new();
     let shared = observed.len().min(oracle.len());
     for (index, (got, want)) in observed.iter().zip(oracle.iter()).enumerate() {
@@ -231,7 +231,7 @@ pub fn diff_device_streams(observed: &[Vec<u8>], oracle: &[Vec<u8>]) -> Vec<Esca
 /// touch the value *and* checksum bytes at once and never match the
 /// single-byte-xor signature, while an escaped corrupt payload (payload-only
 /// flip, application state untouched) always does.
-pub fn filter_injected_escapes(
+pub(crate) fn filter_injected_escapes(
     diff: Vec<EscapeRecord>,
     observed: &[Vec<u8>],
     oracle: &[Vec<u8>],
@@ -274,7 +274,7 @@ pub enum RegimeVerdict {
 impl RegimeVerdict {
     /// Classifies a finished run from its evidence: the regime counters on
     /// `verdicts` plus whether any recovery (software or hardware) completed.
-    pub fn classify(verdicts: &Verdicts, recovered: bool) -> Self {
+    pub(crate) fn classify(verdicts: &Verdicts, recovered: bool) -> Self {
         if verdicts.at_escapes > 0 || !verdicts.escapes.is_empty() {
             RegimeVerdict::DocumentedEscape
         } else if !verdicts.all_hold() {
@@ -323,7 +323,7 @@ impl fmt::Display for RegimeVerdict {
 /// the active `ProcessHost` only; draws come from the seeded `"regime"`
 /// stream so sweeps are deterministic per (seed, plan).
 #[derive(Debug)]
-pub struct RegimeInjector {
+pub(crate) struct RegimeInjector {
     rate: f64,
     coverage: f64,
     armed: bool,
@@ -333,7 +333,7 @@ pub struct RegimeInjector {
 impl RegimeInjector {
     /// Builds an injector from the plan's knobs; `coverage` defaults to the
     /// real AT (1.0) when no [`AtCoveragePlan`] is present.
-    pub fn new(rate: f64, coverage: f64, rng: DetRng) -> Self {
+    pub(crate) fn new(rate: f64, coverage: f64, rng: DetRng) -> Self {
         RegimeInjector {
             rate,
             coverage,
@@ -343,24 +343,19 @@ impl RegimeInjector {
     }
 
     /// Arms the injector (called when the plan's `after` instant passes).
-    pub fn arm(&mut self) {
+    pub(crate) fn arm(&mut self) {
         self.armed = true;
-    }
-
-    /// True once [`arm`](Self::arm) has been called.
-    pub fn armed(&self) -> bool {
-        self.armed
     }
 
     /// Draws whether the next external payload is corrupted. Always draws
     /// once armed (keeping the stream position independent of outcomes).
-    pub fn draw_corrupt(&mut self) -> bool {
+    pub(crate) fn draw_corrupt(&mut self) -> bool {
         self.armed && self.rng.gen_bool(self.rate)
     }
 
     /// Draws whether the acceptance test catches a corrupt payload (a miss is
     /// a false negative: the corruption escapes to the device).
-    pub fn draw_caught(&mut self) -> bool {
+    pub(crate) fn draw_caught(&mut self) -> bool {
         self.rng.gen_bool(self.coverage)
     }
 }
@@ -393,17 +388,10 @@ pub struct RegimeReport {
     pub violations: usize,
 }
 
-impl RegimeReport {
-    /// First escaped/divergent payload offset, for the shrinker report.
-    pub fn first_escape(&self) -> Option<EscapeRecord> {
-        self.escapes.first().copied()
-    }
-}
-
 /// Runs one mission under its regime plan and classifies the outcome.
 ///
 /// When the plan can leak corrupt data past every detector
-/// ([`RegimePlan::needs_oracle`]), a fault-free oracle twin of the same
+/// (`RegimePlan::needs_oracle`), a fault-free oracle twin of the same
 /// configuration runs alongside and its device stream is diffed against the
 /// observed one; each divergence is counted and localized as an
 /// [`EscapeRecord`] so escapes are documented, never silent.

@@ -24,7 +24,7 @@ pub struct TraceCounts {
 
 impl TraceCounts {
     /// Extracts counts from a trace.
-    pub fn from_trace(trace: &Trace) -> Self {
+    pub(crate) fn from_trace(trace: &Trace) -> Self {
         TraceCounts {
             type1: trace.by_kind("ckpt.type-1").count(),
             type2: trace.by_kind("ckpt.type-2").count(),

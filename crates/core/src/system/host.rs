@@ -333,13 +333,13 @@ impl<S: Stable> ProcessHost<S> {
     }
 
     /// Installs the unmasked-regime injector (driver-side, at system build).
-    pub fn set_regime(&mut self, injector: crate::regime::RegimeInjector) {
+    pub(crate) fn set_regime(&mut self, injector: crate::regime::RegimeInjector) {
         self.regime = Some(injector);
     }
 
     /// Arms the installed regime injector (the plan's `after` instant
     /// passed); no-op on hosts without one.
-    pub fn arm_regime(&mut self) {
+    pub(crate) fn arm_regime(&mut self) {
         if let Some(inj) = self.regime.as_mut() {
             inj.arm();
         }
@@ -369,7 +369,7 @@ impl<S: Stable> ProcessHost<S> {
     }
 
     /// A shared view of the sent log, reused until the next append.
-    pub fn sent_shared(&mut self) -> Arc<[SentRecord]> {
+    pub(crate) fn sent_shared(&mut self) -> Arc<[SentRecord]> {
         self.sent_snapshot
             .get_or_insert_with(|| self.sent_log.as_slice().into())
             .clone()
@@ -396,7 +396,7 @@ impl<S: Stable> ProcessHost<S> {
     }
 
     /// A checkpoint payload of the current state at `now`.
-    pub fn current_payload(&mut self, now: SimTime) -> CheckpointPayload {
+    pub(crate) fn current_payload(&mut self, now: SimTime) -> CheckpointPayload {
         let sent = self.sent_shared();
         CheckpointPayload::new(
             self.app_image(),

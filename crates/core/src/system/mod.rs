@@ -5,7 +5,7 @@
 //!   surface ([`ProcessHost`]).
 //! - [`dispatch`](self): the discrete-event loop, reduced to routing fired
 //!   events to hosts and applying the environment side of their actions.
-//! - [`recovery`]: epoch-line selection, volatile rollback, and the
+//! - `recovery`: epoch-line selection, volatile rollback, and the
 //!   unacked/receive-log replay machinery for both recovery procedures.
 //!
 //! Scheme differences (which MDCD configuration, which TB variant,
@@ -22,7 +22,7 @@
 mod dispatch;
 pub mod host;
 pub mod policy;
-pub mod recovery;
+mod recovery;
 
 use synergy_clocks::ClockFleet;
 use synergy_des::{ActorId, DetRng, SimTime, Simulator, Trace};
@@ -38,7 +38,8 @@ use crate::workload::ArrivalStream;
 
 use dispatch::Ev;
 pub use host::{HostAction, HostEvent, ProcessHost, Topology};
-pub use policy::{policy_for, SchemePolicy};
+pub(crate) use policy::policy_for;
+pub use policy::SchemePolicy;
 
 /// `P1act`'s process id.
 pub const P1ACT: ProcessId = ProcessId(1);
@@ -326,11 +327,6 @@ impl System {
     /// arrival order (the stream the oracle diff operates on).
     pub fn device_stream(&self) -> Vec<Vec<u8>> {
         device_stream_of(&self.device_log)
-    }
-
-    /// The ground-truth highest validated sequence number.
-    pub fn global_validated(&self) -> MsgSeqNo {
-        self.global_validated
     }
 
     /// Whether the shadow has taken over.

@@ -5,7 +5,7 @@
 //! stable checkpointing, and whether validations write through to stable
 //! storage. [`SchemePolicy`] names those choices once; the host and
 //! recovery layers consult the policy instead of matching on
-//! [`Scheme`](crate::config::Scheme) themselves.
+//! [`Scheme`] themselves.
 
 use synergy_mdcd::MdcdConfig;
 use synergy_tb::TbVariant;
@@ -118,7 +118,7 @@ impl SchemePolicy for MdcdOnly {
 
 /// The policy for `scheme`. This is the only place a [`Scheme`] value is
 /// matched; everything downstream goes through the returned trait object.
-pub fn policy_for(scheme: Scheme) -> &'static dyn SchemePolicy {
+pub(crate) fn policy_for(scheme: Scheme) -> &'static dyn SchemePolicy {
     match scheme {
         Scheme::Coordinated => &Coordinated,
         Scheme::WriteThrough => &WriteThrough,

@@ -30,7 +30,7 @@ use crate::system::System;
 /// consistent recovery line is therefore the minimum over the live
 /// processes' newest committed epochs. A process with no committed
 /// checkpoint contributes epoch 0 (restart from the initial state).
-pub fn epoch_line<'a>(live: impl Iterator<Item = &'a StableStore>) -> Option<u64> {
+pub(crate) fn epoch_line<'a>(live: impl Iterator<Item = &'a StableStore>) -> Option<u64> {
     live.map(|s| s.latest().map_or(0, |c| c.seq())).min()
 }
 
@@ -42,7 +42,7 @@ pub fn epoch_line<'a>(live: impl Iterator<Item = &'a StableStore>) -> Option<u64
 /// re-send messages the restored state never produced — and the receipts
 /// delivered after the copied state are attached for driver-filtered
 /// replay (their senders may already hold the acknowledgments).
-pub fn volatile_copy_payload(
+pub(crate) fn volatile_copy_payload(
     vol: &Checkpoint,
     acks: &AckTracker,
     recv_log: &[Arc<Envelope>],
@@ -54,7 +54,7 @@ pub fn volatile_copy_payload(
 /// The amendment half of [`volatile_copy_payload`], for callers that already
 /// hold the decoded payload (the host caches the image of its latest
 /// volatile checkpoint precisely to skip the decode on the TB hot path).
-pub fn amend_volatile_copy(
+pub(crate) fn amend_volatile_copy(
     mut p: CheckpointPayload,
     acks: &AckTracker,
     recv_log: &[Arc<Envelope>],
@@ -71,7 +71,7 @@ pub fn amend_volatile_copy(
 
 /// Drops acknowledgment tracking for messages beyond `horizon`: per the
 /// restored state, they were never sent.
-pub fn prune_unacked(acks: &mut AckTracker, horizon: MsgSeqNo) {
+pub(crate) fn prune_unacked(acks: &mut AckTracker, horizon: MsgSeqNo) {
     let kept: Vec<Arc<Envelope>> = acks
         .unacked_shared()
         .into_iter()
@@ -90,7 +90,7 @@ pub fn prune_unacked(acks: &mut AckTracker, horizon: MsgSeqNo) {
 /// process's output, only validated ones, since anything else would
 /// re-contaminate a restored-clean state. Returns `(receiver, envelope)`
 /// pairs in restored-cut order.
-pub fn filter_replays(
+pub(crate) fn filter_replays(
     restored: &[(ProcessId, CheckpointPayload)],
     original_active: ProcessId,
     global_validated: MsgSeqNo,

@@ -4,19 +4,8 @@ use synergy_des::{DetRng, SimDuration};
 
 /// A Poisson arrival stream: exponential inter-arrival times at a fixed
 /// rate, drawn from a dedicated deterministic stream.
-///
-/// # Example
-///
-/// ```rust
-/// use synergy_des::DetRng;
-/// use synergy::workload::ArrivalStream;
-///
-/// let mut arrivals = ArrivalStream::new(2.0, DetRng::new(1).stream("w"));
-/// let gap = arrivals.next_interarrival();
-/// assert!(gap.as_secs_f64() > 0.0);
-/// ```
 #[derive(Clone, Debug)]
-pub struct ArrivalStream {
+pub(crate) struct ArrivalStream {
     rate_hz: f64,
     rng: DetRng,
 }
@@ -27,7 +16,7 @@ impl ArrivalStream {
     /// # Panics
     ///
     /// Panics if `rate_hz` is not finite and positive.
-    pub fn new(rate_hz: f64, rng: DetRng) -> Self {
+    pub(crate) fn new(rate_hz: f64, rng: DetRng) -> Self {
         assert!(
             rate_hz.is_finite() && rate_hz > 0.0,
             "invalid rate: {rate_hz}"
@@ -35,13 +24,8 @@ impl ArrivalStream {
         ArrivalStream { rate_hz, rng }
     }
 
-    /// The arrival rate in Hz.
-    pub fn rate_hz(&self) -> f64 {
-        self.rate_hz
-    }
-
     /// Draws the next inter-arrival gap (exponential, never exactly zero).
-    pub fn next_interarrival(&mut self) -> SimDuration {
+    pub(crate) fn next_interarrival(&mut self) -> SimDuration {
         let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
         let secs = -u.ln() / self.rate_hz;
         SimDuration::from_secs_f64(secs.max(1e-9))

@@ -45,14 +45,14 @@ pub(crate) struct EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
         }
     }
 
-    pub fn push(&mut self, time: SimTime, actor: ActorId, id: EventId, event: E) {
+    pub(crate) fn push(&mut self, time: SimTime, actor: ActorId, id: EventId, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse(Entry {
@@ -64,25 +64,21 @@ impl<E> EventQueue<E> {
         }));
     }
 
-    pub fn pop(&mut self) -> Option<Entry<E>> {
+    pub(crate) fn pop(&mut self) -> Option<Entry<E>> {
         self.heap.pop().map(|Reverse(e)| e)
-    }
-
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
     }
 
     /// Ids of every entry still queued (cancelled tombstones included), in
     /// arbitrary order. The simulator refuses to cancel an id not among them.
-    pub fn ids(&self) -> impl Iterator<Item = EventId> + '_ {
+    pub(crate) fn ids(&self) -> impl Iterator<Item = EventId> + '_ {
         self.heap.iter().map(|Reverse(e)| e.id)
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 }
@@ -120,9 +116,12 @@ mod tests {
     fn peek_and_len() {
         let mut q = q();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_nanos(7), ActorId(0), EventId(0), "x");
+        assert_eq!(q.ids().count(), 0);
+        q.push(SimTime::from_nanos(7), ActorId(0), EventId(3), "x");
         assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(7)));
+        // Peeking at the queued ids leaves the entry in place.
+        assert_eq!(q.ids().collect::<Vec<_>>(), [EventId(3)]);
+        assert_eq!(q.pop().map(|e| e.time), Some(SimTime::from_nanos(7)));
+        assert!(q.is_empty());
     }
 }

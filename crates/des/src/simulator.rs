@@ -128,12 +128,6 @@ impl<E> Simulator<E> {
         None
     }
 
-    /// The fire instant of the next pending event, if any. Cancelled events
-    /// may be reported until they are popped.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Number of queued (possibly cancelled) events.
     pub fn pending(&self) -> usize {
         self.queue.len()

@@ -55,7 +55,7 @@ impl Summary {
 
     /// Sample standard deviation (n−1 denominator); 0.0 for fewer than two
     /// observations.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         let n = self.samples.len();
         if n < 2 {
             return 0.0;
@@ -93,22 +93,6 @@ impl Summary {
                 .copied()
                 .fold(f64::NEG_INFINITY, f64::max)
         }
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank; 0.0 when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN by construction"));
-        let rank = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-        sorted[rank]
     }
 
     /// The raw observations in insertion order.
@@ -172,16 +156,6 @@ mod tests {
         assert_eq!(s.std_dev(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
-        assert_eq!(s.quantile(0.5), 0.0);
-    }
-
-    #[test]
-    fn quantiles() {
-        let s: Summary = (1..=100).map(f64::from).collect();
-        assert_eq!(s.quantile(0.0), 1.0);
-        assert_eq!(s.quantile(1.0), 100.0);
-        let med = s.quantile(0.5);
-        assert!((49.0..=51.0).contains(&med));
     }
 
     #[test]

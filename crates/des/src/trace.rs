@@ -57,7 +57,7 @@ impl Trace {
     }
 
     /// Whether events are currently recorded.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 

@@ -56,10 +56,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod error;
 pub mod lifecycle;
-pub mod manager;
+mod manager;
 pub mod sink;
 pub mod stats;
 mod tenant;
@@ -67,7 +68,7 @@ mod tenant;
 pub use error::FleetError;
 pub use lifecycle::TenantState;
 pub use manager::{FleetConfig, FleetManager, PassOutcome};
-pub use sink::{BoundedSink, DeviceSink, NullSink, SINK_ADDR};
+pub use sink::{BoundedSink, DeviceSink, NullSink};
 pub use stats::{FleetStats, TenantStats};
 pub use synergy::MissionId;
 pub use tenant::TenantReport;

@@ -53,7 +53,7 @@ pub enum TenantState {
 
 impl TenantState {
     /// Whether `self -> to` is a legal lifecycle edge.
-    pub fn may_transition(self, to: TenantState) -> bool {
+    pub(crate) fn may_transition(self, to: TenantState) -> bool {
         use TenantState::*;
         matches!(
             (self, to),
@@ -68,7 +68,7 @@ impl TenantState {
 
     /// Whether the scheduler still visits this tenant each pass — to step
     /// it (`Active`) or to retry its stalled device delivery (`Stalled`).
-    pub fn is_runnable(self) -> bool {
+    pub(crate) fn is_runnable(self) -> bool {
         matches!(self, TenantState::Active | TenantState::Stalled)
     }
 }

@@ -15,7 +15,7 @@ use synergy_net::{Envelope, SendError};
 
 /// The address a [`BoundedSink`] reports in its backpressure errors: the
 /// sink is in-process, so there is no socket behind it.
-pub const SINK_ADDR: SocketAddr = SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0);
+pub(crate) const SINK_ADDR: SocketAddr = SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0);
 
 /// A consumer of tenant device streams.
 pub trait DeviceSink: Send + Sync {

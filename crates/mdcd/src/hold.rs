@@ -13,41 +13,41 @@ pub(crate) struct HoldQueue {
 }
 
 impl HoldQueue {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         HoldQueue::default()
     }
 
-    pub fn is_blocking(&self) -> bool {
+    pub(crate) fn is_blocking(&self) -> bool {
         self.blocking
     }
 
-    pub fn start(&mut self) {
+    pub(crate) fn start(&mut self) {
         self.blocking = true;
     }
 
     /// Ends the period; the caller then [`pop`](Self::pop)s what was held.
-    pub fn end(&mut self) {
+    pub(crate) fn end(&mut self) {
         self.blocking = false;
     }
 
     /// The oldest held event, if any remains.
-    pub fn pop(&mut self) -> Option<Event> {
+    pub(crate) fn pop(&mut self) -> Option<Event> {
         self.held.pop_front()
     }
 
-    pub fn hold(&mut self, event: Event) {
+    pub(crate) fn hold(&mut self, event: Event) {
         debug_assert!(self.blocking, "holding outside a blocking period");
         self.held.push_back(event);
     }
 
     /// Drops all held events (process restart).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.blocking = false;
         self.held.clear();
     }
 
     #[cfg(test)]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.held.len()
     }
 }

@@ -37,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod actions;
 mod active;
@@ -51,7 +52,6 @@ mod types;
 pub use actions::Action;
 pub use active::ActiveEngine;
 pub use events::{Event, OutboundMessage};
-pub use log::MessageLog;
 pub use peer::PeerEngine;
 pub use shadow::{ShadowEngine, TakeoverPlan};
 pub use snapshot::EngineSnapshot;

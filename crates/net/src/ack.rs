@@ -116,18 +116,18 @@ impl AckTracker {
 /// message class — an ack overtaking queued data changes nothing the
 /// [`AckTracker`] can observe.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PendingAcks {
+pub(crate) struct PendingAcks {
     queue: VecDeque<PiggyAck>,
 }
 
 impl PendingAcks {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PendingAcks::default()
     }
 
     /// Stashes one ack for the next data frame.
-    pub fn push(&mut self, ack: PiggyAck) {
+    pub(crate) fn push(&mut self, ack: PiggyAck) {
         self.queue.push_back(ack);
     }
 
@@ -135,19 +135,19 @@ impl PendingAcks {
     /// first — what the next data frame carries in its header. `out` keeps
     /// its storage, so a buffer reused from frame to frame stops allocating
     /// once it has held `max` acks.
-    pub fn drain_for_frame(&mut self, max: usize, out: &mut Vec<PiggyAck>) {
+    pub(crate) fn drain_for_frame(&mut self, max: usize, out: &mut Vec<PiggyAck>) {
         let n = self.queue.len().min(max);
         out.clear();
         out.extend(self.queue.drain(..n));
     }
 
     /// Acks currently waiting for a ride.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.queue.len()
     }
 
     /// Whether no acks are waiting.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
 }

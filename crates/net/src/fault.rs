@@ -32,7 +32,7 @@ pub struct LinkFaults {
 
 impl LinkFaults {
     /// No faults: every message delivered exactly once.
-    pub const NONE: LinkFaults = LinkFaults {
+    pub(crate) const NONE: LinkFaults = LinkFaults {
         drop_prob: 0.0,
         dup_prob: 0.0,
     };
@@ -58,12 +58,12 @@ impl LinkFaults {
     }
 
     /// Whether the next message should be dropped.
-    pub fn roll_drop(&self, rng: &mut DetRng) -> bool {
+    pub(crate) fn roll_drop(&self, rng: &mut DetRng) -> bool {
         self.drop_prob > 0.0 && rng.gen_bool(self.drop_prob)
     }
 
     /// Whether the next delivered message should be duplicated.
-    pub fn roll_duplicate(&self, rng: &mut DetRng) -> bool {
+    pub(crate) fn roll_duplicate(&self, rng: &mut DetRng) -> bool {
         self.dup_prob > 0.0 && rng.gen_bool(self.dup_prob)
     }
 }

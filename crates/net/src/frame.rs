@@ -30,7 +30,7 @@ use crate::message::{Endpoint, Envelope, MessageBody, MsgId};
 
 /// Upper bound on one frame's body; larger length prefixes indicate a
 /// corrupt or hostile stream and poison the connection.
-pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
+pub(crate) const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
 /// Most piggybacked acks one frame may carry; the overflow rides the next
 /// frame (or a standalone ack frame).
@@ -53,7 +53,7 @@ synergy_codec::codec_struct!(PiggyAck { to, id, of });
 impl PiggyAck {
     /// Extracts the piggyback form of an ack envelope; `None` for any
     /// other message class.
-    pub fn from_envelope(env: &Envelope) -> Option<PiggyAck> {
+    pub(crate) fn from_envelope(env: &Envelope) -> Option<PiggyAck> {
         match env.body {
             MessageBody::Ack { of } => Some(PiggyAck {
                 to: env.to,
@@ -73,7 +73,7 @@ impl PiggyAck {
 /// Errors from the length-prefixed wire framing.
 #[derive(Debug)]
 pub enum FrameError {
-    /// A length prefix exceeded [`MAX_FRAME_LEN`].
+    /// A length prefix exceeded the 16 MiB frame limit.
     Oversized(usize),
     /// The frame payload did not decode as an [`Envelope`].
     Codec(CodecError),
@@ -104,7 +104,7 @@ impl std::error::Error for FrameError {
 /// # Errors
 ///
 /// Returns [`FrameError::Codec`] if the envelope cannot be serialized and
-/// [`FrameError::Oversized`] if the body exceeds [`MAX_FRAME_LEN`].
+/// [`FrameError::Oversized`] if the body exceeds the 16 MiB frame limit.
 pub fn frame_envelope(envelope: &Envelope) -> Result<Vec<u8>, FrameError> {
     frame_envelope_with_acks(envelope, &[])
 }
@@ -115,7 +115,7 @@ pub fn frame_envelope(envelope: &Envelope) -> Result<Vec<u8>, FrameError> {
 /// # Errors
 ///
 /// Returns [`FrameError::Codec`] if the envelope cannot be serialized and
-/// [`FrameError::Oversized`] if the body exceeds [`MAX_FRAME_LEN`] or the
+/// [`FrameError::Oversized`] if the body exceeds the 16 MiB frame limit or the
 /// ack list exceeds [`MAX_PIGGY_ACKS`].
 pub fn frame_envelope_with_acks(
     envelope: &Envelope,

@@ -19,6 +19,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod ack;
 mod delay;
@@ -31,19 +32,16 @@ pub mod retry;
 mod sim;
 mod transport;
 
-pub use ack::{AckTracker, PendingAcks};
+pub use ack::AckTracker;
 pub use delay::DelayModel;
 pub use fault::{check_probability, LinkFaultPlan, LinkFaults, PartitionWindow};
 pub use faulty::{FaultTotals, FaultyTransport, LostFrame};
 pub use frame::{
-    frame_envelope, frame_envelope_with_acks, FrameDecoder, FrameError, PiggyAck, MAX_FRAME_LEN,
-    MAX_PIGGY_ACKS,
+    frame_envelope, frame_envelope_with_acks, FrameDecoder, FrameError, PiggyAck, MAX_PIGGY_ACKS,
 };
 pub use message::{
     CkptSeqNo, DeviceId, Endpoint, Envelope, MessageBody, MsgId, MsgSeqNo, ProcessId,
 };
-pub use reactor::{
-    GaveUpRoute, ReactorTransport, ReconnectPolicy, SendError, WirePolicy, WireStats,
-};
+pub use reactor::{ReactorTransport, ReconnectPolicy, SendError, WirePolicy, WireStats};
 pub use sim::SimNetwork;
 pub use transport::Transport;

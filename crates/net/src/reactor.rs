@@ -1,13 +1,13 @@
 //! A nonblocking sharded reactor transport: the live cluster's one TCP
 //! wire.
 //!
-//! Envelopes travel as length-prefixed [`frame`](crate::frame)s over
-//! plain TCP sockets, one long-lived connection per destination address.
+//! Envelopes travel as length-prefixed frames
+//! ([`frame_envelope`](crate::frame_envelope)) over plain TCP sockets, one long-lived connection per destination address.
 //! Destinations are *addresses* that can change: a killed node restarts
 //! on a fresh port, and the orchestrator repairs the survivors' routing
 //! tables with [`ReactorTransport::set_route`]. Every socket runs
 //! nonblocking on a **fixed thread count**: `shards` event-loop threads
-//! (default [`DEFAULT_SHARDS`]) plus one connector thread, independent of
+//! (default 2) plus one connector thread, independent of
 //! how many routes or peers exist.
 //!
 //! * **Sharding** — every socket is owned by exactly one shard thread, so
@@ -32,9 +32,9 @@
 //!   when a ring turns idle→busy, so a sustained burst costs one wakeup,
 //!   not one per frame.
 //! * **Ack piggybacking** — ack envelopes don't consume ring capacity or
-//!   their own frames; they wait in a [`PendingAcks`] queue and ride the
-//!   header of the next outbound data frame to the same route
-//!   ([`frame`](crate::frame) wire format v2). With no data to ride, the
+//!   their own frames; they wait in a pending-ack queue and ride the
+//!   header of the next outbound data frame to the same route (wire
+//!   format v2, [`frame_envelope_with_acks`](crate::frame_envelope_with_acks)). With no data to ride, the
 //!   oldest ack is promoted to a standalone frame carrying the rest.
 //! * **Backpressure** — rings are bounded ([`WirePolicy::queue_bytes`]).
 //!   [`try_send`](ReactorTransport::try_send) surfaces overflow as a typed
@@ -49,14 +49,14 @@
 //! unrouted destinations, and reconnect-with-backoff under a
 //! [`ReconnectPolicy`] — a briefly-down peer costs latency, not messages;
 //! one that stays down past the budget shows in
-//! [`gave_up_routes`](ReactorTransport::gave_up_routes). Acks may overtake
+//! [`WireStats::dropped_dead`]. Acks may overtake
 //! data queued behind them, and one another — safe because acks are
 //! idempotent and order-free with respect to every message class,
 //! themselves included (see [`AckTracker::on_ack`](crate::AckTracker::on_ack)
 //! and DESIGN.md §12).
 
 use core::fmt;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -74,10 +74,10 @@ use crate::retry::Backoff;
 use crate::transport::Transport;
 
 /// Default number of shard (event-loop) threads.
-pub const DEFAULT_SHARDS: usize = 2;
+pub(crate) const DEFAULT_SHARDS: usize = 2;
 
 /// Default per-route outbound ring capacity in bytes.
-pub const DEFAULT_QUEUE_BYTES: usize = 256 * 1024;
+pub(crate) const DEFAULT_QUEUE_BYTES: usize = 256 * 1024;
 
 /// Target size of one coalesced write: a shard stops refilling a
 /// connection's staging buffer past this many bytes. A connection that
@@ -127,8 +127,8 @@ const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 /// transports reconnecting to a restarted node does not thunder in
 /// lockstep. After [`max_attempts`](Self::max_attempts) consecutive
 /// failures the route is declared dead: everything queued for it is
-/// counted and surfaced via [`ReactorTransport::gave_up_routes`], and
-/// later sends to that address are dropped (and counted) until
+/// dropped and counted in [`WireStats::dropped_dead`], and later sends to
+/// that address are dropped (and counted) until
 /// [`ReactorTransport::set_route`] revives it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReconnectPolicy {
@@ -164,17 +164,6 @@ impl Default for ReconnectPolicy {
             jitter_seed: 0x5359_4E45, // "SYNE"
         }
     }
-}
-
-/// A destination the connector gave up on, with the frames dropped since;
-/// listed by [`ReactorTransport::gave_up_routes`] until
-/// [`ReactorTransport::set_route`] revives the address.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GaveUpRoute {
-    /// The unreachable destination address.
-    pub addr: SocketAddr,
-    /// Frames dropped on this route since the connector gave up.
-    pub dropped: u64,
 }
 
 /// Tuning knobs for the reactor transport.
@@ -242,7 +231,7 @@ pub enum SendError {
         to: Endpoint,
     },
     /// The route's address exhausted its reconnect budget and was declared
-    /// dead; see [`ReactorTransport::gave_up_routes`].
+    /// dead; see [`ReconnectPolicy::max_attempts`].
     RouteDead {
         /// The dead address.
         addr: SocketAddr,
@@ -303,7 +292,8 @@ pub struct WireStats {
     /// Envelopes dropped by the blocking send path after
     /// [`WirePolicy::send_stall`] elapsed without ring space.
     pub backpressure_dropped: u64,
-    /// Envelopes dropped because their route was dead.
+    /// Envelopes dropped because their route was dead: queued or staged
+    /// when the connector gave up on it, or sent after.
     pub dropped_dead: u64,
 }
 
@@ -501,9 +491,9 @@ struct Shared {
     /// Bumped by `register`; invalidates the per-connection delivery
     /// cache so re-registered endpoints take effect immediately.
     endpoints_gen: AtomicU64,
-    /// Addresses that exhausted the reconnect budget → frames dropped
-    /// since. `set_route` to the address revives it.
-    dead: Mutex<HashMap<SocketAddr, u64>>,
+    /// Addresses that exhausted the reconnect budget. `set_route` to the
+    /// address revives it.
+    dead: Mutex<HashSet<SocketAddr>>,
     /// `dead.len()`, maintained under the `dead` lock — the send hot path
     /// checks this atomic and skips the lock entirely while nothing is
     /// dead (the overwhelmingly common case).
@@ -522,17 +512,12 @@ impl Shared {
     /// Whether `addr` is a gave-up route. Lock-free while nothing is dead.
     fn is_dead(&self, addr: SocketAddr) -> bool {
         self.dead_len.load(Ordering::Relaxed) > 0
-            && self.dead.lock().expect("dead lock").contains_key(&addr)
+            && self.dead.lock().expect("dead lock").contains(&addr)
     }
 
-    /// Records `count` drops on a dead address and wakes ring waiters.
-    fn count_dead_drops(&self, addr: SocketAddr, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let mut dead = self.dead.lock().expect("dead lock");
-        *dead.entry(addr).or_insert(0) += count;
-        self.dead_len.store(dead.len(), Ordering::Relaxed);
+    /// Counts `count` envelopes dropped on a dead address.
+    fn count_dead_drops(&self, count: u64) {
+        self.stats.dropped_dead.fetch_add(count, Ordering::Relaxed);
     }
 
     /// Asks the connector to (re)establish `addr` unless it is already
@@ -570,7 +555,7 @@ impl Shared {
             inner.frames = 0;
             inner.acks = PendingAcks::new();
             drop(inner);
-            self.count_dead_drops(addr, dropped);
+            self.count_dead_drops(dropped);
             ring.space.notify_all();
         }
     }
@@ -630,7 +615,7 @@ impl ReactorTransport {
             rings_gen: AtomicU64::new(0),
             endpoints: Mutex::new(HashMap::new()),
             endpoints_gen: AtomicU64::new(0),
-            dead: Mutex::new(HashMap::new()),
+            dead: Mutex::new(HashSet::new()),
             dead_len: AtomicUsize::new(0),
             jobs: Mutex::new(HashMap::new()),
             jobs_cv: Condvar::new(),
@@ -704,21 +689,6 @@ impl ReactorTransport {
         }
     }
 
-    /// Destinations that exhausted the reconnect budget, and how many
-    /// frames each has dropped since. Empty under a healthy cluster.
-    pub fn gave_up_routes(&self) -> Vec<GaveUpRoute> {
-        let mut routes: Vec<GaveUpRoute> = self
-            .shared
-            .dead
-            .lock()
-            .expect("dead lock")
-            .iter()
-            .map(|(&addr, &dropped)| GaveUpRoute { addr, dropped })
-            .collect();
-        routes.sort_by_key(|r| r.addr);
-        routes
-    }
-
     /// A snapshot of the transport's monotonic counters.
     pub fn stats(&self) -> WireStats {
         self.shared.stats.snapshot()
@@ -747,11 +717,7 @@ impl ReactorTransport {
         let addr = inner.addr;
         if self.shared.is_dead(addr) {
             drop(inner);
-            self.shared.count_dead_drops(addr, 1);
-            self.shared
-                .stats
-                .dropped_dead
-                .fetch_add(1, Ordering::Relaxed);
+            self.shared.count_dead_drops(1);
             return Err(SendError::RouteDead { addr });
         }
         // A busy ring's shard is already awake (or due within the sweep
@@ -1237,7 +1203,7 @@ fn flush_outbound(
         // drop count and forget the connection.
         if shared.is_dead(addr) {
             if let Some(conn) = out.remove(&addr) {
-                shared.count_dead_drops(addr, conn.bounds.len() as u64);
+                shared.count_dead_drops(conn.bounds.len() as u64);
             }
             shared.purge_rings_for(addr);
             continue;
@@ -1294,7 +1260,7 @@ fn flush_outbound(
     // the drop counts (the cache pass can't see them).
     out.retain(|&addr, conn| {
         if !conn.wbuf.is_empty() && shared.is_dead(addr) {
-            shared.count_dead_drops(addr, conn.bounds.len() as u64);
+            shared.count_dead_drops(conn.bounds.len() as u64);
             return false;
         }
         true
@@ -1453,8 +1419,7 @@ fn write_staged(shared: &Shared, addr: SocketAddr, conn: &mut OutConn) -> bool {
 
 /// Establishes outbound connections with bounded, jittered backoff; a
 /// destination that exhausts its budget is declared dead and its queued
-/// frames are purged and counted (see
-/// [`ReactorTransport::gave_up_routes`]).
+/// frames are purged and counted (see [`WireStats::dropped_dead`]).
 fn connector_loop(shared: Arc<Shared>) {
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -1519,7 +1484,7 @@ fn connector_loop(shared: Arc<Shared>) {
                         drop(jobs);
                         {
                             let mut dead = shared.dead.lock().expect("dead lock");
-                            dead.entry(addr).or_insert(0);
+                            dead.insert(addr);
                             shared.dead_len.store(dead.len(), Ordering::Relaxed);
                         }
                         shared.purge_rings_for(addr);
@@ -2003,28 +1968,19 @@ mod tests {
         };
         a.set_route(p2, addr);
         a.send(env(p2, 0, vec![]));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while a.gave_up_routes().is_empty() {
-            assert!(Instant::now() < deadline, "connector failed to give up");
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        // Giving up purges the queued frame into the drop count.
+        wait_for("the connector to give up", || a.stats().dropped_dead >= 1);
         // Later sends are dropped-and-counted, not queued behind a corpse.
         assert!(matches!(
             a.try_send(&env(p2, 1, vec![])),
-            Err(SendError::RouteDead { .. })
+            Err(SendError::RouteDead { addr: dead }) if dead == addr
         ));
         a.send(env(p2, 2, vec![]));
-        // The dead entry appears before the async purge folds the queued
-        // frame into its count, so poll for the final tally.
-        wait_for("three drops on the dead route", || {
-            let routes = a.gave_up_routes();
-            routes.len() == 1 && routes[0].addr == addr && routes[0].dropped >= 3
-        });
-        // set_route revives the address.
+        assert_eq!(a.stats().dropped_dead, 3, "queued, rejected and sent");
+        // set_route revives the address: the next send is delivered.
         let late = ReactorTransport::bind(addr).expect("port still free");
         let rx = late.register(p2);
         a.set_route(p2, addr);
-        assert!(a.gave_up_routes().is_empty(), "revived route is not dead");
         a.send(env(p2, 3, vec![3]));
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap().id.seq.0, 3);
         a.shutdown();

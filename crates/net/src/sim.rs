@@ -38,7 +38,6 @@ pub struct SimNetwork {
     /// its link by scanning: cheaper than hashing the key.
     links: Vec<Link>,
     rng: DetRng,
-    sent: u64,
 }
 
 /// One ordered link — a sender process to a destination endpoint — and its
@@ -57,18 +56,11 @@ impl SimNetwork {
             delay,
             links: Vec::new(),
             rng: rng.stream("sim-network"),
-            sent: 0,
         }
-    }
-
-    /// Envelopes handed to `route` so far.
-    pub fn sent(&self) -> u64 {
-        self.sent
     }
 
     /// The instant `envelope`, sent at `now`, arrives.
     pub fn route(&mut self, now: SimTime, envelope: &Envelope) -> SimTime {
-        self.sent += 1;
         let (from, to) = (envelope.from(), envelope.to);
         let i = match self.links.iter().position(|l| l.from == from && l.to == to) {
             Some(i) => i,
@@ -164,10 +156,11 @@ mod tests {
     #[test]
     fn counters_track_sends() {
         let mut n = net(DelayModel::Fixed(SimDuration::ZERO));
+        let mut last = SimTime::ZERO;
         for i in 0..5 {
-            n.route(SimTime::ZERO, &env(i));
+            last = n.route(SimTime::from_nanos(i), &env(i));
         }
-        assert_eq!(n.sent(), 5);
         assert_eq!(n.links.len(), 1, "one entry per link");
+        assert_eq!(n.links[0].last_delivery, last, "the link tracks its sends");
     }
 }

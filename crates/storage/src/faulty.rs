@@ -96,7 +96,6 @@ pub struct FaultyStable<S: Stable> {
     /// Sequence number of the in-flight write, tracked so `commit_write`
     /// (which takes no checkpoint argument) can be matched to its epoch.
     inflight_seq: Option<u64>,
-    injected: u64,
 }
 
 impl<S: Stable> FaultyStable<S> {
@@ -106,7 +105,6 @@ impl<S: Stable> FaultyStable<S> {
             inner,
             faults: plan.faults,
             inflight_seq: None,
-            injected: 0,
         }
     }
 
@@ -115,17 +113,11 @@ impl<S: Stable> FaultyStable<S> {
         &self.inner
     }
 
-    /// How many operations have been failed by injection so far.
-    pub fn injected_failures(&self) -> u64 {
-        self.injected
-    }
-
     /// Consumes one charge of a matching unspent fault, if any.
     fn take(&mut self, seq: u64, op: DiskOp) -> bool {
         for fault in &mut self.faults {
             if fault.seq == seq && fault.op == op && fault.times > 0 {
                 fault.times -= 1;
-                self.injected += 1;
                 return true;
             }
         }
@@ -228,7 +220,6 @@ mod tests {
         s.begin_write(ckpt(1)).unwrap();
         s.commit_write().unwrap();
         assert_eq!(s.latest_seq(), Some(1));
-        assert_eq!(s.injected_failures(), 0);
     }
 
     #[test]
@@ -250,7 +241,6 @@ mod tests {
             .expect("fault spent after two charges");
         s.commit_write().unwrap();
         assert_eq!(s.latest_seq(), Some(1));
-        assert_eq!(s.injected_failures(), 2);
     }
 
     #[test]

@@ -13,12 +13,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod checkpoint;
 mod crc;
 mod disk;
 mod faulty;
-mod latency;
 mod stable;
 mod volatile;
 
@@ -26,6 +26,5 @@ pub use checkpoint::{Checkpoint, CheckpointError};
 pub use crc::{crc32, crc32_combine};
 pub use disk::DiskStableStore;
 pub use faulty::{DiskFault, DiskFaultPlan, DiskOp, FaultyStable};
-pub use latency::DiskModel;
 pub use stable::{Stable, StableStats, StableStore, StableWriteError};
 pub use volatile::VolatileStore;

@@ -309,11 +309,6 @@ impl StableStore {
         self.committed.clone()
     }
 
-    /// The committed checkpoint with sequence number `seq`, if retained.
-    pub fn by_seq(&self, seq: u64) -> Option<&Checkpoint> {
-        self.committed.iter().rev().find(|c| c.seq() == seq)
-    }
-
     /// The newest committed checkpoint with sequence number `<= seq` — the
     /// record global recovery selects when rolling back to the last epoch
     /// committed by every process.
@@ -363,6 +358,11 @@ mod tests {
 
     fn ckpt(seq: u64) -> Checkpoint {
         Checkpoint::encode(seq, SimTime::from_nanos(seq), "t", &seq).unwrap()
+    }
+
+    /// Sequence numbers of the retained committed history, oldest first.
+    fn retained_seqs(s: &StableStore) -> Vec<u64> {
+        s.committed_shared().iter().map(Checkpoint::seq).collect()
     }
 
     #[test]
@@ -457,8 +457,7 @@ mod tests {
             s.commit_write().unwrap();
         }
         assert_eq!(s.latest().unwrap().seq(), 3);
-        assert_eq!(s.by_seq(2).unwrap().seq(), 2);
-        assert!(s.by_seq(9).is_none());
+        assert_eq!(retained_seqs(&s), [1, 2, 3]);
         assert_eq!(s.latest_at_or_before(2).unwrap().seq(), 2);
         assert_eq!(s.latest_at_or_before(99).unwrap().seq(), 3);
         assert!(s.latest_at_or_before(0).is_none());
@@ -471,9 +470,7 @@ mod tests {
             s.begin_write(ckpt(seq)).unwrap();
             s.commit_write().unwrap();
         }
-        assert!(s.by_seq(1).is_none());
-        assert!(s.by_seq(2).is_none());
-        assert_eq!(s.by_seq(3).unwrap().seq(), 3);
+        assert_eq!(retained_seqs(&s), [3, 4]);
         assert_eq!(s.latest().unwrap().seq(), 4);
     }
 

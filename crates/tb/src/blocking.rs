@@ -25,7 +25,7 @@ pub enum Tm {
 
 impl Tm {
     /// Builds the term from a dirty bit.
-    pub fn from_bit(dirty: bool) -> Self {
+    pub(crate) fn from_bit(dirty: bool) -> Self {
         if dirty {
             Tm::Dirty
         } else {

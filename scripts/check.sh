@@ -14,6 +14,18 @@ if [[ -n "$missing_forbid" ]]; then
     exit 1
 fi
 
+echo "==> every crate exports only what its users name"
+# An item stays `pub` only when something outside its library uses it or a
+# public signature exposes it; the lint (an error under clippy -D warnings
+# below) flags every `pub` no crate root re-exports, so a test-only
+# accessor shows up as dead code instead of hiding behind `pub`.
+missing_unreachable="$(git grep -L 'warn(unreachable_pub)' -- 'crates/*/src/lib.rs' || true)"
+if [[ -n "$missing_unreachable" ]]; then
+    echo "no #![warn(unreachable_pub)] in:" >&2
+    echo "$missing_unreachable" >&2
+    exit 1
+fi
+
 echo "==> adapted TB has one interpreter"
 # The live runtimes drive the host's own TB engine; the second interpreter
 # of TbAction is gone, not hidden (names spelt in halves so this line does
@@ -90,6 +102,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps, warnings denied"
+# Public docs link only to public items: a narrowed item leaves no
+# dangling or private intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
@@ -151,8 +168,9 @@ echo "==> unmasked-regime smoke: 4 seeds per regime + live Byzantine campaigns"
 # 40 038 with one checkpoint store on the live cluster, 39 033 with the
 # test-only capabilities and three of four handle twins gone, 39 225 with
 # reactor pacing as a table-tested function, 38 717 with the tenant tag
-# off the wire, the fleet driver gone and one sweep; every CHANGES.md
-# entry ends with before -> after.
+# off the wire, the fleet driver gone and one sweep, 38 476 with every
+# crate exporting only what its users name; every CHANGES.md entry ends
+# with before -> after.
 echo "==> tracked Rust lines: $(git ls-files '*.rs' | xargs cat | wc -l)"
 
 echo "OK: fmt, clippy, tier-1, ledger and smokes all passed"
