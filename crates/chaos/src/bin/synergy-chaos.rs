@@ -56,7 +56,12 @@ fn parse_args() -> Result<Args, String> {
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--seeds" => out.seeds = value()?.parse().map_err(|e| format!("{e}"))?,
+            "--seeds" => {
+                out.seeds = value()?.parse().map_err(|e| format!("{e}"))?;
+                if out.seeds == 0 {
+                    return Err("--seeds must be at least 1".to_string());
+                }
+            }
             "--base-seed" => out.base_seed = value()?.parse().map_err(|e| format!("{e}"))?,
             "--jobs" => {
                 out.jobs = value()?.parse().map_err(|e| format!("{e}"))?;

@@ -316,25 +316,14 @@ mod tests {
 
     fn status(drops: u64, retries: u64) -> WireStatus {
         WireStatus {
-            dirty: false,
-            delivered: 0,
-            at_runs: 0,
             stable_epoch: Some(2),
-            torn_writes: 0,
-            unacked: 0,
-            promoted: false,
-            logged: 0,
-            net_queued: 0,
             chaos_drops: drops,
             chaos_dups: 1,
-            chaos_lost: 0,
             stable_retries: retries,
-            corrupt_records: 0,
-            backpressure: 0,
-            archive_pending: 0,
             archive_uploads: 2,
             archive_failures: 1,
             rehydrated: 5,
+            ..WireStatus::default()
         }
     }
 

@@ -105,3 +105,19 @@ fn byzantine_campaign_documents_the_escape() {
     );
     let _ = std::fs::remove_dir_all(&data_root);
 }
+
+/// A sweep of zero campaigns proves nothing, so the runner refuses it
+/// instead of printing an empty summary and passing.
+#[test]
+fn zero_seeds_is_refused() {
+    for extra in [&[][..], &["--regime"][..]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_synergy-chaos"))
+            .args(["--seeds", "0"])
+            .args(extra)
+            .output()
+            .expect("run synergy-chaos");
+        assert!(!out.status.success(), "{extra:?}: exit {}", out.status);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--seeds must be at least 1"), "{stderr}");
+    }
+}

@@ -50,18 +50,6 @@ pub(crate) enum CtrlMsg {
     Status,
     /// Stop the node process.
     Shutdown,
-    /// Fault-campaign hook: fire `frames` raw data-plane envelopes of
-    /// `payload_bytes` each at `to` as fast as the wire accepts them,
-    /// counting rejections — how tests drive a stalled route into
-    /// backpressure on purpose.
-    Blast {
-        /// The destination endpoint.
-        to: Endpoint,
-        /// Envelopes to send.
-        frames: u64,
-        /// Application payload size per envelope.
-        payload_bytes: u64,
-    },
     /// Unmasked-regime hook (Byzantine-lite): flip value bytes inside the
     /// node's latest committed stable checkpoint and re-encode it in place
     /// behind a valid CRC. Every integrity check between the flip and the
@@ -116,13 +104,6 @@ pub(crate) enum CtrlReply {
     },
     /// Reply to [`CtrlMsg::Status`].
     Status(WireStatus),
-    /// Reply to [`CtrlMsg::Blast`].
-    Blasted {
-        /// Envelopes the wire accepted.
-        sent: u64,
-        /// Envelopes dropped after the bounded backpressure-retry budget.
-        backpressure: u64,
-    },
     /// Reply to [`CtrlMsg::Corrupt`].
     Corrupted {
         /// Epoch of the checkpoint whose payload was flipped (`None`: no
@@ -132,7 +113,8 @@ pub(crate) enum CtrlReply {
     },
 }
 
-/// The node-status subset the orchestrator consumes.
+/// A live snapshot of one node: what its event loop reports, plus the
+/// wire, chaos and archive counters the node process adds around it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WireStatus {
     /// The MDCD dirty (checkpoint) bit.
@@ -151,6 +133,8 @@ pub struct WireStatus {
     pub promoted: bool,
     /// Suppressed messages logged (shadow only).
     pub logged: u64,
+    /// Volatile (Type-1) checkpoints established.
+    pub volatile_ckpts: u64,
     /// Envelopes still queued inside the node's chaos transport wrapper
     /// (zero when the chaos layer is drained or inert).
     pub net_queued: u64,
@@ -164,9 +148,9 @@ pub struct WireStatus {
     pub stable_retries: u64,
     /// Committed records rejected by CRC verification on reload (bit-rot).
     pub corrupt_records: u64,
-    /// Data-plane envelopes this node dropped because a route stayed
-    /// backpressured past the bounded retry budget. Nonzero means a frame
-    /// was lost on a live route — the campaign cannot converge.
+    /// Data-plane envelopes this node dropped because a route's ring stayed
+    /// full past the wire's `send_stall`. Nonzero means a frame was lost
+    /// on a live route — the campaign cannot converge.
     pub backpressure: u64,
     /// Committed checkpoint records still waiting in the archive upload
     /// queue (zero when the archive tier is off or drained).
@@ -189,6 +173,7 @@ synergy_codec::codec_struct!(WireStatus {
     unacked,
     promoted,
     logged,
+    volatile_ckpts,
     net_queued,
     chaos_drops,
     chaos_dups,
@@ -222,16 +207,6 @@ impl Codec for CtrlMsg {
             }
             CtrlMsg::Status => 5u32.encode(out),
             CtrlMsg::Shutdown => 6u32.encode(out),
-            CtrlMsg::Blast {
-                to,
-                frames,
-                payload_bytes,
-            } => {
-                7u32.encode(out);
-                to.encode(out);
-                frames.encode(out);
-                payload_bytes.encode(out);
-            }
             CtrlMsg::Corrupt => 8u32.encode(out),
         }
     }
@@ -252,11 +227,6 @@ impl Codec for CtrlMsg {
             }),
             5 => Ok(CtrlMsg::Status),
             6 => Ok(CtrlMsg::Shutdown),
-            7 => Ok(CtrlMsg::Blast {
-                to: Endpoint::decode(r)?,
-                frames: u64::decode(r)?,
-                payload_bytes: u64::decode(r)?,
-            }),
             8 => Ok(CtrlMsg::Corrupt),
             other => Err(CodecError::InvalidVariant(other)),
         }
@@ -301,11 +271,6 @@ impl Codec for CtrlReply {
                 5u32.encode(out);
                 s.encode(out);
             }
-            CtrlReply::Blasted { sent, backpressure } => {
-                6u32.encode(out);
-                sent.encode(out);
-                backpressure.encode(out);
-            }
             CtrlReply::Corrupted { epoch } => {
                 7u32.encode(out);
                 epoch.encode(out);
@@ -334,10 +299,6 @@ impl Codec for CtrlReply {
                 resent: u64::decode(r)?,
             }),
             5 => Ok(CtrlReply::Status(WireStatus::decode(r)?)),
-            6 => Ok(CtrlReply::Blasted {
-                sent: u64::decode(r)?,
-                backpressure: u64::decode(r)?,
-            }),
             7 => Ok(CtrlReply::Corrupted {
                 epoch: Option::<u64>::decode(r)?,
             }),
@@ -404,11 +365,6 @@ mod tests {
         roundtrip(CtrlMsg::Rollback { epoch: 7 });
         roundtrip(CtrlMsg::Status);
         roundtrip(CtrlMsg::Shutdown);
-        roundtrip(CtrlMsg::Blast {
-            to: Endpoint::Process(ProcessId(2)),
-            frames: 4000,
-            payload_bytes: 16384,
-        });
         roundtrip(CtrlMsg::Corrupt);
     }
 
@@ -437,6 +393,7 @@ mod tests {
             unacked: 0,
             promoted: false,
             logged: 2,
+            volatile_ckpts: 3,
             net_queued: 0,
             chaos_drops: 7,
             chaos_dups: 1,
@@ -449,10 +406,6 @@ mod tests {
             archive_failures: 1,
             rehydrated: 0,
         }));
-        roundtrip(CtrlReply::Blasted {
-            sent: 3990,
-            backpressure: 10,
-        });
         roundtrip(CtrlReply::Corrupted { epoch: Some(6) });
         roundtrip(CtrlReply::Corrupted { epoch: None });
     }

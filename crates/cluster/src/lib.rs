@@ -66,7 +66,8 @@ mod tests {
     use synergy_storage::StableStore;
 
     use crate::node::tb_config;
-    use crate::runner::{MemNet, NodeCmd, NodeInput, NodeRunner, NodeStatus, SupEvent, TbDrive};
+    use crate::runner::{MemNet, NodeCmd, NodeInput, NodeRunner, SupEvent, TbDrive};
+    use crate::WireStatus;
 
     const PIDS: [ProcessId; 3] = [P1ACT, P1SDW, P2];
     const PATIENCE: Duration = Duration::from_secs(2);
@@ -122,7 +123,7 @@ mod tests {
         }
 
         /// Doubles as a barrier: `pid` has processed every earlier input.
-        fn status(&self, pid: ProcessId) -> NodeStatus {
+        fn status(&self, pid: ProcessId) -> WireStatus {
             let (tx, rx) = channel();
             self.cmd(pid, NodeCmd::Status(tx));
             rx.recv_timeout(PATIENCE).expect("status")
@@ -248,7 +249,7 @@ mod tests {
         trio.status(P1ACT);
         let p2 = trio.status(P2);
         assert!(p2.dirty, "P2 contaminated by the active's message");
-        assert!(p2.ckpts >= 1, "Type-1 checkpoint taken");
+        assert!(p2.volatile_ckpts >= 1, "Type-1 checkpoint taken");
         trio.shutdown();
     }
 }

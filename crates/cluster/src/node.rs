@@ -13,19 +13,22 @@
 //!    checkpoint. The store is then wrapped in a [`FaultyStable`] applying
 //!    the campaign's disk-fault plan.
 //! 2. Bind the [`ReactorTransport`] on an ephemeral port, wrap it in a
-//!    `ClusterWire` (bounded backpressure retry) and a
 //!    [`FaultyTransport`] applying the campaign's link-fault plan, and
 //!    start the node event loop under `TbDrive::Commanded` — checkpoint
 //!    rounds are driven by the orchestrator, not by wall-clock timers,
-//!    which keeps a distributed mission deterministic.
+//!    which keeps a distributed mission deterministic. A send to a full
+//!    route ring waits up to [`WirePolicy::send_stall`] (2 s on a node),
+//!    then drops the envelope and counts it in [`WireStatus::backpressure`],
+//!    which the orchestrator treats as fatal: a dropped data-plane frame
+//!    breaks per-link FIFO.
 //! 3. Connect back to the orchestrator, announce
 //!    `Hello` (data port + recovered epoch + torn-write
 //!    and corrupt-record counts), then serve control commands in lockstep.
 //!
-//! Both fault plans default to inert, in which case the wrappers are
-//! zero-overhead passthroughs; the orchestrator ships non-trivial plans as
-//! hex-encoded codec values on the command line (`--chaos-link`,
-//! `--chaos-disk`).
+//! All three fault plans — link, disk and archive — default to inert, in
+//! which case the wrappers are zero-overhead passthroughs; the orchestrator
+//! ships non-trivial plans as hex-encoded codec values on the command line
+//! (`--chaos-link`, `--chaos-disk`, `--chaos-archive`).
 //!
 //! A restarted node does **not** restore itself: per the paper's global
 //! rollback, the *orchestrator* computes the epoch line across the cluster
@@ -33,23 +36,21 @@
 //! restarted one included.
 
 use std::io;
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use synergy_archive::{
-    ArchiveFaultPlan, ArchiveHandle, DeltaStable, DirObjectStore, FaultyObjectStore,
-    MemObjectStore, ObjectStore, TieredStore,
+    ArchiveFaultPlan, ArchiveHandle, DeltaStable, DirObjectStore, FaultyObjectStore, ObjectStore,
+    TieredStore,
 };
 use synergy_clocks::SyncParams;
 use synergy_codec::Codec;
 use synergy_des::SimDuration;
 use synergy_net::{
-    Endpoint, Envelope, FaultyTransport, LinkFaultPlan, MessageBody, MsgId, MsgSeqNo, ProcessId,
-    ReactorTransport, SendError, Transport, WirePolicy,
+    Endpoint, FaultyTransport, LinkFaultPlan, ProcessId, ReactorTransport, WirePolicy,
 };
 use synergy_storage::{DiskFaultPlan, FaultyStable, Stable};
 use synergy_tb::{TbConfig, TbVariant};
@@ -75,17 +76,13 @@ pub struct NodeOpts {
     pub link_plan: LinkFaultPlan,
     /// Stable-storage fault plan applied to this node's disk store.
     pub disk_plan: DiskFaultPlan,
-    /// Override for the reactor's per-route ring capacity
-    /// (`--wire-queue-bytes`); `None` keeps the policy default.
-    pub wire_queue_bytes: Option<usize>,
     /// Checkpoint-chain cadence: full image every `delta_k` stable commits,
     /// CRC-chained deltas between (`--delta-k`, at least 1). The default 1
     /// makes every record a full image.
     pub delta_k: u32,
-    /// Directory backing this node's archive tier (`--archive-dir`); when
-    /// absent the archive tier is an in-process object store that dies
-    /// with the incarnation.
-    pub archive_dir: Option<PathBuf>,
+    /// Directory backing this node's archive tier (`--archive-dir`); it
+    /// outlives the data directory, so a wiped node rehydrates from it.
+    pub archive_dir: PathBuf,
     /// Fault plan applied to the archive tier (`--chaos-archive`).
     pub archive_plan: ArchiveFaultPlan,
 }
@@ -127,9 +124,9 @@ impl NodeOpts {
     ///
     /// # Errors
     ///
-    /// Unknown flags, missing values, a `--pid` outside 1–3, a zero
-    /// `--tb-interval-ms` or `--delta-k`, malformed plan encodings, or a
-    /// link or archive plan that fails its `validate`.
+    /// Unknown flags, missing values or required flags, a `--pid` outside
+    /// 1–3, a zero `--tb-interval-ms` or `--delta-k`, malformed plan
+    /// encodings, or a link or archive plan that fails its `validate`.
     pub fn from_args<I: Iterator<Item = String>>(mut args: I) -> Result<Self, String> {
         let mut pid = None;
         let mut seed = None;
@@ -138,7 +135,6 @@ impl NodeOpts {
         let mut tb_interval_ms = 1700u64;
         let mut link_plan = LinkFaultPlan::default();
         let mut disk_plan = DiskFaultPlan::default();
-        let mut wire_queue_bytes = None;
         let mut delta_k = 1u32;
         let mut archive_dir = None;
         let mut archive_plan = ArchiveFaultPlan::default();
@@ -171,9 +167,6 @@ impl NodeOpts {
                     }
                 }
                 "--archive-dir" => archive_dir = Some(PathBuf::from(value()?)),
-                "--wire-queue-bytes" => {
-                    wire_queue_bytes = Some(value()?.parse::<usize>().map_err(|e| e.to_string())?);
-                }
                 other => return Err(format!("unknown flag {other}")),
             }
         }
@@ -191,9 +184,8 @@ impl NodeOpts {
             tb_interval_ms,
             link_plan,
             disk_plan,
-            wire_queue_bytes,
             delta_k,
-            archive_dir,
+            archive_dir: archive_dir.ok_or("--archive-dir is required")?,
             archive_plan,
         })
     }
@@ -206,15 +198,12 @@ const SERVED_EPOCHS: usize = 64;
 /// Builds the archive-tier object store under the node's archive fault
 /// plan (an inert plan passes every operation through).
 fn build_archive(opts: &NodeOpts) -> io::Result<Box<dyn ObjectStore>> {
-    let plan = opts.archive_plan.clone();
-    Ok(match &opts.archive_dir {
-        Some(dir) => {
-            let inner = DirObjectStore::open(dir)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            Box::new(FaultyObjectStore::new(inner, plan))
-        }
-        None => Box::new(FaultyObjectStore::new(MemObjectStore::new(), plan)),
-    })
+    let inner = DirObjectStore::open(&opts.archive_dir)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    Ok(Box::new(FaultyObjectStore::new(
+        inner,
+        opts.archive_plan.clone(),
+    )))
 }
 
 /// Opens (or recovers) the node's stable store: the delta chain at cadence
@@ -228,110 +217,6 @@ fn open_store(opts: &NodeOpts) -> io::Result<(DeltaStable<TieredStore>, ArchiveH
     let archive = tiered.handle();
     let store = DeltaStable::open_with_retention(tiered, opts.delta_k, SERVED_EPOCHS);
     Ok((store, archive))
-}
-
-/// The node's live wire with the cluster's backpressure discipline: a
-/// rejected send is retried with a bounded budget (the reactor's ring
-/// usually drains within microseconds), and only a route that stays
-/// saturated past the whole budget counts as *stalled* — surfaced through
-/// [`WireStatus::backpressure`], which the orchestrator treats as fatal,
-/// because a dropped data-plane frame breaks per-link FIFO and the
-/// campaign can no longer converge.
-pub(crate) struct ClusterWire {
-    wire: ReactorTransport,
-    /// Envelopes dropped after the retry budget — lost on a live route.
-    stalled: AtomicU64,
-    retry_budget: Duration,
-}
-
-impl ClusterWire {
-    /// Default retry budget: generous against transient ring pressure,
-    /// bounded so a truly wedged peer fails the mission instead of
-    /// hanging it.
-    pub(crate) const DEFAULT_RETRY_BUDGET: Duration = Duration::from_secs(2);
-
-    /// Wraps a live wire with the default retry budget.
-    pub(crate) fn new(wire: ReactorTransport) -> ClusterWire {
-        ClusterWire::with_budget(wire, ClusterWire::DEFAULT_RETRY_BUDGET)
-    }
-
-    /// Wraps a live wire with an explicit retry budget.
-    pub(crate) fn with_budget(wire: ReactorTransport, retry_budget: Duration) -> ClusterWire {
-        ClusterWire {
-            wire,
-            stalled: AtomicU64::new(0),
-            retry_budget,
-        }
-    }
-
-    /// The wrapped transport.
-    pub(crate) fn wire(&self) -> &ReactorTransport {
-        &self.wire
-    }
-
-    /// Envelopes dropped because a route stayed backpressured past the
-    /// retry budget.
-    pub(crate) fn stalled(&self) -> u64 {
-        self.stalled.load(Ordering::Relaxed)
-    }
-
-    /// Records one stalled-route drop (the blast hook counts its own
-    /// unretried rejections here so status sweeps see them).
-    pub(crate) fn note_stalled(&self) {
-        self.stalled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The bound listen address.
-    pub(crate) fn local_addr(&self) -> SocketAddr {
-        self.wire.local_addr()
-    }
-
-    /// Registers an endpoint and returns its delivery channel.
-    pub(crate) fn register(&self, endpoint: Endpoint) -> Receiver<Envelope> {
-        self.wire.register(endpoint)
-    }
-
-    /// Points `endpoint` at `addr` in the outbound routing table.
-    pub(crate) fn set_route(&self, endpoint: Endpoint, addr: SocketAddr) {
-        self.wire.set_route(endpoint, addr)
-    }
-
-    /// Stops the wrapped transport.
-    pub(crate) fn shutdown(&self) {
-        self.wire.shutdown()
-    }
-}
-
-impl std::fmt::Debug for ClusterWire {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClusterWire")
-            .field("stalled", &self.stalled())
-            .finish_non_exhaustive()
-    }
-}
-
-impl Transport for ClusterWire {
-    fn send(&self, envelope: Envelope) {
-        match self.wire.try_send(&envelope) {
-            Err(SendError::Backpressure { .. }) => {}
-            // Delivered, or dropped for a reason the wire already
-            // accounts for (no route, dead route, shutdown).
-            _ => return,
-        }
-        let deadline = Instant::now() + self.retry_budget;
-        loop {
-            std::thread::sleep(Duration::from_millis(1));
-            match self.wire.try_send(&envelope) {
-                Err(SendError::Backpressure { .. }) => {
-                    if Instant::now() >= deadline {
-                        self.note_stalled();
-                        return;
-                    }
-                }
-                _ => return,
-            }
-        }
-    }
 }
 
 pub(crate) fn tb_config(interval_ms: u64) -> TbConfig {
@@ -376,17 +261,19 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
     let recovered_corrupt = reload_stats.corrupt_records + store.delta_stats().chain_orphans;
     let store = FaultyStable::new(store, opts.disk_plan.clone());
 
-    let mut policy = WirePolicy::default();
-    if let Some(bytes) = opts.wire_queue_bytes {
-        policy.queue_bytes = bytes;
-    }
-    let wire = ReactorTransport::bind_with("127.0.0.1:0", policy)?;
-    let raw_net = Arc::new(ClusterWire::new(wire));
-    let data_port = raw_net.local_addr().port();
+    // Generous against transient ring pressure (a ring usually drains in
+    // microseconds), bounded so a wedged peer fails the mission instead of
+    // hanging it.
+    let policy = WirePolicy {
+        send_stall: Duration::from_secs(2),
+        ..WirePolicy::default()
+    };
+    let wire = Arc::new(ReactorTransport::bind_with("127.0.0.1:0", policy)?);
+    let data_port = wire.local_addr().port();
     let pid = ProcessId(opts.pid);
-    let net_rx = raw_net.register(Endpoint::Process(pid));
+    let net_rx = wire.register(Endpoint::Process(pid));
     let net = Arc::new(FaultyTransport::new(
-        Arc::clone(&raw_net),
+        Arc::clone(&wire),
         opts.link_plan.clone(),
     ));
     let (input_tx, input_rx) = channel::<NodeInput>();
@@ -439,7 +326,7 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
                 let addr = addr.parse().map_err(|e| {
                     io::Error::new(io::ErrorKind::InvalidData, format!("bad route addr: {e}"))
                 })?;
-                raw_net.set_route(endpoint, addr);
+                wire.set_route(endpoint, addr);
                 CtrlReply::Done
             }
             CtrlMsg::BeginCkpt => CtrlReply::Began {
@@ -462,66 +349,24 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
                 }
             }
             CtrlMsg::Status => {
-                let s = ask(&input_tx, NodeCmd::Status)?;
+                // The loop fills its own fields; the wire, chaos and
+                // archive counters live out here.
+                let loop_status = ask(&input_tx, NodeCmd::Status)?;
                 let totals = net.totals();
                 let archive_stats = archive.stats();
                 CtrlReply::Status(WireStatus {
-                    dirty: s.dirty,
-                    delivered: s.delivered,
-                    at_runs: s.at_runs,
-                    stable_epoch: s.stable_epoch,
-                    torn_writes: s.torn_writes,
-                    unacked: s.unacked as u64,
-                    promoted: s.promoted,
-                    logged: s.logged as u64,
                     net_queued: net.pending(),
                     chaos_drops: totals.drops,
                     chaos_dups: totals.dups,
                     chaos_lost: totals.lost,
-                    stable_retries: s.stable_retries,
                     corrupt_records: recovered_corrupt,
-                    backpressure: raw_net.stalled(),
+                    backpressure: wire.stats().backpressure_dropped,
                     archive_pending: archive.pending() as u64,
                     archive_uploads: archive_stats.uploads,
                     archive_failures: archive_stats.upload_failures,
                     rehydrated: archive_stats.rehydrated,
+                    ..loop_status
                 })
-            }
-            CtrlMsg::Blast {
-                to,
-                frames,
-                payload_bytes,
-            } => {
-                // Deliberate overdrive: raw try_send with no retry, so a
-                // saturated ring surfaces immediately as a typed rejection.
-                // Sequence numbers start far above anything the protocol
-                // engine produces to keep the two streams disjoint.
-                let mut sent = 0u64;
-                let mut rejected = 0u64;
-                for i in 0..frames {
-                    let env = Envelope::new(
-                        MsgId {
-                            from: pid,
-                            seq: MsgSeqNo(1 << 40 | i),
-                        },
-                        to,
-                        MessageBody::External {
-                            payload: vec![0u8; payload_bytes as usize],
-                        },
-                    );
-                    match raw_net.wire().try_send(&env) {
-                        Ok(()) => sent += 1,
-                        Err(SendError::Backpressure { .. }) => {
-                            rejected += 1;
-                            raw_net.note_stalled();
-                        }
-                        Err(_) => rejected += 1,
-                    }
-                }
-                CtrlReply::Blasted {
-                    sent,
-                    backpressure: rejected,
-                }
             }
             CtrlMsg::Corrupt => CtrlReply::Corrupted {
                 epoch: ask(&input_tx, NodeCmd::Corrupt)?,
@@ -537,7 +382,7 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
     drop(input_tx);
     let _ = runner_join.join();
     net.shutdown();
-    raw_net.shutdown();
+    wire.shutdown();
     Ok(())
 }
 
@@ -547,7 +392,9 @@ mod tests {
     use synergy::app::Application;
     use synergy::payload::CheckpointPayload;
     use synergy::system::{P1ACT, P2};
-    use synergy_net::{CkptSeqNo, LinkFaults, PartitionWindow};
+    use synergy_net::{
+        CkptSeqNo, Envelope, LinkFaults, MessageBody, MsgId, MsgSeqNo, PartitionWindow, Transport,
+    };
     use synergy_storage::{Checkpoint, DiskFault, DiskOp, StableStore};
 
     #[test]
@@ -591,6 +438,8 @@ mod tests {
             "/tmp/x",
             "--ctrl",
             "127.0.0.1:9",
+            "--archive-dir",
+            "/tmp/x-archive",
             "--chaos-link",
             &plan_to_hex(&link),
         ];
@@ -686,32 +535,34 @@ mod tests {
             "/tmp/x",
             "--ctrl",
             "127.0.0.1:9",
-            "--delta-k",
-            "4",
             "--archive-dir",
             "/tmp/x-archive",
+            "--delta-k",
+            "4",
             "--chaos-archive",
             &plan_to_hex(&plan),
         ];
         let opts = NodeOpts::from_args(argv.iter().map(|s| s.to_string())).unwrap();
         assert_eq!(opts.delta_k, 4);
-        assert_eq!(
-            opts.archive_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/x-archive"))
-        );
+        assert_eq!(opts.archive_dir, PathBuf::from("/tmp/x-archive"));
         assert_eq!(opts.archive_plan, plan);
 
-        // Without the archive flags: every record a full image, in a
-        // process-local archive tier.
-        let bare = NodeOpts::from_args(argv[..8].iter().map(|s| s.to_string())).unwrap();
+        // Without the cadence and fault flags: every record a full image,
+        // an archive tier that never fails.
+        let bare = NodeOpts::from_args(argv[..10].iter().map(|s| s.to_string())).unwrap();
         assert_eq!(bare.delta_k, 1);
-        assert!(bare.archive_dir.is_none());
         assert!(bare.archive_plan.is_inert());
+        // There is no process-local archive tier to fall back on.
+        assert_eq!(
+            NodeOpts::from_args(argv[..8].iter().map(|s| s.to_string())).unwrap_err(),
+            "--archive-dir is required"
+        );
     }
 
     #[test]
     fn disk_tier_keeps_every_base_the_served_window_needs() {
         let dir = std::env::temp_dir().join(format!("synergy-node-store-{}", std::process::id()));
+        let archive_dir = dir.with_extension("archive");
         let argv = [
             "--pid",
             "3",
@@ -721,9 +572,12 @@ mod tests {
             "",
             "--ctrl",
             "127.0.0.1:9",
+            "--archive-dir",
+            "",
         ];
         let mut opts = NodeOpts::from_args(argv.iter().map(|s| s.to_string())).unwrap();
-        (opts.data_dir, opts.delta_k) = (dir.clone(), 4);
+        (opts.data_dir, opts.archive_dir) = (dir.clone(), archive_dir.clone());
+        opts.delta_k = 4;
         let (mut store, _) = open_store(&opts).unwrap();
         for seq in 1..=70u64 {
             let state = vec![seq as u8; 64];
@@ -739,6 +593,7 @@ mod tests {
         assert_eq!(store.latest_at_or_before_shared(7).unwrap().seq(), 7);
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&archive_dir).unwrap();
     }
 
     struct NullNet;

@@ -242,10 +242,6 @@ pub struct ClusterConfig {
     /// whose payloads reach the device), and the campaign's diff against
     /// the simulator reference documents the escape.
     pub corrupt: Option<usize>,
-    /// Override for the reactor's per-route outbound ring capacity in
-    /// bytes; `None` keeps the wire-policy default. Small values are how
-    /// tests provoke backpressure deterministically.
-    pub wire_queue_bytes: Option<usize>,
     /// Path to the `synergy-node` binary.
     pub node_bin: PathBuf,
     /// Root directory for per-node stable storage
@@ -278,7 +274,6 @@ impl ClusterConfig {
             archive_plans: Vec::new(),
             wipe: false,
             corrupt: None,
-            wire_queue_bytes: None,
             node_bin,
             data_root,
             timeouts: ClusterTimeouts::default(),
@@ -477,12 +472,23 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// A crash scheduled outside the mission's checkpoint rounds
-    /// (`1..=grid_rounds(steps, Δ)`) or a corrupt target outside the node
-    /// table, before any process is spawned; then process-spawn, socket,
-    /// or control-protocol failures — all bounded by the configured
-    /// timeouts.
+    /// A Δ that is not finite or rounds to 0 ms, a crash scheduled outside
+    /// the mission's checkpoint rounds (`1..=grid_rounds(steps, Δ)`) or a
+    /// corrupt target outside the node table, before any process is
+    /// spawned; then process-spawn, socket, or control-protocol failures —
+    /// all bounded by the configured timeouts.
     pub fn launch(cfg: ClusterConfig) -> Result<Self, ClusterError> {
+        // The grid never ends for Δ ≤ 0, and a node refuses a
+        // `--tb-interval-ms` of 0; reject both before counting rounds.
+        let interval_ms = (cfg.tb_interval_secs * 1000.0).round();
+        if !interval_ms.is_finite() || interval_ms < 1.0 {
+            return Err(ClusterError::Launch {
+                detail: format!(
+                    "checkpoint interval Δ = {} s must be finite and round to at least 1 ms",
+                    cfg.tb_interval_secs
+                ),
+            });
+        }
         // A crash no round reaches would never fire, and the run would
         // report a fault-free mission as verified.
         let rounds = grid_rounds(cfg.steps, cfg.tb_interval_secs);
@@ -582,9 +588,6 @@ impl Cluster {
             .arg(&self.ctrl_addr)
             .arg("--tb-interval-ms")
             .arg(interval_ms.to_string());
-        if let Some(bytes) = self.cfg.wire_queue_bytes {
-            cmd.arg("--wire-queue-bytes").arg(bytes.to_string());
-        }
         if !self.cfg.link_plan.is_inert() {
             cmd.arg("--chaos-link")
                 .arg(plan_to_hex(&self.cfg.link_plan));
@@ -665,77 +668,10 @@ impl Cluster {
         let ctrl_timeout = self.cfg.timeouts.ctrl;
         let mut out = Vec::with_capacity(self.nodes.len());
         for node in &mut self.nodes {
-            match node.roundtrip(&CtrlMsg::Status, ctrl_timeout)? {
-                CtrlReply::Status(s) => {
-                    if s.backpressure > 0 {
-                        return Err(ClusterError::Backpressure {
-                            pid: node.pid,
-                            dropped: s.backpressure,
-                        });
-                    }
-                    out.push((node.pid, s));
-                }
-                other => {
-                    return Err(ClusterError::Protocol {
-                        detail: format!("pid {}: expected Status, got {other:?}", node.pid),
-                    })
-                }
-            }
+            let reply = node.roundtrip(&CtrlMsg::Status, ctrl_timeout)?;
+            out.push((node.pid, checked_status(node.pid, reply)?));
         }
         Ok(out)
-    }
-
-    /// Reroutes `endpoint` on one node's data plane. Public for wire
-    /// regression tests that point a route at an uncooperative peer.
-    ///
-    /// # Errors
-    ///
-    /// Control failures on the target node.
-    pub fn set_route(
-        &mut self,
-        node: NodeId,
-        endpoint: Endpoint,
-        addr: &str,
-    ) -> Result<(), ClusterError> {
-        let ctrl_timeout = self.cfg.timeouts.ctrl;
-        let reply = self.nodes[node.index()].roundtrip(
-            &CtrlMsg::SetRoute {
-                endpoint,
-                addr: addr.to_string(),
-            },
-            ctrl_timeout,
-        )?;
-        expect_done(reply)
-    }
-
-    /// Commands one node to fire `frames` raw envelopes of `payload_bytes`
-    /// at `to` with no backpressure retry, returning `(sent, rejected)`.
-    /// Public for wire regression tests that overdrive a route on purpose.
-    ///
-    /// # Errors
-    ///
-    /// Control failures on the target node.
-    pub fn blast(
-        &mut self,
-        node: NodeId,
-        to: Endpoint,
-        frames: u64,
-        payload_bytes: u64,
-    ) -> Result<(u64, u64), ClusterError> {
-        let ctrl_timeout = self.cfg.timeouts.ctrl;
-        match self.nodes[node.index()].roundtrip(
-            &CtrlMsg::Blast {
-                to,
-                frames,
-                payload_bytes,
-            },
-            ctrl_timeout,
-        )? {
-            CtrlReply::Blasted { sent, backpressure } => Ok((sent, backpressure)),
-            other => Err(ClusterError::Protocol {
-                detail: format!("expected Blasted, got {other:?}"),
-            }),
-        }
     }
 
     /// Status round-trip on every node: a cluster-wide command barrier.
@@ -1226,6 +1162,21 @@ impl Drop for Cluster {
     }
 }
 
+/// One status-sweep reply from `pid`: a [`WireStatus`] whose wire dropped
+/// nothing, or the error that ends the sweep.
+fn checked_status(pid: u32, reply: CtrlReply) -> Result<WireStatus, ClusterError> {
+    match reply {
+        CtrlReply::Status(s) if s.backpressure > 0 => Err(ClusterError::Backpressure {
+            pid,
+            dropped: s.backpressure,
+        }),
+        CtrlReply::Status(s) => Ok(s),
+        other => Err(ClusterError::Protocol {
+            detail: format!("pid {pid}: expected Status, got {other:?}"),
+        }),
+    }
+}
+
 fn expect_done(reply: CtrlReply) -> Result<(), ClusterError> {
     if reply == CtrlReply::Done {
         Ok(())
@@ -1247,6 +1198,32 @@ mod tests {
         assert_eq!(grid_rounds(6, 1.7), 3);
         assert_eq!(grid_rounds(7, 1.7), 4);
         assert_eq!(grid_rounds(9, 1.7), 5);
+    }
+
+    #[test]
+    fn a_status_sweep_fails_on_the_first_dropped_frame() {
+        let dropped = WireStatus {
+            backpressure: 3,
+            ..WireStatus::default()
+        };
+        assert_eq!(
+            checked_status(1, CtrlReply::Status(dropped)),
+            Err(ClusterError::Backpressure { pid: 1, dropped: 3 })
+        );
+        let clean = WireStatus {
+            delivered: 4,
+            ..WireStatus::default()
+        };
+        assert_eq!(
+            checked_status(1, CtrlReply::Status(clean.clone())),
+            Ok(clean)
+        );
+        match checked_status(2, CtrlReply::Done) {
+            Err(ClusterError::Protocol { detail }) => {
+                assert!(detail.contains("pid 2: expected Status"), "{detail}");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -30,6 +30,8 @@ use synergy_net::{CkptSeqNo, Envelope, ProcessId, Transport};
 use synergy_storage::{Checkpoint, CheckpointError, Stable};
 use synergy_tb::{Event as TbEvent, TbConfig};
 
+use crate::ctrl::WireStatus;
+
 /// Who tells a node's TB engine what time it is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum TbDrive {
@@ -91,10 +93,12 @@ pub(crate) enum NodeCmd {
         /// line does not decode.
         reply: Sender<Result<RollbackOutcome, CheckpointError>>,
     },
-    /// Report live status. Because commands and deliveries share one FIFO
-    /// channel, a `Status` round-trip doubles as a barrier: everything sent
-    /// to the node before it has been processed once the reply arrives.
-    Status(Sender<NodeStatus>),
+    /// Report live status: the loop fills the fields it owns and leaves
+    /// the wire, chaos and archive counters at zero for the node process.
+    /// Because commands and deliveries share one FIFO channel, a `Status`
+    /// round-trip doubles as a barrier: everything sent to the node before
+    /// it has been processed once the reply arrives.
+    Status(Sender<WireStatus>),
     /// Unmasked-regime hook (Byzantine-lite): flip value bytes inside the
     /// latest committed stable checkpoint, re-encoding it behind a valid
     /// CRC. Replies with the corrupted epoch, or `None` when the store is
@@ -114,33 +118,6 @@ pub(crate) struct RollbackOutcome {
     pub restored_epoch: Option<u64>,
     /// Saved unacknowledged messages re-sent during recovery.
     pub resent: usize,
-}
-
-/// A live snapshot of one node.
-#[derive(Clone, Debug)]
-pub(crate) struct NodeStatus {
-    /// The MDCD dirty bit.
-    pub dirty: bool,
-    /// Whether a shadow has been promoted.
-    pub promoted: bool,
-    /// Suppressed messages currently logged (shadow only).
-    pub logged: usize,
-    /// Volatile checkpoints established (read by the in-process tests).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub ckpts: u64,
-    /// Acceptance tests executed.
-    pub at_runs: u64,
-    /// Application messages delivered to the application.
-    pub delivered: u64,
-    /// Epoch of the newest committed stable checkpoint, if any.
-    pub stable_epoch: Option<u64>,
-    /// Torn stable writes the store has recorded (including tears detected
-    /// while reloading a durable store after a crash).
-    pub torn_writes: u64,
-    /// Retry attempts against a transiently failing stable backend.
-    pub stable_retries: u64,
-    /// Messages currently awaiting acknowledgment.
-    pub unacked: usize,
 }
 
 /// Events a runner reports to whoever plays the takeover supervisor: the
@@ -493,17 +470,18 @@ impl<T: Transport, S: Stable> NodeRunner<T, S> {
             }
             NodeCmd::Status(tx) => {
                 let snap = self.host.engine.snapshot();
-                let _ = tx.send(NodeStatus {
+                let _ = tx.send(WireStatus {
                     dirty: self.host.engine.dirty_bit(),
                     promoted: snap.promoted,
-                    logged: snap.log.len(),
-                    ckpts: self.host.volatile_seq,
+                    logged: snap.log.len() as u64,
+                    volatile_ckpts: self.host.volatile_seq,
                     at_runs: self.host.engine.at_runs(),
                     delivered: self.host.delivered,
                     stable_epoch: self.host.stable.latest_seq(),
                     torn_writes: self.host.stable.stats().torn_writes,
                     stable_retries: self.host.stable_retries,
-                    unacked: self.host.acks.len(),
+                    unacked: self.host.acks.len() as u64,
+                    ..WireStatus::default()
                 });
             }
             NodeCmd::Shutdown => unreachable!("handled by the select loop"),

@@ -1648,9 +1648,13 @@ mod tests {
     fn stalled_peer_surfaces_typed_backpressure() {
         // A listener that accepts but never reads: once the kernel buffers
         // fill, the ring fills, and try_send must return Backpressure
-        // within a bounded time — never hang, never grow unbounded.
+        // within a bounded time — never hang, never grow unbounded. The
+        // blocking send then gives up after `send_stall` and counts the
+        // drop.
+        let send_stall = Duration::from_millis(100);
         let policy = WirePolicy {
             queue_bytes: 32 * 1024,
+            send_stall,
             ..WirePolicy::default()
         };
         let a = ReactorTransport::bind_with("127.0.0.1:0", policy).unwrap();
@@ -1685,6 +1689,24 @@ mod tests {
         };
         assert!(hit.0 <= hit.1, "queued {} within capacity {}", hit.0, hit.1);
         assert!(a.stats().backpressure_errors >= 1);
+        assert_eq!(a.stats().backpressure_dropped, 0, "try_send drops nothing");
+        // A full ring can still drain into kernel buffers that have room;
+        // keep sending until the peer's stall reaches the ring, and time
+        // the send that gives up.
+        let waited = loop {
+            assert!(Instant::now() < deadline, "no drop: {:?}", a.stats());
+            let started = Instant::now();
+            a.send(env(p2, seq, payload.clone()));
+            seq += 1;
+            if a.stats().backpressure_dropped > 0 {
+                break started.elapsed();
+            }
+        };
+        assert!(
+            waited >= send_stall && waited < send_stall + Duration::from_secs(2),
+            "send gave up after {waited:?}, stall is {send_stall:?}"
+        );
+        assert_eq!(a.stats().backpressure_dropped, 1);
         a.shutdown();
     }
 

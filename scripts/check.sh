@@ -64,10 +64,11 @@ fi
 
 echo "==> no capability that only its own tests run"
 # The N-component containment layer and its example, the simulator's
-# never-configured link faults and per-link overrides, and the TB resync
-# knob with one value in use are gone, not hidden (names spelt in halves so
-# this line does not find itself).
-if git grep -nE 'mdcd::gen''eral|pipeline_gu''ard|set_link_fa''ults|set_default_fa''ults|Route''Decision|with_resync_thr''eshold' -- crates tests examples scripts .github Cargo.toml; then
+# never-configured link faults and per-link overrides, the TB resync knob
+# with one value in use, and the cluster node's second backpressure loop,
+# overdrive control tag, ring-size flag and second status struct are gone,
+# not hidden (names spelt in halves so this line does not find itself).
+if git grep -nE 'mdcd::gen''eral|pipeline_gu''ard|set_link_fa''ults|set_default_fa''ults|Route''Decision|with_resync_thr''eshold|Cluster''Wire|CtrlMsg::''Blast|Blas''ted|Node''Status|wire_queue''_bytes|wire-queue''-bytes' -- crates tests examples scripts .github Cargo.toml; then
     echo "a deleted test-only capability is referenced again" >&2
     exit 1
 fi
@@ -169,8 +170,9 @@ echo "==> unmasked-regime smoke: 4 seeds per regime + live Byzantine campaigns"
 # test-only capabilities and three of four handle twins gone, 39 225 with
 # reactor pacing as a table-tested function, 38 717 with the tenant tag
 # off the wire, the fleet driver gone and one sweep, 38 476 with every
-# crate exporting only what its users name; every CHANGES.md entry ends
-# with before -> after.
+# crate exporting only what its users name, 38 255 with one send path and
+# one status type on a cluster node; every CHANGES.md entry ends with
+# before -> after.
 echo "==> tracked Rust lines: $(git ls-files '*.rs' | xargs cat | wc -l)"
 
 echo "OK: fmt, clippy, tier-1, ledger and smokes all passed"
