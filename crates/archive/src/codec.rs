@@ -3,9 +3,8 @@
 //! A [`CheckpointCodec`] turns a stream of committed [`Checkpoint`]s into a
 //! stream of [`ChainRecord`]s: a full image every `k` records, CRC-chained
 //! dirty-region deltas between. The codec is the *only* definition of the
-//! format — the simulator uses it to account stable-write bytes, the
-//! cluster nodes persist through it via [`DeltaStable`](crate::DeltaStable),
-//! and the archive tier mirrors the records it produces.
+//! format — the simulator uses it to account stable-write bytes and the
+//! cluster nodes persist through it via [`DeltaStable`](crate::DeltaStable).
 //!
 //! Chain order is **commit order**, not sequence-number order: after a
 //! global rollback the TB protocol reuses epoch numbers, and the chain

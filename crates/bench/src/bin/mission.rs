@@ -31,7 +31,6 @@ usage: mission [options]
 /// What the command line asks for.
 struct Cli {
     config: SystemConfig,
-    duration: f64,
     print_trace: bool,
 }
 
@@ -58,8 +57,12 @@ fn non_negative(args: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<f
 /// Parses `argv` (without the program name); `Ok(None)` asks for the usage.
 fn parse(argv: &[String]) -> Result<Option<Cli>, String> {
     let mut args = argv.iter();
-    let mut builder = SystemConfig::builder();
-    let mut duration = 120.0;
+    // The defaults USAGE documents.
+    let mut builder = SystemConfig::builder()
+        .duration_secs(120.0)
+        .internal_rate_per_min(30.0)
+        .external_rate_per_min(4.0)
+        .tb_interval_secs(5.0);
     let mut print_trace = false;
     let mut node = 2usize;
     while let Some(flag) = args.next() {
@@ -75,10 +78,7 @@ fn parse(argv: &[String]) -> Result<Option<Cli>, String> {
                 builder = builder.scheme(scheme);
             }
             "--seed" => builder = builder.seed(value(&mut args, flag)?),
-            "--duration" => {
-                duration = non_negative(&mut args, flag)?;
-                builder = builder.duration_secs(duration);
-            }
+            "--duration" => builder = builder.duration_secs(non_negative(&mut args, flag)?),
             "--internal" => builder = builder.internal_rate_per_min(non_negative(&mut args, flag)?),
             "--external" => builder = builder.external_rate_per_min(non_negative(&mut args, flag)?),
             "--interval" => {
@@ -111,11 +111,43 @@ fn parse(argv: &[String]) -> Result<Option<Cli>, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    let config = builder.build();
+    check_faults_inside(&config)?;
     Ok(Some(Cli {
-        config: builder.build(),
-        duration,
+        config,
         print_trace,
     }))
+}
+
+/// Refuses a fault the mission would never run: a design fault at or
+/// after the end, or a crash whose recovery (`restart_delay` later) is.
+fn check_faults_inside(config: &SystemConfig) -> Result<(), String> {
+    let end = config.duration.as_nanos();
+    let secs = |nanos: u64| nanos as f64 / 1e9;
+    if let Some(sw) = config.faults.software {
+        if sw.at.as_nanos() >= end {
+            return Err(format!(
+                "--sw-fault at {}s is not before the end of a {}s mission",
+                secs(sw.at.as_nanos()),
+                secs(end)
+            ));
+        }
+    }
+    for hw in &config.faults.hardware {
+        let recovery = hw
+            .at
+            .as_nanos()
+            .saturating_add(config.restart_delay.as_nanos());
+        if recovery >= end {
+            return Err(format!(
+                "--hw-fault at {}s recovers at {}s, not before the end of a {}s mission",
+                secs(hw.at.as_nanos()),
+                secs(recovery),
+                secs(end)
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn main() {
@@ -132,6 +164,7 @@ fn main() {
         }
     };
 
+    let duration = cli.config.duration;
     let outcome = Mission::new(cli.config).run();
     if cli.print_trace {
         for e in outcome.trace.events() {
@@ -140,7 +173,7 @@ fn main() {
         println!();
     }
     let m = &outcome.metrics;
-    println!("mission: {:.0}s", cli.duration);
+    println!("mission: {:.0}s", duration.as_secs_f64());
     println!(
         "  messages: {} sent, {} delivered, {} re-sent",
         m.messages_sent, m.messages_delivered, m.messages_resent
@@ -229,5 +262,25 @@ mod tests {
             0
         );
         assert!(parse_args(&["--help"]).unwrap().is_none());
+        // No flags: the defaults USAGE documents.
+        let defaults = config(&[]);
+        assert_eq!(defaults.duration, SimDuration::from_secs(120));
+        assert_eq!(defaults.internal_rate_hz, 0.5);
+        assert_eq!(defaults.external_rate_hz, 4.0 / 60.0);
+        assert_eq!(defaults.tb_interval, SimDuration::from_secs(5));
+    }
+
+    #[test]
+    fn faults_past_the_end_are_refused_whatever_the_flag_order() {
+        for late in [
+            &["--duration", "120", "--hw-fault", "200"][..],
+            // Recovery lands on the end, after the 0.5 s restart delay.
+            &["--duration", "120", "--hw-fault", "119.5"],
+            &["--duration", "120", "--sw-fault", "120"],
+        ] {
+            assert!(parse_args(late).is_err(), "{late:?} was accepted");
+        }
+        let early = parse_args(&["--hw-fault", "100", "--duration", "150"]);
+        assert_eq!(early.unwrap().unwrap().config.faults.hardware.len(), 1);
     }
 }

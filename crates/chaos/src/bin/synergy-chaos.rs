@@ -7,7 +7,7 @@
 //! synergy-chaos [--seeds <n>] [--base-seed <u64>] [--jobs <n>]
 //!               [--data-root <path>] [--node-bin <path>] [--regime]
 //!               [--no-link] [--no-disk] [--no-crash] [--no-bitrot]
-//!               [--no-deltarot] [--no-archive] [--no-corrupt]
+//!               [--no-deltarot] [--no-corrupt]
 //! ```
 //!
 //! Exit status is nonzero iff any campaign diverged or aborted. There is
@@ -76,7 +76,6 @@ fn parse_args() -> Result<Args, String> {
             "--no-crash" => out.toggles.crash = false,
             "--no-bitrot" => out.toggles.bitrot = false,
             "--no-deltarot" => out.toggles.deltarot = false,
-            "--no-archive" => out.toggles.archive = false,
             "--no-corrupt" => out.toggles.corrupt = false,
             "--regime" => out.regime = true,
             other => return Err(format!("unknown flag {other}")),
@@ -133,15 +132,13 @@ fn print_result(index: u64, r: &CampaignResult) {
         .as_ref()
         .map(|f| {
             format!(
-                "drops={} dups={} lost={} retries={} torn={} corrupt={} uploads={} rehydrated={} rollbacks={:?}",
+                "drops={} dups={} lost={} retries={} torn={} corrupt={} rollbacks={:?}",
                 f.chaos_drops,
                 f.chaos_dups,
                 f.chaos_lost,
                 f.stable_retries,
                 f.torn_writes,
                 f.corrupt_records,
-                f.archive_uploads,
-                f.rehydrated,
                 f.rollback_epochs
             )
         })

@@ -79,12 +79,6 @@ pub struct FaultSummary {
     pub recoveries: u64,
     /// Rollback distance of each recovery, in grid epochs.
     pub rollback_epochs: Vec<u64>,
-    /// Checkpoint objects uploaded to the archive tier (all nodes).
-    pub archive_uploads: u64,
-    /// Archive PUTs that failed and were retried.
-    pub archive_failures: u64,
-    /// Records rehydrated from the archive after a wiped disk.
-    pub rehydrated: u64,
 }
 
 /// Aggregates the fault counters of a finished mission: chaos wire and
@@ -98,9 +92,6 @@ pub(crate) fn fault_summary(report: &ClusterReport) -> FaultSummary {
         s.chaos_dups += status.chaos_dups;
         s.chaos_lost += status.chaos_lost;
         s.stable_retries += status.stable_retries;
-        s.archive_uploads += status.archive_uploads;
-        s.archive_failures += status.archive_failures;
-        s.rehydrated += status.rehydrated;
     }
     for kill in &report.kills {
         s.torn_writes += kill.reload_torn_writes;
@@ -138,8 +129,6 @@ fn cluster_config(spec: &CampaignSpec, node_bin: &Path, run_dir: PathBuf) -> Clu
     cfg.disk_plans = spec.disk.clone();
     cfg.rot = spec.rot;
     cfg.delta_k = spec.delta_k;
-    cfg.archive_plans = spec.archive.clone();
-    cfg.wipe = spec.wipe;
     cfg.corrupt = spec.corrupt;
     cfg
 }
@@ -250,7 +239,7 @@ pub struct ShrinkReport {
 }
 
 /// Greedily shrinks a failing campaign: tries to drop each fault group
-/// (link → disk → bit-rot → chain-rot → archive → corrupt → crash) and
+/// (link → disk → bit-rot → chain-rot → corrupt → crash) and
 /// keeps any removal whose re-run lands in the **same verdict class**
 /// ([`outcome_verdict`]) as the original failure — a divergence must
 /// still diverge, an abort must still abort. Shrinking that swaps the
@@ -258,7 +247,7 @@ pub struct ShrinkReport {
 /// is mission shape, not a fault group, so a failure shrinks at the `k`
 /// it was drawn with.
 ///
-/// At most seven re-runs — bounded, like everything else in the runner.
+/// At most six re-runs — bounded, like everything else in the runner.
 pub fn shrink_failure(
     spec: &CampaignSpec,
     failing_outcome: &CampaignOutcome,
@@ -270,12 +259,11 @@ pub fn shrink_failure(
     let mut outcome = failing_outcome.clone();
     let mut removed = Vec::new();
     type Removal = (&'static str, fn(&mut CampaignSpec));
-    let removals: [Removal; 7] = [
+    let removals: [Removal; 6] = [
         ("link", CampaignSpec::disable_link),
         ("disk", CampaignSpec::disable_disk),
         ("bitrot", CampaignSpec::disable_bitrot),
         ("deltarot", CampaignSpec::disable_deltarot),
-        ("archive", CampaignSpec::disable_archive),
         ("corrupt", CampaignSpec::disable_corrupt),
         ("crash", CampaignSpec::disable_crash),
     ];
@@ -286,7 +274,6 @@ pub fn shrink_failure(
             "disk" => toggles.disk,
             "bitrot" => toggles.bitrot,
             "deltarot" => toggles.deltarot,
-            "archive" => toggles.archive,
             "corrupt" => toggles.corrupt,
             _ => toggles.crash,
         };
@@ -320,9 +307,6 @@ mod tests {
             chaos_drops: drops,
             chaos_dups: 1,
             stable_retries: retries,
-            archive_uploads: 2,
-            archive_failures: 1,
-            rehydrated: 5,
             ..WireStatus::default()
         }
     }
@@ -338,7 +322,6 @@ mod tests {
                 reload_epoch: Some(1),
                 reload_torn_writes: 1,
                 reload_corrupt_records: 1,
-                wiped: false,
                 line: 1,
                 rollback_epochs: 1,
                 rollbacks: vec![(1, Some(1), 0), (2, Some(1), 0), (3, Some(1), 0)],
@@ -355,9 +338,6 @@ mod tests {
         assert_eq!(s.corrupt_records, 1);
         assert_eq!(s.recoveries, 1);
         assert_eq!(s.rollback_epochs, vec![1]);
-        assert_eq!(s.archive_uploads, 6);
-        assert_eq!(s.archive_failures, 3);
-        assert_eq!(s.rehydrated, 15);
     }
 
     #[test]

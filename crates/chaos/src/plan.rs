@@ -17,7 +17,6 @@
 //! for negative tests, not for the byte-identical sweep.
 
 use synergy::NodeId;
-use synergy_archive::{ArchiveFaultPlan, OutageWindow};
 use synergy_cluster::{grid_rounds, CrashEvent, CrashKind, Rot};
 use synergy_des::DetRng;
 use synergy_net::{LinkFaultPlan, LinkFaults, PartitionWindow};
@@ -40,9 +39,6 @@ pub struct CampaignToggles {
     pub bitrot: bool,
     /// Chain-link rot in the victim's oldest record, behind a valid frame.
     pub deltarot: bool,
-    /// Archive-tier faults: object-store outages, PUT failures, and the
-    /// wiped-disk rehydration axis.
-    pub archive: bool,
     /// Byzantine-lite value corruption of a node's latest checkpoint
     /// behind a valid CRC (unmasked-regime campaigns only — the masked
     /// sweep never draws it).
@@ -57,7 +53,6 @@ impl Default for CampaignToggles {
             crash: true,
             bitrot: true,
             deltarot: true,
-            archive: true,
             corrupt: true,
         }
     }
@@ -90,11 +85,6 @@ pub struct CampaignSpec {
     /// rounds, dirty-region deltas between. Mission shape, not a fault:
     /// the shrinker never removes it.
     pub delta_k: u32,
-    /// Per-node archive-tier fault plans.
-    pub archive: Vec<ArchiveFaultPlan>,
-    /// Whether the victim's whole data directory is wiped at the kill,
-    /// forcing a full rehydration from the archive tier.
-    pub wipe: bool,
     /// Byzantine-lite target: flip value bytes inside this node's latest
     /// committed checkpoint (behind a valid CRC) before the first crash's
     /// global rollback. `None` for the masked sweep; regime campaigns set
@@ -190,48 +180,13 @@ impl CampaignSpec {
             (4, Rot::Chain),
         ][delta_rng.gen_range(0u64..4) as usize];
 
-        // Archive-tier axis: at most one of an outage window, PUT faults,
-        // or a wiped-disk rehydration, always on the crash victim so the
-        // injection composes with the kill schedule.
-        let mut archive_rng = root.stream_indexed("campaign-archive", index);
-        let mut archive = vec![ArchiveFaultPlan::inert(); NodeId::ALL.len()];
-        let mut wipe = false;
-        match archive_rng.gen_range(0u64..4) {
-            0 => {
-                // Outage closing well before the 30 s quiesce deadline;
-                // the upload queue retries through it.
-                let start_ms = archive_rng.gen_range(200u64..=1500);
-                let len_ms = archive_rng.gen_range(300u64..=800);
-                archive[2] = ArchiveFaultPlan {
-                    seed: archive_rng.next_u64(),
-                    outages: vec![OutageWindow {
-                        start_ms,
-                        end_ms: start_ms + len_ms,
-                    }],
-                    ..ArchiveFaultPlan::inert()
-                };
-            }
-            1 => {
-                // PUT faults under the upload queue's retry budget;
-                // partial PUTs are dropped by the object CRC on read.
-                archive[2] = ArchiveFaultPlan {
-                    seed: archive_rng.next_u64(),
-                    put_fail: archive_rng.next_f64() * 0.3,
-                    put_partial: archive_rng.next_f64() * 0.3,
-                    latency_ms: archive_rng.gen_range(0u64..=10),
-                    ..ArchiveFaultPlan::inert()
-                };
-            }
-            2 => wipe = crash.is_some(),
-            _ => {}
-        }
-
         // Rot hits the oldest record; the injector keeps the restore
         // target replayable by requiring an intact full image later in
         // the chain. The next full lands at seq 1+k, committed once
         // epoch ≥ k+2 — below that the injector would refuse, so don't
-        // schedule it. A wipe supersedes it: there is nothing left to rot.
-        let rot = (!wipe && crash.is_some_and(|c| c.epoch >= u64::from(delta_k) + 2))
+        // schedule it.
+        let rot = crash
+            .is_some_and(|c| c.epoch >= u64::from(delta_k) + 2)
             .then_some(rot_layer);
 
         let mut spec = CampaignSpec {
@@ -244,8 +199,6 @@ impl CampaignSpec {
             disk,
             rot,
             delta_k,
-            archive,
-            wipe,
             corrupt: None,
         };
         if !toggles.link {
@@ -259,9 +212,6 @@ impl CampaignSpec {
         }
         if !toggles.deltarot {
             spec.disable_deltarot();
-        }
-        if !toggles.archive {
-            spec.disable_archive();
         }
         if !toggles.crash {
             spec.disable_crash();
@@ -308,8 +258,6 @@ impl CampaignSpec {
             disk: vec![DiskFaultPlan::inert(); NodeId::ALL.len()],
             rot: None,
             delta_k: 1,
-            archive: vec![ArchiveFaultPlan::inert(); NodeId::ALL.len()],
-            wipe: false,
             corrupt: Some(NodeId::P1Act.index()),
         }
     }
@@ -336,27 +284,16 @@ impl CampaignSpec {
         self.rot = self.rot.filter(|&r| r != Rot::Chain);
     }
 
-    /// Removes the archive-tier fault group: object-store fault plans and
-    /// the wiped-disk rehydration. The chain cadence itself stays — it is
-    /// mission shape, not a fault.
-    pub(crate) fn disable_archive(&mut self) {
-        for plan in &mut self.archive {
-            *plan = ArchiveFaultPlan::inert();
-        }
-        self.wipe = false;
-    }
-
     /// Removes the Byzantine-lite checkpoint corruption.
     pub(crate) fn disable_corrupt(&mut self) {
         self.corrupt = None;
     }
 
-    /// Removes the scheduled crash (and with it the rot, wipe, and
-    /// checkpoint corruption, which all ride on a crash's global rollback).
+    /// Removes the scheduled crash (and with it the rot and checkpoint
+    /// corruption, which both ride on a crash's global rollback).
     pub(crate) fn disable_crash(&mut self) {
         self.crash = None;
         self.rot = None;
-        self.wipe = false;
         self.corrupt = None;
     }
 
@@ -368,7 +305,6 @@ impl CampaignSpec {
             crash: self.crash.is_some(),
             bitrot: self.rot == Some(Rot::Frame),
             deltarot: self.rot == Some(Rot::Chain),
-            archive: self.wipe || self.archive.iter().any(|p| !p.is_inert()),
             corrupt: self.corrupt.is_some(),
         }
     }
@@ -399,16 +335,6 @@ impl CampaignSpec {
         }
         if let Some(node) = self.corrupt {
             parts.push(format!("corrupt:n{node}"));
-        }
-        if self.wipe {
-            parts.push("wipe".to_string());
-        } else if self.archive.iter().any(|p| !p.is_inert()) {
-            let outage = self.archive.iter().any(|p| !p.outages.is_empty());
-            parts.push(if outage {
-                "archive:outage".to_string()
-            } else {
-                "archive:puts".to_string()
-            });
         }
         if self.internal_traffic {
             parts.push("acked-traffic".to_string());
@@ -473,20 +399,12 @@ mod tests {
             }
             assert!([1, 2, 4].contains(&spec.delta_k));
             if let Some(rot) = spec.rot {
-                assert!(!spec.wipe, "a wipe supersedes rot");
                 assert!(
                     crash.epoch >= u64::from(spec.delta_k) + 2,
                     "rot needs a committed full image after the rotted record"
                 );
                 if rot == Rot::Frame {
                     assert_eq!(spec.delta_k, 1, "frame rot is drawn on all-full chains");
-                }
-            }
-            for plan in &spec.archive {
-                assert_eq!(plan.validate(), Ok(()));
-                assert!(plan.put_fail < 0.3 && plan.put_partial < 0.3);
-                for w in &plan.outages {
-                    assert!(w.start_ms >= 200 && w.end_ms <= 2300, "outage closes early");
                 }
             }
             assert_eq!(spec.link.validate(), Ok(()));
@@ -505,7 +423,6 @@ mod tests {
                 crash: false,
                 bitrot: false,
                 deltarot: false,
-                archive: false,
                 corrupt: false,
             },
         );
@@ -516,26 +433,20 @@ mod tests {
         assert!(bare.disk.iter().all(|p| p.is_inert()));
         assert!(bare.crash.is_none());
         assert_eq!(bare.rot, None);
-        assert!(!bare.wipe);
-        assert!(bare.archive.iter().all(|p| p.is_inert()));
     }
 
     #[test]
     fn the_sweep_exercises_every_new_axis() {
-        let mut saw = (false, false, false, false, false);
+        let mut saw = (false, false, false);
         for index in 0..64 {
             let spec = CampaignSpec::generate(99, index, CampaignToggles::default());
             saw.0 |= spec.delta_k > 1;
             saw.1 |= spec.rot == Some(Rot::Chain);
-            saw.2 |= spec.wipe;
-            saw.3 |= spec.archive.iter().any(|p| !p.is_inert());
-            saw.4 |= spec.rot == Some(Rot::Frame);
+            saw.2 |= spec.rot == Some(Rot::Frame);
         }
         assert!(saw.0, "some campaigns write deltas");
         assert!(saw.1, "some campaigns rot a chain record");
-        assert!(saw.2, "some campaigns wipe the victim's disk");
-        assert!(saw.3, "some campaigns fault the archive tier");
-        assert!(saw.4, "some campaigns rot a record frame");
+        assert!(saw.2, "some campaigns rot a record frame");
     }
 
     #[test]

@@ -62,7 +62,6 @@ fn fault_free_campaign_converges() {
             crash: false,
             bitrot: false,
             deltarot: false,
-            archive: false,
             corrupt: false,
         },
     );

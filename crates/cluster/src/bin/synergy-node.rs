@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! synergy-node --pid <1|2|3> --seed <u64> --data-dir <path> \
-//!              --ctrl <host:port> --archive-dir <path> \
+//!              --ctrl <host:port> \
 //!              [--tb-interval-ms <u64>] [--delta-k <u32>] \
-//!              [--chaos-link <hex>] [--chaos-disk <hex>] \
-//!              [--chaos-archive <hex>]
+//!              [--chaos-link <hex>] [--chaos-disk <hex>]
 //! ```
 
 use std::process::ExitCode;

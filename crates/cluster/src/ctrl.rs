@@ -114,7 +114,7 @@ pub(crate) enum CtrlReply {
 }
 
 /// A live snapshot of one node: what its event loop reports, plus the
-/// wire, chaos and archive counters the node process adds around it.
+/// wire and chaos counters the node process adds around it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WireStatus {
     /// The MDCD dirty (checkpoint) bit.
@@ -152,16 +152,6 @@ pub struct WireStatus {
     /// full past the wire's `send_stall`. Nonzero means a frame was lost
     /// on a live route — the campaign cannot converge.
     pub backpressure: u64,
-    /// Committed checkpoint records still waiting in the archive upload
-    /// queue (zero when the archive tier is off or drained).
-    pub archive_pending: u64,
-    /// Checkpoint records successfully uploaded to the archive tier.
-    pub archive_uploads: u64,
-    /// Failed archive upload attempts (each is retried with backoff).
-    pub archive_failures: u64,
-    /// Checkpoint records rehydrated from the archive tier at boot because
-    /// the local disk tier was empty (a wiped node).
-    pub rehydrated: u64,
 }
 
 synergy_codec::codec_struct!(WireStatus {
@@ -181,10 +171,6 @@ synergy_codec::codec_struct!(WireStatus {
     stable_retries,
     corrupt_records,
     backpressure,
-    archive_pending,
-    archive_uploads,
-    archive_failures,
-    rehydrated,
 });
 
 impl Codec for CtrlMsg {
@@ -401,10 +387,6 @@ mod tests {
             stable_retries: 2,
             corrupt_records: 0,
             backpressure: 0,
-            archive_pending: 4,
-            archive_uploads: 9,
-            archive_failures: 1,
-            rehydrated: 0,
         }));
         roundtrip(CtrlReply::Corrupted { epoch: Some(6) });
         roundtrip(CtrlReply::Corrupted { epoch: None });

@@ -9,9 +9,10 @@
 //! separate OS processes** (`synergy-node`) connected by
 //! [`ReactorTransport`](synergy_net::ReactorTransport)s (the sharded
 //! nonblocking reactor), each persisting its TB stable checkpoints as a
-//! [`DeltaStable`](synergy_archive::DeltaStable) chain on its local disk,
-//! mirrored to an archive tier — and a hardware fault is a real `SIGKILL`,
-//! torn stable write included.
+//! [`DeltaStable`](synergy_archive::DeltaStable) chain on its local disk —
+//! and a hardware fault is a real `SIGKILL`, torn stable write included:
+//! memory is lost, the disk survives, and every node restores to the epoch
+//! line through the same host procedure the simulator runs.
 //!
 //! Layers:
 //!

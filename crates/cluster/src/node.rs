@@ -5,8 +5,8 @@
 //! Boot sequence:
 //!
 //! 1. Open (or recover) the node's [`DeltaStable`] chain over a
-//!    [`TieredStore`]: the data directory's disk tier, mirrored to the
-//!    archive tier (which rebuilds a wiped disk). A leftover in-flight temp
+//!    [`DiskStableStore`] in its data directory: a hardware fault loses
+//!    the process's memory, never its disk. A leftover in-flight temp
 //!    file from a killed incarnation is detected here as a torn write;
 //!    committed records are CRC-verified and chain-walked, and any record
 //!    rejected by either (bit-rot) is skipped in favour of the previous
@@ -25,10 +25,10 @@
 //!    `Hello` (data port + recovered epoch + torn-write
 //!    and corrupt-record counts), then serve control commands in lockstep.
 //!
-//! All three fault plans — link, disk and archive — default to inert, in
-//! which case the wrappers are zero-overhead passthroughs; the orchestrator
-//! ships non-trivial plans as hex-encoded codec values on the command line
-//! (`--chaos-link`, `--chaos-disk`, `--chaos-archive`).
+//! Both fault plans — link and disk — default to inert, in which case the
+//! wrappers are zero-overhead passthroughs; the orchestrator ships
+//! non-trivial plans as hex-encoded codec values on the command line
+//! (`--chaos-link`, `--chaos-disk`).
 //!
 //! A restarted node does **not** restore itself: per the paper's global
 //! rollback, the *orchestrator* computes the epoch line across the cluster
@@ -42,17 +42,14 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use synergy_archive::{
-    ArchiveFaultPlan, ArchiveHandle, DeltaStable, DirObjectStore, FaultyObjectStore, ObjectStore,
-    TieredStore,
-};
+use synergy_archive::DeltaStable;
 use synergy_clocks::SyncParams;
 use synergy_codec::Codec;
 use synergy_des::SimDuration;
 use synergy_net::{
     Endpoint, FaultyTransport, LinkFaultPlan, ProcessId, ReactorTransport, WirePolicy,
 };
-use synergy_storage::{DiskFaultPlan, FaultyStable, Stable};
+use synergy_storage::{DiskFaultPlan, DiskStableStore, FaultyStable, Stable};
 use synergy_tb::{TbConfig, TbVariant};
 
 use crate::ctrl::{recv_ctrl, send_ctrl, CtrlMsg, CtrlReply, WireStatus};
@@ -80,11 +77,6 @@ pub struct NodeOpts {
     /// CRC-chained deltas between (`--delta-k`, at least 1). The default 1
     /// makes every record a full image.
     pub delta_k: u32,
-    /// Directory backing this node's archive tier (`--archive-dir`); it
-    /// outlives the data directory, so a wiped node rehydrates from it.
-    pub archive_dir: PathBuf,
-    /// Fault plan applied to the archive tier (`--chaos-archive`).
-    pub archive_plan: ArchiveFaultPlan,
 }
 
 /// Encodes a codec value as lowercase hex for command-line transport.
@@ -126,7 +118,7 @@ impl NodeOpts {
     ///
     /// Unknown flags, missing values or required flags, a `--pid` outside
     /// 1–3, a zero `--tb-interval-ms` or `--delta-k`, malformed plan
-    /// encodings, or a link or archive plan that fails its `validate`.
+    /// encodings, or a link plan that fails its `validate`.
     pub fn from_args<I: Iterator<Item = String>>(mut args: I) -> Result<Self, String> {
         let mut pid = None;
         let mut seed = None;
@@ -136,8 +128,6 @@ impl NodeOpts {
         let mut link_plan = LinkFaultPlan::default();
         let mut disk_plan = DiskFaultPlan::default();
         let mut delta_k = 1u32;
-        let mut archive_dir = None;
-        let mut archive_plan = ArchiveFaultPlan::default();
         while let Some(flag) = args.next() {
             let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
             match flag.as_str() {
@@ -159,23 +149,18 @@ impl NodeOpts {
                 }
                 "--chaos-link" => link_plan = plan_from_hex(&value()?)?,
                 "--chaos-disk" => disk_plan = plan_from_hex(&value()?)?,
-                "--chaos-archive" => archive_plan = plan_from_hex(&value()?)?,
                 "--delta-k" => {
                     delta_k = value()?.parse::<u32>().map_err(|e| e.to_string())?;
                     if delta_k < 1 {
                         return Err("--delta-k must be at least 1".into());
                     }
                 }
-                "--archive-dir" => archive_dir = Some(PathBuf::from(value()?)),
                 other => return Err(format!("unknown flag {other}")),
             }
         }
         link_plan
             .validate()
             .map_err(|e| format!("--chaos-link: {e}"))?;
-        archive_plan
-            .validate()
-            .map_err(|e| format!("--chaos-archive: {e}"))?;
         Ok(NodeOpts {
             pid: pid.ok_or("--pid is required")?,
             seed: seed.ok_or("--seed is required")?,
@@ -185,8 +170,6 @@ impl NodeOpts {
             link_plan,
             disk_plan,
             delta_k,
-            archive_dir: archive_dir.ok_or("--archive-dir is required")?,
-            archive_plan,
         })
     }
 }
@@ -195,28 +178,19 @@ impl NodeOpts {
 /// orchestrator may command.
 const SERVED_EPOCHS: usize = 64;
 
-/// Builds the archive-tier object store under the node's archive fault
-/// plan (an inert plan passes every operation through).
-fn build_archive(opts: &NodeOpts) -> io::Result<Box<dyn ObjectStore>> {
-    let inner = DirObjectStore::open(&opts.archive_dir)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok(Box::new(FaultyObjectStore::new(
-        inner,
-        opts.archive_plan.clone(),
-    )))
-}
-
 /// Opens (or recovers) the node's stable store: the delta chain at cadence
-/// `opts.delta_k` over the local disk tier, mirrored to the archive tier.
-/// The disk keeps `SERVED_EPOCHS + k − 1` records — what
-/// [`DeltaStable`] requires so no served delta outlives its base.
-fn open_store(opts: &NodeOpts) -> io::Result<(DeltaStable<TieredStore>, ArchiveHandle)> {
+/// `opts.delta_k` over the data directory's disk store. The disk keeps
+/// `SERVED_EPOCHS + k − 1` records — what [`DeltaStable`] requires so no
+/// served delta outlives its base.
+fn open_store(opts: &NodeOpts) -> io::Result<DeltaStable<DiskStableStore>> {
     let disk_retain = SERVED_EPOCHS + opts.delta_k as usize - 1;
-    let tiered = TieredStore::open(&opts.data_dir, disk_retain, build_archive(opts)?)
+    let disk = DiskStableStore::open_with_retention(&opts.data_dir, disk_retain)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let archive = tiered.handle();
-    let store = DeltaStable::open_with_retention(tiered, opts.delta_k, SERVED_EPOCHS);
-    Ok((store, archive))
+    Ok(DeltaStable::open_with_retention(
+        disk,
+        opts.delta_k,
+        SERVED_EPOCHS,
+    ))
 }
 
 pub(crate) fn tb_config(interval_ms: u64) -> TbConfig {
@@ -252,7 +226,7 @@ fn ask<R>(input_tx: &Sender<NodeInput>, cmd: impl FnOnce(Sender<R>) -> NodeCmd) 
 /// Storage, socket, or control-protocol failures, and a restore target at
 /// the commanded epoch line that does not decode (`InvalidData`).
 pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
-    let (store, archive) = open_store(opts)?;
+    let store = open_store(opts)?;
     let recovered_epoch = store.latest_seq();
     let reload_stats = store.stats();
     // Bit-rot is only ever observed at reload time, so the count is fixed
@@ -349,11 +323,10 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
                 }
             }
             CtrlMsg::Status => {
-                // The loop fills its own fields; the wire, chaos and
-                // archive counters live out here.
+                // The loop fills its own fields; the wire and chaos
+                // counters live out here.
                 let loop_status = ask(&input_tx, NodeCmd::Status)?;
                 let totals = net.totals();
-                let archive_stats = archive.stats();
                 CtrlReply::Status(WireStatus {
                     net_queued: net.pending(),
                     chaos_drops: totals.drops,
@@ -361,10 +334,6 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
                     chaos_lost: totals.lost,
                     corrupt_records: recovered_corrupt,
                     backpressure: wire.stats().backpressure_dropped,
-                    archive_pending: archive.pending() as u64,
-                    archive_uploads: archive_stats.uploads,
-                    archive_failures: archive_stats.upload_failures,
-                    rehydrated: archive_stats.rehydrated,
                     ..loop_status
                 })
             }
@@ -438,8 +407,6 @@ mod tests {
             "/tmp/x",
             "--ctrl",
             "127.0.0.1:9",
-            "--archive-dir",
-            "/tmp/x-archive",
             "--chaos-link",
             &plan_to_hex(&link),
         ];
@@ -472,10 +439,6 @@ mod tests {
             edit(&mut plan);
             plan_to_hex(&plan)
         };
-        let bad_archive = plan_to_hex(&ArchiveFaultPlan {
-            put_fail: 2.0,
-            ..ArchiveFaultPlan::inert()
-        });
         for (flag, value, err) in [
             (
                 "--chaos-link",
@@ -497,11 +460,6 @@ mod tests {
                 bad_link(|p| p.faults.drop_prob = f64::NAN),
                 "--chaos-link: drop_prob must be in [0, 1], got NaN",
             ),
-            (
-                "--chaos-archive",
-                bad_archive,
-                "--chaos-archive: put_fail must be in [0, 1], got 2",
-            ),
         ] {
             let args = argv
                 .iter()
@@ -519,50 +477,8 @@ mod tests {
     }
 
     #[test]
-    fn node_opts_parse_archive_flags() {
-        let plan = ArchiveFaultPlan {
-            seed: 11,
-            put_fail: 0.25,
-            latency_ms: 3,
-            ..ArchiveFaultPlan::inert()
-        };
-        let argv = [
-            "--pid",
-            "1",
-            "--seed",
-            "7",
-            "--data-dir",
-            "/tmp/x",
-            "--ctrl",
-            "127.0.0.1:9",
-            "--archive-dir",
-            "/tmp/x-archive",
-            "--delta-k",
-            "4",
-            "--chaos-archive",
-            &plan_to_hex(&plan),
-        ];
-        let opts = NodeOpts::from_args(argv.iter().map(|s| s.to_string())).unwrap();
-        assert_eq!(opts.delta_k, 4);
-        assert_eq!(opts.archive_dir, PathBuf::from("/tmp/x-archive"));
-        assert_eq!(opts.archive_plan, plan);
-
-        // Without the cadence and fault flags: every record a full image,
-        // an archive tier that never fails.
-        let bare = NodeOpts::from_args(argv[..10].iter().map(|s| s.to_string())).unwrap();
-        assert_eq!(bare.delta_k, 1);
-        assert!(bare.archive_plan.is_inert());
-        // There is no process-local archive tier to fall back on.
-        assert_eq!(
-            NodeOpts::from_args(argv[..8].iter().map(|s| s.to_string())).unwrap_err(),
-            "--archive-dir is required"
-        );
-    }
-
-    #[test]
     fn disk_tier_keeps_every_base_the_served_window_needs() {
         let dir = std::env::temp_dir().join(format!("synergy-node-store-{}", std::process::id()));
-        let archive_dir = dir.with_extension("archive");
         let argv = [
             "--pid",
             "3",
@@ -572,13 +488,12 @@ mod tests {
             "",
             "--ctrl",
             "127.0.0.1:9",
-            "--archive-dir",
-            "",
+            "--delta-k",
+            "4",
         ];
         let mut opts = NodeOpts::from_args(argv.iter().map(|s| s.to_string())).unwrap();
-        (opts.data_dir, opts.archive_dir) = (dir.clone(), archive_dir.clone());
-        opts.delta_k = 4;
-        let (mut store, _) = open_store(&opts).unwrap();
+        opts.data_dir = dir.clone();
+        let mut store = open_store(&opts).unwrap();
         for seq in 1..=70u64 {
             let state = vec![seq as u8; 64];
             let ckpt = Checkpoint::encode(seq, synergy_des::SimTime::from_nanos(seq), "t", &state);
@@ -586,14 +501,13 @@ mod tests {
             store.commit_write().unwrap();
         }
         drop(store);
-        let (store, _) = open_store(&opts).unwrap();
+        let store = open_store(&opts).unwrap();
         assert_eq!(store.delta_stats().chain_orphans, 0, "no spurious rot");
         assert_eq!(store.stats().corrupt_records, 0);
         assert_eq!(store.latest_seq(), Some(70));
         assert_eq!(store.latest_at_or_before_shared(7).unwrap().seq(), 7);
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&archive_dir).unwrap();
     }
 
     struct NullNet;

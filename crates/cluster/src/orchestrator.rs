@@ -42,8 +42,9 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use synergy::system::epoch_line;
 use synergy::NodeId;
-use synergy_archive::{ArchiveFaultPlan, ChainRecord, RecordKind};
+use synergy_archive::{ChainRecord, RecordKind};
 use synergy_net::retry::Backoff;
 use synergy_net::{DeviceId, Endpoint, LinkFaultPlan, MessageBody, ProcessId, ReactorTransport};
 use synergy_storage::{Checkpoint, DiskFaultPlan, DiskStableStore};
@@ -224,15 +225,6 @@ pub struct ClusterConfig {
     /// least 1): full image every `delta_k` stable commits, CRC-chained
     /// deltas between. The default 1 makes every record a full image.
     pub delta_k: u32,
-    /// Per-node archive-tier fault plans, indexed by node; missing entries
-    /// are inert.
-    pub archive_plans: Vec<ArchiveFaultPlan>,
-    /// Wipe the first crash victim's entire data directory while it is
-    /// down: its restart rehydrates tier 0 from the archive and must rejoin
-    /// byte-identically. Requires the pre-crash quiesce to have drained the
-    /// victim's upload queue, which the archive-aware quiesce condition
-    /// guarantees.
-    pub wipe: bool,
     /// Byzantine-lite value corruption (unmasked regime, axis 4): before
     /// the first crash's global rollback, command node `corrupt` to flip
     /// value bytes inside its *latest* committed checkpoint, re-planted as
@@ -271,8 +263,6 @@ impl ClusterConfig {
             disk_plans: Vec::new(),
             rot: None,
             delta_k: 1,
-            archive_plans: Vec::new(),
-            wipe: false,
             corrupt: None,
             node_bin,
             data_root,
@@ -298,9 +288,6 @@ pub struct KillReport {
     pub reload_torn_writes: u64,
     /// Committed records the restarted victim rejected by CRC (bit-rot).
     pub reload_corrupt_records: u64,
-    /// Whether the victim's data directory was wiped while it was down,
-    /// forcing its restart to rehydrate tier 0 from the archive.
-    pub wiped: bool,
     /// Epoch of the checkpoint the Byzantine-lite injection value-flipped
     /// on the restarted victim before the rollback (`None`: no injection
     /// this round).
@@ -453,7 +440,6 @@ pub struct Cluster {
     nodes: Vec<NodeHandle>,
     rot_injected: bool,
     corrupt_injected: bool,
-    wiped: bool,
 }
 
 /// Commanded checkpoint rounds a mission of `steps` produces executes:
@@ -533,7 +519,6 @@ impl Cluster {
             nodes: Vec::new(),
             rot_injected: false,
             corrupt_injected: false,
-            wiped: false,
         };
         for node in NodeId::ALL {
             let pid = node.index() as u32 + 1;
@@ -597,21 +582,7 @@ impl Cluster {
                 cmd.arg("--chaos-disk").arg(plan_to_hex(plan));
             }
         }
-        // The archive tier lives *beside* the data dir, so wiping the node's
-        // local disk leaves the archive intact to rehydrate from.
-        let archive_dir = self.cfg.data_root.join(format!("archive-{}", node.index()));
-        std::fs::create_dir_all(&archive_dir).map_err(|e| ClusterError::Launch {
-            detail: format!("create {}: {e}", archive_dir.display()),
-        })?;
-        cmd.arg("--delta-k")
-            .arg(self.cfg.delta_k.to_string())
-            .arg("--archive-dir")
-            .arg(&archive_dir);
-        if let Some(plan) = self.cfg.archive_plans.get(node.index()) {
-            if !plan.is_inert() {
-                cmd.arg("--chaos-archive").arg(plan_to_hex(plan));
-            }
-        }
+        cmd.arg("--delta-k").arg(self.cfg.delta_k.to_string());
         cmd.stdin(Stdio::null())
             .stdout(Stdio::null())
             .spawn()
@@ -694,12 +665,9 @@ impl Cluster {
         let mut prev: Option<Vec<(u32, WireStatus)>> = None;
         loop {
             let snap = self.status_all()?;
-            // Archive-aware: an undrained upload queue means a kill (or
-            // wipe) could behead records the archive never saw, so it
-            // settles alongside the data plane.
             let drained = snap
                 .iter()
-                .all(|(_, s)| s.unacked == 0 && s.net_queued == 0 && s.archive_pending == 0);
+                .all(|(_, s)| s.unacked == 0 && s.net_queued == 0);
             if drained && prev.as_ref() == Some(&snap) {
                 return Ok(snap);
             }
@@ -962,24 +930,10 @@ impl Cluster {
             }
         }
 
-        // Faults injected while the victim is down, so its restart
-        // exercises the recovery ladder. At most one per crash: a wipe
-        // leaves nothing for the rot injector to chew on this round (it
-        // latches on its own, so a skipped injection retries at the next
-        // scheduled crash).
-        let mut wiped = false;
-        if self.cfg.wipe && !self.wiped {
-            // The archive-aware quiesce before this round drained the
-            // victim's upload queue, so the archive holds every committed
-            // record and the wiped node rehydrates to the same history.
-            let dir = self.cfg.data_root.join(format!("node-{victim}"));
-            std::fs::remove_dir_all(&dir).map_err(|e| ClusterError::Launch {
-                detail: format!("wipe {}: {e}", dir.display()),
-            })?;
-            self.wiped = true;
-            wiped = true;
-        }
-        if let Some(rot) = self.cfg.rot.filter(|_| !self.rot_injected && !wiped) {
+        // Rot injected while the victim is down, so its restart exercises
+        // the reload's fallback. It latches on its own, so a skipped
+        // injection retries at the next scheduled crash.
+        if let Some(rot) = self.cfg.rot.filter(|_| !self.rot_injected) {
             self.rot_injected = self.inject_rot(victim, rot)?;
         }
 
@@ -1002,14 +956,8 @@ impl Cluster {
         }
         self.distribute_routes()?;
 
-        // The epoch line: minimum committed epoch over all (now live)
-        // processes; a node with nothing committed contributes 0.
-        let line = self
-            .nodes
-            .iter()
-            .map(|n| n.epoch.unwrap_or(0))
-            .min()
-            .unwrap_or(0);
+        // The epoch line over all (now live) processes, the simulator's rule.
+        let line = epoch_line(self.nodes.iter().map(|n| n.epoch)).unwrap_or(0);
         let mut rollbacks = Vec::new();
         for node in &mut self.nodes {
             match node.roundtrip(&CtrlMsg::Rollback { epoch: line }, ctrl_timeout)? {
@@ -1034,7 +982,6 @@ impl Cluster {
             reload_epoch,
             reload_torn_writes: reload_torn,
             reload_corrupt_records: reload_corrupt,
-            wiped,
             corrupted_epoch,
             line,
             rollback_epochs: ev.epoch.saturating_sub(line),
@@ -1057,9 +1004,7 @@ impl Cluster {
         // the simulator never sees.
         let chaos_active = !self.cfg.link_plan.is_inert()
             || self.cfg.disk_plans.iter().any(|p| !p.is_inert())
-            || self.cfg.internal_traffic
-            || self.cfg.wipe
-            || self.cfg.archive_plans.iter().any(|p| !p.is_inert());
+            || self.cfg.internal_traffic;
         let mut device_payloads = Vec::new();
         let mut kills = Vec::new();
         let mut next_grid: u64 = 1;

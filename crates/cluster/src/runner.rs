@@ -20,15 +20,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use synergy::app::{Application, CounterApp};
-use synergy::payload::CheckpointPayload;
 use synergy::system::{HostAction, HostEvent, ProcessHost, Topology};
 use synergy::Scheme;
 use synergy_clocks::LocalTime;
 use synergy_des::SimTime;
-use synergy_mdcd::{EngineSnapshot, Event, ProcessRole, RecoveryDecision};
-use synergy_net::{CkptSeqNo, Envelope, ProcessId, Transport};
-use synergy_storage::{Checkpoint, CheckpointError, Stable};
-use synergy_tb::{Event as TbEvent, TbConfig};
+use synergy_mdcd::{ProcessRole, RecoveryDecision};
+use synergy_net::{Envelope, ProcessId, Transport};
+use synergy_storage::{CheckpointError, Stable};
+use synergy_tb::TbConfig;
 
 use crate::ctrl::WireStatus;
 
@@ -94,7 +93,7 @@ pub(crate) enum NodeCmd {
         reply: Sender<Result<RollbackOutcome, CheckpointError>>,
     },
     /// Report live status: the loop fills the fields it owns and leaves
-    /// the wire, chaos and archive counters at zero for the node process.
+    /// the wire and chaos counters at zero for the node process.
     /// Because commands and deliveries share one FIFO channel, a `Status`
     /// round-trip doubles as a barrier: everything sent to the node before
     /// it has been processed once the reply arrives.
@@ -109,12 +108,11 @@ pub(crate) enum NodeCmd {
 }
 
 /// What a [`NodeCmd::Rollback`] did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct RollbackOutcome {
     /// Epoch of the checkpoint the node restored, or `None` when nothing at
     /// or before the line was retained: the node restarted from the initial
-    /// state, as the simulator does at epoch line 0. (A node without TB is
-    /// left untouched and also reports `None`.)
+    /// state, as the simulator does at epoch line 0.
     pub restored_epoch: Option<u64>,
     /// Saved unacknowledged messages re-sent during recovery.
     pub resent: usize,
@@ -173,7 +171,6 @@ pub(crate) struct NodeRunner<T: Transport, S: Stable> {
     actions: Vec<HostAction>,
     pub(crate) stable_commits: u64,
     pub(crate) stable_replacements: u64,
-    seed: u64,
 }
 
 impl<T: Transport, S: Stable> NodeRunner<T, S> {
@@ -231,7 +228,6 @@ impl<T: Transport, S: Stable> NodeRunner<T, S> {
             actions: Vec::new(),
             stable_commits: 0,
             stable_replacements: 0,
-            seed,
         };
         runner.with_host(|host, now, out| out.extend(host.start_tb(now)));
         runner
@@ -265,16 +261,18 @@ impl<T: Transport, S: Stable> NodeRunner<T, S> {
     }
 
     /// Runs one step of the host at the current time into the runner's
-    /// action buffer and applies what it appended.
-    pub(crate) fn with_host(
+    /// action buffer, applies what it appended and returns what the step
+    /// returned.
+    pub(crate) fn with_host<R>(
         &mut self,
-        step: impl FnOnce(&mut ProcessHost<S>, SimTime, &mut Vec<HostAction>),
-    ) {
+        step: impl FnOnce(&mut ProcessHost<S>, SimTime, &mut Vec<HostAction>) -> R,
+    ) -> R {
         let now = self.now();
         let mut actions = std::mem::take(&mut self.actions);
-        step(&mut self.host, now, &mut actions);
+        let result = step(&mut self.host, now, &mut actions);
         self.apply(&mut actions);
         self.actions = actions;
+        result
     }
 
     fn feed(&mut self, event: HostEvent) {
@@ -354,8 +352,8 @@ impl<T: Transport, S: Stable> NodeRunner<T, S> {
 
     /// Hardware-error recovery: restore the node from the stable checkpoint
     /// the epoch line selects — the newest committed one with sequence
-    /// number `<= epoch` — restart TB from it and re-send its saved
-    /// unacknowledged messages. A node without TB is left untouched.
+    /// number `<= epoch` — through the host's one restore procedure, then
+    /// re-send its saved unacknowledged messages.
     ///
     /// # Errors
     ///
@@ -365,43 +363,14 @@ impl<T: Transport, S: Stable> NodeRunner<T, S> {
         &mut self,
         epoch: u64,
     ) -> Result<RollbackOutcome, CheckpointError> {
-        let Some(tb) = self.host.tb.as_ref() else {
-            return Ok(RollbackOutcome::default());
+        let now_local = match self.host.tb.as_ref() {
+            Some(tb) if !self.wall_clock => tb.next_deadline(),
+            _ => LocalTime::from_nanos(self.now().as_nanos()),
         };
-        let now_local = if self.wall_clock {
-            LocalTime::from_nanos(self.now().as_nanos())
-        } else {
-            tb.next_deadline()
-        };
-        let restored = self.host.stable.latest_at_or_before_shared(epoch);
-        let restored_epoch = restored.as_ref().map(Checkpoint::seq);
-        let ndc = CkptSeqNo(restored_epoch.unwrap_or(0));
-        let payload = match &restored {
-            Some(ckpt) => CheckpointPayload::from_checkpoint(ckpt)?,
-            // No committed checkpoint at or below the line: the epoch line
-            // is 0 and the mission restarts from the initial state, exactly
-            // as the simulator's hardware recovery does.
-            None => CheckpointPayload::new(
-                CounterApp::new(self.seed ^ 0xA5A5).snapshot(),
-                EngineSnapshot::default(),
-                Vec::new(),
-                Vec::new(),
-                SimTime::ZERO,
-            ),
-        };
-        // Global recovery supersedes the write in flight and whatever
-        // awaited retry.
-        self.host.abort_stable();
+        let chosen = self.host.stable_at_line(Some(epoch));
+        let (restored_epoch, payload) =
+            self.with_host(|host, now, out| host.install_stable(chosen, now, now_local, out))?;
         self.blocking_until = None;
-        self.host.restore_from_payload(&payload);
-        // The engine's restore leaves `Ndc` alone; align it with the
-        // restored epoch, as the simulator's hardware recovery does, or
-        // every `passed_AT` until the next commit compares stale. Then
-        // restart the TB timers.
-        self.with_host(|host, now, out| {
-            out.extend(host.engine_event(Event::StableCheckpointCommitted(ndc), now));
-            out.extend(host.tb_event(TbEvent::Restarted { now_local, ndc }, now));
-        });
         for env in &payload.unacked {
             self.net.send((**env).clone());
         }

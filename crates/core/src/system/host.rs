@@ -183,6 +183,9 @@ pub struct ProcessHost<S: Stable = StableStore> {
     pub topology: Topology,
     /// The guarded application.
     pub app: CounterApp,
+    /// The application as the host was built: a stable restore with no
+    /// checkpoint at or below the line restarts from its state.
+    pub(crate) initial_app: CounterApp,
     /// The role-specific MDCD engine.
     pub engine: RoleEngine,
     /// The TB engine, when the scheme runs one.
@@ -303,6 +306,7 @@ impl<S: Stable> ProcessHost<S> {
                 topology.peer,
             ),
             tb: tb.map(TbEngine::new),
+            initial_app: app.clone(),
             app,
             volatile: VolatileStore::new(),
             stable,
@@ -428,15 +432,7 @@ impl<S: Stable> ProcessHost<S> {
         out
     }
 
-    /// Feeds one MDCD engine event directly (recovery realigns `Ndc` with
-    /// the restored epoch this way).
-    pub fn engine_event(&mut self, event: MdcdEvent, now: SimTime) -> Vec<HostAction> {
-        let mut out = Vec::new();
-        self.engine_step(event, now, &mut out);
-        out
-    }
-
-    /// Feeds one TB engine event directly (recovery restarts, resync).
+    /// Feeds one TB engine event directly (clock resynchronization).
     pub fn tb_event(&mut self, event: TbEvent, now: SimTime) -> Vec<HostAction> {
         let mut out = Vec::new();
         self.tb_step(event, now, &mut out);
@@ -445,7 +441,12 @@ impl<S: Stable> ProcessHost<S> {
 
     /// One MDCD engine step: the engine fills the host's buffer, the host
     /// applies and empties it.
-    fn engine_step(&mut self, event: MdcdEvent, now: SimTime, out: &mut Vec<HostAction>) {
+    pub(crate) fn engine_step(
+        &mut self,
+        event: MdcdEvent,
+        now: SimTime,
+        out: &mut Vec<HostAction>,
+    ) {
         let mut actions = std::mem::take(&mut self.mdcd_actions);
         self.engine.handle_into(event, &mut actions);
         self.apply_mdcd(&mut actions, now, out);
@@ -453,7 +454,7 @@ impl<S: Stable> ProcessHost<S> {
     }
 
     /// One TB engine step, likewise; nothing on a host without TB.
-    fn tb_step(&mut self, event: TbEvent, now: SimTime, out: &mut Vec<HostAction>) {
+    pub(crate) fn tb_step(&mut self, event: TbEvent, now: SimTime, out: &mut Vec<HostAction>) {
         let Some(tb) = self.tb.as_mut() else {
             return;
         };

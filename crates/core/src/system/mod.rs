@@ -40,6 +40,7 @@ use dispatch::Ev;
 pub use host::{HostAction, HostEvent, ProcessHost, Topology};
 pub(crate) use policy::policy_for;
 pub use policy::SchemePolicy;
+pub use recovery::epoch_line;
 
 /// `P1act`'s process id.
 pub const P1ACT: ProcessId = ProcessId(1);

@@ -5,33 +5,39 @@
 //! [`filter_replays`], [`volatile_copy_payload`], [`prune_unacked`]) so it
 //! can be unit-tested without a full [`System`]; the two recovery
 //! procedures (software takeover, global hardware rollback) orchestrate
-//! them over the hosts.
+//! them over the hosts. The per-process half of a global rollback —
+//! select the checkpoint at the line, install it, realign `Ndc`, restart
+//! TB — is one pair of host methods ([`ProcessHost::stable_at_line`],
+//! [`ProcessHost::install_stable`]) that the simulator and the cluster
+//! node both call.
 
 use std::sync::Arc;
 
+use synergy_clocks::LocalTime;
 use synergy_des::SimTime;
 use synergy_mdcd::{EngineSnapshot, Event as MdcdEvent, ProcessRole, RecoveryDecision};
 use synergy_net::{AckTracker, CkptSeqNo, Endpoint, Envelope, MessageBody, MsgSeqNo, ProcessId};
-use synergy_storage::{Checkpoint, Stable, StableStore};
+use synergy_storage::{Checkpoint, CheckpointError, Stable};
 use synergy_tb::{Event as TbEvent, TbEngine};
 
-use crate::app::{Application, CounterApp};
+use crate::app::Application;
 use crate::checkers::{GlobalChecker, RestoredState, Violation};
 use crate::metrics::{RollbackCause, RollbackRecord};
 use crate::payload::CheckpointPayload;
-use crate::system::host::ProcessHost;
+use crate::system::host::{HostAction, ProcessHost};
 use crate::system::System;
 
-/// The newest stable epoch committed by *every* live process.
+/// The newest stable epoch committed by *every* live process, given each
+/// live process's newest committed epoch.
 ///
 /// TB stable checkpoints are epoch-numbered, and a crash can tear one
-/// process's in-flight write while its peers commit theirs
-/// ([`StableStore::crash`] discards the torn record); the mutually
-/// consistent recovery line is therefore the minimum over the live
-/// processes' newest committed epochs. A process with no committed
-/// checkpoint contributes epoch 0 (restart from the initial state).
-pub(crate) fn epoch_line<'a>(live: impl Iterator<Item = &'a StableStore>) -> Option<u64> {
-    live.map(|s| s.latest().map_or(0, |c| c.seq())).min()
+/// process's in-flight write while its peers commit theirs (the store
+/// discards the torn record); the mutually consistent recovery line is
+/// therefore the minimum over the live processes' newest committed epochs.
+/// A process with no committed checkpoint (`None`) contributes epoch 0
+/// (restart from the initial state). `None` when no process is live.
+pub fn epoch_line(newest: impl IntoIterator<Item = Option<u64>>) -> Option<u64> {
+    newest.into_iter().map(|epoch| epoch.unwrap_or(0)).min()
 }
 
 /// Builds the stable payload for a dirty process's volatile-copy write.
@@ -150,13 +156,74 @@ impl<S: Stable> ProcessHost<S> {
     /// Installs a restored stable payload: application, engine, sent log
     /// and saved unacked set. Pre-crash volatile checkpoints and receive
     /// logs belong to the abandoned timeline and are discarded.
-    pub fn restore_from_payload(&mut self, payload: &CheckpointPayload) {
+    pub(crate) fn restore_from_payload(&mut self, payload: &CheckpointPayload) {
         self.app.restore(&payload.app);
         self.engine.restore(&payload.engine);
         self.restore_sent_log(&payload.sent);
         self.acks.restore(payload.unacked.iter().map(Arc::clone));
         self.wipe_volatile();
         self.recv_log.clear();
+    }
+
+    /// The stable checkpoint a global rollback to `line` restores: the
+    /// newest committed one at or below the line, or the newest record
+    /// when `line` is `None` (write-through checkpoints carry no epochs).
+    /// `None` when nothing qualifies.
+    pub fn stable_at_line(&self, line: Option<u64>) -> Option<Checkpoint> {
+        match line {
+            Some(epoch) => self.stable.latest_at_or_before_shared(epoch),
+            None => self.stable.latest_shared(),
+        }
+    }
+
+    /// Restores this host from `chosen` (what [`stable_at_line`] selected),
+    /// or from the application's initial state when nothing was selected:
+    /// drops the in-flight stable write and pending retries, installs the
+    /// payload, and — on a host that runs TB — realigns MDCD's `Ndc` with
+    /// the restored epoch and restarts TB at `now_local`, appending what
+    /// that asks of the driver to `out`. Returns the restored epoch and
+    /// payload; re-sending `payload.unacked` is the caller's, who orders
+    /// the resends against its own recovery steps.
+    ///
+    /// # Errors
+    ///
+    /// `chosen` does not decode as a checkpoint payload; the host is then
+    /// left as it was.
+    ///
+    /// [`stable_at_line`]: Self::stable_at_line
+    pub fn install_stable(
+        &mut self,
+        chosen: Option<Checkpoint>,
+        now: SimTime,
+        now_local: LocalTime,
+        out: &mut Vec<HostAction>,
+    ) -> Result<(Option<u64>, CheckpointPayload), CheckpointError> {
+        let restored_epoch = chosen.as_ref().map(Checkpoint::seq);
+        let payload = match &chosen {
+            Some(ckpt) => CheckpointPayload::from_checkpoint(ckpt)?,
+            // Nothing at or below the line: restart from the initial state
+            // (all progress lost).
+            None => CheckpointPayload::new(
+                self.initial_app.snapshot(),
+                EngineSnapshot::default(),
+                Vec::new(),
+                Vec::new(),
+                SimTime::ZERO,
+            ),
+        };
+        // Global recovery supersedes the write in flight and whatever
+        // awaited retry.
+        self.abort_stable();
+        self.restore_from_payload(&payload);
+        // The engine's restore leaves `Ndc` alone; align it with the
+        // restored epoch, or every `passed_AT` until the next commit
+        // compares stale. Then restart the TB timers.
+        if self.tb.is_some() {
+            let ndc = CkptSeqNo(restored_epoch.unwrap_or(0));
+            self.engine_step(MdcdEvent::StableCheckpointCommitted(ndc), now, out);
+            self.tb_step(TbEvent::Restarted { now_local, ndc }, now, out);
+        }
+        Ok((restored_epoch, payload))
     }
 }
 
@@ -308,7 +375,12 @@ impl System {
         // whose mutual consistency FIFO delivery of the `passed_AT`
         // broadcast provides.
         let recovery_epoch: Option<u64> = if self.policy().epoch_line_recovery() {
-            epoch_line(self.hosts.iter().filter(|h| !h.dead).map(|h| &h.stable))
+            epoch_line(
+                self.hosts
+                    .iter()
+                    .filter(|h| !h.dead)
+                    .map(|h| h.stable.latest_seq()),
+            )
         } else {
             None
         };
@@ -345,13 +417,7 @@ impl System {
             }
             self.hosts[i].up = true;
             self.hosts[i].tb_epoch += 1;
-            // A live host may have been mid-blocking with a stable write in
-            // flight; the global rollback supersedes that establishment.
-            self.hosts[i].abort_stable();
-            let mut chosen = match recovery_epoch {
-                Some(epoch) => self.hosts[i].stable.latest_at_or_before(epoch).cloned(),
-                None => self.hosts[i].stable.latest_shared(),
-            };
+            let mut chosen = self.hosts[i].stable_at_line(recovery_epoch);
             // Regime axis 4: a Byzantine-lite node serves value-flipped
             // checkpoints behind valid CRCs — the lie is applied at read
             // time, so it survives any number of clean commits since the
@@ -378,22 +444,11 @@ impl System {
                     }
                 }
             }
-            let restored_seq = chosen.as_ref().map_or(0, |c| c.seq());
-            let payload = match chosen {
-                Some(ckpt) => CheckpointPayload::from_checkpoint(&ckpt).expect("stable decodes"),
-                None => {
-                    // No stable checkpoint yet: restart from the initial
-                    // state (all progress lost).
-                    let fresh = CounterApp::new(self.cfg.seed ^ 0xA5A5);
-                    CheckpointPayload::new(
-                        fresh.snapshot(),
-                        EngineSnapshot::default(),
-                        Vec::new(),
-                        Vec::new(),
-                        SimTime::ZERO,
-                    )
-                }
-            };
+            let now_local = self.clocks.read(self.hosts[i].node, now);
+            let mut actions = std::mem::take(&mut self.actions);
+            let (_, payload) = self.hosts[i]
+                .install_stable(chosen, now, now_local, &mut actions)
+                .expect("stable decodes");
             let distance = now
                 .saturating_duration_since(payload.state_time())
                 .as_secs_f64();
@@ -404,23 +459,10 @@ impl System {
                 distance_secs: distance,
                 at: now,
             });
-            self.hosts[i].restore_from_payload(&payload);
+            self.apply_host_actions(i, &mut actions, now);
+            self.actions = actions;
             for env in &payload.unacked {
                 resend.push((i, Arc::clone(env)));
-            }
-            restored_payloads.push((i, payload.clone()));
-            // Align the engine's Ndc with the recovered stable epoch and
-            // restart the TB timers.
-            if self.hosts[i].tb.is_some() {
-                let ndc = CkptSeqNo(restored_seq);
-                let mut actions =
-                    self.hosts[i].engine_event(MdcdEvent::StableCheckpointCommitted(ndc), now);
-                self.apply_host_actions(i, &mut actions, now);
-                let node = self.hosts[i].node;
-                let now_local = self.clocks.read(node, now);
-                let mut actions =
-                    self.hosts[i].tb_event(TbEvent::Restarted { now_local, ndc }, now);
-                self.apply_host_actions(i, &mut actions, now);
             }
             self.sim.record_with(self.host_actors[i], || {
                 (
@@ -428,6 +470,7 @@ impl System {
                     format!("stable state from {}", payload.state_time()),
                 )
             });
+            restored_payloads.push((i, payload));
         }
 
         // Replay receive logs attached to volatile-copy checkpoints into
@@ -529,15 +572,24 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::CounterApp;
+    use crate::config::Scheme;
+    use crate::system::host::{HostEvent, Topology};
+    use synergy_clocks::SyncParams;
+    use synergy_des::SimDuration;
     use synergy_net::MsgId;
+    use synergy_storage::StableStore;
+    use synergy_tb::{TbConfig, TbVariant};
 
     const ACT: ProcessId = ProcessId(1);
     const SDW: ProcessId = ProcessId(2);
     const PEER: ProcessId = ProcessId(3);
 
+    /// A payload taken at `t`, whose image is the state of a `CounterApp`
+    /// salted with `t`.
     fn payload_at(t: u64) -> CheckpointPayload {
         CheckpointPayload::new(
-            vec![t as u8],
+            CounterApp::new(t).snapshot(),
             EngineSnapshot::default(),
             Vec::new(),
             Vec::new(),
@@ -553,6 +605,10 @@ mod tests {
             s.commit_write().unwrap();
         }
         s
+    }
+
+    fn newest(store: &StableStore) -> Option<u64> {
+        store.latest().map(Checkpoint::seq)
     }
 
     fn app_env(from: ProcessId, seq: u64, to: ProcessId) -> Envelope {
@@ -581,7 +637,7 @@ mod tests {
         b.crash(); // torn: epoch 3 never committed
         let c = store_with_commits(&[1, 2, 3]);
         assert_eq!(b.latest().map(|c| c.seq()), Some(2), "torn write discarded");
-        assert_eq!(epoch_line([&a, &b, &c].into_iter()), Some(2));
+        assert_eq!(epoch_line([&a, &b, &c].map(newest)), Some(2));
     }
 
     #[test]
@@ -591,7 +647,7 @@ mod tests {
             store_with_commits(&[1, 2]),
             store_with_commits(&[1, 2]),
         ];
-        assert_eq!(epoch_line(stores.iter()), Some(2));
+        assert_eq!(epoch_line(stores.iter().map(newest)), Some(2));
     }
 
     #[test]
@@ -599,8 +655,108 @@ mod tests {
         // A process that never committed forces a restart from the
         // initial state for everyone.
         let stores = [store_with_commits(&[1, 2, 3]), StableStore::new()];
-        assert_eq!(epoch_line(stores.iter()), Some(0));
-        assert_eq!(epoch_line(std::iter::empty()), None);
+        assert_eq!(epoch_line(stores.iter().map(newest)), Some(0));
+        assert_eq!(epoch_line([]), None);
+    }
+
+    const SALT: u64 = 41;
+
+    /// `P2` over the in-memory store, under adapted TB when `tb` says so.
+    fn host(tb: bool) -> ProcessHost {
+        let cfg = TbConfig::new(
+            TbVariant::Adapted,
+            SimDuration::from_secs(1),
+            SyncParams::new(SimDuration::from_micros(500), 0.0),
+            SimDuration::from_micros(50),
+            SimDuration::from_millis(2),
+        );
+        let (scheme, tb) = if tb {
+            (Scheme::Coordinated, Some(cfg))
+        } else {
+            (Scheme::MdcdOnly, None)
+        };
+        let topology = Topology::canonical();
+        let app = CounterApp::new(SALT);
+        ProcessHost::new(ProcessRole::Peer, PEER, 2, topology, scheme, app, tb)
+    }
+
+    fn commit(host: &mut ProcessHost, payload: CheckpointPayload, epoch: u64) {
+        let ckpt = payload.into_checkpoint(epoch, "stable-current").unwrap();
+        host.stable.begin_write(ckpt).unwrap();
+        host.stable.commit_write().unwrap();
+    }
+
+    /// Selects at `line` and installs at local time 0.
+    fn restore(
+        host: &mut ProcessHost,
+        line: u64,
+    ) -> (Option<u64>, CheckpointPayload, Vec<HostAction>) {
+        let mut out = Vec::new();
+        let chosen = host.stable_at_line(Some(line));
+        let (epoch, payload) = host
+            .install_stable(chosen, SimTime::ZERO, LocalTime::ZERO, &mut out)
+            .unwrap();
+        (epoch, payload, out)
+    }
+
+    #[test]
+    fn a_line_below_every_commit_restarts_from_the_initial_state() {
+        let mut h = host(true);
+        commit(&mut h, payload_at(5), 2);
+        commit(&mut h, payload_at(6), 3);
+        restore(&mut h, 3);
+        assert_eq!(h.engine.snapshot().ndc, CkptSeqNo(3));
+        let (epoch, _, _) = restore(&mut h, 1);
+        assert_eq!(epoch, None, "nothing at or below the line");
+        assert_eq!(h.app.snapshot(), CounterApp::new(SALT).snapshot());
+        assert_eq!(h.engine.snapshot().ndc, CkptSeqNo(0));
+    }
+
+    #[test]
+    fn a_restore_drops_the_write_in_flight_and_the_queued_retry() {
+        let mut h = host(true);
+        commit(&mut h, payload_at(5), 1);
+        // A write already in flight makes the TB round's own begin fail,
+        // which queues it for retry.
+        let stray = payload_at(6).into_checkpoint(2, "stable-current").unwrap();
+        h.stable.begin_write(stray).unwrap();
+        let deadline = h.tb.as_ref().unwrap().next_deadline();
+        let timer = HostEvent::TimerExpired { deadline };
+        h.handle_into(timer, SimTime::ZERO, &mut Vec::new());
+        assert!(h.stable.is_writing() && h.stable_pending());
+        let (epoch, _, _) = restore(&mut h, 1);
+        assert_eq!(epoch, Some(1));
+        assert!(!h.stable.is_writing(), "the write in flight is aborted");
+        assert!(!h.stable_pending(), "the retry queue is cleared");
+    }
+
+    #[test]
+    fn the_restored_payload_carries_the_saved_unacked_set() {
+        let mut h = host(true);
+        let mut saved = payload_at(5);
+        saved.unacked = [1, 2].map(|seq| Arc::new(app_env(PEER, seq, ACT))).to_vec();
+        commit(&mut h, saved, 1);
+        let (_, payload, _) = restore(&mut h, 1);
+        let seqs = |envs: &[Arc<Envelope>]| envs.iter().map(|e| e.id.seq.0).collect::<Vec<_>>();
+        assert_eq!(seqs(&payload.unacked), vec![1, 2]);
+        assert_eq!(seqs(&h.acks.unacked_shared()), vec![1, 2], "tracked again");
+    }
+
+    #[test]
+    fn a_tb_host_restarts_its_timer_and_a_plain_host_asks_for_nothing() {
+        let mut tb = host(true);
+        commit(&mut tb, payload_at(5), 1);
+        let (_, _, out) = restore(&mut tb, 1);
+        assert!(
+            matches!(out[..], [HostAction::ScheduleTimer { .. }]),
+            "{out:?}"
+        );
+        assert_eq!(tb.engine.snapshot().ndc, CkptSeqNo(1));
+        let mut plain = host(false);
+        commit(&mut plain, payload_at(5), 1);
+        let (epoch, _, out) = restore(&mut plain, 1);
+        assert_eq!(epoch, Some(1));
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]

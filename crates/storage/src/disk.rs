@@ -256,31 +256,14 @@ impl DiskStableStore {
         self.committed.iter().map(|(_, c)| c.clone()).collect()
     }
 
-    /// File index and path of the newest committed record, if any.
-    pub fn newest_record_file(&self) -> Option<(u64, PathBuf)> {
-        self.committed
-            .last()
-            .map(|(i, _)| (*i, self.dir.join(file_name(*i))))
-    }
-
     /// Reads and CRC-verifies one committed record file. Any failure —
     /// truncation, bad magic, bad CRC, codec error, a file longer than any
     /// frame (refused unread) — yields `None`; the record is unusable.
-    /// Exposed so out-of-process tooling (the chaos orchestrator's
-    /// layout-aware fault injection, the archive tier's rehydration) can
-    /// inspect records without reimplementing the frame.
+    /// Exposed so out-of-process tooling (the cluster orchestrator's
+    /// layout-aware fault injection) can inspect records without
+    /// reimplementing the frame.
     pub fn read_record_file(path: &Path) -> Option<Checkpoint> {
         read_record(path).ok()?
-    }
-
-    /// The bytes of one record file, frame and all, unparsed — for a tier
-    /// that mirrors record files verbatim. The same bounded read as
-    /// [`read_record_file`](Self::read_record_file): `None` for a file that
-    /// cannot be read, is longer than
-    /// [`MAX_RECORD_FILE_LEN`](Self::MAX_RECORD_FILE_LEN) (refused unread),
-    /// or changed length while it was read.
-    pub fn read_record_file_bytes(path: &Path) -> Option<SharedBytes> {
-        read_file(path).ok()?
     }
 
     /// Writes `ckpt` to `path` as a committed record with a valid frame.
@@ -687,7 +670,7 @@ mod tests {
             s.commit_write().unwrap();
         }
         let path = dir.join(file_name(0));
-        let file = DiskStableStore::read_record_file_bytes(&path).unwrap();
+        let file = read_file(&path).unwrap().unwrap();
         assert_eq!(&*file, &fs::read(&path).unwrap()[..]);
         // The state bytes sit where the frame puts them, uncopied: after the
         // frame header and the checkpoint's seq, timestamp, label and length

@@ -66,9 +66,11 @@ echo "==> no capability that only its own tests run"
 # The N-component containment layer and its example, the simulator's
 # never-configured link faults and per-link overrides, the TB resync knob
 # with one value in use, and the cluster node's second backpressure loop,
-# overdrive control tag, ring-size flag and second status struct are gone,
-# not hidden (names spelt in halves so this line does not find itself).
-if git grep -nE 'mdcd::gen''eral|pipeline_gu''ard|set_link_fa''ults|set_default_fa''ults|Route''Decision|with_resync_thr''eshold|Cluster''Wire|CtrlMsg::''Blast|Blas''ted|Node''Status|wire_queue''_bytes|wire-queue''-bytes' -- crates tests examples scripts .github Cargo.toml; then
+# overdrive control tag, ring-size flag and second status struct, and the
+# object-store archive tier with its wipe axis, flags and status counters
+# are gone, not hidden (names spelt in halves so this line does not find
+# itself).
+if git grep -nE 'mdcd::gen''eral|pipeline_gu''ard|set_link_fa''ults|set_default_fa''ults|Route''Decision|with_resync_thr''eshold|Cluster''Wire|CtrlMsg::''Blast|Blas''ted|Node''Status|wire_queue''_bytes|wire-queue''-bytes|Tiered''Store|Object''Store|Archive''FaultPlan|Archive''Handle|archive''-dir|chaos''-archive|archive''_pending|rehy''drat|no''-archive' -- crates tests examples scripts .github Cargo.toml; then
     echo "a deleted test-only capability is referenced again" >&2
     exit 1
 fi
@@ -148,12 +150,12 @@ echo "==> chaos smoke: 4 fixed-seed campaigns against the live cluster"
 # rot a record at both layers, the frame and the chain link behind it.
 ./target/release/synergy-chaos --seeds 4 --base-seed 7 --jobs 2
 
-echo "==> archive smoke: delta-chain, wipe-rehydration and archive-fault campaigns"
-# Base seed 1's first 8 campaigns draw every archive axis: chain cadences
-# k ∈ {1,2,4} (every campaign runs the chain; k=1 is the full-image
-# store), a mid-run wiped data directory rehydrated from the archive tier,
-# object-store outages, and faulty PUTs — each run byte-checked against
-# the simulator reference like every other campaign.
+echo "==> delta-chain smoke: chain cadences and rot at both layers"
+# Base seed 1's first 8 campaigns draw chain cadences k ∈ {1,2,4} (every
+# campaign runs the chain; k=1 is the full-image store) and rot at both
+# layers — a record's disk frame and the chain link behind a valid one —
+# each run byte-checked against the simulator reference like every other
+# campaign.
 ./target/release/synergy-chaos --seeds 8 --base-seed 1 --jobs 4
 
 echo "==> unmasked-regime smoke: 4 seeds per regime + live Byzantine campaigns"
@@ -171,7 +173,8 @@ echo "==> unmasked-regime smoke: 4 seeds per regime + live Byzantine campaigns"
 # reactor pacing as a table-tested function, 38 717 with the tenant tag
 # off the wire, the fleet driver gone and one sweep, 38 476 with every
 # crate exporting only what its users name, 38 255 with one send path and
-# one status type on a cluster node; every CHANGES.md entry ends with
+# one status type on a cluster node, 36 840 with one store stack and one
+# restore procedure on a node; every CHANGES.md entry ends with
 # before -> after.
 echo "==> tracked Rust lines: $(git ls-files '*.rs' | xargs cat | wc -l)"
 
