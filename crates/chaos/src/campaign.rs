@@ -20,10 +20,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use synergy::RegimeVerdict;
-use synergy_cluster::{
-    simulate_reference_schedule, Cluster, ClusterConfig, ClusterReport, CrashEvent,
-};
+use synergy::{Mission, RegimeVerdict};
+use synergy_cluster::{Cluster, ClusterConfig, ClusterReport};
 
 use crate::plan::CampaignSpec;
 
@@ -188,8 +186,9 @@ fn compare_streams(cluster: &[Vec<u8>], sim: &[Vec<u8>]) -> CampaignOutcome {
 pub fn run_campaign(spec: &CampaignSpec, node_bin: &Path, data_root: &Path) -> CampaignResult {
     let run_dir = unique_run_dir(data_root, spec.seed);
     let started = Instant::now();
-    let report =
-        Cluster::launch(cluster_config(spec, node_bin, run_dir.clone())).and_then(Cluster::run);
+    let cfg = cluster_config(spec, node_bin, run_dir.clone());
+    let reference = cfg.reference();
+    let report = Cluster::launch(cfg).and_then(Cluster::run);
     let wall = started.elapsed();
     let (outcome, faults) = match report {
         Err(e) => (
@@ -199,16 +198,9 @@ pub fn run_campaign(spec: &CampaignSpec, node_bin: &Path, data_root: &Path) -> C
             None,
         ),
         Ok(report) => {
-            let crashes: Vec<CrashEvent> = spec.crash.into_iter().collect();
-            let reference = simulate_reference_schedule(
-                spec.seed,
-                spec.steps,
-                spec.tb_interval_secs,
-                spec.internal_traffic,
-                &crashes,
-            );
+            let reference = Mission::new(reference).run();
             (
-                compare_streams(&report.device_payloads, &reference.device_payloads),
+                compare_streams(&report.device_payloads, &reference.device_stream),
                 Some(fault_summary(&report)),
             )
         }
@@ -299,7 +291,8 @@ pub fn shrink_failure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synergy_cluster::{CrashKind, KillReport, WireStatus};
+    use synergy::CrashKind;
+    use synergy_cluster::{KillReport, WireStatus};
 
     fn status(drops: u64, retries: u64) -> WireStatus {
         WireStatus {

@@ -6,7 +6,7 @@
 //! every node's data plane, transient stable-storage faults under the TB
 //! runtime, read-back bit-rot in a victim's checkpoint directory, and a
 //! crash scheduled at a protocol-relative instant
-//! ([`CrashKind`](synergy_cluster::CrashKind)). Everything below the
+//! ([`CrashKind`](synergy::CrashKind)). Everything below the
 //! protocol layer is *masked* — retransmission over drops, bounded retry
 //! over fsync failures, CRC-skip over bit-rot — so every completed
 //! campaign must produce a device stream **byte-identical** to a

@@ -16,14 +16,15 @@
 //! is guaranteed a full image after the record it rots. Campaigns outside that region are
 //! for negative tests, not for the byte-identical sweep.
 
-use synergy::NodeId;
-use synergy_cluster::{grid_rounds, CrashEvent, CrashKind, Rot};
+use synergy::{CrashEvent, CrashKind, NodeId};
+use synergy_cluster::{grid_rounds, Rot};
 use synergy_des::DetRng;
 use synergy_net::{LinkFaultPlan, LinkFaults, PartitionWindow};
 use synergy_storage::{DiskFault, DiskFaultPlan, DiskOp};
 
-/// The checkpoint grid spacing every campaign uses, chosen so no grid
-/// point lands within the verifier's ε-scan radius of a produce instant.
+/// The checkpoint grid spacing every campaign uses: over the at most nine
+/// produces a campaign draws, every grid point sits at least 0.2 s from a
+/// produce instant.
 pub(crate) const CAMPAIGN_DELTA_SECS: f64 = 1.7;
 
 /// Which fault groups a campaign may include.

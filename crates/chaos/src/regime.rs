@@ -19,9 +19,9 @@
 //!
 //! Every campaign is fully determined by `(base_seed, index)`: parameters
 //! come from the labelled `"regime-campaign-<kind>"` stream, the mission
-//! seed is `base_seed + index`, and re-running any row reproduces its
-//! report bit for bit — which [`RegimeSweep::recheck_determinism`] asserts
-//! by replaying a row.
+//! seed is `base_seed + index` (wrapping), and re-running any row
+//! reproduces its report bit for bit — which
+//! [`RegimeSweep::recheck_determinism`] asserts by replaying a row.
 
 use synergy::{run_regime_mission, HardwareFault, RegimeReport, RegimeVerdict, SystemConfig};
 use synergy_des::{DetRng, SimDuration, SimTime};
@@ -77,7 +77,7 @@ impl RegimeKind {
         let root = DetRng::new(base_seed);
         let mut rng = root.stream_indexed(&format!("regime-campaign-{}", self.name()), index);
         let builder = SystemConfig::builder()
-            .seed(base_seed + index)
+            .seed(base_seed.wrapping_add(index))
             .duration_secs(120.0)
             .internal_rate_per_min(60.0)
             .external_rate_per_min(6.0)
@@ -131,7 +131,7 @@ impl std::fmt::Display for RegimeKind {
 pub struct RegimeRow {
     /// Campaign index within the sweep.
     pub index: u64,
-    /// Mission seed (`base_seed + index`).
+    /// Mission seed (`base_seed + index`, wrapping).
     pub seed: u64,
     /// The classified regime report.
     pub report: RegimeReport,
@@ -316,6 +316,13 @@ mod tests {
             assert_eq!(a.regime, b.regime, "{kind} regime plan must reproduce");
             assert_eq!(a.seed, 14);
             assert!(a.regime.is_unmasked(), "{kind} must arm an axis");
+        }
+    }
+
+    #[test]
+    fn the_mission_seed_wraps_past_the_last_base_seed() {
+        for kind in RegimeKind::ALL {
+            assert_eq!(kind.config(u64::MAX, 1).seed, 0, "{kind}");
         }
     }
 

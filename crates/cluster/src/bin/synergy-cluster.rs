@@ -11,8 +11,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use synergy::NodeId;
-use synergy_cluster::{simulate_reference, Cluster, ClusterConfig, CrashEvent, CrashKind};
+use synergy::{CrashEvent, CrashKind, Mission, NodeId};
+use synergy_cluster::{Cluster, ClusterConfig};
 
 const TB_INTERVAL_SECS: f64 = 1.7;
 
@@ -93,6 +93,7 @@ fn main() -> ExitCode {
         epoch,
         kind: CrashKind::MidRound,
     }));
+    let reference = cfg.reference();
     let report = match Cluster::launch(cfg).and_then(Cluster::run) {
         Ok(r) => r,
         Err(e) => {
@@ -113,33 +114,23 @@ fn main() -> ExitCode {
         );
     }
 
-    let reference = simulate_reference(
-        args.seed,
-        args.steps,
-        TB_INTERVAL_SECS,
-        args.kill_epoch.map(|k| (victim, k)),
-    );
+    let reference = Mission::new(reference).run();
     let mut ok = true;
-    if report.device_payloads == reference.device_payloads {
+    if report.device_payloads == reference.device_stream {
         println!(
-            "verified: device stream matches the simulator reference \
-             ({} payloads{})",
-            reference.device_payloads.len(),
-            reference
-                .crash_epsilon
-                .map(|e| format!(", sim crash at grid {e:+.4}s"))
-                .unwrap_or_default()
+            "verified: device stream matches the simulator reference ({} payloads)",
+            reference.device_stream.len()
         );
     } else {
         eprintln!(
             "MISMATCH: cluster device stream differs from the simulator \
              ({} vs {} payloads)",
             report.device_payloads.len(),
-            reference.device_payloads.len()
+            reference.device_stream.len()
         );
         ok = false;
     }
-    if !reference.verdicts_hold {
+    if !reference.verdicts.all_hold() {
         eprintln!("MISMATCH: simulator verdicts failed");
         ok = false;
     }

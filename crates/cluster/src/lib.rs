@@ -26,10 +26,9 @@
 //!   (`TbDrive::Commanded`) + control loop.
 //! * [`orchestrator`] — spawns nodes, drives the mission grid, kills and
 //!   restarts the victim, coordinates the global rollback to the epoch
-//!   line.
-//! * [`verify`] — the simulator reference: a [`synergy`] mission of the
-//!   same seed and fault plan whose device-output stream the cluster run
-//!   must reproduce.
+//!   line; [`ClusterConfig::reference`] is the simulator reference, a
+//!   [`synergy`] mission of the same timeline and crash schedule whose
+//!   device-output stream the cluster run must reproduce.
 //!
 //! [`ProcessHost`]: synergy::system::ProcessHost
 
@@ -41,15 +40,13 @@ pub mod ctrl;
 pub mod node;
 pub mod orchestrator;
 mod runner;
-pub mod verify;
 
 pub use ctrl::WireStatus;
 pub use node::{run_node, NodeOpts};
 pub use orchestrator::{
-    grid_rounds, Cluster, ClusterConfig, ClusterError, ClusterReport, ClusterTimeouts, CrashEvent,
-    CrashKind, KillReport, Rot,
+    grid_rounds, Cluster, ClusterConfig, ClusterError, ClusterReport, ClusterTimeouts, KillReport,
+    Rot,
 };
-pub use verify::{simulate_reference, simulate_reference_schedule, SimReference};
 
 /// Three runners wired in one process over an in-memory transport, the
 /// test thread playing the takeover supervisor: the live runs of software

@@ -8,7 +8,7 @@
 //! round `g` runs at `t = g·Δ`. The orchestrator replays that timeline in
 //! *logical* order — every command is a lockstep control round-trip — so a
 //! cluster run is comparable event-for-event with a [`synergy`] simulation
-//! of the same seed and fault plan (see [`crate::verify`]).
+//! of the same seed and fault plan ([`ClusterConfig::reference`]).
 //!
 //! # Hardening
 //!
@@ -42,9 +42,11 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use synergy::config::ScriptedSend;
 use synergy::system::epoch_line;
-use synergy::NodeId;
+use synergy::{CrashEvent, CrashKind, NodeId, Scheme, SystemConfig};
 use synergy_archive::{ChainRecord, RecordKind};
+use synergy_des::{SimDuration, SimTime};
 use synergy_net::retry::Backoff;
 use synergy_net::{DeviceId, Endpoint, LinkFaultPlan, MessageBody, ProcessId, ReactorTransport};
 use synergy_storage::{Checkpoint, DiskFaultPlan, DiskStableStore};
@@ -153,34 +155,6 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// When, relative to the checkpoint round, the victim is killed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CrashKind {
-    /// SIGKILL before the round begins: the victim dies idle, no torn
-    /// write; survivors still complete the full round.
-    RoundStart,
-    /// SIGKILL mid-round — after the victim's stable write is staged on
-    /// disk, before it commits — leaving a genuinely torn temp file.
-    MidRound,
-    /// [`MidRound`](CrashKind::MidRound), then SIGKILL the *restarted*
-    /// victim again before the rollback starts: a crash during recovery.
-    /// The torn write is counted once (the first reload consumes it).
-    DoubleKill,
-}
-
-/// One scheduled hardware fault: kill `victim` at checkpoint round `epoch`
-/// with the placement selected by `kind`, then restart it from disk and
-/// run the global rollback.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CrashEvent {
-    /// The node to kill (the fault-plan index mapping of [`NodeId`]).
-    pub victim: NodeId,
-    /// The checkpoint round (grid epoch) the crash lands in.
-    pub epoch: u64,
-    /// Placement of the kill relative to the round.
-    pub kind: CrashKind,
-}
-
 /// The layer a masked bit-rot injection targets in a victim's oldest
 /// committed record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -203,7 +177,7 @@ pub struct ClusterConfig {
     pub steps: u32,
     /// Checkpoint grid spacing Δ in grid seconds.
     pub tb_interval_secs: f64,
-    /// Scheduled hardware faults (at most one per grid epoch).
+    /// Scheduled hardware faults, at most one per grid epoch.
     pub crashes: Vec<CrashEvent>,
     /// Precede every external produce with an *internal* produce (a
     /// component-1 → P2 application message), generating the acked
@@ -268,6 +242,69 @@ impl ClusterConfig {
             data_root,
             timeouts: ClusterTimeouts::default(),
         }
+    }
+
+    /// The simulator reference of this mission: a [`synergy`] mission of
+    /// the same seed, produces, checkpoint grid and crash schedule, whose
+    /// device stream the cluster run must reproduce byte for byte.
+    ///
+    /// Faults injected below the protocol layer — link drops masked by
+    /// retransmission, transient fsync failures masked by bounded retry,
+    /// bit-rot below the rollback line masked by the CRC-skip reload — are
+    /// invisible to the device by design, so the reference needs only the
+    /// crash schedule.
+    ///
+    /// The timeline is [`Cluster::run`]'s: the rounds `grid_rounds(s, Δ)`
+    /// run before produce `s`. A round's timer fires when its node's clock
+    /// reads `g·Δ`, up to the clocks' furthest lead early, so a produce
+    /// due at or just before the next round's grid point is scripted that
+    /// lead plus one network delay ahead of it. A crash's recovery lands
+    /// halfway between its round and the next produce or round, so the
+    /// survivors have committed the round and nothing else has happened:
+    /// the cluster's lockstep rollback.
+    pub fn reference(&self) -> SystemConfig {
+        let delta = self.tb_interval_secs;
+        let mut cfg = SystemConfig::builder()
+            .scheme(Scheme::Coordinated)
+            .seed(self.seed)
+            .duration_secs(f64::from(self.steps) + 1.0)
+            .tb_interval_secs(delta)
+            .no_workload()
+            .trace(false)
+            .build();
+        let lead = (cfg.sync.deviation_bound(cfg.duration) + cfg.tmax).as_secs_f64();
+        let produce_at =
+            |s: u32| f64::from(s).min((grid_rounds(s, delta) + 1) as f64 * delta - lead);
+        for s in 1..=self.steps {
+            let at = SimTime::from_secs_f64(produce_at(s));
+            let send = |external| ScriptedSend {
+                at,
+                component: 1,
+                external,
+            };
+            // Internal before external at the same instant, the cluster's
+            // command order; the DES queue fires ties FIFO.
+            if self.internal_traffic {
+                cfg.scripted_sends.push(send(false));
+            }
+            cfg.scripted_sends.push(send(true));
+        }
+        let gap = self
+            .crashes
+            .iter()
+            .map(|c| {
+                let round = c.epoch as f64 * delta;
+                let next_produce = (1..=self.steps)
+                    .find(|&s| grid_rounds(s, delta) >= c.epoch)
+                    .map_or(f64::INFINITY, produce_at);
+                next_produce.min(round + delta) - round
+            })
+            .fold(f64::INFINITY, f64::min);
+        if gap.is_finite() {
+            cfg.restart_delay = SimDuration::from_secs_f64(gap / 2.0);
+        }
+        cfg.faults.rounds = self.crashes.clone();
+        cfg
     }
 }
 
@@ -459,10 +496,10 @@ impl Cluster {
     /// # Errors
     ///
     /// A Δ that is not finite or rounds to 0 ms, a crash scheduled outside
-    /// the mission's checkpoint rounds (`1..=grid_rounds(steps, Δ)`) or a
-    /// corrupt target outside the node table, before any process is
-    /// spawned; then process-spawn, socket, or control-protocol failures —
-    /// all bounded by the configured timeouts.
+    /// the mission's checkpoint rounds (`1..=grid_rounds(steps, Δ)`), two
+    /// crashes in one round or a corrupt target outside the node table,
+    /// before any process is spawned; then process-spawn, socket, or
+    /// control-protocol failures — all bounded by the configured timeouts.
     pub fn launch(cfg: ClusterConfig) -> Result<Self, ClusterError> {
         // The grid never ends for Δ ≤ 0, and a node refuses a
         // `--tb-interval-ms` of 0; reject both before counting rounds.
@@ -488,6 +525,14 @@ impl Cluster {
                     "crash epoch {} outside checkpoint rounds 1..={rounds} of a {}-step mission",
                     crash.epoch, cfg.steps
                 ),
+            });
+        }
+        // `run` takes one crash per round; a second would vanish unreported.
+        let mut epochs: Vec<u64> = cfg.crashes.iter().map(|c| c.epoch).collect();
+        epochs.sort_unstable();
+        if let Some(pair) = epochs.windows(2).find(|w| w[0] == w[1]) {
+            return Err(ClusterError::Launch {
+                detail: format!("two crashes scheduled in checkpoint round {}", pair[0]),
             });
         }
         // The Byzantine-lite target indexes the node table; surface a bad
@@ -1037,8 +1082,8 @@ impl Cluster {
             // aligned. The optional internal produce (a P1 → P2 message
             // that will be acked) precedes the external one at the same
             // logical instant — the reference simulation scripts both at
-            // time `s` in the same order, and the DES queue breaks the tie
-            // FIFO.
+            // one instant in the same order, and the DES queue breaks the
+            // tie FIFO.
             if self.cfg.internal_traffic {
                 for i in [NodeId::P1Act.index(), NodeId::P1Sdw.index()] {
                     let reply = self.nodes[i]
@@ -1135,6 +1180,105 @@ fn expect_done(reply: CtrlReply) -> Result<(), ClusterError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use synergy::CrashKind::{DoubleKill, MidRound, RoundStart};
+    use synergy::{Mission, MissionOutcome};
+
+    /// A Δ = 1.7 s mission whose `P2` crashes as listed.
+    fn mission(seed: u64, steps: u32, crashes: &[(u64, CrashKind)]) -> ClusterConfig {
+        let mut cfg = ClusterConfig::new(seed, steps, 1.7, PathBuf::new(), PathBuf::new());
+        for &(epoch, kind) in crashes {
+            let victim = NodeId::P2;
+            cfg.crashes.push(CrashEvent {
+                victim,
+                epoch,
+                kind,
+            });
+        }
+        cfg
+    }
+
+    fn run(cfg: &ClusterConfig) -> MissionOutcome {
+        Mission::new(cfg.reference()).run()
+    }
+
+    #[test]
+    fn fault_free_reference_serves_every_produce() {
+        let r = run(&mission(11, 4, &[]));
+        assert!(r.verdicts.all_hold());
+        assert_eq!(r.device_stream.len(), 4, "one device message per step");
+        assert_eq!(r.metrics.torn_writes, 0);
+        assert_eq!(r.metrics.hardware_recoveries, 0);
+    }
+
+    #[test]
+    fn mid_round_reference_tears_one_write_and_rolls_back_one_interval() {
+        let cfg = mission(11, 8, &[(3, MidRound)]);
+        let r = run(&cfg);
+        assert!(r.verdicts.all_hold(), "the coordinated scheme must survive");
+        assert_eq!(r.metrics.torn_writes, 1, "the staged write is torn");
+        assert_eq!(r.metrics.hardware_recoveries, 1);
+        assert_eq!(r.device_stream.len(), 8, "every produce is served");
+        // Rolling back from the torn epoch k to the line k−1 costs one grid
+        // interval plus the restart delay.
+        let expected = 1.7 + cfg.reference().restart_delay.as_secs_f64();
+        let d = r.metrics.mean_hardware_rollback().unwrap_or(0.0);
+        assert!((d - expected).abs() < 0.25, "rollback distance {d}");
+    }
+
+    #[test]
+    fn a_round_crash_tears_exactly_one_write_across_seeds_and_rounds() {
+        // The victim's own round timer places the crash, whatever the
+        // seeded clock offsets: seed 23's victim clock runs ahead of the grid.
+        for (seed, steps, epoch) in [(23, 6, 2), (5, 8, 3), (42, 6, 2), (11, 8, 1)] {
+            let r = run(&mission(seed, steps, &[(epoch, MidRound)]));
+            let at = format!("seed {seed} round {epoch}");
+            assert_eq!(r.metrics.torn_writes, 1, "{at}: torn");
+            assert_eq!(r.metrics.hardware_recoveries, 1, "{at}: rollback");
+            assert!(r.verdicts.all_hold(), "{at}: verdicts");
+            assert_eq!(r.device_stream.len(), steps as usize);
+        }
+    }
+
+    #[test]
+    fn round_start_reference_tears_no_write() {
+        for seed in [5u64, 11, 23, 42] {
+            let r = run(&mission(seed, 6, &[(2, RoundStart)]));
+            assert_eq!(r.metrics.torn_writes, 0, "seed {seed}: no tear");
+            assert_eq!(r.metrics.hardware_recoveries, 1, "seed {seed}");
+            assert!(r.verdicts.all_hold(), "seed {seed}");
+            assert_eq!(r.device_stream.len(), 6);
+        }
+    }
+
+    #[test]
+    fn double_kill_reference_equals_single_mid_round_kill() {
+        // The cluster's second kill hits a restarted idle victim before the
+        // rollback, so the simulator reference is a single mid-round fault.
+        let double = run(&mission(11, 8, &[(3, DoubleKill)]));
+        let single = run(&mission(11, 8, &[(3, MidRound)]));
+        assert_eq!(double.device_stream, single.device_stream);
+        assert_eq!(double.metrics.torn_writes, 1);
+    }
+
+    #[test]
+    fn internal_traffic_reference_keeps_the_device_stream_externals_only() {
+        // Internal P1 → P2 messages are acked application traffic; they
+        // must never leak to the device, and the round crash must still
+        // tear the victim's write with them in flight.
+        let mut cfg = mission(11, 8, &[(3, MidRound)]);
+        cfg.internal_traffic = true;
+        let r = run(&cfg);
+        assert_eq!(r.metrics.torn_writes, 1);
+        assert_eq!(r.metrics.hardware_recoveries, 1);
+        assert!(r.verdicts.all_hold());
+        assert_eq!(r.device_stream.len(), 8, "externals only");
+    }
+
+    #[test]
+    fn reference_is_deterministic_per_seed() {
+        let stream = || run(&mission(7, 5, &[])).device_stream;
+        assert_eq!(stream(), stream());
+    }
 
     #[test]
     fn grid_round_count_matches_the_orchestrator_loop() {

@@ -7,11 +7,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use synergy::NodeId;
-use synergy_cluster::{
-    simulate_reference, simulate_reference_schedule, Cluster, ClusterConfig, CrashEvent, CrashKind,
-    Rot,
-};
+use synergy::{CrashEvent, CrashKind, Mission, MissionOutcome, NodeId};
+use synergy_cluster::{Cluster, ClusterConfig, ClusterReport, Rot};
 
 const TB_INTERVAL_SECS: f64 = 1.7;
 
@@ -26,7 +23,8 @@ fn unique_dir(label: &str) -> PathBuf {
     dir
 }
 
-fn launch(seed: u64, steps: u32, crash: Option<CrashEvent>, data_root: &Path) -> Cluster {
+/// A mission with `P2` killed mid-round in `kill_epoch`, if any.
+fn config(seed: u64, steps: u32, kill_epoch: Option<u64>, data_root: &Path) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(
         seed,
         steps,
@@ -34,23 +32,36 @@ fn launch(seed: u64, steps: u32, crash: Option<CrashEvent>, data_root: &Path) ->
         PathBuf::from(env!("CARGO_BIN_EXE_synergy-node")),
         data_root.to_path_buf(),
     );
-    cfg.crashes.extend(crash);
-    Cluster::launch(cfg).expect("cluster launches")
+    cfg.crashes.extend(kill_epoch.map(|epoch| CrashEvent {
+        victim: NodeId::P2,
+        epoch,
+        kind: CrashKind::MidRound,
+    }));
+    cfg
+}
+
+/// Runs the mission on the cluster and its reference in the simulator.
+fn run_both(cfg: ClusterConfig) -> (ClusterReport, MissionOutcome) {
+    let reference = Mission::new(cfg.reference()).run();
+    let report = Cluster::launch(cfg)
+        .expect("cluster launches")
+        .run()
+        .expect("mission runs");
+    (report, reference)
 }
 
 #[test]
 fn fault_free_mission_matches_the_simulator() {
     let data_root = unique_dir("clean");
-    let report = launch(7, 5, None, &data_root).run().expect("mission runs");
-    let reference = simulate_reference(7, 5, TB_INTERVAL_SECS, None);
-    assert!(reference.verdicts_hold);
+    let (report, reference) = run_both(config(7, 5, None, &data_root));
+    assert!(reference.verdicts.all_hold());
     assert_eq!(
         report.device_payloads.len(),
         5,
         "one device message per step"
     );
     assert_eq!(
-        report.device_payloads, reference.device_payloads,
+        report.device_payloads, reference.device_stream,
         "cluster and simulator device streams must be identical"
     );
     // Grid points 1.7 and 3.4 passed: everyone committed two epochs.
@@ -66,21 +77,11 @@ fn sigkill_mission_recovers_from_disk_and_matches_the_simulator() {
     let seed = 11;
     let steps = 8;
     let kill_epoch = 3; // grid t = 5.1, torn inside the round
-    let victim = NodeId::P2;
     let data_root = unique_dir("kill");
 
-    let report = launch(
-        seed,
-        steps,
-        Some(CrashEvent {
-            victim,
-            epoch: kill_epoch,
-            kind: CrashKind::MidRound,
-        }),
-        &data_root,
-    )
-    .run()
-    .expect("mission completes despite the kill");
+    let cfg = config(seed, steps, Some(kill_epoch), &data_root);
+    let restart_delay = cfg.reference().restart_delay.as_secs_f64();
+    let (report, reference) = run_both(cfg);
     let kill = report.kills.first().expect("kill executed");
 
     // The kill tore a staged write: the victim confirmed an in-flight
@@ -116,20 +117,25 @@ fn sigkill_mission_recovers_from_disk_and_matches_the_simulator() {
     // The observable surface: the device payload sequence — including the
     // post-rollback repeats — must equal the simulator's for the same seed
     // and fault plan.
-    let reference = simulate_reference(seed, steps, TB_INTERVAL_SECS, Some((victim, kill_epoch)));
-    assert!(reference.verdicts_hold, "simulator verdicts hold");
-    assert_eq!(reference.torn_writes, 1, "sim reproduces the torn write");
-    assert_eq!(reference.hardware_recoveries, 1);
+    assert!(reference.verdicts.all_hold(), "simulator verdicts hold");
     assert_eq!(
-        report.device_payloads, reference.device_payloads,
+        reference.metrics.torn_writes, 1,
+        "sim reproduces the torn write"
+    );
+    assert_eq!(reference.metrics.hardware_recoveries, 1);
+    assert_eq!(
+        report.device_payloads, reference.device_stream,
         "cluster and simulator device streams must be identical"
     );
 
     // Rollback distance: losing the torn epoch costs one grid interval
     // plus the restart delay in the simulator's clock; the cluster's
     // epoch-line arithmetic must agree.
-    let cluster_distance = (kill_epoch - kill.line) as f64 * TB_INTERVAL_SECS + 0.12;
-    let sim_distance = reference.mean_rollback_secs.expect("sim rolled back");
+    let cluster_distance = (kill_epoch - kill.line) as f64 * TB_INTERVAL_SECS + restart_delay;
+    let sim_distance = reference
+        .metrics
+        .mean_hardware_rollback()
+        .expect("sim rolled back");
     assert!(
         (sim_distance - cluster_distance).abs() < 0.25,
         "rollback distance: sim {sim_distance:.3}s vs cluster {cluster_distance:.3}s"
@@ -147,37 +153,16 @@ fn acked_internal_traffic_mission_survives_a_kill_and_matches_the_simulator() {
     let seed = 11;
     let steps = 8;
     let kill_epoch = 3;
-    let victim = NodeId::P2;
     let data_root = unique_dir("acked");
 
-    let mut cfg = ClusterConfig::new(
-        seed,
-        steps,
-        TB_INTERVAL_SECS,
-        PathBuf::from(env!("CARGO_BIN_EXE_synergy-node")),
-        data_root.to_path_buf(),
-    );
+    let mut cfg = config(seed, steps, Some(kill_epoch), &data_root);
     cfg.internal_traffic = true;
-    cfg.crashes.push(CrashEvent {
-        victim,
-        epoch: kill_epoch,
-        kind: CrashKind::MidRound,
-    });
-    let report = Cluster::launch(cfg)
-        .expect("cluster launches")
-        .run()
-        .expect("mission completes despite the kill");
+    let (report, reference) = run_both(cfg);
 
-    let crashes = [CrashEvent {
-        victim,
-        epoch: kill_epoch,
-        kind: CrashKind::MidRound,
-    }];
-    let reference = simulate_reference_schedule(seed, steps, TB_INTERVAL_SECS, true, &crashes);
-    assert!(reference.verdicts_hold);
-    assert_eq!(reference.torn_writes, 1);
+    assert!(reference.verdicts.all_hold());
+    assert_eq!(reference.metrics.torn_writes, 1);
     assert_eq!(
-        report.device_payloads, reference.device_payloads,
+        report.device_payloads, reference.device_stream,
         "cluster and simulator device streams must be identical"
     );
     for (pid, status) in &report.final_status {
@@ -204,26 +189,11 @@ fn delta_chain_mission_survives_a_kill_and_matches_the_simulator() {
     let seed = 11;
     let steps = 8;
     let kill_epoch = 3;
-    let victim = NodeId::P2;
     let data_root = unique_dir("delta");
 
-    let mut cfg = ClusterConfig::new(
-        seed,
-        steps,
-        TB_INTERVAL_SECS,
-        PathBuf::from(env!("CARGO_BIN_EXE_synergy-node")),
-        data_root.to_path_buf(),
-    );
+    let mut cfg = config(seed, steps, Some(kill_epoch), &data_root);
     cfg.delta_k = 4;
-    cfg.crashes.push(CrashEvent {
-        victim,
-        epoch: kill_epoch,
-        kind: CrashKind::MidRound,
-    });
-    let report = Cluster::launch(cfg)
-        .expect("cluster launches")
-        .run()
-        .expect("delta mission completes despite the kill");
+    let (report, reference) = run_both(cfg);
     let kill = report.kills.first().expect("kill executed");
 
     assert!(kill.victim_began_writing, "write staged before the kill");
@@ -234,10 +204,9 @@ fn delta_chain_mission_survives_a_kill_and_matches_the_simulator() {
     );
     assert_eq!(kill.reload_torn_writes, 1, "torn write detected on reload");
 
-    let reference = simulate_reference(seed, steps, TB_INTERVAL_SECS, Some((victim, kill_epoch)));
-    assert!(reference.verdicts_hold);
+    assert!(reference.verdicts.all_hold());
     assert_eq!(
-        report.device_payloads, reference.device_payloads,
+        report.device_payloads, reference.device_stream,
         "delta-chain cluster and simulator device streams must be identical"
     );
     let _ = std::fs::remove_dir_all(&data_root);
@@ -252,27 +221,12 @@ fn rotted_chain_record_is_refused_on_reload_and_the_stream_is_unchanged() {
     let seed = 11;
     let steps = 8;
     let kill_epoch = 4; // victim holds Full, Delta, Full before the kill (k=2)
-    let victim = NodeId::P2;
     let data_root = unique_dir("deltarot");
 
-    let mut cfg = ClusterConfig::new(
-        seed,
-        steps,
-        TB_INTERVAL_SECS,
-        PathBuf::from(env!("CARGO_BIN_EXE_synergy-node")),
-        data_root.to_path_buf(),
-    );
+    let mut cfg = config(seed, steps, Some(kill_epoch), &data_root);
     cfg.delta_k = 2;
     cfg.rot = Some(Rot::Chain);
-    cfg.crashes.push(CrashEvent {
-        victim,
-        epoch: kill_epoch,
-        kind: CrashKind::MidRound,
-    });
-    let report = Cluster::launch(cfg)
-        .expect("cluster launches")
-        .run()
-        .expect("mission completes despite the rotted chain record");
+    let (report, reference) = run_both(cfg);
     let kill = report.kills.first().expect("kill executed");
 
     assert!(
@@ -285,10 +239,9 @@ fn rotted_chain_record_is_refused_on_reload_and_the_stream_is_unchanged() {
         "the newest record replays from the later full image"
     );
 
-    let reference = simulate_reference(seed, steps, TB_INTERVAL_SECS, Some((victim, kill_epoch)));
-    assert!(reference.verdicts_hold);
+    assert!(reference.verdicts.all_hold());
     assert_eq!(
-        report.device_payloads, reference.device_payloads,
+        report.device_payloads, reference.device_stream,
         "masked chain rot must not change the device stream"
     );
     let _ = std::fs::remove_dir_all(&data_root);
@@ -302,21 +255,9 @@ fn first_round_kill_rolls_every_node_back_to_the_initial_state() {
     // simulator's hardware recovery does.
     let seed = 5;
     let steps = 8;
-    let victim = NodeId::P2;
     let data_root = unique_dir("line0");
 
-    let report = launch(
-        seed,
-        steps,
-        Some(CrashEvent {
-            victim,
-            epoch: 1,
-            kind: CrashKind::MidRound,
-        }),
-        &data_root,
-    )
-    .run()
-    .expect("mission completes despite the round-1 kill");
+    let (report, reference) = run_both(config(seed, steps, Some(1), &data_root));
     let kill = report.kills.first().expect("kill executed");
 
     assert!(kill.victim_began_writing);
@@ -327,12 +268,29 @@ fn first_round_kill_rolls_every_node_back_to_the_initial_state() {
         assert_eq!(*restored, None, "pid {pid}: initial-state restart");
     }
 
-    let reference = simulate_reference(seed, steps, TB_INTERVAL_SECS, Some((victim, 1)));
-    assert!(reference.verdicts_hold);
-    assert_eq!(reference.torn_writes, 1);
+    assert!(reference.verdicts.all_hold());
+    assert_eq!(reference.metrics.torn_writes, 1);
     assert_eq!(
-        report.device_payloads, reference.device_payloads,
+        report.device_payloads, reference.device_stream,
         "cluster and simulator device streams must be identical"
     );
     let _ = std::fs::remove_dir_all(&data_root);
+}
+
+#[test]
+fn long_lockstep_missions_match_the_reference() {
+    // 24 produces on the 1.7 s grid reach the two timeline edges the short
+    // chaos missions never do: round 7 at t = 11.9 leaves 0.1 s before
+    // produce 12, and round 10 falls exactly on produce 17, which the
+    // orchestrator runs first.
+    for kill_epoch in [7, 11] {
+        let data_root = unique_dir("long");
+        let (report, reference) = run_both(config(1, 24, Some(kill_epoch), &data_root));
+        assert!(reference.verdicts.all_hold(), "round {kill_epoch}");
+        assert_eq!(
+            report.device_payloads, reference.device_stream,
+            "round {kill_epoch}: cluster and simulator device streams must be identical"
+        );
+        let _ = std::fs::remove_dir_all(&data_root);
+    }
 }

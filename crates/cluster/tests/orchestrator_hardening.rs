@@ -6,8 +6,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use synergy::NodeId;
-use synergy_cluster::{grid_rounds, Cluster, ClusterConfig, ClusterError, CrashEvent, CrashKind};
+use synergy::{CrashEvent, CrashKind, NodeId};
+use synergy_cluster::{grid_rounds, Cluster, ClusterConfig, ClusterError};
 
 fn unique_dir(label: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -108,6 +108,36 @@ fn crash_past_the_last_round_fails_launch_before_any_node_spawns() {
         }
         Err(other) => panic!("expected a launch rejection, got {other:?}"),
         Ok(_) => panic!("launch must reject a crash no round reaches"),
+    }
+    assert!(!marker.exists(), "no node process was spawned");
+    let _ = std::fs::remove_dir_all(&data_root);
+}
+
+/// The orchestrator runs one crash per checkpoint round, so a second crash
+/// in the same round would vanish from the report. Launch refuses it,
+/// naming the round, before it spawns any node.
+#[cfg(unix)]
+#[test]
+fn two_crashes_in_one_round_fail_launch_before_any_node_spawns() {
+    let data_root = unique_dir("two-crashes-one-round");
+    let (script, marker) = marker_node(&data_root);
+    let mut cfg = config(script, data_root.clone());
+    for (victim, kind) in [
+        (NodeId::P2, CrashKind::MidRound),
+        (NodeId::P1Act, CrashKind::RoundStart),
+    ] {
+        cfg.crashes.push(CrashEvent {
+            victim,
+            epoch: 2,
+            kind,
+        });
+    }
+    match Cluster::launch(cfg) {
+        Err(ClusterError::Launch { detail }) => {
+            assert!(detail.contains("round 2"), "names the round: {detail}");
+        }
+        Err(other) => panic!("expected a launch rejection, got {other:?}"),
+        Ok(_) => panic!("launch must reject a second crash in one round"),
     }
     assert!(!marker.exists(), "no node process was spawned");
     let _ = std::fs::remove_dir_all(&data_root);

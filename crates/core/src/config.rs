@@ -6,7 +6,7 @@ use synergy_clocks::SyncParams;
 use synergy_des::{SimDuration, SimTime};
 use synergy_tb::TbVariant;
 
-use crate::faults::{FaultPlan, HardwareFault, SoftwareFault};
+use crate::faults::{CrashEvent, FaultPlan, FaultPlanError, HardwareFault, SoftwareFault};
 use crate::regime::{
     AtCoveragePlan, BadMessagePlan, ByzantinePlan, RegimePlan, ResyncViolationPlan,
 };
@@ -134,10 +134,28 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// The first [`FaultPlanError`](crate::FaultPlanError) in the fault
-    /// plan, then the regime plan.
-    pub fn validate(&self) -> Result<(), crate::FaultPlanError> {
+    /// The first [`FaultPlanError`] in the fault plan, then
+    /// [`FaultPlanError::RoundNeverFires`] for a round crash no TB timer
+    /// reaches, then the first in the regime plan.
+    pub fn validate(&self) -> Result<(), FaultPlanError> {
         self.faults.validate()?;
+        for crash in &self.faults.rounds {
+            let why = if crash.epoch == 0 {
+                "rounds count from 1"
+            } else if self.scheme.tb_variant().is_none() {
+                "the scheme runs no TB rounds"
+            } else if self.tb_interval.as_nanos().saturating_mul(crash.epoch)
+                >= self.duration.as_nanos()
+            {
+                "the round is due at or past the mission's end"
+            } else {
+                continue;
+            };
+            return Err(FaultPlanError::RoundNeverFires {
+                epoch: crash.epoch,
+                why,
+            });
+        }
         self.regime.validate()
     }
 
@@ -251,6 +269,13 @@ impl SystemConfigBuilder {
     /// Schedules a hardware fault on an arbitrary node.
     pub fn hardware_fault(mut self, fault: HardwareFault) -> Self {
         self.cfg.faults.hardware.push(fault);
+        self
+    }
+
+    /// Schedules a crash placed by checkpoint round: the victim's node
+    /// crashes when its own TB timer for round `crash.epoch` fires.
+    pub fn round_crash(mut self, crash: CrashEvent) -> Self {
+        self.cfg.faults.rounds.push(crash);
         self
     }
 
@@ -438,6 +463,30 @@ mod tests {
             bad_fault.validate(),
             Err(crate::FaultPlanError::NodeOutOfRange { node: 7 })
         ));
+    }
+
+    #[test]
+    fn a_round_crash_that_never_fires_is_a_typed_error() {
+        // 60 s at the default Δ = 10 s: rounds 1..=5 are due before the end.
+        let validate = |scheme, epoch| {
+            let (victim, kind) = (crate::NodeId::P2, crate::CrashKind::MidRound);
+            let crash = CrashEvent {
+                victim,
+                epoch,
+                kind,
+            };
+            let b = SystemConfig::builder().scheme(scheme).duration_secs(60.0);
+            b.round_crash(crash).build().validate()
+        };
+        assert_eq!(validate(Scheme::Coordinated, 5), Ok(()));
+        for (scheme, epoch) in [
+            (Scheme::Coordinated, 0),
+            (Scheme::WriteThrough, 2),
+            (Scheme::Coordinated, 6),
+        ] {
+            let err = validate(scheme, epoch).unwrap_err();
+            assert!(matches!(err, FaultPlanError::RoundNeverFires { epoch: e, .. } if e == epoch));
+        }
     }
 
     #[test]

@@ -1,4 +1,12 @@
 //! Scheduled fault injection.
+//!
+//! A [`FaultPlan`] means the same thing in the simulator and on the live
+//! cluster. Both map node indices through [`NodeId`], and a
+//! [`CrashEvent`] names a protocol point, not an instant: the cluster
+//! kills its victim at checkpoint round `epoch` of the orchestrator's
+//! grid, and the simulator crashes the victim's node when that node's own
+//! TB timer for round `epoch` fires. The time-placed [`HardwareFault`]
+//! list is the simulator's alone: the paper's sweeps crash at any instant.
 
 use core::fmt;
 
@@ -9,8 +17,7 @@ use synergy_des::SimTime;
 ///
 /// Both hardware-fault consumers share this mapping: the simulator's
 /// injector (crash a modelled node) and the cluster runtime's kill scheduler
-/// (SIGKILL a real OS process), so a [`FaultPlan`] means the same thing in
-/// either world.
+/// (SIGKILL a real OS process).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NodeId {
     /// Node 0, hosting `P1act` (the active variant of component 1).
@@ -88,6 +95,37 @@ impl HardwareFault {
     }
 }
 
+/// When, relative to its checkpoint round, a crash hits the victim.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CrashKind {
+    /// The victim dies idle, before the round begins: no torn write; the
+    /// survivors still complete the full round.
+    RoundStart,
+    /// The victim dies mid-round, after its stable write is staged and
+    /// before it commits, leaving the write torn.
+    MidRound,
+    /// [`MidRound`](CrashKind::MidRound), then the *restarted* victim dies
+    /// again before the rollback starts: a crash during recovery. The torn
+    /// write is counted once (the first reload consumes it). The second
+    /// crash hits a restarted, still-idle victim, so the device sees
+    /// nothing different and the simulator runs it as `MidRound`.
+    DoubleKill,
+}
+
+/// One crash placed by checkpoint round: `victim` dies in round `epoch`
+/// at the point `kind` selects, and the system rolls back globally to the
+/// epoch line.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CrashEvent {
+    /// The node that crashes.
+    pub victim: NodeId,
+    /// The checkpoint round (grid epoch `g`, deadline `g·Δ`) the crash
+    /// lands in.
+    pub epoch: u64,
+    /// Placement of the crash relative to the round.
+    pub kind: CrashKind,
+}
+
 /// The fault schedule of one mission.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
@@ -96,6 +134,8 @@ pub struct FaultPlan {
     pub software: Option<SoftwareFault>,
     /// Any number of hardware faults, in any order.
     pub hardware: Vec<HardwareFault>,
+    /// Crashes placed by checkpoint round, the cluster's fault vocabulary.
+    pub rounds: Vec<CrashEvent>,
 }
 
 impl FaultPlan {
@@ -138,6 +178,13 @@ pub enum FaultPlanError {
         /// The offending value.
         value: f64,
     },
+    /// A crash placed in a checkpoint round the mission never runs.
+    RoundNeverFires {
+        /// The offending round.
+        epoch: u64,
+        /// Why no such round runs.
+        why: &'static str,
+    },
 }
 
 impl fmt::Display for FaultPlanError {
@@ -148,6 +195,9 @@ impl fmt::Display for FaultPlanError {
             }
             FaultPlanError::RateOutOfRange { what, value } => {
                 write!(f, "{what} out of range: {value}")
+            }
+            FaultPlanError::RoundNeverFires { epoch, why } => {
+                write!(f, "crash in checkpoint round {epoch} never fires: {why}")
             }
         }
     }
@@ -164,6 +214,7 @@ mod tests {
         let p = FaultPlan::none();
         assert!(p.software.is_none());
         assert!(p.hardware.is_empty());
+        assert!(p.rounds.is_empty());
         assert_eq!(p.validate(), Ok(()));
     }
 
@@ -186,11 +237,11 @@ mod tests {
     #[test]
     fn bad_node_rejected_as_typed_error() {
         let p = FaultPlan {
-            software: None,
             hardware: vec![HardwareFault {
                 at: SimTime::ZERO,
                 node: 9,
             }],
+            ..FaultPlan::none()
         };
         let err = p.validate().unwrap_err();
         assert_eq!(err, FaultPlanError::NodeOutOfRange { node: 9 });

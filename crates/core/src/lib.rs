@@ -61,7 +61,9 @@ mod workload;
 pub use app::{Application, CounterApp};
 pub use checkers::Verdicts;
 pub use config::{MissionId, Scheme, SystemConfig, SystemConfigBuilder};
-pub use faults::{FaultPlan, FaultPlanError, HardwareFault, NodeId, SoftwareFault};
+pub use faults::{
+    CrashEvent, CrashKind, FaultPlan, FaultPlanError, HardwareFault, NodeId, SoftwareFault,
+};
 pub use metrics::RunMetrics;
 pub use payload::{CheckpointPayload, SentRecord};
 pub use regime::{

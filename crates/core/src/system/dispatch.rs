@@ -12,6 +12,7 @@ use synergy_des::{ActorId, SimTime};
 use synergy_net::{Endpoint, Envelope, MessageBody};
 
 use crate::app::Application;
+use crate::faults::CrashKind;
 use crate::system::host::{HostAction, HostEvent};
 use crate::system::System;
 
@@ -119,7 +120,31 @@ impl System {
             return;
         }
         host.timer_event = None;
-        self.drive_host(i, HostEvent::TimerExpired { deadline }, now);
+        let node = host.node;
+        let crash = self.round_crash(node, deadline);
+        if crash != Some(CrashKind::RoundStart) {
+            self.drive_host(i, HostEvent::TimerExpired { deadline }, now);
+        }
+        // A mid-round crash lands after the timer staged the write and
+        // started blocking: the write is torn.
+        if crash.is_some() {
+            self.on_hardware_crash(now, node);
+        }
+    }
+
+    /// The crash planned for `node` in the round whose timer deadline is
+    /// `deadline`: round `g` is the deadline `g·Δ` on the node's own clock,
+    /// a grid the TB engine keeps across restarts.
+    fn round_crash(&self, node: usize, deadline: LocalTime) -> Option<CrashKind> {
+        let rounds = &self.cfg.faults.rounds;
+        if rounds.is_empty() {
+            return None;
+        }
+        let round = deadline.as_nanos() / self.cfg.tb_interval.as_nanos();
+        rounds
+            .iter()
+            .find(|c| c.victim.index() == node && c.epoch == round)
+            .map(|c| c.kind)
     }
 
     fn on_blocking_over(&mut self, actor: ActorId, now: SimTime, epoch: u64) {

@@ -451,3 +451,34 @@ fn regime_masked_plan_stays_byte_identical_to_baseline() {
     let baseline = Mission::new(base().scheme(Scheme::Coordinated).build()).run();
     assert_eq!(planned.device_stream, baseline.device_stream);
 }
+
+#[test]
+fn a_round_crash_rolls_back_to_the_previous_round_and_tears_only_a_staged_write() {
+    use crate::CrashKind::{DoubleKill, MidRound, RoundStart};
+    // A 60 s mission (Δ = 10 s) whose `P2` crashes in round 3.
+    let mut streams = Vec::new();
+    for (kind, torn) in [(RoundStart, 0), (MidRound, 1), (DoubleKill, 1)] {
+        let victim = crate::NodeId::P2;
+        let crash = crate::CrashEvent {
+            victim,
+            epoch: 3,
+            kind,
+        };
+        let mut sys = System::new(base().duration_secs(60.0).round_crash(crash).build());
+        while sys.metrics().hardware_recoveries == 0 {
+            assert_eq!(sys.step_events(1), 1, "{kind:?}: ended before recovering");
+        }
+        let ndc = |h: &ProcessHost| h.tb.as_ref().map(|tb| tb.ndc().0);
+        let line: Vec<_> = sys.hosts.iter().map(ndc).collect();
+        assert_eq!(line, [Some(2); 3], "{kind:?}: every host restores line 2");
+        sys.run();
+        assert_eq!(sys.metrics().torn_writes, torn, "{kind:?}");
+        assert_eq!(sys.metrics().hardware_recoveries, 1, "{kind:?}");
+        assert!(sys.verdicts().all_hold(), "{kind:?}");
+        streams.push(sys.device_stream());
+    }
+    assert_eq!(
+        streams[1], streams[2],
+        "a double kill runs as a mid-round crash"
+    );
+}

@@ -3,20 +3,17 @@
 //! periods exist for) must not delay a healthy tenant's progress beyond
 //! the scheduler's quantum bound, and must not perturb the healthy
 //! tenant's device stream at all.
-//!
-//! The crash instant is found the same way the cluster verifier places
-//! its mid-round kills: an ε-scan around a TB grid point until the
-//! reference run records a torn stable write.
 
 use std::sync::Arc;
 
-use synergy::{Scheme, System, SystemConfig};
+use synergy::{CrashEvent, CrashKind, NodeId, Scheme, System, SystemConfig};
 use synergy_fleet::{FleetConfig, FleetManager, MissionId, NullSink, TenantState};
 
 const DURATION_SECS: f64 = 60.0;
-const GRID_SECS: f64 = 30.0; // 3 · Δ with the default 10 s TB interval
 
-fn crasher_cfg(mission: MissionId, fault_at: f64) -> SystemConfig {
+/// P2 crashes in checkpoint round 3 (30 s at the default Δ = 10 s) with
+/// its stable write staged: the write is torn.
+fn crasher_cfg(mission: MissionId) -> SystemConfig {
     SystemConfig::builder()
         .scheme(Scheme::Coordinated)
         .mission(mission)
@@ -25,7 +22,11 @@ fn crasher_cfg(mission: MissionId, fault_at: f64) -> SystemConfig {
         .internal_rate_per_min(120.0)
         .external_rate_per_min(6.0)
         .trace(false)
-        .hardware_fault_at_secs(fault_at)
+        .round_crash(CrashEvent {
+            victim: NodeId::P2,
+            epoch: 3,
+            kind: CrashKind::MidRound,
+        })
         .build()
 }
 
@@ -41,26 +42,8 @@ fn healthy_cfg(mission: MissionId) -> SystemConfig {
         .build()
 }
 
-/// Scans crash offsets around the grid point until the (standalone)
-/// mission records a torn stable write — the crash landed inside the
-/// blocking period, i.e. mid-checkpoint.
-fn find_mid_checkpoint_crash() -> Option<f64> {
-    let (lo, hi, step) = (-0.002, 0.006, 0.0002);
-    let n = ((hi - lo) / step) as u32;
-    (0..=n)
-        .map(|i| GRID_SECS + lo + step * f64::from(i))
-        .find(|&at| {
-            let mut probe = System::new(crasher_cfg(MissionId::SOLO, at));
-            probe.run();
-            probe.metrics().torn_writes >= 1
-        })
-}
-
 #[test]
 fn a_tenant_killed_mid_checkpoint_never_stalls_a_healthy_tenant() {
-    let fault_at = find_mid_checkpoint_crash()
-        .expect("the ε-scan must find a crash instant inside a blocking period");
-
     let crasher = MissionId(1);
     let healthy = MissionId(2);
     // One worker and a small quantum: both tenants share a single
@@ -74,7 +57,7 @@ fn a_tenant_killed_mid_checkpoint_never_stalls_a_healthy_tenant() {
             .with_capture(),
         Arc::new(NullSink::new()),
     );
-    fleet.attach(crasher_cfg(crasher, fault_at)).unwrap();
+    fleet.attach(crasher_cfg(crasher)).unwrap();
     fleet.attach(healthy_cfg(healthy)).unwrap();
 
     // Drive the fleet deterministically, one pass at a time.

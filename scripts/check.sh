@@ -66,11 +66,12 @@ echo "==> no capability that only its own tests run"
 # The N-component containment layer and its example, the simulator's
 # never-configured link faults and per-link overrides, the TB resync knob
 # with one value in use, and the cluster node's second backpressure loop,
-# overdrive control tag, ring-size flag and second status struct, and the
-# object-store archive tier with its wipe axis, flags and status counters
-# are gone, not hidden (names spelt in halves so this line does not find
-# itself).
-if git grep -nE 'mdcd::gen''eral|pipeline_gu''ard|set_link_fa''ults|set_default_fa''ults|Route''Decision|with_resync_thr''eshold|Cluster''Wire|CtrlMsg::''Blast|Blas''ted|Node''Status|wire_queue''_bytes|wire-queue''-bytes|Tiered''Store|Object''Store|Archive''FaultPlan|Archive''Handle|archive''-dir|chaos''-archive|archive''_pending|rehy''drat|no''-archive' -- crates tests examples scripts .github Cargo.toml; then
+# overdrive control tag, ring-size flag and second status struct, the
+# object-store archive tier with its wipe axis, flags and status counters,
+# and the cluster reference's crash-instant scan with its fixed restart
+# delay and the fleet test's copy of it are gone, not hidden (names spelt
+# in halves so this line does not find itself).
+if git grep -nE 'mdcd::gen''eral|pipeline_gu''ard|set_link_fa''ults|set_default_fa''ults|Route''Decision|with_resync_thr''eshold|Cluster''Wire|CtrlMsg::''Blast|Blas''ted|Node''Status|wire_queue''_bytes|wire-queue''-bytes|Tiered''Store|Object''Store|Archive''FaultPlan|Archive''Handle|archive''-dir|chaos''-archive|archive''_pending|rehy''drat|no''-archive|epsilon''_scan|EPSI''LON_|crash''_epsilon|Sim''Reference|simulate''_reference|RESTART_DELAY''_MS|find_mid_checkpoint''_crash' -- crates tests examples scripts .github Cargo.toml; then
     echo "a deleted test-only capability is referenced again" >&2
     exit 1
 fi
@@ -143,6 +144,15 @@ for ledger_workload in ckpt_k16 ckpt_k1 sim_sweep wire_stream; do
     esac
 done
 
+echo "==> long lockstep missions match the reference"
+# 24 produces reach the two timeline edges the chaos families (5-9
+# produces) never draw: round 7 at t = 11.9 leaves 0.1 s before produce 12,
+# and round 10 falls exactly on produce 17, which the orchestrator runs
+# first. synergy-cluster exits non-zero on any device-stream mismatch.
+for kill_epoch in 7 11; do
+    ./target/release/synergy-cluster --seed 1 --steps 24 --kill-epoch "$kill_epoch"
+done
+
 echo "==> chaos smoke: 4 fixed-seed campaigns against the live cluster"
 # Deterministic and fast (≤30 s even on slow machines): the release build
 # above produced the cluster binaries, and base seed 7 is the same fixed
@@ -174,8 +184,9 @@ echo "==> unmasked-regime smoke: 4 seeds per regime + live Byzantine campaigns"
 # off the wire, the fleet driver gone and one sweep, 38 476 with every
 # crate exporting only what its users name, 38 255 with one send path and
 # one status type on a cluster node, 36 840 with one store stack and one
-# restore procedure on a node; every CHANGES.md entry ends with
-# before -> after.
+# restore procedure on a node, 36 764 with one crash type placed by TB
+# round in both runtimes and no crash-instant scan; every CHANGES.md entry
+# ends with before -> after.
 echo "==> tracked Rust lines: $(git ls-files '*.rs' | xargs cat | wc -l)"
 
 echo "OK: fmt, clippy, tier-1, ledger and smokes all passed"
