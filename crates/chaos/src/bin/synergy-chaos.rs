@@ -23,8 +23,9 @@
 //! on a verdict class worse than the regime's design target, or on
 //! nondeterminism.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use synergy::{sweep, RegimeVerdict};
 use synergy_chaos::{
@@ -42,6 +43,12 @@ struct Args {
     regime: bool,
 }
 
+/// `v`, the value given to `flag`, parsed as a `T`.
+fn parse<T: FromStr>(flag: &str, v: String) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag}: invalid value {v:?}"))
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut out = Args {
         seeds: 8,
@@ -57,14 +64,14 @@ fn parse_args() -> Result<Args, String> {
         let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
             "--seeds" => {
-                out.seeds = value()?.parse().map_err(|e| format!("{e}"))?;
+                out.seeds = parse(&flag, value()?)?;
                 if out.seeds == 0 {
                     return Err("--seeds must be at least 1".to_string());
                 }
             }
-            "--base-seed" => out.base_seed = value()?.parse().map_err(|e| format!("{e}"))?,
+            "--base-seed" => out.base_seed = parse(&flag, value()?)?,
             "--jobs" => {
-                out.jobs = value()?.parse().map_err(|e| format!("{e}"))?;
+                out.jobs = parse(&flag, value()?)?;
                 if out.jobs == 0 {
                     return Err("--jobs must be at least 1".to_string());
                 }
@@ -176,12 +183,15 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Only a data root this run created is removed; one that was there
+    // keeps whatever else it holds.
+    let created = !args.data_root.exists();
     if let Err(e) = std::fs::create_dir_all(&args.data_root) {
         eprintln!("synergy-chaos: create {}: {e}", args.data_root.display());
         return ExitCode::FAILURE;
     }
     if args.regime {
-        return run_regime_mode(&args, &node_bin);
+        return run_regime_mode(&args, &node_bin, created);
     }
     println!(
         "sweep: {} campaigns from base seed {}, {} jobs, node binary {}",
@@ -223,7 +233,10 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    let _ = std::fs::remove_dir_all(&args.data_root);
+    // Every campaign converged, so each already removed its run directory.
+    if created {
+        let _ = std::fs::remove_dir(&args.data_root);
+    }
     ExitCode::SUCCESS
 }
 
@@ -231,7 +244,7 @@ fn main() -> ExitCode {
 /// per [`RegimeKind`], `--seeds` campaigns each, one job per kind),
 /// then live-cluster Byzantine campaigns whose divergence against the
 /// simulator reference is the expected, documented escape.
-fn run_regime_mode(args: &Args, node_bin: &std::path::Path) -> ExitCode {
+fn run_regime_mode(args: &Args, node_bin: &Path, created: bool) -> ExitCode {
     println!(
         "unmasked-regime sweep: {} campaigns per regime from base seed {}",
         args.seeds, args.base_seed
@@ -301,6 +314,7 @@ fn run_regime_mode(args: &Args, node_bin: &std::path::Path) -> ExitCode {
     // The live-cluster leg: Byzantine-lite campaigns where the cluster's
     // divergence from the simulator reference *is* the documented escape.
     println!("\nlive-cluster Byzantine campaigns (expected class: documented-escape)");
+    let mut run_dirs = Vec::new();
     for index in 0..3u64 {
         let spec = CampaignSpec::generate_byzantine(args.base_seed, index);
         let result = run_campaign(&spec, node_bin, &args.data_root);
@@ -320,6 +334,7 @@ fn run_regime_mode(args: &Args, node_bin: &std::path::Path) -> ExitCode {
             );
             failed = true;
         }
+        run_dirs.push(result.run_dir);
     }
 
     if failed {
@@ -330,7 +345,14 @@ fn run_regime_mode(args: &Args, node_bin: &std::path::Path) -> ExitCode {
         ExitCode::FAILURE
     } else {
         println!("\nregime sweep passed: every campaign classified, no silent escapes");
-        let _ = std::fs::remove_dir_all(&args.data_root);
+        // A diverged campaign keeps its run directory; here divergence was
+        // the expected outcome, so nothing is left to examine.
+        for dir in run_dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        if created {
+            let _ = std::fs::remove_dir(&args.data_root);
+        }
         ExitCode::SUCCESS
     }
 }

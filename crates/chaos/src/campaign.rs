@@ -111,6 +111,9 @@ pub struct CampaignResult {
     pub faults: Option<FaultSummary>,
     /// Wall-clock duration of the cluster run.
     pub wall: Duration,
+    /// Where the campaign's node state lives under the data root: removed
+    /// on convergence, kept for autopsy otherwise.
+    pub run_dir: PathBuf,
 }
 
 fn cluster_config(spec: &CampaignSpec, node_bin: &Path, run_dir: PathBuf) -> ClusterConfig {
@@ -213,6 +216,7 @@ pub fn run_campaign(spec: &CampaignSpec, node_bin: &Path, data_root: &Path) -> C
         outcome,
         faults,
         wall,
+        run_dir,
     }
 }
 

@@ -106,17 +106,57 @@ fn byzantine_campaign_documents_the_escape() {
 }
 
 /// A sweep of zero campaigns proves nothing, so the runner refuses it
-/// instead of printing an empty summary and passing.
+/// instead of printing an empty summary and passing; a count that is not a
+/// number is refused naming the flag and the value.
 #[test]
 fn zero_seeds_is_refused() {
-    for extra in [&[][..], &["--regime"][..]] {
+    for (args, err) in [
+        (&["--seeds", "0"][..], "--seeds must be at least 1"),
+        (
+            &["--seeds", "0", "--regime"][..],
+            "--seeds must be at least 1",
+        ),
+        (&["--seeds", "x"][..], "--seeds: invalid value \"x\""),
+    ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_synergy-chaos"))
-            .args(["--seeds", "0"])
-            .args(extra)
+            .args(args)
             .output()
             .expect("run synergy-chaos");
-        assert!(!out.status.success(), "{extra:?}: exit {}", out.status);
+        assert!(!out.status.success(), "{args:?}: exit {}", out.status);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("--seeds must be at least 1"), "{stderr}");
+        assert!(stderr.contains(err), "{args:?}: {stderr}");
     }
+}
+
+/// A data root holding a file of the user's: every converged campaign
+/// removes its run directory, and the runner keeps the root it did not
+/// create.
+#[test]
+fn data_root_keeps_what_the_run_did_not_create() {
+    let data_root = unique_dir("root");
+    let sentinel = data_root.join("notes.txt");
+    std::fs::write(&sentinel, "keep me").expect("write sentinel");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_synergy-chaos"))
+        .args([
+            "--seeds",
+            "1",
+            "--base-seed",
+            "7",
+            "--jobs",
+            "1",
+            "--node-bin",
+        ])
+        .arg(node_bin())
+        .arg("--data-root")
+        .arg(&data_root)
+        .output()
+        .expect("run synergy-chaos");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "exit {}: {stdout}", out.status);
+    let left: Vec<PathBuf> = std::fs::read_dir(&data_root)
+        .expect("the data root survives")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    std::fs::remove_dir_all(&data_root).expect("clean up");
+    assert_eq!(left, [sentinel], "only the sentinel is left");
 }

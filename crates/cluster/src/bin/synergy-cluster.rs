@@ -10,6 +10,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use synergy::{CrashEvent, CrashKind, Mission, NodeId};
 use synergy_cluster::{Cluster, ClusterConfig};
@@ -23,6 +24,12 @@ struct Args {
     data_dir: PathBuf,
 }
 
+/// `v`, the value given to `flag`, parsed as a `T`.
+fn parse<T: FromStr>(flag: &str, v: String) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag}: invalid value {v:?}"))
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut out = Args {
         seed: 11,
@@ -34,10 +41,10 @@ fn parse_args() -> Result<Args, String> {
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--seed" => out.seed = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--steps" => out.steps = value()?.parse().map_err(|e| format!("{e}"))?,
+            "--seed" => out.seed = parse(&flag, value()?)?,
+            "--steps" => out.steps = parse(&flag, value()?)?,
             "--kill-epoch" => {
-                let v: u64 = value()?.parse().map_err(|e| format!("{e}"))?;
+                let v: u64 = parse(&flag, value()?)?;
                 out.kill_epoch = (v != 0).then_some(v);
             }
             "--data-dir" => out.data_dir = PathBuf::from(value()?),
@@ -81,6 +88,7 @@ fn main() -> ExitCode {
             .map(|k| format!(", SIGKILL {victim} in round {k}"))
             .unwrap_or_default()
     );
+    let created = !args.data_dir.exists();
     let mut cfg = ClusterConfig::new(
         args.seed,
         args.steps,
@@ -134,7 +142,14 @@ fn main() -> ExitCode {
         eprintln!("MISMATCH: simulator verdicts failed");
         ok = false;
     }
-    let _ = std::fs::remove_dir_all(&args.data_dir);
+    // Remove only what the run created: the orchestrator's `node-<index>`
+    // directories, and the data directory if it was not there before.
+    for node in NodeId::ALL {
+        let _ = std::fs::remove_dir_all(args.data_dir.join(format!("node-{}", node.index())));
+    }
+    if created {
+        let _ = std::fs::remove_dir(&args.data_dir);
+    }
     if ok {
         ExitCode::SUCCESS
     } else {

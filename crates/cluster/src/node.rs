@@ -14,16 +14,19 @@
 //!    the campaign's disk-fault plan.
 //! 2. Bind the [`ReactorTransport`] on an ephemeral port, wrap it in a
 //!    [`FaultyTransport`] applying the campaign's link-fault plan, and
-//!    start the node event loop under `TbDrive::Commanded` — checkpoint
-//!    rounds are driven by the orchestrator, not by wall-clock timers,
-//!    which keeps a distributed mission deterministic. A send to a full
-//!    route ring waits up to [`WirePolicy::send_stall`] (2 s on a node),
-//!    then drops the envelope and counts it in [`WireStatus::backpressure`],
+//!    build the node's `NodeRunner`, whose checkpoint rounds the
+//!    orchestrator commands — no wall-clock timer fires on a node, which
+//!    keeps a distributed mission deterministic. A send to a full route
+//!    ring waits up to [`WirePolicy::send_stall`] (2 s on a node), then
+//!    drops the envelope and counts it in [`WireStatus::backpressure`],
 //!    which the orchestrator treats as fatal: a dropped data-plane frame
 //!    breaks per-link FIFO.
 //! 3. Connect back to the orchestrator, announce
 //!    `Hello` (data port + recovered epoch + torn-write
-//!    and corrupt-record counts), then serve control commands in lockstep.
+//!    and corrupt-record counts), then run the node's one loop: deliveries
+//!    and control commands arrive on one FIFO channel, and the loop answers
+//!    each command itself, in lockstep, until `Shutdown` or until the
+//!    control connection closes.
 //!
 //! Both fault plans — link and disk — default to inert, in which case the
 //! wrappers are zero-overhead passthroughs; the orchestrator ships
@@ -38,7 +41,8 @@
 use std::io;
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, Sender};
+use std::str::FromStr;
+use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,13 +51,13 @@ use synergy_clocks::SyncParams;
 use synergy_codec::Codec;
 use synergy_des::SimDuration;
 use synergy_net::{
-    Endpoint, FaultyTransport, LinkFaultPlan, ProcessId, ReactorTransport, WirePolicy,
+    Endpoint, Envelope, FaultyTransport, LinkFaultPlan, ProcessId, ReactorTransport, WirePolicy,
 };
 use synergy_storage::{DiskFaultPlan, DiskStableStore, FaultyStable, Stable};
 use synergy_tb::{TbConfig, TbVariant};
 
 use crate::ctrl::{recv_ctrl, send_ctrl, CtrlMsg, CtrlReply, WireStatus};
-use crate::runner::{spawn_net_pump, NodeCmd, NodeInput, NodeRunner, SupEvent, TbDrive};
+use crate::runner::NodeRunner;
 
 /// Boot parameters of one node process (parsed from `synergy-node` argv).
 #[derive(Clone, Debug)]
@@ -110,6 +114,12 @@ pub(crate) fn plan_from_hex<T: Codec>(hex: &str) -> Result<T, String> {
     synergy_codec::from_bytes(&bytes).map_err(|e| format!("bad plan encoding: {e}"))
 }
 
+/// `v`, the value given to `flag`, parsed as a `T`.
+fn parse<T: FromStr>(flag: &str, v: String) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag}: invalid value {v:?}"))
+}
+
 impl NodeOpts {
     /// Parses node options from `argv` (without the program name); shared
     /// by `synergy-node` and the chaos crate's node wrapper binary.
@@ -132,17 +142,17 @@ impl NodeOpts {
             let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
             match flag.as_str() {
                 "--pid" => {
-                    let p = value()?.parse::<u32>().map_err(|e| e.to_string())?;
+                    let p: u32 = parse(&flag, value()?)?;
                     if !(1..=3).contains(&p) {
                         return Err(format!("--pid must be 1, 2 or 3, got {p}"));
                     }
                     pid = Some(p);
                 }
-                "--seed" => seed = Some(value()?.parse::<u64>().map_err(|e| e.to_string())?),
+                "--seed" => seed = Some(parse(&flag, value()?)?),
                 "--data-dir" => data_dir = Some(PathBuf::from(value()?)),
                 "--ctrl" => ctrl_addr = Some(value()?),
                 "--tb-interval-ms" => {
-                    tb_interval_ms = value()?.parse::<u64>().map_err(|e| e.to_string())?;
+                    tb_interval_ms = parse(&flag, value()?)?;
                     if tb_interval_ms == 0 {
                         return Err("--tb-interval-ms must be positive".into());
                     }
@@ -150,7 +160,7 @@ impl NodeOpts {
                 "--chaos-link" => link_plan = plan_from_hex(&value()?)?,
                 "--chaos-disk" => disk_plan = plan_from_hex(&value()?)?,
                 "--delta-k" => {
-                    delta_k = value()?.parse::<u32>().map_err(|e| e.to_string())?;
+                    delta_k = parse(&flag, value()?)?;
                     if delta_k < 1 {
                         return Err("--delta-k must be at least 1".into());
                     }
@@ -193,7 +203,7 @@ fn open_store(opts: &NodeOpts) -> io::Result<DeltaStable<DiskStableStore>> {
     ))
 }
 
-pub(crate) fn tb_config(interval_ms: u64) -> TbConfig {
+fn tb_config(interval_ms: u64) -> TbConfig {
     TbConfig::new(
         TbVariant::Adapted,
         SimDuration::from_millis(interval_ms),
@@ -203,23 +213,16 @@ pub(crate) fn tb_config(interval_ms: u64) -> TbConfig {
     )
 }
 
-fn send_cmd(input_tx: &Sender<NodeInput>, cmd: NodeCmd) -> io::Result<()> {
-    input_tx
-        .send(NodeInput::Cmd(cmd))
-        .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "node loop gone"))
-}
-
-/// Sends the command `cmd` builds around a reply channel and waits for the
-/// reply.
-fn ask<R>(input_tx: &Sender<NodeInput>, cmd: impl FnOnce(Sender<R>) -> NodeCmd) -> io::Result<R> {
-    let (tx, rx) = channel();
-    send_cmd(input_tx, cmd(tx))?;
-    rx.recv()
-        .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "node loop gone"))
+/// What the node's loop reads: a delivery from the data plane, or what the
+/// control connection yielded — a command, or the error that means the
+/// orchestrator is gone.
+enum Input {
+    Net(Envelope),
+    Ctrl(io::Result<CtrlMsg>),
 }
 
 /// Runs one node process until the orchestrator commands shutdown or the
-/// control connection drops.
+/// control connection closes.
 ///
 /// # Errors
 ///
@@ -250,26 +253,28 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
         Arc::clone(&wire),
         opts.link_plan.clone(),
     ));
-    let (input_tx, input_rx) = channel::<NodeInput>();
-    spawn_net_pump(pid, net_rx, input_tx.clone());
-
-    // Supervisor events (software recovery) are orchestrator concerns the
-    // cluster scenarios do not exercise; keep the receiver alive so node
-    // sends stay harmless no-ops.
-    let (sup_tx, _sup_rx) = channel::<SupEvent>();
-    let runner = NodeRunner::new(
+    let mut runner = NodeRunner::new(
         pid,
         opts.seed,
         Arc::clone(&net),
-        input_rx,
-        sup_tx,
         store,
-        Some((tb_config(opts.tb_interval_ms), TbDrive::Commanded)),
+        tb_config(opts.tb_interval_ms),
     );
-    let runner_join = std::thread::Builder::new()
-        .name(format!("synergy-cluster-node-{pid}"))
-        .spawn(move || runner.run())
-        .expect("spawn node loop");
+
+    // Deliveries and control commands share one FIFO channel, so a reply
+    // proves that everything queued before its command was processed. Each
+    // pump exits when its source or the loop hangs up.
+    let (input_tx, input_rx) = channel::<Input>();
+    let net_tx = input_tx.clone();
+    std::thread::Builder::new()
+        .name(format!("synergy-node-{pid}-net"))
+        .spawn(move || {
+            while let Ok(env) = net_rx.recv() {
+                if net_tx.send(Input::Net(env)).is_err() {
+                    break;
+                }
+            }
+        })?;
 
     let mut ctrl = TcpStream::connect(&opts.ctrl_addr)?;
     ctrl.set_nodelay(true)?;
@@ -283,73 +288,96 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
             corrupt_records: recovered_corrupt,
         },
     )?;
-
-    // A recv error means the orchestrator is gone: stop serving (the
-    // process exits; durable state stays on disk for the next incarnation).
-    while let Ok(msg) = recv_ctrl::<CtrlMsg>(&mut ctrl) {
-        let reply = match msg {
-            CtrlMsg::Produce { external } => {
-                send_cmd(&input_tx, NodeCmd::Produce { external })?;
-                // Barrier: commands and deliveries share one FIFO channel,
-                // so once a `Status` round-trips the produce (and its sends)
-                // has been fully processed.
-                ask(&input_tx, NodeCmd::Status)?;
-                CtrlReply::Done
-            }
-            CtrlMsg::SetRoute { endpoint, addr } => {
-                let addr = addr.parse().map_err(|e| {
-                    io::Error::new(io::ErrorKind::InvalidData, format!("bad route addr: {e}"))
-                })?;
-                wire.set_route(endpoint, addr);
-                CtrlReply::Done
-            }
-            CtrlMsg::BeginCkpt => CtrlReply::Began {
-                writing: ask(&input_tx, NodeCmd::BeginCkpt)?,
-            },
-            CtrlMsg::CommitCkpt => CtrlReply::Committed {
-                epoch: ask(&input_tx, NodeCmd::CommitCkpt)?,
-            },
-            CtrlMsg::Rollback { epoch } => {
-                let outcome =
-                    ask(&input_tx, |reply| NodeCmd::Rollback { epoch, reply })?.map_err(|e| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("restore target at epoch line {epoch} does not decode: {e}"),
-                        )
-                    })?;
-                CtrlReply::RolledBack {
-                    restored_epoch: outcome.restored_epoch,
-                    resent: outcome.resent as u64,
-                }
-            }
-            CtrlMsg::Status => {
-                // The loop fills its own fields; the wire and chaos
-                // counters live out here.
-                let loop_status = ask(&input_tx, NodeCmd::Status)?;
-                let totals = net.totals();
-                CtrlReply::Status(WireStatus {
-                    net_queued: net.pending(),
-                    chaos_drops: totals.drops,
-                    chaos_dups: totals.dups,
-                    chaos_lost: totals.lost,
-                    corrupt_records: recovered_corrupt,
-                    backpressure: wire.stats().backpressure_dropped,
-                    ..loop_status
-                })
-            }
-            CtrlMsg::Corrupt => CtrlReply::Corrupted {
-                epoch: ask(&input_tx, NodeCmd::Corrupt)?,
-            },
-            CtrlMsg::Shutdown => {
-                send_cmd(&input_tx, NodeCmd::Shutdown)?;
-                send_ctrl(&mut ctrl, &CtrlReply::Done)?;
+    let mut ctrl_rx = ctrl.try_clone()?;
+    std::thread::Builder::new()
+        .name(format!("synergy-node-{pid}-ctrl"))
+        .spawn(move || loop {
+            let msg = recv_ctrl::<CtrlMsg>(&mut ctrl_rx);
+            let gone = msg.is_err();
+            if input_tx.send(Input::Ctrl(msg)).is_err() || gone {
                 break;
             }
-        };
-        send_ctrl(&mut ctrl, &reply)?;
+        })?;
+
+    loop {
+        match input_rx.recv_timeout(Duration::from_millis(50)) {
+            Ok(Input::Net(env)) => runner.on_envelope(env),
+            Ok(Input::Ctrl(Ok(msg))) => {
+                let reply = match msg {
+                    CtrlMsg::Produce { external } => {
+                        runner.produce(external);
+                        CtrlReply::Done
+                    }
+                    CtrlMsg::SetRoute { endpoint, addr } => {
+                        let addr = addr.parse().map_err(|e| {
+                            io::Error::new(
+                                io::ErrorKind::InvalidData,
+                                format!("bad route addr: {e}"),
+                            )
+                        })?;
+                        wire.set_route(endpoint, addr);
+                        CtrlReply::Done
+                    }
+                    CtrlMsg::BeginCkpt => {
+                        runner.begin_round();
+                        runner.retry_stable_bounded();
+                        CtrlReply::Began {
+                            writing: runner.host.stable.is_writing(),
+                        }
+                    }
+                    CtrlMsg::CommitCkpt => {
+                        runner.end_round();
+                        runner.retry_stable_bounded();
+                        CtrlReply::Committed {
+                            epoch: runner.host.stable.latest_seq(),
+                        }
+                    }
+                    CtrlMsg::Rollback { epoch } => {
+                        let (restored_epoch, resent) =
+                            runner.rollback_to_line(epoch).map_err(|e| {
+                                io::Error::new(
+                                    io::ErrorKind::InvalidData,
+                                    format!(
+                                        "restore target at epoch line {epoch} does not decode: {e}"
+                                    ),
+                                )
+                            })?;
+                        CtrlReply::RolledBack {
+                            restored_epoch,
+                            resent: resent as u64,
+                        }
+                    }
+                    CtrlMsg::Status => {
+                        let totals = net.totals();
+                        CtrlReply::Status(WireStatus {
+                            net_queued: net.pending(),
+                            chaos_drops: totals.drops,
+                            chaos_dups: totals.dups,
+                            chaos_lost: totals.lost,
+                            corrupt_records: recovered_corrupt,
+                            backpressure: wire.stats().backpressure_dropped,
+                            ..runner.status()
+                        })
+                    }
+                    CtrlMsg::Corrupt => CtrlReply::Corrupted {
+                        epoch: runner.corrupt_latest_checkpoint(),
+                    },
+                    CtrlMsg::Shutdown => {
+                        send_ctrl(&mut ctrl, &CtrlReply::Done)?;
+                        break;
+                    }
+                };
+                send_ctrl(&mut ctrl, &reply)?;
+            }
+            // The orchestrator is gone: stop serving (durable state stays
+            // on disk for the next incarnation).
+            Ok(Input::Ctrl(Err(_))) | Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {}
+        }
+        // A stable write the backend refused gets one more try after every
+        // input and every quiet 50 ms.
+        runner.retry_stable();
     }
-    drop(input_tx);
-    let _ = runner_join.join();
     net.shutdown();
     wire.shutdown();
     Ok(())
@@ -360,9 +388,9 @@ mod tests {
     use super::*;
     use synergy::app::Application;
     use synergy::payload::CheckpointPayload;
-    use synergy::system::{P1ACT, P2};
+    use synergy::system::{P1ACT, P1SDW, P2};
     use synergy_net::{
-        CkptSeqNo, Envelope, LinkFaults, MessageBody, MsgId, MsgSeqNo, PartitionWindow, Transport,
+        CkptSeqNo, LinkFaults, MessageBody, MsgId, MsgSeqNo, PartitionWindow, Transport,
     };
     use synergy_storage::{Checkpoint, DiskFault, DiskOp, StableStore};
 
@@ -426,6 +454,7 @@ mod tests {
         // the checkpoint codec.
         for (flag, value, err) in [
             ("--pid", "9", "--pid must be 1, 2 or 3, got 9"),
+            ("--seed", "x", "--seed: invalid value \"x\""),
             ("--tb-interval-ms", "0", "--tb-interval-ms must be positive"),
             ("--delta-k", "0", "--delta-k must be at least 1"),
         ] {
@@ -516,14 +545,11 @@ mod tests {
         fn send(&self, _: Envelope) {}
     }
 
-    /// `P2` under commanded TB over `stable`, driven by calling the loop's
-    /// own handlers: `begin_round` feeds `TimerExpired { deadline:
-    /// tb.next_deadline() }`, `end_round` feeds `BlockingElapsed`.
-    fn commanded<S: Stable>(stable: S) -> NodeRunner<NullNet, S> {
-        let tb = Some((tb_config(1000), TbDrive::Commanded));
-        let (_, input_rx) = channel();
-        let (sup_tx, _) = channel();
-        NodeRunner::new(P2, 7, Arc::new(NullNet), input_rx, sup_tx, stable, tb)
+    /// `pid` over `stable`, driven by calling the node's own steps:
+    /// `begin_round` feeds `TimerExpired { deadline: tb.next_deadline() }`,
+    /// `end_round` feeds `BlockingElapsed`.
+    fn node<S: Stable>(pid: ProcessId, stable: S) -> NodeRunner<NullNet, S> {
+        NodeRunner::new(pid, 7, Arc::new(NullNet), stable, tb_config(1000))
     }
 
     /// `n` whole rounds, each committing one epoch.
@@ -576,10 +602,9 @@ mod tests {
 
     #[test]
     fn commanded_rounds_commit_in_lockstep() {
-        let mut r = commanded(StableStore::new());
-        assert!(r.next_timer.is_none(), "nothing fires on its own");
-        r.tick_tb();
-        assert!(!r.host.stable.is_writing());
+        let mut r = node(P2, StableStore::new());
+        r.retry_stable();
+        assert!(!r.host.stable.is_writing(), "nothing fires on its own");
         for round in 1..=3u64 {
             r.begin_round();
             assert!(r.host.stable.is_writing());
@@ -609,7 +634,7 @@ mod tests {
                 fails(3, DiskOp::Begin, 1),
             ],
         };
-        let mut r = commanded(FaultyStable::new(StableStore::new(), plan));
+        let mut r = node(P2, FaultyStable::new(StableStore::new(), plan));
         // Round 1: the begin fails; a retry lands it before the commit.
         r.begin_round();
         assert!(
@@ -617,7 +642,7 @@ mod tests {
             "failed begin left nothing in flight"
         );
         assert!(r.host.stable_pending());
-        r.with_host(|host, now, out| host.retry_stable(now, out));
+        r.retry_stable();
         assert!(r.host.stable.is_writing());
         assert_eq!(r.stable_commits, 0, "begin retry commits nothing");
         r.end_round();
@@ -630,7 +655,7 @@ mod tests {
         assert_eq!(mdcd_ndc(&r), CkptSeqNo(1), "no MDCD event while disk lags");
         assert_eq!(r.host.stable.latest_seq(), Some(1));
         assert!(r.host.stable_pending());
-        r.with_host(|host, now, out| host.retry_stable(now, out));
+        r.retry_stable();
         assert_eq!((r.stable_commits, mdcd_ndc(&r)), (2, CkptSeqNo(2)));
         assert!(!r.host.stable_pending());
         assert_eq!(r.host.stable.latest_seq(), Some(2));
@@ -655,19 +680,19 @@ mod tests {
         let plan = DiskFaultPlan {
             faults: vec![fails(2, DiskOp::Begin, 99)],
         };
-        let mut r = commanded(FaultyStable::new(StableStore::new(), plan));
+        let mut r = node(P2, FaultyStable::new(StableStore::new(), plan));
         rounds(&mut r, 1);
         // Epoch 2's begin fails persistently; global recovery supersedes it.
         r.begin_round();
         assert!(r.host.stable_pending());
-        assert_eq!(r.rollback_to_line(1).unwrap().restored_epoch, Some(1));
+        assert_eq!(r.rollback_to_line(1).unwrap().0, Some(1));
         assert!(!r.host.stable_pending(), "rollback clears the retry queue");
     }
 
     #[test]
     fn commanded_runtime_runs_unchanged_over_the_delta_chain_store() {
         use synergy_archive::{ChainRecord, ChainWalker, StableHistory};
-        let mut r = commanded(DeltaStable::open(StableStore::new(), 4));
+        let mut r = node(P2, DeltaStable::open(StableStore::new(), 4));
         for round in 1..=6u64 {
             let dirty = round % 2 == 0;
             if dirty {
@@ -696,7 +721,7 @@ mod tests {
         );
         // Global rollback walks the chain transparently and the next round
         // continues from the restored epoch.
-        assert_eq!(r.rollback_to_line(3).unwrap().restored_epoch, Some(3));
+        assert_eq!(r.rollback_to_line(3).unwrap().0, Some(3));
         let third = app_of(r.host.stable.latest_at_or_before_shared(3));
         assert_ne!(*third, *latest, "epoch 3 predates two receipts");
         assert_eq!(*third, *r.host.app.snapshot());
@@ -727,65 +752,73 @@ mod tests {
 
     #[test]
     fn corrupt_flips_the_newest_chain_record_and_rollback_restores_it() {
-        let mut r = commanded(DeltaStable::open(StableStore::new(), 4));
+        let mut r = node(P2, DeltaStable::open(StableStore::new(), 4));
         rounds(&mut r, 3);
         let honest = app_of(r.host.stable.latest_shared());
-        let (tx, flipped) = channel();
-        r.on_cmd(NodeCmd::Corrupt(tx));
-        assert_eq!(flipped.recv().unwrap(), Some(3));
+        assert_eq!(r.corrupt_latest_checkpoint(), Some(3));
         let forged = app_of(r.host.stable.latest_shared());
         assert_ne!(*forged, *honest);
-        assert_eq!(r.rollback_to_line(3).unwrap().restored_epoch, Some(3));
+        assert_eq!(r.rollback_to_line(3).unwrap().0, Some(3));
         assert_eq!(*r.host.app.snapshot(), *forged, "the lie is restored");
     }
 
     #[test]
     fn commanded_rollback_selects_epoch_line_and_restarts() {
-        let mut r = commanded(StableStore::new());
+        let mut r = node(P2, StableStore::new());
         rounds(&mut r, 3);
         // A fourth round begins but the node "crashes" before commit.
         r.begin_round();
         assert!(r.host.stable.is_writing());
-        let restored = r.rollback_to_line(2).unwrap().restored_epoch;
+        let restored = r.rollback_to_line(2).unwrap().0;
         assert_eq!(restored, Some(2), "newest checkpoint at or before the line");
         assert!(!r.host.stable.is_writing(), "rollback aborts the write");
         // The next round continues the sequence from the restored epoch.
         rounds(&mut r, 1);
         assert_eq!(mdcd_ndc(&r), CkptSeqNo(3));
         assert_eq!(r.host.stable.latest_seq(), Some(3));
-        let restored = r.rollback_to_line(0).unwrap().restored_epoch;
+        let restored = r.rollback_to_line(0).unwrap().0;
         assert_eq!(restored, None, "epoch 0 retains nothing");
     }
 
     #[test]
     fn undecodable_restore_target_is_an_error_not_a_line_zero_restart() {
-        let mut r = commanded(StableStore::new());
+        let mut r = node(P2, StableStore::new());
         rounds(&mut r, 2);
         // CRC-valid, but a bare integer rather than a checkpoint payload.
         let forged = Checkpoint::encode(2, synergy_des::SimTime::from_nanos(2), "t", &99u64);
         assert!(r.host.stable.replace_latest(forged.unwrap()));
         r.begin_round();
-        let (reply, outcome) = channel();
-        r.on_cmd(NodeCmd::Rollback { epoch: 2, reply });
-        assert!(
-            outcome.recv().unwrap().is_err(),
-            "not `restored_epoch: None`"
-        );
+        assert!(r.rollback_to_line(2).is_err(), "not `restored_epoch: None`");
         assert!(r.host.stable.is_writing(), "the node is left as it was");
-        assert_eq!(r.rollback_to_line(1).unwrap().restored_epoch, Some(1));
+        assert_eq!(r.rollback_to_line(1).unwrap().0, Some(1));
     }
 
     #[test]
     fn restarted_node_learns_ndc_from_the_restored_epoch() {
-        let mut first = commanded(StableStore::new());
+        let mut first = node(P2, StableStore::new());
         rounds(&mut first, 2);
         // A new incarnation over what the old one left on disk.
-        let mut r = commanded(first.host.stable);
+        let mut r = node(P2, first.host.stable);
         assert_eq!(mdcd_ndc(&r), CkptSeqNo(0));
-        let (reply, outcome) = channel();
-        r.on_cmd(NodeCmd::Rollback { epoch: 2, reply });
-        let restored = outcome.recv().unwrap().unwrap().restored_epoch;
-        assert_eq!(restored, Some(2));
+        assert_eq!(r.rollback_to_line(2).unwrap().0, Some(2));
         assert_eq!(mdcd_ndc(&r), CkptSeqNo(2), "passed_AT would compare stale");
+    }
+
+    #[test]
+    fn the_shadow_logs_what_it_suppresses() {
+        let mut sdw = node(P1SDW, StableStore::new());
+        sdw.produce(false);
+        let status = sdw.status();
+        assert!(status.logged > 0, "shadow must log suppressed messages");
+        assert!(!status.promoted);
+    }
+
+    #[test]
+    fn peer_state_tracks_dirty_messages() {
+        let mut p2 = node(P2, StableStore::new());
+        p2.on_envelope(dirty_app(1));
+        let status = p2.status();
+        assert!(status.dirty, "P2 contaminated by the active's message");
+        assert!(status.volatile_ckpts >= 1, "Type-1 checkpoint taken");
     }
 }

@@ -210,3 +210,43 @@ fn a_delta_that_is_zero_or_nan_fails_launch_at_once() {
         let _ = std::fs::remove_dir_all(&data_root);
     }
 }
+
+/// An orchestrator that dies without an orderly shutdown closes its end of
+/// every control connection. The node must take that as the end of the
+/// mission and exit, its durable state left on disk, instead of running on
+/// as an orphan.
+#[test]
+fn a_node_exits_when_its_control_connection_closes() {
+    use std::io::Read;
+
+    let data_root = unique_dir("ctrl-closed");
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind control listener");
+    let mut node = std::process::Command::new(env!("CARGO_BIN_EXE_synergy-node"))
+        .args(["--pid", "3", "--seed", "1", "--data-dir"])
+        .arg(&data_root)
+        .arg("--ctrl")
+        .arg(listener.local_addr().expect("listener addr").to_string())
+        .spawn()
+        .expect("spawn synergy-node");
+    let (mut stream, _) = listener.accept().expect("the node connects");
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).expect("Hello length");
+    let mut hello = vec![0u8; u32::from_le_bytes(len) as usize];
+    stream.read_exact(&mut hello).expect("Hello payload");
+    drop(stream);
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        match node.try_wait().expect("poll the node") {
+            None if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(10)),
+            status => break status,
+        }
+    };
+    if status.is_none() {
+        let _ = node.kill();
+        let _ = node.wait();
+    }
+    let _ = std::fs::remove_dir_all(&data_root);
+    let status = status.expect("the node exits within 5 s of its control connection closing");
+    assert!(status.success(), "the node exits cleanly: {status}");
+}
