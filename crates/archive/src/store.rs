@@ -295,6 +295,20 @@ impl<S: StableHistory> Stable for DeltaStable<S> {
             .cloned()
     }
 
+    /// Discards the records above `epoch` from the backend and the served
+    /// view. The chain position was the newest record, which is gone if
+    /// anything was, so the next commit is a full image: no record a reload
+    /// walks links to a discarded base.
+    fn discard_above(&mut self, epoch: u64) -> Result<(), StableWriteError> {
+        self.inner.discard_above(epoch)?;
+        let served = self.committed.len();
+        self.committed.retain(|c| c.seq() <= epoch);
+        if self.committed.len() < served {
+            self.codec = CheckpointCodec::new(self.codec.k());
+        }
+        Ok(())
+    }
+
     /// Plants `checkpoint` as a full record with a valid chain link in
     /// place of the newest committed one, and re-points the codec at it:
     /// a reload replays the forgery, and later deltas chain on it.
@@ -813,6 +827,27 @@ mod tests {
             ckpt(2, 102),
             "newest committed record at or before the line wins"
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn discard_above_drops_the_abandoned_timeline_and_restarts_the_chain() {
+        let dir = tmp_dir("discard");
+        {
+            let mut s = DeltaStable::open(DiskStableStore::open(&dir).unwrap(), 4);
+            for seq in 1..=3u64 {
+                commit(&mut s, ckpt(seq, seq as u8));
+            }
+            // Rollback to epoch 1: epochs 2 and 3 are the abandoned timeline,
+            // and epoch 3 was the chain's base.
+            s.discard_above(1).unwrap();
+            assert_eq!(s.latest_seq(), Some(1));
+            commit(&mut s, ckpt(2, 102));
+            assert_eq!(s.delta_stats().full_records, 2, "the chain restarts");
+        }
+        let s = DeltaStable::open(DiskStableStore::open(&dir).unwrap(), 4);
+        assert_eq!(s.delta_stats().chain_orphans, 0);
+        assert_eq!(s.committed_records(), [ckpt(1, 1), ckpt(2, 102)]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -20,8 +20,8 @@ use core::fmt;
 use synergy_mdcd::ProcessRole;
 use synergy_net::{MsgSeqNo, ProcessId};
 
-use crate::app::CounterApp;
-use crate::payload::CheckpointPayload;
+use crate::app::{CounterApp, ReceiptRecord};
+use crate::payload::{CheckpointPayload, SentRecord};
 
 /// One property violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -107,6 +107,73 @@ pub(crate) struct RestoredState {
     pub payload: CheckpointPayload,
 }
 
+/// The `(process, seq)` identities of one list of messages — a state's
+/// receipts by sender, its sent records by destination, or its saved
+/// unacked messages by sender — sorted once so each membership question is
+/// a binary search instead of a scan of the list.
+#[derive(Debug)]
+pub(crate) struct MsgSet(Vec<(ProcessId, MsgSeqNo)>);
+
+impl MsgSet {
+    fn new(ids: impl IntoIterator<Item = (ProcessId, MsgSeqNo)>) -> Self {
+        let mut ids: Vec<_> = ids.into_iter().collect();
+        ids.sort_unstable();
+        ids.dedup();
+        MsgSet(ids)
+    }
+
+    /// The `(destination, seq)` of every record in `sent`: what a state
+    /// reflects as sent, the one question both the consistency check and
+    /// receive-log replay ask of a sender.
+    pub(crate) fn sent(sent: &[SentRecord]) -> Self {
+        MsgSet::new(sent.iter().map(|r| (r.to, r.seq)))
+    }
+
+    /// Whether `(pid, seq)` is in the set.
+    pub(crate) fn contains(&self, pid: ProcessId, seq: MsgSeqNo) -> bool {
+        self.0.binary_search(&(pid, seq)).is_ok()
+    }
+}
+
+/// One restored state, indexed once per check: its application image
+/// decoded, and each message list it reflects as a [`MsgSet`].
+struct Indexed<'a> {
+    state: &'a RestoredState,
+    /// The receipts the decoded image reflects, in image order; `None` when
+    /// the image does not decode.
+    receipts: Option<Vec<ReceiptRecord>>,
+    /// `receipts` by `(sender, seq)`.
+    received: MsgSet,
+    /// The sent records by `(destination, seq)`.
+    sent: MsgSet,
+    /// The saved unacked messages by `(sender, seq)`: another sender's
+    /// entry never makes this state's message restorable.
+    unacked: MsgSet,
+}
+
+impl<'a> Indexed<'a> {
+    fn new(state: &'a RestoredState) -> Self {
+        let receipts = CounterApp::decode_state(&state.payload.app).map(|app| app.received);
+        let received = MsgSet::new(receipts.iter().flatten().map(|r| (r.from, r.seq)));
+        Indexed {
+            state,
+            receipts,
+            received,
+            sent: MsgSet::sent(&state.payload.sent),
+            unacked: MsgSet::new(state.payload.unacked.iter().map(|e| (e.id.from, e.id.seq))),
+        }
+    }
+
+    fn pid(&self) -> ProcessId {
+        self.state.pid
+    }
+}
+
+/// The first indexed state of process `pid`, if it is part of the cut.
+fn find<'s, 'a>(states: &'s [Indexed<'a>], pid: ProcessId) -> Option<&'s Indexed<'a>> {
+    states.iter().find(|s| s.pid() == pid)
+}
+
 /// Checks validity-concerned global consistency and recoverability over a
 /// set of restored states.
 #[derive(Clone, Debug)]
@@ -122,16 +189,20 @@ impl GlobalChecker {
     }
 
     /// Runs every check against `states`, given the ground-truth highest
-    /// validated sequence number of the active process.
+    /// validated sequence number of the active process. Each state is
+    /// indexed once ([`Indexed`]), so the message-history checks cost
+    /// O(n log n) in the cut's message count rather than O(n²) with an
+    /// image decode per sent record.
     pub(crate) fn check(&self, states: &[RestoredState], global_validated: MsgSeqNo) -> Verdicts {
         let mut v = Verdicts {
             checks_run: 1,
             ..Verdicts::default()
         };
-        self.check_consistency(states, &mut v);
-        self.check_recoverability(states, &mut v);
+        let indexed: Vec<Indexed<'_>> = states.iter().map(Indexed::new).collect();
+        self.check_consistency(&indexed, &mut v);
+        self.check_recoverability(&indexed, &mut v);
         self.check_self_validity(states, &mut v);
-        self.check_ground_truth_validity(states, global_validated, &mut v);
+        self.check_ground_truth_validity(&indexed, global_validated, &mut v);
         v
     }
 
@@ -149,30 +220,28 @@ impl GlobalChecker {
     }
 
     /// Consistency: received ⇒ sent.
-    fn check_consistency(&self, states: &[RestoredState], v: &mut Verdicts) {
-        for receiver in states.iter().filter(|s| self.history_checked(s)) {
-            let Some(app) = CounterApp::decode_state(&receiver.payload.app) else {
+    fn check_consistency(&self, states: &[Indexed<'_>], v: &mut Verdicts) {
+        for receiver in states.iter().filter(|s| self.history_checked(s.state)) {
+            let Some(receipts) = &receiver.receipts else {
                 v.violations.push(Violation {
                     property: "consistency",
-                    detail: format!("{}: undecodable app state", receiver.pid),
+                    detail: format!("{}: undecodable app state", receiver.pid()),
                 });
                 continue;
             };
-            for receipt in &app.received {
-                let Some(sender) = states.iter().find(|s| s.pid == receipt.from) else {
+            for receipt in receipts {
+                let Some(sender) = find(states, receipt.from) else {
                     continue; // external sender not part of the snapshot
                 };
-                let reflected = sender
-                    .payload
-                    .sent
-                    .iter()
-                    .any(|s| s.to == receiver.pid && s.seq == receipt.seq);
-                if !reflected {
+                if !sender.sent.contains(receiver.pid(), receipt.seq) {
                     v.violations.push(Violation {
                         property: "consistency",
                         detail: format!(
                             "{} reflects {}:{} as received but {}'s state does not reflect it as sent",
-                            receiver.pid, receipt.from, receipt.seq, sender.pid
+                            receiver.pid(),
+                            receipt.from,
+                            receipt.seq,
+                            sender.pid()
                         ),
                     });
                 }
@@ -181,33 +250,27 @@ impl GlobalChecker {
     }
 
     /// Recoverability: sent ⇒ received or restorable.
-    fn check_recoverability(&self, states: &[RestoredState], v: &mut Verdicts) {
+    fn check_recoverability(&self, states: &[Indexed<'_>], v: &mut Verdicts) {
         for sender in states {
-            for sent in sender.payload.sent.iter() {
-                let Some(receiver) = states.iter().find(|s| s.pid == sent.to) else {
+            for sent in sender.state.payload.sent.iter() {
+                let Some(receiver) = find(states, sent.to) else {
                     continue;
                 };
-                if !self.history_checked(receiver) {
+                // An undecodable receiver is reported by the consistency
+                // check already.
+                if !self.history_checked(receiver.state) || receiver.receipts.is_none() {
                     continue;
                 }
-                let Some(app) = CounterApp::decode_state(&receiver.payload.app) else {
-                    continue; // reported by the consistency check already
-                };
-                let received = app
-                    .received
-                    .iter()
-                    .any(|r| r.from == sender.pid && r.seq == sent.seq);
-                let restorable = sender
-                    .payload
-                    .unacked
-                    .iter()
-                    .any(|e| e.id.from == sender.pid && e.id.seq == sent.seq);
+                let received = receiver.received.contains(sender.pid(), sent.seq);
+                let restorable = sender.unacked.contains(sender.pid(), sent.seq);
                 if !received && !restorable {
                     v.violations.push(Violation {
                         property: "recoverability",
                         detail: format!(
                             "{} reflects {} -> {} as sent; not received and not restorable",
-                            sender.pid, sent.seq, sent.to
+                            sender.pid(),
+                            sent.seq,
+                            sent.to
                         ),
                     });
                 }
@@ -243,25 +306,25 @@ impl GlobalChecker {
     /// process.
     fn check_ground_truth_validity(
         &self,
-        states: &[RestoredState],
+        states: &[Indexed<'_>],
         global_validated: MsgSeqNo,
         v: &mut Verdicts,
     ) {
         for s in states {
-            if s.pid == self.active {
+            if s.pid() == self.active {
                 continue;
             }
-            let Some(app) = CounterApp::decode_state(&s.payload.app) else {
-                continue;
-            };
-            for receipt in &app.received {
+            for receipt in s.receipts.iter().flatten() {
                 if receipt.from == self.active && receipt.seq > global_validated {
                     v.violations.push(Violation {
                         property: "validity-ground-truth",
                         detail: format!(
                             "{} restored a state reflecting unvalidated message {}:{} \
                              (highest validated: {})",
-                            s.pid, receipt.from, receipt.seq, global_validated
+                            s.pid(),
+                            receipt.from,
+                            receipt.seq,
+                            global_validated
                         ),
                     });
                 }
@@ -274,7 +337,6 @@ impl GlobalChecker {
 mod tests {
     use super::*;
     use crate::app::Application;
-    use crate::payload::SentRecord;
     use synergy_des::SimTime;
     use synergy_mdcd::EngineSnapshot;
     use synergy_net::MessageBody;
@@ -421,6 +483,98 @@ mod tests {
         ];
         let v = checker().check(&states, MsgSeqNo(9));
         assert!(v.all_hold(), "{:?}", v.violations);
+    }
+
+    #[test]
+    fn violation_order_and_details_are_pinned_on_a_cut_through_every_branch() {
+        const SYN: ProcessId = ProcessId(4);
+        const BAD: ProcessId = ProcessId(5);
+        const OUTSIDE: ProcessId = ProcessId(9);
+        let unacked = |from: ProcessId, seq: u64| {
+            std::sync::Arc::new(synergy_net::Envelope::new(
+                synergy_net::MsgId {
+                    from,
+                    seq: MsgSeqNo(seq),
+                },
+                PEER,
+                MessageBody::Application {
+                    payload: vec![],
+                    dirty: false,
+                },
+            ))
+        };
+        let mut act = state(
+            ACT,
+            ProcessRole::Active,
+            // A duplicate receipt, one PEER never sent, one from outside.
+            vec![(PEER, 1), (PEER, 1), (PEER, 2), (OUTSIDE, 4)],
+            // A duplicate sent record; PEER:3 is saved unacked, PEER:2 only
+            // under PEER's name; SYN and BAD are not history-checked.
+            vec![
+                (PEER, 1),
+                (PEER, 1),
+                (PEER, 2),
+                (PEER, 3),
+                (SYN, 11),
+                (BAD, 12),
+            ],
+            true,
+        );
+        act.payload.unacked = vec![unacked(ACT, 3), unacked(PEER, 2)];
+        let mut syn = state(SYN, ProcessRole::Peer, vec![(ACT, 8)], vec![], false);
+        syn.synthetic_history = true;
+        let mut bad = state(BAD, ProcessRole::Peer, vec![], vec![], false);
+        bad.payload.app = vec![1, 2, 3].into();
+        let states = vec![
+            act,
+            state(
+                SDW,
+                ProcessRole::Shadow,
+                vec![(PEER, 7)],
+                vec![(PEER, 6)],
+                true,
+            ),
+            state(
+                PEER,
+                ProcessRole::Peer,
+                vec![(ACT, 1), (ACT, 1), (ACT, 9), (SDW, 6)],
+                vec![(ACT, 1), (ACT, 5), (ACT, 5)],
+                false,
+            ),
+            syn,
+            bad,
+        ];
+        let v = checker().check(&states, MsgSeqNo(3));
+        let got: Vec<String> = v.violations.iter().map(ToString::to_string).collect();
+        let contaminated = "restored a potentially contaminated state: a subsequent software \
+                            error could not be recovered";
+        assert_eq!(
+            got,
+            [
+                "[consistency] P1 reflects P3:sn2 as received but P3's state does not reflect \
+                 it as sent"
+                    .to_string(),
+                "[consistency] P3 reflects P1:sn9 as received but P1's state does not reflect \
+                 it as sent"
+                    .to_string(),
+                "[consistency] P5: undecodable app state".to_string(),
+                "[recoverability] P1 reflects sn2 -> P3 as sent; not received and not restorable"
+                    .to_string(),
+                "[recoverability] P3 reflects sn5 -> P1 as sent; not received and not restorable"
+                    .to_string(),
+                "[recoverability] P3 reflects sn5 -> P1 as sent; not received and not restorable"
+                    .to_string(),
+                format!("[validity-self] P1 (P1act) {contaminated}"),
+                format!("[validity-self] P2 (P1sdw) {contaminated}"),
+                "[validity-ground-truth] P3 restored a state reflecting unvalidated message \
+                 P1:sn9 (highest validated: sn3)"
+                    .to_string(),
+                "[validity-ground-truth] P4 restored a state reflecting unvalidated message \
+                 P1:sn8 (highest validated: sn3)"
+                    .to_string(),
+            ]
+        );
+        assert_eq!(v.checks_run, 1);
     }
 
     #[test]

@@ -169,6 +169,9 @@ enum PendingStable {
     /// `commit_write` failed, or queued behind a pending begin: the
     /// in-flight write still needs committing as epoch `ndc`.
     Commit(CkptSeqNo),
+    /// A rollback's `discard_above` failed: the abandoned timeline's
+    /// records above this epoch must go before the next write lands.
+    Discard(u64),
 }
 
 /// One process: application + MDCD engine + optional TB engine + stores.
@@ -256,8 +259,12 @@ pub struct ProcessHost<S: Stable = StableStore> {
 
 impl ProcessHost {
     /// Builds the host for `role` at `pid` on `node` over the in-memory
-    /// stable store. All replicas of one system must share the application
-    /// `app`'s seed so they produce identical streams.
+    /// stable store, which keeps the three newest committed records (all a
+    /// global rollback's line can select; see [`epoch_line`]). All replicas
+    /// of one system must share the application `app`'s seed so they
+    /// produce identical streams.
+    ///
+    /// [`epoch_line`]: crate::system::epoch_line
     pub fn new(
         role: ProcessRole,
         pid: ProcessId,
@@ -275,7 +282,7 @@ impl ProcessHost {
             scheme,
             app,
             tb,
-            StableStore::new(),
+            StableStore::with_retention(recovery::STABLE_RETENTION),
         )
     }
 }
@@ -758,6 +765,7 @@ impl<S: Stable> ProcessHost<S> {
             let landed = match op {
                 PendingStable::Begin(ckpt) => self.stable.begin_write(ckpt.clone()),
                 PendingStable::Commit(_) => self.stable.commit_write(),
+                PendingStable::Discard(epoch) => self.stable.discard_above(*epoch),
             };
             if landed.is_err() {
                 break;
@@ -774,5 +782,13 @@ impl<S: Stable> ProcessHost<S> {
         self.blocking_started_at = None;
         self.pending.clear();
         self.stable.abort_write();
+    }
+
+    /// Discards the committed records above `epoch`; a discard the backend
+    /// refuses is queued ahead of every later write.
+    pub(crate) fn discard_stable_above(&mut self, epoch: u64) {
+        if self.stable.discard_above(epoch).is_err() {
+            self.pending.push_back(PendingStable::Discard(epoch));
+        }
     }
 }

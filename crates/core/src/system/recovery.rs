@@ -21,7 +21,7 @@ use synergy_storage::{Checkpoint, CheckpointError, Stable};
 use synergy_tb::{Event as TbEvent, TbEngine};
 
 use crate::app::Application;
-use crate::checkers::{GlobalChecker, RestoredState, Violation};
+use crate::checkers::{GlobalChecker, MsgSet, RestoredState, Violation};
 use crate::metrics::{RollbackCause, RollbackRecord};
 use crate::payload::CheckpointPayload;
 use crate::system::host::{HostAction, ProcessHost};
@@ -39,6 +39,21 @@ use crate::system::System;
 pub fn epoch_line(newest: impl IntoIterator<Item = Option<u64>>) -> Option<u64> {
     newest.into_iter().map(|epoch| epoch.unwrap_or(0)).min()
 }
+
+/// Committed records the simulator's in-memory stable store keeps per host.
+///
+/// The line selects a host's newest record or the one before it. Between a
+/// crash and the recovery (one restart delay, shorter than the TB interval
+/// Δ) the survivors complete at most one round the victim did not: a victim
+/// whose write tore holds epoch `e − 1` against their `e`, one that died
+/// idle holds `e` against at most `e + 1`. The victim's newest epoch is
+/// therefore the line, and a survivor is at most one record past it. No
+/// record of an abandoned timeline sits between, because a restore discards
+/// everything above the epoch it restores. The third record is slack. A
+/// line that needs a record the store no longer holds is a
+/// `stable-history` violation, never a silent restart from the initial
+/// state.
+pub(crate) const STABLE_RETENTION: usize = 3;
 
 /// Builds the stable payload for a dirty process's volatile-copy write.
 ///
@@ -101,13 +116,18 @@ pub(crate) fn filter_replays(
     original_active: ProcessId,
     global_validated: MsgSeqNo,
 ) -> Vec<(ProcessId, Arc<Envelope>)> {
+    let sent: Vec<MsgSet> = restored
+        .iter()
+        .map(|(_, p)| MsgSet::sent(&p.sent))
+        .collect();
     let sent_reflected = |env: &Envelope| {
-        restored.iter().any(|(pid, p)| {
-            *pid == env.from()
-                && p.sent
-                    .iter()
-                    .any(|r| Endpoint::Process(r.to) == env.to && r.seq == env.id.seq)
-        })
+        let Endpoint::Process(to) = env.to else {
+            return false;
+        };
+        restored
+            .iter()
+            .zip(&sent)
+            .any(|((pid, _), sent)| *pid == env.from() && sent.contains(to, env.id.seq))
     };
     let mut replays = Vec::new();
     for (pid, payload) in restored {
@@ -176,10 +196,36 @@ impl<S: Stable> ProcessHost<S> {
         }
     }
 
+    /// [`stable_at_line`](Self::stable_at_line) for a driver that checks
+    /// the store's history: every epoch from a host's last restore up to
+    /// its newest was committed and the line is at most that newest, so a
+    /// line above zero with nothing at or below it needs a record the store
+    /// evicted. That is a `stable-history` violation, not a restart from the
+    /// initial state.
+    pub(crate) fn stable_at_line_checked(
+        &self,
+        line: Option<u64>,
+    ) -> Result<Option<Checkpoint>, Violation> {
+        let chosen = self.stable_at_line(line);
+        match line {
+            Some(epoch) if epoch > 0 && chosen.is_none() => Err(Violation {
+                property: "stable-history",
+                detail: format!(
+                    "{} holds no record at or below epoch line {epoch} (newest {:?}): \
+                     the record the line selects was evicted",
+                    self.pid,
+                    self.stable.latest_seq()
+                ),
+            }),
+            _ => Ok(chosen),
+        }
+    }
+
     /// Restores this host from `chosen` (what [`stable_at_line`] selected),
     /// or from the application's initial state when nothing was selected:
-    /// drops the in-flight stable write and pending retries, installs the
-    /// payload, and — on a host that runs TB — realigns MDCD's `Ndc` with
+    /// drops the in-flight stable write and pending retries, discards the
+    /// committed records above the restored epoch, installs the payload,
+    /// and — on a host that runs TB — realigns MDCD's `Ndc` with
     /// the restored epoch and restarts TB at `now_local`, appending what
     /// that asks of the driver to `out`. Returns the restored epoch and
     /// payload; re-sending `payload.unacked` is the caller's, who orders
@@ -212,8 +258,12 @@ impl<S: Stable> ProcessHost<S> {
             ),
         };
         // Global recovery supersedes the write in flight and whatever
-        // awaited retry.
+        // awaited retry, and abandons the timeline above the restored
+        // epoch: the epochs after it are taken again, and a record left
+        // behind would be selected as the new timeline's once a rewrite of
+        // its epoch tears.
         self.abort_stable();
+        self.discard_stable_above(restored_epoch.unwrap_or(0));
         self.restore_from_payload(&payload);
         // The engine's restore leaves `Ndc` alone; align it with the
         // restored epoch, or every `passed_AT` until the next commit
@@ -417,7 +467,12 @@ impl System {
             }
             self.hosts[i].up = true;
             self.hosts[i].tb_epoch += 1;
-            let mut chosen = self.hosts[i].stable_at_line(recovery_epoch);
+            let mut chosen = self.hosts[i]
+                .stable_at_line_checked(recovery_epoch)
+                .unwrap_or_else(|violation| {
+                    self.verdicts.violations.push(violation);
+                    None
+                });
             // Regime axis 4: a Byzantine-lite node serves value-flipped
             // checkpoints behind valid CRCs — the lie is applied at read
             // time, so it survives any number of clean commits since the
@@ -661,17 +716,20 @@ mod tests {
 
     const SALT: u64 = 41;
 
-    /// `P2` over the in-memory store, under adapted TB when `tb` says so.
-    fn host(tb: bool) -> ProcessHost {
-        let cfg = TbConfig::new(
+    fn tb_config() -> TbConfig {
+        TbConfig::new(
             TbVariant::Adapted,
             SimDuration::from_secs(1),
             SyncParams::new(SimDuration::from_micros(500), 0.0),
             SimDuration::from_micros(50),
             SimDuration::from_millis(2),
-        );
+        )
+    }
+
+    /// `P2` over the in-memory store, under adapted TB when `tb` says so.
+    fn host(tb: bool) -> ProcessHost {
         let (scheme, tb) = if tb {
-            (Scheme::Coordinated, Some(cfg))
+            (Scheme::Coordinated, Some(tb_config()))
         } else {
             (Scheme::MdcdOnly, None)
         };
@@ -680,7 +738,7 @@ mod tests {
         ProcessHost::new(ProcessRole::Peer, PEER, 2, topology, scheme, app, tb)
     }
 
-    fn commit(host: &mut ProcessHost, payload: CheckpointPayload, epoch: u64) {
+    fn commit<S: Stable>(host: &mut ProcessHost<S>, payload: CheckpointPayload, epoch: u64) {
         let ckpt = payload.into_checkpoint(epoch, "stable-current").unwrap();
         host.stable.begin_write(ckpt).unwrap();
         host.stable.commit_write().unwrap();
@@ -710,6 +768,83 @@ mod tests {
         assert_eq!(epoch, None, "nothing at or below the line");
         assert_eq!(h.app.snapshot(), CounterApp::new(SALT).snapshot());
         assert_eq!(h.engine.snapshot().ndc, CkptSeqNo(0));
+    }
+
+    #[test]
+    fn a_line_three_records_back_is_a_stable_history_violation() {
+        let mut h = host(true);
+        for epoch in 1..=4 {
+            commit(&mut h, payload_at(epoch), epoch);
+        }
+        // The store keeps epochs 2..=4: two records back is the slack.
+        let selected = |line| {
+            h.stable_at_line_checked(Some(line))
+                .map(|c| c.map(|c| c.seq()))
+        };
+        assert_eq!(selected(4), Ok(Some(4)));
+        assert_eq!(selected(2), Ok(Some(2)));
+        let evicted = selected(1).unwrap_err();
+        assert_eq!(evicted.property, "stable-history");
+        assert_eq!(
+            evicted.detail,
+            "P3 holds no record at or below epoch line 1 (newest Some(4)): \
+             the record the line selects was evicted"
+        );
+        assert_eq!(selected(0), Ok(None), "line 0 is the initial state");
+    }
+
+    #[test]
+    fn a_restore_discards_the_abandoned_records_above_its_epoch() {
+        let mut h = host(true);
+        for epoch in 1..=3 {
+            commit(&mut h, payload_at(epoch), epoch);
+        }
+        let (epoch, _, _) = restore(&mut h, 2);
+        assert_eq!(epoch, Some(2));
+        assert_eq!(h.stable.latest_seq(), Some(2), "epoch 3 is abandoned");
+        restore(&mut h, 0);
+        assert_eq!(h.stable.latest_seq(), None, "line 0 abandons every record");
+    }
+
+    #[test]
+    fn a_refused_discard_lands_before_the_next_write() {
+        let dir = std::env::temp_dir().join(format!("synergy-discard-{}", std::process::id()));
+        let disk = synergy_storage::DiskStableStore::open(&dir).unwrap();
+        let app = CounterApp::new(SALT);
+        let topology = Topology::canonical();
+        let mut h = ProcessHost::with_stable(
+            ProcessRole::Peer,
+            PEER,
+            2,
+            topology,
+            Scheme::Coordinated,
+            app,
+            Some(tb_config()),
+            disk,
+        );
+        for epoch in 1..=3 {
+            commit(&mut h, payload_at(epoch), epoch);
+        }
+        // Epoch 3's record file cannot be unlinked while a directory with
+        // files in it stands in its place.
+        let third = dir.join(synergy_storage::DiskStableStore::record_file_name(2));
+        std::fs::remove_file(&third).unwrap();
+        std::fs::create_dir_all(third.join("blocker")).unwrap();
+        let chosen = h.stable_at_line(Some(2));
+        let mut out = Vec::new();
+        h.install_stable(chosen, SimTime::ZERO, LocalTime::ZERO, &mut out)
+            .unwrap();
+        assert!(h.stable_pending(), "the refused discard is queued");
+        assert_eq!(h.stable.latest_seq(), Some(3), "and its record still held");
+        h.retry_stable(SimTime::ZERO, &mut out);
+        assert!(h.stable_pending(), "refused again");
+        std::fs::remove_dir_all(&third).unwrap();
+        std::fs::write(&third, b"").unwrap();
+        h.retry_stable(SimTime::ZERO, &mut out);
+        assert!(!h.stable_pending());
+        assert_eq!(h.stable.latest_seq(), Some(2));
+        assert!(!third.exists());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

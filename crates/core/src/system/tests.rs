@@ -482,3 +482,38 @@ fn a_round_crash_rolls_back_to_the_previous_round_and_tears_only_a_staged_write(
         "a double kill runs as a mid-round crash"
     );
 }
+
+#[test]
+fn a_torn_rewrite_after_a_rollback_never_restores_the_abandoned_timeline() {
+    use crate::CrashKind::MidRound;
+    use crate::NodeId::{P1Act, P2};
+    // P2's round-7 write tears, and everyone rolls back to epoch 6; the
+    // survivors' epoch-7 records belong to the abandoned timeline. In round
+    // 8 P1act's new epoch-7 write tears: had the abandoned record stayed,
+    // it would be P1act's newest, the line would be 7 and P1act would
+    // restore a state whose sends the others' restored states never saw.
+    let crash = |victim, epoch| crate::CrashEvent {
+        victim,
+        epoch,
+        kind: MidRound,
+    };
+    let cfg = SystemConfig::builder()
+        .scheme(Scheme::Coordinated)
+        .seed(1)
+        .duration_secs(80.0)
+        .internal_rate_per_min(60.0)
+        .external_rate_per_min(2.0)
+        .tb_interval_secs(5.0)
+        .round_crash(crash(P2, 7))
+        .round_crash(crash(P1Act, 8))
+        .build();
+    let mut sys = System::new(cfg);
+    while sys.metrics().hardware_recoveries < 2 {
+        assert_eq!(sys.step_events(1), 1, "ended before the second recovery");
+    }
+    let ndc = |h: &ProcessHost| h.tb.as_ref().map(|tb| tb.ndc().0);
+    let line: Vec<_> = sys.hosts.iter().map(ndc).collect();
+    assert_eq!(line, [Some(6); 3], "the torn victim's epoch 6 is the line");
+    sys.run();
+    assert!(sys.verdicts().all_hold(), "{:?}", sys.verdicts().violations);
+}

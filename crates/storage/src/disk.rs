@@ -404,6 +404,24 @@ impl Stable for DiskStableStore {
             .map(|(_, c)| c.clone())
     }
 
+    /// Deletes the record files newest first, so a failure or a kill part
+    /// way leaves a commit-order prefix of the history, then syncs the
+    /// directory once. The deletions are not atomic as a group: a kill
+    /// between two of them leaves the older records above `epoch` on disk.
+    fn discard_above(&mut self, epoch: u64) -> Result<(), StableWriteError> {
+        let mut discarded = false;
+        while let Some(pos) = self.committed.iter().rposition(|(_, c)| c.seq() > epoch) {
+            let path = self.dir.join(file_name(self.committed[pos].0));
+            fs::remove_file(&path).map_err(|e| io_err("remove", &path, e))?;
+            self.committed.remove(pos);
+            discarded = true;
+        }
+        if discarded {
+            self.fsync_dir()?;
+        }
+        Ok(())
+    }
+
     fn replace_latest(&mut self, checkpoint: Checkpoint) -> bool {
         // Byzantine-lite injection: rewrite the newest committed record
         // both on disk and in the cache. Best-effort — a failed rewrite
@@ -771,6 +789,31 @@ mod tests {
         assert_eq!(bins.len(), 2, "only the retained files remain: {bins:?}");
         assert_eq!(s.latest_seq(), Some(4));
         assert_eq!(s.latest_at_or_before_shared(2), None, "evicted");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_reload_after_a_discard_serves_nothing_above_the_epoch() {
+        let dir = tmp_dir("discard");
+        {
+            let mut s = DiskStableStore::open(&dir).unwrap();
+            for seq in 1..=4 {
+                s.begin_write(ckpt(seq, seq)).unwrap();
+                s.commit_write().unwrap();
+            }
+            s.discard_above(2).unwrap();
+            assert_eq!(s.latest_seq(), Some(2));
+        }
+        let mut s = DiskStableStore::open(&dir).unwrap();
+        assert_eq!(s.latest_seq(), Some(2), "the discarded files are gone");
+        // The new timeline takes epoch 3 again; a reload serves it alone.
+        s.begin_write(ckpt(3, 33)).unwrap();
+        s.commit_write().unwrap();
+        drop(s);
+        let s = DiskStableStore::open(&dir).unwrap();
+        let seqs: Vec<u64> = s.committed_shared().iter().map(Checkpoint::seq).collect();
+        assert_eq!(seqs, [1, 2, 3]);
+        assert_eq!(s.latest_shared().unwrap().decode::<u64>().unwrap(), 33);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -188,6 +188,11 @@ impl<S: Stable> Stable for FaultyStable<S> {
         self.inner.latest_at_or_before_shared(seq)
     }
 
+    fn discard_above(&mut self, epoch: u64) -> Result<(), StableWriteError> {
+        // Not in the DiskOp fault vocabulary: the discard passes through.
+        self.inner.discard_above(epoch)
+    }
+
     fn replace_latest(&mut self, checkpoint: Checkpoint) -> bool {
         // Not in the DiskOp fault vocabulary: injection passes through.
         self.inner.replace_latest(checkpoint)

@@ -94,6 +94,19 @@ pub trait Stable {
     /// record global recovery selects when rolling back to the epoch line.
     fn latest_at_or_before_shared(&self, seq: u64) -> Option<Checkpoint>;
 
+    /// Discards every committed checkpoint with sequence number `> epoch`.
+    ///
+    /// A global rollback to `epoch` abandons the timeline those records
+    /// were taken on; recovery reuses their epoch numbers, so a record left
+    /// behind would be selected by a later line as if it were the new
+    /// timeline's (a torn rewrite of the same epoch leaves it the newest).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StableWriteError::Io`] if a durable backend cannot delete
+    /// a record; the records it could not delete are still held.
+    fn discard_above(&mut self, epoch: u64) -> Result<(), StableWriteError>;
+
     /// Swaps the most recent *committed* checkpoint for `checkpoint` in
     /// place, returning whether a record was replaced.
     ///
@@ -142,6 +155,11 @@ impl Stable for StableStore {
         self.latest_at_or_before(seq).cloned()
     }
 
+    fn discard_above(&mut self, epoch: u64) -> Result<(), StableWriteError> {
+        self.committed.retain(|c| c.seq() <= epoch);
+        Ok(())
+    }
+
     fn replace_latest(&mut self, checkpoint: Checkpoint) -> bool {
         StableStore::replace_latest(self, checkpoint)
     }
@@ -178,7 +196,11 @@ pub struct StableStats {
 /// newest): a crash can tear one process's in-flight write while its peers
 /// commit theirs, in which case global recovery must roll everyone back to
 /// the last checkpoint sequence number committed *by all* processes — which
-/// for the torn process is not its newest record.
+/// for the torn process is not its newest record. How deep that history is
+/// is the opener's choice: [`new`](Self::new) keeps 8 records, while the
+/// simulator's process hosts keep 3, because the line selects a host's
+/// newest record or the one before it (the argument is written beside
+/// `synergy::system::epoch_line`).
 ///
 /// # Example
 ///
@@ -472,6 +494,20 @@ mod tests {
         }
         assert_eq!(retained_seqs(&s), [3, 4]);
         assert_eq!(s.latest().unwrap().seq(), 4);
+    }
+
+    #[test]
+    fn discard_above_keeps_only_the_records_at_or_below_the_epoch() {
+        let mut s = StableStore::new();
+        for seq in 1..=4 {
+            s.begin_write(ckpt(seq)).unwrap();
+            s.commit_write().unwrap();
+        }
+        s.discard_above(2).unwrap();
+        assert_eq!(retained_seqs(&s), [1, 2]);
+        s.discard_above(0).unwrap();
+        assert!(s.latest().is_none(), "line 0 abandons every record");
+        assert_eq!(s.stats().commits, 4, "a discard is not a commit");
     }
 
     #[test]

@@ -117,6 +117,14 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> two-crash scan: no restore from an abandoned timeline"
+# 1 200 Coordinated missions with mid-round crashes in two consecutive
+# rounds (DESIGN.md §8, decision 7): a second crash that tears a rewrite of
+# an abandoned epoch must not restore the abandoned record. Only ROADMAP
+# item 0's seed 105 may fail; a release build runs all of it in a second.
+cargo test --release -q -p synergy --test recovery_integration -- \
+    --ignored two_crash_scan_fails_only_on_item_0_seeds
+
 echo "==> ledger: the benchmark package builds and tests against these crates"
 # ledger/ is a workspace of its own that calls the crates' public API
 # (DeltaPatch::diff, Checkpoint::encode/decode, CheckpointPayload::{into,
