@@ -248,6 +248,16 @@ impl CheckpointCodec {
         });
     }
 
+    /// Follows a rollback that discarded the committed records above
+    /// `epoch`. The chain position is the newest committed record: if that
+    /// was discarded, the next commit is a full image, so no record links
+    /// to a discarded base.
+    pub fn discard_above(&mut self, epoch: u64) {
+        if self.last.as_ref().is_some_and(|last| last.seq > epoch) {
+            *self = CheckpointCodec::new(self.k);
+        }
+    }
+
     /// Accounts what persisting `ckpt` through the chain format costs, and
     /// advances the codec — the simulator's per-commit hook. Allocation-free
     /// in steady state: the retained image is a refcount bump of the

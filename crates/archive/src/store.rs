@@ -296,16 +296,12 @@ impl<S: StableHistory> Stable for DeltaStable<S> {
     }
 
     /// Discards the records above `epoch` from the backend and the served
-    /// view. The chain position was the newest record, which is gone if
-    /// anything was, so the next commit is a full image: no record a reload
-    /// walks links to a discarded base.
+    /// view, and restarts the chain if its position went with them
+    /// ([`CheckpointCodec::discard_above`]).
     fn discard_above(&mut self, epoch: u64) -> Result<(), StableWriteError> {
         self.inner.discard_above(epoch)?;
-        let served = self.committed.len();
         self.committed.retain(|c| c.seq() <= epoch);
-        if self.committed.len() < served {
-            self.codec = CheckpointCodec::new(self.codec.k());
-        }
+        self.codec.discard_above(epoch);
         Ok(())
     }
 
@@ -849,6 +845,64 @@ mod tests {
         assert_eq!(s.delta_stats().chain_orphans, 0);
         assert_eq!(s.committed_records(), [ckpt(1, 1), ckpt(2, 102)]);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_simulator_codec_accounts_a_rollback_as_the_store_writes_it() {
+        // One commit/rollback sequence through the store and through the
+        // bare codec as the simulator drives it: `measure_committed` per
+        // commit, `discard_above` per restore. `(seq, tweak)` commits, and
+        // tweak 0 rolls back to `seq`. The rollbacks to 1 and to 0 cut the
+        // chain's base, the one to 6 cuts nothing.
+        #[rustfmt::skip]
+        let ops = [
+            (1, 1), (2, 2), (3, 3), (1, 0), (2, 102), (3, 103), (4, 104),
+            (5, 105), (6, 106), (6, 0), (7, 107), (0, 0), (1, 201), (2, 202),
+        ];
+        let mut store = DeltaStable::open(StableStore::with_retention(16), 4);
+        let mut codec = CheckpointCodec::new(4);
+        let (mut full_records, mut encoded_bytes) = (0, 0);
+        for (seq, tweak) in ops {
+            if tweak == 0 {
+                store.discard_above(seq).unwrap();
+                codec.discard_above(seq);
+                continue;
+            }
+            commit(&mut store, ckpt(seq, tweak));
+            let cost = codec.measure_committed(&ckpt(seq, tweak));
+            full_records += u64::from(cost.kind == RecordKind::Full);
+            encoded_bytes += cost.encoded_bytes;
+        }
+        // Full images: the first commit, one after each cut, one by cadence.
+        let stats = store.delta_stats();
+        assert_eq!((stats.full_records, stats.delta_records), (4, 7));
+        assert_eq!((full_records, encoded_bytes), (4, stats.encoded_bytes));
+    }
+
+    #[test]
+    fn an_unstamped_record_is_written_as_the_pinned_frame_and_reloads() {
+        // The golden record of the disk store's frame pin, fresh from
+        // `encode` and so not yet stamped, through the plain disk store and
+        // through the chain layer over one.
+        let (plain, chained) = (tmp_dir("unstamped-plain"), tmp_dir("unstamped-chain"));
+        let state: Vec<u8> = (0..1000u32).map(|i| (i * 31 + 7) as u8).collect();
+        let golden =
+            || Checkpoint::encode(7, SimTime::from_nanos(1_500_000_000), "golden", &state).unwrap();
+        commit(&mut DiskStableStore::open(&plain).unwrap(), golden());
+        let file = fs::read(plain.join(DiskStableStore::record_file_name(0))).unwrap();
+        assert_eq!((file.len(), crc32(&file)), (1066, 0xbb76_57aa));
+        let disk = || DiskStableStore::open(&chained).unwrap();
+        commit(&mut DeltaStable::open(disk(), 4), golden());
+        for back in [
+            DiskStableStore::open(&plain).unwrap().latest_shared(),
+            DeltaStable::open(disk(), 4).latest_shared(),
+        ] {
+            let back = back.unwrap();
+            assert_eq!(back.decode::<Vec<u8>>().unwrap(), state);
+            assert_eq!(back, golden());
+        }
+        fs::remove_dir_all(&plain).unwrap();
+        fs::remove_dir_all(&chained).unwrap();
     }
 
     #[test]

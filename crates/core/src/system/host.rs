@@ -25,7 +25,7 @@ use synergy_mdcd::{
 use synergy_net::{
     AckTracker, CkptSeqNo, DeviceId, Endpoint, Envelope, MessageBody, MsgId, MsgSeqNo, ProcessId,
 };
-use synergy_storage::{Checkpoint, Stable, StableStore, VolatileStore};
+use synergy_storage::{Checkpoint, Stable, StableStore};
 use synergy_tb::{Action as TbAction, ContentsChoice, Event as TbEvent, TbConfig, TbEngine};
 
 use crate::app::{Application, CounterApp};
@@ -193,8 +193,6 @@ pub struct ProcessHost<S: Stable = StableStore> {
     pub engine: RoleEngine,
     /// The TB engine, when the scheme runs one.
     pub tb: Option<TbEngine>,
-    /// Volatile (in-memory) checkpoint store; wiped by crashes.
-    pub volatile: VolatileStore,
     /// Stable (crash-surviving) checkpoint store.
     pub stable: S,
     /// Retry attempts made against a failing stable backend.
@@ -236,10 +234,11 @@ pub struct ProcessHost<S: Stable = StableStore> {
     /// Shared snapshot of `sent_log`, built lazily and invalidated on every
     /// append, so back-to-back checkpoints bundle the same buffer.
     sent_snapshot: Option<Arc<[SentRecord]>>,
-    /// Decoded image of `volatile.latest()`, kept beside the store so the
-    /// adapted-TB dirty copy and volatile rollback reuse the payload the
-    /// host just encoded instead of decoding it back out of the bytes.
-    volatile_image: Option<CheckpointPayload>,
+    /// The latest volatile checkpoint, wiped by crashes. RAM holds the
+    /// payload itself: nothing reads a volatile checkpoint back from bytes,
+    /// so it is never serialized. The adapted-TB dirty copy and volatile
+    /// rollback share its buffers.
+    pub(crate) volatile_image: Option<CheckpointPayload>,
     /// Reusable serialization buffer: the application image, then the
     /// checkpoint payload around it, are each encoded here and copied once
     /// into their shared buffer.
@@ -315,7 +314,6 @@ impl<S: Stable> ProcessHost<S> {
             tb: tb.map(TbEngine::new),
             initial_app: app.clone(),
             app,
-            volatile: VolatileStore::new(),
             stable,
             stable_retries: 0,
             acks: AckTracker::new(),
@@ -354,18 +352,6 @@ impl<S: Stable> ProcessHost<S> {
         if let Some(inj) = self.regime.as_mut() {
             inj.arm();
         }
-    }
-
-    /// Discards volatile checkpoints (node crash, stable restore) together
-    /// with the cached decoded image.
-    pub(crate) fn wipe_volatile(&mut self) {
-        self.volatile.wipe();
-        self.volatile_image = None;
-    }
-
-    /// The decoded image of the latest volatile checkpoint, if cached.
-    pub(crate) fn volatile_image(&self) -> Option<&CheckpointPayload> {
-        self.volatile_image.as_ref()
     }
 
     /// The scheme policy this host runs under.
@@ -618,10 +604,6 @@ impl<S: Stable> ProcessHost<S> {
         self.volatile_seq += 1;
         let sent = self.sent_shared();
         let payload = CheckpointPayload::new(self.app_image(), engine, Vec::new(), sent, now);
-        let ckpt = payload
-            .to_checkpoint_with(self.volatile_seq, kind.as_str(), &mut self.scratch)
-            .expect("payload encodes");
-        self.volatile.save(ckpt);
         self.recv_log.clear();
         out.push(HostAction::VolatileSaved { kind });
         // Write-through baseline: Type-2 checkpoints are persisted, with the
@@ -639,7 +621,6 @@ impl<S: Stable> ProcessHost<S> {
             self.stable.commit_write().expect("just begun");
             out.push(HostAction::WriteThroughCommitted);
         }
-        // The image mirrors exactly what the saved checkpoint decodes to.
         self.volatile_image = Some(payload);
     }
 
@@ -705,19 +686,15 @@ impl<S: Stable> ProcessHost<S> {
     ) {
         let (payload, fallback) = match contents {
             ContentsChoice::CurrentState => (self.current_payload(now), false),
-            ContentsChoice::VolatileCopy => match (&self.volatile_image, self.volatile.latest()) {
-                // Cached image: the dirty copy is refcount bumps, no decode.
-                (Some(img), Some(_)) => (
+            ContentsChoice::VolatileCopy => match &self.volatile_image {
+                // The dirty copy is refcount bumps of the volatile payload.
+                Some(img) => (
                     recovery::amend_volatile_copy(img.clone(), &self.acks, &self.recv_log),
-                    false,
-                ),
-                (None, Some(vol)) => (
-                    recovery::volatile_copy_payload(vol, &self.acks, &self.recv_log),
                     false,
                 ),
                 // Defensive: a dirty bit without a volatile checkpoint
                 // (cannot happen through the engines).
-                _ => (self.current_payload(now), true),
+                None => (self.current_payload(now), true),
             },
         };
         let seq = self.tb.as_ref().map_or(0, |tb| tb.ndc().0) + 1;

@@ -2,7 +2,7 @@
 //! and unacked/receive-log replay.
 //!
 //! The decision logic is exposed as pure functions ([`epoch_line`],
-//! [`filter_replays`], [`volatile_copy_payload`], [`prune_unacked`]) so it
+//! [`filter_replays`], [`amend_volatile_copy`], [`prune_unacked`]) so it
 //! can be unit-tested without a full [`System`]; the two recovery
 //! procedures (software takeover, global hardware rollback) orchestrate
 //! them over the hosts. The per-process half of a global rollback —
@@ -55,7 +55,8 @@ pub fn epoch_line(newest: impl IntoIterator<Item = Option<u64>>) -> Option<u64> 
 /// state.
 pub(crate) const STABLE_RETENTION: usize = 3;
 
-/// Builds the stable payload for a dirty process's volatile-copy write.
+/// Builds the stable payload for a dirty process's volatile-copy write from
+/// its volatile checkpoint `p`.
 ///
 /// Two recoverability amendments ride on the copied state (DESIGN.md §8,
 /// decisions 4 and 5): the currently unacknowledged messages are saved —
@@ -63,18 +64,6 @@ pub(crate) const STABLE_RETENTION: usize = 3;
 /// re-send messages the restored state never produced — and the receipts
 /// delivered after the copied state are attached for driver-filtered
 /// replay (their senders may already hold the acknowledgments).
-pub(crate) fn volatile_copy_payload(
-    vol: &Checkpoint,
-    acks: &AckTracker,
-    recv_log: &[Arc<Envelope>],
-) -> CheckpointPayload {
-    let p = CheckpointPayload::from_checkpoint(vol).expect("volatile checkpoints decode");
-    amend_volatile_copy(p, acks, recv_log)
-}
-
-/// The amendment half of [`volatile_copy_payload`], for callers that already
-/// hold the decoded payload (the host caches the image of its latest
-/// volatile checkpoint precisely to skip the decode on the TB hot path).
 pub(crate) fn amend_volatile_copy(
     mut p: CheckpointPayload,
     acks: &AckTracker,
@@ -149,11 +138,7 @@ impl<S: Stable> ProcessHost<S> {
     /// returns the rollback distance in seconds, or `None` when no
     /// volatile checkpoint exists.
     pub fn rollback_to_volatile(&mut self, now: SimTime) -> Option<f64> {
-        let ckpt = self.volatile.latest_shared()?;
-        let payload = match self.volatile_image() {
-            Some(img) => img.clone(),
-            None => CheckpointPayload::from_checkpoint(&ckpt).expect("volatile decodes"),
-        };
+        let payload = self.volatile_image.clone()?;
         let distance = now
             .saturating_duration_since(payload.state_time())
             .as_secs_f64();
@@ -181,7 +166,7 @@ impl<S: Stable> ProcessHost<S> {
         self.engine.restore(&payload.engine);
         self.restore_sent_log(&payload.sent);
         self.acks.restore(payload.unacked.iter().map(Arc::clone));
-        self.wipe_volatile();
+        self.volatile_image = None;
         self.recv_log.clear();
     }
 
@@ -392,7 +377,7 @@ impl System {
         });
         let host = &mut self.hosts[i];
         host.up = false;
-        host.wipe_volatile();
+        host.volatile_image = None;
         if host.stable.is_writing() {
             self.metrics.torn_writes += 1;
         }
@@ -501,9 +486,14 @@ impl System {
             }
             let now_local = self.clocks.read(self.hosts[i].node, now);
             let mut actions = std::mem::take(&mut self.actions);
-            let (_, payload) = self.hosts[i]
+            let (restored_epoch, payload) = self.hosts[i]
                 .install_stable(chosen, now, now_local, &mut actions)
                 .expect("stable decodes");
+            // The restore discarded the records above its epoch; delta
+            // accounting follows, as `DeltaStable` does.
+            if let Some(codecs) = &mut self.ckpt_codecs {
+                codecs[i].discard_above(restored_epoch.unwrap_or(0));
+            }
             let distance = now
                 .saturating_duration_since(payload.state_time())
                 .as_secs_f64();
@@ -951,13 +941,12 @@ mod tests {
         // were never sent per the restored state and must not ride along.
         let mut p = payload_at(7);
         p.engine.msg_sn = MsgSeqNo(2);
-        let vol = p.into_checkpoint(1, "type-1").unwrap();
         let mut acks = AckTracker::new();
         for seq in 1..=4 {
             acks.on_send(app_env(ACT, seq, PEER));
         }
         let recv_log = vec![Arc::new(app_env(PEER, 8, ACT))];
-        let copy = volatile_copy_payload(&vol, &acks, &recv_log);
+        let copy = amend_volatile_copy(p, &acks, &recv_log);
         let unacked: Vec<u64> = copy.unacked.iter().map(|e| e.id.seq.0).collect();
         assert_eq!(unacked, vec![1, 2]);
         assert_eq!(copy.replay.len(), 1);

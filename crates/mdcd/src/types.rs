@@ -48,20 +48,14 @@ pub enum CheckpointKind {
     Pseudo,
 }
 
-impl CheckpointKind {
-    /// The kind's name as checkpoint labels and traces spell it.
-    pub fn as_str(self) -> &'static str {
-        match self {
+/// The kind's name as traces spell it.
+impl fmt::Display for CheckpointKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
             CheckpointKind::Type1 => "type-1",
             CheckpointKind::Type2 => "type-2",
             CheckpointKind::Pseudo => "pseudo",
-        }
-    }
-}
-
-impl fmt::Display for CheckpointKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
+        })
     }
 }
 

@@ -1,8 +1,9 @@
-//! The checkpoint record shared by volatile and stable stores.
+//! The checkpoint record the stable stores hold.
 
 use core::fmt;
+use std::sync::OnceLock;
 
-use synergy_codec::{codec_struct, Codec, CodecError, SharedBytes};
+use synergy_codec::{Codec, CodecError, Reader, SharedBytes};
 use synergy_des::SimTime;
 
 use crate::crc::crc32;
@@ -48,7 +49,7 @@ impl From<CodecError> for CheckpointError {
     }
 }
 
-/// A snapshot of one process's state, ready for volatile or stable storage.
+/// A snapshot of one process's state, ready for stable storage.
 ///
 /// The state is stored in the [`synergy_codec`] binary format and
 /// guarded by a CRC-32, so corruption (and decoding with the wrong type) is
@@ -63,11 +64,19 @@ impl From<CodecError> for CheckpointError {
 /// byte-identically to `Vec<u8>`, so the wire format (and every committed
 /// CRC) is unchanged.
 ///
-/// Who hashes the state bytes: [`encode`](Self::encode) once, to stamp the
-/// CRC; [`decode`](Self::decode) once per call, to verify it. Nothing else
-/// in this type does — layers that re-frame the record carry
-/// [`crc`](Self::crc) along ([`from_verified_parts`](Self::from_verified_parts))
-/// and leave the verification to `decode` or to their own guard.
+/// The CRC is stamped on first use, not at encode: [`encode`](Self::encode)
+/// only serializes, and the first of [`crc`](Self::crc),
+/// [`decode`](Self::decode) or a frame written through [`Codec`] hashes the
+/// bytes once and memoizes the value. A record nobody reads back (a
+/// checkpoint replaced before it commits, one the store evicts unread) is
+/// never hashed. The stamp is the CRC the bytes had when they were
+/// encoded, because they cannot change in between: [`SharedBytes`] is an
+/// immutable shared buffer, and the one mutator,
+/// [`corrupt_bit`](Self::corrupt_bit), stamps before it flips. Layers that
+/// re-frame the record carry [`crc`](Self::crc) along
+/// ([`from_verified_parts`](Self::from_verified_parts), which stamps the
+/// value it is given); [`decode`](Self::decode) hashes the bytes on every
+/// call and compares them against the stamp.
 ///
 /// # Example
 ///
@@ -81,22 +90,59 @@ impl From<CodecError> for CheckpointError {
 /// assert_eq!(ckpt.seq(), 3);
 /// # Ok::<(), synergy_storage::CheckpointError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Checkpoint {
     seq: u64,
     taken_at_nanos: u64,
     label: String,
     data: SharedBytes,
-    crc: u32,
+    /// CRC-32 of `data`, stamped on first use.
+    crc: OnceLock<u32>,
 }
 
-codec_struct!(Checkpoint {
-    seq,
-    taken_at_nanos,
-    label,
-    data,
-    crc
-});
+impl Codec for Checkpoint {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.seq.encode(out);
+        self.taken_at_nanos.encode(out);
+        self.label.encode(out);
+        self.data.encode(out);
+        self.crc().encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Checkpoint {
+            seq: u64::decode(r)?,
+            taken_at_nanos: u64::decode(r)?,
+            label: String::decode(r)?,
+            data: SharedBytes::decode(r)?,
+            crc: OnceLock::from(u32::decode(r)?),
+        })
+    }
+}
+
+impl PartialEq for Checkpoint {
+    fn eq(&self, other: &Self) -> bool {
+        self.seq == other.seq
+            && self.taken_at_nanos == other.taken_at_nanos
+            && self.label == other.label
+            && self.data == other.data
+            && self.crc() == other.crc()
+    }
+}
+
+impl Eq for Checkpoint {}
+
+impl fmt::Debug for Checkpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Checkpoint")
+            .field("seq", &self.seq)
+            .field("taken_at_nanos", &self.taken_at_nanos)
+            .field("label", &self.label)
+            .field("data", &self.data)
+            .field("crc", &self.crc())
+            .finish()
+    }
+}
 
 impl Checkpoint {
     /// Serializes `state` into a new checkpoint record.
@@ -115,10 +161,10 @@ impl Checkpoint {
         Self::encode_with_scratch(seq, taken_at, label, state, &mut scratch)
     }
 
-    /// Serializes `state` through a caller-owned scratch buffer: encode →
-    /// CRC both run against `scratch` (whose capacity is reused across
-    /// calls), and the only fresh allocation is the final shared copy. Hot paths that checkpoint repeatedly should hold one scratch
-    /// `Vec` and call this.
+    /// Serializes `state` through a caller-owned scratch buffer (whose
+    /// capacity is reused across calls); the only fresh allocation is the
+    /// final shared copy. Hot paths that checkpoint repeatedly should hold
+    /// one scratch `Vec` and call this.
     ///
     /// # Errors
     ///
@@ -132,13 +178,12 @@ impl Checkpoint {
         scratch: &mut Vec<u8>,
     ) -> Result<Self, CheckpointError> {
         synergy_codec::to_bytes_into(state, scratch)?;
-        let crc = crc32(scratch);
         Ok(Checkpoint {
             seq,
             taken_at_nanos: taken_at.as_nanos(),
             label: label.into(),
             data: scratch.as_slice().into(),
-            crc,
+            crc: OnceLock::new(),
         })
     }
 
@@ -166,11 +211,12 @@ impl Checkpoint {
             taken_at_nanos: taken_at.as_nanos(),
             label: label.into(),
             data,
-            crc,
+            crc: OnceLock::from(crc),
         }
     }
 
-    /// Deserializes the stored state, hashing it first on every call. Any
+    /// Deserializes the stored state, hashing it first on every call and
+    /// comparing against the stamp (stamping it first if unset). Any
     /// [`SharedBytes`] inside `T` comes back as a window of this
     /// checkpoint's buffer.
     ///
@@ -180,11 +226,9 @@ impl Checkpoint {
     /// and [`CheckpointError::Codec`] when they do not decode as `T`.
     pub fn decode<T: Codec>(&self) -> Result<T, CheckpointError> {
         let actual = crc32(&self.data);
-        if actual != self.crc {
-            return Err(CheckpointError::CrcMismatch {
-                expected: self.crc,
-                actual,
-            });
+        let expected = *self.crc.get_or_init(|| actual);
+        if actual != expected {
+            return Err(CheckpointError::CrcMismatch { expected, actual });
         }
         Ok(synergy_codec::from_shared(&self.data)?)
     }
@@ -210,13 +254,13 @@ impl Checkpoint {
         self.data.len()
     }
 
-    /// The CRC-32 recorded over the serialized state when the checkpoint
-    /// was taken. Layers that chain or re-frame the image carry this value
+    /// The CRC-32 of the serialized state as it was taken, hashed on the
+    /// first call. Layers that chain or re-frame the image carry this value
     /// instead of re-hashing the bytes; if the bytes were corrupted since
     /// (see [`corrupt_bit`](Self::corrupt_bit)) it no longer matches them,
     /// and whoever verifies it against the bytes refuses the record.
     pub fn crc(&self) -> u32 {
-        self.crc
+        *self.crc.get_or_init(|| crc32(&self.data))
     }
 
     /// The serialized state, shared. Cloning the returned handle is a
@@ -226,7 +270,8 @@ impl Checkpoint {
     }
 
     /// Flips one bit of the stored state — fault injection for tests that
-    /// verify corruption is detected. The flipped copy is private to this
+    /// verify corruption is detected. The CRC is stamped first, so it stays
+    /// the CRC of the bytes as taken. The flipped copy is private to this
     /// record: other holders of the shared bytes are unaffected.
     ///
     /// # Panics
@@ -234,6 +279,7 @@ impl Checkpoint {
     /// Panics if the checkpoint holds no data bytes.
     pub fn corrupt_bit(&mut self, bit: usize) {
         assert!(!self.data.is_empty(), "cannot corrupt an empty checkpoint");
+        self.crc();
         let mut bytes = self.data.to_vec();
         let i = (bit / 8) % bytes.len();
         bytes[i] ^= 1 << (bit % 8);
@@ -244,6 +290,8 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc::LANES_MIN_LEN;
+    use synergy_codec::codec_struct;
 
     #[derive(PartialEq, Debug)]
     struct AppState {
@@ -274,10 +322,15 @@ mod tests {
 
     #[test]
     fn corruption_is_detected() {
+        // `encode` leaves the CRC unstamped; `corrupt_bit` stamps the CRC of
+        // the bytes as taken before it flips one.
         let mut ckpt = Checkpoint::encode(0, SimTime::ZERO, "t", &sample()).unwrap();
+        let taken = crc32(&ckpt.data);
         ckpt.corrupt_bit(13);
         match ckpt.decode::<AppState>() {
-            Err(CheckpointError::CrcMismatch { .. }) => {}
+            Err(CheckpointError::CrcMismatch { expected, actual }) => {
+                assert_eq!((expected, actual), (taken, crc32(&ckpt.data)));
+            }
             other => panic!("expected CrcMismatch, got {other:?}"),
         }
     }
@@ -329,6 +382,30 @@ mod tests {
         shared.corrupt_bit(13);
         assert!(shared.decode::<AppState>().is_err());
         assert_eq!(ckpt.decode::<AppState>().unwrap(), sample());
+    }
+
+    #[test]
+    fn encode_hashes_nothing_and_the_first_read_stamps_the_crc_of_the_bytes() {
+        let ckpt = Checkpoint::encode(4, SimTime::from_secs_f64(1.0), "t", &sample()).unwrap();
+        let unstamped = ckpt.clone();
+        assert_eq!(ckpt.crc.get(), None);
+        assert_eq!(ckpt.crc(), crc32(&ckpt.data));
+        // A clone taken before the stamp equals one taken after, in every
+        // rendering.
+        let stamped = ckpt.clone();
+        assert_eq!(format!("{unstamped:?}"), format!("{stamped:?}"));
+        let bytes = |c: &Checkpoint| synergy_codec::to_bytes(c).unwrap();
+        assert_eq!(bytes(&unstamped), bytes(&stamped));
+        assert_eq!(unstamped, stamped);
+        for len in [0, 1, 1023, LANES_MIN_LEN, 256 * 1024] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            let ckpt = Checkpoint {
+                data: data.as_slice().into(),
+                crc: OnceLock::new(),
+                ..ckpt.clone()
+            };
+            assert_eq!(ckpt.crc(), crc32(&data), "len {len}");
+        }
     }
 
     #[test]

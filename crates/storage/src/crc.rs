@@ -94,7 +94,7 @@ pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
 /// under 512 bytes (the three joins are ≈ 0.12–0.25 µs, more when the lane
 /// length has many set bits), win by 15–25 % from 512 to 1 KiB depending on
 /// the lane length, and by ≥ 1.5× at every length from 1 KiB up.
-const LANES_MIN_LEN: usize = 1024;
+pub(crate) const LANES_MIN_LEN: usize = 1024;
 
 /// Folds the 8-byte chunk `c` into the register `crc` (slice-by-8 step).
 #[inline(always)]

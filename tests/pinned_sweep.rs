@@ -12,6 +12,7 @@
 //! verdict, and must say so.
 
 use synergy::{Scheme, System, SystemConfig};
+use synergy_des::SimTime;
 use synergy_storage::crc32;
 
 /// What one finished mission is reduced to.
@@ -169,4 +170,21 @@ fn dense_mission_matches_its_pinned_outcome() {
         (1_446, 137, 870_144, 562_208)
     );
     assert_eq!((m.software_recoveries, m.hardware_recoveries), (1, 1));
+}
+
+#[test]
+fn a_restore_that_cuts_a_chain_mid_group_accounts_a_full_image() {
+    // The dense mission crashed at 38 s instead of 40 s: the restore
+    // discards a record in the middle of its k = 4 chain group, so that
+    // host's next commit is accounted as a full image. Diffed against the
+    // discarded record instead, the delta bytes read 563 697.
+    let mut cfg = dense_config(FIRST_SEED);
+    cfg.faults.hardware[0].at = SimTime::from_secs_f64(38.0);
+    let (_, system) = run(cfg);
+    assert!(system.verdicts().all_hold(), "{:?}", system.verdicts());
+    let m = system.metrics();
+    assert_eq!(
+        (m.stable_bytes_full, m.stable_bytes_delta),
+        (872_209, 569_273)
+    );
 }
