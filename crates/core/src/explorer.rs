@@ -16,18 +16,38 @@
 //!    messages, with every unvalidated message the peer loses covered by
 //!    the shadow's re-send set.
 //!
-//! The state space is deduplicated on a full structural fingerprint, so the
-//! search is exhaustive up to the scripted horizon, not a random sample.
+//! The processes are the simulator's own [`ProcessHost`]s (Coordinated
+//! scheme, no TB), fed only through [`ProcessHost::handle_into`]: a
+//! scripted step is a [`HostEvent::Produce`], a link head a
+//! [`HostEvent::Deliver`]. The explorer owns only the environment: the
+//! per-link FIFO queues, the script cursor and the ground-truth validation
+//! horizon. Every transition runs at one instant, `SimTime::ZERO`: without
+//! TB, time is no protocol input, and a clock would split states that
+//! differ only in when a checkpoint was taken.
+//!
+//! A transport ack reaches its sender in the same transition as the
+//! delivery that caused it. Acks only move the sender's unacked set, which
+//! no invariant reads while TB is outside the explorer; routing them over
+//! the links multiplies the states (by 5 for the default scenario, by 14
+//! for a peer-led one) for no check that could tell the difference.
+//!
+//! States are deduplicated on the exact codec bytes of every host and link,
+//! so the search is exhaustive up to the scripted horizon, not a random
+//! sample.
 
 use std::collections::{HashSet, VecDeque};
 
-use synergy_mdcd::{
-    Action, ActiveEngine, Event, MdcdConfig, OutboundMessage, PeerEngine, RecoveryDecision,
-    ShadowEngine,
-};
+use synergy_codec::Codec;
+use synergy_des::SimTime;
+use synergy_mdcd::{ProcessRole, RecoveryDecision};
 use synergy_net::{Endpoint, Envelope, MessageBody, ProcessId};
 
-use crate::system::{DEVICE, P1ACT, P1SDW, P2};
+use crate::app::{CounterApp, ReceiptRecord};
+use crate::config::Scheme;
+use crate::system::{process_name, HostAction, HostEvent, ProcessHost, Topology, P1ACT, P1SDW, P2};
+
+/// The one instant every transition runs at.
+const NOW: SimTime = SimTime::ZERO;
 
 /// One scripted application event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,14 +86,8 @@ impl ExplorationReport {
 
 #[derive(Clone)]
 struct ExpState {
-    act: ActiveEngine,
-    sdw: ShadowEngine,
-    peer: PeerEngine,
-    /// Receipts (from, seq) per process index 0..3.
-    receipts: [Vec<(u32, u64)>; 3],
-    /// Latest volatile checkpoint per process: (receipts at ckpt, engine
-    /// dirty flag at ckpt, vr at ckpt, logged seqs at ckpt).
-    volatile: [Option<VolatileSnap>; 3],
+    /// `P1act`, `P1sdw` and `P2`, in that order.
+    hosts: [ProcessHost; 3],
     /// Per-link FIFO queues of in-flight envelopes.
     links: Vec<Link>,
     /// Next scripted step.
@@ -81,90 +95,56 @@ struct ExpState {
     /// Ground truth: highest validated sequence number of the component-1
     /// message stream.
     validated: u64,
-    /// Payload counter so replica payloads stay aligned.
-    produced: u64,
 }
 
 type Link = (ProcessId, ProcessId, VecDeque<Envelope>);
 
-#[derive(Clone)]
-struct VolatileSnap {
-    receipts: Vec<(u32, u64)>,
-    engine: synergy_mdcd::EngineSnapshot,
-}
-
 impl ExpState {
     fn new() -> Self {
+        let topology = Topology::canonical();
+        let host = |role, pid| {
+            let mut h = ProcessHost::new(
+                role,
+                pid,
+                0,
+                topology,
+                Scheme::Coordinated,
+                CounterApp::new(0),
+                None,
+            );
+            h.set_tracing(false);
+            h
+        };
         ExpState {
-            act: ActiveEngine::new(MdcdConfig::modified(), P1ACT, P1SDW, P2),
-            sdw: ShadowEngine::new(MdcdConfig::modified(), P1SDW, P2),
-            peer: PeerEngine::new(MdcdConfig::modified(), P2, P1ACT, P1SDW),
-            receipts: [Vec::new(), Vec::new(), Vec::new()],
-            volatile: [None, None, None],
+            hosts: [
+                host(ProcessRole::Active, topology.active),
+                host(ProcessRole::Shadow, topology.shadow),
+                host(ProcessRole::Peer, topology.peer),
+            ],
             links: Vec::new(),
             next_step: 0,
             validated: 0,
-            produced: 0,
         }
     }
 
-    fn idx(pid: ProcessId) -> usize {
-        match pid {
-            P1ACT => 0,
-            P1SDW => 1,
-            _ => 2,
+    /// The exact deduplication key: every host's state, then every link.
+    fn fingerprint(&self) -> Box<[u8]> {
+        let mut key = Vec::new();
+        for h in &self.hosts {
+            h.engine.snapshot().encode(&mut key);
+            h.app.state().encode(&mut key);
+            h.sent_log.encode(&mut key);
+            h.acks.unacked_shared().encode(&mut key);
+            h.volatile_image.encode(&mut key);
         }
-    }
-
-    /// A structural fingerprint for deduplication.
-    fn fingerprint(&self) -> Vec<u8> {
-        type LinkKey = (u32, u32, Vec<(u64, u32)>);
-        let links: Vec<LinkKey> = self
-            .links
-            .iter()
-            .map(|(a, b, q)| {
-                (
-                    a.0,
-                    b.0,
-                    q.iter().map(|e| (e.id.seq.0, body_tag(&e.body))).collect(),
-                )
-            })
-            .collect();
-        let snaps = [
-            self.act.snapshot(),
-            self.sdw.snapshot(),
-            self.peer.snapshot(),
-        ];
-        let snap_key: Vec<(bool, Option<bool>, u64, u64, usize, bool)> = snaps
-            .iter()
-            .map(|s| {
-                (
-                    s.dirty,
-                    s.pseudo_dirty,
-                    s.msg_sn.0,
-                    s.vr_act.0,
-                    s.log.len(),
-                    s.promoted,
-                )
-            })
-            .collect();
-        let vol_key: Vec<Option<(usize, bool, u64)>> = self
-            .volatile
-            .iter()
-            .map(|v| {
-                v.as_ref()
-                    .map(|v| (v.receipts.len(), v.engine.dirty, v.engine.msg_sn.0))
-            })
-            .collect();
-        synergy_codec::to_bytes(&(
-            links,
-            snap_key,
-            vol_key,
-            self.receipts.clone(),
-            self.next_step as u64,
-            self.validated,
-        ))
-        .expect("fingerprint encodes")
+        for (from, to, q) in &self.links {
+            (from.0, to.0, q.len() as u64).encode(&mut key);
+            for env in q {
+                env.encode(&mut key);
+            }
+        }
+        (self.next_step as u64, self.validated).encode(&mut key);
+        key.into_boxed_slice()
     }
 
     fn enqueue(&mut self, env: Envelope) {
@@ -172,105 +152,63 @@ impl ExpState {
             Endpoint::Process(p) => (env.from(), p),
             Endpoint::Device(_) => return, // devices are sinks
         };
-        if let Some((_, _, q)) = self
+        match self
             .links
             .iter_mut()
-            .find(|(a, b, _)| *a == from && *b == to)
+            .find(|(a, b, _)| (*a, *b) == (from, to))
         {
-            q.push_back(env);
-        } else {
-            let mut q = VecDeque::new();
-            q.push_back(env);
-            self.links.push((from, to, q));
+            Some((_, _, q)) => q.push_back(env),
+            None => self.links.push((from, to, VecDeque::from([env]))),
         }
     }
 
-    fn apply_actions(&mut self, host: usize, actions: Vec<Action>, violations: &mut Vec<String>) {
-        for action in actions {
+    /// Feeds `event` to host `pid` and applies the environment side of the
+    /// actions it appends.
+    fn feed(&mut self, pid: ProcessId, event: HostEvent, violations: &mut Vec<String>) {
+        let mut out = Vec::new();
+        let host = self.hosts.iter_mut().find(|h| h.pid == pid);
+        let host = host.expect("a host per process");
+        host.handle_into(event, NOW, &mut out);
+        for action in out {
             match action {
-                Action::Send(env) => {
+                HostAction::Send(env) => {
                     if let MessageBody::PassedAt { msg_sn, .. } = env.body {
                         self.validated = self.validated.max(msg_sn.0);
                     }
                     self.enqueue(env);
                 }
-                Action::TakeCheckpoint { engine, .. } => {
-                    self.volatile[host] = Some(VolatileSnap {
-                        receipts: self.receipts[host].clone(),
-                        engine,
-                    });
+                // Acks land at once (see the module docs).
+                HostAction::SendAck(ack) => {
+                    let Endpoint::Process(to) = ack.to else {
+                        unreachable!("acks answer processes")
+                    };
+                    self.feed(to, HostEvent::Deliver(ack), violations);
                 }
-                Action::DeliverToApp(env) => {
-                    if let MessageBody::Application { .. } = env.body {
-                        self.receipts[host].push((env.from().0, env.id.seq.0));
-                    }
-                }
-                Action::AtPerformed { .. } => {}
-                Action::SoftwareErrorDetected => {
+                HostAction::SoftwareErrorDetected => {
                     violations.push("unexpected software error in fault-free scenario".into());
                 }
+                _ => {}
             }
         }
     }
 
     /// Feeds one scripted step (both replicas for component 1).
     fn run_step(&mut self, step: Step, violations: &mut Vec<String>) {
-        self.produced += 1;
-        let payload = self.produced.to_le_bytes().to_vec();
-        match step {
-            Step::Component1 { external } => {
-                let msg = |to| OutboundMessage {
-                    to,
-                    payload: payload.clone(),
-                    external,
-                    at_pass: true,
-                };
-                let to = if external {
-                    Endpoint::Device(DEVICE)
-                } else {
-                    Endpoint::Process(P2)
-                };
-                self.feed(0, Event::AppSend(msg(to)), violations);
-                self.feed(1, Event::AppSend(msg(to)), violations);
-            }
-            Step::Component2 { external } => {
-                let to = if external {
-                    Endpoint::Device(DEVICE)
-                } else {
-                    Endpoint::Process(P1ACT)
-                };
-                let send = Event::AppSend(OutboundMessage {
-                    to,
-                    payload,
-                    external,
-                    at_pass: true,
-                });
-                self.feed(2, send, violations);
-            }
+        let (producers, external): (&[ProcessId], bool) = match step {
+            Step::Component1 { external } => (&[P1ACT, P1SDW], external),
+            Step::Component2 { external } => (&[P2], external),
+        };
+        for &pid in producers {
+            self.feed(pid, HostEvent::Produce { external }, violations);
         }
     }
 
     /// Delivers the head of link `i`.
     fn deliver(&mut self, i: usize, violations: &mut Vec<String>) {
-        let (_, to, env) = {
-            let (a, b, q) = &mut self.links[i];
-            let env = q.pop_front().expect("non-empty link");
-            (*a, *b, env)
-        };
+        let (_, to, q) = &mut self.links[i];
+        let (to, env) = (*to, q.pop_front().expect("non-empty link"));
         self.links.retain(|(_, _, q)| !q.is_empty());
-        self.feed(Self::idx(to), Event::Deliver(env), violations);
-    }
-
-    /// Feeds `event` to host `host`'s engine (0 = `P1act`, 1 = `P1sdw`,
-    /// 2 = `P2`) and applies the actions it emits.
-    fn feed(&mut self, host: usize, event: Event, violations: &mut Vec<String>) {
-        let mut actions = Vec::new();
-        match host {
-            0 => self.act.handle_into(event, &mut actions),
-            1 => self.sdw.handle_into(event, &mut actions),
-            _ => self.peer.handle_into(event, &mut actions),
-        }
-        self.apply_actions(host, actions, violations);
+        self.feed(to, HostEvent::Deliver(env), violations);
     }
 
     // --- Invariants -----------------------------------------------------
@@ -283,19 +221,22 @@ impl ExpState {
 
     /// A receipt from the active stream is "covered" when a validation with
     /// at least that sequence number has happened (ground truth).
-    fn unvalidated_receipts(&self, receipts: &[(u32, u64)], validated: u64) -> usize {
-        receipts
-            .iter()
-            .filter(|(from, seq)| *from == P1ACT.0 && *seq > validated)
-            .count()
+    fn unvalidated(&self, receipt: &ReceiptRecord) -> bool {
+        receipt.from == P1ACT && receipt.seq.0 > self.validated
+    }
+
+    fn unvalidated_receipts(&self, host: &ProcessHost) -> usize {
+        let received = &host.app.state().received;
+        received.iter().filter(|r| self.unvalidated(r)).count()
     }
 
     fn check_dirty_truthfulness(&self, violations: &mut Vec<String>) {
         // P2's dirty bit must be set whenever its state reflects a message
         // beyond the *globally* validated horizon (its local knowledge can
         // only lag, so local-clean implies globally covered).
-        let unvalidated = self.unvalidated_receipts(&self.receipts[2], self.validated);
-        if unvalidated > 0 && !self.peer.dirty_bit() {
+        let peer = &self.hosts[2];
+        let unvalidated = self.unvalidated_receipts(peer);
+        if unvalidated > 0 && !peer.engine.dirty_bit() {
             violations.push(format!(
                 "P2 clean while reflecting {unvalidated} unvalidated messages"
             ));
@@ -303,86 +244,62 @@ impl ExpState {
     }
 
     fn check_checkpoint_cleanliness(&self, violations: &mut Vec<String>) {
-        for (i, name) in [(1usize, "P1sdw"), (2, "P2")] {
-            if let Some(v) = &self.volatile[i] {
-                if v.engine.dirty {
-                    violations.push(format!("{name} checkpoint captured a dirty control state"));
-                }
+        for host in &self.hosts[1..] {
+            if host.volatile_image.as_ref().is_some_and(|v| v.engine.dirty) {
+                violations.push(format!(
+                    "{} checkpoint captured a dirty control state",
+                    process_name(host.pid)
+                ));
             }
         }
     }
 
     fn check_recovery_safety(&self, violations: &mut Vec<String>) {
-        // Simulate software recovery from the current state and verify the
-        // restored states reflect only validated messages.
-        let mut sdw = self.sdw.clone();
-        let mut peer = self.peer.clone();
-        let mut sdw_receipts = self.receipts[1].clone();
-        let mut peer_receipts = self.receipts[2].clone();
-        if sdw.recovery_decision() == RecoveryDecision::RollBack {
-            match &self.volatile[1] {
-                Some(v) => {
-                    sdw.restore(&v.engine);
-                    sdw_receipts = v.receipts.clone();
-                }
-                None => {
-                    violations.push("P1sdw must roll back but has no checkpoint".into());
-                    return;
-                }
+        // Run software recovery from the current state on copies of the
+        // shadow and peer — the host calls `System::software_recovery`
+        // makes — and verify the restored states reflect only validated
+        // messages.
+        let [_, sdw, peer] = &self.hosts;
+        let (mut sdw, mut peer) = (sdw.clone(), peer.clone());
+        for host in [&mut sdw, &mut peer] {
+            let decision = host.engine.recovery_decision().expect("shadow/peer decide");
+            if decision == RecoveryDecision::RollBack && host.rollback_to_volatile(NOW).is_none() {
+                violations.push(format!(
+                    "{} must roll back but has no checkpoint",
+                    process_name(host.pid)
+                ));
+                return;
             }
         }
-        if peer.recovery_decision() == RecoveryDecision::RollBack {
-            match &self.volatile[2] {
-                Some(v) => {
-                    peer.restore(&v.engine);
-                    peer_receipts = v.receipts.clone();
-                }
-                None => {
-                    violations.push("P2 must roll back but has no checkpoint".into());
-                    return;
-                }
+        for host in [&peer, &sdw] {
+            let n = self.unvalidated_receipts(host);
+            if n > 0 {
+                violations.push(format!(
+                    "after recovery {} still reflects {n} unvalidated messages",
+                    process_name(host.pid)
+                ));
             }
-        }
-        let n = self.unvalidated_receipts(&peer_receipts, self.validated);
-        if n > 0 {
-            violations.push(format!(
-                "after recovery P2 still reflects {n} unvalidated messages"
-            ));
-        }
-        let n = self.unvalidated_receipts(&sdw_receipts, self.validated);
-        if n > 0 {
-            violations.push(format!(
-                "after recovery P1sdw still reflects {n} unvalidated messages"
-            ));
         }
         // Coverage: every component-1 message the peer lost in its rollback
         // (reflected before, not after) and never validated must be covered
         // either by the shadow's re-send set or by re-execution — the
         // promoted shadow resumes from its restored state and regenerates
         // every sequence number beyond its restored send counter.
-        let regenerate_after = sdw.snapshot().msg_sn.0;
-        let plan = sdw.take_over();
-        let resend: HashSet<u64> = plan.resend.iter().map(|e| e.id.seq.0).collect();
-        for (from, seq) in &self.receipts[2] {
-            if *from != P1ACT.0 || *seq <= self.validated {
+        let regenerate_after = sdw.engine.snapshot().msg_sn;
+        let plan = sdw.engine.take_over();
+        let resend: HashSet<_> = plan.resend.iter().map(|e| e.id.seq).collect();
+        let restored = &peer.app.state().received;
+        for r in &self.hosts[2].app.state().received {
+            if !self.unvalidated(r) || restored.contains(r) {
                 continue;
             }
-            let still_reflected = peer_receipts.iter().any(|r| r == &(*from, *seq));
-            if !still_reflected && !resend.contains(seq) && *seq <= regenerate_after {
+            if !resend.contains(&r.seq) && r.seq <= regenerate_after {
                 violations.push(format!(
-                    "P2 lost unvalidated message sn{seq}; neither re-sent nor regenerable"
+                    "P2 lost unvalidated message sn{}; neither re-sent nor regenerable",
+                    r.seq.0
                 ));
             }
         }
-    }
-}
-
-fn body_tag(body: &MessageBody) -> u32 {
-    match body {
-        MessageBody::Application { dirty, .. } => 1 + u32::from(*dirty),
-        MessageBody::External { .. } => 3,
-        MessageBody::PassedAt { .. } => 4,
-        MessageBody::Ack { .. } => 5,
     }
 }
 
@@ -394,7 +311,7 @@ fn body_tag(body: &MessageBody) -> u32 {
 /// a truncated report sets [`ExplorationReport::truncated`].
 pub fn explore(scenario: &[Step], max_states: usize) -> ExplorationReport {
     let mut report = ExplorationReport::default();
-    let mut seen: HashSet<Vec<u8>> = HashSet::new();
+    let mut seen: HashSet<Box<[u8]>> = HashSet::new();
     let mut frontier = vec![ExpState::new()];
     seen.insert(frontier[0].fingerprint());
 
@@ -497,5 +414,45 @@ mod tests {
         let b = explore(&default_scenario(), 2_000_000);
         assert_eq!(a.states, b.states);
         assert_eq!(a.transitions, b.transitions);
+    }
+
+    #[test]
+    fn each_invariant_fires_on_a_state_that_breaks_it() {
+        // P1act's first internal message delivered to P2: P2 is dirty and
+        // holds the clean Type-1 checkpoint it took before the delivery.
+        let mut holds = ExpState::new();
+        let mut violations = Vec::new();
+        holds.run_step(Step::Component1 { external: false }, &mut violations);
+        let link = holds
+            .links
+            .iter()
+            .position(|(a, b, _)| (*a, *b) == (P1ACT, P2));
+        holds.deliver(link.expect("P1act → P2 in flight"), &mut violations);
+        holds.check_invariants(&mut violations);
+        assert!(violations.is_empty(), "{violations:?}");
+        assert!(holds.hosts[2].engine.dirty_bit());
+        let fires = |state: &ExpState, expected: &str| {
+            let mut violations = Vec::new();
+            state.check_invariants(&mut violations);
+            assert!(
+                violations.iter().any(|v| v.starts_with(expected)),
+                "{expected:?} not in {violations:?}"
+            );
+        };
+
+        let mut clean = holds.clone();
+        let mut engine = clean.hosts[2].engine.snapshot();
+        engine.dirty = false;
+        clean.hosts[2].engine.restore(&engine);
+        fires(&clean, "P2 clean while reflecting 1 ");
+
+        let mut dirty_ckpt = holds.clone();
+        let image = dirty_ckpt.hosts[2].volatile_image.as_mut();
+        image.expect("P2 checkpointed").engine.dirty = true;
+        fires(&dirty_ckpt, "P2 checkpoint captured a dirty control state");
+
+        let mut no_ckpt = holds;
+        no_ckpt.hosts[2].volatile_image = None;
+        fires(&no_ckpt, "P2 must roll back but has no checkpoint");
     }
 }

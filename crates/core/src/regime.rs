@@ -322,7 +322,7 @@ impl fmt::Display for RegimeVerdict {
 /// Host-side injection state for the bad-message / AT-coverage axes. Lives on
 /// the active `ProcessHost` only; draws come from the seeded `"regime"`
 /// stream so sweeps are deterministic per (seed, plan).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct RegimeInjector {
     rate: f64,
     coverage: f64,

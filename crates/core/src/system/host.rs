@@ -5,7 +5,8 @@
 //! A [`ProcessHost`] owns everything that belongs to one process and
 //! nothing that belongs to the environment: it never touches clocks, the
 //! network, the scheduler, metrics or the trace. Drivers (the simulator's
-//! dispatch layer, or the cluster's node loop) feed it [`HostEvent`]s and
+//! dispatch layer, the cluster's node loop, or the interleaving
+//! [`explorer`](crate::explorer)) feed it [`HostEvent`]s and
 //! interpret the [`HostAction`]s it appends to their buffer — routing
 //! envelopes, scheduling timers, counting metrics and recording trace
 //! lines. Action order is the exact trace order of the
@@ -163,6 +164,7 @@ pub enum HostAction {
 
 /// A stable-store operation a durable backend refused, waiting for
 /// [`ProcessHost::retry_stable`].
+#[derive(Clone)]
 enum PendingStable {
     /// `begin_write` failed; retry with this checkpoint.
     Begin(Checkpoint),
@@ -177,6 +179,7 @@ enum PendingStable {
 /// One process: application + MDCD engine + optional TB engine + stores.
 /// The simulator keeps the in-memory [`StableStore`]; the live runtimes
 /// bring a durable backend through [`with_stable`](Self::with_stable).
+#[derive(Clone)]
 pub struct ProcessHost<S: Stable = StableStore> {
     /// This process's id.
     pub pid: ProcessId,

@@ -69,11 +69,11 @@ echo "==> no capability that only its own tests run"
 # overdrive control tag, ring-size flag and second status struct, the
 # object-store archive tier with its wipe axis, flags and status counters,
 # the cluster reference's crash-instant scan with its fixed restart
-# delay and the fleet test's copy of it, and the node's second command
-# vocabulary, its wall-clock drive and the in-process takeover harness are
-# gone, not hidden (names spelt in halves so this line does not find
-# itself).
-if git grep -nE 'mdcd::gen''eral|pipeline_gu''ard|set_link_fa''ults|set_default_fa''ults|Route''Decision|with_resync_thr''eshold|Cluster''Wire|CtrlMsg::''Blast|Blas''ted|Node''Status|wire_queue''_bytes|wire-queue''-bytes|Tiered''Store|Object''Store|Archive''FaultPlan|Archive''Handle|archive''-dir|chaos''-archive|archive''_pending|rehy''drat|no''-archive|epsilon''_scan|EPSI''LON_|crash''_epsilon|Sim''Reference|simulate''_reference|RESTART_DELAY''_MS|find_mid_checkpoint''_crash|Node''Cmd|Tb''Drive|Sup''Event|Mem''Net|Rollback''Outcome|spawn_net''_pump' -- crates tests examples scripts .github Cargo.toml; then
+# delay and the fleet test's copy of it, the node's second command
+# vocabulary, its wall-clock drive and the in-process takeover harness, and
+# the explorer's private process model are gone, not hidden (names spelt in
+# halves so this line does not find itself).
+if git grep -nE 'mdcd::gen''eral|pipeline_gu''ard|set_link_fa''ults|set_default_fa''ults|Route''Decision|with_resync_thr''eshold|Cluster''Wire|CtrlMsg::''Blast|Blas''ted|Node''Status|wire_queue''_bytes|wire-queue''-bytes|Tiered''Store|Object''Store|Archive''FaultPlan|Archive''Handle|archive''-dir|chaos''-archive|archive''_pending|rehy''drat|no''-archive|epsilon''_scan|EPSI''LON_|crash''_epsilon|Sim''Reference|simulate''_reference|RESTART_DELAY''_MS|find_mid_checkpoint''_crash|Node''Cmd|Tb''Drive|Sup''Event|Mem''Net|Rollback''Outcome|spawn_net''_pump|Volatile''Snap|body''_tag' -- crates tests examples scripts .github Cargo.toml; then
     echo "a deleted test-only capability is referenced again" >&2
     exit 1
 fi
@@ -198,7 +198,8 @@ echo "==> unmasked-regime smoke: 4 seeds per regime + live Byzantine campaigns"
 # one status type on a cluster node, 36 840 with one store stack and one
 # restore procedure on a node, 36 764 with one crash type placed by TB
 # round in both runtimes and no crash-instant scan, 36 488 with a node as
-# one loop over its protocol steps; every CHANGES.md entry ends with
+# one loop over its protocol steps, 37 014 at c3d2839 (PRs 41–42), 36 974 with
+# the explorer over the simulator's hosts; every CHANGES.md entry ends with
 # before -> after.
 echo "==> tracked Rust lines: $(git ls-files '*.rs' | xargs cat | wc -l)"
 
