@@ -34,6 +34,7 @@
 
 use core::fmt;
 use core::ops::{Deref, Range};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -424,14 +425,29 @@ impl Codec for char {
 
 impl Codec for String {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).encode(out);
-        out.extend_from_slice(self.as_bytes());
+        encode_str(self, out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let len = r.take_len(1)?;
         let bytes = r.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::InvalidUtf8)
     }
+}
+
+/// Encodes like [`String`], so a field can hold a `&'static str` without
+/// allocating and still decode (owned) from the same bytes.
+impl Codec for Cow<'static, str> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_str(self, out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        String::decode(r).map(Cow::Owned)
+    }
+}
+
+fn encode_str(s: &str, out: &mut Vec<u8>) {
+    (s.len() as u64).encode(out);
+    out.extend_from_slice(s.as_bytes());
 }
 
 impl<T: Codec> Codec for Vec<T> {
@@ -843,6 +859,9 @@ mod tests {
     fn string_layout_is_length_prefixed() {
         let bytes = to_bytes(&"ab".to_string()).unwrap();
         assert_eq!(bytes, vec![2, 0, 0, 0, 0, 0, 0, 0, b'a', b'b']);
+        assert_eq!(to_bytes(&Cow::Borrowed("ab")).unwrap(), bytes);
+        let back: Cow<'static, str> = from_bytes(&bytes).unwrap();
+        assert_eq!(back, "ab");
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! 2. **checkpoint cleanliness** — every volatile checkpoint captures a
 //!    non-contaminated state (its receipts are all globally validated);
 //! 3. **recovery safety** — software error recovery started *now* restores
-//!    the shadow and peer to states reflecting only globally validated
-//!    messages, with every unvalidated message the peer loses covered by
-//!    the shadow's re-send set.
+//!    the peer to a state reflecting only globally validated messages and
+//!    the shadow to one reflecting no message of the active at all, with
+//!    every unvalidated message the peer loses covered by the shadow's
+//!    re-send set.
 //!
 //! The processes are the simulator's own [`ProcessHost`]s (Coordinated
 //! scheme, no TB), fed only through [`ProcessHost::handle_into`]: a
@@ -271,14 +272,17 @@ impl ExpState {
                 return;
             }
         }
-        for host in [&peer, &sdw] {
-            let n = self.unvalidated_receipts(host);
-            if n > 0 {
-                violations.push(format!(
-                    "after recovery {} still reflects {n} unvalidated messages",
-                    process_name(host.pid)
-                ));
-            }
+        let n = self.unvalidated_receipts(&peer);
+        if n > 0 {
+            violations.push(format!(
+                "after recovery P2 still reflects {n} unvalidated messages"
+            ));
+        }
+        // The shadow's application is fed only by P2: a receipt from
+        // P1act, validated or not, means the suspect stream reached it.
+        let received = &sdw.app.state().received;
+        if received.iter().any(|r| r.from == P1ACT) {
+            violations.push("after recovery P1sdw reflects a message from P1act".into());
         }
         // Coverage: every component-1 message the peer lost in its rollback
         // (reflected before, not after) and never validated must be covered
@@ -364,6 +368,8 @@ pub fn default_scenario() -> Vec<Step> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::Application;
+    use synergy_net::MsgSeqNo;
 
     #[test]
     fn default_scenario_is_safe_in_all_interleavings() {
@@ -451,8 +457,17 @@ mod tests {
         image.expect("P2 checkpointed").engine.dirty = true;
         fires(&dirty_ckpt, "P2 checkpoint captured a dirty control state");
 
-        let mut no_ckpt = holds;
+        let mut no_ckpt = holds.clone();
         no_ckpt.hosts[2].volatile_image = None;
         fires(&no_ckpt, "P2 must roll back but has no checkpoint");
+
+        // The shadow holds a planted P1act receipt: recovery leaves a clean
+        // shadow where it is, so the restored state still reflects it.
+        let mut reached = holds;
+        reached.hosts[1].app.on_message(P1ACT, MsgSeqNo(1), &[]);
+        fires(
+            &reached,
+            "after recovery P1sdw reflects a message from P1act",
+        );
     }
 }

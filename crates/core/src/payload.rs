@@ -136,36 +136,14 @@ impl CheckpointPayload {
         seq: u64,
         label: impl Into<String>,
     ) -> Result<Checkpoint, CheckpointError> {
-        self.to_checkpoint(seq, label)
+        Checkpoint::encode(seq, self.state_time(), label, &self)
     }
 
-    /// Borrowing variant of [`into_checkpoint`](Self::into_checkpoint).
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec failures (none occur for well-formed payloads).
-    pub(crate) fn to_checkpoint(
-        &self,
-        seq: u64,
-        label: impl Into<String>,
-    ) -> Result<Checkpoint, CheckpointError> {
-        Checkpoint::encode(seq, self.state_time(), label, self)
-    }
-
-    /// Encodes into a [`Checkpoint`] through a caller-owned scratch buffer
-    /// (see [`Checkpoint::encode_with_scratch`]); repeated checkpointing
-    /// reuses one serialization allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec failures (none occur for well-formed payloads).
-    pub(crate) fn to_checkpoint_with(
-        &self,
-        seq: u64,
-        label: impl Into<String>,
-        scratch: &mut Vec<u8>,
-    ) -> Result<Checkpoint, CheckpointError> {
-        Checkpoint::encode_with_scratch(seq, self.state_time(), label, self, scratch)
+    /// A storage [`Checkpoint`] record of this payload that is serialized
+    /// when its bytes are first read ([`Checkpoint::deferred`]): a stable
+    /// record no recovery selects is never encoded.
+    pub(crate) fn into_deferred_checkpoint(self, seq: u64, label: &'static str) -> Checkpoint {
+        Checkpoint::deferred(seq, self.state_time(), label, self)
     }
 
     /// Decodes a payload back out of a storage record.

@@ -175,9 +175,7 @@ pub fn corrupt_checkpoint_value(ckpt: &Checkpoint) -> Option<Checkpoint> {
     let mut state = crate::app::CounterApp::decode_state(&payload.app)?;
     state.acc ^= u64::from(CORRUPTION_MASK);
     payload.app = synergy_codec::to_bytes(&state).ok()?.into();
-    payload
-        .to_checkpoint(ckpt.seq(), ckpt.label().to_string())
-        .ok()
+    payload.into_checkpoint(ckpt.seq(), ckpt.label()).ok()
 }
 
 /// One corrupt external payload that reached the device: where in the stream,

@@ -242,9 +242,8 @@ pub struct ProcessHost<S: Stable = StableStore> {
     /// so it is never serialized. The adapted-TB dirty copy and volatile
     /// rollback share its buffers.
     pub(crate) volatile_image: Option<CheckpointPayload>,
-    /// Reusable serialization buffer: the application image, then the
-    /// checkpoint payload around it, are each encoded here and copied once
-    /// into their shared buffer.
+    /// Reusable serialization buffer: the application image is encoded
+    /// here and copied once into its shared buffer.
     scratch: Vec<u8>,
     /// Where the MDCD engine writes its actions; empty between events.
     mdcd_actions: Vec<MdcdAction>,
@@ -615,9 +614,7 @@ impl<S: Stable> ProcessHost<S> {
             self.wt_stable_seq += 1;
             let mut stable = payload.clone();
             stable.unacked = self.acks.unacked_shared();
-            let ckpt = stable
-                .to_checkpoint_with(self.wt_stable_seq, "stable-type2", &mut self.scratch)
-                .expect("payload encodes");
+            let ckpt = stable.into_deferred_checkpoint(self.wt_stable_seq, "stable-type2");
             self.stable
                 .begin_write(ckpt)
                 .expect("no concurrent WT write");
@@ -649,9 +646,7 @@ impl<S: Stable> ProcessHost<S> {
                 TbAction::ReplaceWithCurrentState => {
                     let payload = self.current_payload(self.blocking_started_at.unwrap_or(now));
                     let seq = self.tb.as_ref().map_or(0, |tb| tb.ndc().0) + 1;
-                    let ckpt = payload
-                        .to_checkpoint_with(seq, "stable-replaced", &mut self.scratch)
-                        .expect("payload encodes");
+                    let ckpt = payload.into_deferred_checkpoint(seq, "stable-replaced");
                     // A refused begin of this round is the queue's last
                     // entry and nothing is in flight: swap what the retry
                     // will write. A backend that refuses the rewrite keeps
@@ -705,16 +700,13 @@ impl<S: Stable> ProcessHost<S> {
             ContentsChoice::CurrentState => "stable-current",
             ContentsChoice::VolatileCopy => "stable-volatile-copy",
         };
-        let ckpt = payload
-            .to_checkpoint_with(seq, label, &mut self.scratch)
-            .expect("payload encodes");
-        // `begin_write` consumes the checkpoint; a refused one is encoded
-        // again for the queue, so the path that succeeds clones nothing.
-        if !self.pending.is_empty() || self.stable.begin_write(ckpt).is_err() {
-            let again = payload
-                .to_checkpoint_with(seq, label, &mut self.scratch)
-                .expect("payload encodes");
-            self.pending.push_back(PendingStable::Begin(again));
+        let ckpt = payload.into_deferred_checkpoint(seq, label);
+        // Behind a queued operation the write waits its turn. The backend
+        // gets a clone, which shares the record's cell: a refused begin
+        // queues the record itself, and its retry reuses whatever bytes
+        // the first attempt produced.
+        if !self.pending.is_empty() || self.stable.begin_write(ckpt.clone()).is_err() {
+            self.pending.push_back(PendingStable::Begin(ckpt));
         }
         out.push(HostAction::StableWriteBegun {
             label,

@@ -1,7 +1,9 @@
 //! The checkpoint record the stable stores hold.
 
 use core::fmt;
-use std::sync::OnceLock;
+use std::borrow::Cow;
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use synergy_codec::{Codec, CodecError, Reader, SharedBytes};
 use synergy_des::SimTime;
@@ -64,6 +66,19 @@ impl From<CodecError> for CheckpointError {
 /// byte-identically to `Vec<u8>`, so the wire format (and every committed
 /// CRC) is unchanged.
 ///
+/// A record built by [`deferred`](Self::deferred) holds its state instead
+/// of its bytes and serializes it on first read: the first of
+/// [`shared_data`](Self::shared_data), [`size_bytes`](Self::size_bytes),
+/// [`crc`](Self::crc), [`decode`](Self::decode), a frame written through
+/// [`Codec`], `==`, `Debug` or [`corrupt_bit`](Self::corrupt_bit) encodes
+/// it once, through a reused per-thread buffer, and drops the state.
+/// Clones share that one cell, so however many of them read it, the state
+/// is encoded once. The bytes are those [`encode`](Self::encode) would
+/// have produced when the record was built, because the state cannot
+/// change in between: the record owns it and nothing hands out a mutable
+/// reference to it. A record nobody reads (a stable checkpoint the store
+/// evicts before any recovery selects it) is never serialized.
+///
 /// The CRC is stamped on first use, not at encode: [`encode`](Self::encode)
 /// only serializes, and the first of [`crc`](Self::crc),
 /// [`decode`](Self::decode) or a frame written through [`Codec`] hashes the
@@ -88,16 +103,68 @@ impl From<CodecError> for CheckpointError {
 /// let (counter, flag): (u64, bool) = ckpt.decode()?;
 /// assert_eq!((counter, flag), (42, true));
 /// assert_eq!(ckpt.seq(), 3);
+/// let later = Checkpoint::deferred(3, SimTime::from_secs_f64(1.5), "type1", (42u64, true));
+/// assert_eq!(later, ckpt);
 /// # Ok::<(), synergy_storage::CheckpointError>(())
 /// ```
 #[derive(Clone)]
 pub struct Checkpoint {
     seq: u64,
     taken_at_nanos: u64,
-    label: String,
-    data: SharedBytes,
-    /// CRC-32 of `data`, stamped on first use.
+    label: Cow<'static, str>,
+    body: Body,
+    /// CRC-32 of the serialized state, stamped on first use.
     crc: OnceLock<u32>,
+}
+
+/// A checkpoint's serialized state: in hand, or produced on first read.
+#[derive(Clone)]
+enum Body {
+    Bytes(SharedBytes),
+    Deferred(Arc<dyn DeferredBytes>),
+}
+
+/// A captured state that serializes itself once, on first read.
+trait DeferredBytes: Send + Sync {
+    fn bytes(&self) -> &SharedBytes;
+}
+
+/// The one cell the clones of a deferred record share: the state until it
+/// is encoded, the bytes from then on.
+struct Deferred<T> {
+    bytes: OnceLock<SharedBytes>,
+    state: Mutex<Option<T>>,
+}
+
+impl<T: Codec + Send> DeferredBytes for Deferred<T> {
+    fn bytes(&self) -> &SharedBytes {
+        self.bytes.get_or_init(|| {
+            let state = self
+                .state
+                .lock()
+                .expect("the lock is held only to take the state, which cannot panic")
+                .take()
+                .expect("a deferred state is encoded once");
+            encode_shared(&state)
+        })
+    }
+}
+
+/// Serializes `state` through this thread's reused buffer into a shared one
+/// of exactly its size. A state whose encoding reads another deferred
+/// record finds the buffer taken and encodes that record into a fresh one.
+fn encode_shared<T: Codec>(state: &T) -> SharedBytes {
+    thread_local! {
+        static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    }
+    SCRATCH.with(|cell| {
+        let mut fresh = Vec::new();
+        let mut held = cell.try_borrow_mut();
+        let buf = held.as_deref_mut().unwrap_or(&mut fresh);
+        buf.clear();
+        state.encode(buf);
+        buf.as_slice().into()
+    })
 }
 
 impl Codec for Checkpoint {
@@ -105,7 +172,7 @@ impl Codec for Checkpoint {
         self.seq.encode(out);
         self.taken_at_nanos.encode(out);
         self.label.encode(out);
-        self.data.encode(out);
+        self.data().encode(out);
         self.crc().encode(out);
     }
 
@@ -113,8 +180,8 @@ impl Codec for Checkpoint {
         Ok(Checkpoint {
             seq: u64::decode(r)?,
             taken_at_nanos: u64::decode(r)?,
-            label: String::decode(r)?,
-            data: SharedBytes::decode(r)?,
+            label: Cow::decode(r)?,
+            body: Body::Bytes(SharedBytes::decode(r)?),
             crc: OnceLock::from(u32::decode(r)?),
         })
     }
@@ -125,7 +192,7 @@ impl PartialEq for Checkpoint {
         self.seq == other.seq
             && self.taken_at_nanos == other.taken_at_nanos
             && self.label == other.label
-            && self.data == other.data
+            && self.data() == other.data()
             && self.crc() == other.crc()
     }
 }
@@ -138,7 +205,7 @@ impl fmt::Debug for Checkpoint {
             .field("seq", &self.seq)
             .field("taken_at_nanos", &self.taken_at_nanos)
             .field("label", &self.label)
-            .field("data", &self.data)
+            .field("data", self.data())
             .field("crc", &self.crc())
             .finish()
     }
@@ -157,34 +224,36 @@ impl Checkpoint {
         label: impl Into<String>,
         state: &T,
     ) -> Result<Self, CheckpointError> {
-        let mut scratch = Vec::new();
-        Self::encode_with_scratch(seq, taken_at, label, state, &mut scratch)
-    }
-
-    /// Serializes `state` through a caller-owned scratch buffer (whose
-    /// capacity is reused across calls); the only fresh allocation is the
-    /// final shared copy. Hot paths that checkpoint repeatedly should hold
-    /// one scratch `Vec` and call this.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Codec`] when `state` cannot be represented
-    /// in the binary format.
-    pub fn encode_with_scratch<T: Codec>(
-        seq: u64,
-        taken_at: SimTime,
-        label: impl Into<String>,
-        state: &T,
-        scratch: &mut Vec<u8>,
-    ) -> Result<Self, CheckpointError> {
-        synergy_codec::to_bytes_into(state, scratch)?;
+        let bytes = synergy_codec::to_bytes(state)?;
         Ok(Checkpoint {
             seq,
             taken_at_nanos: taken_at.as_nanos(),
-            label: label.into(),
-            data: scratch.as_slice().into(),
+            label: Cow::Owned(label.into()),
+            body: Body::Bytes(bytes.as_slice().into()),
             crc: OnceLock::new(),
         })
+    }
+
+    /// A record of `state` that is serialized on first read (see the type
+    /// docs): until then it holds `state` in one cell its clones share, and
+    /// once read it is byte for byte the record [`encode`](Self::encode)
+    /// builds from the same arguments.
+    pub fn deferred<T: Codec + Send + 'static>(
+        seq: u64,
+        taken_at: SimTime,
+        label: &'static str,
+        state: T,
+    ) -> Self {
+        Checkpoint {
+            seq,
+            taken_at_nanos: taken_at.as_nanos(),
+            label: Cow::Borrowed(label),
+            body: Body::Deferred(Arc::new(Deferred {
+                bytes: OnceLock::new(),
+                state: Mutex::new(Some(state)),
+            })),
+            crc: OnceLock::new(),
+        }
     }
 
     /// Rebuilds a checkpoint from already-serialized state bytes and the
@@ -209,8 +278,8 @@ impl Checkpoint {
         Checkpoint {
             seq,
             taken_at_nanos: taken_at.as_nanos(),
-            label: label.into(),
-            data,
+            label: Cow::Owned(label.into()),
+            body: Body::Bytes(data),
             crc: OnceLock::from(crc),
         }
     }
@@ -225,12 +294,21 @@ impl Checkpoint {
     /// Returns [`CheckpointError::CrcMismatch`] when the bytes were corrupted
     /// and [`CheckpointError::Codec`] when they do not decode as `T`.
     pub fn decode<T: Codec>(&self) -> Result<T, CheckpointError> {
-        let actual = crc32(&self.data);
+        let data = self.data();
+        let actual = crc32(data);
         let expected = *self.crc.get_or_init(|| actual);
         if actual != expected {
             return Err(CheckpointError::CrcMismatch { expected, actual });
         }
-        Ok(synergy_codec::from_shared(&self.data)?)
+        Ok(synergy_codec::from_shared(data)?)
+    }
+
+    /// The serialized state, encoding a deferred one on first call.
+    fn data(&self) -> &SharedBytes {
+        match &self.body {
+            Body::Bytes(bytes) => bytes,
+            Body::Deferred(cell) => cell.bytes(),
+        }
     }
 
     /// The checkpoint sequence number (MDCD volatile counter or TB `Ndc`).
@@ -251,7 +329,7 @@ impl Checkpoint {
 
     /// Size of the serialized state in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.data.len()
+        self.data().len()
     }
 
     /// The CRC-32 of the serialized state as it was taken, hashed on the
@@ -260,13 +338,13 @@ impl Checkpoint {
     /// (see [`corrupt_bit`](Self::corrupt_bit)) it no longer matches them,
     /// and whoever verifies it against the bytes refuses the record.
     pub fn crc(&self) -> u32 {
-        *self.crc.get_or_init(|| crc32(&self.data))
+        *self.crc.get_or_init(|| crc32(self.data()))
     }
 
     /// The serialized state, shared. Cloning the returned handle is a
     /// refcount bump.
     pub fn shared_data(&self) -> SharedBytes {
-        self.data.clone()
+        self.data().clone()
     }
 
     /// Flips one bit of the stored state — fault injection for tests that
@@ -278,12 +356,12 @@ impl Checkpoint {
     ///
     /// Panics if the checkpoint holds no data bytes.
     pub fn corrupt_bit(&mut self, bit: usize) {
-        assert!(!self.data.is_empty(), "cannot corrupt an empty checkpoint");
+        assert!(self.size_bytes() > 0, "cannot corrupt an empty checkpoint");
         self.crc();
-        let mut bytes = self.data.to_vec();
+        let mut bytes = self.data().to_vec();
         let i = (bit / 8) % bytes.len();
         bytes[i] ^= 1 << (bit % 8);
-        self.data = bytes.into();
+        self.body = Body::Bytes(bytes.into());
     }
 }
 
@@ -291,6 +369,7 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use crate::crc::LANES_MIN_LEN;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use synergy_codec::codec_struct;
 
     #[derive(PartialEq, Debug)]
@@ -325,11 +404,11 @@ mod tests {
         // `encode` leaves the CRC unstamped; `corrupt_bit` stamps the CRC of
         // the bytes as taken before it flips one.
         let mut ckpt = Checkpoint::encode(0, SimTime::ZERO, "t", &sample()).unwrap();
-        let taken = crc32(&ckpt.data);
+        let taken = crc32(ckpt.data());
         ckpt.corrupt_bit(13);
         match ckpt.decode::<AppState>() {
             Err(CheckpointError::CrcMismatch { expected, actual }) => {
-                assert_eq!((expected, actual), (taken, crc32(&ckpt.data)));
+                assert_eq!((expected, actual), (taken, crc32(ckpt.data())));
             }
             other => panic!("expected CrcMismatch, got {other:?}"),
         }
@@ -341,19 +420,6 @@ mod tests {
         ckpt.corrupt_bit(13);
         ckpt.corrupt_bit(13);
         assert!(ckpt.decode::<AppState>().is_ok());
-    }
-
-    #[test]
-    fn scratch_encode_matches_plain_encode() {
-        let t = SimTime::from_secs_f64(2.5);
-        let plain = Checkpoint::encode(7, t, "pseudo", &sample()).unwrap();
-        let mut scratch = Vec::new();
-        let first = Checkpoint::encode_with_scratch(7, t, "pseudo", &sample(), &mut scratch);
-        assert_eq!(first.unwrap(), plain);
-        // Reuse the (now dirty) scratch for a different state: identical
-        // record again, no stale bytes.
-        let again = Checkpoint::encode_with_scratch(7, t, "pseudo", &sample(), &mut scratch);
-        assert_eq!(again.unwrap(), plain);
     }
 
     #[test]
@@ -389,7 +455,7 @@ mod tests {
         let ckpt = Checkpoint::encode(4, SimTime::from_secs_f64(1.0), "t", &sample()).unwrap();
         let unstamped = ckpt.clone();
         assert_eq!(ckpt.crc.get(), None);
-        assert_eq!(ckpt.crc(), crc32(&ckpt.data));
+        assert_eq!(ckpt.crc(), crc32(ckpt.data()));
         // A clone taken before the stamp equals one taken after, in every
         // rendering.
         let stamped = ckpt.clone();
@@ -400,12 +466,135 @@ mod tests {
         for len in [0, 1, 1023, LANES_MIN_LEN, 256 * 1024] {
             let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
             let ckpt = Checkpoint {
-                data: data.as_slice().into(),
+                body: Body::Bytes(data.as_slice().into()),
                 crc: OnceLock::new(),
                 ..ckpt.clone()
             };
             assert_eq!(ckpt.crc(), crc32(&data), "len {len}");
         }
+    }
+
+    /// `sample()` behind a count of its `Codec::encode` calls.
+    struct Counted {
+        state: AppState,
+        encodes: Arc<AtomicUsize>,
+    }
+
+    impl Codec for Counted {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.encodes.fetch_add(1, Ordering::Relaxed);
+            self.state.encode(out);
+        }
+
+        fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            Ok(Counted {
+                state: AppState::decode(r)?,
+                encodes: Arc::default(),
+            })
+        }
+    }
+
+    /// A deferred record of `sample()` and its encode counter.
+    fn deferred() -> (Checkpoint, Arc<AtomicUsize>) {
+        let encodes = Arc::new(AtomicUsize::new(0));
+        let state = Counted {
+            state: sample(),
+            encodes: Arc::clone(&encodes),
+        };
+        let t = SimTime::from_secs_f64(2.5);
+        (Checkpoint::deferred(7, t, "pseudo", state), encodes)
+    }
+
+    fn eager() -> Checkpoint {
+        Checkpoint::encode(7, SimTime::from_secs_f64(2.5), "pseudo", &sample()).unwrap()
+    }
+
+    #[test]
+    fn a_deferred_record_is_encoded_once_on_first_read_and_drops_its_state() {
+        let (ckpt, encodes) = deferred();
+        let copies: Vec<Checkpoint> = (0..4).map(|_| ckpt.clone()).collect();
+        assert_eq!(ckpt.seq(), 7);
+        assert_eq!(ckpt.taken_at(), SimTime::from_secs_f64(2.5));
+        assert_eq!(ckpt.label(), "pseudo");
+        assert_eq!(encodes.load(Ordering::Relaxed), 0, "not at construction");
+        assert_eq!(Arc::strong_count(&encodes), 2, "the cell holds the state");
+        assert!(copies[0].size_bytes() > 0);
+        assert_eq!(encodes.load(Ordering::Relaxed), 1);
+        assert_eq!(Arc::strong_count(&encodes), 1, "state dropped once encoded");
+        assert_eq!(copies[1].decode::<AppState>().unwrap(), sample());
+        assert_eq!(copies[2].shared_data(), ckpt.shared_data());
+        let _ = (copies[3].crc(), format!("{ckpt:?}"), ckpt == copies[3]);
+        let _ = synergy_codec::to_bytes(&ckpt.clone()).unwrap();
+        assert_eq!(encodes.load(Ordering::Relaxed), 1, "clones share one cell");
+        // Clones read from several threads at once still encode once.
+        let (ckpt, encodes) = deferred();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let copy = ckpt.clone();
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    copy.crc()
+                });
+            }
+        });
+        assert_eq!(encodes.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn every_read_of_a_deferred_record_encodes_it_first() {
+        let reads: [fn(&mut Checkpoint); 9] = [
+            |c| _ = c.shared_data(),
+            |c| _ = c.size_bytes(),
+            |c| _ = c.crc(),
+            |c| _ = c.decode::<AppState>(),
+            |c| _ = synergy_codec::to_bytes(&*c),
+            |c| _ = *c == eager(),
+            |c| _ = eager() == *c,
+            |c| _ = format!("{c:?}"),
+            |c| c.corrupt_bit(13),
+        ];
+        for (i, read) in reads.iter().enumerate() {
+            let (mut ckpt, encodes) = deferred();
+            read(&mut ckpt);
+            assert_eq!(encodes.load(Ordering::Relaxed), 1, "read {i}");
+        }
+    }
+
+    #[test]
+    fn a_deferred_record_equals_the_eager_record_of_the_same_state() {
+        let want = eager();
+        let bytes = |c: &Checkpoint| synergy_codec::to_bytes(c).unwrap();
+        // Each rendering is checked on an unread record of its own.
+        assert_eq!(bytes(&deferred().0), bytes(&want));
+        assert_eq!(deferred().0.shared_data(), want.shared_data());
+        assert_eq!(deferred().0.crc(), want.crc());
+        assert_eq!(format!("{:?}", deferred().0), format!("{want:?}"));
+        assert_eq!(deferred().0, want);
+        assert_eq!(want, deferred().0);
+        // A deferred state whose encoding reads another deferred record.
+        let t = SimTime::from_secs_f64(1.0);
+        let outer = Checkpoint::deferred(1, t, "outer", deferred().0);
+        let nested = Checkpoint::encode(1, t, "outer", &want).unwrap();
+        assert_eq!(outer, nested);
+        assert_eq!(outer.decode::<Checkpoint>().unwrap(), want);
+    }
+
+    #[test]
+    fn corrupting_an_unread_deferred_record_stamps_the_crc_as_taken() {
+        let (mut ckpt, _) = deferred();
+        let clean = ckpt.clone();
+        ckpt.corrupt_bit(13);
+        match ckpt.decode::<AppState>() {
+            Err(CheckpointError::CrcMismatch { expected, actual }) => {
+                assert_eq!(expected, eager().crc());
+                assert_eq!(actual, crc32(ckpt.data()));
+                assert_ne!(expected, actual);
+            }
+            other => panic!("expected CrcMismatch, got {other:?}"),
+        }
+        assert_eq!(clean.decode::<AppState>().unwrap(), sample());
     }
 
     #[test]

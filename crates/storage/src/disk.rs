@@ -475,6 +475,39 @@ mod tests {
     }
 
     #[test]
+    fn a_deferred_golden_record_writes_the_pinned_frame() {
+        // The record of `on_disk_frame_format_is_pinned`, built to serialize
+        // on first read: the store reads it at begin and writes the same
+        // frame, and it reloads equal to the eager record.
+        let state: Vec<u8> = (0..1000u32).map(|i| (i * 31 + 7) as u8).collect();
+        let t = SimTime::from_nanos(1_500_000_000);
+        let eager = Checkpoint::encode(7, t, "golden", &state).unwrap();
+        let dir = tmp_dir("deferred-golden");
+        {
+            let mut s = DiskStableStore::open(&dir).unwrap();
+            s.begin_write(Checkpoint::deferred(7, t, "golden", state.clone()))
+                .unwrap();
+            s.commit_write().unwrap();
+        }
+        let files: Vec<Vec<u8>> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "bin"))
+            .map(|p| fs::read(p).unwrap())
+            .collect();
+        assert_eq!(files.len(), 1);
+        assert_eq!(files[0].len(), 1066);
+        assert_eq!(crc32(&files[0]), 0xbb76_57aa);
+        assert_eq!(
+            frame(&Checkpoint::deferred(7, t, "golden", state)),
+            files[0]
+        );
+        let s = DiskStableStore::open(&dir).unwrap();
+        assert_eq!(s.latest_shared(), Some(eager));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn committed_checkpoints_survive_reopen() {
         let dir = tmp_dir("reopen");
         {

@@ -95,6 +95,16 @@ if git grep -n 'thread::''scope' -- crates/bench crates/chaos; then
     exit 1
 fi
 
+echo "==> a stable record is serialized when it is read"
+# The host builds every stable record with Checkpoint::deferred; the eager
+# encode through a caller's scratch buffer and the payload method that
+# called it from the host are gone, not hidden (names spelt in halves so
+# this line does not find itself).
+if git grep -nE 'to_checkpoint''_with|encode_with''_scratch' -- crates tests examples scripts; then
+    echo "an eager stable encode is back" >&2
+    exit 1
+fi
+
 echo "==> scripts parse"
 # ab.sh runs for minutes and ledger_row.sh appends to the trajectory, so
 # neither runs here; a syntax error in either still fails the gate.
@@ -199,7 +209,8 @@ echo "==> unmasked-regime smoke: 4 seeds per regime + live Byzantine campaigns"
 # restore procedure on a node, 36 764 with one crash type placed by TB
 # round in both runtimes and no crash-instant scan, 36 488 with a node as
 # one loop over its protocol steps, 37 014 at c3d2839 (PRs 41–42), 36 974 with
-# the explorer over the simulator's hosts; every CHANGES.md entry ends with
+# the explorer over the simulator's hosts, 37 200 with stable records
+# serialized when read (+226, tests mostly); every CHANGES.md entry ends with
 # before -> after.
 echo "==> tracked Rust lines: $(git ls-files '*.rs' | xargs cat | wc -l)"
 
