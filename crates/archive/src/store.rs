@@ -22,7 +22,6 @@ use synergy_storage::{
 };
 
 use crate::codec::{full_record_crc, ChainRecord, ChainWalker, CheckpointCodec, RecordKind};
-use crate::delta::{chain_link, CHAIN_SEED};
 
 /// A stable store whose committed history can be enumerated in commit
 /// order — what [`DeltaStable`] needs to rebuild its chain on reload.
@@ -305,28 +304,6 @@ impl<S: StableHistory> Stable for DeltaStable<S> {
         Ok(())
     }
 
-    /// Plants `checkpoint` as a full record with a valid chain link in
-    /// place of the newest committed one, and re-points the codec at it:
-    /// a reload replays the forgery, and later deltas chain on it.
-    fn replace_latest(&mut self, checkpoint: Checkpoint) -> bool {
-        if self.pending.is_some() || self.committed.is_empty() {
-            return false;
-        }
-        let record = ChainRecord::Full {
-            chain_crc: chain_link(CHAIN_SEED, checkpoint.crc()),
-            image: checkpoint.shared_data(),
-        };
-        let Ok((wrapped, (forged, _))) = self.wrap(checkpoint, record) else {
-            return false;
-        };
-        if !self.inner.replace_latest(wrapped) {
-            return false;
-        }
-        self.codec.note_committed(&forged, RecordKind::Full);
-        *self.committed.last_mut().expect("checked above") = forged;
-        true
-    }
-
     fn stats(&self) -> StableStats {
         self.inner.stats()
     }
@@ -341,6 +318,7 @@ impl<S: StableHistory> StableHistory for DeltaStable<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::{chain_link, CHAIN_SEED};
     use std::fs;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -765,38 +743,6 @@ mod tests {
             1,
             "replacement stayed a delta"
         );
-    }
-
-    #[test]
-    fn replaced_latest_is_a_full_record_that_later_deltas_chain_on() {
-        let dir = tmp_dir("forge");
-        let mut s = DeltaStable::open(DiskStableStore::open(&dir).unwrap(), 4);
-        assert!(!s.replace_latest(ckpt(1, 1)), "nothing committed");
-        commit(&mut s, ckpt(1, 1));
-        commit(&mut s, ckpt(2, 2));
-        s.begin_write(ckpt(3, 3)).unwrap();
-        assert!(!s.replace_latest(ckpt(2, 99)), "a write is pending");
-        assert!(s.abort_write());
-
-        // The newest record, a delta at k = 4, is swapped for a full one.
-        let forged = ckpt(2, 99);
-        assert!(s.replace_latest(forged.clone()));
-        assert_eq!(s.latest_shared().unwrap(), forged);
-        assert_eq!(s.latest_at_or_before_shared(2).unwrap(), forged);
-        assert_eq!(s.latest_at_or_before_shared(1).unwrap(), ckpt(1, 1));
-        assert_eq!(s.codec.next_kind(), RecordKind::Delta);
-        commit(&mut s, ckpt(3, 3));
-        assert_eq!(s.delta_stats().delta_records, 2);
-        drop(s);
-
-        let s = DeltaStable::open(DiskStableStore::open(&dir).unwrap(), 4);
-        assert_eq!(
-            s.delta_stats().chain_orphans,
-            0,
-            "the delta chains on the forgery"
-        );
-        assert_eq!(s.committed_records(), [ckpt(1, 1), forged, ckpt(3, 3)]);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -116,7 +116,9 @@ pub struct CampaignResult {
     pub run_dir: PathBuf,
 }
 
-fn cluster_config(spec: &CampaignSpec, node_bin: &Path, run_dir: PathBuf) -> ClusterConfig {
+/// The cluster mission [`run_campaign`] runs for `spec`, its node state
+/// under `run_dir`.
+pub fn cluster_config(spec: &CampaignSpec, node_bin: &Path, run_dir: PathBuf) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(
         spec.seed,
         spec.steps,
@@ -322,7 +324,6 @@ mod tests {
                 line: 1,
                 rollback_epochs: 1,
                 rollbacks: vec![(1, Some(1), 0), (2, Some(1), 0), (3, Some(1), 0)],
-                corrupted_epoch: None,
             }],
             final_status: vec![(1, status(4, 2)), (2, status(3, 0)), (3, status(0, 1))],
         };

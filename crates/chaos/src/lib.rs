@@ -36,8 +36,8 @@ pub mod plan;
 pub mod regime;
 
 pub use campaign::{
-    outcome_verdict, run_campaign, shrink_failure, CampaignOutcome, CampaignResult, FaultSummary,
-    ShrinkReport,
+    cluster_config, outcome_verdict, run_campaign, shrink_failure, CampaignOutcome, CampaignResult,
+    FaultSummary, ShrinkReport,
 };
 pub use plan::{CampaignSpec, CampaignToggles};
 pub use regime::{RegimeKind, RegimeRow, RegimeSummary, RegimeSweep};

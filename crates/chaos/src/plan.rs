@@ -40,9 +40,9 @@ pub struct CampaignToggles {
     pub bitrot: bool,
     /// Chain-link rot in the victim's oldest record, behind a valid frame.
     pub deltarot: bool,
-    /// Byzantine-lite value corruption of a node's latest checkpoint
-    /// behind a valid CRC (unmasked-regime campaigns only — the masked
-    /// sweep never draws it).
+    /// Byzantine-lite value corruption: a node restores the checkpoint at
+    /// the epoch line value-flipped behind a valid CRC (unmasked-regime
+    /// campaigns only — the masked sweep never draws it).
     pub corrupt: bool,
 }
 
@@ -86,11 +86,12 @@ pub struct CampaignSpec {
     /// rounds, dirty-region deltas between. Mission shape, not a fault:
     /// the shrinker never removes it.
     pub delta_k: u32,
-    /// Byzantine-lite target: flip value bytes inside this node's latest
-    /// committed checkpoint (behind a valid CRC) before the first crash's
-    /// global rollback. `None` for the masked sweep; regime campaigns set
-    /// node 0 so the restored lie reaches the device stream and the
-    /// cluster-vs-sim diff documents the escape.
+    /// Byzantine-lite target: in the crash's global rollback this node
+    /// restores the checkpoint at the epoch line with its value bytes
+    /// flipped (behind a valid CRC), its disk left honest. `None` for the
+    /// masked sweep; regime campaigns set node 0 so the restored lie
+    /// reaches the device stream and the cluster-vs-sim diff documents the
+    /// escape.
     pub corrupt: Option<usize>,
 }
 
@@ -224,7 +225,7 @@ impl CampaignSpec {
     }
 
     /// Generates unmasked-regime cluster campaign `index`: a Byzantine-lite
-    /// value corruption of the active's latest checkpoint riding on a
+    /// value corruption of the active's restored checkpoint riding on a
     /// scheduled crash, on its own seed family (the `"regime-cluster"`
     /// stream) so regime sweeps never collide with the masked sweep.
     ///
@@ -242,8 +243,8 @@ impl CampaignSpec {
             1 => CrashKind::RoundStart,
             _ => CrashKind::DoubleKill,
         };
-        // Epoch ≥ 2 so node 0 holds a committed checkpoint to corrupt and
-        // the rollback has a line strictly behind the crash round.
+        // Epoch ≥ 2 so node 0 restores a committed checkpoint to corrupt
+        // and the rollback has a line strictly behind the crash round.
         let crash = CrashEvent {
             victim: NodeId::P2,
             epoch: rng.gen_range(2..=rounds.max(2)),

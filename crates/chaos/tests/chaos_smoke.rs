@@ -5,10 +5,12 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use synergy::RegimeVerdict;
+use synergy::{ByzantinePlan, Mission, RegimeVerdict};
 use synergy_chaos::{
-    outcome_verdict, run_campaign, CampaignOutcome, CampaignSpec, CampaignToggles,
+    cluster_config, outcome_verdict, run_campaign, CampaignOutcome, CampaignSpec, CampaignToggles,
 };
+use synergy_cluster::Cluster;
+use synergy_des::SimTime;
 
 fn unique_dir(label: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -102,6 +104,43 @@ fn byzantine_campaign_documents_the_escape() {
         outcome_verdict(&result.outcome),
         RegimeVerdict::DocumentedEscape
     );
+    let _ = std::fs::remove_dir_all(&data_root);
+}
+
+/// The two runtimes inject one fault: for each crash kind, the cluster's
+/// device stream under a Byzantine-lite campaign equals a simulator run of
+/// the campaign's reference with the flip armed from the start on the
+/// same node — and differs from the honest reference's, so the equality
+/// is not two runs that both ignored the fault.
+#[test]
+fn byzantine_campaigns_match_the_simulator_flip_on_every_crash_kind() {
+    let data_root = unique_dir("byz-x");
+    for index in 0..3 {
+        let spec = CampaignSpec::generate_byzantine(7, index);
+        let node = spec.corrupt.expect("a Byzantine campaign names its liar");
+        let cfg = cluster_config(&spec, &node_bin(), data_root.join(index.to_string()));
+        let honest = cfg.reference();
+        let mut lying = honest.clone();
+        lying.regime.byzantine = Some(ByzantinePlan {
+            at: SimTime::ZERO,
+            node,
+        });
+        let cluster = Cluster::launch(cfg)
+            .and_then(Cluster::run)
+            .unwrap_or_else(|e| panic!("campaign {index} ({}): {e}", spec.cocktail()));
+        let simulated = Mission::new(lying).run().device_stream;
+        assert_eq!(
+            cluster.device_payloads,
+            simulated,
+            "campaign {index} ({}): the cluster's flip is the simulator's",
+            spec.cocktail()
+        );
+        assert_ne!(
+            simulated,
+            Mission::new(honest).run().device_stream,
+            "campaign {index}: the flip reaches the device"
+        );
+    }
     let _ = std::fs::remove_dir_all(&data_root);
 }
 

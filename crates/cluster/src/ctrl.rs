@@ -45,17 +45,17 @@ pub(crate) enum CtrlMsg {
     Rollback {
         /// The epoch line (minimum committed epoch across the cluster).
         epoch: u64,
+        /// Whether this node is the Byzantine-lite target (unmasked
+        /// regime, axis 4): it restores the record at the line with its
+        /// value bytes flipped, behind a valid CRC, while every record on
+        /// its disk stays honest. Only a device-stream diff against the
+        /// simulator oracle can see the lie.
+        byzantine: bool,
     },
     /// Report live status.
     Status,
     /// Stop the node process.
     Shutdown,
-    /// Unmasked-regime hook (Byzantine-lite): flip value bytes inside the
-    /// node's latest committed stable checkpoint and re-encode it in place
-    /// behind a valid CRC. Every integrity check between the flip and the
-    /// next rollback passes; only a device-stream diff against the simulator
-    /// oracle can see the lie.
-    Corrupt,
 }
 
 /// Node → orchestrator replies.
@@ -94,23 +94,17 @@ pub(crate) enum CtrlReply {
     },
     /// Reply to [`CtrlMsg::Rollback`].
     RolledBack {
-        /// Epoch of the restored checkpoint (`None`: nothing retained at
-        /// or before the line; the node restarted from the initial state).
-        /// A restore target that does not decode gets no reply: the node
-        /// exits with the reason on stderr.
+        /// Epoch of the restored checkpoint (`None`: the line is epoch 0,
+        /// and the node restarted from the initial state). A restore
+        /// target that does not decode, or a line whose record the store no
+        /// longer holds, gets no reply: the node exits with the reason on
+        /// stderr.
         restored_epoch: Option<u64>,
         /// Saved unacknowledged messages re-sent during recovery.
         resent: u64,
     },
     /// Reply to [`CtrlMsg::Status`].
     Status(WireStatus),
-    /// Reply to [`CtrlMsg::Corrupt`].
-    Corrupted {
-        /// Epoch of the checkpoint whose payload was flipped (`None`: no
-        /// committed checkpoint, undecodable payload, or a backend that
-        /// cannot rewrite committed history — the flip did not happen).
-        epoch: Option<u64>,
-    },
 }
 
 /// A live snapshot of one node: what its event loop reports, plus the
@@ -187,13 +181,13 @@ impl Codec for CtrlMsg {
             }
             CtrlMsg::BeginCkpt => 2u32.encode(out),
             CtrlMsg::CommitCkpt => 3u32.encode(out),
-            CtrlMsg::Rollback { epoch } => {
+            CtrlMsg::Rollback { epoch, byzantine } => {
                 4u32.encode(out);
                 epoch.encode(out);
+                byzantine.encode(out);
             }
             CtrlMsg::Status => 5u32.encode(out),
             CtrlMsg::Shutdown => 6u32.encode(out),
-            CtrlMsg::Corrupt => 8u32.encode(out),
         }
     }
 
@@ -210,10 +204,10 @@ impl Codec for CtrlMsg {
             3 => Ok(CtrlMsg::CommitCkpt),
             4 => Ok(CtrlMsg::Rollback {
                 epoch: u64::decode(r)?,
+                byzantine: bool::decode(r)?,
             }),
             5 => Ok(CtrlMsg::Status),
             6 => Ok(CtrlMsg::Shutdown),
-            8 => Ok(CtrlMsg::Corrupt),
             other => Err(CodecError::InvalidVariant(other)),
         }
     }
@@ -257,10 +251,6 @@ impl Codec for CtrlReply {
                 5u32.encode(out);
                 s.encode(out);
             }
-            CtrlReply::Corrupted { epoch } => {
-                7u32.encode(out);
-                epoch.encode(out);
-            }
         }
     }
 
@@ -285,9 +275,6 @@ impl Codec for CtrlReply {
                 resent: u64::decode(r)?,
             }),
             5 => Ok(CtrlReply::Status(WireStatus::decode(r)?)),
-            7 => Ok(CtrlReply::Corrupted {
-                epoch: Option::<u64>::decode(r)?,
-            }),
             other => Err(CodecError::InvalidVariant(other)),
         }
     }
@@ -348,10 +335,16 @@ mod tests {
         });
         roundtrip(CtrlMsg::BeginCkpt);
         roundtrip(CtrlMsg::CommitCkpt);
-        roundtrip(CtrlMsg::Rollback { epoch: 7 });
+        roundtrip(CtrlMsg::Rollback {
+            epoch: 7,
+            byzantine: false,
+        });
+        roundtrip(CtrlMsg::Rollback {
+            epoch: 2,
+            byzantine: true,
+        });
         roundtrip(CtrlMsg::Status);
         roundtrip(CtrlMsg::Shutdown);
-        roundtrip(CtrlMsg::Corrupt);
     }
 
     #[test]
@@ -388,8 +381,6 @@ mod tests {
             corrupt_records: 0,
             backpressure: 0,
         }));
-        roundtrip(CtrlReply::Corrupted { epoch: Some(6) });
-        roundtrip(CtrlReply::Corrupted { epoch: None });
     }
 
     #[test]
@@ -399,7 +390,13 @@ mod tests {
         let join = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
             let msg: CtrlMsg = recv_ctrl(&mut conn).unwrap();
-            assert_eq!(msg, CtrlMsg::Rollback { epoch: 2 });
+            assert_eq!(
+                msg,
+                CtrlMsg::Rollback {
+                    epoch: 2,
+                    byzantine: false
+                }
+            );
             send_ctrl(
                 &mut conn,
                 &CtrlReply::RolledBack {
@@ -410,7 +407,14 @@ mod tests {
             .unwrap();
         });
         let mut client = TcpStream::connect(addr).unwrap();
-        send_ctrl(&mut client, &CtrlMsg::Rollback { epoch: 2 }).unwrap();
+        send_ctrl(
+            &mut client,
+            &CtrlMsg::Rollback {
+                epoch: 2,
+                byzantine: false,
+            },
+        )
+        .unwrap();
         let reply: CtrlReply = recv_ctrl(&mut client).unwrap();
         assert_eq!(
             reply,

@@ -18,12 +18,10 @@
 //!
 //! * [`ctrl`] — the orchestrator ⇄ node control plane (length-prefixed
 //!   codec frames, lockstep request/response).
-//! * `runner` (crate-private) — the node's protocol steps: one
-//!   `ProcessHost` driven against a `Transport`, with no channel, thread
-//!   or clock of its own.
-//! * [`node`] — the node process: data-plane transport, a `NodeRunner`,
-//!   and the one loop that feeds it deliveries and answers the control
-//!   protocol, each checkpoint round commanded by the orchestrator.
+//! * [`node`] — the node process: data-plane transport, one
+//!   `ProcessHost`, and the one loop that feeds it deliveries and control
+//!   commands, sends what it emits and answers the control protocol, each
+//!   checkpoint round commanded by the orchestrator.
 //! * [`orchestrator`] — spawns nodes, drives the mission grid, kills and
 //!   restarts the victim, coordinates the global rollback to the epoch
 //!   line; [`ClusterConfig::reference`] is the simulator reference, a
@@ -39,7 +37,6 @@
 pub mod ctrl;
 pub mod node;
 pub mod orchestrator;
-mod runner;
 
 pub use ctrl::WireStatus;
 pub use node::{run_node, NodeOpts};

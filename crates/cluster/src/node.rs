@@ -1,6 +1,6 @@
-//! One cluster node process: a `NodeRunner` over the TCP data plane and
-//! a durable on-disk stable store, driven by the orchestrator's control
-//! connection.
+//! One cluster node process: the same [`ProcessHost`] the simulator
+//! drives, over the TCP data plane and a durable on-disk stable store, fed
+//! by one loop that answers the orchestrator's control connection.
 //!
 //! Boot sequence:
 //!
@@ -14,9 +14,9 @@
 //!    the campaign's disk-fault plan.
 //! 2. Bind the [`ReactorTransport`] on an ephemeral port, wrap it in a
 //!    [`FaultyTransport`] applying the campaign's link-fault plan, and
-//!    build the node's `NodeRunner`, whose checkpoint rounds the
-//!    orchestrator commands — no wall-clock timer fires on a node, which
-//!    keeps a distributed mission deterministic. A send to a full route
+//!    build the node's host, whose checkpoint rounds the orchestrator
+//!    commands — no wall-clock timer fires on a node, which keeps a
+//!    distributed mission deterministic. A send to a full route
 //!    ring waits up to [`WirePolicy::send_stall`] (2 s on a node), then
 //!    drops the envelope and counts it in [`WireStatus::backpressure`],
 //!    which the orchestrator treats as fatal: a dropped data-plane frame
@@ -24,7 +24,8 @@
 //! 3. Connect back to the orchestrator, announce
 //!    `Hello` (data port + recovered epoch + torn-write
 //!    and corrupt-record counts), then run the node's one loop: deliveries
-//!    and control commands arrive on one FIFO channel, and the loop answers
+//!    and control commands arrive on one FIFO channel, and the loop feeds
+//!    each to the host, sends the envelopes the host emits, and answers
 //!    each command itself, in lockstep, until `Shutdown` or until the
 //!    control connection closes.
 //!
@@ -35,8 +36,10 @@
 //!
 //! A restarted node does **not** restore itself: per the paper's global
 //! rollback, the *orchestrator* computes the epoch line across the cluster
-//! and commands `Rollback` on every node, the
-//! restarted one included.
+//! and commands `Rollback` on every node, the restarted one included. The
+//! node restores through [`ProcessHost::restore_stable`], the simulator's
+//! own restore; on the Byzantine-lite target that restore serves the
+//! record at the line value-flipped, and the disk stays honest.
 
 use std::io;
 use std::net::TcpStream;
@@ -44,20 +47,23 @@ use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use synergy::app::CounterApp;
+use synergy::system::{HostAction, HostEvent, ProcessHost, StableRestore, Topology};
+use synergy::Scheme;
 use synergy_archive::DeltaStable;
 use synergy_clocks::SyncParams;
 use synergy_codec::Codec;
-use synergy_des::SimDuration;
+use synergy_des::{SimDuration, SimTime};
 use synergy_net::{
-    Endpoint, Envelope, FaultyTransport, LinkFaultPlan, ProcessId, ReactorTransport, WirePolicy,
+    Endpoint, Envelope, FaultyTransport, LinkFaultPlan, ProcessId, ReactorTransport, Transport,
+    WirePolicy,
 };
 use synergy_storage::{DiskFaultPlan, DiskStableStore, FaultyStable, Stable};
-use synergy_tb::{TbConfig, TbVariant};
+use synergy_tb::{TbConfig, TbEngine, TbVariant};
 
 use crate::ctrl::{recv_ctrl, send_ctrl, CtrlMsg, CtrlReply, WireStatus};
-use crate::runner::NodeRunner;
 
 /// Boot parameters of one node process (parsed from `synergy-node` argv).
 #[derive(Clone, Debug)]
@@ -213,6 +219,151 @@ fn tb_config(interval_ms: u64) -> TbConfig {
     )
 }
 
+/// `pid`'s host over `stable` under adapted TB, its timers started into
+/// `out`. A node's host runs the mission's one application seed and records
+/// no trace: no trace consumer exists in a live runtime.
+///
+/// # Panics
+///
+/// Panics if `pid` is not one of the canonical topology's three processes
+/// ([`NodeOpts::from_args`] rejects any other `--pid`).
+fn node_host<S: Stable>(
+    pid: ProcessId,
+    seed: u64,
+    stable: S,
+    tb: TbConfig,
+    out: &mut Vec<HostAction>,
+) -> ProcessHost<S> {
+    let topology = Topology::canonical();
+    let (_, role, node) = topology
+        .processes()
+        .into_iter()
+        .find(|(p, ..)| *p == pid)
+        .unwrap_or_else(|| panic!("{pid} is not a process of the canonical topology"));
+    let app = CounterApp::new(seed ^ 0xA5A5);
+    let scheme = Scheme::Coordinated;
+    let mut host =
+        ProcessHost::with_stable(role, pid, node, topology, scheme, app, Some(tb), stable);
+    host.set_tracing(false);
+    host.start_tb(SimTime::ZERO, out);
+    host
+}
+
+/// The host's virtual time: the wall time since the node started it.
+fn clock(started: Instant) -> SimTime {
+    SimTime::from_nanos(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX))
+}
+
+/// Starts one checkpoint round, as if the host's timer expired exactly on
+/// its deadline grid. Ignored while a round is already blocking.
+fn begin_round<S: Stable>(host: &mut ProcessHost<S>, now: SimTime, out: &mut Vec<HostAction>) {
+    if let Some(tb) = host.tb.as_ref().filter(|tb| !tb.is_blocking()) {
+        let deadline = tb.next_deadline();
+        host.handle_into(HostEvent::TimerExpired { deadline }, now, out);
+    }
+}
+
+/// Ends the round's blocking period, which commits the in-flight write.
+/// Ignored when no round is blocking.
+fn end_round<S: Stable>(host: &mut ProcessHost<S>, now: SimTime, out: &mut Vec<HostAction>) {
+    if host.tb.as_ref().is_some_and(TbEngine::is_blocking) {
+        host.handle_into(HostEvent::BlockingElapsed, now, out);
+    }
+}
+
+/// Retries failed stable operations a bounded number of times — the
+/// flaky-disk masking loop. A backend that keeps failing past the budget
+/// leaves the host pending; the orchestrator sees the lag via
+/// `stable_epoch` and aborts the campaign rather than hanging.
+fn retry_stable_bounded<S: Stable>(
+    host: &mut ProcessHost<S>,
+    started: Instant,
+    out: &mut Vec<HostAction>,
+) {
+    const STABLE_RETRY_BUDGET: u32 = 8;
+    for _ in 0..STABLE_RETRY_BUDGET {
+        if !host.stable_pending() {
+            break;
+        }
+        host.retry_stable(clock(started), out);
+        if host.stable_pending() {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+}
+
+/// Hardware-error recovery (paper §2.2): restores the host from the stable
+/// checkpoint at the epoch line — the newest committed one with sequence
+/// number `<= epoch`, value-flipped when `byzantine` — through the
+/// simulator's restore. Re-sending the restored payload's unacknowledged
+/// messages is the caller's.
+///
+/// # Errors
+///
+/// `InvalidData` when the selected checkpoint does not decode as a payload
+/// (the host is then left as it was), or when the line selects a record
+/// the store no longer holds (a `stable-history` violation: the host
+/// restarted from its initial state, which the simulator would flag).
+fn rollback<S: Stable>(
+    host: &mut ProcessHost<S>,
+    epoch: u64,
+    byzantine: bool,
+    now: SimTime,
+    out: &mut Vec<HostAction>,
+) -> io::Result<StableRestore> {
+    let invalid = |detail: String| io::Error::new(io::ErrorKind::InvalidData, detail);
+    let now_local = host
+        .tb
+        .as_ref()
+        .expect("a node always runs adapted TB")
+        .next_deadline();
+    let restored = host
+        .restore_stable(Some(epoch), byzantine, now, now_local, out)
+        .map_err(|e| {
+            invalid(format!(
+                "restore target at epoch line {epoch} does not decode: {e}"
+            ))
+        })?;
+    match restored.violation {
+        Some(violation) => Err(invalid(violation.to_string())),
+        None => Ok(restored),
+    }
+}
+
+/// The status fields the host owns; the wire and chaos counters are left
+/// at zero for the node's loop to fill.
+fn host_status<S: Stable>(host: &ProcessHost<S>) -> WireStatus {
+    let snap = host.engine.snapshot();
+    WireStatus {
+        dirty: host.engine.dirty_bit(),
+        promoted: snap.promoted,
+        logged: snap.log.len() as u64,
+        volatile_ckpts: host.volatile_seq,
+        at_runs: host.engine.at_runs(),
+        delivered: host.delivered,
+        stable_epoch: host.stable.latest_seq(),
+        torn_writes: host.stable.stats().torn_writes,
+        stable_retries: host.stable_retries,
+        unacked: host.acks.len() as u64,
+        ..WireStatus::default()
+    }
+}
+
+/// Sends the envelopes among `actions` and empties it. Everything else a
+/// host asks of its driver is the simulator's: deliveries, checkpoints and
+/// acceptance tests are counted by the host and no one reads trace lines
+/// here; no design fault is armed on a node, so no acceptance test fails;
+/// the orchestrator says when a round begins and when its blocking period
+/// ends; and the commanded grid is synthetic, so resynchronization is a
+/// no-op.
+fn send_all(net: &impl Transport, actions: &mut Vec<HostAction>) {
+    for action in actions.drain(..) {
+        if let HostAction::Send(env) | HostAction::SendAck(env) = action {
+            net.send(env);
+        }
+    }
+}
+
 /// What the node's loop reads: a delivery from the data plane, or what the
 /// control connection yielded — a command, or the error that means the
 /// orchestrator is gone.
@@ -253,13 +404,10 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
         Arc::clone(&wire),
         opts.link_plan.clone(),
     ));
-    let mut runner = NodeRunner::new(
-        pid,
-        opts.seed,
-        Arc::clone(&net),
-        store,
-        tb_config(opts.tb_interval_ms),
-    );
+    let mut out = Vec::new();
+    let tb = tb_config(opts.tb_interval_ms);
+    let mut host = node_host(pid, opts.seed, store, tb, &mut out);
+    let started = Instant::now();
 
     // Deliveries and control commands share one FIFO channel, so a reply
     // proves that everything queued before its command was processed. Each
@@ -301,11 +449,14 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
 
     loop {
         match input_rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(Input::Net(env)) => runner.on_envelope(env),
+            Ok(Input::Net(env)) => {
+                host.handle_into(HostEvent::Deliver(env), clock(started), &mut out);
+            }
             Ok(Input::Ctrl(Ok(msg))) => {
                 let reply = match msg {
                     CtrlMsg::Produce { external } => {
-                        runner.produce(external);
+                        let produce = HostEvent::Produce { external };
+                        host.handle_into(produce, clock(started), &mut out);
                         CtrlReply::Done
                     }
                     CtrlMsg::SetRoute { endpoint, addr } => {
@@ -319,32 +470,30 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
                         CtrlReply::Done
                     }
                     CtrlMsg::BeginCkpt => {
-                        runner.begin_round();
-                        runner.retry_stable_bounded();
+                        begin_round(&mut host, clock(started), &mut out);
+                        retry_stable_bounded(&mut host, started, &mut out);
                         CtrlReply::Began {
-                            writing: runner.host.stable.is_writing(),
+                            writing: host.stable.is_writing(),
                         }
                     }
                     CtrlMsg::CommitCkpt => {
-                        runner.end_round();
-                        runner.retry_stable_bounded();
+                        end_round(&mut host, clock(started), &mut out);
+                        retry_stable_bounded(&mut host, started, &mut out);
                         CtrlReply::Committed {
-                            epoch: runner.host.stable.latest_seq(),
+                            epoch: host.stable.latest_seq(),
                         }
                     }
-                    CtrlMsg::Rollback { epoch } => {
-                        let (restored_epoch, resent) =
-                            runner.rollback_to_line(epoch).map_err(|e| {
-                                io::Error::new(
-                                    io::ErrorKind::InvalidData,
-                                    format!(
-                                        "restore target at epoch line {epoch} does not decode: {e}"
-                                    ),
-                                )
-                            })?;
+                    CtrlMsg::Rollback { epoch, byzantine } => {
+                        let restored =
+                            rollback(&mut host, epoch, byzantine, clock(started), &mut out)?;
+                        send_all(&*net, &mut out);
+                        let unacked = &restored.payload.unacked;
+                        for env in unacked {
+                            net.send((**env).clone());
+                        }
                         CtrlReply::RolledBack {
-                            restored_epoch,
-                            resent: resent as u64,
+                            restored_epoch: restored.epoch,
+                            resent: unacked.len() as u64,
                         }
                     }
                     CtrlMsg::Status => {
@@ -356,17 +505,15 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
                             chaos_lost: totals.lost,
                             corrupt_records: recovered_corrupt,
                             backpressure: wire.stats().backpressure_dropped,
-                            ..runner.status()
+                            ..host_status(&host)
                         })
                     }
-                    CtrlMsg::Corrupt => CtrlReply::Corrupted {
-                        epoch: runner.corrupt_latest_checkpoint(),
-                    },
                     CtrlMsg::Shutdown => {
                         send_ctrl(&mut ctrl, &CtrlReply::Done)?;
                         break;
                     }
                 };
+                send_all(&*net, &mut out);
                 send_ctrl(&mut ctrl, &reply)?;
             }
             // The orchestrator is gone: stop serving (durable state stays
@@ -376,7 +523,8 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
         }
         // A stable write the backend refused gets one more try after every
         // input and every quiet 50 ms.
-        runner.retry_stable();
+        host.retry_stable(clock(started), &mut out);
+        send_all(&*net, &mut out);
     }
     net.shutdown();
     wire.shutdown();
@@ -545,15 +693,89 @@ mod tests {
         fn send(&self, _: Envelope) {}
     }
 
-    /// `pid` over `stable`, driven by calling the node's own steps:
-    /// `begin_round` feeds `TimerExpired { deadline: tb.next_deadline() }`,
-    /// `end_round` feeds `BlockingElapsed`.
-    fn node<S: Stable>(pid: ProcessId, stable: S) -> NodeRunner<NullNet, S> {
-        NodeRunner::new(pid, 7, Arc::new(NullNet), stable, tb_config(1000))
+    /// A node's host, driven through the node loop's own steps over a
+    /// null transport, counting the commits and replacements it reports.
+    struct Node<S: Stable> {
+        host: ProcessHost<S>,
+        started: Instant,
+        out: Vec<HostAction>,
+        stable_commits: u64,
+        stable_replacements: u64,
+    }
+
+    impl<S: Stable> Node<S> {
+        /// Counts what the last step appended, then sends it.
+        fn settle(&mut self) {
+            for action in &self.out {
+                match action {
+                    HostAction::StableCommitted { .. } => self.stable_commits += 1,
+                    HostAction::StableReplaced => self.stable_replacements += 1,
+                    _ => {}
+                }
+            }
+            send_all(&NullNet, &mut self.out);
+        }
+
+        /// Runs one step of the host at the node's clock, then settles.
+        fn step<R>(
+            &mut self,
+            step: impl FnOnce(&mut ProcessHost<S>, SimTime, &mut Vec<HostAction>) -> R,
+        ) -> R {
+            let result = step(&mut self.host, clock(self.started), &mut self.out);
+            self.settle();
+            result
+        }
+
+        fn begin_round(&mut self) {
+            self.step(begin_round);
+        }
+
+        fn end_round(&mut self) {
+            self.step(end_round);
+        }
+
+        fn retry_stable(&mut self) {
+            self.step(|host, now, out| host.retry_stable(now, out));
+        }
+
+        fn retry_stable_bounded(&mut self) {
+            let started = self.started;
+            self.step(|host, _, out| retry_stable_bounded(host, started, out));
+        }
+
+        fn on_envelope(&mut self, env: Envelope) {
+            self.step(|host, now, out| host.handle_into(HostEvent::Deliver(env), now, out));
+        }
+
+        fn produce(&mut self, external: bool) {
+            let produce = HostEvent::Produce { external };
+            self.step(|host, now, out| host.handle_into(produce, now, out));
+        }
+
+        /// The `Rollback` command's restore; returns the restored epoch.
+        fn rollback(&mut self, epoch: u64, byzantine: bool) -> io::Result<Option<u64>> {
+            self.step(|host, now, out| rollback(host, epoch, byzantine, now, out))
+                .map(|restored| restored.epoch)
+        }
+    }
+
+    /// `pid` over `stable`, as the node builds it.
+    fn node<S: Stable>(pid: ProcessId, stable: S) -> Node<S> {
+        let mut out = Vec::new();
+        let host = node_host(pid, 7, stable, tb_config(1000), &mut out);
+        let mut node = Node {
+            host,
+            started: Instant::now(),
+            out,
+            stable_commits: 0,
+            stable_replacements: 0,
+        };
+        node.settle();
+        node
     }
 
     /// `n` whole rounds, each committing one epoch.
-    fn rounds<S: Stable>(r: &mut NodeRunner<NullNet, S>, n: u32) {
+    fn rounds<S: Stable>(r: &mut Node<S>, n: u32) {
         for _ in 0..n {
             r.begin_round();
             r.end_round();
@@ -586,7 +808,7 @@ mod tests {
         from_active((1 << 40) + msg_sn, body)
     }
 
-    fn mdcd_ndc<S: Stable>(r: &NodeRunner<NullNet, S>) -> CkptSeqNo {
+    fn mdcd_ndc<S: Stable>(r: &Node<S>) -> CkptSeqNo {
         r.host.engine.snapshot().ndc
     }
 
@@ -685,7 +907,7 @@ mod tests {
         // Epoch 2's begin fails persistently; global recovery supersedes it.
         r.begin_round();
         assert!(r.host.stable_pending());
-        assert_eq!(r.rollback_to_line(1).unwrap().0, Some(1));
+        assert_eq!(r.rollback(1, false).unwrap(), Some(1));
         assert!(!r.host.stable_pending(), "rollback clears the retry queue");
     }
 
@@ -721,7 +943,7 @@ mod tests {
         );
         // Global rollback walks the chain transparently and the next round
         // continues from the restored epoch.
-        assert_eq!(r.rollback_to_line(3).unwrap().0, Some(3));
+        assert_eq!(r.rollback(3, false).unwrap(), Some(3));
         let third = app_of(r.host.stable.latest_at_or_before_shared(3));
         assert_ne!(*third, *latest, "epoch 3 predates two receipts");
         assert_eq!(*third, *r.host.app.snapshot());
@@ -751,15 +973,28 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_flips_the_newest_chain_record_and_rollback_restores_it() {
+    fn byzantine_rollback_restores_the_flipped_app_and_leaves_the_store_honest() {
+        use synergy_archive::StableHistory;
         let mut r = node(P2, DeltaStable::open(StableStore::new(), 4));
         rounds(&mut r, 3);
+        let committed = r.host.stable.inner().committed_records();
         let honest = app_of(r.host.stable.latest_shared());
-        assert_eq!(r.corrupt_latest_checkpoint(), Some(3));
-        let forged = app_of(r.host.stable.latest_shared());
-        assert_ne!(*forged, *honest);
-        assert_eq!(r.rollback_to_line(3).unwrap().0, Some(3));
-        assert_eq!(*r.host.app.snapshot(), *forged, "the lie is restored");
+        assert_eq!(r.rollback(3, true).unwrap(), Some(3));
+        let restored = r.host.app.snapshot();
+        assert_ne!(*restored, *honest, "the lie is restored");
+        let lie =
+            synergy::regime::corrupt_checkpoint_value(&r.host.stable.latest_shared().unwrap());
+        assert_eq!(*restored, *app_of(lie), "the simulator's flip");
+        // Every committed record keeps its bytes and CRC: the store is
+        // honest, and an honest rollback restores the truth.
+        let after = r.host.stable.inner().committed_records();
+        assert_eq!(after.len(), committed.len());
+        for (before, now) in committed.iter().zip(&after) {
+            assert_eq!(before.shared_data(), now.shared_data());
+            assert_eq!(before.crc(), now.crc());
+        }
+        assert_eq!(r.rollback(3, false).unwrap(), Some(3));
+        assert_eq!(*r.host.app.snapshot(), *honest);
     }
 
     #[test]
@@ -769,14 +1004,14 @@ mod tests {
         // A fourth round begins but the node "crashes" before commit.
         r.begin_round();
         assert!(r.host.stable.is_writing());
-        let restored = r.rollback_to_line(2).unwrap().0;
+        let restored = r.rollback(2, false).unwrap();
         assert_eq!(restored, Some(2), "newest checkpoint at or before the line");
         assert!(!r.host.stable.is_writing(), "rollback aborts the write");
         // The next round continues the sequence from the restored epoch.
         rounds(&mut r, 1);
         assert_eq!(mdcd_ndc(&r), CkptSeqNo(3));
         assert_eq!(r.host.stable.latest_seq(), Some(3));
-        let restored = r.rollback_to_line(0).unwrap().0;
+        let restored = r.rollback(0, false).unwrap();
         assert_eq!(restored, None, "epoch 0 retains nothing");
     }
 
@@ -784,13 +1019,24 @@ mod tests {
     fn undecodable_restore_target_is_an_error_not_a_line_zero_restart() {
         let mut r = node(P2, StableStore::new());
         rounds(&mut r, 2);
-        // CRC-valid, but a bare integer rather than a checkpoint payload.
-        let forged = Checkpoint::encode(2, synergy_des::SimTime::from_nanos(2), "t", &99u64);
-        assert!(r.host.stable.replace_latest(forged.unwrap()));
+        // CRC-valid, but a bare integer rather than a checkpoint payload,
+        // committed as epoch 3.
+        let bare = Checkpoint::encode(3, synergy_des::SimTime::from_nanos(3), "t", &99u64);
+        r.host.stable.begin_write(bare.unwrap()).unwrap();
+        r.host.stable.commit_write().unwrap();
         r.begin_round();
-        assert!(r.rollback_to_line(2).is_err(), "not `restored_epoch: None`");
+        assert!(r.rollback(3, false).is_err(), "not `restored_epoch: None`");
         assert!(r.host.stable.is_writing(), "the node is left as it was");
-        assert_eq!(r.rollback_to_line(1).unwrap().0, Some(1));
+        assert_eq!(r.rollback(1, false).unwrap(), Some(1));
+    }
+
+    #[test]
+    fn a_line_whose_record_was_evicted_is_an_error_not_a_line_zero_restart() {
+        let mut r = node(P2, StableStore::with_retention(2));
+        rounds(&mut r, 3);
+        let err = r.rollback(1, false).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("[stable-history] "), "{err}");
     }
 
     #[test]
@@ -800,7 +1046,7 @@ mod tests {
         // A new incarnation over what the old one left on disk.
         let mut r = node(P2, first.host.stable);
         assert_eq!(mdcd_ndc(&r), CkptSeqNo(0));
-        assert_eq!(r.rollback_to_line(2).unwrap().0, Some(2));
+        assert_eq!(r.rollback(2, false).unwrap(), Some(2));
         assert_eq!(mdcd_ndc(&r), CkptSeqNo(2), "passed_AT would compare stale");
     }
 
@@ -808,7 +1054,7 @@ mod tests {
     fn the_shadow_logs_what_it_suppresses() {
         let mut sdw = node(P1SDW, StableStore::new());
         sdw.produce(false);
-        let status = sdw.status();
+        let status = host_status(&sdw.host);
         assert!(status.logged > 0, "shadow must log suppressed messages");
         assert!(!status.promoted);
     }
@@ -817,7 +1063,7 @@ mod tests {
     fn peer_state_tracks_dirty_messages() {
         let mut p2 = node(P2, StableStore::new());
         p2.on_envelope(dirty_app(1));
-        let status = p2.status();
+        let status = host_status(&p2.host);
         assert!(status.dirty, "P2 contaminated by the active's message");
         assert!(status.volatile_ckpts >= 1, "Type-1 checkpoint taken");
     }

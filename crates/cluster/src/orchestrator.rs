@@ -199,14 +199,14 @@ pub struct ClusterConfig {
     /// least 1): full image every `delta_k` stable commits, CRC-chained
     /// deltas between. The default 1 makes every record a full image.
     pub delta_k: u32,
-    /// Byzantine-lite value corruption (unmasked regime, axis 4): before
-    /// the first crash's global rollback, command node `corrupt` to flip
-    /// value bytes inside its *latest* committed checkpoint, re-planted as
-    /// a full chain record behind a valid CRC and chain link. Unlike
-    /// `rot`, this is *designed* to change the device stream — the rollback
-    /// restores the lie (corrupting node 0 poisons the active's state,
-    /// whose payloads reach the device), and the campaign's diff against
-    /// the simulator reference documents the escape.
+    /// Byzantine-lite value corruption (unmasked regime, axis 4): node
+    /// `corrupt` is told it lies in every crash's global rollback, and
+    /// restores the record at the epoch line with its value bytes flipped
+    /// behind a valid CRC, while the records on its disk stay honest — the
+    /// simulator's read-time flip. Unlike `rot`, this is *designed* to
+    /// change the device stream (corrupting node 0 poisons the active's
+    /// state, whose payloads reach the device), and the campaign's diff
+    /// against the simulator reference documents the escape.
     pub corrupt: Option<usize>,
     /// Path to the `synergy-node` binary.
     pub node_bin: PathBuf,
@@ -325,10 +325,6 @@ pub struct KillReport {
     pub reload_torn_writes: u64,
     /// Committed records the restarted victim rejected by CRC (bit-rot).
     pub reload_corrupt_records: u64,
-    /// Epoch of the checkpoint the Byzantine-lite injection value-flipped
-    /// on the restarted victim before the rollback (`None`: no injection
-    /// this round).
-    pub corrupted_epoch: Option<u64>,
     /// The epoch line the orchestrator computed for the global rollback.
     pub line: u64,
     /// Rollback distance in grid epochs: the torn round minus the line.
@@ -476,7 +472,6 @@ pub struct Cluster {
     device_addr: String,
     nodes: Vec<NodeHandle>,
     rot_injected: bool,
-    corrupt_injected: bool,
 }
 
 /// Commanded checkpoint rounds a mission of `steps` produces executes:
@@ -535,9 +530,9 @@ impl Cluster {
                 detail: format!("two crashes scheduled in checkpoint round {}", pair[0]),
             });
         }
-        // The Byzantine-lite target indexes the node table; surface a bad
-        // index as the same typed error the simulator's plan validation
-        // raises, instead of panicking at the first crash round.
+        // The Byzantine-lite target names a node; surface a bad index as
+        // the same typed error the simulator's plan validation raises,
+        // instead of running a campaign whose flip no node serves.
         if let Some(target) = cfg.corrupt {
             if NodeId::from_index(target).is_none() {
                 return Err(ClusterError::Launch {
@@ -563,7 +558,6 @@ impl Cluster {
             device_addr,
             nodes: Vec::new(),
             rot_injected: false,
-            corrupt_injected: false,
         };
         for node in NodeId::ALL {
             let pid = node.index() as u32 + 1;
@@ -906,32 +900,6 @@ impl Cluster {
         let victim = ev.victim.index();
         let mut victim_began_writing = false;
 
-        // Byzantine-lite: before this round commits, the target node
-        // value-flips its *latest committed* checkpoint behind a fresh
-        // valid CRC. At this instant that record's epoch equals the epoch
-        // line the rollback below will compute (the victim reloads to the
-        // previous round), so the global rollback restores the lie on the
-        // corrupted node — and, with node 0 targeted, every external the
-        // active produces afterwards carries the flipped state to the
-        // device. Injecting after the commit would corrupt a record above
-        // the line, which the rollback would never read: a silent flip.
-        let mut corrupted_epoch = None;
-        if let Some(target) = self.cfg.corrupt {
-            if !self.corrupt_injected {
-                match self.nodes[target].roundtrip(&CtrlMsg::Corrupt, ctrl_timeout)? {
-                    CtrlReply::Corrupted { epoch } => {
-                        corrupted_epoch = epoch;
-                        self.corrupt_injected = epoch.is_some();
-                    }
-                    other => {
-                        return Err(ClusterError::Protocol {
-                            detail: format!("bad corrupt reply {other:?}"),
-                        })
-                    }
-                }
-            }
-        }
-
         match ev.kind {
             CrashKind::RoundStart => {
                 // The victim dies idle, before the round touches it; the
@@ -1005,7 +973,11 @@ impl Cluster {
         let line = epoch_line(self.nodes.iter().map(|n| n.epoch)).unwrap_or(0);
         let mut rollbacks = Vec::new();
         for node in &mut self.nodes {
-            match node.roundtrip(&CtrlMsg::Rollback { epoch: line }, ctrl_timeout)? {
+            let rollback = CtrlMsg::Rollback {
+                epoch: line,
+                byzantine: self.cfg.corrupt == Some(node.index),
+            };
+            match node.roundtrip(&rollback, ctrl_timeout)? {
                 CtrlReply::RolledBack {
                     restored_epoch,
                     resent,
@@ -1027,7 +999,6 @@ impl Cluster {
             reload_epoch,
             reload_torn_writes: reload_torn,
             reload_corrupt_records: reload_corrupt,
-            corrupted_epoch,
             line,
             rollback_epochs: ev.epoch.saturating_sub(line),
             rollbacks,

@@ -380,8 +380,9 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Regime axis 4: at `at_secs`, flip value bytes in `node`'s latest
-    /// stable checkpoint behind a valid CRC.
+    /// Regime axis 4: from `at_secs` on, `node` serves every hardware
+    /// recovery the stable checkpoint at the line with its value bytes
+    /// flipped behind a valid CRC.
     pub fn byzantine_flip(mut self, at_secs: f64, node: usize) -> Self {
         self.cfg.regime.byzantine = Some(ByzantinePlan {
             at: SimTime::from_secs_f64(at_secs),

@@ -40,7 +40,7 @@ use std::collections::{HashSet, VecDeque};
 
 use synergy_codec::Codec;
 use synergy_des::SimTime;
-use synergy_mdcd::{ProcessRole, RecoveryDecision};
+use synergy_mdcd::RecoveryDecision;
 use synergy_net::{Endpoint, Envelope, MessageBody, ProcessId};
 
 use crate::app::{CounterApp, ReceiptRecord};
@@ -103,25 +103,14 @@ type Link = (ProcessId, ProcessId, VecDeque<Envelope>);
 impl ExpState {
     fn new() -> Self {
         let topology = Topology::canonical();
-        let host = |role, pid| {
-            let mut h = ProcessHost::new(
-                role,
-                pid,
-                0,
-                topology,
-                Scheme::Coordinated,
-                CounterApp::new(0),
-                None,
-            );
+        let hosts = topology.processes().map(|(pid, role, node)| {
+            let app = CounterApp::new(0);
+            let mut h = ProcessHost::new(role, pid, node, topology, Scheme::Coordinated, app, None);
             h.set_tracing(false);
             h
-        };
+        });
         ExpState {
-            hosts: [
-                host(ProcessRole::Active, topology.active),
-                host(ProcessRole::Shadow, topology.shadow),
-                host(ProcessRole::Peer, topology.peer),
-            ],
+            hosts,
             links: Vec::new(),
             next_step: 0,
             validated: 0,

@@ -73,15 +73,16 @@ pub struct ResyncViolationPlan {
     pub node: usize,
 }
 
-/// Byzantine-lite value corruption: at `at`, flip value bytes inside `node`'s
-/// latest stable checkpoint and re-encode the record so its CRC (and every
-/// downstream integrity check) remains valid. Pair with a hardware fault after
-/// `at` so recovery restores the corrupted state.
+/// Byzantine-lite value corruption: from `at` on, every hardware recovery of
+/// `node` restores its stable checkpoint at the line with value bytes flipped
+/// and the record re-encoded, so its CRC (and every downstream integrity
+/// check) remains valid. Pair with a hardware fault after `at` so recovery
+/// restores the corrupted state.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ByzantinePlan {
-    /// True time of the corruption.
+    /// True time from which the node lies.
     pub at: SimTime,
-    /// Index of the node whose stable store is corrupted.
+    /// Index of the node whose restores are served flipped.
     pub node: usize,
 }
 

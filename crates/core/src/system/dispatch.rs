@@ -447,9 +447,11 @@ impl System {
             }
             let node = self.hosts[i].node;
             let now_local = self.clocks.read(node, now);
-            let mut actions =
-                self.hosts[i].tb_event(synergy_tb::Event::ResyncCompleted { now_local }, now);
+            let mut actions = std::mem::take(&mut self.actions);
+            let resynced = synergy_tb::Event::ResyncCompleted { now_local };
+            self.hosts[i].tb_step(resynced, now, &mut actions);
             self.apply_host_actions(i, &mut actions, now);
+            self.actions = actions;
             let deadline = self.hosts[i].tb.as_ref().expect("checked").next_deadline();
             if let Some(old) = self.hosts[i].timer_event.take() {
                 self.sim.cancel(old);

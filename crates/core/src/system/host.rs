@@ -65,6 +65,16 @@ impl Topology {
             device: super::DEVICE,
         }
     }
+
+    /// Each process of the layout with its role and the node it runs on:
+    /// the active on node 0, the shadow on node 1, the peer on node 2.
+    pub fn processes(&self) -> [(ProcessId, ProcessRole, usize); 3] {
+        [
+            (self.active, ProcessRole::Active, 0),
+            (self.shadow, ProcessRole::Shadow, 1),
+            (self.peer, ProcessRole::Peer, 2),
+        ]
+    }
 }
 
 /// An input a driver feeds to one host.
@@ -417,21 +427,13 @@ impl<S: Stable> ProcessHost<S> {
         }
     }
 
-    /// Starts the TB timers (mission bootstrap).
-    pub fn start_tb(&mut self, now: SimTime) -> Vec<HostAction> {
-        let mut out = Vec::new();
+    /// Starts the TB timers (mission bootstrap), appending what that asks
+    /// of the driver to `out`.
+    pub fn start_tb(&mut self, now: SimTime, out: &mut Vec<HostAction>) {
         if let Some(tb) = self.tb.as_mut() {
             let mut actions = tb.start();
-            self.apply_tb(&mut actions, now, &mut out);
+            self.apply_tb(&mut actions, now, out);
         }
-        out
-    }
-
-    /// Feeds one TB engine event directly (clock resynchronization).
-    pub fn tb_event(&mut self, event: TbEvent, now: SimTime) -> Vec<HostAction> {
-        let mut out = Vec::new();
-        self.tb_step(event, now, &mut out);
-        out
     }
 
     /// One MDCD engine step: the engine fills the host's buffer, the host
@@ -448,7 +450,8 @@ impl<S: Stable> ProcessHost<S> {
         self.mdcd_actions = actions;
     }
 
-    /// One TB engine step, likewise; nothing on a host without TB.
+    /// One TB engine step, likewise; nothing on a host without TB. Clock
+    /// resynchronization feeds its event here directly.
     pub(crate) fn tb_step(&mut self, event: TbEvent, now: SimTime, out: &mut Vec<HostAction>) {
         let Some(tb) = self.tb.as_mut() else {
             return;

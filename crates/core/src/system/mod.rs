@@ -40,7 +40,7 @@ use dispatch::Ev;
 pub use host::{HostAction, HostEvent, ProcessHost, Topology};
 pub(crate) use policy::policy_for;
 pub use policy::SchemePolicy;
-pub use recovery::epoch_line;
+pub use recovery::{epoch_line, StableRestore};
 
 /// `P1act`'s process id.
 pub const P1ACT: ProcessId = ProcessId(1);
@@ -133,25 +133,16 @@ impl System {
         // All three applications share one salt: the replicas must produce
         // identical streams, and the restart-from-scratch path reconstructs
         // the same initial state.
-        let mk_host = |role: ProcessRole, pid: ProcessId, node: usize| {
-            ProcessHost::new(
-                role,
-                pid,
-                node,
-                topology,
-                cfg.scheme,
-                CounterApp::new(cfg.seed ^ 0xA5A5),
-                tb_cfg,
-            )
-        };
-        let mut hosts = vec![
-            mk_host(ProcessRole::Active, topology.active, 0),
-            mk_host(ProcessRole::Shadow, topology.shadow, 1),
-            mk_host(ProcessRole::Peer, topology.peer, 2),
-        ];
-        for h in &mut hosts {
-            h.set_tracing(cfg.trace);
-        }
+        let mut hosts: Vec<ProcessHost> = topology
+            .processes()
+            .into_iter()
+            .map(|(pid, role, node)| {
+                let app = CounterApp::new(cfg.seed ^ 0xA5A5);
+                let mut host = ProcessHost::new(role, pid, node, topology, cfg.scheme, app, tb_cfg);
+                host.set_tracing(cfg.trace);
+                host
+            })
+            .collect();
         // The bad-message/AT-coverage axes live on the *original* active
         // host only: the upgraded low-confidence version is the one that can
         // emit bad payloads; the shadow that may replace it is clean.
@@ -221,11 +212,13 @@ impl System {
             );
         }
         // TB timers.
+        let now = self.sim.now();
+        let mut actions = std::mem::take(&mut self.actions);
         for i in 0..self.hosts.len() {
-            let now = self.sim.now();
-            let mut actions = self.hosts[i].start_tb(now);
+            self.hosts[i].start_tb(now, &mut actions);
             self.apply_host_actions(i, &mut actions, now);
         }
+        self.actions = actions;
         // Scripted sends (one-shot: no arrival stream exists for them, so
         // on_tick does not reschedule).
         for s in self.cfg.scripted_sends.clone() {
@@ -424,13 +417,7 @@ impl Mission {
     /// Runs to completion and reports.
     pub fn run(mut self) -> MissionOutcome {
         self.system.run();
-        let shadow_promoted = self
-            .system
-            .index_of_pid(self.system.topology.shadow)
-            .is_some_and(|i| {
-                self.system.hosts[i].engine.role() == ProcessRole::Active
-                    || self.system.hosts[i].dead
-            });
+        let shadow_promoted = self.system.shadow_promoted();
         let System {
             metrics,
             verdicts,

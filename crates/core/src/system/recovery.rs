@@ -6,10 +6,10 @@
 //! can be unit-tested without a full [`System`]; the two recovery
 //! procedures (software takeover, global hardware rollback) orchestrate
 //! them over the hosts. The per-process half of a global rollback —
-//! select the checkpoint at the line, install it, realign `Ndc`, restart
-//! TB — is one pair of host methods ([`ProcessHost::stable_at_line`],
-//! [`ProcessHost::install_stable`]) that the simulator and the cluster
-//! node both call.
+//! select the checkpoint at the line, serve it value-flipped on a
+//! Byzantine-lite node, install it, realign `Ndc`, restart TB — is one host
+//! method, [`ProcessHost::restore_stable`], that the simulator and the
+//! cluster node each call once.
 
 use std::sync::Arc;
 
@@ -170,28 +170,63 @@ impl<S: Stable> ProcessHost<S> {
         self.recv_log.clear();
     }
 
-    /// The stable checkpoint a global rollback to `line` restores: the
-    /// newest committed one at or below the line, or the newest record
-    /// when `line` is `None` (write-through checkpoints carry no epochs).
-    /// `None` when nothing qualifies.
-    pub fn stable_at_line(&self, line: Option<u64>) -> Option<Checkpoint> {
-        match line {
-            Some(epoch) => self.stable.latest_at_or_before_shared(epoch),
-            None => self.stable.latest_shared(),
-        }
+    /// The per-process half of a global rollback to `line`: selects the
+    /// stable record at the line, serves it value-flipped when `byzantine`
+    /// says this node lies (regime axis 4,
+    /// [`corrupt_checkpoint_value`](crate::regime::corrupt_checkpoint_value)),
+    /// and installs it. `line` is an epoch, or `None` to restore the newest
+    /// record (write-through checkpoints carry no epochs). A TB host
+    /// appends what restarting TB at `now_local` asks of the driver to
+    /// `out`; re-sending the restored payload's `unacked` is the caller's,
+    /// who orders the resends against its own recovery steps.
+    ///
+    /// The flip happens at read time and only on the copy recovery
+    /// installs: every committed record keeps its bytes and CRC, so the lie
+    /// survives any number of clean commits since the fault armed, and
+    /// nothing between the store and the device can see it.
+    ///
+    /// # Errors
+    ///
+    /// The selected record does not decode as a checkpoint payload; the
+    /// host is then left as it was.
+    pub fn restore_stable(
+        &mut self,
+        line: Option<u64>,
+        byzantine: bool,
+        now: SimTime,
+        now_local: LocalTime,
+        out: &mut Vec<HostAction>,
+    ) -> Result<StableRestore, CheckpointError> {
+        let (chosen, violation) = match self.stable_at_line_checked(line) {
+            Ok(chosen) => (chosen, None),
+            Err(violation) => (None, Some(violation)),
+        };
+        let lie = chosen
+            .as_ref()
+            .filter(|_| byzantine)
+            .and_then(crate::regime::corrupt_checkpoint_value);
+        let flipped = lie.is_some();
+        let (epoch, payload) = self.install_stable(lie.or(chosen), now, now_local, out)?;
+        Ok(StableRestore {
+            epoch,
+            payload,
+            flipped,
+            violation,
+        })
     }
 
-    /// [`stable_at_line`](Self::stable_at_line) for a driver that checks
-    /// the store's history: every epoch from a host's last restore up to
+    /// The stable checkpoint a global rollback to `line` restores: the
+    /// newest committed one at or below the line, or the newest record
+    /// when `line` is `None`. Every epoch from a host's last restore up to
     /// its newest was committed and the line is at most that newest, so a
     /// line above zero with nothing at or below it needs a record the store
     /// evicted. That is a `stable-history` violation, not a restart from the
     /// initial state.
-    pub(crate) fn stable_at_line_checked(
-        &self,
-        line: Option<u64>,
-    ) -> Result<Option<Checkpoint>, Violation> {
-        let chosen = self.stable_at_line(line);
+    fn stable_at_line_checked(&self, line: Option<u64>) -> Result<Option<Checkpoint>, Violation> {
+        let chosen = match line {
+            Some(epoch) => self.stable.latest_at_or_before_shared(epoch),
+            None => self.stable.latest_shared(),
+        };
         match line {
             Some(epoch) if epoch > 0 && chosen.is_none() => Err(Violation {
                 property: "stable-history",
@@ -206,23 +241,13 @@ impl<S: Stable> ProcessHost<S> {
         }
     }
 
-    /// Restores this host from `chosen` (what [`stable_at_line`] selected),
-    /// or from the application's initial state when nothing was selected:
-    /// drops the in-flight stable write and pending retries, discards the
-    /// committed records above the restored epoch, installs the payload,
-    /// and — on a host that runs TB — realigns MDCD's `Ndc` with
-    /// the restored epoch and restarts TB at `now_local`, appending what
-    /// that asks of the driver to `out`. Returns the restored epoch and
-    /// payload; re-sending `payload.unacked` is the caller's, who orders
-    /// the resends against its own recovery steps.
-    ///
-    /// # Errors
-    ///
-    /// `chosen` does not decode as a checkpoint payload; the host is then
-    /// left as it was.
-    ///
-    /// [`stable_at_line`]: Self::stable_at_line
-    pub fn install_stable(
+    /// Restores this host from `chosen`, or from the application's initial
+    /// state when nothing was selected: drops the in-flight stable write
+    /// and pending retries, discards the committed records above the
+    /// restored epoch, installs the payload, and — on a host that runs TB —
+    /// realigns MDCD's `Ndc` with the restored epoch and restarts TB at
+    /// `now_local`. Returns the restored epoch and payload.
+    fn install_stable(
         &mut self,
         chosen: Option<Checkpoint>,
         now: SimTime,
@@ -260,6 +285,21 @@ impl<S: Stable> ProcessHost<S> {
         }
         Ok((restored_epoch, payload))
     }
+}
+
+/// What [`ProcessHost::restore_stable`] restored.
+#[derive(Debug)]
+pub struct StableRestore {
+    /// Epoch of the restored record; `None` when nothing at or below the
+    /// line was retained and the host restarted from its initial state.
+    pub epoch: Option<u64>,
+    /// The installed payload.
+    pub payload: CheckpointPayload,
+    /// Whether the record was served value-flipped (Byzantine-lite).
+    pub flipped: bool,
+    /// The `stable-history` violation of a line whose record the store
+    /// evicted; the host then restarted from its initial state.
+    pub violation: Option<Violation>,
 }
 
 // ----------------------------------------------------------------------
@@ -452,43 +492,38 @@ impl System {
             }
             self.hosts[i].up = true;
             self.hosts[i].tb_epoch += 1;
-            let mut chosen = self.hosts[i]
-                .stable_at_line_checked(recovery_epoch)
-                .unwrap_or_else(|violation| {
-                    self.verdicts.violations.push(violation);
-                    None
-                });
             // Regime axis 4: a Byzantine-lite node serves value-flipped
-            // checkpoints behind valid CRCs — the lie is applied at read
-            // time, so it survives any number of clean commits since the
-            // arming instant. Nothing between here and the device can see
-            // it; only the oracle device-stream diff does.
-            if let Some(byz) = self.cfg.regime.byzantine {
-                if byz.node == self.hosts[i].node && now >= byz.at {
-                    if let Some(corrupt) = chosen
-                        .as_ref()
-                        .and_then(crate::regime::corrupt_checkpoint_value)
-                    {
-                        self.verdicts.byz_corruptions += 1;
-                        self.sim.record_with(self.system_actor, || {
-                            (
-                                "regime.byzantine",
-                                format!(
-                                    "{} served value-flipped checkpoint {} to recovery",
-                                    self.hosts[i].pid,
-                                    corrupt.seq()
-                                ),
-                            )
-                        });
-                        chosen = Some(corrupt);
-                    }
-                }
-            }
+            // checkpoints behind valid CRCs from the arming instant on. Only
+            // the oracle device-stream diff can see the lie.
+            let byzantine = self
+                .cfg
+                .regime
+                .byzantine
+                .is_some_and(|byz| byz.node == self.hosts[i].node && now >= byz.at);
             let now_local = self.clocks.read(self.hosts[i].node, now);
             let mut actions = std::mem::take(&mut self.actions);
-            let (restored_epoch, payload) = self.hosts[i]
-                .install_stable(chosen, now, now_local, &mut actions)
+            let StableRestore {
+                epoch: restored_epoch,
+                payload,
+                flipped,
+                violation,
+            } = self.hosts[i]
+                .restore_stable(recovery_epoch, byzantine, now, now_local, &mut actions)
                 .expect("stable decodes");
+            self.verdicts.violations.extend(violation);
+            if flipped {
+                self.verdicts.byz_corruptions += 1;
+                self.sim.record_with(self.system_actor, || {
+                    (
+                        "regime.byzantine",
+                        format!(
+                            "{} served value-flipped checkpoint {} to recovery",
+                            self.hosts[i].pid,
+                            restored_epoch.expect("a flip restores a record")
+                        ),
+                    )
+                });
+            }
             // The restore discarded the records above its epoch; delta
             // accounting follows, as `DeltaStable` does.
             if let Some(codecs) = &mut self.ckpt_codecs {
@@ -734,17 +769,17 @@ mod tests {
         host.stable.commit_write().unwrap();
     }
 
-    /// Selects at `line` and installs at local time 0.
+    /// An honest restore at `line`, at local time 0.
     fn restore(
         host: &mut ProcessHost,
         line: u64,
     ) -> (Option<u64>, CheckpointPayload, Vec<HostAction>) {
         let mut out = Vec::new();
-        let chosen = host.stable_at_line(Some(line));
-        let (epoch, payload) = host
-            .install_stable(chosen, SimTime::ZERO, LocalTime::ZERO, &mut out)
+        let restored = host
+            .restore_stable(Some(line), false, SimTime::ZERO, LocalTime::ZERO, &mut out)
             .unwrap();
-        (epoch, payload, out)
+        assert!(!restored.flipped);
+        (restored.epoch, restored.payload, out)
     }
 
     #[test]
@@ -781,6 +816,15 @@ mod tests {
              the record the line selects was evicted"
         );
         assert_eq!(selected(0), Ok(None), "line 0 is the initial state");
+        let mut out = Vec::new();
+        let restored = h
+            .restore_stable(Some(1), false, SimTime::ZERO, LocalTime::ZERO, &mut out)
+            .unwrap();
+        assert_eq!(restored.violation, Some(evicted), "reported by the restore");
+        assert_eq!(
+            restored.epoch, None,
+            "which restarts from the initial state"
+        );
     }
 
     #[test]
@@ -820,9 +864,8 @@ mod tests {
         let third = dir.join(synergy_storage::DiskStableStore::record_file_name(2));
         std::fs::remove_file(&third).unwrap();
         std::fs::create_dir_all(third.join("blocker")).unwrap();
-        let chosen = h.stable_at_line(Some(2));
         let mut out = Vec::new();
-        h.install_stable(chosen, SimTime::ZERO, LocalTime::ZERO, &mut out)
+        h.restore_stable(Some(2), false, SimTime::ZERO, LocalTime::ZERO, &mut out)
             .unwrap();
         assert!(h.stable_pending(), "the refused discard is queued");
         assert_eq!(h.stable.latest_seq(), Some(3), "and its record still held");

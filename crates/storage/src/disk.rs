@@ -422,21 +422,6 @@ impl Stable for DiskStableStore {
         Ok(())
     }
 
-    fn replace_latest(&mut self, checkpoint: Checkpoint) -> bool {
-        // Byzantine-lite injection: rewrite the newest committed record
-        // both on disk and in the cache. Best-effort — a failed rewrite
-        // reports "unsupported" rather than corrupting bookkeeping.
-        let Some((index, slot)) = self.committed.last_mut().map(|(i, c)| (*i, c)) else {
-            return false;
-        };
-        let path = self.dir.join(file_name(index));
-        if fs::write(&path, frame(&checkpoint)).is_err() {
-            return false;
-        }
-        *slot = checkpoint;
-        true
-    }
-
     fn stats(&self) -> StableStats {
         self.stats
     }

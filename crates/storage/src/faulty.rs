@@ -193,11 +193,6 @@ impl<S: Stable> Stable for FaultyStable<S> {
         self.inner.discard_above(epoch)
     }
 
-    fn replace_latest(&mut self, checkpoint: Checkpoint) -> bool {
-        // Not in the DiskOp fault vocabulary: injection passes through.
-        self.inner.replace_latest(checkpoint)
-    }
-
     fn stats(&self) -> StableStats {
         self.inner.stats()
     }

@@ -107,17 +107,6 @@ pub trait Stable {
     /// a record; the records it could not delete are still held.
     fn discard_above(&mut self, epoch: u64) -> Result<(), StableWriteError>;
 
-    /// Swaps the most recent *committed* checkpoint for `checkpoint` in
-    /// place, returning whether a record was replaced.
-    ///
-    /// This is a fault-injection surface, not a protocol operation: the
-    /// Byzantine-lite regime uses it to plant a value-corrupted record whose
-    /// CRC is valid (the record was re-encoded after the flip), so every
-    /// integrity check passes and the corruption surfaces only when a
-    /// recovery restores the checkpoint. Returns `false` when nothing is
-    /// committed, or when the backend could not rewrite the record.
-    fn replace_latest(&mut self, checkpoint: Checkpoint) -> bool;
-
     /// Write statistics.
     fn stats(&self) -> StableStats;
 }
@@ -158,10 +147,6 @@ impl Stable for StableStore {
     fn discard_above(&mut self, epoch: u64) -> Result<(), StableWriteError> {
         self.committed.retain(|c| c.seq() <= epoch);
         Ok(())
-    }
-
-    fn replace_latest(&mut self, checkpoint: Checkpoint) -> bool {
-        StableStore::replace_latest(self, checkpoint)
     }
 
     fn stats(&self) -> StableStats {
@@ -358,19 +343,6 @@ impl StableStore {
     pub fn abort_write(&mut self) -> bool {
         self.in_progress.take().is_some()
     }
-
-    /// Swaps the most recent committed checkpoint for `checkpoint` in place
-    /// (Byzantine-lite fault injection; see [`Stable::replace_latest`]).
-    /// Returns `false` when nothing is committed yet.
-    pub fn replace_latest(&mut self, checkpoint: Checkpoint) -> bool {
-        match self.committed.last_mut() {
-            Some(slot) => {
-                *slot = checkpoint;
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -397,25 +369,6 @@ mod tests {
         assert!(!s.is_writing());
         assert_eq!(s.latest().unwrap().seq(), 1);
         assert_eq!(s.stats().commits, 1);
-    }
-
-    #[test]
-    fn replace_latest_swaps_committed_record_in_place() {
-        let mut s = StableStore::new();
-        assert!(!s.replace_latest(ckpt(9)), "nothing committed yet");
-        s.begin_write(ckpt(1)).unwrap();
-        s.commit_write().unwrap();
-        s.begin_write(ckpt(2)).unwrap();
-        s.commit_write().unwrap();
-        // The swapped-in record re-encoded cleanly: same seq, valid CRC,
-        // different contents — exactly the Byzantine-lite injection shape.
-        let forged = Checkpoint::encode(2, SimTime::from_nanos(2), "t", &99u64).unwrap();
-        assert!(s.replace_latest(forged));
-        assert_eq!(s.latest().unwrap().seq(), 2);
-        assert_eq!(s.latest().unwrap().decode::<u64>().unwrap(), 99);
-        // History below the latest record is untouched.
-        assert_eq!(s.latest_at_or_before(1).unwrap().seq(), 1);
-        assert_eq!(s.stats().commits, 2, "injection is not a commit");
     }
 
     #[test]

@@ -2,12 +2,20 @@
 # Alternating A/B runs of one ledger workload: a parent revision against
 # this checkout (working-tree edits included).
 #
-# The parent is checked out into a temporary git worktree and built into its
-# own CARGO_TARGET_DIR (<target>/ab/<rev>, kept between runs); the change
-# builds into this checkout's target directory. Each side runs through
+# Both sides build and run from one source tree at one path,
+# <target>/ab/src, each into its own target directory (<target>/ab/parent
+# and <target>/ab/change, kept between runs): a source path is compiled
+# into the binaries, so two trees at two paths build two different
+# programs even from one commit. Before each run the tree is unpacked from
+# that side's snapshot — the parent's commit, or this checkout's tracked
+# and untracked files as they are now — with file times kept, so cargo
+# rebuilds nothing after each side's first run. Each side runs through
 # ledger/run.sh, the benchmark's entry point; odd pairs run the parent
-# first, even pairs the change. Extra arguments go to the ledger after the
-# defaults `--seed 1 --trace 0` (so `--seed 2` or `--trace 1` override them).
+# first, even pairs the change. The sha256 of both ledger binaries is
+# printed: an A/A comparison (the parent against a checkout of itself)
+# must show two equal hashes. Extra arguments go to the ledger after the
+# defaults `--seed 1 --trace 0` (so `--seed 2` or `--trace 1` override
+# them). Two comparisons must not run at once from one checkout.
 #
 # For every metric row the ledger prints, it reports each side's median and
 # quartiles and how many pairs the change won (ties count for neither), in
@@ -37,24 +45,22 @@ secs="${4:-$(awk -F'[:,]' '/"run_seconds"/ {print $2 + 0}' BENCHMARK.json)}"
 shift $(($# < 4 ? $# : 4))
 flags=(--workload "$workload" --seconds "$secs" --seed 1 --trace 0 "$@")
 
-change_target="${CARGO_TARGET_DIR:-target}"
-[[ "$change_target" = /* ]] || change_target="$root/$change_target"
-parent_target="$change_target/ab/$rev"
-tree="$(mktemp -d "${TMPDIR:-/tmp}/ab-$rev.XXXXXX")"
-log="$(mktemp "${TMPDIR:-/tmp}/ab-runs.XXXXXX")"
-cleanup() {
-    git worktree remove --force "$tree" 2>/dev/null || rm -rf "$tree"
-    rm -f "$log"
-}
-trap cleanup EXIT
-git worktree add --quiet --detach "$tree" "$rev"
+target="${CARGO_TARGET_DIR:-target}"
+[[ "$target" = /* ]] || target="$root/$target"
+src="$target/ab/src"
+work="$(mktemp -d "${TMPDIR:-/tmp}/ab-$rev.XXXXXX")"
+log="$work/runs"
+trap 'rm -rf "$work"' EXIT
+git archive --format=tar -o "$work/parent.tar" "$rev"
+git ls-files -z --cached --others --exclude-standard |
+    while IFS= read -r -d '' file; do if [[ -e "$file" ]]; then printf '%s\0' "$file"; fi; done |
+    tar --null --files-from=- -cf "$work/change.tar"
 
 # run <side> <pair>: one ledger run, its metric rows appended to the log as
 # `side pair name value`.
 run() {
-    local dir target
-    if [[ "$1" == parent ]]; then dir="$tree" target="$parent_target"; else dir="$root" target="$change_target"; fi
-    (cd "$dir" && CARGO_TARGET_DIR="$target" bash ledger/run.sh "${flags[@]}") |
+    rm -rf "$src" && mkdir -p "$src" && tar -xf "$work/$1.tar" -C "$src"
+    (cd "$src" && CARGO_TARGET_DIR="$target/ab/$1" bash ledger/run.sh "${flags[@]}") |
         awk -v side="$1" -v pair="$2" '
             $4 == "median" || $1 == "ops_failed" {print side, pair, $1, $3}' >> "$log"
 }
@@ -64,6 +70,9 @@ echo "parent $rev vs change $(git describe --always --dirty)"
 for ((pair = 1; pair <= pairs; pair++)); do
     if ((pair % 2)); then run parent "$pair"; run change "$pair"; else run change "$pair"; run parent "$pair"; fi
     echo "pair $pair done" >&2
+done
+for side in parent change; do
+    echo "$side ledger sha256 $(sha256sum < "$target/ab/$side/release/ledger" | cut -d' ' -f1)"
 done
 
 # better/bound per metric name from BENCHMARK.json's end_to_end and per_layer
