@@ -23,9 +23,9 @@
 //!   attributed to the node, distinguishing a dead process
 //!   ([`ClusterError::NodeDied`]) from a wedged one
 //!   ([`ClusterError::Ctrl`]).
-//! * Victim restarts retry with linear backoff up to
-//!   [`ClusterTimeouts::restart_attempts`] before giving up (the shared
-//!   [`synergy_net::retry::Backoff`] schedule).
+//! * Victim restarts retry with linear backoff up to three spawn attempts
+//!   before giving up (the shared [`synergy_net::retry::Backoff`]
+//!   schedule).
 //! * Every status sweep checks [`WireStatus::backpressure`]: a frame
 //!   dropped on a live route is unrecoverable (per-link FIFO is broken),
 //!   so the mission fails fast as [`ClusterError::Backpressure`] instead
@@ -54,23 +54,13 @@ use synergy_storage::{Checkpoint, DiskFaultPlan, DiskStableStore};
 use crate::ctrl::{recv_ctrl, send_ctrl, CtrlMsg, CtrlReply, WireStatus};
 use crate::node::plan_to_hex;
 
-/// Deadlines and retry budgets bounding every orchestrator interaction.
+/// The deadlines bounding every control interaction with a node.
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterTimeouts {
     /// Waiting for a spawned node's control connection + `Hello`.
     pub hello: Duration,
     /// Read/write timeout on every control round-trip.
     pub ctrl: Duration,
-    /// Waiting for an expected device message.
-    pub device: Duration,
-    /// Deadline for [`Cluster::quiesce`] to observe a settled cluster.
-    pub quiesce: Duration,
-    /// Pause between quiesce probes (and the final device-drain window).
-    pub settle: Duration,
-    /// Spawn attempts per victim restart before giving up.
-    pub restart_attempts: u32,
-    /// Backoff between restart attempts (linear: `attempt × backoff`).
-    pub restart_backoff: Duration,
 }
 
 impl Default for ClusterTimeouts {
@@ -78,14 +68,12 @@ impl Default for ClusterTimeouts {
         ClusterTimeouts {
             hello: Duration::from_secs(20),
             ctrl: Duration::from_secs(20),
-            device: Duration::from_secs(20),
-            quiesce: Duration::from_secs(30),
-            settle: Duration::from_millis(50),
-            restart_attempts: 3,
-            restart_backoff: Duration::from_millis(200),
         }
     }
 }
+
+/// Pause between quiesce probes, and the final device-drain window.
+const SETTLE: Duration = Duration::from_millis(50);
 
 /// A structured, attributable mission failure. Every variant names what
 /// gave up and why, so a non-converging campaign reports instead of hangs.
@@ -560,7 +548,7 @@ impl Cluster {
             rot_injected: false,
         };
         for node in NodeId::ALL {
-            let pid = node.index() as u32 + 1;
+            let pid = node.pid().0;
             let mut child = cluster.spawn_child(node)?;
             let hello = match accept_hello(
                 &cluster.ctrl_listener,
@@ -603,7 +591,7 @@ impl Cluster {
         let interval_ms = (self.cfg.tb_interval_secs * 1000.0).round() as u64;
         let mut cmd = Command::new(&self.cfg.node_bin);
         cmd.arg("--pid")
-            .arg((node.index() + 1).to_string())
+            .arg(node.pid().0.to_string())
             .arg("--seed")
             .arg(self.cfg.seed.to_string())
             .arg("--data-dir")
@@ -700,7 +688,9 @@ impl Cluster {
     /// [`ClusterError::Quiesce`] (carrying the last snapshot) if the
     /// deadline passes; control errors from the status sweeps.
     pub fn quiesce(&mut self) -> Result<Vec<(u32, WireStatus)>, ClusterError> {
-        let deadline = Instant::now() + self.cfg.timeouts.quiesce;
+        /// How long the cluster may take to settle.
+        const QUIESCE: Duration = Duration::from_secs(30);
+        let deadline = Instant::now() + QUIESCE;
         let mut prev: Option<Vec<(u32, WireStatus)>> = None;
         loop {
             let snap = self.status_all()?;
@@ -712,14 +702,11 @@ impl Cluster {
             }
             if Instant::now() >= deadline {
                 return Err(ClusterError::Quiesce {
-                    detail: format!(
-                        "not settled within {:?}; last snapshot: {snap:?}",
-                        self.cfg.timeouts.quiesce
-                    ),
+                    detail: format!("not settled within {QUIESCE:?}; last snapshot: {snap:?}"),
                 });
             }
             prev = Some(snap);
-            std::thread::sleep(self.cfg.timeouts.settle);
+            std::thread::sleep(SETTLE);
         }
     }
 
@@ -851,11 +838,9 @@ impl Cluster {
     /// Restarts one node from its data directory with bounded
     /// retry-with-backoff, returning its fresh handle state.
     fn restart_node(&mut self, node: NodeId) -> Result<(Child, HelloInfo), ClusterError> {
-        let expected_pid = node.index() as u32 + 1;
-        let mut backoff = Backoff::linear(
-            self.cfg.timeouts.restart_backoff,
-            Some(self.cfg.timeouts.restart_attempts.max(1)),
-        );
+        let expected_pid = node.pid().0;
+        // Three spawn attempts, `attempt × 200 ms` apart.
+        let mut backoff = Backoff::linear(Duration::from_millis(200), Some(3));
         loop {
             let attempt = (|| {
                 let mut child = self.spawn_child(node)?;
@@ -1010,9 +995,11 @@ impl Cluster {
     /// # Errors
     ///
     /// Any [`ClusterError`]: control failures, out-of-schedule deaths,
-    /// quiesce or device timeouts — always within the configured bounds,
-    /// never a hang.
+    /// quiesce or device timeouts — always within a bounded wait, never a
+    /// hang.
     pub fn run(mut self) -> Result<ClusterReport, ClusterError> {
+        /// How long an external produce waits for its device message.
+        const DEVICE_WAIT: Duration = Duration::from_secs(20);
         let ctrl_timeout = self.cfg.timeouts.ctrl;
         // Internal traffic puts acked P1 → P2 messages in flight, so it
         // needs the same settle discipline as chaos: quiesce (unacked == 0)
@@ -1068,15 +1055,12 @@ impl Cluster {
                     self.nodes[i].roundtrip(&CtrlMsg::Produce { external: true }, ctrl_timeout)?;
                 expect_done(reply)?;
             }
-            let env = self
-                .device_rx
-                .recv_timeout(self.cfg.timeouts.device)
-                .map_err(|_| ClusterError::Device {
-                    detail: format!(
-                        "produce {s}: no device message within {:?}",
-                        self.cfg.timeouts.device
-                    ),
-                })?;
+            let env =
+                self.device_rx
+                    .recv_timeout(DEVICE_WAIT)
+                    .map_err(|_| ClusterError::Device {
+                        detail: format!("produce {s}: no device message within {DEVICE_WAIT:?}"),
+                    })?;
             match env.body {
                 MessageBody::External { payload } => device_payloads.push(payload),
                 other => {
@@ -1091,7 +1075,7 @@ impl Cluster {
         // last produce) so the device stream comparison sees everything.
         if chaos_active {
             self.quiesce()?;
-            while let Ok(env) = self.device_rx.recv_timeout(self.cfg.timeouts.settle) {
+            while let Ok(env) = self.device_rx.recv_timeout(SETTLE) {
                 if let MessageBody::External { payload } = env.body {
                     device_payloads.push(payload);
                 }

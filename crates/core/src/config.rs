@@ -4,6 +4,7 @@ use core::fmt;
 
 use synergy_clocks::SyncParams;
 use synergy_des::{SimDuration, SimTime};
+use synergy_mdcd::MdcdConfig;
 use synergy_tb::TbVariant;
 
 use crate::faults::{CrashEvent, FaultPlan, FaultPlanError, HardwareFault, SoftwareFault};
@@ -12,6 +13,12 @@ use crate::regime::{
 };
 
 /// How the software and hardware fault-tolerance protocols are combined.
+///
+/// The four schemes of the paper's evaluation (§5) differ in three choices:
+/// the MDCD configuration, the TB variant that drives stable
+/// checkpointing, if any, and whether Type-2 checkpoints write through to
+/// stable storage (`WriteThrough` alone). The methods below are the one
+/// place a scheme is matched.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// The paper's contribution: modified MDCD + adapted TB, coordinated
@@ -30,14 +37,22 @@ pub enum Scheme {
 }
 
 impl Scheme {
-    /// The protocol choices this scheme makes.
-    pub fn policy(self) -> &'static dyn crate::system::SchemePolicy {
-        crate::system::policy_for(self)
+    /// The MDCD configuration this scheme runs.
+    pub(crate) fn mdcd_config(self) -> MdcdConfig {
+        match self {
+            Scheme::Coordinated => MdcdConfig::modified(),
+            Scheme::WriteThrough => MdcdConfig::write_through(),
+            Scheme::Naive | Scheme::MdcdOnly => MdcdConfig::original(),
+        }
     }
 
     /// The TB variant this scheme runs, if any.
     pub(crate) fn tb_variant(self) -> Option<TbVariant> {
-        self.policy().tb_variant()
+        match self {
+            Scheme::Coordinated => Some(TbVariant::Adapted),
+            Scheme::Naive => Some(TbVariant::Original),
+            Scheme::WriteThrough | Scheme::MdcdOnly => None,
+        }
     }
 }
 
@@ -404,16 +419,23 @@ mod tests {
 
     #[test]
     fn scheme_protocol_mapping() {
-        assert_eq!(
-            Scheme::Coordinated.policy().mdcd_config().variant,
-            Variant::Modified
-        );
+        assert_eq!(Scheme::Coordinated.mdcd_config().variant, Variant::Modified);
+        assert!(Scheme::WriteThrough.mdcd_config().active_type2);
+    }
+
+    #[test]
+    fn policies_mirror_the_paper_table() {
+        assert_eq!(Scheme::Coordinated.mdcd_config(), MdcdConfig::modified());
         assert_eq!(Scheme::Coordinated.tb_variant(), Some(TbVariant::Adapted));
-        assert_eq!(Scheme::Naive.tb_variant(), Some(TbVariant::Original));
+        assert_eq!(
+            Scheme::WriteThrough.mdcd_config(),
+            MdcdConfig::write_through()
+        );
         assert_eq!(Scheme::WriteThrough.tb_variant(), None);
-        assert!(Scheme::WriteThrough.policy().stable_on_validation());
-        assert!(Scheme::WriteThrough.policy().mdcd_config().active_type2);
-        assert!(!Scheme::Coordinated.policy().stable_on_validation());
+        assert_eq!(Scheme::Naive.mdcd_config(), MdcdConfig::original());
+        assert_eq!(Scheme::Naive.tb_variant(), Some(TbVariant::Original));
+        assert_eq!(Scheme::MdcdOnly.mdcd_config(), MdcdConfig::original());
+        assert_eq!(Scheme::MdcdOnly.tb_variant(), None);
     }
 
     #[test]

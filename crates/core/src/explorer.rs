@@ -40,7 +40,6 @@ use std::collections::{HashSet, VecDeque};
 
 use synergy_codec::Codec;
 use synergy_des::SimTime;
-use synergy_mdcd::RecoveryDecision;
 use synergy_net::{Endpoint, Envelope, MessageBody, ProcessId};
 
 use crate::app::{CounterApp, ReceiptRecord};
@@ -246,14 +245,13 @@ impl ExpState {
 
     fn check_recovery_safety(&self, violations: &mut Vec<String>) {
         // Run software recovery from the current state on copies of the
-        // shadow and peer — the host calls `System::software_recovery`
-        // makes — and verify the restored states reflect only validated
+        // shadow and peer — the host steps `System::software_recovery`
+        // runs — and verify the restored states reflect only validated
         // messages.
         let [_, sdw, peer] = &self.hosts;
         let (mut sdw, mut peer) = (sdw.clone(), peer.clone());
         for host in [&mut sdw, &mut peer] {
-            let decision = host.engine.recovery_decision().expect("shadow/peer decide");
-            if decision == RecoveryDecision::RollBack && host.rollback_to_volatile(NOW).is_none() {
+            if host.recover_locally(NOW).is_none() {
                 violations.push(format!(
                     "{} must roll back but has no checkpoint",
                     process_name(host.pid)
@@ -279,8 +277,7 @@ impl ExpState {
         // promoted shadow resumes from its restored state and regenerates
         // every sequence number beyond its restored send counter.
         let regenerate_after = sdw.engine.snapshot().msg_sn;
-        let plan = sdw.engine.take_over();
-        let resend: HashSet<_> = plan.resend.iter().map(|e| e.id.seq).collect();
+        let resend: HashSet<_> = sdw.take_over(&mut peer).iter().map(|e| e.id.seq).collect();
         let restored = &peer.app.state().received;
         for r in &self.hosts[2].app.state().received {
             if !self.unvalidated(r) || restored.contains(r) {

@@ -11,6 +11,7 @@
 use core::fmt;
 
 use synergy_des::SimTime;
+use synergy_net::ProcessId;
 
 /// The three nodes of the paper's system, naming the `usize` indices used
 /// by [`HardwareFault::node`].
@@ -43,13 +44,19 @@ impl NodeId {
         NodeId::ALL.get(index).copied()
     }
 
+    /// The process this node hosts in the canonical layout
+    /// ([`Topology::processes`](crate::system::Topology::processes)).
+    pub fn pid(self) -> ProcessId {
+        let processes = crate::system::Topology::canonical().processes();
+        let hosted = processes
+            .into_iter()
+            .find(|&(.., node)| node == self.index());
+        hosted.expect("every node hosts a process").0
+    }
+
     /// The name of the process hosted on this node.
     pub fn process_name(self) -> &'static str {
-        match self {
-            NodeId::P1Act => "P1act",
-            NodeId::P1Sdw => "P1sdw",
-            NodeId::P2 => "P2",
-        }
+        crate::system::process_name(self.pid())
     }
 }
 
@@ -230,6 +237,7 @@ mod tests {
         assert_eq!(NodeId::P1Sdw.index(), 1);
         assert_eq!(NodeId::P2.index(), 2);
         assert_eq!(NodeId::from_index(3), None);
+        assert_eq!(NodeId::ALL.map(|n| n.pid().0), [1, 2, 3]);
         assert_eq!(NodeId::P2.process_name(), "P2");
         assert_eq!(NodeId::P2.to_string(), "node2(P2)");
     }

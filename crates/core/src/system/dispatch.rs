@@ -3,9 +3,9 @@
 //!
 //! This layer is intentionally thin. Everything protocol-shaped lives in
 //! [`ProcessHost`](super::ProcessHost); dispatch owns only the
-//! environment — the scheduler, network, clocks, metrics, trace — and the
-//! staleness filters (network incarnations, dead senders, TB epochs) that
-//! need a view across hosts.
+//! environment — the scheduler, network, clocks, metrics, trace — and, in
+//! each host's slot, the liveness behind the staleness filters (network
+//! incarnations, dead senders, TB epochs) that need a view across hosts.
 
 use synergy_clocks::LocalTime;
 use synergy_des::{ActorId, SimTime};
@@ -99,12 +99,12 @@ impl System {
         let Some(i) = self.host_index(actor) else {
             return;
         };
-        if !self.hosts[i].up {
+        if !self.slots[i].up {
             return; // crashed node: message lost
         }
         // Messages from a process dead by takeover are stale.
         if let Some(s) = self.index_of_pid(env.from()) {
-            if self.hosts[s].dead {
+            if self.slots[s].dead {
                 return;
             }
         }
@@ -115,12 +115,12 @@ impl System {
         let Some(i) = self.host_index(actor) else {
             return;
         };
-        let host = &mut self.hosts[i];
-        if !host.up || host.dead || epoch != host.tb_epoch {
+        let slot = &mut self.slots[i];
+        if !slot.up || slot.dead || epoch != slot.tb_epoch {
             return;
         }
-        host.timer_event = None;
-        let node = host.node;
+        slot.timer_event = None;
+        let node = self.hosts[i].node;
         let crash = self.round_crash(node, deadline);
         if crash != Some(CrashKind::RoundStart) {
             self.drive_host(i, HostEvent::TimerExpired { deadline }, now);
@@ -151,7 +151,7 @@ impl System {
         let Some(i) = self.host_index(actor) else {
             return;
         };
-        if !self.hosts[i].up || epoch != self.hosts[i].tb_epoch {
+        if !self.slots[i].up || epoch != self.slots[i].tb_epoch {
             return;
         }
         self.drive_host(i, HostEvent::BlockingElapsed, now);
@@ -187,7 +187,7 @@ impl System {
             let Some(i) = self.index_of_pid(pid) else {
                 continue;
             };
-            if !self.hosts[i].up || self.hosts[i].dead {
+            if !self.slots[i].up || self.slots[i].dead {
                 continue;
             }
             self.drive_host(i, HostEvent::Produce { external }, now);
@@ -220,23 +220,23 @@ impl System {
                 HostAction::AtPerformed { pass } => {
                     self.metrics.at_runs += 1;
                     if pass {
-                        self.sim.record(self.host_actors[i], "at.pass", "");
+                        self.sim.record(self.slots[i].actor, "at.pass", "");
                     } else {
                         self.metrics.at_failures += 1;
-                        self.sim.record(self.host_actors[i], "at.fail", "");
+                        self.sim.record(self.slots[i].actor, "at.fail", "");
                     }
                 }
                 HostAction::SoftwareErrorDetected => software_error = true,
                 HostAction::VolatileSaved { kind } => {
                     self.metrics.count_volatile(kind);
                     self.sim
-                        .record_with(self.host_actors[i], || (format!("ckpt.{kind}"), "volatile"));
+                        .record_with(self.slots[i].actor, || (format!("ckpt.{kind}"), "volatile"));
                 }
                 HostAction::WriteThroughCommitted => {
                     self.metrics.stable_commits += 1;
                     self.account_stable_commit(i);
                     self.sim
-                        .record(self.host_actors[i], "ckpt.stable", "write-through type-2");
+                        .record(self.slots[i].actor, "ckpt.stable", "write-through type-2");
                 }
                 HostAction::StableWriteBegun {
                     label,
@@ -246,7 +246,7 @@ impl System {
                     if fallback {
                         self.metrics.dirty_fallbacks += 1;
                     }
-                    self.sim.record_with(self.host_actors[i], || {
+                    self.sim.record_with(self.slots[i].actor, || {
                         (
                             "tb.write",
                             format!("{label} expected_dirty={}", u8::from(expected_dirty)),
@@ -256,7 +256,7 @@ impl System {
                 HostAction::StableReplaced => {
                     self.metrics.stable_replacements += 1;
                     self.sim.record(
-                        self.host_actors[i],
+                        self.slots[i].actor,
                         "tb.replace",
                         "dirty cleared in blocking: switch to current state",
                     );
@@ -264,22 +264,21 @@ impl System {
                 HostAction::StableCommitted { ndc } => {
                     self.metrics.stable_commits += 1;
                     self.account_stable_commit(i);
-                    self.sim.record_with(self.host_actors[i], || {
+                    self.sim.record_with(self.slots[i].actor, || {
                         ("ckpt.stable", format!("committed {ndc}"))
                     });
                 }
                 HostAction::BlockingStarted { duration } => {
                     self.metrics.blocking_periods += 1;
                     self.metrics.blocking_total += duration;
-                    let host = &self.hosts[i];
-                    let epoch = host.tb_epoch;
+                    let epoch = self.slots[i].tb_epoch;
                     // Blocking is defined on the local clock; translate its
                     // end into true time through this node's clock.
-                    let node = host.node;
+                    let node = self.hosts[i].node;
                     let end_local = self.clocks.read(node, now) + duration;
                     let end_true = self.clocks.when_local(node, end_local).max(now);
                     self.sim
-                        .schedule_at(end_true, self.host_actors[i], Ev::BlockingOver { epoch });
+                        .schedule_at(end_true, self.slots[i].actor, Ev::BlockingOver { epoch });
                 }
                 HostAction::ScheduleTimer { at } => self.schedule_tb_timer(i, at, now),
                 HostAction::ResyncRequested => {
@@ -299,12 +298,12 @@ impl System {
                             self.metrics.regime_detection_secs =
                                 Some(now.saturating_duration_since(armed).as_secs_f64());
                         }
-                        self.sim.record_with(self.host_actors[i], || {
+                        self.sim.record_with(self.slots[i].actor, || {
                             ("regime.at-catch", format!("corrupt byte at +{offset}"))
                         });
                     } else {
                         self.verdicts.at_escapes += 1;
-                        self.sim.record_with(self.host_actors[i], || {
+                        self.sim.record_with(self.slots[i].actor, || {
                             (
                                 "regime.at-escape",
                                 format!("false negative, corrupt byte at +{offset}"),
@@ -313,7 +312,7 @@ impl System {
                     }
                 }
                 HostAction::Record { kind, detail } => {
-                    self.sim.record(self.host_actors[i], kind, detail);
+                    self.sim.record(self.slots[i].actor, kind, detail);
                 }
             }
         }
@@ -353,14 +352,14 @@ impl System {
         }
         self.metrics.messages_sent += 1;
         self.sim
-            .record_with(self.host_actors[i], || ("msg.send", env.to_string()));
+            .record_with(self.slots[i].actor, || ("msg.send", env.to_string()));
         self.route_only(env, now);
     }
 
     pub(super) fn route_only(&mut self, env: Envelope, now: SimTime) {
         let actor = match env.to {
             Endpoint::Process(p) => match self.index_of_pid(p) {
-                Some(idx) => self.host_actors[idx],
+                Some(idx) => self.slots[idx].actor,
                 None => return,
             },
             Endpoint::Device(_) => self.device_actor,
@@ -373,16 +372,16 @@ impl System {
     pub(super) fn schedule_tb_timer(&mut self, i: usize, at_local: LocalTime, now: SimTime) {
         let node = self.hosts[i].node;
         let fire = self.clocks.when_local(node, at_local).max(now);
-        let epoch = self.hosts[i].tb_epoch;
+        let epoch = self.slots[i].tb_epoch;
         let id = self.sim.schedule_at(
             fire,
-            self.host_actors[i],
+            self.slots[i].actor,
             Ev::TbTimer {
                 deadline: at_local,
                 epoch,
             },
         );
-        self.hosts[i].timer_event = Some(id);
+        self.slots[i].timer_event = Some(id);
     }
 
     /// Marks `node` as Byzantine from this instant on. The node does not
@@ -453,10 +452,10 @@ impl System {
             self.apply_host_actions(i, &mut actions, now);
             self.actions = actions;
             let deadline = self.hosts[i].tb.as_ref().expect("checked").next_deadline();
-            if let Some(old) = self.hosts[i].timer_event.take() {
+            if let Some(old) = self.slots[i].timer_event.take() {
                 self.sim.cancel(old);
             }
-            if self.hosts[i].up && !self.hosts[i].dead {
+            if self.slots[i].up && !self.slots[i].dead {
                 self.schedule_tb_timer(i, deadline, now);
             }
         }

@@ -4,7 +4,9 @@
 //!
 //! A [`ProcessHost`] owns everything that belongs to one process and
 //! nothing that belongs to the environment: it never touches clocks, the
-//! network, the scheduler, metrics or the trace. Drivers (the simulator's
+//! network, the scheduler, metrics or the trace, and it keeps no driver
+//! state (whether its node is powered, whether a takeover retired it, which
+//! timer event is pending). Drivers (the simulator's
 //! dispatch layer, the cluster's node loop, or the interleaving
 //! [`explorer`](crate::explorer)) feed it [`HostEvent`]s and
 //! interpret the [`HostAction`]s it appends to their buffer — routing
@@ -18,7 +20,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use synergy_clocks::LocalTime;
-use synergy_des::{EventId, SimDuration, SimTime};
+use synergy_des::{SimDuration, SimTime};
 use synergy_mdcd::{
     Action as MdcdAction, CheckpointKind, EngineSnapshot, Event as MdcdEvent, OutboundMessage,
     ProcessRole,
@@ -33,7 +35,6 @@ use crate::app::{Application, CounterApp};
 use crate::config::Scheme;
 use crate::payload::{CheckpointPayload, SentRecord};
 use crate::roles::RoleEngine;
-use crate::system::policy::{policy_for, SchemePolicy};
 use crate::system::recovery;
 
 /// Sequence-number namespace for transport acks (disjoint from both the
@@ -214,20 +215,12 @@ pub struct ProcessHost<S: Stable = StableStore> {
     pub acks: AckTracker,
     /// Application messages sent, as reflected by checkpoints.
     pub sent_log: Vec<SentRecord>,
-    /// Whether the node is powered (false between a crash and recovery).
-    pub up: bool,
-    /// Whether the process is permanently out of service (takeover).
-    pub dead: bool,
     /// Volatile checkpoint sequence counter.
     pub volatile_seq: u64,
     /// Write-through stable checkpoint sequence counter.
     pub wt_stable_seq: u64,
     /// Transport-ack sequence counter.
     pub ack_sn: u64,
-    /// Bumped on recovery to void stale TB timer/blocking events.
-    pub tb_epoch: u64,
-    /// The pending TB timer event, if the driver tracks one.
-    pub timer_event: Option<EventId>,
     /// When the current blocking period started (true time).
     pub blocking_started_at: Option<SimTime>,
     /// Set once this process's state has been installed by a state
@@ -240,7 +233,8 @@ pub struct ProcessHost<S: Stable = StableStore> {
     pub recv_log: Vec<Arc<Envelope>>,
     /// Application messages delivered over this host's lifetime.
     pub delivered: u64,
-    policy: &'static dyn SchemePolicy,
+    /// The scheme this process runs under.
+    scheme: Scheme,
     /// Mirrors the driver's trace switch: when false, the host neither
     /// formats trace details nor emits [`HostAction::Record`] at all.
     tracing: bool,
@@ -311,14 +305,13 @@ impl<S: Stable> ProcessHost<S> {
         tb: Option<TbConfig>,
         stable: S,
     ) -> Self {
-        let policy = policy_for(scheme);
         ProcessHost {
             pid,
             node,
             topology,
             engine: RoleEngine::new(
                 role,
-                policy.mdcd_config(),
+                scheme.mdcd_config(),
                 topology.active,
                 topology.shadow,
                 topology.peer,
@@ -330,18 +323,14 @@ impl<S: Stable> ProcessHost<S> {
             stable_retries: 0,
             acks: AckTracker::new(),
             sent_log: Vec::new(),
-            up: true,
-            dead: false,
             volatile_seq: 0,
             wt_stable_seq: 0,
             ack_sn: 0,
-            tb_epoch: 0,
-            timer_event: None,
             blocking_started_at: None,
             synthetic_history: false,
             recv_log: Vec::new(),
             delivered: 0,
-            policy,
+            scheme,
             tracing: true,
             sent_snapshot: None,
             volatile_image: None,
@@ -364,11 +353,6 @@ impl<S: Stable> ProcessHost<S> {
         if let Some(inj) = self.regime.as_mut() {
             inj.arm();
         }
-    }
-
-    /// The scheme policy this host runs under.
-    pub fn policy(&self) -> &'static dyn SchemePolicy {
-        self.policy
     }
 
     /// Tells the host whether its driver records traces. Disabled hosts
@@ -613,7 +597,7 @@ impl<S: Stable> ProcessHost<S> {
         out.push(HostAction::VolatileSaved { kind });
         // Write-through baseline: Type-2 checkpoints are persisted, with the
         // unacknowledged messages a stable checkpoint owes.
-        if self.policy.stable_on_validation() && kind == CheckpointKind::Type2 {
+        if self.scheme == Scheme::WriteThrough && kind == CheckpointKind::Type2 {
             self.wt_stable_seq += 1;
             let mut stable = payload.clone();
             stable.unacked = self.acks.unacked_shared();

@@ -5,13 +5,17 @@
 //!   surface ([`ProcessHost`]).
 //! - [`dispatch`](self): the discrete-event loop, reduced to routing fired
 //!   events to hosts and applying the environment side of their actions.
-//! - `recovery`: epoch-line selection, volatile rollback, and the
+//! - `recovery`: epoch-line selection, the host-level recovery steps (the
+//!   local rollback, the takeover, the stable restore) and the
 //!   unacked/receive-log replay machinery for both recovery procedures.
 //!
-//! Scheme differences (which MDCD configuration, which TB variant,
-//! write-through or not) are concentrated in [`policy::SchemePolicy`];
-//! nothing in the host, dispatch or recovery layers matches on
-//! [`Scheme`](crate::config::Scheme) directly.
+//! A host is one process and nothing else. Whether its node is powered,
+//! whether a takeover retired it, and which TB timer event is pending are
+//! the simulator's bookkeeping, kept here beside the host
+//! (`System::slots`); the cluster node and the explorer drive hosts that
+//! carry none of it. Scheme differences (which MDCD configuration, which
+//! TB variant, write-through or not) are answered by
+//! [`Scheme`](crate::config::Scheme)'s own methods.
 //!
 //! Topology (paper §2.1): node 0 runs `P1act`, node 1 runs `P1sdw`, node 2
 //! runs `P2`; one device endpoint models the external world. Hosts are
@@ -21,11 +25,10 @@
 
 mod dispatch;
 pub mod host;
-pub mod policy;
 mod recovery;
 
 use synergy_clocks::ClockFleet;
-use synergy_des::{ActorId, DetRng, SimTime, Simulator, Trace};
+use synergy_des::{ActorId, DetRng, EventId, SimTime, Simulator, Trace};
 use synergy_mdcd::ProcessRole;
 use synergy_net::{DelayModel, DeviceId, Envelope, MsgSeqNo, ProcessId, SimNetwork};
 use synergy_tb::TbConfig;
@@ -38,8 +41,6 @@ use crate::workload::ArrivalStream;
 
 use dispatch::Ev;
 pub use host::{HostAction, HostEvent, ProcessHost, Topology};
-pub(crate) use policy::policy_for;
-pub use policy::SchemePolicy;
 pub use recovery::{epoch_line, StableRestore};
 
 /// `P1act`'s process id.
@@ -54,12 +55,11 @@ pub const DEVICE: DeviceId = DeviceId(0);
 /// The paper's name for a process id in the canonical layout (`P1act`,
 /// `P1sdw`, `P2`), or `"?"` for ids outside it.
 pub fn process_name(pid: ProcessId) -> &'static str {
-    match pid {
-        P1ACT => "P1act",
-        P1SDW => "P1sdw",
-        P2 => "P2",
-        _ => "?",
-    }
+    Topology::canonical()
+        .processes()
+        .into_iter()
+        .find(|&(p, ..)| p == pid)
+        .map_or("?", |(_, role, _)| role.name())
 }
 
 /// The running simulation. For scripted scenarios use the fine-grained
@@ -71,8 +71,8 @@ pub struct System {
     clocks: ClockFleet,
     topology: Topology,
     hosts: Vec<ProcessHost>,
-    /// The simulator actor of each host, in host order.
-    host_actors: Vec<ActorId>,
+    /// What the simulator keeps beside each host, in host order.
+    slots: Vec<Slot>,
     /// Where hosts write their actions; dispatch applies and empties it
     /// after every host call, so one buffer serves the whole mission.
     actions: Vec<HostAction>,
@@ -99,6 +99,32 @@ pub struct System {
     /// measure what each stable commit would cost through the chain format,
     /// without touching the stores or the schedule.
     ckpt_codecs: Option<Vec<synergy_archive::CheckpointCodec>>,
+}
+
+/// The simulator's bookkeeping for one host: its actor, and the liveness
+/// that crashes, recoveries and the takeover change.
+struct Slot {
+    actor: ActorId,
+    /// Whether the node is powered (false between a crash and recovery).
+    up: bool,
+    /// Whether the process is permanently out of service (takeover).
+    dead: bool,
+    /// Bumped on recovery to void stale TB timer/blocking events.
+    tb_epoch: u64,
+    /// The pending TB timer event.
+    timer_event: Option<EventId>,
+}
+
+impl Slot {
+    fn new(actor: ActorId) -> Self {
+        Slot {
+            actor,
+            up: true,
+            dead: false,
+            tb_epoch: 0,
+            timer_event: None,
+        }
+    }
 }
 
 impl System {
@@ -160,7 +186,7 @@ impl System {
             clocks,
             topology,
             hosts,
-            host_actors: vec![a_act, a_sdw, a_p2],
+            slots: vec![Slot::new(a_act), Slot::new(a_sdw), Slot::new(a_p2)],
             actions: Vec::new(),
             device_actor,
             system_actor,
@@ -272,7 +298,7 @@ impl System {
     // ------------------------------------------------------------------
 
     fn host_index(&self, actor: ActorId) -> Option<usize> {
-        self.host_actors.iter().position(|a| *a == actor)
+        self.slots.iter().position(|s| s.actor == actor)
     }
 
     fn index_of_pid(&self, pid: ProcessId) -> Option<usize> {
@@ -281,11 +307,6 @@ impl System {
 
     fn index_of_node(&self, node: usize) -> Option<usize> {
         self.hosts.iter().position(|h| h.node == node)
-    }
-
-    /// The scheme policy this run executes.
-    fn policy(&self) -> &'static dyn SchemePolicy {
-        policy_for(self.cfg.scheme)
     }
 
     // ------------------------------------------------------------------

@@ -5,11 +5,12 @@
 //! [`filter_replays`], [`amend_volatile_copy`], [`prune_unacked`]) so it
 //! can be unit-tested without a full [`System`]; the two recovery
 //! procedures (software takeover, global hardware rollback) orchestrate
-//! them over the hosts. The per-process half of a global rollback —
-//! select the checkpoint at the line, serve it value-flipped on a
-//! Byzantine-lite node, install it, realign `Ndc`, restart TB — is one host
-//! method, [`ProcessHost::restore_stable`], that the simulator and the
-//! cluster node each call once.
+//! them over the hosts. Each per-process step is one host method: the
+//! simulator and the interleaving explorer both run software recovery's
+//! `recover_locally` and `take_over`, and the simulator and the cluster
+//! node each call [`ProcessHost::restore_stable`] once — select the
+//! checkpoint at the line, serve it value-flipped on a Byzantine-lite
+//! node, install it, realign `Ndc`, restart TB.
 
 use std::sync::Arc;
 
@@ -134,10 +135,19 @@ pub(crate) fn filter_replays(
 }
 
 impl<S: Stable> ProcessHost<S> {
-    /// Restores this host from its most recent volatile checkpoint;
-    /// returns the rollback distance in seconds, or `None` when no
-    /// volatile checkpoint exists.
-    pub fn rollback_to_volatile(&mut self, now: SimTime) -> Option<f64> {
+    /// The local half of software recovery on a surviving shadow or peer:
+    /// decides, then rolls back to the most recent volatile checkpoint or
+    /// rolls forward. Returns the decision and the seconds of progress
+    /// undone, or `None` when the host must roll back but holds no volatile
+    /// checkpoint (it is then left as it was).
+    pub(crate) fn recover_locally(&mut self, now: SimTime) -> Option<(RecoveryDecision, f64)> {
+        let decision = self
+            .engine
+            .recovery_decision()
+            .expect("shadow/peer decide locally");
+        if decision == RecoveryDecision::RollForward {
+            return Some((decision, 0.0));
+        }
         let payload = self.volatile_image.clone()?;
         let distance = now
             .saturating_duration_since(payload.state_time())
@@ -155,7 +165,18 @@ impl<S: Stable> ProcessHost<S> {
                 .handle_into(MdcdEvent::BlockingStarted, &mut actions);
             debug_assert!(actions.is_empty());
         }
-        Some(distance)
+        Some((decision, distance))
+    }
+
+    /// The takeover, run on the shadow: promotes it to active and retargets
+    /// `peer` at it. Returns the suppressed messages beyond the last
+    /// validation, which the promoted shadow must (re-)send.
+    pub(crate) fn take_over(&mut self, peer: &mut ProcessHost<S>) -> Vec<Envelope> {
+        let plan = self.engine.take_over();
+        if let Some(p) = peer.engine.as_peer_mut() {
+            p.retarget_active(self.pid);
+        }
+        plan.resend
     }
 
     /// Installs a restored stable payload: application, engine, sent log
@@ -327,18 +348,23 @@ impl System {
         let peer = self.index_of_pid(self.topology.peer).expect("peer host");
         // The active is dead; its in-flight messages are discarded on
         // delivery.
-        self.hosts[act].up = false;
-        self.hosts[act].dead = true;
+        self.slots[act].up = false;
+        self.slots[act].dead = true;
 
         // Local decisions + rollbacks for shadow and peer.
         for i in [sdw, peer] {
-            let decision = self.hosts[i]
-                .engine
-                .recovery_decision()
-                .expect("shadow/peer decide locally");
-            let distance = match decision {
-                RecoveryDecision::RollBack => self.rollback_host(i, now),
-                RecoveryDecision::RollForward => 0.0,
+            let (decision, distance) = match self.hosts[i].recover_locally(now) {
+                Some(step) => step,
+                None => {
+                    self.verdicts.violations.push(Violation {
+                        property: "validity-self",
+                        detail: format!(
+                            "{} must roll back but has no volatile checkpoint",
+                            self.hosts[i].pid
+                        ),
+                    });
+                    (RecoveryDecision::RollBack, 0.0)
+                }
             };
             self.metrics.rollbacks.push(RollbackRecord {
                 process: self.hosts[i].pid,
@@ -347,7 +373,7 @@ impl System {
                 distance_secs: distance,
                 at: now,
             });
-            self.sim.record_with(self.host_actors[i], || {
+            self.sim.record_with(self.slots[i].actor, || {
                 (
                     "recovery.decision",
                     format!("{decision} ({distance:.3}s undone)"),
@@ -355,16 +381,7 @@ impl System {
             });
         }
 
-        // Shadow takes over and re-sends unvalidated suppressed messages.
-        let plan = self.hosts[sdw].engine.take_over();
-        if let Some(p) = self.hosts[peer].engine.as_peer_mut() {
-            p.retarget_active(self.topology.shadow);
-        }
-        let resend = plan.resend;
-        self.metrics.messages_resent += resend.len() as u64;
-        for env in resend {
-            self.send_from(sdw, env, now);
-        }
+        self.promote_shadow(sdw, peer, now);
 
         // Check the recovered (volatile) cut.
         let mut states: Vec<RestoredState> = Vec::with_capacity(2);
@@ -383,21 +400,17 @@ impl System {
         self.verdicts.merge(v);
     }
 
-    /// [`ProcessHost::rollback_to_volatile`] with the driver's violation
-    /// accounting for the impossible missing-checkpoint case.
-    fn rollback_host(&mut self, i: usize, now: SimTime) -> f64 {
-        match self.hosts[i].rollback_to_volatile(now) {
-            Some(distance) => distance,
-            None => {
-                self.verdicts.violations.push(Violation {
-                    property: "validity-self",
-                    detail: format!(
-                        "{} must roll back but has no volatile checkpoint",
-                        self.hosts[i].pid
-                    ),
-                });
-                0.0
-            }
+    /// The shadow takes over ([`ProcessHost::take_over`]) and re-sends the
+    /// unvalidated messages it suppressed.
+    fn promote_shadow(&mut self, sdw: usize, peer: usize, now: SimTime) {
+        let [shadow, peer] = self
+            .hosts
+            .get_disjoint_mut([sdw, peer])
+            .expect("shadow and peer are two hosts");
+        let resend = shadow.take_over(peer);
+        self.metrics.messages_resent += resend.len() as u64;
+        for env in resend {
+            self.send_from(sdw, env, now);
         }
     }
 
@@ -409,14 +422,14 @@ impl System {
         let Some(i) = self.index_of_node(node) else {
             return;
         };
-        if self.hosts[i].dead {
+        if self.slots[i].dead {
             return; // crashing a dead node changes nothing
         }
-        self.sim.record_with(self.host_actors[i], || {
+        self.sim.record_with(self.slots[i].actor, || {
             ("fault.hardware", format!("node {node} crashed"))
         });
+        self.slots[i].up = false;
         let host = &mut self.hosts[i];
-        host.up = false;
         host.volatile_image = None;
         if host.stable.is_writing() {
             self.metrics.torn_writes += 1;
@@ -444,17 +457,20 @@ impl System {
         // All pre-crash traffic and control events are void.
         self.net_inc += 1;
 
-        // Pick the recovery line: the epoch line under TB schemes;
+        // Pick the recovery line: the epoch line under TB schemes, whose
+        // checkpoints are numbered by epoch and whose crash can tear one
+        // process's in-flight write while its peers commit theirs;
         // write-through checkpoints are taken at each process's own
         // validations (no epochs), so each restores its newest record,
         // whose mutual consistency FIFO delivery of the `passed_AT`
         // broadcast provides.
-        let recovery_epoch: Option<u64> = if self.policy().epoch_line_recovery() {
+        let recovery_epoch: Option<u64> = if self.cfg.scheme.tb_variant().is_some() {
             epoch_line(
                 self.hosts
                     .iter()
-                    .filter(|h| !h.dead)
-                    .map(|h| h.stable.latest_seq()),
+                    .zip(&self.slots)
+                    .filter(|(_, slot)| !slot.dead)
+                    .map(|(h, _)| h.stable.latest_seq()),
             )
         } else {
             None
@@ -487,11 +503,11 @@ impl System {
         let mut restored_payloads: Vec<(usize, CheckpointPayload)> = Vec::new();
         let mut resend: Vec<(usize, Arc<Envelope>)> = Vec::new();
         for i in 0..self.hosts.len() {
-            if self.hosts[i].dead {
+            if self.slots[i].dead {
                 continue;
             }
-            self.hosts[i].up = true;
-            self.hosts[i].tb_epoch += 1;
+            self.slots[i].up = true;
+            self.slots[i].tb_epoch += 1;
             // Regime axis 4: a Byzantine-lite node serves value-flipped
             // checkpoints behind valid CRCs from the arming instant on. Only
             // the oracle device-stream diff can see the lie.
@@ -544,7 +560,7 @@ impl System {
             for env in &payload.unacked {
                 resend.push((i, Arc::clone(env)));
             }
-            self.sim.record_with(self.host_actors[i], || {
+            self.sim.record_with(self.slots[i].actor, || {
                 (
                     "recovery.restore",
                     format!("stable state from {}", payload.state_time()),
@@ -574,7 +590,7 @@ impl System {
                     .on_message(env.from(), env.id.seq, payload);
                 self.metrics.messages_replayed += 1;
                 self.sim
-                    .record_with(self.host_actors[i], || ("msg.replay", env.to_string()));
+                    .record_with(self.slots[i].actor, || ("msg.replay", env.to_string()));
             }
         }
 
@@ -602,7 +618,7 @@ impl System {
         for (i, env) in resend {
             self.route_only((*env).clone(), now);
             self.sim
-                .record_with(self.host_actors[i], || ("msg.resend", env.to_string()));
+                .record_with(self.slots[i].actor, || ("msg.resend", env.to_string()));
         }
 
         let (Some(act), Some(sdw)) = (
@@ -615,7 +631,7 @@ impl System {
         // refreshed from the restored active replica (DESIGN.md §2 — the
         // GSU middleware re-initializes both versions from one state when
         // (re)entering guarded operation).
-        if !self.hosts[act].dead && !self.hosts[sdw].dead {
+        if !self.slots[act].dead && !self.slots[sdw].dead {
             let act_state = self.hosts[act].app.snapshot();
             let act_sn = self.hosts[act].engine.snapshot().msg_sn;
             let shadow = &mut self.hosts[sdw];
@@ -628,23 +644,17 @@ impl System {
             shadow.engine.restore(&snap);
             shadow.synthetic_history = true;
             self.sim.record(
-                self.host_actors[sdw],
+                self.slots[sdw].actor,
                 "recovery.refresh",
                 "shadow re-aligned to restored active state",
             );
         }
-        // A dead active means the shadow must remain (or become) promoted.
-        if self.hosts[act].dead && self.hosts[sdw].engine.role() != ProcessRole::Active {
-            let plan = self.hosts[sdw].engine.take_over();
-            if let Some(peer) = self.index_of_pid(self.topology.peer) {
-                if let Some(p) = self.hosts[peer].engine.as_peer_mut() {
-                    p.retarget_active(self.topology.shadow);
-                }
-            }
-            self.metrics.messages_resent += plan.resend.len() as u64;
-            for env in plan.resend {
-                self.send_from(sdw, env, now);
-            }
+        // A dead active means the shadow must remain (or become) promoted:
+        // a crash whose epoch line predates the takeover restored it as a
+        // shadow.
+        if self.slots[act].dead && self.hosts[sdw].engine.role() != ProcessRole::Active {
+            let peer = self.index_of_pid(self.topology.peer).expect("peer host");
+            self.promote_shadow(sdw, peer, now);
         }
     }
 }

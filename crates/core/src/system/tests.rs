@@ -224,7 +224,7 @@ fn unknown_pid_actor_and_node_find_no_host() {
     for (i, host) in system.hosts.iter().enumerate() {
         assert_eq!(system.index_of_pid(host.pid), Some(i));
         assert_eq!(system.index_of_node(host.node), Some(i));
-        assert_eq!(system.host_index(system.host_actors[i]), Some(i));
+        assert_eq!(system.host_index(system.slots[i].actor), Some(i));
     }
     assert_eq!(system.index_of_pid(ProcessId(99)), None);
     assert_eq!(system.index_of_node(3), None);

@@ -25,13 +25,20 @@ pub enum ProcessRole {
     Peer,
 }
 
+impl ProcessRole {
+    /// The paper's name for the process in this role.
+    pub fn name(self) -> &'static str {
+        match self {
+            ProcessRole::Active => "P1act",
+            ProcessRole::Shadow => "P1sdw",
+            ProcessRole::Peer => "P2",
+        }
+    }
+}
+
 impl fmt::Display for ProcessRole {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProcessRole::Active => write!(f, "P1act"),
-            ProcessRole::Shadow => write!(f, "P1sdw"),
-            ProcessRole::Peer => write!(f, "P2"),
-        }
+        f.write_str(self.name())
     }
 }
 

@@ -137,6 +137,33 @@ fn crash_after_takeover_recovers_without_the_active() {
 }
 
 #[test]
+fn a_crash_whose_line_predates_the_takeover_promotes_the_shadow_again() {
+    // The takeover at 43.7 s kills the active; P2's crash at 44 s rolls
+    // back to an epoch line taken before the takeover, which restores
+    // P1sdw as a shadow. Hardware recovery must promote it again and re-send what it
+    // suppressed: without that step the mission re-sends 3 messages, ends
+    // with the shadow unpromoted and delivers 19 device messages.
+    let outcome = Mission::new(
+        base(Scheme::Coordinated, 4)
+            .duration_secs(120.0)
+            .software_fault_at_secs(40.0)
+            .hardware_fault_at_secs(44.0)
+            .build(),
+    )
+    .run();
+    assert_eq!(outcome.metrics.software_recoveries, 1);
+    assert_eq!(outcome.metrics.hardware_recoveries, 1);
+    assert_eq!(outcome.metrics.messages_resent, 6);
+    assert!(outcome.shadow_promoted);
+    assert_eq!(outcome.device_messages, 26);
+    assert!(
+        outcome.verdicts.all_hold(),
+        "{:?}",
+        outcome.verdicts.violations
+    );
+}
+
+#[test]
 fn replicas_stay_aligned_without_faults() {
     let mut system = synergy::System::new(base(Scheme::Coordinated, 31).build());
     system.run();
