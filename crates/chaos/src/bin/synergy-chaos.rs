@@ -205,10 +205,12 @@ fn main() -> ExitCode {
     let indices: Vec<u64> = (0..args.seeds).collect();
     let results = sweep(&indices, args.jobs, |index| {
         let spec = CampaignSpec::generate(args.base_seed, index, args.toggles);
-        let result = run_campaign(&spec, &node_bin, &args.data_root);
-        print_result(index, &result);
-        result
+        run_campaign(&spec, &node_bin, &args.data_root)
     });
+    // In campaign order, whatever order the jobs finished in.
+    for (index, result) in (0u64..).zip(&results) {
+        print_result(index, result);
+    }
 
     let converged = results.iter().filter(|r| r.outcome.is_converged()).count();
     println!(

@@ -199,3 +199,34 @@ fn data_root_keeps_what_the_run_did_not_create() {
     std::fs::remove_dir_all(&data_root).expect("clean up");
     assert_eq!(left, [sentinel], "only the sentinel is left");
 }
+
+/// With two jobs the campaigns finish in any order; the sweep still prints
+/// them in campaign order, so two runs of one family compare line by line.
+#[test]
+fn sweep_prints_campaigns_in_campaign_order() {
+    let data_root = unique_dir("order");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_synergy-chaos"))
+        .args([
+            "--seeds",
+            "4",
+            "--base-seed",
+            "7",
+            "--jobs",
+            "2",
+            "--node-bin",
+        ])
+        .arg(node_bin())
+        .arg("--data-root")
+        .arg(&data_root)
+        .output()
+        .expect("run synergy-chaos");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "exit {}: {stdout}", out.status);
+    let printed: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("campaign "))
+        .filter_map(|rest| rest.split_whitespace().next())
+        .collect();
+    let _ = std::fs::remove_dir_all(&data_root);
+    assert_eq!(printed, ["0", "1", "2", "3"], "{stdout}");
+}

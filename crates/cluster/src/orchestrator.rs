@@ -729,16 +729,39 @@ impl Cluster {
 
     /// One commanded checkpoint round on every node.
     fn checkpoint_round(&mut self) -> Result<(), ClusterError> {
+        self.begin_round(None, None)?;
+        self.commit_round(None)
+    }
+
+    /// Sends `BeginCkpt` to every node but `skip`. Each must stage a
+    /// write, except `record`, whose answer is returned instead (`false`
+    /// when no node is named).
+    fn begin_round(
+        &mut self,
+        skip: Option<usize>,
+        record: Option<usize>,
+    ) -> Result<bool, ClusterError> {
         let ctrl_timeout = self.cfg.timeouts.ctrl;
-        for node in &mut self.nodes {
+        let mut recorded = false;
+        for node in self.nodes.iter_mut().filter(|n| Some(n.index) != skip) {
             let reply = node.roundtrip(&CtrlMsg::BeginCkpt, ctrl_timeout)?;
-            if !matches!(reply, CtrlReply::Began { writing: true }) {
+            let writing = matches!(reply, CtrlReply::Began { writing: true });
+            if Some(node.index) == record {
+                recorded = writing;
+            } else if !writing {
                 return Err(ClusterError::Protocol {
                     detail: format!("pid {}: round did not stage a write: {reply:?}", node.pid),
                 });
             }
         }
-        for node in &mut self.nodes {
+        Ok(recorded)
+    }
+
+    /// Sends `CommitCkpt` to every node but `skip`, tracking each one's
+    /// committed epoch.
+    fn commit_round(&mut self, skip: Option<usize>) -> Result<(), ClusterError> {
+        let ctrl_timeout = self.cfg.timeouts.ctrl;
+        for node in self.nodes.iter_mut().filter(|n| Some(n.index) != skip) {
             match node.roundtrip(&CtrlMsg::CommitCkpt, ctrl_timeout)? {
                 CtrlReply::Committed { epoch } => node.epoch = epoch,
                 other => {
@@ -883,50 +906,22 @@ impl Cluster {
     fn crash_round(&mut self, ev: &CrashEvent) -> Result<KillReport, ClusterError> {
         let ctrl_timeout = self.cfg.timeouts.ctrl;
         let victim = ev.victim.index();
-        let mut victim_began_writing = false;
-
-        match ev.kind {
+        let victim_began_writing = match ev.kind {
             CrashKind::RoundStart => {
                 // The victim dies idle, before the round touches it; the
                 // survivors still run the full round and commit.
                 self.kill_node(ev.victim)?;
-                for i in 0..self.nodes.len() {
-                    if i == victim {
-                        continue;
-                    }
-                    let reply = self.nodes[i].roundtrip(&CtrlMsg::BeginCkpt, ctrl_timeout)?;
-                    if !matches!(reply, CtrlReply::Began { writing: true }) {
-                        return Err(ClusterError::Protocol {
-                            detail: format!("survivor did not stage a write: {reply:?}"),
-                        });
-                    }
-                }
+                self.begin_round(Some(victim), None)?
             }
             CrashKind::MidRound | CrashKind::DoubleKill => {
-                for i in 0..self.nodes.len() {
-                    let reply = self.nodes[i].roundtrip(&CtrlMsg::BeginCkpt, ctrl_timeout)?;
-                    if self.nodes[i].index == victim {
-                        victim_began_writing = matches!(reply, CtrlReply::Began { writing: true });
-                    }
-                }
+                let began = self.begin_round(None, Some(victim))?;
                 // The hardware fault: SIGKILL mid-round. The victim's
                 // in-flight stable write is now a genuinely torn temp file.
                 self.kill_node(ev.victim)?;
+                began
             }
-        }
-        for i in 0..self.nodes.len() {
-            if i == victim {
-                continue;
-            }
-            match self.nodes[i].roundtrip(&CtrlMsg::CommitCkpt, ctrl_timeout)? {
-                CtrlReply::Committed { epoch } => self.nodes[i].epoch = epoch,
-                other => {
-                    return Err(ClusterError::Protocol {
-                        detail: format!("survivor commit reply {other:?}"),
-                    })
-                }
-            }
-        }
+        };
+        self.commit_round(Some(victim))?;
 
         // Rot injected while the victim is down, so its restart exercises
         // the reload's fallback. It latches on its own, so a skipped

@@ -8,6 +8,7 @@ use std::time::{Duration, Instant};
 
 use synergy::{CrashEvent, CrashKind, NodeId};
 use synergy_cluster::{grid_rounds, Cluster, ClusterConfig, ClusterError};
+use synergy_storage::{DiskFault, DiskFaultPlan, DiskOp};
 
 fn unique_dir(label: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -249,4 +250,45 @@ fn a_node_exits_when_its_control_connection_closes() {
     let _ = std::fs::remove_dir_all(&data_root);
     let status = status.expect("the node exits within 5 s of its control connection closing");
     assert!(status.success(), "the node exits cleanly: {status}");
+}
+
+/// A crash round checks its survivors as an ordinary round checks every
+/// node: when the victim dies mid-round and a survivor's disk refuses to
+/// stage the round's write more often than the node retries, the run fails
+/// with a protocol error naming that survivor, instead of committing the
+/// survivors' round without it.
+#[test]
+fn a_survivor_that_stages_no_write_fails_a_mid_round_crash() {
+    let data_root = unique_dir("survivor-no-write");
+    let mut cfg = config(
+        PathBuf::from(env!("CARGO_BIN_EXE_synergy-node")),
+        data_root.clone(),
+    );
+    let epoch = 2;
+    cfg.crashes.push(CrashEvent {
+        victim: NodeId::P2,
+        epoch,
+        kind: CrashKind::MidRound,
+    });
+    // Every begin of P1act's round-`epoch` write fails: a node retries 8 times.
+    cfg.disk_plans = vec![DiskFaultPlan {
+        faults: vec![DiskFault {
+            seq: epoch,
+            op: DiskOp::Begin,
+            times: 64,
+        }],
+    }];
+    let survivor = NodeId::P1Act.pid().0;
+    let outcome = Cluster::launch(cfg).and_then(Cluster::run);
+    let _ = std::fs::remove_dir_all(&data_root);
+    match outcome {
+        Err(ClusterError::Protocol { detail }) => {
+            assert!(
+                detail.starts_with(&format!("pid {survivor}: round did not stage a write")),
+                "{detail}"
+            );
+        }
+        Err(other) => panic!("expected a protocol error for pid {survivor}, got {other:?}"),
+        Ok(_) => panic!("the run must fail when a survivor stages no write"),
+    }
 }

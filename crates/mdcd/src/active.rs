@@ -1,17 +1,12 @@
 //! The error-containment engine of `P1act` (Appendix A, Fig. 8).
 
-use synergy_net::{CkptSeqNo, Endpoint, Envelope, MessageBody, MsgId, MsgSeqNo, ProcessId};
+use synergy_net::{MsgSeqNo, ProcessId};
 
 use crate::actions::Action;
 use crate::events::{Event, OutboundMessage};
-use crate::hold::HoldQueue;
+use crate::shared::{Core, Role};
 use crate::snapshot::EngineSnapshot;
 use crate::types::{CheckpointKind, MdcdConfig, Variant};
-
-/// Sequence-number namespace for control messages (`passed_AT`), disjoint
-/// from the application message counter so [`MsgId`]s stay unique without
-/// perturbing the replica-aligned application sequence.
-pub(crate) const CTRL_SEQ_BASE: u64 = 1 << 63;
 
 /// The engine hosted next to the low-confidence active version `P1act`.
 ///
@@ -48,18 +43,11 @@ pub(crate) const CTRL_SEQ_BASE: u64 = 1 << 63;
 /// ```
 #[derive(Clone, Debug)]
 pub struct ActiveEngine {
-    cfg: MdcdConfig,
-    id: ProcessId,
+    core: Core,
     shadow: ProcessId,
     peer: ProcessId,
-    /// Constantly 1 during guarded operation (paper §3).
     pseudo_dirty: bool,
-    msg_sn: MsgSeqNo,
-    ctrl_sn: u64,
-    ndc: CkptSeqNo,
-    hold: HoldQueue,
     halted: bool,
-    at_runs: u64,
 }
 
 impl ActiveEngine {
@@ -67,17 +55,11 @@ impl ActiveEngine {
     /// `peer`.
     pub fn new(cfg: MdcdConfig, id: ProcessId, shadow: ProcessId, peer: ProcessId) -> Self {
         ActiveEngine {
-            cfg,
-            id,
+            core: Core::new(cfg, id, true),
             shadow,
             peer,
             pseudo_dirty: false,
-            msg_sn: MsgSeqNo(0),
-            ctrl_sn: 0,
-            ndc: CkptSeqNo(0),
-            hold: HoldQueue::new(),
             halted: false,
-            at_runs: 0,
         }
     }
 
@@ -95,7 +77,7 @@ impl ActiveEngine {
     /// contents for this process (paper §4.2, footnote 2: `P1act` uses its
     /// pseudo dirty bit).
     pub fn checkpoint_bit(&self) -> bool {
-        match self.cfg.variant {
+        match self.core.cfg.variant {
             Variant::Modified => self.pseudo_dirty,
             Variant::Original => true,
         }
@@ -103,7 +85,7 @@ impl ActiveEngine {
 
     /// Current outgoing application sequence number.
     pub fn msg_sn(&self) -> MsgSeqNo {
-        self.msg_sn
+        self.core.msg_sn
     }
 
     /// Whether the engine stopped after a detected software error.
@@ -113,19 +95,14 @@ impl ActiveEngine {
 
     /// Number of acceptance tests executed.
     pub fn at_runs(&self) -> u64 {
-        self.at_runs
+        self.core.at_runs
     }
 
     /// Captures the engine control state for a checkpoint.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
-            dirty: true,
             pseudo_dirty: Some(self.pseudo_dirty),
-            msg_sn: self.msg_sn,
-            vr_act: MsgSeqNo(0),
-            ndc: self.ndc,
-            log: Vec::new(),
-            promoted: false,
+            ..self.core.snapshot()
         }
     }
 
@@ -133,9 +110,9 @@ impl ActiveEngine {
     /// restored — see [`EngineSnapshot`]). Blocking context and held traffic
     /// are discarded; the engine resumes un-halted.
     pub fn restore(&mut self, snapshot: &EngineSnapshot) {
+        self.core.restore(snapshot);
+        self.core.dirty = true; // even from the initial state's snapshot
         self.pseudo_dirty = snapshot.pseudo_dirty.unwrap_or(false);
-        self.msg_sn = snapshot.msg_sn;
-        self.hold.reset();
         self.halted = false;
     }
 
@@ -143,158 +120,70 @@ impl ActiveEngine {
     /// order, to `out` — a driver that keeps one buffer pays for no vector
     /// per event.
     pub fn handle_into(&mut self, event: Event, out: &mut Vec<Action>) {
-        if self.halted {
-            return;
-        }
-        match event {
-            Event::AppSend(m) => {
-                if self.hold.is_blocking() {
-                    self.hold.hold(Event::AppSend(m));
-                } else if m.external {
-                    self.send_external(m, out);
-                } else {
-                    self.send_internal(m, out);
-                }
-            }
-            Event::Deliver(envelope) => self.deliver(envelope, out),
-            Event::BlockingStarted => self.hold.start(),
-            Event::BlockingEnded => {
-                self.hold.end();
-                while let Some(held) = self.hold.pop() {
-                    self.handle_into(held, out);
-                }
-            }
-            Event::StableCheckpointCommitted(seq) => self.ndc = seq,
+        self.step(event, out);
+    }
+}
+
+impl Role for ActiveEngine {
+    fn core(&mut self) -> &mut Core {
+        &mut self.core
+    }
+
+    fn checkpoint(&self, kind: CheckpointKind) -> Action {
+        Action::TakeCheckpoint {
+            kind,
+            engine: self.snapshot(),
         }
     }
 
-    fn send_external(&mut self, m: OutboundMessage, out: &mut Vec<Action>) {
-        self.at_runs += 1;
-        out.push(Action::AtPerformed { pass: m.at_pass });
-        if !m.at_pass {
-            // `error_recovery(P1sdw, P2); exit(error)`
-            self.halted = true;
-            out.push(Action::SoftwareErrorDetected);
-            return;
-        }
-        if self.cfg.variant == Variant::Modified {
-            self.pseudo_dirty = false;
-        } else if self.cfg.active_type2 {
-            // Write-through baseline: P1act takes a Type-2 checkpoint on its
-            // own validation so it, too, has something to persist.
-            out.push(Action::TakeCheckpoint {
-                kind: CheckpointKind::Type2,
-                engine: self.snapshot(),
-            });
-        }
-        self.msg_sn = self.msg_sn.next();
-        out.push(Action::Send(Envelope::new(
-            MsgId {
-                from: self.id,
-                seq: self.msg_sn,
-            },
-            m.to,
-            MessageBody::External { payload: m.payload },
-        )));
-        // Broadcast `passed_AT` with the validated sequence number and the
-        // local Ndc.
-        for dest in [self.shadow, self.peer] {
-            out.push(Action::Send(self.passed_at(dest)));
-        }
+    fn halted(&self) -> bool {
+        self.halted
     }
 
-    fn send_internal(&mut self, m: OutboundMessage, out: &mut Vec<Action>) {
-        if self.cfg.variant == Variant::Modified && !self.pseudo_dirty {
+    fn send(&mut self, m: OutboundMessage, out: &mut Vec<Action>) {
+        if m.external {
+            if !self.core.run_at(m.at_pass, out) {
+                // `error_recovery(P1sdw, P2); exit(error)`
+                self.halted = true;
+                return;
+            }
+            self.validated(self.core.msg_sn, out);
+            out.push(Action::Send(self.core.number(m.to, m.payload, true)));
+            // Broadcast `passed_AT` with the validated sequence number and
+            // the local Ndc.
+            for dest in [self.shadow, self.peer] {
+                out.push(self.core.passed_at(dest, self.core.msg_sn));
+            }
+            return;
+        }
+        if self.core.cfg.variant == Variant::Modified && !self.pseudo_dirty {
             // First internal message since the last validation: establish the
             // pseudo checkpoint *before* the send so it is consistent with
             // the Type-1 checkpoint the receiver takes before reading it.
-            out.push(Action::TakeCheckpoint {
-                kind: CheckpointKind::Pseudo,
-                engine: self.snapshot(),
-            });
+            out.push(self.checkpoint(CheckpointKind::Pseudo));
             self.pseudo_dirty = true;
         }
-        self.msg_sn = self.msg_sn.next();
-        out.push(Action::Send(Envelope::new(
-            MsgId {
-                from: self.id,
-                seq: self.msg_sn,
-            },
-            m.to,
-            MessageBody::Application {
-                payload: m.payload,
-                // `m = append(m, dirty_bit)` — constantly 1 for P1act.
-                dirty: true,
-            },
-        )));
+        out.push(Action::Send(self.core.number(m.to, m.payload, false)));
     }
 
-    fn deliver(&mut self, envelope: Envelope, out: &mut Vec<Action>) {
-        match &envelope.body {
-            MessageBody::PassedAt { ndc, .. } => {
-                match self.cfg.variant {
-                    Variant::Modified => {
-                        if *ndc == self.ndc || (*ndc > self.ndc && !self.hold.is_blocking()) {
-                            // Same epoch, or an early notification from a
-                            // sender that already committed while we are
-                            // idle: knowledge update only, nothing to
-                            // wrongly adjust.
-                            self.pseudo_dirty = false;
-                        } else if *ndc > self.ndc {
-                            // Early notification during our blocking period:
-                            // it belongs to the next epoch — defer past the
-                            // commit rather than losing the validation.
-                            self.hold.hold(Event::Deliver(envelope));
-                        }
-                        // *ndc < self.ndc: a stale in-transit notification
-                        // (the Fig. 4(b) hazard) — dropped.
-                    }
-                    Variant::Original => {
-                        if self.hold.is_blocking() {
-                            self.hold.hold(Event::Deliver(envelope));
-                        } else if self.cfg.active_type2 {
-                            out.push(Action::TakeCheckpoint {
-                                kind: CheckpointKind::Type2,
-                                engine: self.snapshot(),
-                            });
-                        }
-                    }
-                }
-            }
-            MessageBody::Application { .. } => {
-                if self.hold.is_blocking() {
-                    self.hold.hold(Event::Deliver(envelope));
-                } else {
-                    // P1act is permanently dirty; reception never changes
-                    // confidence, so no checkpoint is needed.
-                    out.push(Action::DeliverToApp(envelope));
-                }
-            }
-            MessageBody::External { .. } | MessageBody::Ack { .. } => {
-                debug_assert!(false, "driver must not route {envelope} to an MDCD engine");
-            }
+    /// A validation — its own AT passing or an admitted `passed_AT` —
+    /// clears the pseudo dirty bit, not the dirty bit; the validated
+    /// `msg_sn` is not read. The write-through baseline instead takes a
+    /// Type-2 checkpoint, so `P1act`, too, has something to persist.
+    fn validated(&mut self, _msg_sn: MsgSeqNo, out: &mut Vec<Action>) {
+        if self.core.cfg.variant == Variant::Modified {
+            self.pseudo_dirty = false;
+        } else if self.core.cfg.active_type2 {
+            out.push(self.checkpoint(CheckpointKind::Type2));
         }
-    }
-
-    fn passed_at(&mut self, to: ProcessId) -> Envelope {
-        self.ctrl_sn += 1;
-        Envelope::new(
-            MsgId {
-                from: self.id,
-                seq: MsgSeqNo(CTRL_SEQ_BASE + self.ctrl_sn),
-            },
-            Endpoint::Process(to),
-            MessageBody::PassedAt {
-                msg_sn: self.msg_sn,
-                ndc: self.ndc,
-            },
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shared::testkit::{self, feed};
+    use synergy_net::{CkptSeqNo, Envelope, MessageBody};
 
     const SELF: ProcessId = ProcessId(1);
     const SHADOW: ProcessId = ProcessId(2);
@@ -304,43 +193,16 @@ mod tests {
         ActiveEngine::new(cfg, SELF, SHADOW, PEER)
     }
 
-    /// Feeds `event`, collecting the actions it produces.
-    fn feed(e: &mut ActiveEngine, event: Event) -> Vec<Action> {
-        let mut out = Vec::new();
-        e.handle_into(event, &mut out);
-        out
-    }
-
     fn internal(payload: u8) -> Event {
-        Event::AppSend(OutboundMessage {
-            to: Endpoint::Process(PEER),
-            payload: vec![payload],
-            external: false,
-            at_pass: true,
-        })
+        testkit::send(PEER, payload, false, true)
     }
 
     fn external(pass: bool) -> Event {
-        Event::AppSend(OutboundMessage {
-            to: Endpoint::Device(synergy_net::DeviceId(0)),
-            payload: vec![0xEE],
-            external: true,
-            at_pass: pass,
-        })
+        testkit::send(synergy_net::DeviceId(0), 0xEE, true, pass)
     }
 
     fn passed_at(ndc: u64, sn: u64) -> Event {
-        Event::Deliver(Envelope::new(
-            MsgId {
-                from: PEER,
-                seq: MsgSeqNo(CTRL_SEQ_BASE + 99),
-            },
-            SELF,
-            MessageBody::PassedAt {
-                msg_sn: MsgSeqNo(sn),
-                ndc: CkptSeqNo(ndc),
-            },
-        ))
+        testkit::passed_at(PEER, SELF, sn, ndc)
     }
 
     #[test]
@@ -444,22 +306,15 @@ mod tests {
         let mut e = engine(MdcdConfig::modified());
         feed(&mut e, internal(1));
         feed(&mut e, Event::BlockingStarted);
-        let app = Envelope::new(
-            MsgId {
-                from: PEER,
-                seq: MsgSeqNo(1),
-            },
-            SELF,
-            MessageBody::Application {
-                payload: vec![7],
-                dirty: false,
-            },
-        );
-        assert!(feed(&mut e, Event::Deliver(app.clone())).is_empty(), "held");
+        let app = testkit::app(PEER, 1, SELF, 7, false);
+        assert!(feed(&mut e, app.clone()).is_empty(), "held");
         // passed_AT flows through the blockade (Table 1: all but passed_AT).
         feed(&mut e, passed_at(0, 1));
         assert!(!e.pseudo_dirty_bit());
         let released = feed(&mut e, Event::BlockingEnded);
+        let Event::Deliver(app) = app else {
+            unreachable!("an app message is a delivery")
+        };
         assert_eq!(released, vec![Action::DeliverToApp(app)]);
     }
 

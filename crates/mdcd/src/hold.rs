@@ -13,10 +13,6 @@ pub(crate) struct HoldQueue {
 }
 
 impl HoldQueue {
-    pub(crate) fn new() -> Self {
-        HoldQueue::default()
-    }
-
     pub(crate) fn is_blocking(&self) -> bool {
         self.blocking
     }
@@ -58,7 +54,7 @@ mod tests {
 
     #[test]
     fn holds_and_releases_in_order() {
-        let mut h = HoldQueue::new();
+        let mut h = HoldQueue::default();
         h.start();
         assert!(h.is_blocking());
         h.hold(Event::BlockingStarted); // any events; variants are arbitrary here
@@ -73,7 +69,7 @@ mod tests {
 
     #[test]
     fn reset_discards_held_events() {
-        let mut h = HoldQueue::new();
+        let mut h = HoldQueue::default();
         h.start();
         h.hold(Event::BlockingStarted);
         h.reset();

@@ -31,6 +31,13 @@
 //!   messages are held (not delivered) during a TB blocking period while
 //!   `passed_AT` notifications are still monitored.
 //!
+//! The three role engines run over one private core: the state every role
+//! keeps, and each rule the roles share written once (message numbering,
+//! the `passed_AT` envelope and its `Ndc` admission, the blocking
+//! hold-and-release, Type-1 reception, `P2`'s validated external send).
+//! Each engine adds only its role's own rules; DESIGN.md's modified-MDCD
+//! conformance map names the function and the test for every clause.
+//!
 //! Engines are deliberately free of time, randomness and I/O; the DES driver
 //! in the `synergy` crate and the node loop of the `synergy-cluster`
 //! processes both host the same engines.
@@ -46,6 +53,7 @@ mod hold;
 mod log;
 mod peer;
 mod shadow;
+mod shared;
 mod snapshot;
 mod types;
 

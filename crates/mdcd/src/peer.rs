@@ -1,11 +1,10 @@
 //! The error-containment engine of `P2` (Appendix A, Fig. 10).
 
-use synergy_net::{CkptSeqNo, Endpoint, Envelope, MessageBody, MsgId, MsgSeqNo, ProcessId};
+use synergy_net::{Endpoint, Envelope, MsgSeqNo, ProcessId};
 
 use crate::actions::Action;
-use crate::active::CTRL_SEQ_BASE;
 use crate::events::{Event, OutboundMessage};
-use crate::hold::HoldQueue;
+use crate::shared::{Core, Role};
 use crate::snapshot::EngineSnapshot;
 use crate::types::{CheckpointKind, MdcdConfig, RecoveryDecision, Variant};
 
@@ -39,19 +38,9 @@ use crate::types::{CheckpointKind, MdcdConfig, RecoveryDecision, Variant};
 /// ```
 #[derive(Clone, Debug)]
 pub struct PeerEngine {
-    cfg: MdcdConfig,
-    id: ProcessId,
+    core: Core,
     active: ProcessId,
     shadow: ProcessId,
-    dirty: bool,
-    msg_sn: MsgSeqNo,
-    ctrl_sn: u64,
-    /// `msg_SN_P1act`: last message sequence number received from (or
-    /// validated for) the active process.
-    vr_act: MsgSeqNo,
-    ndc: CkptSeqNo,
-    hold: HoldQueue,
-    at_runs: u64,
 }
 
 impl PeerEngine {
@@ -59,38 +48,30 @@ impl PeerEngine {
     /// process and its `shadow`.
     pub fn new(cfg: MdcdConfig, id: ProcessId, active: ProcessId, shadow: ProcessId) -> Self {
         PeerEngine {
-            cfg,
-            id,
+            core: Core::new(cfg, id, false),
             active,
             shadow,
-            dirty: false,
-            msg_sn: MsgSeqNo(0),
-            ctrl_sn: 0,
-            vr_act: MsgSeqNo(0),
-            ndc: CkptSeqNo(0),
-            hold: HoldQueue::new(),
-            at_runs: 0,
         }
     }
 
     /// `P2`'s dirty bit.
     pub fn dirty_bit(&self) -> bool {
-        self.dirty
+        self.core.dirty
     }
 
     /// The bit the adapted TB protocol consults for checkpoint contents.
     pub fn checkpoint_bit(&self) -> bool {
-        self.dirty
+        self.core.dirty
     }
 
     /// `msg_SN_P1act`: the peer's record of the active process's sequence.
     pub fn vr_act(&self) -> MsgSeqNo {
-        self.vr_act
+        self.core.vr_act
     }
 
     /// Number of acceptance tests executed.
     pub fn at_runs(&self) -> u64 {
-        self.at_runs
+        self.core.at_runs
     }
 
     /// Retargets the engine at a new active process (shadow takeover): the
@@ -102,33 +83,18 @@ impl PeerEngine {
 
     /// The local recovery decision when a software error is detected.
     pub fn recovery_decision(&self) -> RecoveryDecision {
-        if self.dirty {
-            RecoveryDecision::RollBack
-        } else {
-            RecoveryDecision::RollForward
-        }
+        self.core.recovery_decision()
     }
 
     /// Captures the engine control state for a checkpoint.
     pub fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            dirty: self.dirty,
-            pseudo_dirty: None,
-            msg_sn: self.msg_sn,
-            vr_act: self.vr_act,
-            ndc: self.ndc,
-            log: Vec::new(),
-            promoted: false,
-        }
+        self.core.snapshot()
     }
 
     /// Restores control state from a checkpoint (`ndc` excluded; see
     /// [`EngineSnapshot`]).
     pub fn restore(&mut self, snapshot: &EngineSnapshot) {
-        self.dirty = snapshot.dirty;
-        self.msg_sn = snapshot.msg_sn;
-        self.vr_act = snapshot.vr_act;
-        self.hold.reset();
+        self.core.restore(snapshot);
     }
 
     /// Feeds one event, returning the actions to execute in order:
@@ -146,26 +112,7 @@ impl PeerEngine {
     /// Feeds one event, appending the actions to execute, in order, to
     /// `out`.
     pub fn handle_into(&mut self, event: Event, out: &mut Vec<Action>) {
-        match event {
-            Event::AppSend(m) => {
-                if self.hold.is_blocking() {
-                    self.hold.hold(Event::AppSend(m));
-                } else if m.external {
-                    self.send_external(m, out);
-                } else {
-                    self.send_internal(m, out);
-                }
-            }
-            Event::Deliver(envelope) => self.deliver(envelope, out),
-            Event::BlockingStarted => self.hold.start(),
-            Event::BlockingEnded => {
-                self.hold.end();
-                while let Some(held) = self.hold.pop() {
-                    self.handle_into(held, out);
-                }
-            }
-            Event::StableCheckpointCommitted(seq) => self.ndc = seq,
-        }
+        self.step(event, out);
     }
 
     /// Both replicas of `P1`, or the one that is left after a takeover.
@@ -173,65 +120,35 @@ impl PeerEngine {
         let shadow = (self.shadow != self.active).then_some(self.shadow);
         std::iter::once(self.active).chain(shadow)
     }
+}
 
-    fn send_external(&mut self, m: OutboundMessage, out: &mut Vec<Action>) {
-        if self.dirty {
-            self.at_runs += 1;
-            out.push(Action::AtPerformed { pass: m.at_pass });
-            if !m.at_pass {
-                out.push(Action::SoftwareErrorDetected);
-                return;
-            }
-            self.dirty = false;
-            if self.cfg.variant == Variant::Original {
-                // Original protocol: validation establishes a Type-2
-                // checkpoint at the validating process too.
-                out.push(Action::TakeCheckpoint {
-                    kind: CheckpointKind::Type2,
-                    engine: self.snapshot(),
-                });
-            }
-            self.msg_sn = self.msg_sn.next();
-            out.push(Action::Send(Envelope::new(
-                MsgId {
-                    from: self.id,
-                    seq: self.msg_sn,
-                },
-                m.to,
-                MessageBody::External { payload: m.payload },
-            )));
-            // Broadcast passed_AT carrying *P1act's* validated sequence
-            // number: P2 passing its AT vouches for every message it has
-            // received from P1act (key assumption, paper §2.1).
-            for dest in self.replicas() {
-                self.ctrl_sn += 1;
-                out.push(Action::Send(Envelope::new(
-                    MsgId {
-                        from: self.id,
-                        seq: MsgSeqNo(CTRL_SEQ_BASE + self.ctrl_sn),
-                    },
-                    Endpoint::Process(dest),
-                    MessageBody::PassedAt {
-                        msg_sn: self.vr_act,
-                        ndc: self.ndc,
-                    },
-                )));
-            }
-        } else {
-            // Outgoing message from a clean state: no AT needed.
-            self.msg_sn = self.msg_sn.next();
-            out.push(Action::Send(Envelope::new(
-                MsgId {
-                    from: self.id,
-                    seq: self.msg_sn,
-                },
-                m.to,
-                MessageBody::External { payload: m.payload },
-            )));
+impl Role for PeerEngine {
+    fn core(&mut self) -> &mut Core {
+        &mut self.core
+    }
+
+    fn checkpoint(&self, kind: CheckpointKind) -> Action {
+        Action::TakeCheckpoint {
+            kind,
+            engine: self.snapshot(),
         }
     }
 
-    fn send_internal(&mut self, m: OutboundMessage, out: &mut Vec<Action>) {
+    fn send(&mut self, m: OutboundMessage, out: &mut Vec<Action>) {
+        if m.external {
+            // The original protocol's validation establishes a Type-2
+            // checkpoint at the validating process too.
+            let type2 = self.core.cfg.variant == Variant::Original;
+            if self.send_checked(m, type2, out).is_some() {
+                // Broadcast passed_AT carrying *P1act's* validated sequence
+                // number: P2 passing its AT vouches for every message it has
+                // received from P1act (key assumption, paper §2.1).
+                for dest in self.replicas() {
+                    out.push(self.core.passed_at(dest, self.core.vr_act));
+                }
+            }
+            return;
+        }
         // Internal messages are broadcast to both replicas so active and
         // shadow compute on identical inputs; each copy gets its own
         // sequence number for independent ack tracking.
@@ -243,77 +160,22 @@ impl PeerEngine {
                 Some(_) => payload.clone(),
                 None => std::mem::take(&mut payload),
             };
-            self.msg_sn = self.msg_sn.next();
-            out.push(Action::Send(Envelope::new(
-                MsgId {
-                    from: self.id,
-                    seq: self.msg_sn,
-                },
-                Endpoint::Process(dest),
-                MessageBody::Application {
-                    payload,
-                    dirty: self.dirty,
-                },
-            )));
+            let envelope = self.core.number(Endpoint::Process(dest), payload, false);
+            out.push(Action::Send(envelope));
         }
     }
 
-    fn deliver(&mut self, envelope: Envelope, out: &mut Vec<Action>) {
-        match &envelope.body {
-            MessageBody::PassedAt { msg_sn, ndc } => {
-                if self.cfg.variant == Variant::Original {
-                    if self.hold.is_blocking() {
-                        self.hold.hold(Event::Deliver(envelope));
-                        return;
-                    }
-                    self.vr_act = *msg_sn;
-                    self.dirty = false;
-                    out.push(Action::TakeCheckpoint {
-                        kind: CheckpointKind::Type2,
-                        engine: self.snapshot(),
-                    });
-                    return;
-                }
-                // Same-epoch or early-while-idle notifications are
-                // accepted; early-while-blocking ones are deferred past the
-                // commit; stale ones (Fig. 4(b)) are dropped.
-                if *ndc == self.ndc || (*ndc > self.ndc && !self.hold.is_blocking()) {
-                    self.vr_act = *msg_sn;
-                    self.dirty = false;
-                } else if *ndc > self.ndc {
-                    self.hold.hold(Event::Deliver(envelope));
-                }
-            }
-            MessageBody::Application { dirty: m_dirty, .. } => {
-                if self.hold.is_blocking() {
-                    self.hold.hold(Event::Deliver(envelope));
-                    return;
-                }
-                self.vr_act = envelope.id.seq;
-                // Fig. 10 tests only `dirty_bit == 0` because P1act's
-                // piggybacked bit is constantly 1; we also honour the
-                // piggybacked bit so a promoted (clean) shadow does not
-                // re-contaminate the peer.
-                if *m_dirty && !self.dirty {
-                    out.push(Action::TakeCheckpoint {
-                        kind: CheckpointKind::Type1,
-                        engine: self.snapshot(),
-                    });
-                    self.dirty = true;
-                }
-                out.push(Action::DeliverToApp(envelope));
-            }
-            MessageBody::External { .. } | MessageBody::Ack { .. } => {
-                debug_assert!(false, "driver must not route {envelope} to an MDCD engine");
-            }
-        }
+    /// Tracks `msg_SN_P1act`.
+    fn received(&mut self, envelope: &Envelope) {
+        self.core.vr_act = envelope.id.seq;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synergy_net::DeviceId;
+    use crate::shared::testkit::{self, feed};
+    use synergy_net::{CkptSeqNo, DeviceId, MessageBody};
 
     const SELF: ProcessId = ProcessId(3);
     const ACT: ProcessId = ProcessId(1);
@@ -323,57 +185,20 @@ mod tests {
         PeerEngine::new(cfg, SELF, ACT, SDW)
     }
 
-    /// Feeds `event`, collecting the actions it produces.
-    fn feed(e: &mut PeerEngine, event: Event) -> Vec<Action> {
-        let mut out = Vec::new();
-        e.handle_into(event, &mut out);
-        out
-    }
-
     fn from_active(seq: u64) -> Event {
-        Event::Deliver(Envelope::new(
-            MsgId {
-                from: ACT,
-                seq: MsgSeqNo(seq),
-            },
-            SELF,
-            MessageBody::Application {
-                payload: vec![9],
-                dirty: true,
-            },
-        ))
+        testkit::app(ACT, seq, SELF, 9, true)
     }
 
     fn external(pass: bool) -> Event {
-        Event::AppSend(OutboundMessage {
-            to: Endpoint::Device(DeviceId(0)),
-            payload: vec![0xAA],
-            external: true,
-            at_pass: pass,
-        })
+        testkit::send(DeviceId(0), 0xAA, true, pass)
     }
 
     fn internal(payload: u8) -> Event {
-        Event::AppSend(OutboundMessage {
-            to: Endpoint::Process(ACT),
-            payload: vec![payload],
-            external: false,
-            at_pass: true,
-        })
+        testkit::send(ACT, payload, false, true)
     }
 
     fn passed_at(sn: u64, ndc: u64) -> Event {
-        Event::Deliver(Envelope::new(
-            MsgId {
-                from: ACT,
-                seq: MsgSeqNo(CTRL_SEQ_BASE + 1),
-            },
-            SELF,
-            MessageBody::PassedAt {
-                msg_sn: MsgSeqNo(sn),
-                ndc: CkptSeqNo(ndc),
-            },
-        ))
+        testkit::passed_at(ACT, SELF, sn, ndc)
     }
 
     #[test]
@@ -545,17 +370,7 @@ mod tests {
     fn promoted_clean_sender_does_not_recontaminate() {
         let mut e = engine(MdcdConfig::modified());
         e.retarget_active(SDW);
-        let clean = Event::Deliver(Envelope::new(
-            MsgId {
-                from: SDW,
-                seq: MsgSeqNo(1),
-            },
-            SELF,
-            MessageBody::Application {
-                payload: vec![1],
-                dirty: false,
-            },
-        ));
+        let clean = testkit::app(SDW, 1, SELF, 1, false);
         let actions = feed(&mut e, clean);
         assert_eq!(actions.len(), 1, "no checkpoint for a clean message");
         assert!(!e.dirty_bit());

@@ -1,14 +1,13 @@
 //! The error-containment engine of `P1sdw` (Appendix A, Fig. 9).
 
-use synergy_net::{CkptSeqNo, Endpoint, Envelope, MessageBody, MsgId, MsgSeqNo, ProcessId};
+use synergy_net::{Envelope, MsgSeqNo, ProcessId};
 
 use crate::actions::Action;
-use crate::active::CTRL_SEQ_BASE;
 use crate::events::{Event, OutboundMessage};
-use crate::hold::HoldQueue;
 use crate::log::MessageLog;
+use crate::shared::{Core, Role};
 use crate::snapshot::EngineSnapshot;
-use crate::types::{CheckpointKind, MdcdConfig, RecoveryDecision, Variant};
+use crate::types::{CheckpointKind, MdcdConfig, RecoveryDecision};
 
 /// The shadow's takeover output.
 #[derive(Clone, Debug, PartialEq)]
@@ -52,53 +51,36 @@ pub struct TakeoverPlan {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ShadowEngine {
-    cfg: MdcdConfig,
-    id: ProcessId,
+    core: Core,
     peer: ProcessId,
-    dirty: bool,
-    msg_sn: MsgSeqNo,
-    ctrl_sn: u64,
-    /// `VR_act`: the last message sequence number of `P1act` known valid.
-    vr_act: MsgSeqNo,
-    ndc: CkptSeqNo,
     log: MessageLog,
-    hold: HoldQueue,
     promoted: bool,
-    at_runs: u64,
 }
 
 impl ShadowEngine {
     /// Creates the engine for shadow process `id`, interacting with `peer`.
     pub fn new(cfg: MdcdConfig, id: ProcessId, peer: ProcessId) -> Self {
         ShadowEngine {
-            cfg,
-            id,
+            core: Core::new(cfg, id, false),
             peer,
-            dirty: false,
-            msg_sn: MsgSeqNo(0),
-            ctrl_sn: 0,
-            vr_act: MsgSeqNo(0),
-            ndc: CkptSeqNo(0),
             log: MessageLog::new(),
-            hold: HoldQueue::new(),
             promoted: false,
-            at_runs: 0,
         }
     }
 
     /// The shadow's dirty bit.
     pub fn dirty_bit(&self) -> bool {
-        self.dirty
+        self.core.dirty
     }
 
     /// The bit the adapted TB protocol consults for checkpoint contents.
     pub fn checkpoint_bit(&self) -> bool {
-        self.dirty
+        self.core.dirty
     }
 
     /// `VR_act`: last known-valid message sequence number of `P1act`.
     pub fn vr_act(&self) -> MsgSeqNo {
-        self.vr_act
+        self.core.vr_act
     }
 
     /// Number of suppressed messages currently logged.
@@ -113,17 +95,13 @@ impl ShadowEngine {
 
     /// Number of acceptance tests executed (only after promotion).
     pub fn at_runs(&self) -> u64 {
-        self.at_runs
+        self.core.at_runs
     }
 
     /// The local recovery decision when a software error is detected
     /// (paper §2.1): dirty → roll back, clean → roll forward.
     pub fn recovery_decision(&self) -> RecoveryDecision {
-        if self.dirty {
-            RecoveryDecision::RollBack
-        } else {
-            RecoveryDecision::RollForward
-        }
+        self.core.recovery_decision()
     }
 
     /// Promotes the shadow to the active role, returning the suppressed
@@ -134,8 +112,8 @@ impl ShadowEngine {
     /// [`restore`](Self::restore), so the plan reflects the recovered state.
     pub fn take_over(&mut self) -> TakeoverPlan {
         self.promoted = true;
-        self.hold.reset();
-        let resend = self.log.entries_after(self.vr_act).cloned().collect();
+        self.core.hold.reset();
+        let resend = self.log.entries_after(self.core.vr_act).cloned().collect();
         self.log = MessageLog::new();
         TakeoverPlan { resend }
     }
@@ -143,188 +121,65 @@ impl ShadowEngine {
     /// Captures the engine control state for a checkpoint.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
-            dirty: self.dirty,
-            pseudo_dirty: None,
-            msg_sn: self.msg_sn,
-            vr_act: self.vr_act,
-            ndc: self.ndc,
             log: self.log.to_vec(),
             promoted: self.promoted,
+            ..self.core.snapshot()
         }
     }
 
     /// Restores control state from a checkpoint (`ndc` excluded; see
     /// [`EngineSnapshot`]).
     pub fn restore(&mut self, snapshot: &EngineSnapshot) {
-        self.dirty = snapshot.dirty;
-        self.msg_sn = snapshot.msg_sn;
-        self.vr_act = snapshot.vr_act;
+        self.core.restore(snapshot);
         self.log.restore(snapshot.log.iter().cloned());
         self.promoted = snapshot.promoted;
-        self.hold.reset();
     }
 
     /// Feeds one event, appending the actions to execute, in order, to
     /// `out`.
     pub fn handle_into(&mut self, event: Event, out: &mut Vec<Action>) {
-        match event {
-            Event::AppSend(m) => {
-                if self.hold.is_blocking() {
-                    self.hold.hold(Event::AppSend(m));
-                } else if self.promoted {
-                    self.send_promoted(m, out);
-                } else {
-                    // Suppress and log (Fig. 9): no network traffic.
-                    self.msg_sn = self.msg_sn.next();
-                    let body = if m.external {
-                        MessageBody::External { payload: m.payload }
-                    } else {
-                        MessageBody::Application {
-                            payload: m.payload,
-                            dirty: self.dirty,
-                        }
-                    };
-                    self.log.push(Envelope::new(
-                        MsgId {
-                            from: self.id,
-                            seq: self.msg_sn,
-                        },
-                        m.to,
-                        body,
-                    ));
-                }
-            }
-            Event::Deliver(envelope) => self.deliver(envelope, out),
-            Event::BlockingStarted => self.hold.start(),
-            Event::BlockingEnded => {
-                self.hold.end();
-                while let Some(held) = self.hold.pop() {
-                    self.handle_into(held, out);
-                }
-            }
-            Event::StableCheckpointCommitted(seq) => self.ndc = seq,
+        self.step(event, out);
+    }
+}
+
+impl Role for ShadowEngine {
+    fn core(&mut self) -> &mut Core {
+        &mut self.core
+    }
+
+    fn checkpoint(&self, kind: CheckpointKind) -> Action {
+        Action::TakeCheckpoint {
+            kind,
+            engine: self.snapshot(),
         }
     }
 
-    fn deliver(&mut self, envelope: Envelope, out: &mut Vec<Action>) {
-        match &envelope.body {
-            MessageBody::PassedAt { msg_sn, ndc } => {
-                if self.cfg.variant == Variant::Original {
-                    if self.hold.is_blocking() {
-                        self.hold.hold(Event::Deliver(envelope));
-                        return;
-                    }
-                    // Original protocol: no Ndc guard, Type-2 checkpoint on
-                    // validation.
-                    self.vr_act = *msg_sn;
-                    self.log.reclaim_up_to(self.vr_act);
-                    self.dirty = false;
-                    out.push(Action::TakeCheckpoint {
-                        kind: CheckpointKind::Type2,
-                        engine: self.snapshot(),
-                    });
-                    return;
-                }
-                // Modified protocol: processed even inside a blocking period,
-                // guarded by the Ndc comparison (paper §3). An *early*
-                // notification (sender already committed the next epoch)
-                // is deferred past our own commit instead of dropped; only
-                // stale (past-epoch, Fig. 4(b)) notifications are discarded.
-                if *ndc == self.ndc || (*ndc > self.ndc && !self.hold.is_blocking()) {
-                    self.vr_act = *msg_sn;
-                    self.log.reclaim_up_to(self.vr_act);
-                    self.dirty = false;
-                } else if *ndc > self.ndc {
-                    self.hold.hold(Event::Deliver(envelope));
-                }
-            }
-            MessageBody::Application { dirty: m_dirty, .. } => {
-                if self.hold.is_blocking() {
-                    self.hold.hold(Event::Deliver(envelope));
-                    return;
-                }
-                if *m_dirty && !self.dirty {
-                    // Type-1: checkpoint immediately before contamination.
-                    out.push(Action::TakeCheckpoint {
-                        kind: CheckpointKind::Type1,
-                        engine: self.snapshot(),
-                    });
-                    self.dirty = true;
-                }
-                out.push(Action::DeliverToApp(envelope));
-            }
-            MessageBody::External { .. } | MessageBody::Ack { .. } => {
-                debug_assert!(false, "driver must not route {envelope} to an MDCD engine");
-            }
+    /// Suppresses and logs (Fig. 9) until a takeover; the promoted shadow
+    /// is the (high-confidence) active `P1` and sends as `P2` does, its
+    /// `passed_AT` going to the peer. Unlike `P2`'s, its validation takes
+    /// no Type-2 checkpoint under the original protocol.
+    fn send(&mut self, m: OutboundMessage, out: &mut Vec<Action>) {
+        if !self.promoted {
+            let envelope = self.core.number(m.to, m.payload, m.external);
+            self.log.push(envelope);
+        } else if !m.external {
+            out.push(Action::Send(self.core.number(m.to, m.payload, false)));
+        } else if let Some(sent) = self.send_checked(m, false, out) {
+            out.push(self.core.passed_at(self.peer, sent));
         }
     }
 
-    /// After takeover the shadow is the (high-confidence) active `P1`; it
-    /// follows `P2`'s algorithm shape: AT on external sends only while
-    /// dirty, `passed_AT` broadcast to the peer.
-    fn send_promoted(&mut self, m: OutboundMessage, out: &mut Vec<Action>) {
-        if m.external {
-            if self.dirty {
-                self.at_runs += 1;
-                out.push(Action::AtPerformed { pass: m.at_pass });
-                if !m.at_pass {
-                    out.push(Action::SoftwareErrorDetected);
-                    return;
-                }
-                self.dirty = false;
-                self.msg_sn = self.msg_sn.next();
-                out.push(Action::Send(Envelope::new(
-                    MsgId {
-                        from: self.id,
-                        seq: self.msg_sn,
-                    },
-                    m.to,
-                    MessageBody::External { payload: m.payload },
-                )));
-                self.ctrl_sn += 1;
-                out.push(Action::Send(Envelope::new(
-                    MsgId {
-                        from: self.id,
-                        seq: MsgSeqNo(CTRL_SEQ_BASE + self.ctrl_sn),
-                    },
-                    Endpoint::Process(self.peer),
-                    MessageBody::PassedAt {
-                        msg_sn: self.msg_sn,
-                        ndc: self.ndc,
-                    },
-                )));
-            } else {
-                self.msg_sn = self.msg_sn.next();
-                out.push(Action::Send(Envelope::new(
-                    MsgId {
-                        from: self.id,
-                        seq: self.msg_sn,
-                    },
-                    m.to,
-                    MessageBody::External { payload: m.payload },
-                )));
-            }
-        } else {
-            self.msg_sn = self.msg_sn.next();
-            out.push(Action::Send(Envelope::new(
-                MsgId {
-                    from: self.id,
-                    seq: self.msg_sn,
-                },
-                m.to,
-                MessageBody::Application {
-                    payload: m.payload,
-                    dirty: self.dirty,
-                },
-            )));
-        }
+    /// `memory_reclamation(msg_log)`: validated entries are never re-sent.
+    fn reclaim(&mut self, upto: MsgSeqNo) {
+        self.log.reclaim_up_to(upto);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synergy_net::DeviceId;
+    use crate::shared::testkit::{self, feed};
+    use synergy_net::{CkptSeqNo, DeviceId, Endpoint, MessageBody};
 
     const SELF: ProcessId = ProcessId(2);
     const ACT: ProcessId = ProcessId(1);
@@ -334,52 +189,21 @@ mod tests {
         ShadowEngine::new(cfg, SELF, PEER)
     }
 
-    /// Feeds `event`, collecting the actions it produces.
-    fn feed(e: &mut ShadowEngine, event: Event) -> Vec<Action> {
-        let mut out = Vec::new();
-        e.handle_into(event, &mut out);
-        out
-    }
-
     fn app_send(payload: u8, external: bool) -> Event {
-        Event::AppSend(OutboundMessage {
-            to: if external {
-                Endpoint::Device(DeviceId(0))
-            } else {
-                Endpoint::Process(PEER)
-            },
-            payload: vec![payload],
-            external,
-            at_pass: true,
-        })
+        let to = if external {
+            Endpoint::Device(DeviceId(0))
+        } else {
+            Endpoint::Process(PEER)
+        };
+        testkit::send(to, payload, external, true)
     }
 
     fn from_peer(seq: u64, dirty: bool) -> Event {
-        Event::Deliver(Envelope::new(
-            MsgId {
-                from: PEER,
-                seq: MsgSeqNo(seq),
-            },
-            SELF,
-            MessageBody::Application {
-                payload: vec![0],
-                dirty,
-            },
-        ))
+        testkit::app(PEER, seq, SELF, 0, dirty)
     }
 
     fn passed_at(sn: u64, ndc: u64) -> Event {
-        Event::Deliver(Envelope::new(
-            MsgId {
-                from: ACT,
-                seq: MsgSeqNo(CTRL_SEQ_BASE + 1),
-            },
-            SELF,
-            MessageBody::PassedAt {
-                msg_sn: MsgSeqNo(sn),
-                ndc: CkptSeqNo(ndc),
-            },
-        ))
+        testkit::passed_at(ACT, SELF, sn, ndc)
     }
 
     #[test]

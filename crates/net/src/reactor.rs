@@ -115,6 +115,11 @@ const IDLE_BACKOFF_MAX_SHIFT: u32 = 3;
 /// queue to a few tens of kilobytes.
 const MAX_PENDING_ACKS: usize = 1024;
 
+/// Most acks piggybacked on one data frame; half the wire format's
+/// [`MAX_PIGGY_ACKS`](crate::MAX_PIGGY_ACKS).
+const FRAME_ACKS: usize = 32;
+const _: () = assert!(FRAME_ACKS <= crate::frame::MAX_PIGGY_ACKS);
+
 /// How long the connector blocks in one connect attempt.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 
@@ -172,9 +177,6 @@ pub struct WirePolicy {
     /// Per-route outbound ring capacity; a full ring surfaces
     /// [`SendError::Backpressure`].
     pub queue_bytes: usize,
-    /// Most acks piggybacked on one data frame (≤
-    /// [`MAX_PIGGY_ACKS`](crate::MAX_PIGGY_ACKS)).
-    pub max_piggy_acks: usize,
     /// How long the fire-and-forget [`Transport::send`] path waits for
     /// ring space before dropping the envelope (counted in
     /// [`WireStats::backpressure_dropped`]).
@@ -189,7 +191,6 @@ impl Default for WirePolicy {
     fn default() -> Self {
         WirePolicy {
             queue_bytes: DEFAULT_QUEUE_BYTES,
-            max_piggy_acks: 32,
             send_stall: Duration::from_secs(5),
             shards: DEFAULT_SHARDS,
             reconnect: ReconnectPolicy::default(),
@@ -1296,13 +1297,9 @@ fn refill_from_ring(
     if inner.is_idle() {
         return Refill::Idle;
     }
-    let cap = shared
-        .policy
-        .max_piggy_acks
-        .min(crate::frame::MAX_PIGGY_ACKS);
     let mut moved = false;
     while conn.wbuf.len() < FLUSH_TARGET {
-        inner.acks.drain_for_frame(cap, acks);
+        inner.acks.drain_for_frame(FRAME_ACKS, acks);
         let riders = if let Some(payload) = inner.front() {
             stage_frame(conn, acks, payload);
             inner.pop_front();

@@ -73,10 +73,11 @@ echo "==> no capability that only its own tests run"
 # vocabulary, its wall-clock drive and the in-process takeover harness, the
 # explorer's private process model, the node's second driver around its
 # host with the planted-forgery path (a control tag and a storage-trait
-# method that only the Byzantine injection used), and the per-scheme
-# strategy objects a Scheme match serves are gone, not hidden (names spelt
-# in halves so this line does not find itself).
-if git grep -nE 'Scheme''Policy|policy''_for|Node''Runner|replace''_latest|corrupt_latest''_checkpoint|CtrlMsg::''Corrupt|mdcd::gen''eral|pipeline_gu''ard|set_link_fa''ults|set_default_fa''ults|Route''Decision|with_resync_thr''eshold|Cluster''Wire|CtrlMsg::''Blast|Blas''ted|Node''Status|wire_queue''_bytes|wire-queue''-bytes|Tiered''Store|Object''Store|Archive''FaultPlan|Archive''Handle|archive''-dir|chaos''-archive|archive''_pending|rehy''drat|no''-archive|epsilon''_scan|EPSI''LON_|crash''_epsilon|Sim''Reference|simulate''_reference|RESTART_DELAY''_MS|find_mid_checkpoint''_crash|Node''Cmd|Tb''Drive|Sup''Event|Mem''Net|Rollback''Outcome|spawn_net''_pump|Volatile''Snap|body''_tag' -- crates tests examples scripts .github Cargo.toml; then
+# method that only the Byzantine injection used), the per-scheme
+# strategy objects a Scheme match serves, and the wire's piggybacked-ack
+# knob nothing set are gone, not hidden (names spelt in halves so this
+# line does not find itself).
+if git grep -nE 'max_piggy''_acks|Scheme''Policy|policy''_for|Node''Runner|replace''_latest|corrupt_latest''_checkpoint|CtrlMsg::''Corrupt|mdcd::gen''eral|pipeline_gu''ard|set_link_fa''ults|set_default_fa''ults|Route''Decision|with_resync_thr''eshold|Cluster''Wire|CtrlMsg::''Blast|Blas''ted|Node''Status|wire_queue''_bytes|wire-queue''-bytes|Tiered''Store|Object''Store|Archive''FaultPlan|Archive''Handle|archive''-dir|chaos''-archive|archive''_pending|rehy''drat|no''-archive|epsilon''_scan|EPSI''LON_|crash''_epsilon|Sim''Reference|simulate''_reference|RESTART_DELAY''_MS|find_mid_checkpoint''_crash|Node''Cmd|Tb''Drive|Sup''Event|Mem''Net|Rollback''Outcome|spawn_net''_pump|Volatile''Snap|body''_tag' -- crates tests examples scripts .github Cargo.toml; then
     echo "a deleted test-only capability is referenced again" >&2
     exit 1
 fi
@@ -216,10 +217,13 @@ echo "==> unmasked-regime smoke: 4 seeds per regime + live Byzantine campaigns"
 # serialized when read (+226, tests mostly), 37 117 with both runtimes
 # driving the host directly and one Byzantine injector, 37 008 with a host
 # as one process, Scheme as the policy and each recovery step written
-# once (the paper-table test moved to config.rs); every CHANGES.md entry ends with before -> after. The ceiling is a
-# gate: a change that must raise it edits the number and says why in
-# CHANGES.md.
-rust_ceiling=37008
+# once (the paper-table test moved to config.rs), 36 998 with one MDCD
+# core under the three role engines (the engines' non-test code 929 ->
+# 787 lines, most of the saving spent on the admission table test and the
+# survivor and campaign-order tests); every CHANGES.md entry ends with
+# before -> after. The ceiling is a gate: a change that must raise it
+# edits the number and says why in CHANGES.md.
+rust_ceiling=36998
 rust_lines="$(git ls-files '*.rs' | xargs cat | wc -l)"
 echo "==> tracked Rust lines: $rust_lines (ceiling $rust_ceiling)"
 if ((rust_lines > rust_ceiling)); then
