@@ -358,8 +358,10 @@ fn host_status<S: Stable>(host: &ProcessHost<S>) -> WireStatus {
 /// no-op.
 fn send_all(net: &impl Transport, actions: &mut Vec<HostAction>) {
     for action in actions.drain(..) {
-        if let HostAction::Send(env) | HostAction::SendAck(env) = action {
-            net.send(env);
+        match action {
+            HostAction::Send(env) => net.send(Arc::unwrap_or_clone(env)),
+            HostAction::SendAck(ack) => net.send(ack),
+            _ => {}
         }
     }
 }
@@ -450,7 +452,7 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
     loop {
         match input_rx.recv_timeout(Duration::from_millis(50)) {
             Ok(Input::Net(env)) => {
-                host.handle_into(HostEvent::Deliver(env), clock(started), &mut out);
+                host.handle_into(env.into(), clock(started), &mut out);
             }
             Ok(Input::Ctrl(Ok(msg))) => {
                 let reply = match msg {
@@ -744,7 +746,7 @@ mod tests {
         }
 
         fn on_envelope(&mut self, env: Envelope) {
-            self.step(|host, now, out| host.handle_into(HostEvent::Deliver(env), now, out));
+            self.step(|host, now, out| host.handle_into(env.into(), now, out));
         }
 
         fn produce(&mut self, external: bool) {

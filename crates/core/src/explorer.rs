@@ -37,6 +37,7 @@
 //! sample.
 
 use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 
 use synergy_codec::Codec;
 use synergy_des::SimTime;
@@ -97,7 +98,7 @@ struct ExpState {
     validated: u64,
 }
 
-type Link = (ProcessId, ProcessId, VecDeque<Envelope>);
+type Link = (ProcessId, ProcessId, VecDeque<Arc<Envelope>>);
 
 impl ExpState {
     fn new() -> Self {
@@ -136,7 +137,7 @@ impl ExpState {
         key.into_boxed_slice()
     }
 
-    fn enqueue(&mut self, env: Envelope) {
+    fn enqueue(&mut self, env: Arc<Envelope>) {
         let (from, to) = match env.to {
             Endpoint::Process(p) => (env.from(), p),
             Endpoint::Device(_) => return, // devices are sinks
@@ -171,7 +172,7 @@ impl ExpState {
                     let Endpoint::Process(to) = ack.to else {
                         unreachable!("acks answer processes")
                     };
-                    self.feed(to, HostEvent::Deliver(ack), violations);
+                    self.feed(to, ack.into(), violations);
                 }
                 HostAction::SoftwareErrorDetected => {
                     violations.push("unexpected software error in fault-free scenario".into());

@@ -7,9 +7,11 @@
 //! each host's slot, the liveness behind the staleness filters (network
 //! incarnations, dead senders, TB epochs) that need a view across hosts.
 
+use std::sync::Arc;
+
 use synergy_clocks::LocalTime;
 use synergy_des::{ActorId, SimTime};
-use synergy_net::{Endpoint, Envelope, MessageBody};
+use synergy_net::{Endpoint, Envelope, MessageBody, MsgId, ProcessId};
 
 use crate::app::Application;
 use crate::faults::CrashKind;
@@ -19,9 +21,15 @@ use crate::system::System;
 /// A scheduled simulation event.
 #[derive(Debug, Clone)]
 pub(super) enum Ev {
-    /// An envelope arrives at an endpoint (`inc` voids pre-recovery
-    /// traffic).
-    Deliver { env: Envelope, inc: u64 },
+    /// A protocol envelope arrives at an endpoint (`inc` voids
+    /// pre-recovery traffic).
+    Deliver { env: Arc<Envelope>, inc: u64 },
+    /// A transport ack of `of`, sent by `from`, arrives (`inc` likewise).
+    Ack {
+        from: ProcessId,
+        of: MsgId,
+        inc: u64,
+    },
     /// A TB timer deadline (voided when `epoch` is stale).
     TbTimer { deadline: LocalTime, epoch: u64 },
     /// A TB blocking period's end (voided when `epoch` is stale).
@@ -54,6 +62,11 @@ impl System {
         match ev {
             Ev::End => self.finished = true,
             Ev::Deliver { env, inc } => self.on_deliver(actor, now, env, inc),
+            Ev::Ack { from, of, inc } => {
+                if let Some(i) = self.receiver(actor, from, inc) {
+                    self.drive_host(i, HostEvent::Ack(of), now);
+                }
+            }
             Ev::TbTimer { deadline, epoch } => self.on_tb_timer(actor, now, deadline, epoch),
             Ev::BlockingOver { epoch } => self.on_blocking_over(actor, now, epoch),
             Ev::Tick {
@@ -86,29 +99,23 @@ impl System {
         }
     }
 
-    fn on_deliver(&mut self, actor: ActorId, now: SimTime, env: Envelope, inc: u64) {
-        if inc != self.net_inc {
-            return; // pre-recovery traffic
-        }
-        if actor == self.device_actor {
+    fn on_deliver(&mut self, actor: ActorId, now: SimTime, env: Arc<Envelope>, inc: u64) {
+        if actor == self.device_actor && inc == self.net_inc {
             self.sim
                 .record_with(self.device_actor, || ("device.recv", env.to_string()));
-            self.device_log.push((now, env));
-            return;
+            self.device_log.push((now, Arc::unwrap_or_clone(env)));
+        } else if let Some(i) = self.receiver(actor, env.from(), inc) {
+            self.drive_host(i, HostEvent::Deliver(env), now);
         }
-        let Some(i) = self.host_index(actor) else {
-            return;
-        };
-        if !self.slots[i].up {
-            return; // crashed node: message lost
-        }
-        // Messages from a process dead by takeover are stale.
-        if let Some(s) = self.index_of_pid(env.from()) {
-            if self.slots[s].dead {
-                return;
-            }
-        }
-        self.drive_host(i, HostEvent::Deliver(env), now);
+    }
+
+    /// The host that takes an arrival at `actor` from `from`: none for
+    /// pre-recovery traffic, at a crashed node (the message is lost), or
+    /// from a process dead by takeover (the message is stale).
+    fn receiver(&self, actor: ActorId, from: ProcessId, inc: u64) -> Option<usize> {
+        let i = self.host_index(actor).filter(|_| inc == self.net_inc)?;
+        let dead = |s: usize| self.slots[s].dead;
+        (self.slots[i].up && !self.index_of_pid(from).is_some_and(dead)).then_some(i)
     }
 
     fn on_tb_timer(&mut self, actor: ActorId, now: SimTime, deadline: LocalTime, epoch: u64) {
@@ -196,7 +203,7 @@ impl System {
 
     /// Feeds `event` to host `i` and applies what it asks for. The host
     /// writes into the system's one action buffer, which goes back empty.
-    fn drive_host(&mut self, i: usize, event: HostEvent, now: SimTime) {
+    pub(super) fn drive_host(&mut self, i: usize, event: HostEvent, now: SimTime) {
         let mut actions = std::mem::take(&mut self.actions);
         self.hosts[i].handle_into(event, now, &mut actions);
         self.apply_host_actions(i, &mut actions, now);
@@ -215,7 +222,7 @@ impl System {
         for action in actions.drain(..) {
             match action {
                 HostAction::Send(env) => self.forward_send(i, env, now),
-                HostAction::SendAck(env) => self.route_only(env, now),
+                HostAction::SendAck(ack) => self.route_ack(ack, now),
                 HostAction::Delivered => self.metrics.messages_delivered += 1,
                 HostAction::AtPerformed { pass } => {
                     self.metrics.at_runs += 1;
@@ -340,13 +347,13 @@ impl System {
     /// Sends an envelope on behalf of host `i`, performing the host's
     /// send-side bookkeeping first (recovery resends).
     pub(super) fn send_from(&mut self, i: usize, env: Envelope, now: SimTime) {
-        self.hosts[i].note_send(&env);
+        let env = self.hosts[i].note_send(env);
         self.forward_send(i, env, now);
     }
 
     /// The environment side of a protocol send: ground truth, metrics,
     /// trace, routing.
-    fn forward_send(&mut self, i: usize, env: Envelope, now: SimTime) {
+    fn forward_send(&mut self, i: usize, env: Arc<Envelope>, now: SimTime) {
         if let MessageBody::PassedAt { msg_sn, .. } = env.body {
             self.global_validated = self.global_validated.max(msg_sn);
         }
@@ -356,17 +363,29 @@ impl System {
         self.route_only(env, now);
     }
 
-    pub(super) fn route_only(&mut self, env: Envelope, now: SimTime) {
+    pub(super) fn route_only(&mut self, env: Arc<Envelope>, now: SimTime) {
+        if let Some((at, actor)) = self.route(&env, now) {
+            let inc = self.net_inc;
+            self.sim.schedule_at(at, actor, Ev::Deliver { env, inc });
+        }
+    }
+
+    /// Routes a transport ack; its event carries what the receiver reads.
+    fn route_ack(&mut self, ack: Envelope, now: SimTime) {
+        if let (Some((at, actor)), MessageBody::Ack { of }) = (self.route(&ack, now), ack.body) {
+            let (from, inc) = (ack.id.from, self.net_inc);
+            self.sim.schedule_at(at, actor, Ev::Ack { from, of, inc });
+        }
+    }
+
+    /// When and at which actor `env` arrives; `None` for an unknown process,
+    /// before the network draws a delay.
+    fn route(&mut self, env: &Envelope, now: SimTime) -> Option<(SimTime, ActorId)> {
         let actor = match env.to {
-            Endpoint::Process(p) => match self.index_of_pid(p) {
-                Some(idx) => self.slots[idx].actor,
-                None => return,
-            },
+            Endpoint::Process(p) => self.slots[self.index_of_pid(p)?].actor,
             Endpoint::Device(_) => self.device_actor,
         };
-        let at = self.net.route(now, &env);
-        let inc = self.net_inc;
-        self.sim.schedule_at(at, actor, Ev::Deliver { env, inc });
+        Some((self.net.route(now, env), actor))
     }
 
     pub(super) fn schedule_tb_timer(&mut self, i: usize, at_local: LocalTime, now: SimTime) {

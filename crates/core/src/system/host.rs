@@ -81,8 +81,11 @@ impl Topology {
 /// An input a driver feeds to one host.
 #[derive(Debug, Clone)]
 pub enum HostEvent {
-    /// A network delivery (application, control, or transport ack).
-    Deliver(Envelope),
+    /// A protocol delivery (application or `passed_AT`); an application
+    /// message is the allocation the sender's [`AckTracker`] holds.
+    Deliver(Arc<Envelope>),
+    /// A transport acknowledgment of this host's message.
+    Ack(MsgId),
     /// The application produces one message.
     Produce {
         /// Whether the message is external (device-bound, acceptance
@@ -98,12 +101,22 @@ pub enum HostEvent {
     BlockingElapsed,
 }
 
+impl From<Envelope> for HostEvent {
+    /// The event an envelope off a wire is: an ack, or a delivery.
+    fn from(env: Envelope) -> Self {
+        match env.body {
+            MessageBody::Ack { of } => HostEvent::Ack(of),
+            _ => HostEvent::Deliver(Arc::new(env)),
+        }
+    }
+}
+
 /// An effect the driver must perform on behalf of the host, in order.
 #[derive(Debug, Clone)]
 pub enum HostAction {
     /// Route a protocol envelope (already counted in the host's send
-    /// bookkeeping).
-    Send(Envelope),
+    /// bookkeeping, whose ack tracker shares it).
+    Send(Arc<Envelope>),
     /// Route a transport acknowledgment (not a protocol send: no trace
     /// line, no send metric).
     SendAck(Envelope),
@@ -231,6 +244,9 @@ pub struct ProcessHost<S: Stable = StableStore> {
     /// attached to volatile-copy stable writes so recovery can replay
     /// receipts the copied state predates (DESIGN.md §8, decision 5).
     pub recv_log: Vec<Arc<Envelope>>,
+    /// The delivery being stepped: the receive log keeps its allocation if
+    /// the engine releases it in the same step.
+    delivering: Option<Arc<Envelope>>,
     /// Application messages delivered over this host's lifetime.
     pub delivered: u64,
     /// The scheme this process runs under.
@@ -329,6 +345,7 @@ impl<S: Stable> ProcessHost<S> {
             blocking_started_at: None,
             synthetic_history: false,
             recv_log: Vec::new(),
+            delivering: None,
             delivered: 0,
             scheme,
             tracing: true,
@@ -405,6 +422,7 @@ impl<S: Stable> ProcessHost<S> {
     pub fn handle_into(&mut self, event: HostEvent, now: SimTime, out: &mut Vec<HostAction>) {
         match event {
             HostEvent::Deliver(env) => self.on_deliver(env, now, out),
+            HostEvent::Ack(of) => _ = self.acks.on_ack(of),
             HostEvent::Produce { external } => self.on_produce(external, now, out),
             HostEvent::TimerExpired { deadline } => self.on_timer(deadline, now, out),
             HostEvent::BlockingElapsed => self.tb_step(TbEvent::BlockingElapsed, now, out),
@@ -446,23 +464,23 @@ impl<S: Stable> ProcessHost<S> {
         self.tb_actions = actions;
     }
 
-    /// Send-side bookkeeping for an envelope leaving this host outside the
-    /// engine path (recovery resends): the sent log and ack tracking.
-    pub fn note_send(&mut self, env: &Envelope) {
+    /// Send-side bookkeeping for an envelope leaving this host, from its
+    /// engine or a takeover resend: the sent log and ack tracking. Returns
+    /// the envelope in the one allocation the tracker, the network and the
+    /// receiver's log share.
+    pub(crate) fn note_send(&mut self, env: Envelope) -> Arc<Envelope> {
+        let env = Arc::new(env);
         if let (MessageBody::Application { .. }, Endpoint::Process(p)) = (&env.body, env.to) {
             self.push_sent(SentRecord {
                 to: p,
                 seq: env.id.seq,
             });
-            self.acks.on_send(env.clone());
+            self.acks.on_send(Arc::clone(&env));
         }
+        env
     }
 
-    fn on_deliver(&mut self, env: Envelope, now: SimTime, out: &mut Vec<HostAction>) {
-        if let MessageBody::Ack { of } = env.body {
-            self.acks.on_ack(of);
-            return;
-        }
+    fn on_deliver(&mut self, env: Arc<Envelope>, now: SimTime, out: &mut Vec<HostAction>) {
         if self.tracing {
             out.push(HostAction::Record {
                 kind: "msg.recv",
@@ -470,7 +488,10 @@ impl<S: Stable> ProcessHost<S> {
             });
         }
         let bit_before = self.engine.checkpoint_bit();
-        self.engine_step(MdcdEvent::Deliver(env), now, out);
+        // The engine takes its own copy; the receive log keeps the shared one.
+        self.delivering = Some(Arc::clone(&env));
+        self.engine_step(MdcdEvent::Deliver(Envelope::clone(&env)), now, out);
+        self.delivering = None;
         let cleared = bit_before && !self.engine.checkpoint_bit();
         if cleared && self.tb.as_ref().is_some_and(TbEngine::is_blocking) {
             self.tb_step(TbEvent::DirtyCleared, now, out);
@@ -547,10 +568,7 @@ impl<S: Stable> ProcessHost<S> {
     ) {
         for action in actions.drain(..) {
             match action {
-                MdcdAction::Send(env) => {
-                    self.note_send(&env);
-                    out.push(HostAction::Send(env));
-                }
+                MdcdAction::Send(env) => out.push(HostAction::Send(self.note_send(env))),
                 MdcdAction::TakeCheckpoint { kind, engine } => {
                     self.take_volatile(kind, engine, now, out);
                 }
@@ -559,7 +577,8 @@ impl<S: Stable> ProcessHost<S> {
                     let id = env.id;
                     if let MessageBody::Application { payload, .. } = &env.body {
                         self.app.on_message(from, id.seq, payload);
-                        self.recv_log.push(Arc::new(env));
+                        let shared = self.delivering.take_if(|d| d.id == id);
+                        self.recv_log.push(shared.unwrap_or_else(|| Arc::new(env)));
                         self.delivered += 1;
                         out.push(HostAction::Delivered);
                     }

@@ -402,7 +402,7 @@ impl System {
 
     /// The shadow takes over ([`ProcessHost::take_over`]) and re-sends the
     /// unvalidated messages it suppressed.
-    fn promote_shadow(&mut self, sdw: usize, peer: usize, now: SimTime) {
+    pub(super) fn promote_shadow(&mut self, sdw: usize, peer: usize, now: SimTime) {
         let [shadow, peer] = self
             .hosts
             .get_disjoint_mut([sdw, peer])
@@ -616,7 +616,7 @@ impl System {
         // rule).
         self.metrics.messages_resent += resend.len() as u64;
         for (i, env) in resend {
-            self.route_only((*env).clone(), now);
+            self.route_only(Arc::clone(&env), now);
             self.sim
                 .record_with(self.slots[i].actor, || ("msg.resend", env.to_string()));
         }
@@ -1013,7 +1013,7 @@ mod tests {
             acks.on_send(app_env(ACT, seq, PEER));
         }
         prune_unacked(&mut acks, MsgSeqNo(3));
-        let kept: Vec<u64> = acks.unacked().iter().map(|e| e.id.seq.0).collect();
+        let kept: Vec<u64> = acks.unacked_shared().iter().map(|e| e.id.seq.0).collect();
         assert_eq!(kept, vec![1, 2, 3]);
     }
 }

@@ -1,5 +1,7 @@
 //! Mission-level tests of the assembled system (all three layers).
 
+use std::sync::Arc;
+
 use super::*;
 use crate::config::{Scheme, SystemConfig};
 
@@ -247,7 +249,7 @@ fn envelope_to_an_unregistered_pid_is_dropped_before_the_network() {
         seq: MsgSeqNo(1),
     };
     system.route_only(
-        Envelope::new(id, ProcessId(99), body.clone()),
+        Envelope::new(id, ProcessId(99), body.clone()).into(),
         SimTime::ZERO,
     );
     assert_eq!(system.sim.pending(), pending, "nothing scheduled");
@@ -257,7 +259,7 @@ fn envelope_to_an_unregistered_pid_is_dropped_before_the_network() {
     let routed = Envelope::new(id, P2, body);
     let at = untouched.route(SimTime::ZERO, &routed);
     assert_eq!(system.net.clone().route(SimTime::ZERO, &routed), at);
-    system.route_only(routed, SimTime::ZERO);
+    system.route_only(routed.into(), SimTime::ZERO);
     assert_eq!(system.sim.pending(), pending + 1);
 }
 
@@ -497,4 +499,55 @@ fn a_torn_rewrite_after_a_rollback_never_restores_the_abandoned_timeline() {
     assert_eq!(line, [Some(6); 3], "the torn victim's epoch 6 is the line");
     sys.run();
     assert!(sys.verdicts().all_hold(), "{:?}", sys.verdicts().violations);
+}
+
+// ---------------------------------------------------------------------------
+// One allocation per protocol message: the sender's ack tracker, the delivery
+// event and the receiver's receive log share the envelope.
+// ---------------------------------------------------------------------------
+
+fn coordinated() -> System {
+    System::new(base().scheme(Scheme::Coordinated).no_workload().build())
+}
+
+/// Steps `system` until host `i` has logged a receipt, and returns it.
+fn until_logged(system: &mut System, i: usize) -> Arc<Envelope> {
+    while system.hosts[i].recv_log.is_empty() {
+        assert_eq!(system.step_events(1), 1, "the mission ended first");
+    }
+    Arc::clone(&system.hosts[i].recv_log[0])
+}
+
+#[test]
+fn a_delivered_message_is_the_senders_tracked_allocation() {
+    let mut system = coordinated();
+    system.drive_host(0, HostEvent::Produce { external: false }, SimTime::ZERO);
+    let tracked = system.hosts[0].acks.unacked_shared();
+    assert!(Arc::ptr_eq(&until_logged(&mut system, 2), &tracked[0]));
+}
+
+#[test]
+fn a_message_held_through_blocking_is_logged_when_released() {
+    let (mut system, t, mut out) = (coordinated(), SimTime::ZERO, vec![]);
+    system.drive_host(0, HostEvent::Produce { external: false }, t);
+    let sent = Arc::clone(&system.hosts[0].acks.unacked_shared()[0]);
+    let p2 = &mut system.hosts[2];
+    let deadline = p2.tb.as_ref().expect("coordinated runs TB").next_deadline();
+    p2.handle_into(HostEvent::TimerExpired { deadline }, t, &mut out);
+    p2.handle_into(HostEvent::Deliver(Arc::clone(&sent)), t, &mut out);
+    assert!(p2.recv_log.is_empty(), "held while blocking");
+    p2.handle_into(HostEvent::BlockingElapsed, t, &mut out);
+    assert_eq!(p2.recv_log, [Arc::clone(&sent)], "released and logged");
+    assert!(!Arc::ptr_eq(&p2.recv_log[0], &sent), "wrapped on release");
+}
+
+#[test]
+fn a_takeover_resend_is_tracked_as_the_allocation_it_routes() {
+    let mut system = coordinated();
+    system.drive_host(1, HostEvent::Produce { external: false }, SimTime::ZERO);
+    assert!(system.hosts[1].acks.is_empty(), "the shadow suppresses");
+    system.promote_shadow(1, 2, SimTime::ZERO);
+    let tracked = system.hosts[1].acks.unacked_shared();
+    assert_eq!((system.hosts[1].sent_log.len(), tracked.len()), (1, 1));
+    assert!(Arc::ptr_eq(&until_logged(&mut system, 2), &tracked[0]));
 }

@@ -5,10 +5,8 @@
 //! application messages it has sent but not yet seen acknowledged, and
 //! re-sends them during hardware error recovery (paper §2.2).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
-
-use synergy_codec::codec_struct;
 
 use crate::frame::PiggyAck;
 use crate::message::{Envelope, MsgId};
@@ -26,19 +24,17 @@ use crate::message::{Envelope, MsgId};
 ///     payload: vec![1, 2],
 ///     dirty: false,
 /// }));
-/// assert_eq!(tracker.unacked().len(), 1);
+/// assert_eq!(tracker.unacked_shared()[0].id, id);
 /// assert!(tracker.on_ack(id));
-/// assert!(tracker.unacked().is_empty());
+/// assert!(tracker.is_empty());
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AckTracker {
-    // Envelopes are held behind `Arc` so bundling the pending set into a
-    // checkpoint payload (every volatile checkpoint does) shares rather
-    // than deep-copies them.
-    pending: BTreeMap<MsgId, Arc<Envelope>>,
+    // Sorted by id. Envelopes are held behind `Arc`, so the sender's copy is
+    // the one the network delivers and the receiver logs, and bundling the
+    // pending set into a checkpoint payload shares rather than deep-copies.
+    pending: Vec<Arc<Envelope>>,
 }
-
-codec_struct!(AckTracker { pending });
 
 impl AckTracker {
     /// Creates an empty tracker.
@@ -46,10 +42,18 @@ impl AckTracker {
         AckTracker::default()
     }
 
-    /// Registers a sent message as awaiting acknowledgment.
+    /// Registers a sent message as awaiting acknowledgment; a re-sent id
+    /// replaces its entry.
     pub fn on_send(&mut self, envelope: impl Into<Arc<Envelope>>) {
         let envelope = envelope.into();
-        self.pending.insert(envelope.id, envelope);
+        match self.find(envelope.id) {
+            Ok(i) => self.pending[i] = envelope,
+            Err(i) => self.pending.insert(i, envelope),
+        }
+    }
+
+    fn find(&self, id: MsgId) -> Result<usize, usize> {
+        self.pending.binary_search_by_key(&id, |e| e.id)
     }
 
     /// Records an acknowledgment. Returns `true` when the message was
@@ -62,20 +66,14 @@ impl AckTracker {
     /// for a message already forgotten. The pending set after a batch of
     /// acks depends only on *which* messages were acked.
     pub fn on_ack(&mut self, of: MsgId) -> bool {
-        self.pending.remove(&of).is_some()
+        self.find(of).map(|i| self.pending.remove(i)).is_ok()
     }
 
-    /// The messages that must be included in the next stable checkpoint, in
-    /// deterministic (sender, sequence) order — deep copies; prefer
-    /// [`unacked_shared`](Self::unacked_shared) on hot paths.
-    pub fn unacked(&self) -> Vec<Envelope> {
-        self.pending.values().map(|e| (**e).clone()).collect()
-    }
-
-    /// Shared handles to the pending messages in deterministic (sender,
-    /// sequence) order; each element is a refcount bump.
+    /// Shared handles to the messages that must be included in the next
+    /// stable checkpoint, in deterministic (sender, sequence) order; each
+    /// element is a refcount bump.
     pub fn unacked_shared(&self) -> Vec<Arc<Envelope>> {
-        self.pending.values().cloned().collect()
+        self.pending.clone()
     }
 
     /// Number of pending messages.
@@ -90,13 +88,8 @@ impl AckTracker {
 
     /// Replaces the pending set with the one recovered from a checkpoint.
     pub fn restore<T: Into<Arc<Envelope>>>(&mut self, messages: impl IntoIterator<Item = T>) {
-        self.pending = messages
-            .into_iter()
-            .map(|m| {
-                let m = m.into();
-                (m.id, m)
-            })
-            .collect();
+        self.pending.clear();
+        messages.into_iter().for_each(|m| self.on_send(m));
     }
 
     /// Forgets everything (process restart without recovery).
@@ -158,17 +151,26 @@ mod tests {
     use crate::message::{Endpoint, MessageBody, MsgSeqNo, ProcessId};
 
     fn env(seq: u64) -> Envelope {
-        Envelope::new(
-            MsgId {
-                from: ProcessId(2),
-                seq: MsgSeqNo(seq),
-            },
-            ProcessId(1),
-            MessageBody::Application {
-                payload: vec![seq as u8],
-                dirty: false,
-            },
-        )
+        env_from(2, seq, seq as u8)
+    }
+
+    fn env_from(from: u32, seq: u64, byte: u8) -> Envelope {
+        let id = MsgId {
+            from: ProcessId(from),
+            seq: MsgSeqNo(seq),
+        };
+        let body = MessageBody::Application {
+            payload: vec![byte],
+            dirty: false,
+        };
+        Envelope::new(id, ProcessId(1), body)
+    }
+
+    /// `(sender, sequence)` of every pending message, in `unacked_shared`
+    /// order.
+    fn ids(t: &AckTracker) -> Vec<(u32, u64)> {
+        let pending = t.unacked_shared();
+        pending.iter().map(|e| (e.id.from.0, e.id.seq.0)).collect()
     }
 
     #[test]
@@ -178,7 +180,7 @@ mod tests {
         t.on_send(env(1));
         assert_eq!(t.len(), 2);
         assert!(t.on_ack(env(0).id));
-        assert_eq!(t.unacked(), vec![env(1)]);
+        assert_eq!(ids(&t), vec![(2, 1)]);
     }
 
     #[test]
@@ -192,33 +194,62 @@ mod tests {
     #[test]
     fn ack_for_unknown_message_is_ignored() {
         let mut t = AckTracker::new();
-        assert!(!t.on_ack(env(9).id));
-        assert!(t.is_empty());
+        t.on_send(env(0));
+        assert!(!t.on_ack(env(9).id), "never sent");
+        assert!(!t.on_ack(env_from(3, 0, 0).id), "another sender's seq 0");
+        assert_eq!(ids(&t), vec![(2, 0)]);
     }
 
     #[test]
     fn acks_in_reverse_and_in_duplicate_empty_the_window() {
         // The reactor's ack contract: acks may overtake one another.
-        let mut t = AckTracker::new();
-        for seq in 0..8 {
-            t.on_send(env(seq));
+        for order in [[7, 6, 5, 4, 3, 2, 1, 0], [3, 0, 7, 1, 6, 2, 5, 4]] {
+            let mut t = AckTracker::new();
+            (0..8).for_each(|seq| t.on_send(env(seq)));
+            for (acked, seq) in order.into_iter().enumerate() {
+                assert!(t.on_ack(env(seq).id));
+                assert!(!t.on_ack(env(seq).id), "the duplicate changes nothing");
+                assert_eq!(t.len(), 7 - acked);
+                assert!(ids(&t).windows(2).all(|w| w[0] < w[1]), "still sorted");
+            }
+            assert!(t.is_empty());
         }
-        for seq in (0..8).rev() {
-            assert!(t.on_ack(env(seq).id));
-            assert!(!t.on_ack(env(seq).id), "the duplicate changes nothing");
-            assert_eq!(t.len() as u64, seq);
-        }
-        assert!(t.is_empty());
     }
+
+    #[test]
+    fn a_resent_id_replaces_its_entry() {
+        let mut t = AckTracker::new();
+        t.on_send(env(1));
+        t.on_send(env(2));
+        let resent = Arc::new(env_from(2, 1, 0xEE));
+        t.on_send(Arc::clone(&resent));
+        assert_eq!(ids(&t), vec![(2, 1), (2, 2)]);
+        assert!(Arc::ptr_eq(&t.unacked_shared()[0], &resent), "replaced");
+        assert!(t.on_ack(resent.id));
+        assert_eq!(ids(&t), vec![(2, 2)]);
+    }
+
+    /// What out-of-order sends and restores must yield: `(sender,
+    /// sequence)` order.
+    const ORDERED: [(u32, u64); 5] = [(1, 4), (2, 1), (2, 3), (2, 5), (3, 0)];
 
     #[test]
     fn unacked_is_ordered_by_sequence() {
         let mut t = AckTracker::new();
-        t.on_send(env(5));
-        t.on_send(env(1));
-        t.on_send(env(3));
-        let seqs: Vec<u64> = t.unacked().iter().map(|e| e.id.seq.0).collect();
-        assert_eq!(seqs, vec![1, 3, 5]);
+        for (from, seq) in [(2, 5), (3, 0), (2, 1), (1, 4), (2, 3)] {
+            t.on_send(env_from(from, seq, 0));
+        }
+        assert_eq!(ids(&t), ORDERED);
+    }
+
+    #[test]
+    fn restore_replaces_state() {
+        let mut t = AckTracker::new();
+        t.on_send(env(0));
+        t.restore([(3, 0), (2, 5), (1, 4), (2, 3), (2, 1)].map(|(f, s)| env_from(f, s, 0)));
+        assert_eq!(ids(&t), ORDERED);
+        t.clear();
+        assert!(t.is_empty());
     }
 
     #[test]
@@ -229,18 +260,6 @@ mod tests {
         let out = t.unacked_shared();
         assert_eq!(out.len(), 1);
         assert!(Arc::ptr_eq(&out[0], &shared), "no deep copy");
-        assert_eq!(t.unacked(), vec![env(0)]);
-    }
-
-    #[test]
-    fn restore_replaces_state() {
-        let mut t = AckTracker::new();
-        t.on_send(env(0));
-        t.restore([env(7), env(8)]);
-        let seqs: Vec<u64> = t.unacked().iter().map(|e| e.id.seq.0).collect();
-        assert_eq!(seqs, vec![7, 8]);
-        t.clear();
-        assert!(t.is_empty());
     }
 
     fn piggy(seq: u64) -> PiggyAck {
@@ -299,10 +318,10 @@ mod tests {
         let mut t = AckTracker::new();
         t.on_send(env(0));
         t.on_send(env(1));
-        let checkpointed = t.unacked();
+        let checkpointed = t.unacked_shared();
         t.on_ack(env(0).id); // progress after the checkpoint is lost...
         let mut recovered = AckTracker::new();
         recovered.restore(checkpointed.clone());
-        assert_eq!(recovered.unacked(), checkpointed);
+        assert_eq!(recovered.unacked_shared(), checkpointed);
     }
 }
