@@ -11,7 +11,7 @@
 use std::process::exit;
 use std::str::FromStr;
 
-use synergy::{Mission, Scheme, SystemConfig};
+use synergy::{Mission, NodeId, Scheme, SystemConfig};
 use synergy_des::{SimDuration, SimTime};
 
 const USAGE: &str = "\
@@ -64,7 +64,7 @@ fn parse(argv: &[String]) -> Result<Option<Cli>, String> {
         .external_rate_per_min(4.0)
         .tb_interval_secs(5.0);
     let mut print_trace = false;
-    let mut node = 2usize;
+    let mut node = NodeId::P2;
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--scheme" => {
@@ -101,10 +101,8 @@ fn parse(argv: &[String]) -> Result<Option<Cli>, String> {
                 });
             }
             "--node" => {
-                node = value(&mut args, flag)?;
-                if node > 2 {
-                    return Err("--node must be 0, 1 or 2".into());
-                }
+                node = NodeId::from_index(value(&mut args, flag)?)
+                    .ok_or("--node must be 0, 1 or 2")?;
             }
             "--trace" => print_trace = true,
             "--help" | "-h" => return Ok(None),
@@ -259,7 +257,7 @@ mod tests {
         assert_eq!(config(&["--seed", "18446744073709551615"]).seed, u64::MAX);
         assert_eq!(
             config(&["--node", "0", "--hw-fault", "3"]).faults.hardware[0].node,
-            0
+            NodeId::P1Act
         );
         assert!(parse_args(&["--help"]).unwrap().is_none());
         // No flags: the defaults USAGE documents.

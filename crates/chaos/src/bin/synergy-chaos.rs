@@ -30,7 +30,7 @@ use std::str::FromStr;
 use synergy::{sweep, RegimeVerdict};
 use synergy_chaos::{
     outcome_verdict, regime, run_campaign, shrink_failure, CampaignOutcome, CampaignResult,
-    CampaignSpec, CampaignToggles, RegimeKind,
+    CampaignSpec, CampaignToggles, FaultGroup, RegimeKind,
 };
 
 struct Args {
@@ -78,14 +78,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--data-root" => out.data_root = PathBuf::from(value()?),
             "--node-bin" => out.node_bin = Some(PathBuf::from(value()?)),
-            "--no-link" => out.toggles.link = false,
-            "--no-disk" => out.toggles.disk = false,
-            "--no-crash" => out.toggles.crash = false,
-            "--no-bitrot" => out.toggles.bitrot = false,
-            "--no-deltarot" => out.toggles.deltarot = false,
-            "--no-corrupt" => out.toggles.corrupt = false,
             "--regime" => out.regime = true,
-            other => return Err(format!("unknown flag {other}")),
+            other => match FaultGroup::from_flag(other) {
+                Some(group) => out.toggles.disable(group),
+                None => return Err(format!("unknown flag {other}")),
+            },
         }
     }
     Ok(out)
@@ -390,7 +387,7 @@ fn print_shrink_report(base_seed: u64, index: u64, shrink: &synergy_chaos::Shrin
         shrink
             .removed
             .iter()
-            .map(|g| format!("--no-{g}"))
+            .map(|g| format!("--no-{}", g.name()))
             .collect::<Vec<_>>()
             .join(" ")
     };

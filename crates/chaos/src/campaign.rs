@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use synergy::{Mission, RegimeVerdict};
 use synergy_cluster::{Cluster, ClusterConfig, ClusterReport};
 
-use crate::plan::CampaignSpec;
+use crate::plan::{CampaignSpec, FaultGroup};
 
 /// How a campaign ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -230,14 +230,15 @@ pub struct ShrinkReport {
     /// The outcome of the minimal spec's run.
     pub outcome: CampaignOutcome,
     /// Fault groups removed during shrinking, in removal order. Each
-    /// name matches a `--no-<group>` runner flag, so the minimal
+    /// group's `--no-<name>` runner flag disables it, so the minimal
     /// cocktail is reproducible from the report alone: re-run the
     /// original (base seed, index) with these groups disabled.
-    pub removed: Vec<&'static str>,
+    pub removed: Vec<FaultGroup>,
 }
 
 /// Greedily shrinks a failing campaign: tries to drop each fault group
-/// (link → disk → bit-rot → chain-rot → corrupt → crash) and
+/// the spec carries, in [`FaultGroup::ALL`] order (link → disk → bit-rot
+/// → chain-rot → corrupt → crash), and
 /// keeps any removal whose re-run lands in the **same verdict class**
 /// ([`outcome_verdict`]) as the original failure — a divergence must
 /// still diverge, an abort must still abort. Shrinking that swaps the
@@ -256,30 +257,12 @@ pub fn shrink_failure(
     let mut current = spec.clone();
     let mut outcome = failing_outcome.clone();
     let mut removed = Vec::new();
-    type Removal = (&'static str, fn(&mut CampaignSpec));
-    let removals: [Removal; 6] = [
-        ("link", CampaignSpec::disable_link),
-        ("disk", CampaignSpec::disable_disk),
-        ("bitrot", CampaignSpec::disable_bitrot),
-        ("deltarot", CampaignSpec::disable_deltarot),
-        ("corrupt", CampaignSpec::disable_corrupt),
-        ("crash", CampaignSpec::disable_crash),
-    ];
-    for (group, remove) in removals {
-        let toggles = current.active_toggles();
-        let active = match group {
-            "link" => toggles.link,
-            "disk" => toggles.disk,
-            "bitrot" => toggles.bitrot,
-            "deltarot" => toggles.deltarot,
-            "corrupt" => toggles.corrupt,
-            _ => toggles.crash,
-        };
-        if !active {
+    for group in FaultGroup::ALL {
+        if !current.has(group) {
             continue;
         }
         let mut candidate = current.clone();
-        remove(&mut candidate);
+        candidate.remove(group);
         let result = run_campaign(&candidate, node_bin, data_root);
         if outcome_verdict(&result.outcome) == class {
             current = candidate;

@@ -39,5 +39,5 @@ pub use campaign::{
     cluster_config, outcome_verdict, run_campaign, shrink_failure, CampaignOutcome, CampaignResult,
     FaultSummary, ShrinkReport,
 };
-pub use plan::{CampaignSpec, CampaignToggles};
+pub use plan::{CampaignSpec, CampaignToggles, FaultGroup};
 pub use regime::{RegimeKind, RegimeRow, RegimeSummary, RegimeSweep};

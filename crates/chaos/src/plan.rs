@@ -4,9 +4,11 @@
 //! parameter is drawn from a labelled [`DetRng`] stream, so re-running the
 //! same seed reproduces the same mission, the same fault cocktail, and —
 //! because every injected layer is deterministic too — the same realized
-//! schedule. [`CampaignToggles`] disable whole fault groups *after*
-//! drawing, so `--no-link` keeps the mission shape (steps, crash) of the
-//! full campaign; the shrinker relies on the same property.
+//! schedule. A [`FaultGroup`] is one row of the fault vocabulary: its
+//! name, its `--no-<name>` flag, whether a spec carries it and how to
+//! remove it. [`CampaignToggles`] disable whole groups *after* drawing, so
+//! `--no-link` keeps the mission shape (steps, crash) of the full
+//! campaign; the shrinker relies on the same property.
 //!
 //! The drawn parameters deliberately stay inside the region the masking
 //! argument covers (see `DESIGN.md` §11): drop probability below 0.25
@@ -27,35 +29,83 @@ use synergy_storage::{DiskFault, DiskFaultPlan, DiskOp};
 /// produce instant.
 pub(crate) const CAMPAIGN_DELTA_SECS: f64 = 1.7;
 
-/// Which fault groups a campaign may include.
+/// One group of faults a campaign can carry, and the unit the shrinker
+/// removes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CampaignToggles {
+pub enum FaultGroup {
     /// Link faults: drops, ack duplication, delays, partitions.
-    pub link: bool,
+    Link,
     /// Transient stable-storage faults under the TB runtime.
-    pub disk: bool,
-    /// The scheduled crash (kill + restart + global rollback).
-    pub crash: bool,
+    Disk,
     /// Frame-level bit-rot in the victim's oldest record file.
-    pub bitrot: bool,
+    Bitrot,
     /// Chain-link rot in the victim's oldest record, behind a valid frame.
-    pub deltarot: bool,
+    Deltarot,
     /// Byzantine-lite value corruption: a node restores the checkpoint at
     /// the epoch line value-flipped behind a valid CRC (unmasked-regime
     /// campaigns only — the masked sweep never draws it).
-    pub corrupt: bool,
+    Corrupt,
+    /// The scheduled crash (kill + restart + global rollback).
+    Crash,
 }
 
-impl Default for CampaignToggles {
-    fn default() -> Self {
-        CampaignToggles {
-            link: true,
-            disk: true,
-            crash: true,
-            bitrot: true,
-            deltarot: true,
-            corrupt: true,
+impl FaultGroup {
+    /// Every group, in the order the shrinker tries to remove them: the
+    /// crash last, because rot and corruption ride on it.
+    pub const ALL: [FaultGroup; 6] = [
+        FaultGroup::Link,
+        FaultGroup::Disk,
+        FaultGroup::Bitrot,
+        FaultGroup::Deltarot,
+        FaultGroup::Corrupt,
+        FaultGroup::Crash,
+    ];
+
+    /// The group's name, as in its `--no-<name>` runner flag and in a
+    /// shrink report.
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultGroup::Link => "link",
+            FaultGroup::Disk => "disk",
+            FaultGroup::Bitrot => "bitrot",
+            FaultGroup::Deltarot => "deltarot",
+            FaultGroup::Corrupt => "corrupt",
+            FaultGroup::Crash => "crash",
         }
+    }
+
+    /// The group a `--no-<name>` flag disables, if `flag` is one.
+    pub fn from_flag(flag: &str) -> Option<FaultGroup> {
+        let name = flag.strip_prefix("--no-")?;
+        FaultGroup::ALL.into_iter().find(|g| g.name() == name)
+    }
+}
+
+/// The fault groups a sweep leaves out of every campaign; the default
+/// leaves out none.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CampaignToggles {
+    disabled: u8,
+}
+
+impl CampaignToggles {
+    /// Leaves `group` out of every campaign.
+    pub fn disable(&mut self, group: FaultGroup) {
+        self.disabled |= 1 << group as u8;
+    }
+
+    /// Whether `group` is left out.
+    pub fn disables(self, group: FaultGroup) -> bool {
+        self.disabled & (1 << group as u8) != 0
+    }
+}
+
+impl FromIterator<FaultGroup> for CampaignToggles {
+    /// The toggles that leave out exactly these groups.
+    fn from_iter<I: IntoIterator<Item = FaultGroup>>(groups: I) -> Self {
+        let mut toggles = CampaignToggles::default();
+        groups.into_iter().for_each(|g| toggles.disable(g));
+        toggles
     }
 }
 
@@ -92,7 +142,7 @@ pub struct CampaignSpec {
     /// masked sweep; regime campaigns set node 0 so the restored lie
     /// reaches the device stream and the cluster-vs-sim diff documents the
     /// escape.
-    pub corrupt: Option<usize>,
+    pub corrupt: Option<NodeId>,
 }
 
 impl CampaignSpec {
@@ -203,23 +253,8 @@ impl CampaignSpec {
             delta_k,
             corrupt: None,
         };
-        if !toggles.link {
-            spec.disable_link();
-        }
-        if !toggles.disk {
-            spec.disable_disk();
-        }
-        if !toggles.bitrot {
-            spec.disable_bitrot();
-        }
-        if !toggles.deltarot {
-            spec.disable_deltarot();
-        }
-        if !toggles.crash {
-            spec.disable_crash();
-        }
-        if !toggles.corrupt {
-            spec.disable_corrupt();
+        for group in FaultGroup::ALL.into_iter().filter(|&g| toggles.disables(g)) {
+            spec.remove(group);
         }
         spec
     }
@@ -260,54 +295,37 @@ impl CampaignSpec {
             disk: vec![DiskFaultPlan::inert(); NodeId::ALL.len()],
             rot: None,
             delta_k: 1,
-            corrupt: Some(NodeId::P1Act.index()),
+            corrupt: Some(NodeId::P1Act),
         }
     }
 
-    /// Removes the link-fault group (wire becomes a passthrough).
-    pub(crate) fn disable_link(&mut self) {
-        self.link = LinkFaultPlan::inert(self.link.seed);
-    }
-
-    /// Removes every stable-storage fault.
-    pub(crate) fn disable_disk(&mut self) {
-        for plan in &mut self.disk {
-            *plan = DiskFaultPlan::inert();
+    /// Whether the spec still carries `group`.
+    pub fn has(&self, group: FaultGroup) -> bool {
+        match group {
+            FaultGroup::Link => !self.link.is_inert(),
+            FaultGroup::Disk => self.disk.iter().any(|p| !p.is_inert()),
+            FaultGroup::Bitrot => self.rot == Some(Rot::Frame),
+            FaultGroup::Deltarot => self.rot == Some(Rot::Chain),
+            FaultGroup::Corrupt => self.corrupt.is_some(),
+            FaultGroup::Crash => self.crash.is_some(),
         }
     }
 
-    /// Removes a frame-level rot injection.
-    pub(crate) fn disable_bitrot(&mut self) {
-        self.rot = self.rot.filter(|&r| r != Rot::Frame);
-    }
-
-    /// Removes a chain-level rot injection.
-    pub(crate) fn disable_deltarot(&mut self) {
-        self.rot = self.rot.filter(|&r| r != Rot::Chain);
-    }
-
-    /// Removes the Byzantine-lite checkpoint corruption.
-    pub(crate) fn disable_corrupt(&mut self) {
-        self.corrupt = None;
-    }
-
-    /// Removes the scheduled crash (and with it the rot and checkpoint
-    /// corruption, which both ride on a crash's global rollback).
-    pub(crate) fn disable_crash(&mut self) {
-        self.crash = None;
-        self.rot = None;
-        self.corrupt = None;
-    }
-
-    /// Which fault groups the spec still carries, for shrink ordering.
-    pub(crate) fn active_toggles(&self) -> CampaignToggles {
-        CampaignToggles {
-            link: !self.link.is_inert(),
-            disk: self.disk.iter().any(|p| !p.is_inert()),
-            crash: self.crash.is_some(),
-            bitrot: self.rot == Some(Rot::Frame),
-            deltarot: self.rot == Some(Rot::Chain),
-            corrupt: self.corrupt.is_some(),
+    /// Removes `group` from the spec. Removing the crash also removes the
+    /// rot and the checkpoint corruption, which both ride on its global
+    /// rollback.
+    pub fn remove(&mut self, group: FaultGroup) {
+        match group {
+            FaultGroup::Link => self.link = LinkFaultPlan::inert(self.link.seed),
+            FaultGroup::Disk => self.disk.fill(DiskFaultPlan::inert()),
+            FaultGroup::Bitrot => self.rot = self.rot.filter(|&r| r != Rot::Frame),
+            FaultGroup::Deltarot => self.rot = self.rot.filter(|&r| r != Rot::Chain),
+            FaultGroup::Corrupt => self.corrupt = None,
+            FaultGroup::Crash => {
+                self.crash = None;
+                self.rot = None;
+                self.corrupt = None;
+            }
         }
     }
 
@@ -336,7 +354,7 @@ impl CampaignSpec {
             None => {}
         }
         if let Some(node) = self.corrupt {
-            parts.push(format!("corrupt:n{node}"));
+            parts.push(format!("corrupt:n{}", node.index()));
         }
         if self.internal_traffic {
             parts.push("acked-traffic".to_string());
@@ -416,25 +434,25 @@ mod tests {
     #[test]
     fn toggles_disable_groups_without_changing_the_mission() {
         let full = CampaignSpec::generate(7, 4, CampaignToggles::default());
-        let bare = CampaignSpec::generate(
-            7,
-            4,
-            CampaignToggles {
-                link: false,
-                disk: false,
-                crash: false,
-                bitrot: false,
-                deltarot: false,
-                corrupt: false,
-            },
-        );
-        assert_eq!(bare.steps, full.steps, "mission shape preserved");
-        assert_eq!(bare.seed, full.seed);
-        assert_eq!(bare.delta_k, full.delta_k, "the cadence is mission shape");
-        assert!(bare.link.is_inert());
-        assert!(bare.disk.iter().all(|p| p.is_inert()));
-        assert!(bare.crash.is_none());
-        assert_eq!(bare.rot, None);
+        let crash = |s: &CampaignSpec| s.crash.map(|c| (c.epoch, c.kind));
+        for group in FaultGroup::ALL {
+            let flag = format!("--no-{}", group.name());
+            assert_eq!(FaultGroup::from_flag(&flag), Some(group));
+            let toggles: CampaignToggles = [group].into_iter().collect();
+            let spec = CampaignSpec::generate(7, 4, toggles);
+            let mut removed = full.clone();
+            removed.remove(group);
+            assert_eq!(spec, removed, "{flag} is remove({group:?}) after drawing");
+            assert!(!spec.has(group), "{flag}");
+            assert_eq!((spec.seed, spec.steps), (full.seed, full.steps), "{flag}");
+            assert_eq!(spec.delta_k, full.delta_k, "the cadence is mission shape");
+            if group != FaultGroup::Crash {
+                assert_eq!(crash(&spec), crash(&full), "{flag}");
+            }
+        }
+        let bare = CampaignSpec::generate(7, 4, FaultGroup::ALL.into_iter().collect());
+        assert!(FaultGroup::ALL.into_iter().all(|g| !bare.has(g)));
+        assert_eq!(FaultGroup::from_flag("--no-such-group"), None);
     }
 
     #[test]
@@ -465,7 +483,7 @@ mod tests {
             let a = CampaignSpec::generate_byzantine(5, index);
             let b = CampaignSpec::generate_byzantine(5, index);
             assert_eq!(a, b);
-            assert_eq!(a.corrupt, Some(NodeId::P1Act.index()));
+            assert_eq!(a.corrupt, Some(NodeId::P1Act));
             assert_eq!(a.delta_k, 1, "every record a full image");
             assert!(a.link.is_inert(), "the only unmasked axis is the flip");
             assert!(a.disk.iter().all(|p| p.is_inert()));
@@ -475,18 +493,19 @@ mod tests {
     }
 
     #[test]
-    fn active_toggles_reflect_the_spec() {
+    fn has_reflects_the_spec() {
         let mut spec = CampaignSpec::generate(11, 0, CampaignToggles::default());
-        spec.disable_link();
-        let t = spec.active_toggles();
-        assert!(!t.link);
-        assert!(t.crash);
-        spec.disable_crash();
-        assert!(!spec.active_toggles().crash);
-        assert!(!spec.active_toggles().bitrot, "bit-rot rides on the crash");
-        assert!(
-            !spec.active_toggles().deltarot,
-            "chain-rot rides on the crash"
-        );
+        spec.remove(FaultGroup::Link);
+        assert!(!spec.has(FaultGroup::Link));
+        assert!(spec.has(FaultGroup::Crash));
+        spec.corrupt = Some(NodeId::P1Act);
+        spec.remove(FaultGroup::Crash);
+        for rider in [
+            FaultGroup::Bitrot,
+            FaultGroup::Deltarot,
+            FaultGroup::Corrupt,
+        ] {
+            assert!(!spec.has(rider), "{rider:?} rides on the crash");
+        }
     }
 }

@@ -23,7 +23,9 @@
 //! reproduces its report bit for bit — which
 //! [`RegimeSweep::recheck_determinism`] asserts by replaying a row.
 
-use synergy::{run_regime_mission, HardwareFault, RegimeReport, RegimeVerdict, SystemConfig};
+use synergy::{
+    run_regime_mission, HardwareFault, NodeId, RegimeReport, RegimeVerdict, SystemConfig,
+};
 use synergy_des::{DetRng, SimDuration, SimTime};
 
 /// Which unmasked regime a sweep exercises.
@@ -100,11 +102,11 @@ impl RegimeKind {
             RegimeKind::Resync => {
                 let after = rng.gen_range(30.0..60.0);
                 let excess = SimDuration::from_micros(rng.gen_range(200u64..=800));
-                let node = rng.gen_range(0u64..3) as usize;
+                let node = NodeId::ALL[rng.gen_range(0u64..3) as usize];
                 builder.resync_violation(after, excess, node).build()
             }
             RegimeKind::Byzantine => {
-                let node = rng.gen_range(0u64..3) as usize;
+                let node = NodeId::ALL[rng.gen_range(0u64..3) as usize];
                 let at = rng.gen_range(30.0..50.0);
                 let crash_at = at + rng.gen_range(10.0..30.0);
                 builder
@@ -313,9 +315,9 @@ mod tests {
         for kind in RegimeKind::ALL {
             let a = kind.config(11, 3);
             let b = kind.config(11, 3);
-            assert_eq!(a.regime, b.regime, "{kind} regime plan must reproduce");
+            assert_eq!(a.faults, b.faults, "{kind} fault plan must reproduce");
             assert_eq!(a.seed, 14);
-            assert!(a.regime.is_unmasked(), "{kind} must arm an axis");
+            assert!(a.faults.is_unmasked(), "{kind} must arm an axis");
         }
     }
 
@@ -335,15 +337,15 @@ mod tests {
 
     #[test]
     fn distinct_kinds_arm_distinct_axes() {
-        let caught = RegimeKind::Caught.config(5, 0).regime;
+        let caught = RegimeKind::Caught.config(5, 0).faults;
         assert!(caught.bad_messages.is_some() && caught.byzantine.is_none());
-        let escape = RegimeKind::Escape.config(5, 0).regime;
+        let escape = RegimeKind::Escape.config(5, 0).faults;
         let cov = escape.at_coverage.expect("escape arms the coverage knob");
         assert!(cov.coverage < 0.5);
-        let resync = RegimeKind::Resync.config(5, 0).regime;
+        let resync = RegimeKind::Resync.config(5, 0).faults;
         assert!(resync.resync_violation.is_some() && resync.bad_messages.is_none());
         let byz = RegimeKind::Byzantine.config(5, 0);
-        let plan = byz.regime.byzantine.expect("byzantine arms the flip");
+        let plan = byz.faults.byzantine.expect("byzantine arms the flip");
         // The paired hardware fault must hit the corrupted node, or the lie
         // is never restored.
         assert_eq!(byz.faults.hardware.len(), 1);

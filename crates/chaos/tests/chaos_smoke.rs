@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use synergy::{ByzantinePlan, Mission, RegimeVerdict};
 use synergy_chaos::{
     cluster_config, outcome_verdict, run_campaign, CampaignOutcome, CampaignSpec, CampaignToggles,
+    FaultGroup,
 };
 use synergy_cluster::Cluster;
 use synergy_des::SimTime;
@@ -55,18 +56,7 @@ fn fixed_seed_campaigns_converge_on_the_reference_stream() {
 #[test]
 fn fault_free_campaign_converges() {
     let data_root = unique_dir("clean");
-    let spec = CampaignSpec::generate(
-        7,
-        0,
-        CampaignToggles {
-            link: false,
-            disk: false,
-            crash: false,
-            bitrot: false,
-            deltarot: false,
-            corrupt: false,
-        },
-    );
+    let spec = CampaignSpec::generate(7, 0, FaultGroup::ALL.into_iter().collect());
     let result = run_campaign(&spec, &node_bin(), &data_root);
     assert!(
         result.outcome.is_converged(),
@@ -121,7 +111,7 @@ fn byzantine_campaigns_match_the_simulator_flip_on_every_crash_kind() {
         let cfg = cluster_config(&spec, &node_bin(), data_root.join(index.to_string()));
         let honest = cfg.reference();
         let mut lying = honest.clone();
-        lying.regime.byzantine = Some(ByzantinePlan {
+        lying.faults.byzantine = Some(ByzantinePlan {
             at: SimTime::ZERO,
             node,
         });

@@ -7,10 +7,8 @@ use synergy_des::{SimDuration, SimTime};
 use synergy_mdcd::MdcdConfig;
 use synergy_tb::TbVariant;
 
-use crate::faults::{CrashEvent, FaultPlan, FaultPlanError, HardwareFault, SoftwareFault};
-use crate::regime::{
-    AtCoveragePlan, BadMessagePlan, ByzantinePlan, RegimePlan, ResyncViolationPlan,
-};
+use crate::faults::{CrashEvent, FaultPlan, FaultPlanError, HardwareFault, NodeId, SoftwareFault};
+use crate::regime::{AtCoveragePlan, BadMessagePlan, ByzantinePlan, ResyncViolationPlan};
 
 /// How the software and hardware fault-tolerance protocols are combined.
 ///
@@ -99,7 +97,7 @@ pub struct SystemConfig {
     /// External (device-bound, acceptance-tested) message rate per
     /// component (Hz).
     pub external_rate_hz: f64,
-    /// Scheduled faults.
+    /// Scheduled faults, the unmasked-regime axes among them.
     pub faults: FaultPlan,
     /// Delay between a hardware fault and system-wide recovery.
     pub restart_delay: SimDuration,
@@ -117,11 +115,6 @@ pub struct SystemConfig {
     /// scenarios); they fire once at the given instants, on top of (or, with
     /// zero rates, instead of) the Poisson workload.
     pub scripted_sends: Vec<ScriptedSend>,
-    /// Unmasked-regime injection plan (bad messages, AT false negatives,
-    /// resync violations, Byzantine-lite corruption). Defaults to
-    /// [`RegimePlan::none`]; a masked run is byte-identical with the field
-    /// present or absent.
-    pub regime: RegimePlan,
 }
 
 /// One scripted application send.
@@ -141,17 +134,16 @@ impl SystemConfig {
         SystemConfigBuilder::default()
     }
 
-    /// Validates the full injection surface — the fault plan and the
-    /// regime plan — returning the first structured error. `System::new`
-    /// calls this and panics on failure (a hand-built config is a
-    /// programming error); chaos and cluster callers validate ahead of
-    /// time and surface the typed error instead.
+    /// Validates the fault plan against this mission, returning the first
+    /// structured error. `System::new` calls this and panics on failure (a
+    /// hand-built config is a programming error); the regime sweeps
+    /// validate ahead of time and surface the typed error instead.
     ///
     /// # Errors
     ///
     /// The first [`FaultPlanError`] in the fault plan, then
     /// [`FaultPlanError::RoundNeverFires`] for a round crash no TB timer
-    /// reaches, then the first in the regime plan.
+    /// reaches.
     pub fn validate(&self) -> Result<(), FaultPlanError> {
         self.faults.validate()?;
         for crash in &self.faults.rounds {
@@ -171,15 +163,20 @@ impl SystemConfig {
                 why,
             });
         }
-        self.regime.validate()
+        Ok(())
     }
 
     /// The oracle twin of this configuration: identical in every respect
-    /// except that the regime plan is cleared. Diffing a regime run's device
-    /// stream against its oracle's counts and localizes escapes.
+    /// except that the four regime axes are cleared; the software, hardware
+    /// and round faults stay. Diffing a regime run's device stream against
+    /// its oracle's counts and localizes escapes.
     pub fn oracle(&self) -> SystemConfig {
         let mut cfg = self.clone();
-        cfg.regime = RegimePlan::none();
+        let faults = &mut cfg.faults;
+        faults.bad_messages = None;
+        faults.at_coverage = None;
+        faults.resync_violation = None;
+        faults.byzantine = None;
         cfg
     }
 }
@@ -209,7 +206,6 @@ impl Default for SystemConfigBuilder {
                 trace: true,
                 checkpoint_delta_k: None,
                 scripted_sends: Vec::new(),
-                regime: RegimePlan::none(),
             },
         }
     }
@@ -275,10 +271,10 @@ impl SystemConfigBuilder {
     /// Schedules a hardware fault on `P2`'s node
     /// ([`NodeId::P2`](crate::NodeId)) at `secs`.
     pub fn hardware_fault_at_secs(self, secs: f64) -> Self {
-        self.hardware_fault(HardwareFault::on(
-            crate::NodeId::P2,
-            SimTime::from_secs_f64(secs),
-        ))
+        self.hardware_fault(HardwareFault {
+            at: SimTime::from_secs_f64(secs),
+            node: NodeId::P2,
+        })
     }
 
     /// Schedules a hardware fault on an arbitrary node.
@@ -359,18 +355,11 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Installs a complete unmasked-regime plan (used by the chaos
-    /// generator, which assembles plans axis by axis).
-    pub fn regime(mut self, plan: RegimePlan) -> Self {
-        self.cfg.regime = plan;
-        self
-    }
-
     /// Regime axis 1: after `after_secs`, the active process corrupts each
     /// external payload with probability `rate`; the acceptance test catches
     /// every corruption unless [`at_coverage`](Self::at_coverage) lowers it.
     pub fn bad_messages(mut self, after_secs: f64, rate: f64) -> Self {
-        self.cfg.regime.bad_messages = Some(BadMessagePlan {
+        self.cfg.faults.bad_messages = Some(BadMessagePlan {
             after: SimTime::from_secs_f64(after_secs),
             rate,
         });
@@ -380,14 +369,14 @@ impl SystemConfigBuilder {
     /// Regime axis 2: seeded AT coverage knob — a corrupt payload escapes to
     /// the device with probability `1 - coverage`.
     pub fn at_coverage(mut self, coverage: f64) -> Self {
-        self.cfg.regime.at_coverage = Some(AtCoveragePlan { coverage });
+        self.cfg.faults.at_coverage = Some(AtCoveragePlan { coverage });
         self
     }
 
     /// Regime axis 3: after `after_secs`, resynchronizations leave `node`'s
     /// clock `excess` beyond the δ envelope.
-    pub fn resync_violation(mut self, after_secs: f64, excess: SimDuration, node: usize) -> Self {
-        self.cfg.regime.resync_violation = Some(ResyncViolationPlan {
+    pub fn resync_violation(mut self, after_secs: f64, excess: SimDuration, node: NodeId) -> Self {
+        self.cfg.faults.resync_violation = Some(ResyncViolationPlan {
             after: SimTime::from_secs_f64(after_secs),
             excess,
             node,
@@ -398,8 +387,8 @@ impl SystemConfigBuilder {
     /// Regime axis 4: from `at_secs` on, `node` serves every hardware
     /// recovery the stable checkpoint at the line with its value bytes
     /// flipped behind a valid CRC.
-    pub fn byzantine_flip(mut self, at_secs: f64, node: usize) -> Self {
-        self.cfg.regime.byzantine = Some(ByzantinePlan {
+    pub fn byzantine_flip(mut self, at_secs: f64, node: NodeId) -> Self {
+        self.cfg.faults.byzantine = Some(ByzantinePlan {
             at: SimTime::from_secs_f64(at_secs),
             node,
         });
@@ -471,21 +460,35 @@ mod tests {
         assert_eq!(ok.validate(), Ok(()));
         let bad_rate = SystemConfig::builder().bad_messages(10.0, 1.5).build();
         assert!(bad_rate.validate().is_err());
-        let bad_node = SystemConfig::builder().byzantine_flip(10.0, 9).build();
-        assert!(matches!(
-            bad_node.validate(),
-            Err(crate::FaultPlanError::NodeOutOfRange { node: 9 })
-        ));
-        let bad_fault = SystemConfig::builder()
-            .hardware_fault(HardwareFault {
-                at: SimTime::from_secs_f64(5.0),
-                node: 7,
-            })
+        let bad_excess = SystemConfig::builder()
+            .resync_violation(10.0, SimDuration::ZERO, NodeId::P1Sdw)
             .build();
         assert!(matches!(
-            bad_fault.validate(),
-            Err(crate::FaultPlanError::NodeOutOfRange { node: 7 })
+            bad_excess.validate(),
+            Err(FaultPlanError::RateOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn the_oracle_clears_exactly_the_regime_axes() {
+        let cfg = SystemConfig::builder()
+            .software_fault_at_secs(20.0)
+            .hardware_fault_at_secs(30.0)
+            .bad_messages(10.0, 0.5)
+            .at_coverage(0.5)
+            .resync_violation(10.0, SimDuration::from_micros(500), NodeId::P2)
+            .byzantine_flip(10.0, NodeId::P1Act)
+            .build();
+        assert!(cfg.faults.is_unmasked());
+        let oracle = cfg.oracle().faults;
+        assert!(!oracle.is_unmasked());
+        let masked = FaultPlan {
+            software: cfg.faults.software,
+            hardware: cfg.faults.hardware.clone(),
+            rounds: cfg.faults.rounds.clone(),
+            ..FaultPlan::none()
+        };
+        assert_eq!(oracle, masked);
     }
 
     #[test]

@@ -1,24 +1,30 @@
 //! Scheduled fault injection.
 //!
-//! A [`FaultPlan`] means the same thing in the simulator and on the live
-//! cluster. Both map node indices through [`NodeId`], and a
-//! [`CrashEvent`] names a protocol point, not an instant: the cluster
-//! kills its victim at checkpoint round `epoch` of the orchestrator's
-//! grid, and the simulator crashes the victim's node when that node's own
-//! TB timer for round `epoch` fires. The time-placed [`HardwareFault`]
-//! list is the simulator's alone: the paper's sweeps crash at any instant.
+//! A [`FaultPlan`] is every fault one simulated mission injects: the
+//! design fault, crashes placed by instant or by checkpoint round, and the
+//! four unmasked-regime axes ([`crate::regime`]). Every fault that names a
+//! node names it by [`NodeId`], so no plan can point outside the system.
+//! A [`CrashEvent`] means the same thing in the simulator and on the live
+//! cluster: it names a protocol point, not an instant. The cluster kills
+//! its victim at checkpoint round `epoch` of the orchestrator's grid, and
+//! the simulator crashes the victim's node when that node's own TB timer
+//! for round `epoch` fires. The time-placed [`HardwareFault`] list is the
+//! simulator's alone: the paper's sweeps crash at any instant.
 
 use core::fmt;
 
-use synergy_des::SimTime;
+use synergy_des::{SimDuration, SimTime};
 use synergy_net::ProcessId;
 
-/// The three nodes of the paper's system, naming the `usize` indices used
-/// by [`HardwareFault::node`].
+use crate::regime::{AtCoveragePlan, BadMessagePlan, ByzantinePlan, ResyncViolationPlan};
+
+/// The three nodes of the paper's system: what every fault and every host
+/// names a node by.
 ///
-/// Both hardware-fault consumers share this mapping: the simulator's
-/// injector (crash a modelled node) and the cluster runtime's kill scheduler
-/// (SIGKILL a real OS process).
+/// Both hardware-fault consumers share this type: the simulator's injector
+/// (crash a modelled node) and the cluster runtime's kill scheduler
+/// (SIGKILL a real OS process). Input from outside (a CLI index) enters
+/// through [`from_index`](Self::from_index).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NodeId {
     /// Node 0, hosting `P1act` (the active variant of component 1).
@@ -33,7 +39,8 @@ impl NodeId {
     /// All nodes, in index order.
     pub const ALL: [NodeId; 3] = [NodeId::P1Act, NodeId::P1Sdw, NodeId::P2];
 
-    /// The node's fault-plan index (`0 = P1act, 1 = P1sdw, 2 = P2`).
+    /// The node's index (`0 = P1act, 1 = P1sdw, 2 = P2`), which also
+    /// indexes the clock fleet.
     pub fn index(self) -> usize {
         self as usize
     }
@@ -48,9 +55,7 @@ impl NodeId {
     /// ([`Topology::processes`](crate::system::Topology::processes)).
     pub fn pid(self) -> ProcessId {
         let processes = crate::system::Topology::canonical().processes();
-        let hosted = processes
-            .into_iter()
-            .find(|&(.., node)| node == self.index());
+        let hosted = processes.into_iter().find(|&(.., node)| node == self);
         hosted.expect("every node hosts a process").0
     }
 
@@ -82,24 +87,8 @@ pub struct SoftwareFault {
 pub struct HardwareFault {
     /// Crash instant.
     pub at: SimTime,
-    /// Node index — see [`NodeId`] for the mapping
-    /// (`0 = P1act, 1 = P1sdw, 2 = P2`).
-    pub node: usize,
-}
-
-impl HardwareFault {
-    /// A crash of `node` at `at`.
-    pub fn on(node: NodeId, at: SimTime) -> Self {
-        HardwareFault {
-            at,
-            node: node.index(),
-        }
-    }
-
-    /// The crashed node as a [`NodeId`], if the index is valid.
-    pub(crate) fn node_id(&self) -> Option<NodeId> {
-        NodeId::from_index(self.node)
-    }
+    /// The node that crashes.
+    pub node: NodeId,
 }
 
 /// When, relative to its checkpoint round, a crash hits the victim.
@@ -133,7 +122,9 @@ pub struct CrashEvent {
     pub kind: CrashKind,
 }
 
-/// The fault schedule of one mission.
+/// The fault schedule of one mission. The default plan injects nothing;
+/// the four regime axes default to `None`, the masked regime, and a plan
+/// with all four `None` runs byte-identically to one without them.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// At most one software-fault activation (guarded operation ends at the
@@ -143,6 +134,15 @@ pub struct FaultPlan {
     pub hardware: Vec<HardwareFault>,
     /// Crashes placed by checkpoint round, the cluster's fault vocabulary.
     pub rounds: Vec<CrashEvent>,
+    /// Regime axis 1: bad-message injection through the active process.
+    pub bad_messages: Option<BadMessagePlan>,
+    /// Regime axis 2: the AT false-negative knob (only meaningful alongside
+    /// `bad_messages`).
+    pub at_coverage: Option<AtCoveragePlan>,
+    /// Regime axis 3: failed clock resynchronizations.
+    pub resync_violation: Option<ResyncViolationPlan>,
+    /// Regime axis 4: valid-CRC checkpoint corruption.
+    pub byzantine: Option<ByzantinePlan>,
 }
 
 impl FaultPlan {
@@ -151,33 +151,60 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Validates node indices, returning a structured error instead of
-    /// aborting so chaos/cluster callers can surface malformed plans.
+    /// True if any regime axis is armed (the run can leave the masked
+    /// regime).
+    pub fn is_unmasked(&self) -> bool {
+        self.bad_messages.is_some()
+            || self.at_coverage.is_some()
+            || self.resync_violation.is_some()
+            || self.byzantine.is_some()
+    }
+
+    /// True if classifying this plan's runs needs an oracle device stream:
+    /// corruption can reach the device only via AT false negatives or
+    /// valid-CRC checkpoint corruption.
+    pub(crate) fn needs_oracle(&self) -> bool {
+        self.byzantine.is_some()
+            || (self.bad_messages.is_some() && self.at_coverage.is_some_and(|c| c.coverage < 1.0))
+    }
+
+    /// Validates what the types leave open: probabilities in `[0, 1]` and
+    /// a positive resync-violation excess.
     ///
     /// # Errors
     ///
-    /// Returns [`FaultPlanError::NodeOutOfRange`] if any hardware fault names
-    /// a node outside the [`NodeId`] mapping.
+    /// Returns the first [`FaultPlanError::RateOutOfRange`] found; plans
+    /// are small enough that one error at a time is fine.
     pub fn validate(&self) -> Result<(), FaultPlanError> {
-        for f in &self.hardware {
-            if f.node_id().is_none() {
-                return Err(FaultPlanError::NodeOutOfRange { node: f.node });
-            }
+        if let Some(b) = &self.bad_messages {
+            check_rate("bad-message rate", b.rate)?;
         }
-        Ok(())
+        if let Some(c) = &self.at_coverage {
+            check_rate("AT coverage", c.coverage)?;
+        }
+        match self.resync_violation {
+            Some(r) if r.excess == SimDuration::ZERO => Err(FaultPlanError::RateOutOfRange {
+                what: "resync excess (must be positive)",
+                value: 0.0,
+            }),
+            _ => Ok(()),
+        }
     }
 }
 
-/// Structural problems in a [`FaultPlan`] or regime plan, reported as typed
-/// errors rather than panics so callers (chaos generator, cluster
-/// orchestrator, CLI flag parsing) can propagate them.
+fn check_rate(what: &'static str, value: f64) -> Result<(), FaultPlanError> {
+    if value.is_finite() && (0.0..=1.0).contains(&value) {
+        Ok(())
+    } else {
+        Err(FaultPlanError::RateOutOfRange { what, value })
+    }
+}
+
+/// Structural problems in a [`FaultPlan`], reported as typed errors rather
+/// than panics so callers (chaos generator, regime sweeps) can propagate
+/// them.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultPlanError {
-    /// A fault names a node index outside the [`NodeId`] mapping.
-    NodeOutOfRange {
-        /// The offending index.
-        node: usize,
-    },
     /// A probability or magnitude knob is outside its valid range.
     RateOutOfRange {
         /// Which knob.
@@ -197,9 +224,6 @@ pub enum FaultPlanError {
 impl fmt::Display for FaultPlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FaultPlanError::NodeOutOfRange { node } => {
-                write!(f, "node index {node} out of range (valid: 0..=2)")
-            }
             FaultPlanError::RateOutOfRange { what, value } => {
                 write!(f, "{what} out of range: {value}")
             }
@@ -222,6 +246,7 @@ mod tests {
         assert!(p.software.is_none());
         assert!(p.hardware.is_empty());
         assert!(p.rounds.is_empty());
+        assert!(!p.is_unmasked());
         assert_eq!(p.validate(), Ok(()));
     }
 
@@ -229,9 +254,6 @@ mod tests {
     fn node_id_round_trips_the_index_mapping() {
         for node in NodeId::ALL {
             assert_eq!(NodeId::from_index(node.index()), Some(node));
-            let f = HardwareFault::on(node, SimTime::from_secs_f64(1.0));
-            assert_eq!(f.node, node.index());
-            assert_eq!(f.node_id(), Some(node));
         }
         assert_eq!(NodeId::P1Act.index(), 0);
         assert_eq!(NodeId::P1Sdw.index(), 1);
@@ -240,19 +262,5 @@ mod tests {
         assert_eq!(NodeId::ALL.map(|n| n.pid().0), [1, 2, 3]);
         assert_eq!(NodeId::P2.process_name(), "P2");
         assert_eq!(NodeId::P2.to_string(), "node2(P2)");
-    }
-
-    #[test]
-    fn bad_node_rejected_as_typed_error() {
-        let p = FaultPlan {
-            hardware: vec![HardwareFault {
-                at: SimTime::ZERO,
-                node: 9,
-            }],
-            ..FaultPlan::none()
-        };
-        let err = p.validate().unwrap_err();
-        assert_eq!(err, FaultPlanError::NodeOutOfRange { node: 9 });
-        assert!(err.to_string().contains("out of range"));
     }
 }

@@ -67,8 +67,8 @@ pub use faults::{
 pub use metrics::RunMetrics;
 pub use payload::{CheckpointPayload, SentRecord};
 pub use regime::{
-    run_regime_mission, AtCoveragePlan, BadMessagePlan, ByzantinePlan, EscapeRecord, RegimePlan,
-    RegimeReport, RegimeVerdict, ResyncViolationPlan,
+    run_regime_mission, AtCoveragePlan, BadMessagePlan, ByzantinePlan, EscapeRecord, RegimeReport,
+    RegimeVerdict, ResyncViolationPlan,
 };
 pub use sweep::sweep;
 pub use system::{Mission, MissionOutcome, System};

@@ -11,7 +11,7 @@
 //! 2. **AT false negatives** ([`AtCoveragePlan`]) — a seeded coverage knob on
 //!    the acceptance test lets a fraction of corrupt payloads escape to the
 //!    device; the device stream is diffed against an oracle run (same config,
-//!    regime cleared) to count and localize every escape.
+//!    regime axes cleared) to count and localize every escape.
 //! 3. **Clock-resync violations** ([`ResyncViolationPlan`]) — a resynchronization
 //!    leaves one clock outside the δ/ρ envelope the blocking-period formula
 //!    assumes, so any epoch line computed at a subsequent hardware recovery is
@@ -21,7 +21,9 @@
 //!    so every integrity check passes); the corruption surfaces only in the
 //!    device stream after the checkpoint is restored.
 //!
-//! Each campaign classifies into exactly one [`RegimeVerdict`]. The verdict is
+//! The axes are fields of [`FaultPlan`](crate::FaultPlan), beside the
+//! masked-regime faults. Each campaign classifies into exactly one
+//! [`RegimeVerdict`]. The verdict is
 //! evidence-based: injection-site counters on [`Verdicts`] plus the oracle
 //! device-stream diff, never an assumption about what *should* have happened.
 
@@ -31,7 +33,7 @@ use synergy_des::{DetRng, SimDuration, SimTime};
 use synergy_storage::Checkpoint;
 
 use crate::checkers::Verdicts;
-use crate::faults::{FaultPlanError, NodeId};
+use crate::faults::NodeId;
 use crate::payload::CheckpointPayload;
 
 /// XOR mask applied to the corrupted byte of a bad external payload. Chosen to
@@ -69,8 +71,8 @@ pub struct ResyncViolationPlan {
     pub after: SimTime,
     /// How far beyond δ the victim clock lands (must be positive to violate).
     pub excess: SimDuration,
-    /// Index of the node whose clock the failed resync skews.
-    pub node: usize,
+    /// The node whose clock the failed resync skews.
+    pub node: NodeId,
 }
 
 /// Byzantine-lite value corruption: from `at` on, every hardware recovery of
@@ -82,87 +84,8 @@ pub struct ResyncViolationPlan {
 pub struct ByzantinePlan {
     /// True time from which the node lies.
     pub at: SimTime,
-    /// Index of the node whose restores are served flipped.
-    pub node: usize,
-}
-
-/// The full unmasked-regime plan carried by `SystemConfig`. All axes default
-/// to `None`; a plan with every axis `None` is the masked regime and changes
-/// nothing about a run.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RegimePlan {
-    /// Bad-message injection through the active process.
-    pub bad_messages: Option<BadMessagePlan>,
-    /// AT false-negative knob (only meaningful alongside `bad_messages`).
-    pub at_coverage: Option<AtCoveragePlan>,
-    /// Failed clock resynchronizations.
-    pub resync_violation: Option<ResyncViolationPlan>,
-    /// Valid-CRC checkpoint corruption.
-    pub byzantine: Option<ByzantinePlan>,
-}
-
-impl RegimePlan {
-    /// The masked regime: no injection on any axis.
-    pub fn none() -> Self {
-        RegimePlan::default()
-    }
-
-    /// True if any axis is armed (the run can leave the masked regime).
-    pub fn is_unmasked(&self) -> bool {
-        self.bad_messages.is_some()
-            || self.at_coverage.is_some()
-            || self.resync_violation.is_some()
-            || self.byzantine.is_some()
-    }
-
-    /// True if classifying this plan's runs needs an oracle device stream:
-    /// corruption can reach the device only via AT false negatives or
-    /// valid-CRC checkpoint corruption.
-    pub(crate) fn needs_oracle(&self) -> bool {
-        self.byzantine.is_some()
-            || (self.bad_messages.is_some() && self.at_coverage.is_some_and(|c| c.coverage < 1.0))
-    }
-
-    /// Structural validation: probabilities in `[0, 1]`, node indices mapped
-    /// by [`NodeId`], violation excess positive.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`FaultPlanError`] found; plans are small enough
-    /// that one error at a time is fine.
-    pub fn validate(&self) -> Result<(), FaultPlanError> {
-        if let Some(b) = &self.bad_messages {
-            check_rate("bad-message rate", b.rate)?;
-        }
-        if let Some(c) = &self.at_coverage {
-            check_rate("AT coverage", c.coverage)?;
-        }
-        if let Some(r) = &self.resync_violation {
-            if NodeId::from_index(r.node).is_none() {
-                return Err(FaultPlanError::NodeOutOfRange { node: r.node });
-            }
-            if r.excess == SimDuration::ZERO {
-                return Err(FaultPlanError::RateOutOfRange {
-                    what: "resync excess (must be positive)",
-                    value: 0.0,
-                });
-            }
-        }
-        if let Some(b) = &self.byzantine {
-            if NodeId::from_index(b.node).is_none() {
-                return Err(FaultPlanError::NodeOutOfRange { node: b.node });
-            }
-        }
-        Ok(())
-    }
-}
-
-fn check_rate(what: &'static str, value: f64) -> Result<(), FaultPlanError> {
-    if value.is_finite() && (0.0..=1.0).contains(&value) {
-        Ok(())
-    } else {
-        Err(FaultPlanError::RateOutOfRange { what, value })
-    }
+    /// The node whose restores are served flipped.
+    pub node: NodeId,
 }
 
 /// The Byzantine-lite corruption primitive: decode `ckpt`'s payload, flip
@@ -390,20 +313,20 @@ pub struct RegimeReport {
 /// Runs one mission under its regime plan and classifies the outcome.
 ///
 /// When the plan can leak corrupt data past every detector
-/// (`RegimePlan::needs_oracle`), a fault-free oracle twin of the same
+/// (`FaultPlan::needs_oracle`), a regime-free oracle twin of the same
 /// configuration runs alongside and its device stream is diffed against the
 /// observed one; each divergence is counted and localized as an
 /// [`EscapeRecord`] so escapes are documented, never silent.
 pub fn run_regime_mission(cfg: &crate::config::SystemConfig) -> RegimeReport {
     let outcome = crate::system::Mission::new(cfg.clone()).run();
     let mut verdicts = outcome.verdicts;
-    if cfg.regime.needs_oracle() {
+    if cfg.faults.needs_oracle() {
         let oracle = crate::system::Mission::new(cfg.oracle()).run();
         let diff = diff_device_streams(&outcome.device_stream, &oracle.device_stream);
         // A Byzantine lie surfaces as arbitrary post-recovery divergence, so
         // every diff record is evidence. Payload-only escapes must match the
         // corruption signature — anything else is takeover-retiming noise.
-        let escapes = if cfg.regime.byzantine.is_some() {
+        let escapes = if cfg.faults.byzantine.is_some() {
             diff
         } else {
             filter_injected_escapes(diff, &outcome.device_stream, &oracle.device_stream)
@@ -430,6 +353,7 @@ pub fn run_regime_mission(cfg: &crate::config::SystemConfig) -> RegimeReport {
 mod tests {
     use super::*;
     use crate::checkers::Violation;
+    use crate::faults::{FaultPlan, FaultPlanError};
 
     fn verdicts() -> Verdicts {
         Verdicts::default()
@@ -570,8 +494,8 @@ mod tests {
     }
 
     #[test]
-    fn plan_validation_rejects_bad_rates_and_nodes() {
-        let mut plan = RegimePlan::none();
+    fn plan_validation_rejects_bad_rates_and_a_zero_excess() {
+        let mut plan = FaultPlan::none();
         assert!(plan.validate().is_ok());
         assert!(!plan.is_unmasked());
 
@@ -585,27 +509,17 @@ mod tests {
         ));
         plan.bad_messages = None;
 
-        plan.byzantine = Some(ByzantinePlan {
-            at: SimTime::from_secs_f64(1.0),
-            node: 7,
-        });
-        assert_eq!(
-            plan.validate(),
-            Err(FaultPlanError::NodeOutOfRange { node: 7 })
-        );
-        plan.byzantine = None;
-
         plan.resync_violation = Some(ResyncViolationPlan {
             after: SimTime::from_secs_f64(1.0),
             excess: SimDuration::from_nanos(0),
-            node: 0,
+            node: NodeId::P1Act,
         });
         assert!(plan.validate().is_err());
     }
 
     #[test]
     fn oracle_needed_only_when_escapes_are_possible() {
-        let mut plan = RegimePlan::none();
+        let mut plan = FaultPlan::none();
         assert!(!plan.needs_oracle());
         plan.bad_messages = Some(BadMessagePlan {
             after: SimTime::from_secs_f64(1.0),
@@ -619,7 +533,7 @@ mod tests {
         assert!(!plan.needs_oracle());
         plan.byzantine = Some(ByzantinePlan {
             at: SimTime::from_secs_f64(2.0),
-            node: 2,
+            node: NodeId::P2,
         });
         assert!(plan.needs_oracle());
     }

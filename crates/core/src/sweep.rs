@@ -57,7 +57,10 @@ mod tests {
             .internal_rate_per_min(30.0)
             .external_rate_per_min(4.0)
             .tb_interval_secs(2.0)
-            .hardware_fault(HardwareFault::on(node, SimTime::from_secs_f64(25.0)))
+            .hardware_fault(HardwareFault {
+                at: SimTime::from_secs_f64(25.0),
+                node,
+            })
             .trace(false);
         if seed.is_multiple_of(4) {
             builder = builder.software_fault_at_secs(12.0);

@@ -12,9 +12,10 @@ use std::sync::Arc;
 use synergy_clocks::LocalTime;
 use synergy_des::{ActorId, SimTime};
 use synergy_net::{Endpoint, Envelope, MessageBody, MsgId, ProcessId};
+use synergy_storage::Stable;
 
 use crate::app::Application;
-use crate::faults::CrashKind;
+use crate::faults::{CrashKind, NodeId};
 use crate::system::host::{HostAction, HostEvent};
 use crate::system::System;
 
@@ -46,9 +47,9 @@ pub(super) enum Ev {
     RegimeArm,
     /// A Byzantine-lite node flips value bytes in its latest stable
     /// checkpoint behind a valid CRC.
-    ByzantineCorrupt { node: usize },
+    ByzantineCorrupt { node: NodeId },
     /// A node loses power.
-    HardwareCrash { node: usize },
+    HardwareCrash { node: NodeId },
     /// The system-wide restart after a crash.
     HardwareRecover,
     /// The clock fleet resynchronizes.
@@ -142,7 +143,7 @@ impl System {
     /// The crash planned for `node` in the round whose timer deadline is
     /// `deadline`: round `g` is the deadline `g·Δ` on the node's own clock,
     /// a grid the TB engine keeps across restarts.
-    fn round_crash(&self, node: usize, deadline: LocalTime) -> Option<CrashKind> {
+    fn round_crash(&self, node: NodeId, deadline: LocalTime) -> Option<CrashKind> {
         let rounds = &self.cfg.faults.rounds;
         if rounds.is_empty() {
             return None;
@@ -150,7 +151,7 @@ impl System {
         let round = deadline.as_nanos() / self.cfg.tb_interval.as_nanos();
         rounds
             .iter()
-            .find(|c| c.victim.index() == node && c.epoch == round)
+            .find(|c| c.victim == node && c.epoch == round)
             .map(|c| c.kind)
     }
 
@@ -282,8 +283,8 @@ impl System {
                     // Blocking is defined on the local clock; translate its
                     // end into true time through this node's clock.
                     let node = self.hosts[i].node;
-                    let end_local = self.clocks.read(node, now) + duration;
-                    let end_true = self.clocks.when_local(node, end_local).max(now);
+                    let end_local = self.clocks.read(node.index(), now) + duration;
+                    let end_true = self.clocks.when_local(node.index(), end_local).max(now);
                     self.sim
                         .schedule_at(end_true, self.slots[i].actor, Ev::BlockingOver { epoch });
                 }
@@ -389,7 +390,7 @@ impl System {
     }
 
     pub(super) fn schedule_tb_timer(&mut self, i: usize, at_local: LocalTime, now: SimTime) {
-        let node = self.hosts[i].node;
+        let node = self.hosts[i].node.index();
         let fire = self.clocks.when_local(node, at_local).max(now);
         let epoch = self.slots[i].tb_epoch;
         let id = self.sim.schedule_at(
@@ -409,15 +410,11 @@ impl System {
     /// lie survives however many clean commits land in between. The flip
     /// itself happens in [`System::on_hardware_recover`]; this event only
     /// stamps the arming instant into the trace.
-    fn on_byzantine_corrupt(&mut self, _now: SimTime, node: usize) {
+    fn on_byzantine_corrupt(&mut self, _now: SimTime, node: NodeId) {
         self.sim.record_with(self.system_actor, || {
             (
                 "regime.byzantine",
-                format!(
-                    "{} now serves value-flipped checkpoints behind valid CRCs",
-                    crate::faults::NodeId::from_index(node)
-                        .map_or("?".to_string(), |n| n.to_string()),
-                ),
+                format!("{node} now serves value-flipped checkpoints behind valid CRCs"),
             )
         });
     }
@@ -431,9 +428,9 @@ impl System {
         // Regime axis 3: a failed resynchronization leaves one clock beyond
         // the δ envelope. Inject, then *detect* — the deviation check is the
         // flag the verdict classifier keys on.
-        if let Some(plan) = self.cfg.regime.resync_violation {
+        if let Some(plan) = self.cfg.faults.resync_violation {
             if now >= plan.after {
-                self.clocks.inject_skew(plan.node, plan.excess, now);
+                self.clocks.inject_skew(plan.node.index(), plan.excess, now);
             }
         }
         let deviation = self.clocks.max_pairwise_deviation(now);
@@ -463,8 +460,7 @@ impl System {
             if self.hosts[i].tb.is_none() {
                 continue;
             }
-            let node = self.hosts[i].node;
-            let now_local = self.clocks.read(node, now);
+            let now_local = self.clocks.read(self.hosts[i].node.index(), now);
             let mut actions = std::mem::take(&mut self.actions);
             let resynced = synergy_tb::Event::ResyncCompleted { now_local };
             self.hosts[i].tb_step(resynced, now, &mut actions);

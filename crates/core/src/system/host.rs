@@ -33,6 +33,7 @@ use synergy_tb::{Action as TbAction, ContentsChoice, Event as TbEvent, TbConfig,
 
 use crate::app::{Application, CounterApp};
 use crate::config::Scheme;
+use crate::faults::NodeId;
 use crate::payload::{CheckpointPayload, SentRecord};
 use crate::roles::RoleEngine;
 use crate::system::recovery;
@@ -69,11 +70,11 @@ impl Topology {
 
     /// Each process of the layout with its role and the node it runs on:
     /// the active on node 0, the shadow on node 1, the peer on node 2.
-    pub fn processes(&self) -> [(ProcessId, ProcessRole, usize); 3] {
+    pub fn processes(&self) -> [(ProcessId, ProcessRole, NodeId); 3] {
         [
-            (self.active, ProcessRole::Active, 0),
-            (self.shadow, ProcessRole::Shadow, 1),
-            (self.peer, ProcessRole::Peer, 2),
+            (self.active, ProcessRole::Active, NodeId::P1Act),
+            (self.shadow, ProcessRole::Shadow, NodeId::P1Sdw),
+            (self.peer, ProcessRole::Peer, NodeId::P2),
         ]
     }
 }
@@ -207,8 +208,8 @@ enum PendingStable {
 pub struct ProcessHost<S: Stable = StableStore> {
     /// This process's id.
     pub pid: ProcessId,
-    /// The node this process runs on (indexes the clock fleet).
-    pub node: usize,
+    /// The node this process runs on (its index indexes the clock fleet).
+    pub node: NodeId,
     /// The layout this host addresses its peers through.
     pub topology: Topology,
     /// The guarded application.
@@ -289,7 +290,7 @@ impl ProcessHost {
     pub fn new(
         role: ProcessRole,
         pid: ProcessId,
-        node: usize,
+        node: NodeId,
         topology: Topology,
         scheme: Scheme,
         app: CounterApp,
@@ -314,7 +315,7 @@ impl<S: Stable> ProcessHost<S> {
     pub fn with_stable(
         role: ProcessRole,
         pid: ProcessId,
-        node: usize,
+        node: NodeId,
         topology: Topology,
         scheme: Scheme,
         app: CounterApp,

@@ -36,6 +36,7 @@ use synergy_tb::TbConfig;
 use crate::app::CounterApp;
 use crate::checkers::Verdicts;
 use crate::config::SystemConfig;
+use crate::faults::NodeId;
 use crate::metrics::RunMetrics;
 use crate::workload::ArrivalStream;
 
@@ -86,7 +87,7 @@ pub struct System {
     net_inc: u64,
     resync_pending: bool,
     software_recovered: bool,
-    crash_pending: Vec<usize>,
+    crash_pending: Vec<NodeId>,
     finished: bool,
     /// When the unmasked-regime bad-message axis armed (for detection
     /// latency).
@@ -172,8 +173,8 @@ impl System {
         // The bad-message/AT-coverage axes live on the *original* active
         // host only: the upgraded low-confidence version is the one that can
         // emit bad payloads; the shadow that may replace it is clean.
-        if let Some(bad) = cfg.regime.bad_messages {
-            let coverage = cfg.regime.at_coverage.map_or(1.0, |c| c.coverage);
+        if let Some(bad) = cfg.faults.bad_messages {
+            let coverage = cfg.faults.at_coverage.map_or(1.0, |c| c.coverage);
             hosts[0].set_regime(crate::regime::RegimeInjector::new(
                 bad.rate,
                 coverage,
@@ -271,18 +272,18 @@ impl System {
             );
         }
         // Unmasked-regime injections.
-        if let Some(bad) = self.cfg.regime.bad_messages {
+        if let Some(bad) = self.cfg.faults.bad_messages {
             self.sim
                 .schedule_at(bad.after, self.system_actor, Ev::RegimeArm);
         }
-        if let Some(byz) = self.cfg.regime.byzantine {
+        if let Some(byz) = self.cfg.faults.byzantine {
             self.sim.schedule_at(
                 byz.at,
                 self.system_actor,
                 Ev::ByzantineCorrupt { node: byz.node },
             );
         }
-        if let Some(rv) = self.cfg.regime.resync_violation {
+        if let Some(rv) = self.cfg.faults.resync_violation {
             // Force a resynchronization attempt at the violation instant —
             // the demand-driven TB resync may never fire in a short mission,
             // and the regime models this *particular* resync going wrong.
@@ -305,7 +306,7 @@ impl System {
         self.hosts.iter().position(|h| h.pid == pid)
     }
 
-    fn index_of_node(&self, node: usize) -> Option<usize> {
+    fn index_of_node(&self, node: NodeId) -> Option<usize> {
         self.hosts.iter().position(|h| h.node == node)
     }
 
@@ -341,7 +342,8 @@ impl System {
     /// Payload bytes of every external message the device received, in
     /// arrival order (the stream the oracle diff operates on).
     pub fn device_stream(&self) -> Vec<Vec<u8>> {
-        device_stream_of(&self.device_log)
+        let envelopes = self.device_log.iter().map(|(_, env)| env.clone());
+        envelopes.filter_map(external_payload).collect()
     }
 
     /// Whether the shadow has taken over.
@@ -417,14 +419,12 @@ pub struct MissionOutcome {
     pub trace: Trace,
 }
 
-/// Extracts external payload bytes from a device log, in arrival order.
-fn device_stream_of(log: &[(SimTime, Envelope)]) -> Vec<Vec<u8>> {
-    log.iter()
-        .filter_map(|(_, env)| match &env.body {
-            synergy_net::MessageBody::External { payload } => Some(payload.clone()),
-            _ => None,
-        })
-        .collect()
+/// The external payload an envelope carries, if it carries one.
+fn external_payload(env: Envelope) -> Option<Vec<u8>> {
+    match env.body {
+        synergy_net::MessageBody::External { payload } => Some(payload),
+        _ => None,
+    }
 }
 
 impl Mission {
@@ -450,7 +450,10 @@ impl Mission {
             metrics,
             verdicts,
             device_messages: device_log.len(),
-            device_stream: device_stream_of(&device_log),
+            device_stream: device_log
+                .into_iter()
+                .filter_map(|(_, env)| external_payload(env))
+                .collect(),
             shadow_promoted,
             trace: sim.into_trace(),
         }

@@ -23,6 +23,7 @@ use synergy_tb::{Event as TbEvent, TbEngine};
 
 use crate::app::Application;
 use crate::checkers::{GlobalChecker, MsgSet, RestoredState, Violation};
+use crate::faults::NodeId;
 use crate::metrics::{RollbackCause, RollbackRecord};
 use crate::payload::CheckpointPayload;
 use crate::system::host::{HostAction, ProcessHost};
@@ -418,7 +419,7 @@ impl System {
     // Hardware fault + global rollback recovery
     // ------------------------------------------------------------------
 
-    pub(super) fn on_hardware_crash(&mut self, _now: SimTime, node: usize) {
+    pub(super) fn on_hardware_crash(&mut self, _now: SimTime, node: NodeId) {
         let Some(i) = self.index_of_node(node) else {
             return;
         };
@@ -426,7 +427,7 @@ impl System {
             return; // crashing a dead node changes nothing
         }
         self.sim.record_with(self.slots[i].actor, || {
-            ("fault.hardware", format!("node {node} crashed"))
+            ("fault.hardware", format!("node {} crashed", node.index()))
         });
         self.slots[i].up = false;
         let host = &mut self.hosts[i];
@@ -435,7 +436,7 @@ impl System {
             self.metrics.torn_writes += 1;
         }
         host.stable.crash();
-        self.crash_pending.push(i);
+        self.crash_pending.push(node);
         self.sim.schedule_in(
             self.cfg.restart_delay,
             self.system_actor,
@@ -513,10 +514,10 @@ impl System {
             // the oracle device-stream diff can see the lie.
             let byzantine = self
                 .cfg
-                .regime
+                .faults
                 .byzantine
                 .is_some_and(|byz| byz.node == self.hosts[i].node && now >= byz.at);
-            let now_local = self.clocks.read(self.hosts[i].node, now);
+            let now_local = self.clocks.read(self.hosts[i].node.index(), now);
             let mut actions = std::mem::take(&mut self.actions);
             let StableRestore {
                 epoch: restored_epoch,
@@ -697,10 +698,6 @@ mod tests {
         s
     }
 
-    fn newest(store: &StableStore) -> Option<u64> {
-        store.latest().map(Checkpoint::seq)
-    }
-
     fn app_env(from: ProcessId, seq: u64, to: ProcessId) -> Envelope {
         Envelope::new(
             MsgId {
@@ -726,8 +723,8 @@ mod tests {
         b.begin_write(ckpt).unwrap();
         b.crash(); // torn: epoch 3 never committed
         let c = store_with_commits(&[1, 2, 3]);
-        assert_eq!(b.latest().map(|c| c.seq()), Some(2), "torn write discarded");
-        assert_eq!(epoch_line([&a, &b, &c].map(newest)), Some(2));
+        assert_eq!(b.latest_seq(), Some(2), "torn write discarded");
+        assert_eq!(epoch_line([&a, &b, &c].map(Stable::latest_seq)), Some(2));
     }
 
     #[test]
@@ -737,7 +734,7 @@ mod tests {
             store_with_commits(&[1, 2]),
             store_with_commits(&[1, 2]),
         ];
-        assert_eq!(epoch_line(stores.iter().map(newest)), Some(2));
+        assert_eq!(epoch_line(stores.iter().map(Stable::latest_seq)), Some(2));
     }
 
     #[test]
@@ -745,7 +742,7 @@ mod tests {
         // A process that never committed forces a restart from the
         // initial state for everyone.
         let stores = [store_with_commits(&[1, 2, 3]), StableStore::new()];
-        assert_eq!(epoch_line(stores.iter().map(newest)), Some(0));
+        assert_eq!(epoch_line(stores.iter().map(Stable::latest_seq)), Some(0));
         assert_eq!(epoch_line([]), None);
     }
 
@@ -770,7 +767,15 @@ mod tests {
         };
         let topology = Topology::canonical();
         let app = CounterApp::new(SALT);
-        ProcessHost::new(ProcessRole::Peer, PEER, 2, topology, scheme, app, tb)
+        ProcessHost::new(
+            ProcessRole::Peer,
+            PEER,
+            NodeId::P2,
+            topology,
+            scheme,
+            app,
+            tb,
+        )
     }
 
     fn commit<S: Stable>(host: &mut ProcessHost<S>, payload: CheckpointPayload, epoch: u64) {
@@ -859,7 +864,7 @@ mod tests {
         let mut h = ProcessHost::with_stable(
             ProcessRole::Peer,
             PEER,
-            2,
+            NodeId::P2,
             topology,
             Scheme::Coordinated,
             app,

@@ -200,7 +200,7 @@ fn software_then_hardware_fault_sequence_survives() {
 
 #[test]
 fn crash_of_each_node_is_survivable() {
-    for node in 0..3usize {
+    for node in NodeId::ALL {
         let outcome = Mission::new(
             base()
                 .scheme(Scheme::Coordinated)
@@ -229,7 +229,6 @@ fn unknown_pid_actor_and_node_find_no_host() {
         assert_eq!(system.host_index(system.slots[i].actor), Some(i));
     }
     assert_eq!(system.index_of_pid(ProcessId(99)), None);
-    assert_eq!(system.index_of_node(3), None);
     assert_eq!(system.host_index(system.device_actor), None);
     assert_eq!(system.host_index(system.system_actor), None);
 }
@@ -351,7 +350,11 @@ fn regime_partial_coverage_filters_takeover_noise_from_escapes() {
 fn regime_resync_violation_is_flagged_not_recovered() {
     let cfg = base()
         .scheme(Scheme::Coordinated)
-        .resync_violation(40.0, synergy_des::SimDuration::from_micros(500), 1)
+        .resync_violation(
+            40.0,
+            synergy_des::SimDuration::from_micros(500),
+            NodeId::P1Sdw,
+        )
         .build();
     let report = crate::regime::run_regime_mission(&cfg);
     assert!(report.resync_violations >= 1, "{report:?}");
@@ -369,7 +372,11 @@ fn regime_resync_violation_makes_epoch_line_provably_stale() {
     // is computed under a broken clock envelope and must be flagged stale.
     let cfg = base()
         .scheme(Scheme::Coordinated)
-        .resync_violation(40.0, synergy_des::SimDuration::from_micros(500), 1)
+        .resync_violation(
+            40.0,
+            synergy_des::SimDuration::from_micros(500),
+            NodeId::P1Sdw,
+        )
         .hardware_fault_at_secs(60.0)
         .build();
     let report = crate::regime::run_regime_mission(&cfg);
@@ -386,11 +393,11 @@ fn regime_resync_violation_makes_epoch_line_provably_stale() {
 fn regime_byzantine_flip_surfaces_as_documented_escape() {
     let cfg = base()
         .scheme(Scheme::Coordinated)
-        .byzantine_flip(40.0, 0)
-        .hardware_fault(crate::faults::HardwareFault::on(
-            crate::NodeId::P1Act,
-            synergy_des::SimTime::from_secs_f64(60.0),
-        ))
+        .byzantine_flip(40.0, NodeId::P1Act)
+        .hardware_fault(crate::faults::HardwareFault {
+            at: SimTime::from_secs_f64(60.0),
+            node: NodeId::P1Act,
+        })
         .build();
     let report = crate::regime::run_regime_mission(&cfg);
     assert_eq!(report.byz_corruptions, 1, "{report:?}");

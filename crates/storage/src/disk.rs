@@ -21,7 +21,7 @@
 //! [`decode`](Checkpoint::decode)d. A leftover `inflight.tmp` is detected
 //! as a torn write, counted in [`StableStats::torn_writes`] and discarded,
 //! so recovery proceeds from the previous committed checkpoint — exactly
-//! the in-memory store's [`crash`](crate::StableStore::crash) semantics,
+//! the in-memory store's [`crash`](crate::Stable::crash) semantics,
 //! made durable.
 //!
 //! Who holds and who hashes what on reload: each record file is read once,

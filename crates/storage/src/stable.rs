@@ -113,35 +113,60 @@ pub trait Stable {
 
 impl Stable for StableStore {
     fn begin_write(&mut self, checkpoint: Checkpoint) -> Result<(), StableWriteError> {
-        StableStore::begin_write(self, checkpoint)
+        if self.in_progress.is_some() {
+            return Err(StableWriteError::WriteAlreadyInProgress);
+        }
+        self.in_progress = Some(checkpoint);
+        Ok(())
     }
 
     fn replace_in_progress(&mut self, checkpoint: Checkpoint) -> Result<(), StableWriteError> {
-        StableStore::replace_in_progress(self, checkpoint)
+        if self.in_progress.is_none() {
+            return Err(StableWriteError::NoWriteInProgress);
+        }
+        self.in_progress = Some(checkpoint);
+        self.stats.replacements += 1;
+        Ok(())
     }
 
     fn commit_write(&mut self) -> Result<(), StableWriteError> {
-        StableStore::commit_write(self).map(|_| ())
+        let ckpt = self
+            .in_progress
+            .take()
+            .ok_or(StableWriteError::NoWriteInProgress)?;
+        self.committed.push(ckpt);
+        if self.committed.len() > self.retain {
+            let excess = self.committed.len() - self.retain;
+            self.committed.drain(..excess);
+        }
+        self.stats.commits += 1;
+        Ok(())
     }
 
     fn abort_write(&mut self) -> bool {
-        StableStore::abort_write(self)
+        self.in_progress.take().is_some()
     }
 
     fn crash(&mut self) {
-        StableStore::crash(self);
+        if self.in_progress.take().is_some() {
+            self.stats.torn_writes += 1;
+        }
     }
 
     fn is_writing(&self) -> bool {
-        StableStore::is_writing(self)
+        self.in_progress.is_some()
     }
 
     fn latest_shared(&self) -> Option<Checkpoint> {
-        StableStore::latest_shared(self)
+        self.committed.last().cloned()
     }
 
     fn latest_at_or_before_shared(&self, seq: u64) -> Option<Checkpoint> {
-        self.latest_at_or_before(seq).cloned()
+        self.committed
+            .iter()
+            .rev()
+            .find(|c| c.seq() <= seq)
+            .cloned()
     }
 
     fn discard_above(&mut self, epoch: u64) -> Result<(), StableWriteError> {
@@ -150,7 +175,7 @@ impl Stable for StableStore {
     }
 
     fn stats(&self) -> StableStats {
-        StableStore::stats(self)
+        self.stats
     }
 }
 
@@ -191,14 +216,14 @@ pub struct StableStats {
 ///
 /// ```rust
 /// use synergy_des::SimTime;
-/// use synergy_storage::{Checkpoint, StableStore};
+/// use synergy_storage::{Checkpoint, Stable, StableStore};
 ///
 /// let mut disk = StableStore::new();
 /// disk.begin_write(Checkpoint::encode(1, SimTime::ZERO, "copy-of-ram", &1u8)?)?;
 /// // ... a passed_AT arrives inside the blocking period:
 /// disk.replace_in_progress(Checkpoint::encode(1, SimTime::ZERO, "current-state", &2u8)?)?;
 /// disk.commit_write()?;
-/// assert_eq!(disk.latest().unwrap().decode::<u8>()?, 2);
+/// assert_eq!(disk.latest_shared().unwrap().decode::<u8>()?, 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -237,76 +262,9 @@ impl StableStore {
         }
     }
 
-    /// Begins a two-phase write of `checkpoint`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StableWriteError::WriteAlreadyInProgress`] if a previous
-    /// write has not been committed or lost to a crash.
-    pub fn begin_write(&mut self, checkpoint: Checkpoint) -> Result<(), StableWriteError> {
-        if self.in_progress.is_some() {
-            return Err(StableWriteError::WriteAlreadyInProgress);
-        }
-        self.in_progress = Some(checkpoint);
-        Ok(())
-    }
-
-    /// Aborts the in-flight contents and restarts the write with
-    /// `checkpoint` (the `write_disk` third-argument semantics of the
-    /// adapted TB algorithm).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StableWriteError::NoWriteInProgress`] if nothing is being
-    /// written.
-    pub fn replace_in_progress(&mut self, checkpoint: Checkpoint) -> Result<(), StableWriteError> {
-        if self.in_progress.is_none() {
-            return Err(StableWriteError::NoWriteInProgress);
-        }
-        self.in_progress = Some(checkpoint);
-        self.stats.replacements += 1;
-        Ok(())
-    }
-
-    /// Atomically publishes the in-flight write.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StableWriteError::NoWriteInProgress`] if nothing is being
-    /// written.
-    pub fn commit_write(&mut self) -> Result<&Checkpoint, StableWriteError> {
-        let ckpt = self
-            .in_progress
-            .take()
-            .ok_or(StableWriteError::NoWriteInProgress)?;
-        self.committed.push(ckpt);
-        if self.committed.len() > self.retain {
-            let excess = self.committed.len() - self.retain;
-            self.committed.drain(..excess);
-        }
-        self.stats.commits += 1;
-        Ok(self.committed.last().expect("just committed"))
-    }
-
-    /// Whether a write is currently in progress.
-    pub fn is_writing(&self) -> bool {
-        self.in_progress.is_some()
-    }
-
     /// The in-flight (not yet durable) checkpoint, if any.
     pub fn in_progress(&self) -> Option<&Checkpoint> {
         self.in_progress.as_ref()
-    }
-
-    /// The most recent *committed* checkpoint.
-    pub fn latest(&self) -> Option<&Checkpoint> {
-        self.committed.last()
-    }
-
-    /// A shared handle to the most recent committed checkpoint — a refcount
-    /// bump of the underlying bytes, not a deep copy.
-    pub fn latest_shared(&self) -> Option<Checkpoint> {
-        self.committed.last().cloned()
     }
 
     /// Shared handles to every retained committed checkpoint, oldest first
@@ -314,34 +272,6 @@ impl StableStore {
     /// to rebuild their state from the backend's history.
     pub fn committed_shared(&self) -> Vec<Checkpoint> {
         self.committed.clone()
-    }
-
-    /// The newest committed checkpoint with sequence number `<= seq` — the
-    /// record global recovery selects when rolling back to the last epoch
-    /// committed by every process.
-    pub fn latest_at_or_before(&self, seq: u64) -> Option<&Checkpoint> {
-        self.committed.iter().rev().find(|c| c.seq() <= seq)
-    }
-
-    /// Write statistics.
-    pub fn stats(&self) -> StableStats {
-        self.stats
-    }
-
-    /// Simulates a node crash: committed checkpoints survive, any in-flight
-    /// write is torn and discarded.
-    pub fn crash(&mut self) {
-        if self.in_progress.take().is_some() {
-            self.stats.torn_writes += 1;
-        }
-    }
-
-    /// Abandons an in-flight write without committing it (global recovery
-    /// supersedes whatever checkpoint establishment was in progress).
-    /// Returns whether a write was abandoned. Unlike [`crash`](Self::crash)
-    /// this does not count as a torn write.
-    pub fn abort_write(&mut self) -> bool {
-        self.in_progress.take().is_some()
     }
 }
 
@@ -364,10 +294,10 @@ mod tests {
         let mut s = StableStore::new();
         s.begin_write(ckpt(1)).unwrap();
         assert!(s.is_writing());
-        assert!(s.latest().is_none(), "not durable until committed");
+        assert!(s.latest_shared().is_none(), "not durable until committed");
         s.commit_write().unwrap();
         assert!(!s.is_writing());
-        assert_eq!(s.latest().unwrap().seq(), 1);
+        assert_eq!(s.latest_seq().unwrap(), 1);
         assert_eq!(s.stats().commits, 1);
     }
 
@@ -377,7 +307,7 @@ mod tests {
         s.begin_write(ckpt(1)).unwrap();
         s.replace_in_progress(ckpt(2)).unwrap();
         s.commit_write().unwrap();
-        assert_eq!(s.latest().unwrap().seq(), 2);
+        assert_eq!(s.latest_seq().unwrap(), 2);
         assert_eq!(s.stats().replacements, 1);
     }
 
@@ -388,7 +318,7 @@ mod tests {
         s.commit_write().unwrap();
         s.begin_write(ckpt(2)).unwrap();
         s.crash();
-        assert_eq!(s.latest().unwrap().seq(), 1, "old checkpoint survives");
+        assert_eq!(s.latest_seq().unwrap(), 1, "old checkpoint survives");
         assert!(!s.is_writing());
         assert_eq!(s.stats().torn_writes, 1);
     }
@@ -420,7 +350,7 @@ mod tests {
     fn crash_on_idle_store_is_harmless() {
         let mut s = StableStore::new();
         s.crash();
-        assert!(s.latest().is_none());
+        assert!(s.latest_shared().is_none());
         assert_eq!(s.stats().torn_writes, 0);
     }
 
@@ -431,11 +361,11 @@ mod tests {
             s.begin_write(ckpt(seq)).unwrap();
             s.commit_write().unwrap();
         }
-        assert_eq!(s.latest().unwrap().seq(), 3);
+        assert_eq!(s.latest_seq().unwrap(), 3);
         assert_eq!(retained_seqs(&s), [1, 2, 3]);
-        assert_eq!(s.latest_at_or_before(2).unwrap().seq(), 2);
-        assert_eq!(s.latest_at_or_before(99).unwrap().seq(), 3);
-        assert!(s.latest_at_or_before(0).is_none());
+        assert_eq!(s.latest_at_or_before_shared(2).unwrap().seq(), 2);
+        assert_eq!(s.latest_at_or_before_shared(99).unwrap().seq(), 3);
+        assert!(s.latest_at_or_before_shared(0).is_none());
     }
 
     #[test]
@@ -446,7 +376,7 @@ mod tests {
             s.commit_write().unwrap();
         }
         assert_eq!(retained_seqs(&s), [3, 4]);
-        assert_eq!(s.latest().unwrap().seq(), 4);
+        assert_eq!(s.latest_seq().unwrap(), 4);
     }
 
     #[test]
@@ -459,7 +389,7 @@ mod tests {
         s.discard_above(2).unwrap();
         assert_eq!(retained_seqs(&s), [1, 2]);
         s.discard_above(0).unwrap();
-        assert!(s.latest().is_none(), "line 0 abandons every record");
+        assert!(s.latest_shared().is_none(), "line 0 abandons every record");
         assert_eq!(s.stats().commits, 4, "a discard is not a commit");
     }
 

@@ -23,7 +23,7 @@ pub enum Action {
     /// Begin the two-phase stable write. The driver assembles the checkpoint
     /// payload — the chosen state contents plus the engine snapshot plus all
     /// currently unacknowledged messages (the recoverability rule) — and
-    /// calls `StableStore::begin_write`.
+    /// calls `Stable::begin_write`.
     BeginStableWrite {
         /// Initial contents of the write.
         contents: ContentsChoice,

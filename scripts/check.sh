@@ -75,10 +75,13 @@ echo "==> no capability that only its own tests run"
 # host with the planted-forgery path (a control tag and a storage-trait
 # method that only the Byzantine injection used), the per-scheme
 # strategy objects a Scheme match serves, the wire's piggybacked-ack
-# knob nothing set, and the ack tracker's deep-copying accessor and its
-# unused codec impl are gone, not hidden (names spelt in halves so this
-# line does not find itself).
-if git grep -nE '\.un''acked\(\)|codec_struct!\(Ack''Tracker|max_piggy''_acks|Scheme''Policy|policy''_for|Node''Runner|replace''_latest|corrupt_latest''_checkpoint|CtrlMsg::''Corrupt|mdcd::gen''eral|pipeline_gu''ard|set_link_fa''ults|set_default_fa''ults|Route''Decision|with_resync_thr''eshold|Cluster''Wire|CtrlMsg::''Blast|Blas''ted|Node''Status|wire_queue''_bytes|wire-queue''-bytes|Tiered''Store|Object''Store|Archive''FaultPlan|Archive''Handle|archive''-dir|chaos''-archive|archive''_pending|rehy''drat|no''-archive|epsilon''_scan|EPSI''LON_|crash''_epsilon|Sim''Reference|simulate''_reference|RESTART_DELAY''_MS|find_mid_checkpoint''_crash|Node''Cmd|Tb''Drive|Sup''Event|Mem''Net|Rollback''Outcome|spawn_net''_pump|Volatile''Snap|body''_tag' -- crates tests examples scripts .github Cargo.toml; then
+# knob nothing set, the ack tracker's deep-copying accessor and its
+# unused codec impl, the simulator's second fault plan, the node-index
+# error a NodeId rules out, and the chaos runner's per-group disable
+# methods and their toggle copy (one FaultGroup table serves them) are
+# gone, not hidden (names spelt in halves so this line does not find
+# itself).
+if git grep -nE 'Node''OutOfRange|Regime''Plan|disable''_bitrot|active''_toggles|\.un''acked\(\)|codec_struct!\(Ack''Tracker|max_piggy''_acks|Scheme''Policy|policy''_for|Node''Runner|replace''_latest|corrupt_latest''_checkpoint|CtrlMsg::''Corrupt|mdcd::gen''eral|pipeline_gu''ard|set_link_fa''ults|set_default_fa''ults|Route''Decision|with_resync_thr''eshold|Cluster''Wire|CtrlMsg::''Blast|Blas''ted|Node''Status|wire_queue''_bytes|wire-queue''-bytes|Tiered''Store|Object''Store|Archive''FaultPlan|Archive''Handle|archive''-dir|chaos''-archive|archive''_pending|rehy''drat|no''-archive|epsilon''_scan|EPSI''LON_|crash''_epsilon|Sim''Reference|simulate''_reference|RESTART_DELAY''_MS|find_mid_checkpoint''_crash|Node''Cmd|Tb''Drive|Sup''Event|Mem''Net|Rollback''Outcome|spawn_net''_pump|Volatile''Snap|body''_tag' -- crates tests examples scripts .github Cargo.toml; then
     echo "a deleted test-only capability is referenced again" >&2
     exit 1
 fi
@@ -223,11 +226,13 @@ echo "==> unmasked-regime smoke: 4 seeds per regime + live Byzantine campaigns"
 # 787 lines, most of the saving spent on the admission table test and the
 # survivor and campaign-order tests), 37 112 with one shared envelope per
 # protocol message (+114: +80 tests of the tracker's order and of the
-# sharing, +34 for transport acks that stay free of an allocation);
+# sharing, +34 for transport acks that stay free of an allocation),
+# 36 944 with one fault vocabulary (one simulator FaultPlan, NodeId for
+# every faulted node, one chaos FaultGroup table, one StableStore API);
 # every CHANGES.md entry ends with before -> after. The ceiling is a
 # gate: a change that must raise it edits the number and says why in
 # CHANGES.md.
-rust_ceiling=37112
+rust_ceiling=36944
 rust_lines="$(git ls-files '*.rs' | xargs cat | wc -l)"
 echo "==> tracked Rust lines: $rust_lines (ceiling $rust_ceiling)"
 if ((rust_lines > rust_ceiling)); then

@@ -117,11 +117,13 @@ fn untraced_mission_stays_within_allocation_budget() {
 
     assert!(outcome.verdicts.all_hold(), "{:?}", outcome.verdicts);
     eprintln!("untraced 30s mission: {allocs} allocation events");
-    // Measured 635 allocation events for this 30 s mission (726 before the
-    // sender's ack tracker, the delivery event and the receiver's log
-    // shared one envelope, 756 before stable records were serialized only
-    // when read, 801 before volatile checkpoints stopped being serialized,
-    // 1 452 before the event path stopped building lists): what is left is
+    // Measured 632 allocation events for this 30 s mission (635 before the
+    // finished mission moved the device payloads out of its log instead of
+    // copying them, 726 before the sender's ack tracker, the delivery event
+    // and the receiver's log shared one envelope, 756 before stable records
+    // were serialized only when read, 801 before volatile checkpoints
+    // stopped being serialized, 1 452 before the event path stopped
+    // building lists): what is left is
     // what a mission produces — per protocol message its payload and the
     // one shared envelope, and the receiving engine's own copy; per
     // checkpoint its application image and shared lists, per stable one the
@@ -133,7 +135,7 @@ fn untraced_mission_stays_within_allocation_budget() {
     // driver's buffer, the tracked envelope deep-copied instead of shared,
     // the shadow's suppressed log deep-copied into every snapshot instead
     // of shared, or eager trace formatting.
-    const BUDGET: u64 = 794;
+    const BUDGET: u64 = 790;
     assert!(
         allocs < BUDGET,
         "untraced mission allocated {allocs} times (budget {BUDGET}); \

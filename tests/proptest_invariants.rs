@@ -95,7 +95,7 @@ fn any_node_crash_is_survivable() {
     let mut rng = DetRng::new(0x1A).stream("any-node-crash");
     for case in 0..24 {
         let seed = rng.gen_range(0u64..1_000);
-        let node = rng.gen_range(0u64..3) as usize;
+        let node = synergy::NodeId::ALL[rng.gen_range(0u64..3) as usize];
         let hw_at = rng.gen_range(10.0f64..110.0);
         let outcome = Mission::new(
             SystemConfig::builder()
