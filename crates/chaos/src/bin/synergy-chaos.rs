@@ -29,8 +29,8 @@ use std::str::FromStr;
 
 use synergy::{sweep, RegimeVerdict};
 use synergy_chaos::{
-    outcome_verdict, regime, run_campaign, shrink_failure, CampaignOutcome, CampaignResult,
-    CampaignSpec, CampaignToggles, FaultGroup, RegimeKind,
+    cocktail, generate, generate_byzantine, outcome_verdict, regime, run_campaign, shrink_failure,
+    CampaignOutcome, CampaignResult, CampaignToggles, FaultGroup, RegimeKind,
 };
 
 struct Args {
@@ -117,14 +117,13 @@ fn outcome_cell(outcome: &CampaignOutcome) -> String {
         CampaignOutcome::Diverged {
             cluster_len,
             sim_len,
-            first_diff,
-            first_offset,
-        } => match (first_diff, first_offset) {
-            (Some(i), Some(o)) => {
-                format!("DIVERGED at payload {i} byte +{o} ({cluster_len} vs {sim_len})")
-            }
-            (Some(i), None) => format!("DIVERGED at payload {i} ({cluster_len} vs {sim_len})"),
-            _ => format!("DIVERGED on length ({cluster_len} vs {sim_len})"),
+            first,
+        } => match first {
+            Some(e) => format!(
+                "DIVERGED at payload {} byte +{} ({cluster_len} vs {sim_len})",
+                e.index, e.offset
+            ),
+            None => format!("DIVERGED on length ({cluster_len} vs {sim_len})"),
         },
         CampaignOutcome::Aborted { reason } => format!("ABORTED: {reason}"),
     }
@@ -149,9 +148,9 @@ fn print_result(index: u64, r: &CampaignResult) {
         .unwrap_or_else(|| "-".to_string());
     println!(
         "campaign {index:>3}  seed {:<6} steps {}  [{}]  {:<9}  {}  ({} ms)",
-        r.spec.seed,
-        r.spec.steps,
-        r.spec.cocktail(),
+        r.config.seed,
+        r.config.steps,
+        cocktail(&r.config),
         if r.outcome.is_converged() {
             "converged"
         } else {
@@ -198,11 +197,11 @@ fn main() -> ExitCode {
         node_bin.display()
     );
 
-    // Campaign indices stand in for seeds: each one regenerates its spec.
+    // Campaign indices stand in for seeds: each one regenerates its mission.
     let indices: Vec<u64> = (0..args.seeds).collect();
     let results = sweep(&indices, args.jobs, |index| {
-        let spec = CampaignSpec::generate(args.base_seed, index, args.toggles);
-        run_campaign(&spec, &node_bin, &args.data_root)
+        let cfg = generate(args.base_seed, index, args.toggles);
+        run_campaign(&cfg, &node_bin, &args.data_root)
     });
     // In campaign order, whatever order the jobs finished in.
     for (index, result) in (0u64..).zip(&results) {
@@ -222,9 +221,9 @@ fn main() -> ExitCode {
     if let Some((index, failed)) = first_failure {
         println!(
             "\nfirst divergent seed: {} (campaign {index}); shrinking the fault cocktail…",
-            failed.spec.seed
+            failed.config.seed
         );
-        let shrink = shrink_failure(&failed.spec, &failed.outcome, &node_bin, &args.data_root);
+        let shrink = shrink_failure(&failed.config, &failed.outcome, &node_bin, &args.data_root);
         print_shrink_report(args.base_seed, index, &shrink);
         println!(
             "node state kept under {} for autopsy",
@@ -315,14 +314,14 @@ fn run_regime_mode(args: &Args, node_bin: &Path, created: bool) -> ExitCode {
     println!("\nlive-cluster Byzantine campaigns (expected class: documented-escape)");
     let mut run_dirs = Vec::new();
     for index in 0..3u64 {
-        let spec = CampaignSpec::generate_byzantine(args.base_seed, index);
-        let result = run_campaign(&spec, node_bin, &args.data_root);
+        let cfg = generate_byzantine(args.base_seed, index);
+        let result = run_campaign(&cfg, node_bin, &args.data_root);
         let verdict = outcome_verdict(&result.outcome);
         println!(
             "byzantine {index}  seed {:<6} steps {}  [{}]  {}  -> {}  ({} ms)",
-            spec.seed,
-            spec.steps,
-            spec.cocktail(),
+            cfg.seed,
+            cfg.steps,
+            cocktail(&cfg),
             verdict,
             outcome_cell(&result.outcome),
             result.wall.as_millis()
@@ -358,28 +357,23 @@ fn run_regime_mode(args: &Args, node_bin: &Path, created: bool) -> ExitCode {
 
 /// The minimal-cocktail report. Everything needed to reproduce the failure
 /// without this process's state: the (base seed, campaign index) pair that
-/// regenerates the spec, the `--no-*` flags matching the removed groups,
+/// regenerates the mission, the `--no-*` flags matching the removed groups,
 /// the verdict class the failure belongs to, and — for divergences — the
 /// first divergent payload and byte offset.
 fn print_shrink_report(base_seed: u64, index: u64, shrink: &synergy_chaos::ShrinkReport) {
     println!(
         "minimal failing spec: seed {} steps {} [{}]",
-        shrink.spec.seed,
-        shrink.spec.steps,
-        shrink.spec.cocktail()
+        shrink.config.seed,
+        shrink.config.steps,
+        cocktail(&shrink.config)
     );
     println!(
         "verdict class: {}  (preserved while shrinking)",
         outcome_verdict(&shrink.outcome)
     );
     println!("minimal outcome: {}", outcome_cell(&shrink.outcome));
-    if let CampaignOutcome::Diverged {
-        first_diff: Some(i),
-        first_offset: Some(o),
-        ..
-    } = shrink.outcome
-    {
-        println!("first divergent/escaped payload: msg[{i}]+{o}");
+    if let CampaignOutcome::Diverged { first: Some(e), .. } = shrink.outcome {
+        println!("first divergent/escaped payload: {e}");
     }
     let flags = if shrink.removed.is_empty() {
         "(none — every fault group is load-bearing)".to_string()

@@ -1,6 +1,6 @@
-//! One campaign end-to-end: launch the live cluster under the spec's fault
-//! cocktail, run the mission, replay the same seed and crash schedule in
-//! the [`synergy`] simulator, and compare device streams **byte for byte**.
+//! One campaign end-to-end: launch the live cluster on the mission's fault
+//! cocktail, run it, replay the same seed and crash schedule in the
+//! [`synergy`] simulator, and compare device streams **byte for byte**.
 //!
 //! Three outcomes:
 //!
@@ -9,7 +9,7 @@
 //!   argument predicts.
 //! * [`Diverged`](CampaignOutcome::Diverged) — the cluster completed but
 //!   its observable surface differs from the reference; the runner then
-//!   [shrinks](shrink_failure) the spec to the smallest fault cocktail
+//!   [shrinks](shrink_failure) the mission to the smallest fault cocktail
 //!   that still reproduces the failure.
 //! * [`Aborted`](CampaignOutcome::Aborted) — the orchestrator gave up with
 //!   a structured [`ClusterError`](synergy_cluster::ClusterError) (quiesce
@@ -20,10 +20,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use synergy::{Mission, RegimeVerdict};
+use synergy::regime::diff_device_streams;
+use synergy::{EscapeRecord, Mission, RegimeVerdict};
 use synergy_cluster::{Cluster, ClusterConfig, ClusterReport};
 
-use crate::plan::{CampaignSpec, FaultGroup};
+use crate::plan::FaultGroup;
 
 /// How a campaign ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,13 +37,10 @@ pub enum CampaignOutcome {
         cluster_len: usize,
         /// Payload count from the simulator reference.
         sim_len: usize,
-        /// Index of the first differing payload, if within both streams.
-        first_diff: Option<usize>,
-        /// Byte offset of the first differing byte inside that payload
-        /// (the length of the shorter payload if one is a prefix of the
-        /// other) — together with `first_diff`, the escaped-payload
-        /// localization a shrink report carries.
-        first_offset: Option<usize>,
+        /// The first differing payload within both streams and its first
+        /// differing byte — the escaped-payload localization a shrink
+        /// report carries; `None` when the streams differ only in length.
+        first: Option<EscapeRecord>,
     },
     /// The orchestrator aborted with a structured error.
     Aborted {
@@ -103,8 +101,8 @@ pub(crate) fn fault_summary(report: &ClusterReport) -> FaultSummary {
 /// One campaign's full record.
 #[derive(Clone, Debug)]
 pub struct CampaignResult {
-    /// The spec that ran.
-    pub spec: CampaignSpec,
+    /// The mission that ran.
+    pub config: ClusterConfig,
     /// How it ended.
     pub outcome: CampaignOutcome,
     /// Fault accounting (absent when the mission aborted before reporting).
@@ -114,26 +112,6 @@ pub struct CampaignResult {
     /// Where the campaign's node state lives under the data root: removed
     /// on convergence, kept for autopsy otherwise.
     pub run_dir: PathBuf,
-}
-
-/// The cluster mission [`run_campaign`] runs for `spec`, its node state
-/// under `run_dir`.
-pub fn cluster_config(spec: &CampaignSpec, node_bin: &Path, run_dir: PathBuf) -> ClusterConfig {
-    let mut cfg = ClusterConfig::new(
-        spec.seed,
-        spec.steps,
-        spec.tb_interval_secs,
-        node_bin.to_path_buf(),
-        run_dir,
-    );
-    cfg.crashes.extend(spec.crash);
-    cfg.internal_traffic = spec.internal_traffic;
-    cfg.link_plan = spec.link.clone();
-    cfg.disk_plans = spec.disk.clone();
-    cfg.rot = spec.rot;
-    cfg.delta_k = spec.delta_k;
-    cfg.corrupt = spec.corrupt;
-    cfg
 }
 
 /// The [`RegimeVerdict`] class a campaign outcome maps to.
@@ -168,19 +146,13 @@ fn compare_streams(cluster: &[Vec<u8>], sim: &[Vec<u8>]) -> CampaignOutcome {
     if cluster == sim {
         return CampaignOutcome::Converged;
     }
-    let first_diff = cluster.iter().zip(sim.iter()).position(|(c, s)| c != s);
-    let first_offset = first_diff.map(|i| {
-        let (c, s) = (&cluster[i], &sim[i]);
-        c.iter()
-            .zip(s.iter())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| c.len().min(s.len()))
-    });
+    let shared = cluster.len().min(sim.len());
     CampaignOutcome::Diverged {
         cluster_len: cluster.len(),
         sim_len: sim.len(),
-        first_diff,
-        first_offset,
+        first: diff_device_streams(cluster, sim)
+            .into_iter()
+            .find(|e| e.index < shared),
     }
 }
 
@@ -188,12 +160,11 @@ fn compare_streams(cluster: &[Vec<u8>], sim: &[Vec<u8>]) -> CampaignOutcome {
 ///
 /// The run directory is removed on convergence and kept on failure so a
 /// diverged or aborted campaign leaves its node state behind for autopsy.
-pub fn run_campaign(spec: &CampaignSpec, node_bin: &Path, data_root: &Path) -> CampaignResult {
-    let run_dir = unique_run_dir(data_root, spec.seed);
+pub fn run_campaign(cfg: &ClusterConfig, node_bin: &Path, data_root: &Path) -> CampaignResult {
+    let run_dir = unique_run_dir(data_root, cfg.seed);
     let started = Instant::now();
-    let cfg = cluster_config(spec, node_bin, run_dir.clone());
     let reference = cfg.reference();
-    let report = Cluster::launch(cfg).and_then(Cluster::run);
+    let report = Cluster::launch(cfg.clone(), node_bin, &run_dir).and_then(Cluster::run);
     let wall = started.elapsed();
     let (outcome, faults) = match report {
         Err(e) => (
@@ -214,7 +185,7 @@ pub fn run_campaign(spec: &CampaignSpec, node_bin: &Path, data_root: &Path) -> C
         let _ = std::fs::remove_dir_all(&run_dir);
     }
     CampaignResult {
-        spec: spec.clone(),
+        config: cfg.clone(),
         outcome,
         faults,
         wall,
@@ -225,9 +196,9 @@ pub fn run_campaign(spec: &CampaignSpec, node_bin: &Path, data_root: &Path) -> C
 /// A minimal reproduction found by [`shrink_failure`].
 #[derive(Clone, Debug)]
 pub struct ShrinkReport {
-    /// The minimal spec that still reproduces the failure class.
-    pub spec: CampaignSpec,
-    /// The outcome of the minimal spec's run.
+    /// The minimal mission that still reproduces the failure class.
+    pub config: ClusterConfig,
+    /// The outcome of the minimal mission's run.
     pub outcome: CampaignOutcome,
     /// Fault groups removed during shrinking, in removal order. Each
     /// group's `--no-<name>` runner flag disables it, so the minimal
@@ -237,7 +208,7 @@ pub struct ShrinkReport {
 }
 
 /// Greedily shrinks a failing campaign: tries to drop each fault group
-/// the spec carries, in [`FaultGroup::ALL`] order (link → disk → bit-rot
+/// the mission carries, in [`FaultGroup::ALL`] order (link → disk → bit-rot
 /// → chain-rot → corrupt → crash), and
 /// keeps any removal whose re-run lands in the **same verdict class**
 /// ([`outcome_verdict`]) as the original failure — a divergence must
@@ -248,21 +219,21 @@ pub struct ShrinkReport {
 ///
 /// At most six re-runs — bounded, like everything else in the runner.
 pub fn shrink_failure(
-    spec: &CampaignSpec,
+    cfg: &ClusterConfig,
     failing_outcome: &CampaignOutcome,
     node_bin: &Path,
     data_root: &Path,
 ) -> ShrinkReport {
     let class = outcome_verdict(failing_outcome);
-    let mut current = spec.clone();
+    let mut current = cfg.clone();
     let mut outcome = failing_outcome.clone();
     let mut removed = Vec::new();
     for group in FaultGroup::ALL {
-        if !current.has(group) {
+        if !group.is_in(&current) {
             continue;
         }
         let mut candidate = current.clone();
-        candidate.remove(group);
+        group.remove_from(&mut candidate);
         let result = run_campaign(&candidate, node_bin, data_root);
         if outcome_verdict(&result.outcome) == class {
             current = candidate;
@@ -271,7 +242,7 @@ pub fn shrink_failure(
         }
     }
     ShrinkReport {
-        spec: current,
+        config: current,
         outcome,
         removed,
     }
@@ -335,12 +306,16 @@ mod tests {
             CampaignOutcome::Diverged {
                 cluster_len,
                 sim_len,
-                first_diff,
-                first_offset,
+                first,
             } => {
                 assert_eq!((cluster_len, sim_len), (3, 3));
-                assert_eq!(first_diff, Some(1));
-                assert_eq!(first_offset, Some(1));
+                assert_eq!(
+                    first,
+                    Some(EscapeRecord {
+                        index: 1,
+                        offset: 1
+                    })
+                );
             }
             other => panic!("expected divergence, got {other:?}"),
         }
@@ -351,13 +326,14 @@ mod tests {
         let cluster = vec![vec![1, 2, 3]];
         let sim = vec![vec![1, 2]];
         match compare_streams(&cluster, &sim) {
-            CampaignOutcome::Diverged {
-                first_diff,
-                first_offset,
-                ..
-            } => {
-                assert_eq!(first_diff, Some(0));
-                assert_eq!(first_offset, Some(2));
+            CampaignOutcome::Diverged { first, .. } => {
+                assert_eq!(
+                    first,
+                    Some(EscapeRecord {
+                        index: 0,
+                        offset: 2
+                    })
+                );
             }
             other => panic!("expected divergence, got {other:?}"),
         }
@@ -371,12 +347,10 @@ mod tests {
             CampaignOutcome::Diverged {
                 cluster_len,
                 sim_len,
-                first_diff,
-                first_offset,
+                first,
             } => {
                 assert_eq!((cluster_len, sim_len), (2, 3));
-                assert_eq!(first_diff, None);
-                assert_eq!(first_offset, None);
+                assert_eq!(first, None);
             }
             other => panic!("expected divergence, got {other:?}"),
         }
@@ -392,8 +366,10 @@ mod tests {
             outcome_verdict(&CampaignOutcome::Diverged {
                 cluster_len: 1,
                 sim_len: 1,
-                first_diff: Some(0),
-                first_offset: Some(8),
+                first: Some(EscapeRecord {
+                    index: 0,
+                    offset: 8
+                }),
             }),
             RegimeVerdict::DocumentedEscape
         );

@@ -15,11 +15,12 @@
 //! The runner executes campaigns for consecutive seeds, compares each
 //! device stream against its reference, and on the first divergence (or
 //! structured abort) *shrinks* the failing campaign by greedily disabling
-//! fault groups, reporting the minimal failing spec alongside the seed.
+//! fault groups, reporting the minimal failing mission alongside the seed.
 //!
 //! Layers:
 //!
-//! * [`plan`] — deterministic campaign generation from a base seed.
+//! * [`plan`] — deterministic campaign generation from a base seed: a
+//!   campaign is a [`ClusterConfig`](synergy_cluster::ClusterConfig).
 //! * [`campaign`] — one campaign end-to-end (cluster run + simulator
 //!   reference + byte comparison), fault accounting, and the shrinker.
 //! * [`regime`] — unmasked-regime sweeps: seeded simulator campaigns per
@@ -36,8 +37,8 @@ pub mod plan;
 pub mod regime;
 
 pub use campaign::{
-    cluster_config, outcome_verdict, run_campaign, shrink_failure, CampaignOutcome, CampaignResult,
-    FaultSummary, ShrinkReport,
+    outcome_verdict, run_campaign, shrink_failure, CampaignOutcome, CampaignResult, FaultSummary,
+    ShrinkReport,
 };
-pub use plan::{CampaignSpec, CampaignToggles, FaultGroup};
+pub use plan::{cocktail, generate, generate_byzantine, CampaignToggles, FaultGroup};
 pub use regime::{RegimeKind, RegimeRow, RegimeSummary, RegimeSweep};

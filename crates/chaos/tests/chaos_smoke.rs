@@ -7,8 +7,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use synergy::{ByzantinePlan, Mission, RegimeVerdict};
 use synergy_chaos::{
-    cluster_config, outcome_verdict, run_campaign, CampaignOutcome, CampaignSpec, CampaignToggles,
-    FaultGroup,
+    cocktail, generate, generate_byzantine, outcome_verdict, run_campaign, CampaignOutcome,
+    CampaignToggles, FaultGroup,
 };
 use synergy_cluster::Cluster;
 use synergy_des::SimTime;
@@ -35,13 +35,13 @@ fn fixed_seed_campaigns_converge_on_the_reference_stream() {
     let data_root = unique_dir("sweep");
     let node_bin = node_bin();
     for index in 0..3 {
-        let spec = CampaignSpec::generate(7, index, CampaignToggles::default());
-        let result = run_campaign(&spec, &node_bin, &data_root);
+        let cfg = generate(7, index, CampaignToggles::default());
+        let result = run_campaign(&cfg, &node_bin, &data_root);
         assert!(
             result.outcome.is_converged(),
             "campaign {index} (seed {}, [{}]) failed: {:?}",
-            spec.seed,
-            spec.cocktail(),
+            cfg.seed,
+            cocktail(&cfg),
             result.outcome
         );
         let faults = result.faults.expect("completed campaigns report faults");
@@ -56,8 +56,8 @@ fn fixed_seed_campaigns_converge_on_the_reference_stream() {
 #[test]
 fn fault_free_campaign_converges() {
     let data_root = unique_dir("clean");
-    let spec = CampaignSpec::generate(7, 0, FaultGroup::ALL.into_iter().collect());
-    let result = run_campaign(&spec, &node_bin(), &data_root);
+    let cfg = generate(7, 0, FaultGroup::ALL.into_iter().collect());
+    let result = run_campaign(&cfg, &node_bin(), &data_root);
     assert!(
         result.outcome.is_converged(),
         "clean campaign failed: {:?}",
@@ -77,16 +77,12 @@ fn fault_free_campaign_converges() {
 #[test]
 fn byzantine_campaign_documents_the_escape() {
     let data_root = unique_dir("byz");
-    let spec = CampaignSpec::generate_byzantine(7, 0);
-    let result = run_campaign(&spec, &node_bin(), &data_root);
+    let cfg = generate_byzantine(7, 0);
+    let result = run_campaign(&cfg, &node_bin(), &data_root);
     match &result.outcome {
-        CampaignOutcome::Diverged {
-            first_diff,
-            first_offset,
-            ..
-        } => {
-            assert!(first_diff.is_some(), "the lie reaches a shared payload");
-            assert_eq!(*first_offset, Some(8), "acc bytes start at offset 8");
+        CampaignOutcome::Diverged { first, .. } => {
+            let first = first.expect("the lie reaches a shared payload");
+            assert_eq!(first.offset, 8, "acc bytes start at offset 8");
         }
         other => panic!("expected the escape to diverge, got {other:?}"),
     }
@@ -106,24 +102,24 @@ fn byzantine_campaign_documents_the_escape() {
 fn byzantine_campaigns_match_the_simulator_flip_on_every_crash_kind() {
     let data_root = unique_dir("byz-x");
     for index in 0..3 {
-        let spec = CampaignSpec::generate_byzantine(7, index);
-        let node = spec.corrupt.expect("a Byzantine campaign names its liar");
-        let cfg = cluster_config(&spec, &node_bin(), data_root.join(index.to_string()));
+        let cfg = generate_byzantine(7, index);
+        let node = cfg.corrupt.expect("a Byzantine campaign names its liar");
         let honest = cfg.reference();
         let mut lying = honest.clone();
         lying.faults.byzantine = Some(ByzantinePlan {
             at: SimTime::ZERO,
             node,
         });
-        let cluster = Cluster::launch(cfg)
+        let run_dir = data_root.join(index.to_string());
+        let cluster = Cluster::launch(cfg.clone(), &node_bin(), &run_dir)
             .and_then(Cluster::run)
-            .unwrap_or_else(|e| panic!("campaign {index} ({}): {e}", spec.cocktail()));
+            .unwrap_or_else(|e| panic!("campaign {index} ({}): {e}", cocktail(&cfg)));
         let simulated = Mission::new(lying).run().device_stream;
         assert_eq!(
             cluster.device_payloads,
             simulated,
             "campaign {index} ({}): the cluster's flip is the simulator's",
-            spec.cocktail()
+            cocktail(&cfg)
         );
         assert_ne!(
             simulated,

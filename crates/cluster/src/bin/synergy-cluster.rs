@@ -13,9 +13,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use synergy::{CrashEvent, CrashKind, Mission, NodeId};
-use synergy_cluster::{Cluster, ClusterConfig};
-
-const TB_INTERVAL_SECS: f64 = 1.7;
+use synergy_cluster::{Cluster, ClusterConfig, DELTA_SECS};
 
 struct Args {
     seed: u64,
@@ -81,7 +79,7 @@ fn main() -> ExitCode {
     };
     let victim = NodeId::P2;
     println!(
-        "mission: seed {}, {} produces, Δ = {TB_INTERVAL_SECS}s{}",
+        "mission: seed {}, {} produces, Δ = {DELTA_SECS}s{}",
         args.seed,
         args.steps,
         args.kill_epoch
@@ -89,20 +87,14 @@ fn main() -> ExitCode {
             .unwrap_or_default()
     );
     let created = !args.data_dir.exists();
-    let mut cfg = ClusterConfig::new(
-        args.seed,
-        args.steps,
-        TB_INTERVAL_SECS,
-        node_bin,
-        args.data_dir.clone(),
-    );
-    cfg.crashes.extend(args.kill_epoch.map(|epoch| CrashEvent {
+    let mut cfg = ClusterConfig::new(args.seed, args.steps);
+    cfg.crash = args.kill_epoch.map(|epoch| CrashEvent {
         victim,
         epoch,
         kind: CrashKind::MidRound,
-    }));
+    });
     let reference = cfg.reference();
-    let report = match Cluster::launch(cfg).and_then(Cluster::run) {
+    let report = match Cluster::launch(cfg, &node_bin, &args.data_dir).and_then(Cluster::run) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("synergy-cluster: mission failed: {e}");

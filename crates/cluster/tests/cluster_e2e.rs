@@ -8,9 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use synergy::{CrashEvent, CrashKind, Mission, MissionOutcome, NodeId};
-use synergy_cluster::{Cluster, ClusterConfig, ClusterReport, Rot};
-
-const TB_INTERVAL_SECS: f64 = 1.7;
+use synergy_cluster::{Cluster, ClusterConfig, ClusterReport, Rot, DELTA_SECS};
 
 fn unique_dir(label: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -24,26 +22,22 @@ fn unique_dir(label: &str) -> PathBuf {
 }
 
 /// A mission with `P2` killed mid-round in `kill_epoch`, if any.
-fn config(seed: u64, steps: u32, kill_epoch: Option<u64>, data_root: &Path) -> ClusterConfig {
-    let mut cfg = ClusterConfig::new(
-        seed,
-        steps,
-        TB_INTERVAL_SECS,
-        PathBuf::from(env!("CARGO_BIN_EXE_synergy-node")),
-        data_root.to_path_buf(),
-    );
-    cfg.crashes.extend(kill_epoch.map(|epoch| CrashEvent {
+fn config(seed: u64, steps: u32, kill_epoch: Option<u64>) -> ClusterConfig {
+    let mut cfg = ClusterConfig::new(seed, steps);
+    cfg.crash = kill_epoch.map(|epoch| CrashEvent {
         victim: NodeId::P2,
         epoch,
         kind: CrashKind::MidRound,
-    }));
+    });
     cfg
 }
 
-/// Runs the mission on the cluster and its reference in the simulator.
-fn run_both(cfg: ClusterConfig) -> (ClusterReport, MissionOutcome) {
+/// Runs the mission on the cluster, its node state under `data_root`, and
+/// its reference in the simulator.
+fn run_both(cfg: ClusterConfig, data_root: &Path) -> (ClusterReport, MissionOutcome) {
     let reference = Mission::new(cfg.reference()).run();
-    let report = Cluster::launch(cfg)
+    let node_bin = PathBuf::from(env!("CARGO_BIN_EXE_synergy-node"));
+    let report = Cluster::launch(cfg, &node_bin, data_root)
         .expect("cluster launches")
         .run()
         .expect("mission runs");
@@ -53,7 +47,7 @@ fn run_both(cfg: ClusterConfig) -> (ClusterReport, MissionOutcome) {
 #[test]
 fn fault_free_mission_matches_the_simulator() {
     let data_root = unique_dir("clean");
-    let (report, reference) = run_both(config(7, 5, None, &data_root));
+    let (report, reference) = run_both(config(7, 5, None), &data_root);
     assert!(reference.verdicts.all_hold());
     assert_eq!(
         report.device_payloads.len(),
@@ -79,9 +73,9 @@ fn sigkill_mission_recovers_from_disk_and_matches_the_simulator() {
     let kill_epoch = 3; // grid t = 5.1, torn inside the round
     let data_root = unique_dir("kill");
 
-    let cfg = config(seed, steps, Some(kill_epoch), &data_root);
+    let cfg = config(seed, steps, Some(kill_epoch));
     let restart_delay = cfg.reference().restart_delay.as_secs_f64();
-    let (report, reference) = run_both(cfg);
+    let (report, reference) = run_both(cfg, &data_root);
     let kill = report.kills.first().expect("kill executed");
 
     // The kill tore a staged write: the victim confirmed an in-flight
@@ -131,7 +125,7 @@ fn sigkill_mission_recovers_from_disk_and_matches_the_simulator() {
     // Rollback distance: losing the torn epoch costs one grid interval
     // plus the restart delay in the simulator's clock; the cluster's
     // epoch-line arithmetic must agree.
-    let cluster_distance = (kill_epoch - kill.line) as f64 * TB_INTERVAL_SECS + restart_delay;
+    let cluster_distance = (kill_epoch - kill.line) as f64 * DELTA_SECS + restart_delay;
     let sim_distance = reference
         .metrics
         .mean_hardware_rollback()
@@ -155,9 +149,9 @@ fn acked_internal_traffic_mission_survives_a_kill_and_matches_the_simulator() {
     let kill_epoch = 3;
     let data_root = unique_dir("acked");
 
-    let mut cfg = config(seed, steps, Some(kill_epoch), &data_root);
+    let mut cfg = config(seed, steps, Some(kill_epoch));
     cfg.internal_traffic = true;
-    let (report, reference) = run_both(cfg);
+    let (report, reference) = run_both(cfg, &data_root);
 
     assert!(reference.verdicts.all_hold());
     assert_eq!(reference.metrics.torn_writes, 1);
@@ -191,9 +185,9 @@ fn delta_chain_mission_survives_a_kill_and_matches_the_simulator() {
     let kill_epoch = 3;
     let data_root = unique_dir("delta");
 
-    let mut cfg = config(seed, steps, Some(kill_epoch), &data_root);
+    let mut cfg = config(seed, steps, Some(kill_epoch));
     cfg.delta_k = 4;
-    let (report, reference) = run_both(cfg);
+    let (report, reference) = run_both(cfg, &data_root);
     let kill = report.kills.first().expect("kill executed");
 
     assert!(kill.victim_began_writing, "write staged before the kill");
@@ -223,10 +217,10 @@ fn rotted_chain_record_is_refused_on_reload_and_the_stream_is_unchanged() {
     let kill_epoch = 4; // victim holds Full, Delta, Full before the kill (k=2)
     let data_root = unique_dir("deltarot");
 
-    let mut cfg = config(seed, steps, Some(kill_epoch), &data_root);
+    let mut cfg = config(seed, steps, Some(kill_epoch));
     cfg.delta_k = 2;
     cfg.rot = Some(Rot::Chain);
-    let (report, reference) = run_both(cfg);
+    let (report, reference) = run_both(cfg, &data_root);
     let kill = report.kills.first().expect("kill executed");
 
     assert!(
@@ -257,7 +251,7 @@ fn first_round_kill_rolls_every_node_back_to_the_initial_state() {
     let steps = 8;
     let data_root = unique_dir("line0");
 
-    let (report, reference) = run_both(config(seed, steps, Some(1), &data_root));
+    let (report, reference) = run_both(config(seed, steps, Some(1)), &data_root);
     let kill = report.kills.first().expect("kill executed");
 
     assert!(kill.victim_began_writing);
@@ -285,7 +279,7 @@ fn long_lockstep_missions_match_the_reference() {
     // orchestrator runs first.
     for kill_epoch in [7, 11] {
         let data_root = unique_dir("long");
-        let (report, reference) = run_both(config(1, 24, Some(kill_epoch), &data_root));
+        let (report, reference) = run_both(config(1, 24, Some(kill_epoch)), &data_root);
         assert!(reference.verdicts.all_hold(), "round {kill_epoch}");
         assert_eq!(
             report.device_payloads, reference.device_stream,

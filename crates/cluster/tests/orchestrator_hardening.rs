@@ -1,5 +1,5 @@
 //! Regression tests for the hardened orchestrator: faulted clusters must
-//! end in *structured*, attributed errors within the configured timeouts —
+//! end in *structured*, attributed errors within the control timeouts —
 //! never a hang.
 
 use std::path::{Path, PathBuf};
@@ -21,16 +21,18 @@ fn unique_dir(label: &str) -> PathBuf {
     dir
 }
 
-fn config(node_bin: PathBuf, data_root: PathBuf) -> ClusterConfig {
-    let mut cfg = ClusterConfig::new(3, 4, 1.7, node_bin, data_root);
-    cfg.timeouts.hello = Duration::from_secs(10);
-    cfg.timeouts.ctrl = Duration::from_secs(10);
-    cfg
+/// The mission every hardening test runs: seed 3, four produces.
+fn config() -> ClusterConfig {
+    ClusterConfig::new(3, 4)
+}
+
+fn node_bin() -> PathBuf {
+    PathBuf::from(env!("CARGO_BIN_EXE_synergy-node"))
 }
 
 /// A node that dies before sending `Hello` must surface as a structured
 /// `NodeDied` error naming the expected pid — detected by the accept
-/// loop's child polling, far inside the hello timeout.
+/// loop's child polling, far inside the 20 s hello timeout.
 #[cfg(unix)]
 #[test]
 fn node_dead_before_hello_fails_fast_and_structured() {
@@ -43,10 +45,8 @@ fn node_dead_before_hello_fails_fast_and_structured() {
     perms.set_mode(0o755);
     std::fs::set_permissions(&script, perms).expect("chmod stub");
 
-    let cfg = config(script, data_root.clone());
-    let hello_timeout = cfg.timeouts.hello;
     let started = Instant::now();
-    let err = match Cluster::launch(cfg) {
+    let err = match Cluster::launch(config(), &script, &data_root) {
         Err(e) => e,
         Ok(_) => panic!("launch must fail when the node exits before Hello"),
     };
@@ -62,9 +62,9 @@ fn node_dead_before_hello_fails_fast_and_structured() {
         other => panic!("expected NodeDied, got {other:?}"),
     }
     assert!(
-        elapsed < hello_timeout,
+        elapsed < Duration::from_secs(10),
         "early death must be detected by child polling ({elapsed:?}), \
-         not by waiting out the {hello_timeout:?} hello timeout"
+         not by waiting out the hello timeout"
     );
     let _ = std::fs::remove_dir_all(&data_root);
 }
@@ -94,15 +94,15 @@ fn marker_node(dir: &Path) -> (PathBuf, PathBuf) {
 fn crash_past_the_last_round_fails_launch_before_any_node_spawns() {
     let data_root = unique_dir("crash-past-last-round");
     let (script, marker) = marker_node(&data_root);
-    let mut cfg = config(script, data_root.clone());
-    let last = grid_rounds(cfg.steps, cfg.tb_interval_secs);
+    let mut cfg = config();
+    let last = grid_rounds(cfg.steps);
     assert_eq!(last, 2, "4 produces on a 1.7 s grid run rounds 1 and 2");
-    cfg.crashes.push(CrashEvent {
+    cfg.crash = Some(CrashEvent {
         victim: NodeId::P2,
         epoch: last + 1,
         kind: CrashKind::RoundStart,
     });
-    match Cluster::launch(cfg) {
+    match Cluster::launch(cfg, &script, &data_root) {
         Err(ClusterError::Launch { detail }) => {
             assert!(detail.contains("crash epoch 3"), "{detail}");
             assert!(detail.contains("1..=2"), "names the last round: {detail}");
@@ -114,49 +114,14 @@ fn crash_past_the_last_round_fails_launch_before_any_node_spawns() {
     let _ = std::fs::remove_dir_all(&data_root);
 }
 
-/// The orchestrator runs one crash per checkpoint round, so a second crash
-/// in the same round would vanish from the report. Launch refuses it,
-/// naming the round, before it spawns any node.
-#[cfg(unix)]
-#[test]
-fn two_crashes_in_one_round_fail_launch_before_any_node_spawns() {
-    let data_root = unique_dir("two-crashes-one-round");
-    let (script, marker) = marker_node(&data_root);
-    let mut cfg = config(script, data_root.clone());
-    for (victim, kind) in [
-        (NodeId::P2, CrashKind::MidRound),
-        (NodeId::P1Act, CrashKind::RoundStart),
-    ] {
-        cfg.crashes.push(CrashEvent {
-            victim,
-            epoch: 2,
-            kind,
-        });
-    }
-    match Cluster::launch(cfg) {
-        Err(ClusterError::Launch { detail }) => {
-            assert!(detail.contains("round 2"), "names the round: {detail}");
-        }
-        Err(other) => panic!("expected a launch rejection, got {other:?}"),
-        Ok(_) => panic!("launch must reject a second crash in one round"),
-    }
-    assert!(!marker.exists(), "no node process was spawned");
-    let _ = std::fs::remove_dir_all(&data_root);
-}
-
 /// Killing a live node and then issuing a command must produce a
 /// structured error attributed to that node's pid — the dropped control
-/// connection is detected within the control timeout, and the dead
-/// process is distinguished from a wedged one.
+/// connection is detected well inside the 20 s control timeout, and the
+/// dead process is distinguished from a wedged one.
 #[test]
 fn control_drop_mid_command_is_attributed_within_timeout() {
     let data_root = unique_dir("ctrl-drop");
-    let cfg = config(
-        PathBuf::from(env!("CARGO_BIN_EXE_synergy-node")),
-        data_root.clone(),
-    );
-    let ctrl_timeout = cfg.timeouts.ctrl;
-    let mut cluster = Cluster::launch(cfg).expect("cluster launches");
+    let mut cluster = Cluster::launch(config(), &node_bin(), &data_root).expect("cluster launches");
 
     cluster.kill_node(NodeId::P2).expect("kill the victim");
     let started = Instant::now();
@@ -172,8 +137,8 @@ fn control_drop_mid_command_is_attributed_within_timeout() {
         other => panic!("expected NodeDied for pid 3, got {other:?}"),
     }
     assert!(
-        elapsed <= ctrl_timeout + Duration::from_secs(2),
-        "failure must land within the control timeout, took {elapsed:?}"
+        elapsed <= Duration::from_secs(12),
+        "failure must land well inside the control timeout, took {elapsed:?}"
     );
 
     // Dead-node detection also catches it without any command round-trip.
@@ -182,34 +147,6 @@ fn control_drop_mid_command_is_attributed_within_timeout() {
         other => panic!("expected NodeDied from ensure_alive, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&data_root);
-}
-
-/// A checkpoint grid of Δ = 0 never ends, and a NaN Δ reaches every node
-/// as `--tb-interval-ms 0`, which the node refuses. Launch rejects both
-/// before it counts rounds or spawns a node. It runs on a thread so a
-/// hang fails the test instead of stalling the suite.
-#[cfg(unix)]
-#[test]
-fn a_delta_that_is_zero_or_nan_fails_launch_at_once() {
-    for delta in [0.0, f64::NAN] {
-        let data_root = unique_dir("bad-delta");
-        let (script, marker) = marker_node(&data_root);
-        let mut cfg = config(script, data_root.clone());
-        cfg.tb_interval_secs = delta;
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let _ = tx.send(Cluster::launch(cfg).err());
-        });
-        match rx.recv_timeout(Duration::from_secs(5)) {
-            Ok(Some(ClusterError::Launch { detail })) => {
-                assert!(detail.contains("checkpoint interval"), "{detail}");
-            }
-            Ok(other) => panic!("Δ = {delta}: expected a launch rejection, got {other:?}"),
-            Err(_) => panic!("Δ = {delta}: launch did not return within 5 s"),
-        }
-        assert!(!marker.exists(), "Δ = {delta}: no node process was spawned");
-        let _ = std::fs::remove_dir_all(&data_root);
-    }
 }
 
 /// An orchestrator that dies without an orderly shutdown closes its end of
@@ -260,12 +197,9 @@ fn a_node_exits_when_its_control_connection_closes() {
 #[test]
 fn a_survivor_that_stages_no_write_fails_a_mid_round_crash() {
     let data_root = unique_dir("survivor-no-write");
-    let mut cfg = config(
-        PathBuf::from(env!("CARGO_BIN_EXE_synergy-node")),
-        data_root.clone(),
-    );
+    let mut cfg = config();
     let epoch = 2;
-    cfg.crashes.push(CrashEvent {
+    cfg.crash = Some(CrashEvent {
         victim: NodeId::P2,
         epoch,
         kind: CrashKind::MidRound,
@@ -279,7 +213,7 @@ fn a_survivor_that_stages_no_write_fails_a_mid_round_crash() {
         }],
     }];
     let survivor = NodeId::P1Act.pid().0;
-    let outcome = Cluster::launch(cfg).and_then(Cluster::run);
+    let outcome = Cluster::launch(cfg, &node_bin(), &data_root).and_then(Cluster::run);
     let _ = std::fs::remove_dir_all(&data_root);
     match outcome {
         Err(ClusterError::Protocol { detail }) => {

@@ -122,7 +122,7 @@ impl fmt::Display for EscapeRecord {
 /// Diffs an observed device stream against an oracle stream, returning one
 /// [`EscapeRecord`] per divergent message. A length mismatch between streams
 /// is reported as a single record at the first missing/extra index.
-pub(crate) fn diff_device_streams(observed: &[Vec<u8>], oracle: &[Vec<u8>]) -> Vec<EscapeRecord> {
+pub fn diff_device_streams(observed: &[Vec<u8>], oracle: &[Vec<u8>]) -> Vec<EscapeRecord> {
     let mut escapes = Vec::new();
     let shared = observed.len().min(oracle.len());
     for (index, (got, want)) in observed.iter().zip(oracle.iter()).enumerate() {

@@ -5,8 +5,8 @@
 //! * [`LinkFaults`] — per-message loss/duplication probabilities.
 //! * [`LinkFaultPlan`] — a full deterministic fault schedule for a *live*
 //!   transport ([`FaultyTransport`](crate::FaultyTransport)): those
-//!   probabilities plus bounded delays, timed link partitions, and the
-//!   retransmission policy that masks the injected loss. The plan is
+//!   probabilities plus bounded delays and timed link partitions; the
+//!   transport's fixed retransmit budget masks the injected loss. The plan is
 //!   [`Codec`]-serializable so a cluster orchestrator can ship it to node
 //!   processes on the command line.
 //!
@@ -103,10 +103,10 @@ codec_struct!(PartitionWindow { start_ms, end_ms });
 /// Deterministic fault schedule for a live transport.
 ///
 /// The plan describes a *lossy wire underneath a retransmitting link
-/// layer*: rolled drops are retried with bounded backoff up to
-/// [`max_attempts`](Self::max_attempts), so injected loss is masked into
-/// extra latency unless the retry budget is exhausted (which the wrapper
-/// reports rather than hides). Duplication applies only to idempotent ack
+/// layer*: rolled drops are retried with bounded backoff up to the
+/// transport's attempt budget, so injected loss is masked into extra
+/// latency unless the budget is exhausted (which the wrapper counts
+/// rather than hides). Duplication applies only to idempotent ack
 /// frames — see `FaultyTransport` for why application frames must never
 /// be duplicated.
 #[derive(Clone, Debug, PartialEq)]
@@ -117,10 +117,6 @@ pub struct LinkFaultPlan {
     pub delay_ms: (u64, u64),
     /// Timed link outages (all routes hold, then flush in order).
     pub partitions: Vec<PartitionWindow>,
-    /// Send attempts per envelope before the frame is declared lost.
-    pub max_attempts: u32,
-    /// Retransmit backoff `(start_ms, cap_ms)`, doubling per attempt.
-    pub retry_ms: (u64, u64),
     /// Seed for the per-route deterministic RNG streams.
     pub seed: u64,
 }
@@ -132,8 +128,6 @@ impl LinkFaultPlan {
             faults: LinkFaults::NONE,
             delay_ms: (0, 0),
             partitions: Vec::new(),
-            max_attempts: 1,
-            retry_ms: (1, 1),
             seed,
         }
     }
@@ -148,19 +142,13 @@ impl LinkFaultPlan {
     /// # Errors
     ///
     /// A message naming the field: a drop or duplication probability
-    /// outside `[0, 1]` (NaN included), an empty attempt budget, inverted
-    /// delay bounds, a zero retry start, or an empty partition window.
+    /// outside `[0, 1]` (NaN included), inverted delay bounds, or an empty
+    /// partition window.
     pub fn validate(&self) -> Result<(), String> {
         check_probability("drop_prob", self.faults.drop_prob)?;
         check_probability("dup_prob", self.faults.dup_prob)?;
-        if self.max_attempts < 1 {
-            return Err("max_attempts must be at least 1".into());
-        }
         if self.delay_ms.0 > self.delay_ms.1 {
             return Err(format!("inverted delay_ms bounds {:?}", self.delay_ms));
-        }
-        if self.retry_ms.0 < 1 {
-            return Err("retry_ms start must be nonzero".into());
         }
         match self.partitions.iter().find(|w| w.start_ms >= w.end_ms) {
             Some(w) => Err(format!("empty partition window {w:?}")),
@@ -172,7 +160,7 @@ impl LinkFaultPlan {
 /// `Ok` when `p` is a probability, i.e. inside `[0, 1]` (NaN is not); the
 /// error names `field`. Fault plans decoded from outside the process go
 /// through this before any draw asserts on them.
-pub fn check_probability(field: &str, p: f64) -> Result<(), String> {
+fn check_probability(field: &str, p: f64) -> Result<(), String> {
     if (0.0..=1.0).contains(&p) {
         Ok(())
     } else {
@@ -190,8 +178,6 @@ codec_struct!(LinkFaultPlan {
     faults,
     delay_ms,
     partitions,
-    max_attempts,
-    retry_ms,
     seed,
 });
 
@@ -275,21 +261,11 @@ mod tests {
                     end_ms: 1600,
                 },
             ],
-            max_attempts: 16,
-            retry_ms: (4, 60),
             seed: 0xDEAD_BEEF,
         };
         assert_eq!(plan.validate(), Ok(()));
         let bytes = synergy_codec::to_bytes(&plan).expect("encode");
         let back: LinkFaultPlan = synergy_codec::from_bytes(&bytes).expect("decode");
         assert_eq!(back, plan);
-    }
-
-    #[test]
-    #[should_panic(expected = "max_attempts")]
-    fn zero_attempt_budget_rejected() {
-        let mut plan = LinkFaultPlan::inert(0);
-        plan.max_attempts = 0;
-        plan.validate().unwrap();
     }
 }

@@ -10,9 +10,9 @@
 //! 2. **Bounded delay** — a uniform extra delay drawn from the per-route
 //!    deterministic RNG stream.
 //! 3. **Drop + retransmit** — each send attempt may be "dropped" by the
-//!    wire; the link layer retries with doubling backoff up to the plan's
-//!    attempt budget, after which the frame is recorded in the lost log
-//!    and surfaced via [`FaultyTransport::lost`] instead of vanishing.
+//!    wire; the link layer retries with doubling backoff (4 ms, capped at
+//!    60 ms) up to 16 attempts, after which the frame is counted lost in
+//!    [`FaultTotals::lost`] instead of vanishing unseen.
 //! 4. **Ack duplication** — a successfully sent *ack* may be sent twice.
 //!
 //! Duplication is restricted to ack frames on purpose: after a global
@@ -39,19 +39,14 @@ use std::time::{Duration, Instant};
 use synergy_des::DetRng;
 
 use crate::fault::LinkFaultPlan;
-use crate::message::{Endpoint, Envelope, MsgId};
+use crate::message::{Endpoint, Envelope};
 use crate::transport::Transport;
 
-/// A frame whose retransmission budget was exhausted.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LostFrame {
-    /// Destination of the lost frame.
-    pub to: Endpoint,
-    /// Identifier of the lost frame.
-    pub id: MsgId,
-    /// How many attempts the wire dropped before the link layer gave up.
-    pub attempts: u32,
-}
+/// Send attempts per envelope before the link layer declares it lost.
+const MAX_ATTEMPTS: u32 = 16;
+
+/// Retransmit backoff `(start_ms, cap_ms)`, doubling per attempt.
+const RETRY_MS: (u64, u64) = (4, 60);
 
 /// Counters describing what the wrapper actually injected.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -61,11 +56,7 @@ pub struct FaultTotals {
     pub drops: u64,
     /// Ack frames sent twice.
     pub dups: u64,
-    /// Envelopes that waited out at least one partition window.
-    pub held: u64,
-    /// Envelopes delayed by a nonzero bounded delay.
-    pub delayed: u64,
-    /// Frames whose attempt budget was exhausted (see the lost log).
+    /// Frames whose attempt budget was exhausted.
     pub lost: u64,
 }
 
@@ -73,8 +64,6 @@ pub struct FaultTotals {
 struct Stats {
     drops: AtomicU64,
     dups: AtomicU64,
-    held: AtomicU64,
-    delayed: AtomicU64,
     lost: AtomicU64,
     pending: AtomicU64,
 }
@@ -85,7 +74,6 @@ struct Shared<T: Transport> {
     start: Instant,
     shutdown: AtomicBool,
     stats: Stats,
-    lost: Mutex<Vec<LostFrame>>,
 }
 
 impl<T: Transport> Shared<T> {
@@ -93,59 +81,40 @@ impl<T: Transport> Shared<T> {
         self.start.elapsed().as_millis() as u64
     }
 
-    /// Sleeps out any open partition window; returns whether one was open.
-    fn hold_for_partition(&self) -> bool {
-        let mut held = false;
-        loop {
-            if self.shutdown.load(Ordering::Relaxed) {
-                return held;
-            }
+    /// Sleeps out any open partition window.
+    fn hold_for_partition(&self) {
+        while !self.shutdown.load(Ordering::Relaxed) {
             let now = self.elapsed_ms();
-            match self.plan.partitions.iter().find(|w| w.contains(now)) {
-                Some(w) => {
-                    held = true;
-                    let remaining = w.end_ms.saturating_sub(now);
-                    thread::sleep(Duration::from_millis(remaining.clamp(1, 5)));
-                }
-                None => return held,
-            }
+            let Some(w) = self.plan.partitions.iter().find(|w| w.contains(now)) else {
+                return;
+            };
+            let remaining = w.end_ms.saturating_sub(now);
+            thread::sleep(Duration::from_millis(remaining.clamp(1, 5)));
         }
     }
 
     fn deliver(&self, env: Envelope, rng: &mut DetRng) {
-        if self.hold_for_partition() {
-            self.stats.held.fetch_add(1, Ordering::Relaxed);
-        }
+        self.hold_for_partition();
         let (lo, hi) = self.plan.delay_ms;
         if hi > 0 {
             let delay = if lo == hi { lo } else { rng.gen_range(lo..=hi) };
-            if delay > 0 {
-                self.stats.delayed.fetch_add(1, Ordering::Relaxed);
-                thread::sleep(Duration::from_millis(delay));
-            }
+            thread::sleep(Duration::from_millis(delay));
         }
         let mut attempt = 0u32;
         loop {
             attempt += 1;
             if self.plan.faults.roll_drop(rng) {
                 self.stats.drops.fetch_add(1, Ordering::Relaxed);
-                if attempt >= self.plan.max_attempts {
+                if attempt >= MAX_ATTEMPTS {
                     self.stats.lost.fetch_add(1, Ordering::Relaxed);
-                    self.lost.lock().unwrap().push(LostFrame {
-                        to: env.to,
-                        id: env.id,
-                        attempts: attempt,
-                    });
                     return;
                 }
-                let (start, cap) = self.plan.retry_ms;
+                let (start, cap) = RETRY_MS;
                 let backoff = start.saturating_mul(1 << (attempt - 1).min(16)).min(cap);
-                thread::sleep(Duration::from_millis(backoff.max(1)));
+                thread::sleep(Duration::from_millis(backoff));
                 // Retransmission may straddle a heal boundary; re-check the
                 // partition so retries do not punch through an open window.
-                if self.hold_for_partition() {
-                    self.stats.held.fetch_add(1, Ordering::Relaxed);
-                }
+                self.hold_for_partition();
                 continue;
             }
             let duplicate = env.body.is_ack() && self.plan.faults.roll_duplicate(rng);
@@ -188,20 +157,14 @@ impl<T: Transport> FaultyTransport<T> {
                 start: Instant::now(),
                 shutdown: AtomicBool::new(false),
                 stats: Stats::default(),
-                lost: Mutex::new(Vec::new()),
             }),
             routes: Mutex::new(HashMap::new()),
             workers: Mutex::new(Vec::new()),
         }
     }
 
-    /// The wrapped transport.
-    pub fn inner(&self) -> &Arc<T> {
-        &self.shared.inner
-    }
-
     /// Envelopes accepted but not yet handed to the inner transport (or
-    /// recorded lost). Zero means the chaos layer is drained.
+    /// counted lost). Zero means the chaos layer is drained.
     pub fn pending(&self) -> u64 {
         self.shared.stats.pending.load(Ordering::Relaxed)
     }
@@ -212,15 +175,8 @@ impl<T: Transport> FaultyTransport<T> {
         FaultTotals {
             drops: s.drops.load(Ordering::Relaxed),
             dups: s.dups.load(Ordering::Relaxed),
-            held: s.held.load(Ordering::Relaxed),
-            delayed: s.delayed.load(Ordering::Relaxed),
             lost: s.lost.load(Ordering::Relaxed),
         }
-    }
-
-    /// Frames dropped for good after exhausting the attempt budget.
-    pub fn lost(&self) -> Vec<LostFrame> {
-        self.shared.lost.lock().unwrap().clone()
     }
 
     /// Stops all route workers, discarding anything still queued.
@@ -286,7 +242,7 @@ impl<T: Transport> Drop for FaultyTransport<T> {
 mod tests {
     use super::*;
     use crate::fault::{LinkFaults, PartitionWindow};
-    use crate::message::{MessageBody, MsgSeqNo, ProcessId};
+    use crate::message::{MessageBody, MsgId, MsgSeqNo, ProcessId};
 
     /// Collects everything it is asked to send.
     #[derive(Default)]
@@ -356,8 +312,6 @@ mod tests {
         let sink = Arc::new(Sink::default());
         let mut plan = LinkFaultPlan::inert(7);
         plan.faults = LinkFaults::new(0.4, 0.0);
-        plan.max_attempts = 32;
-        plan.retry_ms = (1, 2);
         let faulty = FaultyTransport::new(Arc::clone(&sink), plan);
         for seq in 0..50 {
             faulty.send(app_envelope(seq));
@@ -369,7 +323,6 @@ mod tests {
         let totals = faulty.totals();
         assert!(totals.drops > 0, "a 40% wire should have dropped something");
         assert_eq!(totals.lost, 0);
-        assert!(faulty.lost().is_empty());
     }
 
     #[test]
@@ -377,17 +330,17 @@ mod tests {
         let sink = Arc::new(Sink::default());
         let mut plan = LinkFaultPlan::inert(3);
         plan.faults = LinkFaults::new(1.0, 0.0);
-        plan.max_attempts = 3;
-        plan.retry_ms = (1, 1);
         let faulty = FaultyTransport::new(Arc::clone(&sink), plan);
         faulty.send(app_envelope(0));
         drain(&faulty);
         assert!(sink.seen.lock().unwrap().is_empty());
-        let lost = faulty.lost();
-        assert_eq!(lost.len(), 1);
-        assert_eq!(lost[0].attempts, 3);
-        assert_eq!(lost[0].id.seq, MsgSeqNo(0));
-        assert_eq!(faulty.totals().lost, 1);
+        let totals = faulty.totals();
+        assert_eq!(totals.lost, 1);
+        assert_eq!(
+            totals.drops,
+            u64::from(MAX_ATTEMPTS),
+            "every attempt dropped"
+        );
     }
 
     #[test]
@@ -431,7 +384,6 @@ mod tests {
         let seen = sink.seen.lock().unwrap();
         let seqs: Vec<u64> = seen.iter().map(|e| e.id.seq.0).collect();
         assert_eq!(seqs, (0..8).collect::<Vec<_>>(), "heal flushes in order");
-        assert!(faulty.totals().held > 0);
     }
 
     #[test]
@@ -440,8 +392,6 @@ mod tests {
             let sink = Arc::new(Sink::default());
             let mut plan = LinkFaultPlan::inert(seed);
             plan.faults = LinkFaults::new(0.5, 0.0);
-            plan.max_attempts = 2;
-            plan.retry_ms = (1, 1);
             let faulty = FaultyTransport::new(Arc::clone(&sink), plan);
             for seq in 0..40 {
                 faulty.send(app_envelope(seq));
@@ -460,7 +410,7 @@ mod tests {
         let (b_seen, b_totals) = run(42);
         assert_eq!(a_seen, b_seen);
         assert_eq!(a_totals, b_totals);
-        let (c_seen, _) = run(43);
-        assert_ne!(a_seen, c_seen, "different seed should differ somewhere");
+        let (_, c_totals) = run(43);
+        assert_ne!(a_totals, c_totals, "different seed should differ somewhere");
     }
 }

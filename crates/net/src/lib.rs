@@ -34,8 +34,8 @@ mod transport;
 
 pub use ack::AckTracker;
 pub use delay::DelayModel;
-pub use fault::{check_probability, LinkFaultPlan, LinkFaults, PartitionWindow};
-pub use faulty::{FaultTotals, FaultyTransport, LostFrame};
+pub use fault::{LinkFaultPlan, LinkFaults, PartitionWindow};
+pub use faulty::{FaultTotals, FaultyTransport};
 pub use frame::{
     frame_envelope, frame_envelope_with_acks, FrameDecoder, FrameError, PiggyAck, MAX_PIGGY_ACKS,
 };

@@ -77,11 +77,14 @@ echo "==> no capability that only its own tests run"
 # strategy objects a Scheme match serves, the wire's piggybacked-ack
 # knob nothing set, the ack tracker's deep-copying accessor and its
 # unused codec impl, the simulator's second fault plan, the node-index
-# error a NodeId rules out, and the chaos runner's per-group disable
-# methods and their toggle copy (one FaultGroup table serves them) are
+# error a NodeId rules out, the chaos runner's per-group disable
+# methods and their toggle copy (one FaultGroup table serves them), the
+# chaos crate's twin of the cluster mission and its field copy, the
+# cluster's timeout struct and the node's checkpoint-interval flag that
+# every caller set to one value, and the link layer's lost-frame log are
 # gone, not hidden (names spelt in halves so this line does not find
 # itself).
-if git grep -nE 'Node''OutOfRange|Regime''Plan|disable''_bitrot|active''_toggles|\.un''acked\(\)|codec_struct!\(Ack''Tracker|max_piggy''_acks|Scheme''Policy|policy''_for|Node''Runner|replace''_latest|corrupt_latest''_checkpoint|CtrlMsg::''Corrupt|mdcd::gen''eral|pipeline_gu''ard|set_link_fa''ults|set_default_fa''ults|Route''Decision|with_resync_thr''eshold|Cluster''Wire|CtrlMsg::''Blast|Blas''ted|Node''Status|wire_queue''_bytes|wire-queue''-bytes|Tiered''Store|Object''Store|Archive''FaultPlan|Archive''Handle|archive''-dir|chaos''-archive|archive''_pending|rehy''drat|no''-archive|epsilon''_scan|EPSI''LON_|crash''_epsilon|Sim''Reference|simulate''_reference|RESTART_DELAY''_MS|find_mid_checkpoint''_crash|Node''Cmd|Tb''Drive|Sup''Event|Mem''Net|Rollback''Outcome|spawn_net''_pump|Volatile''Snap|body''_tag' -- crates tests examples scripts .github Cargo.toml; then
+if git grep -nE 'Campaign''Spec|cluster''_config\(|Cluster''Timeouts|tb-''interval-ms|Lost''Frame|Node''OutOfRange|Regime''Plan|disable''_bitrot|active''_toggles|\.un''acked\(\)|codec_struct!\(Ack''Tracker|max_piggy''_acks|Scheme''Policy|policy''_for|Node''Runner|replace''_latest|corrupt_latest''_checkpoint|CtrlMsg::''Corrupt|mdcd::gen''eral|pipeline_gu''ard|set_link_fa''ults|set_default_fa''ults|Route''Decision|with_resync_thr''eshold|Cluster''Wire|CtrlMsg::''Blast|Blas''ted|Node''Status|wire_queue''_bytes|wire-queue''-bytes|Tiered''Store|Object''Store|Archive''FaultPlan|Archive''Handle|archive''-dir|chaos''-archive|archive''_pending|rehy''drat|no''-archive|epsilon''_scan|EPSI''LON_|crash''_epsilon|Sim''Reference|simulate''_reference|RESTART_DELAY''_MS|find_mid_checkpoint''_crash|Node''Cmd|Tb''Drive|Sup''Event|Mem''Net|Rollback''Outcome|spawn_net''_pump|Volatile''Snap|body''_tag' -- crates tests examples scripts .github Cargo.toml; then
     echo "a deleted test-only capability is referenced again" >&2
     exit 1
 fi
@@ -228,11 +231,13 @@ echo "==> unmasked-regime smoke: 4 seeds per regime + live Byzantine campaigns"
 # protocol message (+114: +80 tests of the tracker's order and of the
 # sharing, +34 for transport acks that stay free of an allocation),
 # 36 944 with one fault vocabulary (one simulator FaultPlan, NodeId for
-# every faulted node, one chaos FaultGroup table, one StableStore API);
+# every faulted node, one chaos FaultGroup table, one StableStore API),
+# 36 611 with a live mission described once (one ClusterConfig, Δ, the
+# control timeouts and the retransmit budget as constants, one crash);
 # every CHANGES.md entry ends with before -> after. The ceiling is a
 # gate: a change that must raise it edits the number and says why in
 # CHANGES.md.
-rust_ceiling=36944
+rust_ceiling=36611
 rust_lines="$(git ls-files '*.rs' | xargs cat | wc -l)"
 echo "==> tracked Rust lines: $rust_lines (ceiling $rust_ceiling)"
 if ((rust_lines > rust_ceiling)); then
