@@ -79,7 +79,7 @@ pub struct FaultSummary {
 
 /// Aggregates the fault counters of a finished mission: chaos wire and
 /// stable-retry totals from the final status sweep, torn/corrupt counts
-/// from the kill reports (the reload observations, counted once per
+/// from the kill report (the reload observations, counted once for the
 /// crash rather than re-read from the restarted victim's status).
 pub(crate) fn fault_summary(report: &ClusterReport) -> FaultSummary {
     let mut s = FaultSummary::default();
@@ -89,12 +89,12 @@ pub(crate) fn fault_summary(report: &ClusterReport) -> FaultSummary {
         s.chaos_lost += status.chaos_lost;
         s.stable_retries += status.stable_retries;
     }
-    for kill in &report.kills {
-        s.torn_writes += kill.reload_torn_writes;
-        s.corrupt_records += kill.reload_corrupt_records;
+    if let Some(kill) = &report.kill {
+        s.torn_writes = kill.reload_torn_writes;
+        s.corrupt_records = kill.reload_corrupt_records;
         s.rollback_epochs.push(kill.rollback_epochs);
     }
-    s.recoveries = report.kills.len() as u64;
+    s.recoveries = u64::from(report.kill.is_some());
     s
 }
 
@@ -268,7 +268,7 @@ mod tests {
     fn fault_summary_aggregates_nodes_and_kills() {
         let report = ClusterReport {
             device_payloads: vec![vec![1], vec![2]],
-            kills: vec![KillReport {
+            kill: Some(KillReport {
                 epoch: 2,
                 kind: CrashKind::MidRound,
                 victim_began_writing: true,
@@ -278,7 +278,7 @@ mod tests {
                 line: 1,
                 rollback_epochs: 1,
                 rollbacks: vec![(1, Some(1), 0), (2, Some(1), 0), (3, Some(1), 0)],
-            }],
+            }),
             final_status: vec![(1, status(4, 2)), (2, status(3, 0)), (3, status(0, 1))],
         };
         let s = fault_summary(&report);

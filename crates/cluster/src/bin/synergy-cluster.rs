@@ -102,7 +102,7 @@ fn main() -> ExitCode {
         }
     };
     println!("device stream: {} messages", report.device_payloads.len());
-    for kill in &report.kills {
+    if let Some(kill) = &report.kill {
         println!(
             "kill round {}: staged write torn = {}, victim recovered epoch {:?} \
              ({} torn write detected), global rollback to line {}",

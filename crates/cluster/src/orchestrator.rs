@@ -294,7 +294,7 @@ pub struct ClusterReport {
     /// Device-bound external payloads, in arrival order.
     pub device_payloads: Vec<Vec<u8>>,
     /// The kill/restart observation of the scheduled crash, if one ran.
-    pub kills: Vec<KillReport>,
+    pub kill: Option<KillReport>,
     /// Final per-node statuses `(pid, status)` — including the chaos
     /// counters each node's fault wrappers accumulated.
     pub final_status: Vec<(u32, WireStatus)>,
@@ -918,7 +918,7 @@ impl Cluster {
             || self.cfg.disk_plans.iter().any(|p| !p.is_inert())
             || self.cfg.internal_traffic;
         let mut device_payloads = Vec::new();
-        let mut kills = Vec::new();
+        let mut kill = None;
         let mut next_grid: u64 = 1;
         for s in 1..=self.cfg.steps {
             // Checkpoint rounds whose grid time falls before this produce.
@@ -934,7 +934,7 @@ impl Cluster {
                     self.barrier()?;
                 }
                 match self.cfg.crash.filter(|c| c.epoch == next_grid) {
-                    Some(ev) => kills.push(self.crash_round(&ev)?),
+                    Some(ev) => kill = Some(self.crash_round(&ev)?),
                     None => self.checkpoint_round()?,
                 }
                 next_grid += 1;
@@ -991,7 +991,7 @@ impl Cluster {
         self.device_net.shutdown();
         Ok(ClusterReport {
             device_payloads,
-            kills,
+            kill,
             final_status,
         })
     }

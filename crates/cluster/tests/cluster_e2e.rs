@@ -76,7 +76,7 @@ fn sigkill_mission_recovers_from_disk_and_matches_the_simulator() {
     let cfg = config(seed, steps, Some(kill_epoch));
     let restart_delay = cfg.reference().restart_delay.as_secs_f64();
     let (report, reference) = run_both(cfg, &data_root);
-    let kill = report.kills.first().expect("kill executed");
+    let kill = report.kill.as_ref().expect("kill executed");
 
     // The kill tore a staged write: the victim confirmed an in-flight
     // stable write before SIGKILL, and its restarted incarnation found the
@@ -188,7 +188,7 @@ fn delta_chain_mission_survives_a_kill_and_matches_the_simulator() {
     let mut cfg = config(seed, steps, Some(kill_epoch));
     cfg.delta_k = 4;
     let (report, reference) = run_both(cfg, &data_root);
-    let kill = report.kills.first().expect("kill executed");
+    let kill = report.kill.as_ref().expect("kill executed");
 
     assert!(kill.victim_began_writing, "write staged before the kill");
     assert_eq!(
@@ -221,7 +221,7 @@ fn rotted_chain_record_is_refused_on_reload_and_the_stream_is_unchanged() {
     cfg.delta_k = 2;
     cfg.rot = Some(Rot::Chain);
     let (report, reference) = run_both(cfg, &data_root);
-    let kill = report.kills.first().expect("kill executed");
+    let kill = report.kill.as_ref().expect("kill executed");
 
     assert!(
         kill.reload_corrupt_records >= 1,
@@ -252,7 +252,7 @@ fn first_round_kill_rolls_every_node_back_to_the_initial_state() {
     let data_root = unique_dir("line0");
 
     let (report, reference) = run_both(config(seed, steps, Some(1)), &data_root);
-    let kill = report.kills.first().expect("kill executed");
+    let kill = report.kill.as_ref().expect("kill executed");
 
     assert!(kill.victim_began_writing);
     assert_eq!(kill.reload_epoch, None, "nothing committed before the kill");

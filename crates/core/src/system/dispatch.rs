@@ -5,7 +5,7 @@
 //! [`ProcessHost`](super::ProcessHost); dispatch owns only the
 //! environment — the scheduler, network, clocks, metrics, trace — and, in
 //! each host's slot, the liveness behind the staleness filters (network
-//! incarnations, dead senders, TB epochs) that need a view across hosts.
+//! incarnations, retired senders, TB epochs) that need a view across hosts.
 
 use std::sync::Arc;
 
@@ -17,7 +17,7 @@ use synergy_storage::Stable;
 use crate::app::Application;
 use crate::faults::{CrashKind, NodeId};
 use crate::system::host::{HostAction, HostEvent};
-use crate::system::System;
+use crate::system::{Liveness, System};
 
 /// A scheduled simulation event.
 #[derive(Debug, Clone)]
@@ -112,11 +112,12 @@ impl System {
 
     /// The host that takes an arrival at `actor` from `from`: none for
     /// pre-recovery traffic, at a crashed node (the message is lost), or
-    /// from a process dead by takeover (the message is stale).
+    /// from a process retired by takeover (the message is stale).
     fn receiver(&self, actor: ActorId, from: ProcessId, inc: u64) -> Option<usize> {
         let i = self.host_index(actor).filter(|_| inc == self.net_inc)?;
-        let dead = |s: usize| self.slots[s].dead;
-        (self.slots[i].up && !self.index_of_pid(from).is_some_and(dead)).then_some(i)
+        let retired = |s: usize| self.slots[s].liveness == Liveness::Retired;
+        let up = self.slots[i].liveness == Liveness::Up;
+        (up && !self.index_of_pid(from).is_some_and(retired)).then_some(i)
     }
 
     fn on_tb_timer(&mut self, actor: ActorId, now: SimTime, deadline: LocalTime, epoch: u64) {
@@ -124,7 +125,7 @@ impl System {
             return;
         };
         let slot = &mut self.slots[i];
-        if !slot.up || slot.dead || epoch != slot.tb_epoch {
+        if slot.liveness != Liveness::Up || epoch != slot.tb_epoch {
             return;
         }
         slot.timer_event = None;
@@ -159,7 +160,7 @@ impl System {
         let Some(i) = self.host_index(actor) else {
             return;
         };
-        if !self.slots[i].up || epoch != self.slots[i].tb_epoch {
+        if self.slots[i].liveness != Liveness::Up || epoch != self.slots[i].tb_epoch {
             return;
         }
         self.drive_host(i, HostEvent::BlockingElapsed, now);
@@ -192,13 +193,10 @@ impl System {
             [Some(self.topology.peer), None]
         };
         for pid in targets.into_iter().flatten() {
-            let Some(i) = self.index_of_pid(pid) else {
-                continue;
-            };
-            if !self.slots[i].up || self.slots[i].dead {
-                continue;
+            let up = |&i: &usize| self.slots[i].liveness == Liveness::Up;
+            if let Some(i) = self.index_of_pid(pid).filter(up) {
+                self.drive_host(i, HostEvent::Produce { external }, now);
             }
-            self.drive_host(i, HostEvent::Produce { external }, now);
         }
     }
 
@@ -470,7 +468,7 @@ impl System {
             if let Some(old) = self.slots[i].timer_event.take() {
                 self.sim.cancel(old);
             }
-            if self.slots[i].up && !self.slots[i].dead {
+            if self.slots[i].liveness == Liveness::Up {
                 self.schedule_tb_timer(i, deadline, now);
             }
         }

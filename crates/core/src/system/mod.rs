@@ -86,8 +86,6 @@ pub struct System {
     global_validated: MsgSeqNo,
     net_inc: u64,
     resync_pending: bool,
-    software_recovered: bool,
-    crash_pending: Vec<NodeId>,
     finished: bool,
     /// When the unmasked-regime bad-message axis armed (for detection
     /// latency).
@@ -106,22 +104,29 @@ pub struct System {
 /// that crashes, recoveries and the takeover change.
 struct Slot {
     actor: ActorId,
-    /// Whether the node is powered (false between a crash and recovery).
-    up: bool,
-    /// Whether the process is permanently out of service (takeover).
-    dead: bool,
+    liveness: Liveness,
     /// Bumped on recovery to void stale TB timer/blocking events.
     tb_epoch: u64,
     /// The pending TB timer event.
     timer_event: Option<EventId>,
 }
 
+/// Whether a host runs: the one record of it, read by every staleness
+/// filter and both recovery procedures.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Liveness {
+    Up,
+    /// Powered off, between a crash and the global rollback.
+    Down,
+    /// Out of service for good: the takeover retired it.
+    Retired,
+}
+
 impl Slot {
     fn new(actor: ActorId) -> Self {
         Slot {
             actor,
-            up: true,
-            dead: false,
+            liveness: Liveness::Up,
             tb_epoch: 0,
             timer_event: None,
         }
@@ -198,8 +203,6 @@ impl System {
             global_validated: MsgSeqNo(0),
             net_inc: 0,
             resync_pending: false,
-            software_recovered: false,
-            crash_pending: Vec::new(),
             finished: false,
             regime_armed_at: None,
             sync_violated: false,
@@ -308,6 +311,13 @@ impl System {
 
     fn index_of_node(&self, node: NodeId) -> Option<usize> {
         self.hosts.iter().position(|h| h.node == node)
+    }
+
+    /// The hosts of `P1act`, `P1sdw` and `P2`, in that order.
+    fn role_indices(&self) -> [usize; 3] {
+        let t = self.topology;
+        [t.active, t.shadow, t.peer]
+            .map(|pid| self.index_of_pid(pid).expect("every role has a host"))
     }
 
     // ------------------------------------------------------------------

@@ -27,7 +27,7 @@ use crate::faults::NodeId;
 use crate::metrics::{RollbackCause, RollbackRecord};
 use crate::payload::CheckpointPayload;
 use crate::system::host::{HostAction, ProcessHost};
-use crate::system::System;
+use crate::system::{Liveness, System};
 
 /// The newest stable epoch committed by *every* live process, given each
 /// live process's newest committed epoch.
@@ -330,27 +330,23 @@ pub struct StableRestore {
 
 impl System {
     pub(super) fn software_recovery(&mut self, now: SimTime) {
-        if self.software_recovered {
+        let [act, sdw, peer] = self.role_indices();
+        if self.slots[act].liveness == Liveness::Retired {
             return;
         }
-        self.software_recovered = true;
         self.metrics.software_recoveries += 1;
         self.sim.record(
             self.system_actor,
             "recovery.software",
             "AT failure: shadow takeover",
         );
-        let act = self
-            .index_of_pid(self.topology.active)
-            .expect("active host");
-        let sdw = self
-            .index_of_pid(self.topology.shadow)
-            .expect("shadow host");
-        let peer = self.index_of_pid(self.topology.peer).expect("peer host");
-        // The active is dead; its in-flight messages are discarded on
-        // delivery.
-        self.slots[act].up = false;
-        self.slots[act].dead = true;
+        // Retired, the active's in-flight messages are discarded on delivery.
+        self.slots[act].liveness = Liveness::Retired;
+        // A down host has nothing to roll back, and its restart's global
+        // rollback supersedes any local line (DESIGN.md §8, decision 8).
+        if self.slots.iter().any(|s| s.liveness == Liveness::Down) {
+            return;
+        }
 
         // Local decisions + rollbacks for shadow and peer.
         for i in [sdw, peer] {
@@ -423,20 +419,19 @@ impl System {
         let Some(i) = self.index_of_node(node) else {
             return;
         };
-        if self.slots[i].dead {
-            return; // crashing a dead node changes nothing
+        if self.slots[i].liveness == Liveness::Retired {
+            return; // crashing a retired node changes nothing
         }
         self.sim.record_with(self.slots[i].actor, || {
             ("fault.hardware", format!("node {} crashed", node.index()))
         });
-        self.slots[i].up = false;
+        self.slots[i].liveness = Liveness::Down;
         let host = &mut self.hosts[i];
         host.volatile_image = None;
         if host.stable.is_writing() {
             self.metrics.torn_writes += 1;
         }
         host.stable.crash();
-        self.crash_pending.push(node);
         self.sim.schedule_in(
             self.cfg.restart_delay,
             self.system_actor,
@@ -445,10 +440,9 @@ impl System {
     }
 
     pub(super) fn on_hardware_recover(&mut self, now: SimTime) {
-        if self.crash_pending.is_empty() {
+        if !self.slots.iter().any(|s| s.liveness == Liveness::Down) {
             return;
         }
-        self.crash_pending.clear();
         self.metrics.hardware_recoveries += 1;
         self.sim.record(
             self.system_actor,
@@ -470,7 +464,7 @@ impl System {
                 self.hosts
                     .iter()
                     .zip(&self.slots)
-                    .filter(|(_, slot)| !slot.dead)
+                    .filter(|(_, slot)| slot.liveness != Liveness::Retired)
                     .map(|(h, _)| h.stable.latest_seq()),
             )
         } else {
@@ -504,10 +498,10 @@ impl System {
         let mut restored_payloads: Vec<(usize, CheckpointPayload)> = Vec::new();
         let mut resend: Vec<(usize, Arc<Envelope>)> = Vec::new();
         for i in 0..self.hosts.len() {
-            if self.slots[i].dead {
+            if self.slots[i].liveness == Liveness::Retired {
                 continue;
             }
-            self.slots[i].up = true;
+            self.slots[i].liveness = Liveness::Up;
             self.slots[i].tb_epoch += 1;
             // Regime axis 4: a Byzantine-lite node serves value-flipped
             // checkpoints behind valid CRCs from the arming instant on. Only
@@ -622,17 +616,13 @@ impl System {
                 .record_with(self.slots[i].actor, || ("msg.resend", env.to_string()));
         }
 
-        let (Some(act), Some(sdw)) = (
-            self.index_of_pid(self.topology.active),
-            self.index_of_pid(self.topology.shadow),
-        ) else {
-            return;
-        };
+        let [act, sdw, peer] = self.role_indices();
         // Guarded operation restarts from a common state: the shadow is
         // refreshed from the restored active replica (DESIGN.md §2 — the
         // GSU middleware re-initializes both versions from one state when
         // (re)entering guarded operation).
-        if !self.slots[act].dead && !self.slots[sdw].dead {
+        let retired = |s: usize| self.slots[s].liveness == Liveness::Retired;
+        if !retired(act) && !retired(sdw) {
             let act_state = self.hosts[act].app.snapshot();
             let act_sn = self.hosts[act].engine.snapshot().msg_sn;
             let shadow = &mut self.hosts[sdw];
@@ -650,11 +640,10 @@ impl System {
                 "shadow re-aligned to restored active state",
             );
         }
-        // A dead active means the shadow must remain (or become) promoted:
+        // A retired active means the shadow must remain (or become) promoted:
         // a crash whose epoch line predates the takeover restored it as a
         // shadow.
-        if self.slots[act].dead && self.hosts[sdw].engine.role() != ProcessRole::Active {
-            let peer = self.index_of_pid(self.topology.peer).expect("peer host");
+        if retired(act) && self.hosts[sdw].engine.role() != ProcessRole::Active {
             self.promote_shadow(sdw, peer, now);
         }
     }

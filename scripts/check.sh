@@ -146,6 +146,15 @@ echo "==> two-crash scan: no restore from an abandoned timeline"
 cargo test --release -q -p synergy --test recovery_integration -- \
     --ignored two_crash_scan_fails_only_on_item_0_seeds
 
+echo "==> composed-fault grid: no takeover on a down host"
+# 31 500 Coordinated missions, each a design fault and a crash of P2's node
+# (DESIGN.md §8, decision 8): an AT failure detected while the crashed node
+# waits out its restart must wait for the global rollback. Only ROADMAP
+# item 0's seed 105 (crash before the takeover) and item 23's seeds 184 and
+# 286 (crash after it) may fail; a release build runs it in about 8 s.
+cargo test --release -q -p synergy --test recovery_integration -- \
+    --ignored composed_fault_grid_fails_only_on_item_0_and_23_seeds
+
 echo "==> ledger: the benchmark package builds and tests against these crates"
 # ledger/ is a workspace of its own that calls the crates' public API
 # (DeltaPatch::diff, Checkpoint::encode/decode, CheckpointPayload::{into,
@@ -233,11 +242,13 @@ echo "==> unmasked-regime smoke: 4 seeds per regime + live Byzantine campaigns"
 # 36 944 with one fault vocabulary (one simulator FaultPlan, NodeId for
 # every faulted node, one chaos FaultGroup table, one StableStore API),
 # 36 611 with a live mission described once (one ClusterConfig, Δ, the
-# control timeouts and the retransmit budget as constants, one crash);
-# every CHANGES.md entry ends with before -> after. The ceiling is a
-# gate: a change that must raise it edits the number and says why in
-# CHANGES.md.
-rust_ceiling=36611
+# control timeouts and the retransmit budget as constants, one crash),
+# 36 712 with liveness kept once in the slots (+104 lines of tests: the
+# composed-fault grid and the restart-window pins; non-test Rust −3);
+# every CHANGES.md entry ends with before -> after. The
+# ceiling is a gate: a change that must raise it edits the number and
+# says why in CHANGES.md.
+rust_ceiling=36712
 rust_lines="$(git ls-files '*.rs' | xargs cat | wc -l)"
 echo "==> tracked Rust lines: $rust_lines (ceiling $rust_ceiling)"
 if ((rust_lines > rust_ceiling)); then

@@ -1,8 +1,12 @@
 //! End-to-end integration tests spanning the whole workspace: MDCD + TB
 //! engines on the DES, storage, network, checkers.
 
-use synergy::{CrashEvent, CrashKind, Mission, NodeId, Scheme, SystemConfig, SystemConfigBuilder};
-use synergy_des::SimDuration;
+use synergy::metrics::RollbackCause;
+use synergy::{
+    CrashEvent, CrashKind, HardwareFault, Mission, NodeId, Scheme, SystemConfig,
+    SystemConfigBuilder,
+};
+use synergy_des::{SimDuration, SimTime};
 
 fn base(scheme: Scheme, seed: u64) -> SystemConfigBuilder {
     SystemConfig::builder()
@@ -12,6 +16,19 @@ fn base(scheme: Scheme, seed: u64) -> SystemConfigBuilder {
         .internal_rate_per_min(30.0)
         .external_rate_per_min(4.0)
         .tb_interval_secs(5.0)
+}
+
+/// ROADMAP item 0's mission shape: 120 s of Coordinated operation at 60
+/// internal and 2 external messages a minute, Δ = 5 s, no trace.
+fn item_0_shape(seed: u64) -> SystemConfigBuilder {
+    SystemConfig::builder()
+        .scheme(Scheme::Coordinated)
+        .seed(seed)
+        .duration_secs(120.0)
+        .internal_rate_per_min(60.0)
+        .external_rate_per_min(2.0)
+        .tb_interval_secs(5.0)
+        .trace(false)
 }
 
 #[test]
@@ -97,21 +114,41 @@ fn software_fault_during_every_phase_is_recoverable() {
 fn hardware_then_software_fault_composes() {
     // Inverse order from the quickstart: crash first, then the design
     // fault — the restored guarded operation must still take over cleanly.
-    let outcome = Mission::new(
-        base(Scheme::Coordinated, 23)
-            .hardware_fault_at_secs(60.0)
-            .software_fault_at_secs(150.0)
-            .build(),
-    )
-    .run();
-    assert_eq!(outcome.metrics.hardware_recoveries, 1);
-    assert_eq!(outcome.metrics.software_recoveries, 1);
-    assert!(outcome.shadow_promoted);
-    assert!(
-        outcome.verdicts.all_hold(),
-        "{:?}",
-        outcome.verdicts.violations
-    );
+    // The last three rows detect the AT failure (153.2975 s on seed 23,
+    // 37.63 s on seed 1) while the crashed node waits out its 0.5 s
+    // restart: the takeover waits for the global rollback (DESIGN.md §8,
+    // decision 8), so the hardware recovery checks the only cut. A takeover
+    // that rolls back the down host fails them with 13, 6 and 35 violations.
+    use NodeId::{P1Sdw, P2};
+    let seed_23 = || base(Scheme::Coordinated, 23);
+    let rows = [
+        (seed_23(), P2, 60.0, 150.0, 2),
+        (seed_23(), P2, 153.1, 150.0, 1),
+        (seed_23(), P1Sdw, 153.1, 150.0, 1),
+        (item_0_shape(1), P2, 37.5, 10.0, 1),
+    ];
+    for (builder, node, crash, onset, checks) in rows {
+        let outcome = Mission::new(
+            builder
+                .hardware_fault(HardwareFault {
+                    at: SimTime::from_secs_f64(crash),
+                    node,
+                })
+                .software_fault_at_secs(onset)
+                .build(),
+        )
+        .run();
+        let row = format!("{node:?} crashed at {crash}s, design fault at {onset}s");
+        assert_eq!(outcome.metrics.hardware_recoveries, 1, "{row}");
+        assert_eq!(outcome.metrics.software_recoveries, 1, "{row}");
+        assert!(outcome.shadow_promoted, "{row}");
+        assert_eq!(outcome.verdicts.checks_run, checks, "{row}");
+        assert!(
+            outcome.verdicts.all_hold(),
+            "{row}: {:?}",
+            outcome.verdicts.violations
+        );
+    }
 }
 
 #[test]
@@ -363,17 +400,24 @@ fn two_crash_mission(seed: u64, first: NodeId, second: NodeId, round: u64) -> Sy
         epoch,
         kind: CrashKind::MidRound,
     };
-    SystemConfig::builder()
-        .scheme(Scheme::Coordinated)
-        .seed(seed)
+    item_0_shape(seed)
         .duration_secs(80.0)
-        .internal_rate_per_min(60.0)
-        .external_rate_per_min(2.0)
-        .tb_interval_secs(5.0)
         .round_crash(crash(first, round))
         .round_crash(crash(second, round + 1))
-        .trace(false)
         .build()
+}
+
+/// The sweep shape of the mission scans: `failures(seed)` for every seed in
+/// `seeds` on two threads, concatenated in seed order.
+fn scan<T: Send>(
+    seeds: std::ops::RangeInclusive<u64>,
+    failures: impl Fn(u64) -> Vec<T> + Sync,
+) -> Vec<T> {
+    let seeds: Vec<u64> = seeds.collect();
+    synergy::sweep(&seeds, 2, failures)
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Runs the six two-crash missions of every seed in `seeds` — victim pairs
@@ -385,8 +429,7 @@ fn two_crash_mission(seed: u64, first: NodeId, second: NodeId, round: u64) -> Sy
 /// the line.
 fn two_crash_violations(seeds: std::ops::RangeInclusive<u64>) -> Vec<u64> {
     use NodeId::{P1Act, P1Sdw, P2};
-    let seeds: Vec<u64> = seeds.collect();
-    let failed = synergy::sweep(&seeds, 2, |seed| {
+    scan(seeds, |seed| {
         let mut failed = Vec::new();
         for (first, second) in [(P2, P1Act), (P1Act, P2), (P2, P1Sdw)] {
             for round in [4, 7] {
@@ -398,8 +441,7 @@ fn two_crash_violations(seeds: std::ops::RangeInclusive<u64>) -> Vec<u64> {
             }
         }
         failed
-    });
-    failed.into_iter().flatten().collect()
+    })
 }
 
 #[test]
@@ -422,4 +464,66 @@ fn two_crash_scan_fails_only_on_item_0_seeds() {
         .filter(|seed| !ITEM_0_SEEDS.contains(seed))
         .collect();
     assert!(other.is_empty(), "violating seeds: {failed:?}");
+}
+
+/// Where a crash falls relative to the takeover an AT failure asks for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Overlap {
+    /// The node crashes before the AT failure and restarts before it too
+    /// (or the design fault never fires).
+    BeforeTakeover,
+    /// The AT failure comes while the crashed node waits out its restart.
+    RestartWindow,
+    /// The node crashes after a completed takeover.
+    AfterTakeover,
+}
+
+/// Runs the composed-fault grid on every seed in `seeds`: item 0's mission
+/// shape with a design fault at 10, 30, 50, 70 or 90 s and a crash of
+/// `P2`'s node at 7.5, 12.5, …, 107.5 s. Returns each failing mission's
+/// seed and overlap, judged by the AT-failure instant of the same seed and
+/// onset without the crash.
+fn composed_fault_violations(seeds: std::ops::RangeInclusive<u64>) -> Vec<(u64, Overlap)> {
+    let restart = SystemConfig::builder().build().restart_delay.as_secs_f64();
+    scan(seeds, |seed| {
+        let mut failed = Vec::new();
+        for onset in [10.0, 30.0, 50.0, 70.0, 90.0] {
+            let mission = || item_0_shape(seed).software_fault_at_secs(onset);
+            let rollbacks = Mission::new(mission().build()).run().metrics.rollbacks;
+            let takeover = rollbacks
+                .iter()
+                .find(|r| r.cause == RollbackCause::Software)
+                .map(|r| r.at.as_secs_f64());
+            for crash in (0..21).map(|k| 7.5 + 5.0 * f64::from(k)) {
+                let outcome = Mission::new(mission().hardware_fault_at_secs(crash).build()).run();
+                if outcome.verdicts.all_hold() {
+                    continue;
+                }
+                let overlap = match takeover {
+                    Some(t) if t < crash => Overlap::AfterTakeover,
+                    Some(t) if t < crash + restart => Overlap::RestartWindow,
+                    _ => Overlap::BeforeTakeover,
+                };
+                failed.push((seed, overlap));
+            }
+        }
+        failed
+    })
+}
+
+/// The composed-fault grid, 31 500 missions run in release by
+/// `scripts/check.sh`: no AT failure inside a restart window may fail, and
+/// only the seeds of ROADMAP item 0 (crash before the takeover) and item 23
+/// (crash after it) fail, each in its own item's overlap.
+#[test]
+#[ignore = "31 500 missions; scripts/check.sh runs it in release"]
+fn composed_fault_grid_fails_only_on_item_0_and_23_seeds() {
+    let known = [
+        (105, Overlap::BeforeTakeover),
+        (184, Overlap::AfterTakeover),
+        (286, Overlap::AfterTakeover),
+    ];
+    let failed = composed_fault_violations(1..=300);
+    let other: Vec<_> = failed.iter().filter(|f| !known.contains(f)).collect();
+    assert!(other.is_empty(), "unexpected failures: {other:?}");
 }
