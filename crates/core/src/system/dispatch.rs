@@ -5,7 +5,8 @@
 //! [`ProcessHost`](super::ProcessHost); dispatch owns only the
 //! environment — the scheduler, network, clocks, metrics, trace — and, in
 //! each host's slot, the liveness behind the staleness filters (network
-//! incarnations, retired senders, TB epochs) that need a view across hosts.
+//! incarnations, retired senders, undone sends, TB epochs) that need a view
+//! across hosts.
 
 use std::sync::Arc;
 
@@ -23,8 +24,13 @@ use crate::system::{Liveness, System};
 #[derive(Debug, Clone)]
 pub(super) enum Ev {
     /// A protocol envelope arrives at an endpoint (`inc` voids
-    /// pre-recovery traffic).
-    Deliver { env: Arc<Envelope>, inc: u64 },
+    /// pre-recovery traffic; `sent_in` is the sender's incarnation, which
+    /// voids a send its local rollback undid).
+    Deliver {
+        env: Arc<Envelope>,
+        inc: u64,
+        sent_in: u64,
+    },
     /// A transport ack of `of`, sent by `from`, arrives (`inc` likewise).
     Ack {
         from: ProcessId,
@@ -62,7 +68,10 @@ impl System {
     pub(super) fn dispatch(&mut self, actor: ActorId, now: SimTime, ev: Ev) {
         match ev {
             Ev::End => self.finished = true,
-            Ev::Deliver { env, inc } => self.on_deliver(actor, now, env, inc),
+            Ev::Deliver { env, sent_in, .. } if self.undone(&env, sent_in) => self
+                .sim
+                .record_with(actor, || ("msg.void", env.to_string())),
+            Ev::Deliver { env, inc, .. } => self.on_deliver(actor, now, env, inc),
             Ev::Ack { from, of, inc } => {
                 if let Some(i) = self.receiver(actor, from, inc) {
                     self.drive_host(i, HostEvent::Ack(of), now);
@@ -93,7 +102,15 @@ impl System {
                     self.hosts[i].arm_regime();
                 }
             }
-            Ev::ByzantineCorrupt { node } => self.on_byzantine_corrupt(now, node),
+            // The node does not corrupt its store at rest: it serves
+            // value-flipped checkpoints behind valid CRCs whenever a
+            // recovery reads from it (`on_hardware_recover`), so the lie
+            // survives any number of clean commits. This stamps the arming.
+            Ev::ByzantineCorrupt { node } => self.sim.record_with(self.system_actor, || {
+                let detail =
+                    format!("{node} now serves value-flipped checkpoints behind valid CRCs");
+                ("regime.byzantine", detail)
+            }),
             Ev::HardwareCrash { node } => self.on_hardware_crash(now, node),
             Ev::HardwareRecover => self.on_hardware_recover(now),
             Ev::Resync => self.on_resync(now),
@@ -108,6 +125,17 @@ impl System {
         } else if let Some(i) = self.receiver(actor, env.from(), inc) {
             self.drive_host(i, HostEvent::Deliver(env), now);
         }
+    }
+
+    /// Whether `env`, sent in its sender's incarnation `sent_in`, is an
+    /// application message a later local rollback of the sender undid
+    /// (DESIGN.md §8, decision 9).
+    fn undone(&self, env: &Envelope, sent_in: u64) -> bool {
+        matches!(env.body, MessageBody::Application { .. })
+            && self.index_of_pid(env.from()).is_some_and(|s| {
+                let slot = &self.slots[s];
+                sent_in != slot.incarnation && env.id.seq > slot.undone_above
+            })
     }
 
     /// The host that takes an arrival at `actor` from `from`: none for
@@ -343,16 +371,9 @@ impl System {
         self.metrics.stable_bytes_delta += cost.encoded_bytes;
     }
 
-    /// Sends an envelope on behalf of host `i`, performing the host's
-    /// send-side bookkeeping first (recovery resends).
-    pub(super) fn send_from(&mut self, i: usize, env: Envelope, now: SimTime) {
-        let env = self.hosts[i].note_send(env);
-        self.forward_send(i, env, now);
-    }
-
     /// The environment side of a protocol send: ground truth, metrics,
     /// trace, routing.
-    fn forward_send(&mut self, i: usize, env: Arc<Envelope>, now: SimTime) {
+    pub(super) fn forward_send(&mut self, i: usize, env: Arc<Envelope>, now: SimTime) {
         if let MessageBody::PassedAt { msg_sn, .. } = env.body {
             self.global_validated = self.global_validated.max(msg_sn);
         }
@@ -365,7 +386,11 @@ impl System {
     pub(super) fn route_only(&mut self, env: Arc<Envelope>, now: SimTime) {
         if let Some((at, actor)) = self.route(&env, now) {
             let inc = self.net_inc;
-            self.sim.schedule_at(at, actor, Ev::Deliver { env, inc });
+            let sent_in = self
+                .index_of_pid(env.from())
+                .map_or(0, |s| self.slots[s].incarnation);
+            let ev = Ev::Deliver { env, inc, sent_in };
+            self.sim.schedule_at(at, actor, ev);
         }
     }
 
@@ -400,21 +425,6 @@ impl System {
             },
         );
         self.slots[i].timer_event = Some(id);
-    }
-
-    /// Marks `node` as Byzantine from this instant on. The node does not
-    /// corrupt its store at rest — it *serves* value-flipped checkpoints
-    /// (still behind valid CRCs) whenever a recovery reads from it, so the
-    /// lie survives however many clean commits land in between. The flip
-    /// itself happens in [`System::on_hardware_recover`]; this event only
-    /// stamps the arming instant into the trace.
-    fn on_byzantine_corrupt(&mut self, _now: SimTime, node: NodeId) {
-        self.sim.record_with(self.system_actor, || {
-            (
-                "regime.byzantine",
-                format!("{node} now serves value-flipped checkpoints behind valid CRCs"),
-            )
-        });
     }
 
     pub(super) fn on_resync(&mut self, now: SimTime) {

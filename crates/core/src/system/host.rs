@@ -386,17 +386,15 @@ impl<S: Stable> ProcessHost<S> {
             .clone()
     }
 
-    /// Appends to the sent log, invalidating the shared snapshot.
-    fn push_sent(&mut self, rec: SentRecord) {
-        self.sent_log.push(rec);
-        self.sent_snapshot = None;
-    }
-
-    /// Replaces the sent log wholesale (recovery restores), adopting the
-    /// payload's shared buffer as the snapshot.
-    pub(crate) fn restore_sent_log(&mut self, sent: &Arc<[SentRecord]>) {
-        self.sent_log = sent.to_vec();
-        self.sent_snapshot = Some(Arc::clone(sent));
+    /// Installs a recovered payload's application, engine and sent log
+    /// (adopting its shared buffer as the snapshot). Returns the receive
+    /// log, whose receipts the installed state predates.
+    pub(crate) fn install(&mut self, payload: &CheckpointPayload) -> Vec<Arc<Envelope>> {
+        self.app.restore(&payload.app);
+        self.engine.restore(&payload.engine);
+        self.sent_log = payload.sent.to_vec();
+        self.sent_snapshot = Some(Arc::clone(&payload.sent));
+        std::mem::take(&mut self.recv_log)
     }
 
     /// The application state, encoded through the scratch buffer into a
@@ -472,10 +470,9 @@ impl<S: Stable> ProcessHost<S> {
     pub(crate) fn note_send(&mut self, env: Envelope) -> Arc<Envelope> {
         let env = Arc::new(env);
         if let (MessageBody::Application { .. }, Endpoint::Process(p)) = (&env.body, env.to) {
-            self.push_sent(SentRecord {
-                to: p,
-                seq: env.id.seq,
-            });
+            let seq = env.id.seq;
+            self.sent_log.push(SentRecord { to: p, seq });
+            self.sent_snapshot = None; // the shared view is stale
             self.acks.on_send(Arc::clone(&env));
         }
         env

@@ -6,8 +6,8 @@
 //! - [`dispatch`](self): the discrete-event loop, reduced to routing fired
 //!   events to hosts and applying the environment side of their actions.
 //! - `recovery`: epoch-line selection, the host-level recovery steps (the
-//!   local rollback, the takeover, the stable restore) and the
-//!   unacked/receive-log replay machinery for both recovery procedures.
+//!   local rollback, the takeover, the stable restore) and the one cut step
+//!   (receive-log replay, then the global check) both procedures end in.
 //!
 //! A host is one process and nothing else. Whether its node is powered,
 //! whether a takeover retired it, and which TB timer event is pending are
@@ -42,6 +42,7 @@ use crate::workload::ArrivalStream;
 
 use dispatch::Ev;
 pub use host::{HostAction, HostEvent, ProcessHost, Topology};
+pub(crate) use recovery::settle_cut;
 pub use recovery::{epoch_line, StableRestore};
 
 /// `P1act`'s process id.
@@ -109,6 +110,11 @@ struct Slot {
     tb_epoch: u64,
     /// The pending TB timer event.
     timer_event: Option<EventId>,
+    /// Bumped by the one local recovery and stamped on each send: a message
+    /// stamped before it and numbered above `undone_above`, the recovered
+    /// send counter, is undone.
+    incarnation: u64,
+    undone_above: MsgSeqNo,
 }
 
 /// Whether a host runs: the one record of it, read by every staleness
@@ -129,6 +135,8 @@ impl Slot {
             liveness: Liveness::Up,
             tb_epoch: 0,
             timer_event: None,
+            incarnation: 0,
+            undone_above: MsgSeqNo(0),
         }
     }
 }

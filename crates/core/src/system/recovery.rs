@@ -5,11 +5,11 @@
 //! [`filter_replays`], [`amend_volatile_copy`], [`prune_unacked`]) so it
 //! can be unit-tested without a full [`System`]; the two recovery
 //! procedures (software takeover, global hardware rollback) orchestrate
-//! them over the hosts. Each per-process step is one host method: the
+//! them over the hosts and both end in one cut step, [`settle_cut`]. The
 //! simulator and the interleaving explorer both run software recovery's
-//! `recover_locally` and `take_over`, and the simulator and the cluster
-//! node each call [`ProcessHost::restore_stable`] once — select the
-//! checkpoint at the line, serve it value-flipped on a Byzantine-lite
+//! `recover_locally`, `take_over` and cut step, and the simulator and the
+//! cluster node each call [`ProcessHost::restore_stable`] once — select
+//! the checkpoint at the line, serve it value-flipped on a Byzantine-lite
 //! node, install it, realign `Ndc`, restart TB.
 
 use std::sync::Arc;
@@ -22,7 +22,7 @@ use synergy_storage::{Checkpoint, CheckpointError, Stable};
 use synergy_tb::{Event as TbEvent, TbEngine};
 
 use crate::app::Application;
-use crate::checkers::{GlobalChecker, MsgSet, RestoredState, Violation};
+use crate::checkers::{GlobalChecker, MsgSet, RestoredState, Verdicts, Violation};
 use crate::faults::NodeId;
 use crate::metrics::{RollbackCause, RollbackRecord};
 use crate::payload::CheckpointPayload;
@@ -103,13 +103,13 @@ pub(crate) fn prune_unacked(acks: &mut AckTracker, horizon: MsgSeqNo) {
 /// re-contaminate a restored-clean state. Returns `(receiver, envelope)`
 /// pairs in restored-cut order.
 pub(crate) fn filter_replays(
-    restored: &[(ProcessId, CheckpointPayload)],
+    restored: &[RestoredState],
     original_active: ProcessId,
     global_validated: MsgSeqNo,
 ) -> Vec<(ProcessId, Arc<Envelope>)> {
     let sent: Vec<MsgSet> = restored
         .iter()
-        .map(|(_, p)| MsgSet::sent(&p.sent))
+        .map(|s| MsgSet::sent(&s.payload.sent))
         .collect();
     let sent_reflected = |env: &Envelope| {
         let Endpoint::Process(to) = env.to else {
@@ -118,45 +118,79 @@ pub(crate) fn filter_replays(
         restored
             .iter()
             .zip(&sent)
-            .any(|((pid, _), sent)| *pid == env.from() && sent.contains(to, env.id.seq))
+            .any(|(s, sent)| s.pid == env.from() && sent.contains(to, env.id.seq))
     };
     let mut replays = Vec::new();
-    for (pid, payload) in restored {
-        for env in &payload.replay {
+    for s in restored {
+        for env in &s.payload.replay {
             if !sent_reflected(env) {
                 continue;
             }
             if env.from() == original_active && env.id.seq > global_validated {
                 continue;
             }
-            replays.push((*pid, Arc::clone(env)));
+            replays.push((s.pid, Arc::clone(env)));
         }
     }
     replays
 }
 
+/// The cut step both recovery procedures end in (DESIGN.md §8, decision
+/// 5): each recovered host beside the payload it recovered to, whose
+/// `replay` holds the receive log its restore dropped. Replays into each
+/// host what [`filter_replays`] keeps, then checks the cut as replay left
+/// it. Returns the replays, in order, and the verdicts.
+pub(crate) fn settle_cut<S: Stable>(
+    cut: Vec<(&mut ProcessHost<S>, CheckpointPayload)>,
+    active: ProcessId,
+    global_validated: MsgSeqNo,
+) -> (Vec<(ProcessId, Arc<Envelope>)>, Verdicts) {
+    let (mut hosts, mut states): (Vec<_>, Vec<_>) = cut
+        .into_iter()
+        .map(|(host, payload)| {
+            let state = RestoredState {
+                pid: host.pid,
+                role: host.engine.role(),
+                synthetic_history: host.synthetic_history,
+                payload,
+            };
+            (host, state)
+        })
+        .unzip();
+    let replays = filter_replays(&states, active, global_validated);
+    for (host, state) in hosts.iter_mut().zip(&mut states) {
+        for (_, env) in replays.iter().filter(|(pid, _)| *pid == state.pid) {
+            host.replay(env);
+        }
+        state.payload.app = host.app.snapshot().into();
+    }
+    let verdicts = GlobalChecker::new(active).check(&states, global_validated);
+    (replays, verdicts)
+}
+
 impl<S: Stable> ProcessHost<S> {
     /// The local half of software recovery on a surviving shadow or peer:
     /// decides, then rolls back to the most recent volatile checkpoint or
-    /// rolls forward. Returns the decision and the seconds of progress
-    /// undone, or `None` when the host must roll back but holds no volatile
-    /// checkpoint (it is then left as it was).
-    pub(crate) fn recover_locally(&mut self, now: SimTime) -> Option<(RecoveryDecision, f64)> {
+    /// rolls forward. Returns the decision, the seconds of progress undone
+    /// and the receive log a rollback drops, for [`settle_cut`] to replay;
+    /// `None` when the host must roll back but holds no volatile checkpoint
+    /// (it is then left as it was).
+    pub(crate) fn recover_locally(
+        &mut self,
+        now: SimTime,
+    ) -> Option<(RecoveryDecision, f64, Vec<Arc<Envelope>>)> {
         let decision = self
             .engine
             .recovery_decision()
             .expect("shadow/peer decide locally");
         if decision == RecoveryDecision::RollForward {
-            return Some((decision, 0.0));
+            return Some((decision, 0.0, Vec::new()));
         }
         let payload = self.volatile_image.clone()?;
         let distance = now
             .saturating_duration_since(payload.state_time())
             .as_secs_f64();
-        self.app.restore(&payload.app);
-        self.engine.restore(&payload.engine);
-        self.restore_sent_log(&payload.sent);
-        self.recv_log.clear();
+        let dropped = self.install(&payload);
         prune_unacked(&mut self.acks, payload.engine.msg_sn);
         // If a TB blocking period is in progress, the restored engine must
         // re-enter it (restore cleared the hold state).
@@ -166,7 +200,16 @@ impl<S: Stable> ProcessHost<S> {
                 .handle_into(MdcdEvent::BlockingStarted, &mut actions);
             debug_assert!(actions.is_empty());
         }
-        Some((decision, distance))
+        Some((decision, distance, dropped))
+    }
+
+    /// Replays a receipt the recovered state lost, as its delivery did:
+    /// into the application and the receive log.
+    fn replay(&mut self, env: &Arc<Envelope>) {
+        if let MessageBody::Application { payload, .. } = &env.body {
+            self.app.on_message(env.from(), env.id.seq, payload);
+            self.recv_log.push(Arc::clone(env));
+        }
     }
 
     /// The takeover, run on the shadow: promotes it to active and retargets
@@ -178,18 +221,6 @@ impl<S: Stable> ProcessHost<S> {
             p.retarget_active(self.pid);
         }
         plan.resend
-    }
-
-    /// Installs a restored stable payload: application, engine, sent log
-    /// and saved unacked set. Pre-crash volatile checkpoints and receive
-    /// logs belong to the abandoned timeline and are discarded.
-    pub(crate) fn restore_from_payload(&mut self, payload: &CheckpointPayload) {
-        self.app.restore(&payload.app);
-        self.engine.restore(&payload.engine);
-        self.restore_sent_log(&payload.sent);
-        self.acks.restore(payload.unacked.iter().map(Arc::clone));
-        self.volatile_image = None;
-        self.recv_log.clear();
     }
 
     /// The per-process half of a global rollback to `line`: selects the
@@ -296,7 +327,11 @@ impl<S: Stable> ProcessHost<S> {
         // its epoch tears.
         self.abort_stable();
         self.discard_stable_above(restored_epoch.unwrap_or(0));
-        self.restore_from_payload(&payload);
+        // The saved unacked set is tracked again; pre-crash volatile
+        // checkpoints and receive logs belong to the abandoned timeline.
+        self.install(&payload);
+        self.acks.restore(payload.unacked.iter().map(Arc::clone));
+        self.volatile_image = None;
         // The engine's restore leaves `Ndc` alone; align it with the
         // restored epoch, or every `passed_AT` until the next commit
         // compares stale. Then restart the TB timers.
@@ -348,9 +383,12 @@ impl System {
             return;
         }
 
-        // Local decisions + rollbacks for shadow and peer.
+        // Local decisions + rollbacks for shadow and peer. The sends above
+        // the recovered send counter are undone, and those still in flight
+        // are void (decision 9).
+        let mut dropped = Vec::with_capacity(2);
         for i in [sdw, peer] {
-            let (decision, distance) = match self.hosts[i].recover_locally(now) {
+            let (decision, distance, log) = match self.hosts[i].recover_locally(now) {
                 Some(step) => step,
                 None => {
                     self.verdicts.violations.push(Violation {
@@ -360,9 +398,12 @@ impl System {
                             self.hosts[i].pid
                         ),
                     });
-                    (RecoveryDecision::RollBack, 0.0)
+                    (RecoveryDecision::RollBack, 0.0, Vec::new())
                 }
             };
+            self.slots[i].incarnation += 1;
+            self.slots[i].undone_above = self.hosts[i].engine.snapshot().msg_sn;
+            dropped.push((i, log));
             self.metrics.rollbacks.push(RollbackRecord {
                 process: self.hosts[i].pid,
                 cause: RollbackCause::Software,
@@ -380,21 +421,30 @@ impl System {
 
         self.promote_shadow(sdw, peer, now);
 
-        // Check the recovered (volatile) cut.
-        let mut states: Vec<RestoredState> = Vec::with_capacity(2);
-        for i in [sdw, peer] {
-            let payload = self.hosts[i].current_payload(now);
-            let host = &self.hosts[i];
-            states.push(RestoredState {
-                pid: host.pid,
-                role: host.engine.role(),
-                synthetic_history: host.synthetic_history,
-                payload,
-            });
+        // The recovered cut, after the takeover so that the promoted shadow's
+        // history is checked, and the receipts each rollback dropped.
+        let mut cut = vec![None; self.hosts.len()];
+        for (i, log) in dropped {
+            let mut payload = self.hosts[i].current_payload(now);
+            payload.replay = log;
+            cut[i] = Some(payload);
         }
-        let checker = GlobalChecker::new(self.topology.active);
-        let v = checker.check(&states, self.global_validated);
-        self.verdicts.merge(v);
+        self.close_cut(cut);
+    }
+
+    /// Ends both recovery procedures: [`settle_cut`] over the hosts `cut`
+    /// holds a payload for (by host index), each replay counted and traced.
+    fn close_cut(&mut self, cut: Vec<Option<CheckpointPayload>>) {
+        let hosts = self.hosts.iter_mut().zip(cut);
+        let cut = hosts.filter_map(|(h, p)| Some((h, p?))).collect();
+        let (replays, verdicts) = settle_cut(cut, self.topology.active, self.global_validated);
+        self.metrics.messages_replayed += replays.len() as u64;
+        for (pid, env) in replays {
+            let actor = self.slots[self.index_of_pid(pid).expect("in the cut")].actor;
+            self.sim
+                .record_with(actor, || ("msg.replay", env.to_string()));
+        }
+        self.verdicts.merge(verdicts);
     }
 
     /// The shadow takes over ([`ProcessHost::take_over`]) and re-sends the
@@ -405,9 +455,10 @@ impl System {
             .get_disjoint_mut([sdw, peer])
             .expect("shadow and peer are two hosts");
         let resend = shadow.take_over(peer);
+        let resend: Vec<_> = resend.into_iter().map(|e| shadow.note_send(e)).collect();
         self.metrics.messages_resent += resend.len() as u64;
         for env in resend {
-            self.send_from(sdw, env, now);
+            self.forward_send(sdw, env, now);
         }
     }
 
@@ -495,7 +546,7 @@ impl System {
 
         // Restore every live process from stable storage and gather the
         // restored cut for checking.
-        let mut restored_payloads: Vec<(usize, CheckpointPayload)> = Vec::new();
+        let mut cut = vec![None; self.hosts.len()];
         let mut resend: Vec<(usize, Arc<Envelope>)> = Vec::new();
         for i in 0..self.hosts.len() {
             if self.slots[i].liveness == Liveness::Retired {
@@ -561,51 +612,12 @@ impl System {
                     format!("stable state from {}", payload.state_time()),
                 )
             });
-            restored_payloads.push((i, payload));
+            cut[i] = Some(payload);
         }
 
-        // Replay receive logs attached to volatile-copy checkpoints into
-        // the restored cut (see `filter_replays`).
-        let restored_by_pid: Vec<(ProcessId, CheckpointPayload)> = restored_payloads
-            .iter()
-            .map(|(i, p)| (self.hosts[*i].pid, p.clone()))
-            .collect();
-        let replays = filter_replays(
-            &restored_by_pid,
-            self.topology.active,
-            self.global_validated,
-        );
-        for (pid, env) in replays {
-            let Some(i) = self.index_of_pid(pid) else {
-                continue;
-            };
-            if let MessageBody::Application { payload, .. } = &env.body {
-                self.hosts[i]
-                    .app
-                    .on_message(env.from(), env.id.seq, payload);
-                self.metrics.messages_replayed += 1;
-                self.sim
-                    .record_with(self.slots[i].actor, || ("msg.replay", env.to_string()));
-            }
-        }
-
-        // Check the restored cut (post-replay) before any realignment.
-        let restored: Vec<RestoredState> = restored_payloads
-            .iter()
-            .map(|(i, payload)| {
-                let mut p = payload.clone();
-                p.app = self.hosts[*i].app.snapshot().into();
-                RestoredState {
-                    pid: self.hosts[*i].pid,
-                    role: self.hosts[*i].engine.role(),
-                    synthetic_history: self.hosts[*i].synthetic_history,
-                    payload: p,
-                }
-            })
-            .collect();
-        let checker = GlobalChecker::new(self.topology.active);
-        let v = checker.check(&restored, self.global_validated);
-        self.verdicts.merge(v);
+        // Replay the receive logs attached to volatile-copy checkpoints
+        // and check the cut, before any resend or realignment.
+        self.close_cut(cut);
 
         // Re-send saved unacknowledged messages (the TB recoverability
         // rule).
@@ -931,6 +943,18 @@ mod tests {
         assert!(out.is_empty(), "{out:?}");
     }
 
+    /// A restored cut of the given payloads, every process in the role of
+    /// `P2`.
+    fn cut<const N: usize>(payloads: [(ProcessId, CheckpointPayload); N]) -> Vec<RestoredState> {
+        let state = |(pid, payload)| RestoredState {
+            pid,
+            role: ProcessRole::Peer,
+            synthetic_history: false,
+            payload,
+        };
+        payloads.into_iter().map(state).collect()
+    }
+
     #[test]
     fn replay_keeps_only_sent_reflected_entries() {
         // P2's receive log holds three messages from the active; the
@@ -955,7 +979,7 @@ mod tests {
         .into_iter()
         .map(Arc::new)
         .collect();
-        let restored = vec![(ACT, act), (PEER, p2)];
+        let restored = cut([(ACT, act), (PEER, p2)]);
         let replays = filter_replays(&restored, ACT, MsgSeqNo(2));
         let seqs: Vec<u64> = replays.iter().map(|(_, e)| e.id.seq.0).collect();
         assert_eq!(seqs, vec![1, 2]);
@@ -975,7 +999,7 @@ mod tests {
         .into();
         let mut act = payload_at(10);
         act.replay = vec![Arc::new(app_env(PEER, 5, ACT))];
-        let restored = vec![(ACT, act), (PEER, peer)];
+        let restored = cut([(ACT, act), (PEER, peer)]);
         let replays = filter_replays(&restored, ACT, MsgSeqNo(0));
         assert_eq!(replays.len(), 1);
         assert_eq!(replays[0].0, ACT);

@@ -524,10 +524,12 @@ impl Shared {
     /// Asks the connector to (re)establish `addr` unless it is already
     /// pending or dead.
     fn request_connect(&self, addr: SocketAddr) {
+        // Checked under the jobs lock, which a give-up holds while it
+        // declares the address dead (see `connector_loop`).
+        let mut jobs = self.jobs.lock().expect("jobs lock");
         if self.is_dead(addr) {
             return;
         }
-        let mut jobs = self.jobs.lock().expect("jobs lock");
         jobs.entry(addr).or_insert_with(|| ConnectJob {
             backoff: self.policy.reconnect.backoff_for(addr),
             next_at: Instant::now(),
@@ -1477,13 +1479,17 @@ fn connector_loop(shared: Arc<Shared>) {
                 match job.backoff.next_delay() {
                     Some(delay) => job.next_at = Instant::now() + delay,
                     None => {
+                        // Dead before the jobs lock drops: a request in
+                        // between would queue a fresh job, whose own
+                        // give-up could land after `set_route` revived the
+                        // address and purge the revived route's first frame.
                         jobs.remove(&addr);
-                        drop(jobs);
                         {
                             let mut dead = shared.dead.lock().expect("dead lock");
                             dead.insert(addr);
                             shared.dead_len.store(dead.len(), Ordering::Relaxed);
                         }
+                        drop(jobs);
                         shared.purge_rings_for(addr);
                         // The owning shard folds any staged frames in on
                         // its next sweep.
@@ -2001,7 +2007,15 @@ mod tests {
         let rx = late.register(p2);
         a.set_route(p2, addr);
         a.send(env(p2, 3, vec![3]));
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap().id.seq.0, 3);
+        // On a timeout the counters tell a dropped frame from a slow one.
+        let got = rx.recv_timeout(Duration::from_secs(5)).ok();
+        assert_eq!(
+            got.map(|e| e.id.seq.0),
+            Some(3),
+            "sender {:?}, receiver {:?}",
+            a.stats(),
+            late.stats()
+        );
         a.shutdown();
         late.shutdown();
     }
