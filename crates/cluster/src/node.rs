@@ -706,7 +706,7 @@ mod tests {
             for action in &self.out {
                 match action {
                     HostAction::StableCommitted { .. } => self.stable_commits += 1,
-                    HostAction::StableReplaced => self.stable_replacements += 1,
+                    HostAction::StableReplaced { .. } => self.stable_replacements += 1,
                     _ => {}
                 }
             }

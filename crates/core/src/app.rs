@@ -6,7 +6,7 @@
 //! stay bit-identical and global-state checkers can reconstruct exactly
 //! which messages a recovered state reflects (DESIGN.md §2).
 
-use synergy_codec::codec_struct;
+use synergy_codec::{codec_struct, Codec};
 use synergy_net::{MsgSeqNo, ProcessId};
 
 /// The behaviour the protocol stack requires of a hosted application.
@@ -89,6 +89,15 @@ codec_struct!(CounterState {
     received
 });
 
+/// A [`CounterState`] as of a volatile checkpoint: its scalars and how many
+/// receipts it reflects. Receipts are only appended until the next restore,
+/// so the live list's prefix is the rest of the state.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct CounterMark {
+    scalars: [u64; 4],
+    receipts: usize,
+}
+
 /// A deterministic counter application with checksummed external messages
 /// and an injectable design fault.
 ///
@@ -135,6 +144,24 @@ impl CounterApp {
     /// Read access to the full state (checkers use this).
     pub fn state(&self) -> &CounterState {
         &self.state
+    }
+
+    /// Marks the current state: O(1), nothing copied.
+    pub(crate) fn mark(&self) -> CounterMark {
+        let s = &self.state;
+        CounterMark {
+            scalars: [s.steps, s.acc, s.internals_produced, s.externals_produced],
+            receipts: s.received.len(),
+        }
+    }
+
+    /// Encodes the state `mark` recorded into `out`, replacing what it held:
+    /// the bytes [`snapshot`](Application::snapshot) gave at that instant.
+    pub(crate) fn image_at(&self, mark: &CounterMark, out: &mut Vec<u8>) {
+        out.clear();
+        // The scalars, then the receipts as a list: its length, its records.
+        (mark.scalars, mark.receipts).encode(out);
+        ReceiptRecord::encode_slice(&self.state.received[..mark.receipts], out);
     }
 
     /// Decodes a snapshot back into a state (for checkers inspecting
@@ -307,6 +334,20 @@ mod tests {
             .map(|r| (r.from.0, r.seq.0))
             .collect();
         assert_eq!(got, vec![(1, 5), (3, 1)]);
+    }
+
+    #[test]
+    fn a_mark_images_the_state_it_was_taken_of() {
+        let mut app = CounterApp::new(6);
+        app.on_message(ProcessId(3), MsgSeqNo(1), &[1]);
+        let (mark, then) = (app.mark(), app.snapshot());
+        app.produce_internal();
+        app.on_message(ProcessId(3), MsgSeqNo(2), &[2]);
+        let mut image = vec![0xAA];
+        app.image_at(&mark, &mut image);
+        assert_eq!(image, then);
+        app.image_at(&app.mark(), &mut image);
+        assert_eq!(image, app.snapshot());
     }
 
     #[test]

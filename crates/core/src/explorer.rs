@@ -123,13 +123,17 @@ impl ExpState {
 
     /// The exact deduplication key: every host's state, then every link.
     fn fingerprint(&self) -> Box<[u8]> {
-        let mut key = Vec::new();
+        let (mut key, mut scratch) = (Vec::new(), Vec::new());
         for h in &self.hosts {
             h.engine.snapshot().encode(&mut key);
             h.app.state().encode(&mut key);
             h.sent_log.encode(&mut key);
             h.acks.unacked_shared().encode(&mut key);
-            h.volatile_image.encode(&mut key);
+            (h.marks.len() as u64).encode(&mut key);
+            for mark in &h.marks {
+                mark.payload(&h.app, &h.sent_log, &mut scratch)
+                    .encode(&mut key);
+            }
         }
         for (from, to, q) in &self.links {
             (from.0, to.0, q.len() as u64).encode(&mut key);
@@ -239,7 +243,7 @@ impl ExpState {
 
     fn check_checkpoint_cleanliness(&self, violations: &mut Vec<String>) {
         for host in &self.hosts[1..] {
-            if host.volatile_image.as_ref().is_some_and(|v| v.engine.dirty) {
+            if host.marks.first().is_some_and(|m| m.engine.dirty) {
                 violations.push(format!(
                     "{} checkpoint captured a dirty control state",
                     process_name(host.pid)
@@ -479,6 +483,21 @@ mod tests {
         assert!(violations.is_empty(), "{violations:?}");
     }
 
+    /// `P1act`'s kept pseudo checkpoints are state: two states that differ
+    /// only in them recover to different lines once a `passed_AT` crosses.
+    #[test]
+    fn the_fingerprint_holds_p1acts_kept_checkpoints() {
+        let mut state = ExpState::new();
+        let mut violations = Vec::new();
+        for _ in 0..2 {
+            state.run_step(Step::Component1 { external: false }, &mut violations);
+        }
+        assert_eq!(state.hosts[0].marks.len(), 2, "the line and one kept");
+        let mut fewer = state.clone();
+        fewer.hosts[0].marks.pop();
+        assert_ne!(state.fingerprint(), fewer.fingerprint());
+    }
+
     #[test]
     fn truncation_is_reported() {
         let report = explore(&default_scenario(), 10);
@@ -526,12 +545,12 @@ mod tests {
         fires(&clean, "P2 clean while reflecting 1 ");
 
         let mut dirty_ckpt = holds.clone();
-        let image = dirty_ckpt.hosts[2].volatile_image.as_mut();
-        image.expect("P2 checkpointed").engine.dirty = true;
+        let mark = dirty_ckpt.hosts[2].marks.first_mut();
+        mark.expect("P2 checkpointed").engine.dirty = true;
         fires(&dirty_ckpt, "P2 checkpoint captured a dirty control state");
 
         let mut no_ckpt = holds.clone();
-        no_ckpt.hosts[2].volatile_image = None;
+        no_ckpt.hosts[2].marks.clear();
         fires(&no_ckpt, "P2 must roll back but has no checkpoint");
 
         // The shadow holds a planted P1act receipt: recovery leaves a clean

@@ -14,6 +14,7 @@ use synergy_clocks::LocalTime;
 use synergy_des::{ActorId, SimTime};
 use synergy_net::{Endpoint, Envelope, MessageBody, MsgId, ProcessId};
 use synergy_storage::Stable;
+use synergy_tb::ContentsChoice;
 
 use crate::app::Application;
 use crate::faults::{CrashKind, NodeId};
@@ -287,13 +288,15 @@ impl System {
                         )
                     });
                 }
-                HostAction::StableReplaced => {
+                HostAction::StableReplaced { contents } => {
                     self.metrics.stable_replacements += 1;
-                    self.sim.record(
-                        self.slots[i].actor,
-                        "tb.replace",
-                        "dirty cleared in blocking: switch to current state",
-                    );
+                    let detail = match contents {
+                        ContentsChoice::CurrentState => {
+                            "dirty cleared in blocking: switch to current state"
+                        }
+                        ContentsChoice::VolatileCopy => "line moved in blocking: switch to it",
+                    };
+                    self.sim.record(self.slots[i].actor, "tb.replace", detail);
                 }
                 HostAction::StableCommitted { ndc } => {
                     self.metrics.stable_commits += 1;

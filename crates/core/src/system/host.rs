@@ -16,6 +16,7 @@
 //! in the same way, so an event allocates for what it produces (envelopes,
 //! checkpoint images), never for the lists that carry it.
 
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -31,7 +32,7 @@ use synergy_net::{
 use synergy_storage::{Checkpoint, Stable, StableStore};
 use synergy_tb::{Action as TbAction, ContentsChoice, Event as TbEvent, TbConfig, TbEngine};
 
-use crate::app::{Application, CounterApp};
+use crate::app::{Application, CounterApp, CounterMark};
 use crate::config::Scheme;
 use crate::faults::NodeId;
 use crate::payload::{CheckpointPayload, SentRecord};
@@ -148,9 +149,13 @@ pub enum HostAction {
         /// current state (cannot happen through the engines).
         fallback: bool,
     },
-    /// The in-flight stable write was replaced with the current state
-    /// (dirty bit cleared inside the blocking period).
-    StableReplaced,
+    /// The in-flight stable write was rebuilt because the recovery line
+    /// moved inside the blocking period.
+    StableReplaced {
+        /// What the line now names: the current state (the dirty bit
+        /// cleared) or a later volatile checkpoint (`P1act`).
+        contents: ContentsChoice,
+    },
     /// The in-flight stable write committed.
     StableCommitted {
         /// The committed epoch (`Ndc`).
@@ -201,6 +206,44 @@ enum PendingStable {
     Discard(u64),
 }
 
+/// A volatile checkpoint: where the host's append-only logs stood when it
+/// was taken. Taking one copies nothing; its image and sent list are built
+/// from the live logs on first read. That is exact because the logs only
+/// grow until a restore, and a restore installs the line's own state or
+/// drops every mark.
+#[derive(Clone, Debug)]
+pub(crate) struct Mark {
+    app: CounterMark,
+    sent: usize,
+    pub(crate) engine: EngineSnapshot,
+    state_time: SimTime,
+    /// Where the receipts delivered since this checkpoint start in the
+    /// receive log.
+    recv: usize,
+    built: OnceCell<Built>,
+}
+
+/// A mark's application image and sent list.
+type Built = (Arc<[u8]>, Arc<[SentRecord]>);
+
+impl Mark {
+    /// This checkpoint's payload, read off the host's live `app` and
+    /// `sent_log` (the image is encoded through `scratch` on first read).
+    pub(crate) fn payload(
+        &self,
+        app: &CounterApp,
+        sent_log: &[SentRecord],
+        scratch: &mut Vec<u8>,
+    ) -> CheckpointPayload {
+        let (image, sent) = self.built.get_or_init(|| {
+            app.image_at(&self.app, scratch);
+            (scratch.as_slice().into(), sent_log[..self.sent].into())
+        });
+        let (image, sent, engine) = (Arc::clone(image), Arc::clone(sent), self.engine.clone());
+        CheckpointPayload::new(image, engine, Vec::new(), sent, self.state_time)
+    }
+}
+
 /// One process: application + MDCD engine + optional TB engine + stores.
 /// The simulator keeps the in-memory [`StableStore`]; the live runtimes
 /// bring a durable backend through [`with_stable`](Self::with_stable).
@@ -241,9 +284,10 @@ pub struct ProcessHost<S: Stable = StableStore> {
     /// transfer (shadow refresh); message-history checks then no longer
     /// apply to it.
     pub synthetic_history: bool,
-    /// Application messages delivered since the last volatile checkpoint;
-    /// attached to volatile-copy stable writes so recovery can replay
-    /// receipts the copied state predates (DESIGN.md §8, decision 5).
+    /// Application messages delivered since the volatile line was taken;
+    /// the receipts after the copied checkpoint ride on a volatile-copy
+    /// stable write, so recovery can replay what the copied state predates
+    /// (DESIGN.md §8, decision 5).
     pub recv_log: Vec<Arc<Envelope>>,
     /// The delivery being stepped: the receive log keeps its allocation if
     /// the engine releases it in the same step.
@@ -255,14 +299,12 @@ pub struct ProcessHost<S: Stable = StableStore> {
     /// Mirrors the driver's trace switch: when false, the host neither
     /// formats trace details nor emits [`HostAction::Record`] at all.
     tracing: bool,
-    /// Shared snapshot of `sent_log`, built lazily and invalidated on every
-    /// append, so back-to-back checkpoints bundle the same buffer.
-    sent_snapshot: Option<Arc<[SentRecord]>>,
-    /// The latest volatile checkpoint, wiped by crashes. RAM holds the
-    /// payload itself: nothing reads a volatile checkpoint back from bytes,
-    /// so it is never serialized. The adapted-TB dirty copy and volatile
-    /// rollback share its buffers.
-    pub(crate) volatile_image: Option<CheckpointPayload>,
+    /// Volatile checkpoints, oldest first, wiped by crashes. The first is
+    /// the line a volatile copy or a local rollback restores; `P1act` keeps
+    /// the later ones in case a `passed_AT` moves its line (DESIGN.md §8,
+    /// decision 10). Nothing reads one back from bytes, so none is ever
+    /// serialized.
+    pub(crate) marks: Vec<Mark>,
     /// Reusable serialization buffer: the application image is encoded
     /// here and copied once into its shared buffer.
     scratch: Vec<u8>,
@@ -350,8 +392,7 @@ impl<S: Stable> ProcessHost<S> {
             delivered: 0,
             scheme,
             tracing: true,
-            sent_snapshot: None,
-            volatile_image: None,
+            marks: Vec::new(),
             scratch: Vec::new(),
             mdcd_actions: Vec::new(),
             tb_actions: Vec::new(),
@@ -379,41 +420,37 @@ impl<S: Stable> ProcessHost<S> {
         self.tracing = on;
     }
 
-    /// A shared view of the sent log, reused until the next append.
-    pub(crate) fn sent_shared(&mut self) -> Arc<[SentRecord]> {
-        self.sent_snapshot
-            .get_or_insert_with(|| self.sent_log.as_slice().into())
-            .clone()
-    }
-
-    /// Installs a recovered payload's application, engine and sent log
-    /// (adopting its shared buffer as the snapshot). Returns the receive
-    /// log, whose receipts the installed state predates.
+    /// Installs a recovered payload's application, engine and sent log.
+    /// Returns the receive log, whose receipts the installed state predates.
     pub(crate) fn install(&mut self, payload: &CheckpointPayload) -> Vec<Arc<Envelope>> {
         self.app.restore(&payload.app);
         self.engine.restore(&payload.engine);
         self.sent_log = payload.sent.to_vec();
-        self.sent_snapshot = Some(Arc::clone(&payload.sent));
         std::mem::take(&mut self.recv_log)
     }
 
-    /// The application state, encoded through the scratch buffer into a
-    /// shared one of exactly its size.
-    fn app_image(&mut self) -> Arc<[u8]> {
+    /// A checkpoint payload of the current state at `now`, the image
+    /// encoded through the scratch buffer.
+    pub(crate) fn current_payload(&mut self, now: SimTime) -> CheckpointPayload {
         self.app.snapshot_into(&mut self.scratch);
-        self.scratch.as_slice().into()
+        let (engine, unacked) = (self.engine.snapshot(), self.acks.unacked_shared());
+        CheckpointPayload::new(&self.scratch[..], engine, unacked, &self.sent_log[..], now)
     }
 
-    /// A checkpoint payload of the current state at `now`.
-    pub(crate) fn current_payload(&mut self, now: SimTime) -> CheckpointPayload {
-        let sent = self.sent_shared();
-        CheckpointPayload::new(
-            self.app_image(),
-            self.engine.snapshot(),
-            self.acks.unacked_shared(),
-            sent,
-            now,
-        )
+    /// The volatile line's payload, if a checkpoint was taken.
+    pub(crate) fn line_payload(&mut self) -> Option<CheckpointPayload> {
+        let line = self.marks.first()?;
+        Some(line.payload(&self.app, &self.sent_log, &mut self.scratch))
+    }
+
+    /// The line a stable write begun now copies: while the checkpoint bit
+    /// is dirty, the `msg_sn` of the volatile line; `None` while it is
+    /// clean and the write takes the current state.
+    fn line(&self) -> Option<MsgSeqNo> {
+        let line = self.marks.first().map(|m| m.engine.msg_sn);
+        self.engine
+            .checkpoint_bit()
+            .then(|| line.unwrap_or_default())
     }
 
     /// Feeds one event, appending the effects the driver must apply, in
@@ -449,6 +486,39 @@ impl<S: Stable> ProcessHost<S> {
         self.engine.handle_into(event, &mut actions);
         self.apply_mdcd(&mut actions, now, out);
         self.mdcd_actions = actions;
+        self.follow_line(out);
+    }
+
+    /// `P1act`'s line follows its validated horizon (DESIGN.md §8, decision
+    /// 10): the kept checkpoints below it go, and the one taken at it is
+    /// the line, of a state now validated. A horizon that covers every send
+    /// leaves none.
+    fn follow_line(&mut self, out: &mut Vec<HostAction>) {
+        let RoleEngine::Active(engine) = &self.engine else {
+            return;
+        };
+        let horizon = engine.horizon();
+        let below = self.marks.partition_point(|m| m.engine.msg_sn < horizon);
+        if below == 0 {
+            return;
+        }
+        self.marks.drain(..below);
+        let Some(line) = self.marks.first_mut() else {
+            return;
+        };
+        debug_assert_eq!(line.engine.msg_sn, horizon, "a checkpoint per send");
+        line.engine.pseudo_dirty = Some(false);
+        let (recv, state_time) = (line.recv, line.state_time);
+        self.recv_log.drain(..recv);
+        for mark in &mut self.marks {
+            mark.recv -= recv;
+        }
+        if self.tracing {
+            out.push(HostAction::Record {
+                kind: "ckpt.line",
+                detail: format!("{horizon} validated: state from {state_time}"),
+            });
+        }
     }
 
     /// One TB engine step, likewise; nothing on a host without TB. Clock
@@ -472,7 +542,6 @@ impl<S: Stable> ProcessHost<S> {
         if let (MessageBody::Application { .. }, Endpoint::Process(p)) = (&env.body, env.to) {
             let seq = env.id.seq;
             self.sent_log.push(SentRecord { to: p, seq });
-            self.sent_snapshot = None; // the shared view is stale
             self.acks.on_send(Arc::clone(&env));
         }
         env
@@ -485,14 +554,15 @@ impl<S: Stable> ProcessHost<S> {
                 detail: env.to_string(),
             });
         }
-        let bit_before = self.engine.checkpoint_bit();
+        let line_before = self.line();
         // The engine takes its own copy; the receive log keeps the shared one.
         self.delivering = Some(Arc::clone(&env));
         self.engine_step(MdcdEvent::Deliver(Envelope::clone(&env)), now, out);
         self.delivering = None;
-        let cleared = bit_before && !self.engine.checkpoint_bit();
-        if cleared && self.tb.as_ref().is_some_and(TbEngine::is_blocking) {
-            self.tb_step(TbEvent::DirtyCleared, now, out);
+        let moved = line_before.is_some() && self.line() != line_before;
+        if moved && self.tb.as_ref().is_some_and(TbEngine::is_blocking) {
+            let dirty = self.engine.checkpoint_bit();
+            self.tb_step(TbEvent::LineMoved { dirty }, now, out);
         }
     }
 
@@ -607,16 +677,32 @@ impl<S: Stable> ProcessHost<S> {
         now: SimTime,
         out: &mut Vec<HostAction>,
     ) {
+        // A pseudo checkpoint of a pseudo-dirty state is kept behind the
+        // line in case a `passed_AT` moves the line to it (decision 10);
+        // every other checkpoint starts a line.
+        let kept = engine.pseudo_dirty == Some(true);
+        if !kept {
+            self.marks.clear();
+            self.recv_log.clear();
+        }
+        self.marks.push(Mark {
+            app: self.app.mark(),
+            sent: self.sent_log.len(),
+            engine,
+            state_time: now,
+            recv: self.recv_log.len(),
+            built: OnceCell::new(),
+        });
+        if kept {
+            return;
+        }
         self.volatile_seq += 1;
-        let sent = self.sent_shared();
-        let payload = CheckpointPayload::new(self.app_image(), engine, Vec::new(), sent, now);
-        self.recv_log.clear();
         out.push(HostAction::VolatileSaved { kind });
         // Write-through baseline: Type-2 checkpoints are persisted, with the
         // unacknowledged messages a stable checkpoint owes.
         if self.scheme == Scheme::WriteThrough && kind == CheckpointKind::Type2 {
             self.wt_stable_seq += 1;
-            let mut stable = payload.clone();
+            let mut stable = self.line_payload().expect("just taken");
             stable.unacked = self.acks.unacked_shared();
             let ckpt = stable.into_deferred_checkpoint(self.wt_stable_seq, "stable-type2");
             self.stable
@@ -625,7 +711,6 @@ impl<S: Stable> ProcessHost<S> {
             self.stable.commit_write().expect("just begun");
             out.push(HostAction::WriteThroughCommitted);
         }
-        self.volatile_image = Some(payload);
     }
 
     /// Applies and empties `actions`.
@@ -647,8 +732,9 @@ impl<S: Stable> ProcessHost<S> {
                         });
                     }
                 }
-                TbAction::ReplaceWithCurrentState => {
-                    let payload = self.current_payload(self.blocking_started_at.unwrap_or(now));
+                TbAction::ReplaceStableWrite { contents } => {
+                    let started = self.blocking_started_at.unwrap_or(now);
+                    let payload = self.stable_payload(contents, started);
                     let seq = self.tb.as_ref().map_or(0, |tb| tb.ndc().0) + 1;
                     let ckpt = payload.into_deferred_checkpoint(seq, "stable-replaced");
                     // A refused begin of this round is the queue's last
@@ -660,7 +746,7 @@ impl<S: Stable> ProcessHost<S> {
                     } else if self.stable.replace_in_progress(ckpt).is_err() {
                         continue;
                     }
-                    out.push(HostAction::StableReplaced);
+                    out.push(HostAction::StableReplaced { contents });
                 }
                 TbAction::CommitStableWrite { ndc } => {
                     self.blocking_started_at = None;
@@ -686,19 +772,10 @@ impl<S: Stable> ProcessHost<S> {
         now: SimTime,
         out: &mut Vec<HostAction>,
     ) {
-        let (payload, fallback) = match contents {
-            ContentsChoice::CurrentState => (self.current_payload(now), false),
-            ContentsChoice::VolatileCopy => match &self.volatile_image {
-                // The dirty copy is refcount bumps of the volatile payload.
-                Some(img) => (
-                    recovery::amend_volatile_copy(img.clone(), &self.acks, &self.recv_log),
-                    false,
-                ),
-                // Defensive: a dirty bit without a volatile checkpoint
-                // (cannot happen through the engines).
-                None => (self.current_payload(now), true),
-            },
-        };
+        // A dirty bit with no volatile checkpoint falls back to the current
+        // state (cannot happen through the engines).
+        let fallback = contents == ContentsChoice::VolatileCopy && self.marks.is_empty();
+        let payload = self.stable_payload(contents, now);
         let seq = self.tb.as_ref().map_or(0, |tb| tb.ndc().0) + 1;
         let label = match contents {
             ContentsChoice::CurrentState => "stable-current",
@@ -717,6 +794,19 @@ impl<S: Stable> ProcessHost<S> {
             expected_dirty,
             fallback,
         });
+    }
+
+    /// What a stable write of `contents` holds, at its begin and at a
+    /// replace alike: a copy of the volatile line amended for
+    /// recoverability (decisions 4 and 5), or else the current state as of
+    /// `at`.
+    fn stable_payload(&mut self, contents: ContentsChoice, at: SimTime) -> CheckpointPayload {
+        let copy = contents == ContentsChoice::VolatileCopy;
+        match copy.then(|| self.line_payload()).flatten() {
+            // The copy shares the line's buffers.
+            Some(line) => recovery::amend_volatile_copy(line, &self.acks, &self.recv_log),
+            None => self.current_payload(at),
+        }
     }
 
     /// The in-flight write is durable as epoch `ndc`: report it, hand MDCD

@@ -186,7 +186,7 @@ impl<S: Stable> ProcessHost<S> {
         if decision == RecoveryDecision::RollForward {
             return Some((decision, 0.0, Vec::new()));
         }
-        let payload = self.volatile_image.clone()?;
+        let payload = self.line_payload()?;
         let distance = now
             .saturating_duration_since(payload.state_time())
             .as_secs_f64();
@@ -331,7 +331,7 @@ impl<S: Stable> ProcessHost<S> {
         // checkpoints and receive logs belong to the abandoned timeline.
         self.install(&payload);
         self.acks.restore(payload.unacked.iter().map(Arc::clone));
-        self.volatile_image = None;
+        self.marks.clear();
         // The engine's restore leaves `Ndc` alone; align it with the
         // restored epoch, or every `passed_AT` until the next commit
         // compares stale. Then restart the TB timers.
@@ -478,7 +478,7 @@ impl System {
         });
         self.slots[i].liveness = Liveness::Down;
         let host = &mut self.hosts[i];
-        host.volatile_image = None;
+        host.marks.clear();
         if host.stable.is_writing() {
             self.metrics.torn_writes += 1;
         }
@@ -671,7 +671,7 @@ mod tests {
     use synergy_des::SimDuration;
     use synergy_net::MsgId;
     use synergy_storage::StableStore;
-    use synergy_tb::{TbConfig, TbVariant};
+    use synergy_tb::{ContentsChoice, TbConfig, TbVariant};
 
     const ACT: ProcessId = ProcessId(1);
     const SDW: ProcessId = ProcessId(2);
@@ -941,6 +941,66 @@ mod tests {
         let (epoch, _, out) = restore(&mut plain, 1);
         assert_eq!(epoch, Some(1));
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    /// ROADMAP item 0's crossing inside a blocking period (Fig. 6(b),
+    /// widened from "dirty bit cleared" to "line moved"): `P1act` has sent
+    /// `sn1..sn3` and copies its line, the state before `sn1`, when `P2`'s
+    /// `passed_AT` vouching for `sn2` lands. The line moves to the
+    /// checkpoint taken before `sn3`, and the in-flight record becomes that
+    /// state, validated; a notice at or below the horizon changes nothing.
+    #[test]
+    fn a_crossing_notice_in_blocking_makes_the_in_flight_record_the_new_line() {
+        let topology = Topology::canonical();
+        let app = CounterApp::new(SALT);
+        let (role, node) = (ProcessRole::Active, NodeId::P1Act);
+        let scheme = Scheme::Coordinated;
+        let mut h = ProcessHost::new(role, ACT, node, topology, scheme, app, Some(tb_config()));
+        let mut out = Vec::new();
+        for ms in 1..=3 {
+            let produce = HostEvent::Produce { external: false };
+            h.handle_into(produce, SimTime::from_nanos(ms * 1_000_000), &mut out);
+        }
+        let deadline = h.tb.as_ref().unwrap().next_deadline();
+        let timer = HostEvent::TimerExpired { deadline };
+        h.handle_into(timer, SimTime::from_secs_f64(1.0), &mut out);
+        let in_flight = |h: &ProcessHost| {
+            CheckpointPayload::from_checkpoint(h.stable.in_progress().unwrap()).unwrap()
+        };
+        assert_eq!(in_flight(&h).engine.msg_sn, MsgSeqNo(0), "the first line");
+        let notice = |msg_sn| {
+            let id = MsgId {
+                from: PEER,
+                seq: MsgSeqNo(1 << 63 | msg_sn),
+            };
+            let body = MessageBody::PassedAt {
+                msg_sn: MsgSeqNo(msg_sn),
+                ndc: CkptSeqNo(0),
+            };
+            HostEvent::Deliver(Arc::new(Envelope::new(id, ACT, body)))
+        };
+        out.clear();
+        h.handle_into(notice(2), SimTime::from_secs_f64(1.0), &mut out);
+        let replaced = out.iter().filter(|a| {
+            let copy = ContentsChoice::VolatileCopy;
+            matches!(a, HostAction::StableReplaced { contents } if *contents == copy)
+        });
+        assert_eq!(replaced.count(), 1, "{out:?}");
+        assert!(h.engine.checkpoint_bit(), "sn3 is still unvalidated");
+        let line = in_flight(&h);
+        assert_eq!(line.engine.msg_sn, MsgSeqNo(2));
+        assert_eq!(line.engine.pseudo_dirty, Some(false), "validated");
+        assert_eq!(line.state_time(), SimTime::from_nanos(3_000_000));
+        let sent: Vec<u64> = line.sent.iter().map(|r| r.seq.0).collect();
+        assert_eq!(sent, [1, 2]);
+        let unacked: Vec<u64> = line.unacked.iter().map(|e| e.id.seq.0).collect();
+        assert_eq!(unacked, [1, 2], "sn3 is beyond the copied state");
+        for stale in [2, 1] {
+            out.clear();
+            h.handle_into(notice(stale), SimTime::from_secs_f64(1.0), &mut out);
+            assert!(out.iter().all(|a| matches!(a, HostAction::Record { .. })));
+            assert_eq!(in_flight(&h), line);
+        }
     }
 
     /// A restored cut of the given payloads, every process in the role of

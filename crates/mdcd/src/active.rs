@@ -11,9 +11,12 @@ use crate::types::{CheckpointKind, MdcdConfig, Variant};
 /// The engine hosted next to the low-confidence active version `P1act`.
 ///
 /// `P1act`'s dirty bit is constantly 1 during guarded operation; under the
-/// modified protocol it additionally maintains a *pseudo dirty bit* that is
-/// cleared on every validation and set right before the first internal send
-/// after a validation, driving its *pseudo checkpoints* (paper §3).
+/// modified protocol it additionally keeps a *validated horizon*, the
+/// highest of its sequence numbers known valid, and its *pseudo dirty bit*
+/// is `msg_sn > horizon` (paper §3). A *pseudo checkpoint* precedes every
+/// internal send: the one taken while clean starts the recovery line, the
+/// later ones are kept so that a `passed_AT` vouching for only part of the
+/// sends can move the line to the checkpoint taken at its horizon.
 ///
 /// # Example
 ///
@@ -27,7 +30,7 @@ use crate::types::{CheckpointKind, MdcdConfig, Variant};
 ///     ProcessId(2), // shadow
 ///     ProcessId(3), // peer
 /// );
-/// // First internal send after a validation point: pseudo checkpoint first.
+/// // An internal send: pseudo checkpoint first.
 /// let mut actions = Vec::new();
 /// p1.handle_into(
 ///     Event::AppSend(OutboundMessage {
@@ -46,7 +49,7 @@ pub struct ActiveEngine {
     core: Core,
     shadow: ProcessId,
     peer: ProcessId,
-    pseudo_dirty: bool,
+    horizon: MsgSeqNo,
     halted: bool,
 }
 
@@ -58,7 +61,7 @@ impl ActiveEngine {
             core: Core::new(cfg, id, true),
             shadow,
             peer,
-            pseudo_dirty: false,
+            horizon: MsgSeqNo(0),
             halted: false,
         }
     }
@@ -68,9 +71,17 @@ impl ActiveEngine {
         true
     }
 
-    /// The pseudo dirty bit (meaningful under [`Variant::Modified`] only).
+    /// The pseudo dirty bit, `msg_sn > horizon` (meaningful under
+    /// [`Variant::Modified`] only, and 0 under the original protocol).
     pub fn pseudo_dirty_bit(&self) -> bool {
-        self.pseudo_dirty
+        self.core.cfg.variant == Variant::Modified && self.core.msg_sn > self.horizon
+    }
+
+    /// The validated horizon: every send up to it is known valid. While
+    /// the engine is pseudo-dirty, its recovery line is the pseudo
+    /// checkpoint taken at this `msg_sn`, before send `horizon + 1`.
+    pub fn horizon(&self) -> MsgSeqNo {
+        self.horizon
     }
 
     /// The bit the adapted TB protocol consults when choosing checkpoint
@@ -78,7 +89,7 @@ impl ActiveEngine {
     /// pseudo dirty bit).
     pub fn checkpoint_bit(&self) -> bool {
         match self.core.cfg.variant {
-            Variant::Modified => self.pseudo_dirty,
+            Variant::Modified => self.pseudo_dirty_bit(),
             Variant::Original => true,
         }
     }
@@ -98,21 +109,23 @@ impl ActiveEngine {
         self.core.at_runs
     }
 
-    /// Captures the engine control state for a checkpoint.
+    /// Captures the engine control state for a checkpoint, the pseudo
+    /// dirty bit derived from the horizon.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
-            pseudo_dirty: Some(self.pseudo_dirty),
+            pseudo_dirty: Some(self.pseudo_dirty_bit()),
             ..self.core.snapshot()
         }
     }
 
     /// Restores control state from a checkpoint (`ndc` is deliberately not
-    /// restored — see [`EngineSnapshot`]). Blocking context and held traffic
-    /// are discarded; the engine resumes un-halted.
+    /// restored — see [`EngineSnapshot`]). A restored state is a recovery
+    /// line, so the horizon is its `msg_sn`. Blocking context and held
+    /// traffic are discarded; the engine resumes un-halted.
     pub fn restore(&mut self, snapshot: &EngineSnapshot) {
         self.core.restore(snapshot);
         self.core.dirty = true; // even from the initial state's snapshot
-        self.pseudo_dirty = snapshot.pseudo_dirty.unwrap_or(false);
+        self.horizon = snapshot.msg_sn;
         self.halted = false;
     }
 
@@ -149,6 +162,10 @@ impl Role for ActiveEngine {
             }
             self.validated(self.core.msg_sn, out);
             out.push(Action::Send(self.core.number(m.to, m.payload, true)));
+            if self.core.cfg.variant == Variant::Modified {
+                // The AT vouches for the external message too.
+                self.horizon = self.core.msg_sn;
+            }
             // Broadcast `passed_AT` with the validated sequence number and
             // the local Ndc.
             for dest in [self.shadow, self.peer] {
@@ -156,23 +173,24 @@ impl Role for ActiveEngine {
             }
             return;
         }
-        if self.core.cfg.variant == Variant::Modified && !self.pseudo_dirty {
-            // First internal message since the last validation: establish the
-            // pseudo checkpoint *before* the send so it is consistent with
-            // the Type-1 checkpoint the receiver takes before reading it.
+        if self.core.cfg.variant == Variant::Modified {
+            // The pseudo checkpoint goes *before* the send, so it is
+            // consistent with the Type-1 checkpoint the receiver takes
+            // before reading it; one before each send gives every horizon
+            // a `passed_AT` may name its line.
             out.push(self.checkpoint(CheckpointKind::Pseudo));
-            self.pseudo_dirty = true;
         }
         out.push(Action::Send(self.core.number(m.to, m.payload, false)));
     }
 
     /// A validation — its own AT passing or an admitted `passed_AT` —
-    /// clears the pseudo dirty bit, not the dirty bit; the validated
-    /// `msg_sn` is not read. The write-through baseline instead takes a
+    /// moves the horizon up to the vouched `msg_sn` (never past the
+    /// engine's own); one at or below the horizon changes nothing. The
+    /// dirty bit stays 1. The write-through baseline instead takes a
     /// Type-2 checkpoint, so `P1act`, too, has something to persist.
-    fn validated(&mut self, _msg_sn: MsgSeqNo, out: &mut Vec<Action>) {
+    fn validated(&mut self, msg_sn: MsgSeqNo, out: &mut Vec<Action>) {
         if self.core.cfg.variant == Variant::Modified {
-            self.pseudo_dirty = false;
+            self.horizon = self.horizon.max(msg_sn.min(self.core.msg_sn));
         } else if self.core.cfg.active_type2 {
             out.push(self.checkpoint(CheckpointKind::Type2));
         }
@@ -205,37 +223,75 @@ mod tests {
         testkit::passed_at(PEER, SELF, sn, ndc)
     }
 
-    #[test]
-    fn pseudo_checkpoint_only_before_first_internal_send() {
-        let mut e = engine(MdcdConfig::modified());
-        assert!(!e.pseudo_dirty_bit());
-        let first = feed(&mut e, internal(1));
-        assert!(matches!(
-            first[0],
+    /// The `msg_sn` and pseudo bit of the pseudo checkpoint `actions`
+    /// open with.
+    fn pseudo(actions: &[Action]) -> (MsgSeqNo, Option<bool>) {
+        match &actions[0] {
             Action::TakeCheckpoint {
                 kind: CheckpointKind::Pseudo,
-                ..
-            }
-        ));
-        assert!(e.pseudo_dirty_bit());
-        // Second internal send: no new checkpoint.
-        let second = feed(&mut e, internal(2));
-        assert_eq!(second.len(), 1);
-        assert!(second[0].is_send());
+                engine,
+            } => (engine.msg_sn, engine.pseudo_dirty),
+            other => panic!("expected a pseudo checkpoint, got {other:?}"),
+        }
     }
 
     #[test]
     fn pseudo_checkpoint_snapshot_predates_the_send() {
         let mut e = engine(MdcdConfig::modified());
         let actions = feed(&mut e, internal(1));
-        match &actions[0] {
-            Action::TakeCheckpoint { engine, .. } => {
-                assert_eq!(engine.pseudo_dirty, Some(false), "snapshot is pre-send");
-                assert_eq!(engine.msg_sn, MsgSeqNo(0));
-            }
-            other => panic!("expected checkpoint, got {other:?}"),
-        }
+        assert_eq!(pseudo(&actions), (MsgSeqNo(0), Some(false)), "pre-send");
         assert_eq!(e.msg_sn(), MsgSeqNo(1));
+    }
+
+    #[test]
+    fn a_pseudo_checkpoint_precedes_every_internal_send() {
+        let mut e = engine(MdcdConfig::modified());
+        assert!(!e.pseudo_dirty_bit());
+        // The first one is of a clean state and starts the line (above);
+        // the next ones reflect unvalidated sends and are kept behind it.
+        feed(&mut e, internal(1));
+        assert!(e.pseudo_dirty_bit());
+        for sn in 1..3 {
+            let next = feed(&mut e, internal(2));
+            assert_eq!(next.len(), 2);
+            assert_eq!(pseudo(&next), (MsgSeqNo(sn), Some(true)));
+            assert!(next[1].is_send());
+        }
+        assert_eq!(e.horizon(), MsgSeqNo(0));
+    }
+
+    /// ROADMAP item 0's crossing: `P2` vouches for `sn1` while `P1act` has
+    /// sent up to `sn3`. The engine stays pseudo-dirty, and its line is the
+    /// checkpoint taken before `sn2`, whose snapshot is at `sn1`.
+    #[test]
+    fn a_passed_at_below_msg_sn_moves_the_line_and_stays_pseudo_dirty() {
+        let mut e = engine(MdcdConfig::modified());
+        let checkpoints: Vec<_> = (1..=3)
+            .map(|p| pseudo(&feed(&mut e, internal(p))))
+            .collect();
+        assert!(feed(&mut e, passed_at(0, 1)).is_empty());
+        assert!(e.pseudo_dirty_bit(), "sn2 and sn3 are still unvalidated");
+        assert_eq!(e.horizon(), MsgSeqNo(1));
+        let line = checkpoints.iter().find(|(sn, _)| *sn == e.horizon());
+        assert_eq!(line, Some(&(MsgSeqNo(1), Some(true))), "taken before sn2");
+        // A notice at or below the horizon changes nothing.
+        for stale in [1, 0] {
+            feed(&mut e, passed_at(0, stale));
+            assert_eq!(e.horizon(), MsgSeqNo(1), "passed_AT({stale})");
+            assert!(e.pseudo_dirty_bit());
+        }
+        // One that covers the engine's own msg_sn clears the bit; so does
+        // its own AT pass, which also vouches for the external message.
+        feed(&mut e, passed_at(0, 3));
+        assert!(!e.pseudo_dirty_bit());
+        feed(&mut e, internal(4));
+        feed(&mut e, external(true));
+        assert_eq!((e.msg_sn(), e.horizon()), (MsgSeqNo(5), MsgSeqNo(5)));
+        assert!(!e.pseudo_dirty_bit());
+        // A notice can never vouch past the engine's own numbering.
+        feed(&mut e, internal(5));
+        feed(&mut e, passed_at(0, 99));
+        assert_eq!(e.horizon(), MsgSeqNo(6));
     }
 
     #[test]
@@ -371,6 +427,7 @@ mod tests {
         e.restore(&snap);
         assert!(!e.pseudo_dirty_bit());
         assert_eq!(e.msg_sn(), MsgSeqNo(0));
+        assert_eq!(e.horizon(), MsgSeqNo(0), "a restored state is a line");
         // Ndc survives the rollback: next matching passed_AT still works.
         feed(&mut e, internal(1));
         feed(&mut e, passed_at(5, 1));

@@ -386,6 +386,22 @@ mod tests {
         assert!(!e.dirty_bit());
     }
 
+    /// Under the original protocol a promoted shadow's own validation takes
+    /// no Type-2 checkpoint, unlike `P2`'s
+    /// (`peer::tests::original_variant_type2_on_own_at_pass`): it runs the
+    /// AT, clears its bit and vouches for its message, nothing more.
+    #[test]
+    fn promoted_shadow_takes_no_type2_on_its_own_validation() {
+        let mut e = engine(MdcdConfig::original());
+        e.take_over();
+        feed(&mut e, from_peer(1, true));
+        let actions = feed(&mut e, app_send(1, true));
+        assert!(matches!(actions[0], Action::AtPerformed { pass: true }));
+        assert!(!actions.iter().any(Action::is_checkpoint), "{actions:?}");
+        assert_eq!(actions.iter().filter(|a| a.is_send()).count(), 2);
+        assert!(!e.dirty_bit());
+    }
+
     #[test]
     fn blocking_holds_app_but_not_passed_at_in_modified() {
         let mut e = engine(MdcdConfig::modified());

@@ -246,8 +246,11 @@ fn shadow_engine_invariants() {
     }
 }
 
-/// Active invariants: a pseudo checkpoint appears exactly when the
-/// pseudo bit transitions 0→1, and its snapshot predates the send.
+/// Active invariants: a pseudo checkpoint precedes every internal send and
+/// predates it, its pseudo bit says whether it was taken above the
+/// validated horizon, and the horizon only rises, never past `msg_sn`.
+/// Notices vouch for a random sequence number up to one past the engine's
+/// own, so crossings (ROADMAP item 0) and stale notices both occur.
 #[test]
 fn active_engine_invariants() {
     let mut rng = DetRng::new(0xE1).stream("active-invariants");
@@ -256,11 +259,15 @@ fn active_engine_invariants() {
         let mut engine = ActiveEngine::new(MdcdConfig::modified(), ACT, SDW, PEER);
         let mut driver = Driver::new();
         for stim in &stims {
-            let Some(event) = driver.event(stim, PEER) else {
+            let Some(mut event) = driver.event(stim, PEER) else {
                 continue;
             };
-            let batched = matches!(event, Event::BlockingEnded);
-            let pseudo_before = engine.pseudo_dirty_bit();
+            if let Event::Deliver(env) = &mut event {
+                if let MessageBody::PassedAt { msg_sn, .. } = &mut env.body {
+                    *msg_sn = MsgSeqNo(rng.gen_range(0..engine.msg_sn().0 + 2));
+                }
+            }
+            let horizon_before = engine.horizon();
             let halted_before = engine.is_halted();
             let actions = collect(|out| engine.handle_into(event, out));
             if halted_before {
@@ -270,34 +277,30 @@ fn active_engine_invariants() {
                 );
                 continue;
             }
-            let has_pseudo_ckpt = actions.iter().any(|a| {
-                matches!(
-                    a,
-                    Action::TakeCheckpoint {
-                        kind: CheckpointKind::Pseudo,
-                        ..
-                    }
-                )
+            for (i, action) in actions.iter().enumerate() {
+                let Action::TakeCheckpoint { kind, engine: snap } = action else {
+                    continue;
+                };
+                assert_eq!(*kind, CheckpointKind::Pseudo, "case={case}");
+                let Some(Action::Send(env)) = actions.get(i + 1) else {
+                    panic!("case={case}: a pseudo checkpoint precedes a send");
+                };
+                assert!(matches!(env.body, MessageBody::Application { .. }));
+                assert_eq!(env.id.seq, snap.msg_sn.next(), "case={case}: predates");
+                if !matches!(stim, Stim::BlockingEnd) {
+                    // A release can validate between held sends.
+                    let bit = Some(snap.msg_sn > horizon_before);
+                    assert_eq!(snap.pseudo_dirty, bit, "case={case}");
+                }
+            }
+            let sends = actions.iter().filter(|a| {
+                matches!(a, Action::Send(e) if matches!(e.body, MessageBody::Application { .. }))
             });
-            let transitioned = !pseudo_before && engine.pseudo_dirty_bit();
-            if !batched {
-                // A batched BlockingEnded release can both set and clear the
-                // pseudo bit; the iff relation holds per held event, not for
-                // the batch's endpoints.
-                assert_eq!(
-                    has_pseudo_ckpt, transitioned,
-                    "case={case}: pseudo checkpoint iff pseudo bit transition"
-                );
-            }
-            if let Some(Action::TakeCheckpoint { engine: snap, .. }) =
-                actions.iter().find(|a| a.is_checkpoint())
-            {
-                assert_eq!(
-                    snap.pseudo_dirty,
-                    Some(false),
-                    "case={case}: snapshot predates the send"
-                );
-            }
+            let checkpoints = actions.iter().filter(|a| a.is_checkpoint());
+            assert_eq!(sends.count(), checkpoints.count(), "case={case}");
+            let horizon = engine.horizon();
+            assert!(horizon_before <= horizon && horizon <= engine.msg_sn());
+            assert_eq!(engine.pseudo_dirty_bit(), engine.msg_sn() > horizon);
             assert!(engine.dirty_bit(), "case={case}: P1act is constantly dirty");
         }
     }

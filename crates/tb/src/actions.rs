@@ -38,10 +38,14 @@ pub enum Action {
         /// Length of the blocking period on the local clock.
         duration: SimDuration,
     },
-    /// Abort the in-flight copy and replace it with the current process
-    /// state (`write_disk`'s third argument): the dirty bit was cleared by a
-    /// `passed_AT` inside the blocking period.
-    ReplaceWithCurrentState,
+    /// Abort the in-flight copy and write `contents` instead, chosen as at
+    /// the begin (`write_disk`'s third argument, widened): the recovery
+    /// line moved inside the blocking period. The current state is taken
+    /// as of the period's start.
+    ReplaceStableWrite {
+        /// The contents the line now names.
+        contents: ContentsChoice,
+    },
     /// The blocking period is over: commit the stable write; the committed
     /// checkpoint's sequence number is `ndc`. The driver must notify the
     /// MDCD engine (`StableCheckpointCommitted(ndc)` then `BlockingEnded`).

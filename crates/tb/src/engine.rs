@@ -56,7 +56,6 @@ pub struct TbEngine {
     last_resync: LocalTime,
     in_blocking: bool,
     in_flight_expected_dirty: Option<bool>,
-    replaced: bool,
 }
 
 impl TbEngine {
@@ -70,7 +69,6 @@ impl TbEngine {
             last_resync: LocalTime::ZERO,
             in_blocking: false,
             in_flight_expected_dirty: None,
-            replaced: false,
         }
     }
 
@@ -106,7 +104,7 @@ impl TbEngine {
     pub fn handle_into(&mut self, event: Event, out: &mut Vec<Action>) {
         match event {
             Event::TimerExpired { now_local, dirty } => self.create_ckpt(now_local, dirty, out),
-            Event::DirtyCleared => self.dirty_cleared(out),
+            Event::LineMoved { dirty } => self.line_moved(dirty, out),
             Event::BlockingElapsed => self.blocking_elapsed(out),
             Event::ResyncCompleted { now_local } => self.last_resync = now_local,
             Event::Restarted { now_local, ndc } => self.restarted(now_local, ndc, out),
@@ -119,14 +117,8 @@ impl TbEngine {
             !self.in_blocking,
             "timer expired inside a blocking period; interval too short"
         );
-        let contents = match (self.cfg.variant, dirty) {
-            // `if (dirty_bit == 0) write_disk(current_state, 0, null)`
-            (TbVariant::Adapted, false) | (TbVariant::Original, _) => ContentsChoice::CurrentState,
-            // `else write_disk(rCKPT, 1, current_state)`
-            (TbVariant::Adapted, true) => ContentsChoice::VolatileCopy,
-        };
         out.push(Action::BeginStableWrite {
-            contents,
+            contents: self.contents(dirty),
             expected_dirty: dirty,
         });
         let elapsed = now_local.saturating_duration_since(self.last_resync);
@@ -141,7 +133,6 @@ impl TbEngine {
         out.push(Action::StartBlocking { duration });
         self.in_blocking = true;
         self.in_flight_expected_dirty = Some(dirty);
-        self.replaced = false;
         // `dCKPT_time = dCKPT_time + Δ; set_timer(createCKPT, dCKPT_time)`
         self.next_deadline = self.next_deadline + self.cfg.interval;
         out.push(Action::ScheduleTimer {
@@ -163,16 +154,25 @@ impl TbEngine {
         }
     }
 
-    fn dirty_cleared(&mut self, out: &mut Vec<Action>) {
+    /// Figure 5's contents rule, at a begin and at a replace alike.
+    fn contents(&self, dirty: bool) -> ContentsChoice {
+        match (self.cfg.variant, dirty) {
+            // `else write_disk(rCKPT, 1, current_state)`
+            (TbVariant::Adapted, true) => ContentsChoice::VolatileCopy,
+            // `if (dirty_bit == 0) write_disk(current_state, 0, null)`
+            (TbVariant::Adapted, false) | (TbVariant::Original, _) => ContentsChoice::CurrentState,
+        }
+    }
+
+    fn line_moved(&mut self, dirty: bool, out: &mut Vec<Action>) {
         // Only a write of the adapted protocol that *began* as a volatile
-        // copy (expected bit 1) is adjusted, and only once.
+        // copy (expected bit 1) is adjusted, at every move of its line.
         if self.cfg.variant == TbVariant::Adapted
             && self.in_blocking
             && self.in_flight_expected_dirty == Some(true)
-            && !self.replaced
         {
-            self.replaced = true;
-            out.push(Action::ReplaceWithCurrentState);
+            let contents = self.contents(dirty);
+            out.push(Action::ReplaceStableWrite { contents });
         }
     }
 
@@ -188,7 +188,6 @@ impl TbEngine {
         self.ndc = ndc;
         self.in_blocking = false;
         self.in_flight_expected_dirty = None;
-        self.replaced = false;
         // Rejoin the original deadline grid: the first multiple of Δ
         // strictly after the restart instant.
         let interval = self.cfg.interval.as_nanos();
@@ -328,34 +327,43 @@ mod tests {
         assert!(!e.is_blocking());
     }
 
+    const CLEARED: Event = Event::LineMoved { dirty: false };
+
     #[test]
-    fn dirty_cleared_replaces_contents_once() {
+    fn a_line_move_replaces_contents_with_what_the_line_names() {
         let mut e = TbEngine::new(cfg(TbVariant::Adapted));
         expired(&mut e, 1.0, true);
-        let first = feed(&mut e, Event::DirtyCleared);
-        assert_eq!(first, vec![Action::ReplaceWithCurrentState]);
-        let second = feed(&mut e, Event::DirtyCleared);
-        assert!(second.is_empty(), "replacement happens at most once");
+        // P1act's line moves to a later pseudo checkpoint: a new copy.
+        let moved = feed(&mut e, Event::LineMoved { dirty: true });
+        let copy = ContentsChoice::VolatileCopy;
+        assert_eq!(moved, vec![Action::ReplaceStableWrite { contents: copy }]);
+        // Then the bit clears: the current state.
+        let current = ContentsChoice::CurrentState;
+        let cleared = feed(&mut e, CLEARED);
+        assert_eq!(
+            cleared,
+            vec![Action::ReplaceStableWrite { contents: current }]
+        );
     }
 
     #[test]
     fn dirty_cleared_ignored_when_write_began_clean() {
         let mut e = TbEngine::new(cfg(TbVariant::Adapted));
         expired(&mut e, 1.0, false);
-        assert!(feed(&mut e, Event::DirtyCleared).is_empty());
+        assert!(feed(&mut e, CLEARED).is_empty());
     }
 
     #[test]
     fn dirty_cleared_ignored_outside_blocking() {
         let mut e = TbEngine::new(cfg(TbVariant::Adapted));
-        assert!(feed(&mut e, Event::DirtyCleared).is_empty());
+        assert!(feed(&mut e, CLEARED).is_empty());
     }
 
     #[test]
     fn original_variant_never_replaces() {
         let mut e = TbEngine::new(cfg(TbVariant::Original));
         expired(&mut e, 1.0, true);
-        assert!(feed(&mut e, Event::DirtyCleared).is_empty());
+        assert!(feed(&mut e, CLEARED).is_empty());
     }
 
     #[test]

@@ -15,10 +15,14 @@ pub enum Event {
         /// The checkpoint-relevant dirty bit at expiry.
         dirty: bool,
     },
-    /// The MDCD engine's dirty bit transitioned 1 → 0 (a `passed_AT`
-    /// notification with matching `Ndc` was accepted) while the blocking
-    /// period was in progress.
-    DirtyCleared,
+    /// The recovery line moved while the blocking period was in progress:
+    /// an admitted `passed_AT` cleared the dirty bit, or vouched for part
+    /// of `P1act`'s unvalidated sends so that a later volatile checkpoint
+    /// became its line.
+    LineMoved {
+        /// The checkpoint-relevant dirty bit after the move.
+        dirty: bool,
+    },
     /// The blocking period scheduled by
     /// [`Action::StartBlocking`](crate::Action::StartBlocking) elapsed.
     BlockingElapsed,

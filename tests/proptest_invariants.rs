@@ -61,15 +61,29 @@ fn coordinated_scheme_invariants_hold() {
     }
 }
 
-/// ROADMAP item 0's reproducer: the seven seeds of the first 4 000 on which
-/// the `missions` configuration ends its hardware recovery in a state that
-/// fails `consistency` / `recoverability`. Fails today; item 0's fix
-/// un-ignores it.
+/// ROADMAP item 0's reproducer: the 25 seeds of 1..20 000 on which a crash
+/// at 80 s, and 7 more on which a crash at one other instant, ended the
+/// hardware recovery in a state that failed `consistency` /
+/// `recoverability` before a `P1act` send that crosses a `passed_AT` left
+/// `P1act` a line before it (DESIGN.md §8, decision 10).
 #[test]
-#[ignore = "ROADMAP item 0: known Coordinated violation"]
 fn coordinated_scheme_holds_on_the_known_violating_seeds() {
+    const AT_80: [u64; 25] = [
+        487, 538, 693, 1510, 2446, 3619, 3809, 9495, 11043, 12036, 12256, 12344, 13425, 13588,
+        13884, 13952, 14192, 15923, 16207, 17499, 17538, 17894, 17951, 18810, 19965,
+    ];
+    let scan_only = [
+        (105, 12.5),
+        (444, 82.5),
+        (699, 82.5),
+        (732, 107.5),
+        (1472, 52.5),
+        (1534, 22.5),
+        (1734, 97.5),
+    ];
+    let runs = AT_80.iter().map(|&seed| (seed, 80.0)).chain(scan_only);
     let mut violating = Vec::new();
-    for seed in [487u64, 538, 693, 1510, 2446, 3619, 3809] {
+    for (seed, crash) in runs {
         let config = SystemConfig::builder()
             .scheme(Scheme::Coordinated)
             .seed(seed)
@@ -77,12 +91,12 @@ fn coordinated_scheme_holds_on_the_known_violating_seeds() {
             .internal_rate_per_min(60.0)
             .external_rate_per_min(2.0)
             .tb_interval_secs(5.0)
-            .hardware_fault_at_secs(80.0)
+            .hardware_fault_at_secs(crash)
             .trace(false)
             .build();
         let outcome = Mission::new(config).run();
         if !outcome.verdicts.all_hold() {
-            violating.push((seed, outcome.verdicts.violations));
+            violating.push((seed, crash, outcome.verdicts.violations));
         }
     }
     assert!(violating.is_empty(), "{violating:#?}");
