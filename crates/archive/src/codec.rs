@@ -125,19 +125,20 @@ impl Codec for ChainRecord {
     }
 }
 
-/// The CRC-32 of a full record's encoding from the CRC of its image alone.
-/// The encoding is `head‖image` — `head` being the enum tag, the chain link
-/// and the image's length prefix — so its checksum is `crc32(head)` combined
-/// with the image's: sixteen bytes hashed, not the image a second time.
+/// Maps the CRC of a full record's image to the CRC of the record's
+/// encoding, and back. The encoding is `head‖image` — `head` being the enum
+/// tag, the chain link and the image's length prefix — so its checksum is
+/// the image's with `crc32(head)`, advanced over the image, xored in
+/// (`crc32_combine`); the same call on the encoding's checksum xors it out
+/// again. Sixteen bytes are hashed either way, not the image.
 ///
-/// Both ends of a wrapper checkpoint's guard go through here. The store
-/// stamps a full record's wrapper with the CRC the checkpoint *carries*, the
-/// walker compares that stamp against the CRC it *computes* from the image
-/// bytes it is about to serve — so an image whose bytes no longer match the
-/// CRC they were committed under fails the comparison, exactly as it would
-/// fail a whole pass over the wrapper.
-pub(crate) fn full_record_crc(head: &[u8], image_crc: u32, image_len: usize) -> u32 {
-    crc32_combine(crc32(head), image_crc, image_len)
+/// The store stamps a full record's wrapper from the CRC the checkpoint
+/// *carries*; the walker, holding the hash of the wrapper's bytes, maps it
+/// back to the image's for the chain link. An image whose bytes no longer
+/// match the CRC they were committed under fails the wrapper's stamp, and a
+/// stamp over bytes whose link is wrong fails the link.
+pub(crate) fn full_record_crc(head: &[u8], crc: u32, image_len: usize) -> u32 {
+    crc32_combine(crc32(head), crc, image_len)
 }
 
 /// What one committed checkpoint cost through the chain format.
@@ -288,13 +289,6 @@ impl CheckpointCodec {
     }
 }
 
-/// The wrapper checkpoint a record was decoded from: its state bytes — the
-/// record's encoding — and the CRC stored over them.
-struct Wrapper<'a> {
-    bytes: &'a [u8],
-    crc: u32,
-}
-
 /// Replays chain records in commit order, reconstructing images and
 /// refusing — never serving — any record whose links do not verify.
 #[derive(Debug, Default)]
@@ -338,26 +332,33 @@ impl ChainWalker {
     /// seq, timestamp and label) — `None`, counting an orphan, when the
     /// record does not decode, fails the wrapper's CRC or does not chain.
     ///
-    /// A full record is served without a copy and with one pass over its
-    /// image: the image is a window of the wrapper's buffer, and the hash
-    /// of it taken here answers for the chain link *and* — combined with
-    /// the hash of the sixteen bytes before it (`crc32_combine`) — for
-    /// the wrapper's CRC, which covers exactly those bytes and the image. A
-    /// delta record is small and keeps a pass of its own over the wrapper.
-    /// Either way both stored values are compared against hashes of the
-    /// bytes taken in this call, and the rebuilt checkpoint carries the
-    /// image CRC so verified instead of hashing the image again.
+    /// The wrapper's guard is its stored CRC against the hash of its bytes:
+    /// the [`held_crc`](Checkpoint::held_crc) a disk store's frame pass
+    /// left, or one pass here for a wrapper that never crossed a frame. A
+    /// full record is served without a copy or a second pass: the image is
+    /// a window of the wrapper's buffer, and its CRC is the wrapper's with
+    /// the head taken out (`full_record_crc`).
     pub fn replay(&mut self, wrapped: &Checkpoint) -> Option<Checkpoint> {
         let bytes = wrapped.shared_data();
         let Ok(record) = synergy_codec::from_shared::<ChainRecord>(&bytes) else {
             self.note_orphan();
             return None;
         };
-        let wrapper = Wrapper {
-            bytes: &bytes,
-            crc: wrapped.crc(),
+        let held = wrapped.held_crc().unwrap_or_else(|| crc32(&bytes));
+        if held != wrapped.crc() {
+            self.note_orphan();
+            return None;
+        }
+        // A decoded full record is its wrapper's bytes end to end: whatever
+        // precedes the image is the head.
+        let image_crc = match &record {
+            ChainRecord::Full { image, .. } => {
+                let head = &bytes[..bytes.len() - image.len()];
+                Some(full_record_crc(head, held, image.len()))
+            }
+            ChainRecord::Delta { .. } => None,
         };
-        let last = self.step(wrapped.seq(), &record, Some(wrapper))?;
+        let last = self.step(wrapped.seq(), &record, image_crc)?;
         Some(Checkpoint::from_verified_parts(
             wrapped.seq(),
             wrapped.taken_at(),
@@ -367,25 +368,20 @@ impl ChainWalker {
         ))
     }
 
-    /// Verifies `record` against the chain position — and against the
-    /// `wrapper` it was decoded from, when it came in one — and, if every
-    /// guard holds, moves the position onto its image and returns it.
+    /// Verifies `record` against the chain position and, if every guard
+    /// holds, moves the position onto its image and returns it. A full
+    /// record's image is hashed here unless the caller derived its CRC
+    /// (`image_crc`) from bytes it verified.
     fn step(
         &mut self,
         seq: u64,
         record: &ChainRecord,
-        wrapper: Option<Wrapper<'_>>,
+        image_crc: Option<u32>,
     ) -> Option<&LastImage> {
         match record {
             ChainRecord::Full { chain_crc, image } => {
-                let crc = crc32(image);
-                // A decoded full record is its wrapper's bytes end to end:
-                // whatever precedes the image is the head.
-                let wrapper_fails = wrapper.is_some_and(|w| {
-                    let head = &w.bytes[..w.bytes.len() - image.len()];
-                    full_record_crc(head, crc, image.len()) != w.crc
-                });
-                if wrapper_fails || *chain_crc != chain_link(CHAIN_SEED, crc) {
+                let crc = image_crc.unwrap_or_else(|| crc32(image));
+                if *chain_crc != chain_link(CHAIN_SEED, crc) {
                     self.orphans += 1;
                     return None;
                 }
@@ -402,10 +398,6 @@ impl ChainWalker {
                 chain_crc,
                 patch,
             } => {
-                if wrapper.is_some_and(|w| crc32(w.bytes) != w.crc) {
-                    self.orphans += 1;
-                    return None;
-                }
                 let Some(last) = &self.last else {
                     self.orphans += 1;
                     return None;
@@ -419,7 +411,8 @@ impl ChainWalker {
                 }
                 // `last.crc` is this walker's own hash of `last.image` (or the
                 // rebuilt-image CRC it verified one record ago) and has just
-                // matched `patch.base_crc`: the base is not hashed again.
+                // matched `patch.base_crc`: the base is not hashed again, and
+                // the rebuilt image's CRC is derived from it.
                 let Ok(image) = patch.apply_to_verified_base(&last.image) else {
                     self.orphans += 1;
                     return None;

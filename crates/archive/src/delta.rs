@@ -9,16 +9,22 @@
 //!
 //! Who hashes what, once: the public [`DeltaPatch::diff`] and
 //! [`DeltaPatch::apply`] serve callers that hold no CRC, so `diff` hashes
-//! both images and `apply` hashes its base before and its result after.
-//! The chain codec and walker hold CRCs they computed or verified
-//! themselves and use the crate-private forms that carry them — the codec
-//! diffs without hashing either image, the walker compares `base_crc` with
-//! the CRC it already holds and applies without re-hashing the base. The
-//! rebuilt-image CRC, the growth bound and the region bounds run on every
-//! path.
+//! both images and `apply` hashes its base. The chain codec and walker
+//! hold CRCs they computed or verified themselves and use the
+//! crate-private forms that carry them — the codec diffs without hashing
+//! either image, the walker compares `base_crc` with the CRC it already
+//! holds and applies without re-hashing the base. On both apply paths the
+//! rebuilt image is not hashed whole either: at a fixed length the CRC is
+//! linear in the bytes, so overwriting `old` with `new` with `tail` bytes
+//! after them changes it by `crc32(old) ^ crc32(new)` advanced over `tail`
+//! zero bytes (`crc32_combine(d, 0, tail)`). Starting from `base_crc` (for
+//! a grown image, base ‖ zeros), that gives the exact CRC of the rebuilt
+//! bytes for the dirty bytes' cost, under the trust the caller already
+//! gives the base; only a shrunk image is hashed whole. The rebuilt-image
+//! check, the growth bound and the region bounds run on every path.
 
 use synergy_codec::codec_struct;
-use synergy_storage::crc32;
+use synergy_storage::{crc32, crc32_combine};
 
 use core::fmt;
 use std::sync::Arc;
@@ -190,11 +196,11 @@ impl DeltaPatch {
         self.rebuild_resized(base, new_len)
     }
 
-    /// [`apply`](Self::apply) for a caller that has itself hashed `base` and
-    /// compared the result with [`base_crc`](Self::base_crc) (the chain
-    /// walker): only the base re-hash is skipped. The image is built
-    /// directly in its shared buffer — one allocation and one copy when the
-    /// length is unchanged.
+    /// [`apply`](Self::apply) for a caller that has itself hashed `base`, or
+    /// verified it one record earlier, and compared the result with
+    /// [`base_crc`](Self::base_crc) (the chain walker): only the base
+    /// re-hash is skipped. The image is built directly in its shared
+    /// buffer — one allocation and one copy when the length is unchanged.
     pub(crate) fn apply_to_verified_base(&self, base: &[u8]) -> Result<Arc<[u8]>, DeltaError> {
         let new_len = self.checked_new_len(base.len())?;
         if new_len != base.len() {
@@ -202,7 +208,7 @@ impl DeltaPatch {
         }
         let mut image = Arc::<[u8]>::from(base);
         let bytes = Arc::get_mut(&mut image).expect("a freshly built Arc has one owner");
-        self.patch_in_place(bytes)?;
+        self.patch_in_place(bytes, Some(self.base_crc))?;
         Ok(image)
     }
 
@@ -223,24 +229,35 @@ impl DeltaPatch {
     }
 
     /// The grow / shrink route: copies `base` into a vector of `new_len`
-    /// bytes and patches that.
+    /// bytes and patches that (fewer zeros than region bytes when it grows,
+    /// by the growth bound).
     fn rebuild_resized(&self, base: &[u8], new_len: usize) -> Result<Vec<u8>, DeltaError> {
         let mut image = base.to_vec();
         image.resize(new_len, 0);
-        self.patch_in_place(&mut image)?;
+        let derived = image
+            .get(base.len()..)
+            .map(|zeros| crc32_combine(self.base_crc, crc32(zeros), zeros.len()));
+        self.patch_in_place(&mut image, derived)?;
         Ok(image)
     }
 
     /// Writes the regions over `image` (the base's bytes, already sized to
-    /// `new_len`), bounds-checking each before the write, then verifies the
-    /// rebuilt image against [`image_crc`](Self::image_crc).
-    fn patch_in_place(&self, image: &mut [u8]) -> Result<(), DeltaError> {
+    /// `new_len`), bounds-checking each before the write, and checks the
+    /// rebuilt image against [`image_crc`](Self::image_crc): by the CRC
+    /// derived from `derived`, the CRC of `image` as passed in (see the
+    /// module doc), or by hashing the result when that is `None`.
+    fn patch_in_place(&self, image: &mut [u8], mut derived: Option<u32>) -> Result<(), DeltaError> {
         for region in &self.regions {
             let offset = region.offset as usize;
             let end = offset.checked_add(region.bytes.len());
             match end {
                 Some(end) if end <= image.len() => {
-                    image[offset..end].copy_from_slice(&region.bytes);
+                    let tail = image.len() - end;
+                    let old = &mut image[offset..end];
+                    if let Some(crc) = &mut derived {
+                        *crc ^= crc32_combine(crc32(old) ^ crc32(&region.bytes), 0, tail);
+                    }
+                    old.copy_from_slice(&region.bytes);
                 }
                 _ => {
                     return Err(DeltaError::RegionOutOfBounds {
@@ -251,7 +268,7 @@ impl DeltaPatch {
                 }
             }
         }
-        let rebuilt = crc32(image);
+        let rebuilt = derived.unwrap_or_else(|| crc32(image));
         if rebuilt != self.image_crc {
             return Err(DeltaError::ImageMismatch {
                 expected: self.image_crc,
@@ -284,6 +301,7 @@ pub(crate) fn chain_link(prev_chain_crc: u32, image_crc: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use synergy_des::DetRng;
 
     #[test]
     fn diff_of_identical_images_is_empty() {
@@ -386,26 +404,142 @@ mod tests {
         }
     }
 
+    /// `patch` over `base` the long way: resize, then copy every region.
+    fn rebuilt_by_hand(base: &[u8], patch: &DeltaPatch) -> Vec<u8> {
+        let mut image = base.to_vec();
+        image.resize(patch.new_len as usize, 0);
+        for r in &patch.regions {
+            let at = r.offset as usize;
+            image[at..at + r.bytes.len()].copy_from_slice(&r.bytes);
+        }
+        image
+    }
+
+    /// Both apply paths serve `patch`'s image when its `image_crc` is the
+    /// rebuilt bytes' `crc32`, and report that value as the rebuilt CRC
+    /// when it is not.
+    fn assert_derivation_exact(base: &[u8], mut patch: DeltaPatch, case: &str) {
+        patch.base_crc = crc32(base);
+        let want = rebuilt_by_hand(base, &patch);
+        patch.image_crc = crc32(&want);
+        assert_eq!(patch.apply(base).as_ref(), Ok(&want), "{case}");
+        let shared = patch.apply_to_verified_base(base).unwrap();
+        assert_eq!(shared.as_ref(), &want[..], "{case}");
+        patch.image_crc ^= 1;
+        let mismatch = Err(DeltaError::ImageMismatch {
+            expected: patch.image_crc,
+            actual: crc32(&want),
+        });
+        assert_eq!(patch.apply(base), mismatch, "{case}");
+        assert_eq!(
+            patch.apply_to_verified_base(base),
+            mismatch.map(Arc::from),
+            "{case}"
+        );
+    }
+
+    fn drawn(rng: &mut DetRng, len: usize) -> Vec<u8> {
+        let mut bytes = vec![0u8; len];
+        rng.fill_bytes(&mut bytes);
+        bytes
+    }
+
+    /// A patch to an image of `new_len` bytes that writes drawn bytes over
+    /// each `(offset, len)` span, in the order given.
+    fn drawn_patch(rng: &mut DetRng, new_len: usize, spans: &[(usize, usize)]) -> DeltaPatch {
+        let regions = spans.iter().map(|&(offset, len)| DirtyRegion {
+            offset: offset as u64,
+            bytes: drawn(rng, len),
+        });
+        DeltaPatch {
+            base_crc: 0,
+            image_crc: 0,
+            new_len: new_len as u64,
+            regions: regions.collect(),
+        }
+    }
+
+    #[test]
+    fn derived_rebuilt_crc_is_the_crc_of_the_rebuilt_bytes() {
+        let mut rng = DetRng::new(54).stream("derivation");
+        let (n, base) = (40_000, drawn(&mut rng, 40_000));
+        let scattered: Vec<_> = (0..30).map(|i| (128 * i, 64)).collect();
+        // (what, new_len, spans)
+        type Case<'a> = (&'a str, usize, &'a [(usize, usize)]);
+        #[rustfmt::skip]
+        let cases: [Case<'_>; 8] = [
+            ("an empty patch", n, &[]),
+            ("a region at offset 0", n, &[(0, 70)]),
+            ("a region ending at the last byte", n, &[(n - 9, 9)]),
+            ("overlapping regions", n, &[(500, 300), (700, 200)]),
+            ("one span written twice", n, &[(64, 64), (64, 64)]),
+            ("a grown image, zeros before the region", n + 40, &[(n + 20, 20), (0, 30)]),
+            ("a shrunk image, hashed", 1000, &[(999, 1)]),
+            ("thirty scattered regions", n, &scattered),
+        ];
+        for (case, new_len, spans) in cases {
+            let patch = drawn_patch(&mut rng, new_len, spans);
+            assert_derivation_exact(&base, patch, case);
+        }
+        // Seeded random bases and patches, equal and grown images: regions
+        // in any order, overlapping and reaching either end.
+        for round in 0..64u64 {
+            let base_len = rng.gen_range(11_000..14_000u64) as usize;
+            let new_len = base_len + [0, rng.gen_range(1..200u64) as usize][round as usize % 2];
+            let mut spans = vec![(base_len, new_len - base_len)];
+            for _ in 0..rng.gen_range(0..4u64) {
+                let offset = rng.gen_range(0..new_len as u64) as usize;
+                let len = rng.gen_range(0..=(new_len - offset).min(300) as u64);
+                spans.push((offset, len as usize));
+            }
+            let base = drawn(&mut rng, base_len);
+            let patch = drawn_patch(&mut rng, new_len, &spans);
+            assert_derivation_exact(&base, patch, &format!("round {round}"));
+        }
+    }
+
     #[test]
     fn verified_base_form_keeps_every_check_but_the_base_hash() {
-        let base = vec![0u8; 256];
+        let mut base = vec![0u8; 4096];
+        DetRng::new(54).stream("image-checks").fill_bytes(&mut base);
         let mut new = base.clone();
-        new[10] = 1;
+        new[2000..2100].fill(1);
         let clean = DeltaPatch::diff(&base, &new);
+        assert_eq!(clean.apply(&base), Ok(new.clone()));
 
+        // Each tamper leaves a base that matches the `base_crc` it is
+        // applied under, so both paths reach the rebuilt-image check. The
+        // flipped base byte is one no region overwrites: the base is not the
+        // image's, though its bytes and its CRC agree.
         let mut flipped = clean.clone();
         flipped.regions[0].bytes[0] ^= 0x80;
         let mut stale = clean.clone();
         stale.image_crc ^= 1;
-        for patch in [&flipped, &stale] {
-            assert!(matches!(
-                patch.apply_to_verified_base(&base),
-                Err(DeltaError::ImageMismatch { .. })
-            ));
+        let mut other_base = base.clone();
+        other_base[3000] ^= 0x04;
+        let mut other_patch = clean.clone();
+        other_patch.base_crc = crc32(&other_base);
+        let tampered = [
+            ("a flipped region byte", &flipped, &base),
+            ("a wrong image_crc", &stale, &base),
+            ("a flipped base byte", &other_patch, &other_base),
+        ];
+        for (what, patch, base) in tampered {
+            assert!(
+                matches!(patch.apply(base), Err(DeltaError::ImageMismatch { .. })),
+                "{what}: public apply"
+            );
+            assert!(
+                matches!(
+                    patch.apply_to_verified_base(base),
+                    Err(DeltaError::ImageMismatch { .. })
+                ),
+                "{what}: verified base"
+            );
         }
 
         let mut outside = clean.clone();
-        outside.regions[0].offset = 1000;
+        outside.regions[0].offset = 1 << 20;
         let mut overlong = clean.clone();
         overlong.new_len = u64::MAX;
         for patch in [&outside, &overlong] {

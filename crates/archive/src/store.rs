@@ -107,14 +107,11 @@ impl<S: StableHistory> DeltaStable<S> {
     /// suffix is never extended.
     ///
     /// Who hashes what: a disk backend made one pass over each record file
-    /// at its own open, for the frame CRC and only that. The walk here
-    /// makes one pass over each full record's image, and that hash serves
-    /// both remaining guards — the chain link, and the wrapper checkpoint's
-    /// CRC, which is derived from it ([`ChainWalker::replay`]); a delta
-    /// record gets a pass over its (small) wrapper and one over the image
-    /// it rebuilds. The rebuilt checkpoint carries the image CRC so
-    /// verified instead of hashing the image again, and shares the
-    /// wrapper's buffer: the reload holds one buffer per full record.
+    /// at its own open and left its hash in [`Checkpoint::held_crc`]; the
+    /// walk ([`ChainWalker::replay`]) hashes no image that pass covered.
+    /// The rebuilt checkpoint carries the image CRC so verified instead of
+    /// hashing the image again, and shares the wrapper's buffer: the
+    /// reload holds one buffer per full record.
     ///
     /// # Panics
     ///
@@ -497,14 +494,19 @@ mod tests {
             let encoded = synergy_codec::to_bytes(&record).unwrap();
             assert_eq!(&*wrapped.shared_data(), &encoded[..], "len {len}");
             assert_eq!(wrapped.crc(), crc32(&encoded), "stamped, len {len}");
-            // So is the value `replay` compares it with — computed from the
-            // head and a hash of the image alone.
+            // It is derived from the head and the image's CRC alone, and
+            // `replay` maps the wrapper's CRC back to the image's.
             let head = &encoded[..encoded.len() - len];
             assert_eq!(head.len(), 16);
             assert_eq!(
                 full_record_crc(head, crc32(&encoded[16..]), len),
                 crc32(&encoded),
-                "compared, len {len}"
+                "derived, len {len}"
+            );
+            assert_eq!(
+                full_record_crc(head, crc32(&encoded), len),
+                image_crc,
+                "mapped back, len {len}"
             );
             assert_eq!(wrapped.decode::<ChainRecord>().unwrap(), record);
             let s = DeltaStable::open(s.into_inner(), 1);

@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use synergy_codec::{Codec, CodecError, Reader, SharedBytes};
 use synergy_des::SimTime;
 
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_combine};
 
 /// Errors from encoding or decoding a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,6 +115,8 @@ pub struct Checkpoint {
     body: Body,
     /// CRC-32 of the serialized state, stamped on first use.
     crc: OnceLock<u32>,
+    /// CRC-32 of the bytes `body` holds, when a pass over them computed it.
+    held: Option<u32>,
 }
 
 /// A checkpoint's serialized state: in hand, or produced on first read.
@@ -183,6 +185,7 @@ impl Codec for Checkpoint {
             label: Cow::decode(r)?,
             body: Body::Bytes(SharedBytes::decode(r)?),
             crc: OnceLock::from(u32::decode(r)?),
+            held: None,
         })
     }
 }
@@ -231,6 +234,7 @@ impl Checkpoint {
             label: Cow::Owned(label.into()),
             body: Body::Bytes(bytes.as_slice().into()),
             crc: OnceLock::new(),
+            held: None,
         })
     }
 
@@ -253,6 +257,7 @@ impl Checkpoint {
                 state: Mutex::new(Some(state)),
             })),
             crc: OnceLock::new(),
+            held: None,
         }
     }
 
@@ -281,7 +286,24 @@ impl Checkpoint {
             label: Cow::Owned(label.into()),
             body: Body::Bytes(data),
             crc: OnceLock::from(crc),
+            held: None,
         }
+    }
+
+    /// Decodes the checkpoint `payload` encodes and hashes `payload` in the
+    /// same pass, as prefix ‖ state ‖ suffix joined with [`crc32_combine`]:
+    /// the record comes back with its [`held_crc`](Self::held_crc) set to
+    /// the state's hash, beside the CRC of the whole payload. `None` when
+    /// `payload` does not decode as a checkpoint.
+    pub(crate) fn decode_hashed(payload: &SharedBytes) -> Option<(Checkpoint, u32)> {
+        let mut ckpt: Checkpoint = synergy_codec::from_shared(payload).ok()?;
+        // The state is the encoding's last field but the stamp's four bytes.
+        let end = payload.len() - 4;
+        let start = end - ckpt.size_bytes();
+        let state = crc32(&payload[start..end]);
+        let head = crc32_combine(crc32(&payload[..start]), state, end - start);
+        ckpt.held = Some(state);
+        Some((ckpt, crc32_combine(head, crc32(&payload[end..]), 4)))
     }
 
     /// Deserializes the stored state, hashing it first on every call and
@@ -341,6 +363,13 @@ impl Checkpoint {
         *self.crc.get_or_init(|| crc32(self.data()))
     }
 
+    /// The CRC-32 of the bytes this record holds: set only by a pass over
+    /// exactly these bytes (the disk store's frame pass), and cleared by
+    /// [`corrupt_bit`](Self::corrupt_bit).
+    pub fn held_crc(&self) -> Option<u32> {
+        self.held
+    }
+
     /// The serialized state, shared. Cloning the returned handle is a
     /// refcount bump.
     pub fn shared_data(&self) -> SharedBytes {
@@ -362,6 +391,7 @@ impl Checkpoint {
         let i = (bit / 8) % bytes.len();
         bytes[i] ^= 1 << (bit % 8);
         self.body = Body::Bytes(bytes.into());
+        self.held = None;
     }
 }
 

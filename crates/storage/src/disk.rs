@@ -28,8 +28,9 @@
 //! whole, into one buffer sized from the file's metadata, and the reloaded
 //! [`Checkpoint`]'s state bytes are a window of that buffer — one
 //! allocation and no copy per record. This store makes one pass over the
-//! buffer, the frame CRC; the state CRC is left to whoever decodes the
-//! checkpoint (for a chain record, the archive layer's walk).
+//! buffer, the frame CRC, which also leaves the state's hash in the
+//! reloaded checkpoint's [`held_crc`](Checkpoint::held_crc);
+//! [`decode`](Checkpoint::decode) still hashes the state on every call.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -85,14 +86,14 @@ fn unframe(bytes: &SharedBytes) -> Option<Checkpoint> {
         return None;
     }
     let len = usize::try_from(len).ok()?;
-    let payload = bytes.get(12..12 + len)?;
     let stored_crc = u32::from_le_bytes(bytes.get(12 + len..16 + len)?.try_into().ok()?);
-    if bytes.len() != 16 + len || crc32(payload) != stored_crc {
+    if bytes.len() != 16 + len {
         return None;
     }
     // The frame CRC covers the whole serialized checkpoint, including the
     // checkpoint's own state CRC; the latter is re-verified at decode time.
-    synergy_codec::from_shared(&bytes.slice(12..12 + len)).ok()
+    let (ckpt, crc) = Checkpoint::decode_hashed(&bytes.slice(12..12 + len))?;
+    (crc == stored_crc).then_some(ckpt)
 }
 
 /// Reads exactly `len` bytes — all there is — from `file` into one shared
@@ -714,6 +715,61 @@ mod tests {
         let data = unframe(&file).unwrap().shared_data();
         let at = 12 + 8 + 8 + (8 + 1) + 8;
         assert_eq!(data.as_ptr_range(), file[at..file.len() - 8].as_ptr_range());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_frame_pass_leaves_the_states_hash_and_corrupt_bit_drops_it() {
+        let dir = tmp_dir("held");
+        let written = ckpt(1, 10);
+        assert_eq!(written.held_crc(), None, "an encoded record holds no hash");
+        {
+            let mut s = DiskStableStore::open(&dir).unwrap();
+            s.begin_write(written.clone()).unwrap();
+            s.commit_write().unwrap();
+        }
+        let mut back = DiskStableStore::open(&dir)
+            .unwrap()
+            .latest_shared()
+            .unwrap();
+        assert_eq!(back.held_crc(), Some(crc32(&back.shared_data())));
+        assert_eq!(back.held_crc(), Some(written.crc()));
+        back.corrupt_bit(13);
+        assert_eq!(back.held_crc(), None, "the hashed bytes are gone");
+        assert!(matches!(
+            back.decode::<u64>(),
+            Err(crate::CheckpointError::CrcMismatch { .. })
+        ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_rewritten_state_crc_under_a_valid_frame_is_refused_at_decode() {
+        // The frame is re-stamped over the wrong state CRC, so it reloads;
+        // the memo is the state's true hash, and `decode` hashes anyway.
+        let dir = tmp_dir("restamped");
+        let good = ckpt(1, 10);
+        let lying = Checkpoint::from_verified_parts(
+            good.seq(),
+            good.taken_at(),
+            good.label(),
+            good.shared_data(),
+            good.crc() ^ 0x10,
+        );
+        assert_eq!(lying.held_crc(), None, "a claimed CRC is not a hash");
+        fs::create_dir_all(&dir).unwrap();
+        DiskStableStore::write_record_file(&dir.join(file_name(0)), &lying).unwrap();
+        let s = DiskStableStore::open(&dir).unwrap();
+        assert_eq!(s.stats().corrupt_records, 0, "the frame is valid");
+        let back = s.latest_shared().unwrap();
+        assert_eq!(back.held_crc(), Some(good.crc()));
+        assert_eq!(
+            back.decode::<u64>(),
+            Err(crate::CheckpointError::CrcMismatch {
+                expected: good.crc() ^ 0x10,
+                actual: good.crc(),
+            })
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -187,9 +187,11 @@ cargo test -q --offline --manifest-path ledger/Cargo.toml
 
 echo "==> ledger smoke: the benchmark's entry point runs five short workloads"
 # The command BENCHMARK.json names, as the benchmark pipeline invokes it;
-# its last line is the machine-read verdict. ckpt_k16 replays deltas;
-# ckpt_k1 reloads 32 full 256 KiB images through every CRC guard and checks
-# them equal to what was committed, with zero orphans; sim_sweep runs 250
+# its last line is the machine-read verdict. ckpt_k16 replays deltas, each
+# rebuilt image checked by a CRC derived from its base's and its patch;
+# ckpt_k1 reloads 32 full 256 KiB images, each hashed once by the frame pass
+# whose hash every CRC guard above it reads, and checks them equal to what
+# was committed, with zero orphans; sim_sweep runs 250
 # seeded missions a block through the simulator's event path and requires
 # every checker verdict to hold and every block to repeat the first one's
 # events and device stream; sim_dense does the same for one long mission
@@ -277,11 +279,16 @@ echo "==> unmasked-regime smoke: 4 seeds per regime + live Byzantine campaigns"
 # scans; +149 non-test, +90 in core/src/system/host.rs for the marks, the
 # line move and one stable-payload builder, +27 for the application's
 # mark, +18 in the active engine, +7 in synergy-tb, +7 for the trace
-# detail and the explorer key);
+# detail and the explorer key), 37 435 with a cold reload that hashes each
+# persisted byte once (+215: +177 of tests, the seeded derivation test of a
+# rebuilt delta image's CRC, the tamper cases on both apply paths and the
+# storage pins of the held CRC; +38 non-test, +30 in checkpoint.rs for
+# `held_crc` and the split frame hash, +17 in delta.rs for the derived CRC,
+# +1 in disk.rs, -10 in the walk and its docs);
 # every CHANGES.md entry ends with before -> after. The
 # ceiling is a gate: a change that must raise it edits the number and
 # says why in CHANGES.md.
-rust_ceiling=37220
+rust_ceiling=37435
 rust_lines="$(git ls-files '*.rs' | xargs cat | wc -l)"
 echo "==> tracked Rust lines: $rust_lines (ceiling $rust_ceiling)"
 if ((rust_lines > rust_ceiling)); then
